@@ -17,6 +17,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/paper"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -222,9 +223,10 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil || !plan.Executable {
 		b.Fatal("plan not executable")
 	}
+	tables := proto.Derive(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := machine.Simulate(s, plan, sched.T3D(), machine.Options{}); err != nil {
+		if _, err := machine.Simulate(s, plan, tables, sched.T3D(), machine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -342,9 +344,10 @@ func BenchmarkConcurrentExec(b *testing.B) {
 	for _, p := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			_, s, plan := concurrentExecProblem(b, p)
+			tables := proto.Derive(s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Run(s, plan, exec.Config{}); err != nil {
+				if _, err := exec.Run(s, plan, tables, exec.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -360,9 +363,10 @@ func BenchmarkConcurrentExecNumeric(b *testing.B) {
 	for _, p := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			pr, s, plan := concurrentExecProblem(b, p)
+			tables := proto.Derive(s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Run(s, plan, exec.Config{Kernel: pr.Kernel, Init: pr.InitObject}); err != nil {
+				if _, err := exec.Run(s, plan, tables, exec.Config{Kernel: pr.Kernel, Init: pr.InitObject}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -235,10 +235,12 @@ func (e *engine) dumpAll() string {
 // run started), which accounts per-state occupancy with it.
 func (e *engine) clock() float64 { return time.Since(e.start).Seconds() }
 
-// Run executes the schedule under the MAP plan. The plan must be executable
-// (use mem.NewPlan and check Executable first); capacity is taken from it.
-func Run(s *sched.Schedule, plan *mem.Plan, cfg Config) (*Result, error) {
-	pe, err := proto.NewEngine(s, plan, cfg.Faults)
+// Run executes the schedule under the MAP plan, driven by the schedule's
+// protocol tables (proto.Derive(s); a compiled artifact carries its own).
+// The plan must be executable (use mem.NewPlan and check Executable first);
+// capacity is taken from it.
+func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*Result, error) {
+	pe, err := proto.NewEngine(s, plan, tables, cfg.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
@@ -503,9 +505,12 @@ func (ps *procState) blockCheck(st proto.State, core *proto.Core) error {
 		return fmt.Errorf("exec: proc %d aborted in %s state", ps.p, st)
 	}
 	if time.Since(ps.lastProgress) > ps.e.cfg.BlockTimeout {
-		ps.e.stalled()
-		return fmt.Errorf("exec: proc %d made no progress for %v — %s (possible deadlock; see Config.BlockTimeout)\nmachine state at timeout:%s",
+		// Render the report before the hook runs: the hook may unwedge the
+		// machine, and the dump must show the stall, not its aftermath.
+		err := fmt.Errorf("exec: proc %d made no progress for %v — %s (possible deadlock; see Config.BlockTimeout)\nmachine state at timeout:%s",
 			ps.p, ps.e.cfg.BlockTimeout, core.BlockedInfo(), ps.e.dumpAll())
+		ps.e.stalled()
+		return err
 	}
 	return nil
 }
@@ -534,7 +539,7 @@ func (ps *procState) ApplyMAP(m *mem.MAP) error {
 		// Volatile copies of pure input objects (no producer task ever
 		// sends them) are filled during preprocessing — the runtime's
 		// initial data distribution.
-		if ps.e.numeric && ps.e.cfg.Init != nil && ps.e.eng.Tables.Expect[ps.p][o] == 0 {
+		if ps.e.numeric && ps.e.cfg.Init != nil && ps.e.eng.Tables.Expect(ps.p, o) == 0 {
 			ps.e.cfg.Init(o, b.Data)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -49,7 +50,7 @@ func runNumeric(t *testing.T, pr *chol.Problem, s *sched.Schedule, capacity int6
 	if !plan.Executable {
 		t.Fatalf("plan not executable at capacity %d (MinMem %d)", capacity, s.MinMem())
 	}
-	res, err := Run(s, plan, Config{
+	res, err := Run(s, plan, proto.Derive(s), Config{
 		Kernel:       pr.Kernel,
 		Init:         pr.InitObject,
 		BlockTimeout: 20 * time.Second,
@@ -133,7 +134,7 @@ func TestLUConcurrentSolves(t *testing.T) {
 	if !plan.Executable {
 		t.Fatalf("not executable at MinMem")
 	}
-	res, err := Run(s, plan, Config{
+	res, err := Run(s, plan, proto.Derive(s), Config{
 		Kernel: pr.Kernel,
 		Init:   pr.InitObject,
 		BufLen: pr.BufLen,
@@ -189,7 +190,7 @@ func TestStructureOnlyRandomStress(t *testing.T) {
 				t.Fatalf("trial %d: TOT plan must be executable", trial)
 			}
 		}
-		res, err := Run(s, plan, Config{BlockTimeout: 20 * time.Second})
+		res, err := Run(s, plan, proto.Derive(s), Config{BlockTimeout: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("trial %d (p=%d, %v): %v", trial, p, h, err)
 		}
@@ -219,7 +220,7 @@ func TestNonExecutablePlanRejected(t *testing.T) {
 	if plan.Executable {
 		t.Fatalf("capacity 3 should not be executable")
 	}
-	if _, err := Run(s, plan, Config{}); err == nil {
+	if _, err := Run(s, plan, proto.Derive(s), Config{}); err == nil {
 		t.Fatalf("Run must reject non-executable plans")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -36,7 +37,7 @@ func TestKernelFailureAbortsCleanly(t *testing.T) {
 		victim := graph.TaskID(rng.Intn(g.NumTasks()))
 		boom := errors.New("injected fault")
 		start := time.Now()
-		_, err = Run(s, plan, Config{
+		_, err = Run(s, plan, proto.Derive(s), Config{
 			Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 				if tk == victim {
 					return boom
@@ -77,7 +78,7 @@ func TestKernelPanicRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(s, plan, Config{
+	_, err = Run(s, plan, proto.Derive(s), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == 5 {
 				panic("kernel exploded")
@@ -113,7 +114,7 @@ func TestWatchdogFiresOnArtificialStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	_, err = Run(s, plan, Config{
+	_, err = Run(s, plan, proto.Derive(s), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == 0 {
 				select {

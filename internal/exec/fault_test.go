@@ -37,7 +37,7 @@ func TestCholeskyUnderFaultInjection(t *testing.T) {
 		{Seed: 11, DropFrac: 0.25, DupFrac: 0.10},
 		{Seed: 13, AddrFrac: 0.3, DataFrac: 0.3, DropFrac: 0.25, DupFrac: 0.25},
 	} {
-		res, err := Run(s, plan, Config{
+		res, err := Run(s, plan, proto.Derive(s), Config{
 			Kernel:       pr.Kernel,
 			Init:         pr.InitObject,
 			BlockTimeout: 20 * time.Second,
@@ -120,7 +120,7 @@ func TestWatchdogReportsBlockedDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	_, err = Run(s, plan, Config{
+	_, err = Run(s, plan, proto.Derive(s), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == t0 {
 				<-release // held exactly until the watchdog fires

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -23,7 +24,7 @@ func TestParkedProcessorsDoNotSpin(t *testing.T) {
 	if err != nil || !plan.Executable {
 		t.Fatal("plan not executable")
 	}
-	res, err := Run(s, plan, Config{}) // structure-only: pure protocol
+	res, err := Run(s, plan, proto.Derive(s), Config{}) // structure-only: pure protocol
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestDepositVsParkRace(t *testing.T) {
 		if err != nil || !plan.Executable {
 			t.Fatal("plan not executable")
 		}
-		if _, err := Run(s, plan, Config{}); err != nil {
+		if _, err := Run(s, plan, proto.Derive(s), Config{}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

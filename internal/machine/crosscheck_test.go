@@ -39,11 +39,11 @@ func TestSimulatorAndExecutorAgree(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
-		simRes, err := Simulate(s, pl, sched.T3D(), Options{})
+		simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
 		if err != nil {
 			t.Fatalf("trial %d sim: %v", trial, err)
 		}
-		exRes, err := exec.Run(s, pl, exec.Config{})
+		exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{})
 		if err != nil {
 			t.Fatalf("trial %d exec: %v", trial, err)
 		}
@@ -107,11 +107,11 @@ func TestRandomizedEquivalence(t *testing.T) {
 		}
 
 		run := func(f proto.Faults) (*Result, *exec.Result) {
-			simRes, err := Simulate(s, pl, sched.T3D(), Options{Faults: f})
+			simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d sim (faults %+v): %v", trial, f, err)
 			}
-			exRes, err := exec.Run(s, pl, exec.Config{Faults: f})
+			exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d exec (faults %+v): %v", trial, f, err)
 			}
@@ -161,7 +161,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 		for q := 0; q < p; q++ {
 			want := 0
 			for _, task := range s.Order[q] {
-				want += len(tables.Sends[task])
+				want += len(tables.SendsOf(task))
 			}
 			if allSim.SuspendedSends[q] != want || allEx.SuspendedSends[q] != want {
 				t.Errorf("trial %d: proc %d forced suspensions sim %d exec %d, want %d (table sends)",
@@ -208,11 +208,11 @@ func TestLossDupEquivalence(t *testing.T) {
 		}
 
 		run := func(f proto.Faults) (*Result, *exec.Result) {
-			simRes, err := Simulate(s, pl, sched.T3D(), Options{Faults: f})
+			simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d sim (faults %+v): %v", trial, f, err)
 			}
-			exRes, err := exec.Run(s, pl, exec.Config{Faults: f})
+			exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d exec (faults %+v): %v", trial, f, err)
 			}
@@ -310,16 +310,16 @@ func TestSuspendedQueueUnderLoss(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
-		cleanSim, err := Simulate(s, pl, sched.T3D(), Options{})
+		cleanSim, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f := proto.Faults{Seed: uint64(trial) + 3, DataFrac: 1, DropFrac: 0.25}
-		simRes, err := Simulate(s, pl, sched.T3D(), Options{Faults: f})
+		simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{Faults: f})
 		if err != nil {
 			t.Fatalf("trial %d sim: %v", trial, err)
 		}
-		exRes, err := exec.Run(s, pl, exec.Config{Faults: f})
+		exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{Faults: f})
 		if err != nil {
 			t.Fatalf("trial %d exec: %v", trial, err)
 		}
@@ -327,7 +327,7 @@ func TestSuspendedQueueUnderLoss(t *testing.T) {
 		for q := 0; q < p; q++ {
 			want := 0
 			for _, task := range s.Order[q] {
-				want += len(tables.Sends[task])
+				want += len(tables.SendsOf(task))
 			}
 			if simRes.SuspendedSends[q] != want || exRes.SuspendedSends[q] != want {
 				t.Errorf("trial %d: proc %d suspensions sim %d exec %d, want %d (each message suspends exactly once)",
@@ -370,7 +370,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 	}
 	var prev *Result
 	for i := 0; i < 5; i++ {
-		res, err := Simulate(s, pl, sched.T3D(), Options{})
+		res, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

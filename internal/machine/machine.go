@@ -154,9 +154,11 @@ func (m *sim) fail(err error) {
 	}
 }
 
-// Simulate runs the schedule under the plan and cost model.
-func Simulate(s *sched.Schedule, plan *mem.Plan, model sched.CostModel, opt Options) (*Result, error) {
-	eng, err := proto.NewEngine(s, plan, opt.Faults)
+// Simulate runs the schedule under the plan and cost model, driven by the
+// schedule's protocol tables (proto.Derive(s); a compiled artifact carries
+// its own).
+func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sched.CostModel, opt Options) (*Result, error) {
+	eng, err := proto.NewEngine(s, plan, tables, opt.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}

@@ -42,7 +42,7 @@ func TestBaselineCompletesAllTasks(t *testing.T) {
 	s := figure2Schedule(t, sched.RCP)
 	pl := mustPlan(t, s, s.TOT())
 	rec := &trace.Recorder{}
-	res, err := Simulate(s, pl, sched.Unit(), Options{Baseline: true, Trace: rec})
+	res, err := Simulate(s, pl, proto.Derive(s), sched.Unit(), Options{Baseline: true, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestBaselineCompletesAllTasks(t *testing.T) {
 	// Message count: all deduplicated send points must be delivered.
 	tables := proto.Derive(s)
 	wantMsgs := 0
-	for ti := range tables.Sends {
-		wantMsgs += len(tables.Sends[ti])
+	for ti := range s.G.Tasks {
+		wantMsgs += len(tables.SendsOf(graph.TaskID(ti)))
 	}
 	if res.Messages != wantMsgs {
 		t.Fatalf("delivered %d messages, want %d", res.Messages, wantMsgs)
@@ -72,15 +72,15 @@ func TestBaselineCompletesAllTasks(t *testing.T) {
 func TestManagedSlowerThanBaseline(t *testing.T) {
 	s := figure2Schedule(t, sched.MPO)
 	model := sched.T3D()
-	base, err := Simulate(s, mustPlan(t, s, s.TOT()), model, Options{Baseline: true})
+	base, err := Simulate(s, mustPlan(t, s, s.TOT()), proto.Derive(s), model, Options{Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Simulate(s, mustPlan(t, s, s.TOT()), model, Options{})
+	full, err := Simulate(s, mustPlan(t, s, s.TOT()), proto.Derive(s), model, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Simulate(s, mustPlan(t, s, s.MinMem()), model, Options{})
+	tight, err := Simulate(s, mustPlan(t, s, s.MinMem()), proto.Derive(s), model, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestUnitModelMakespanMatchesListPrediction(t *testing.T) {
 	// time should be close to the list scheduler's prediction (same cost
 	// assumptions; the simulator adds no overhead in baseline mode).
 	s := figure2Schedule(t, sched.RCP)
-	res, err := Simulate(s, mustPlan(t, s, s.TOT()), sched.Unit(), Options{Baseline: true})
+	res, err := Simulate(s, mustPlan(t, s, s.TOT()), proto.Derive(s), sched.Unit(), Options{Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDeadlockFreedomRandomStress(t *testing.T) {
 			if !pl.Executable {
 				continue
 			}
-			res, err := Simulate(s, pl, sched.T3D(), Options{})
+			res, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
 			if err != nil {
 				t.Fatalf("trial %d (p=%d %v cap=%d): %v", trial, p, h, cap, err)
 			}
@@ -146,7 +146,7 @@ func TestDeadlockFreedomRandomStress(t *testing.T) {
 func TestTraceGantt(t *testing.T) {
 	s := figure2Schedule(t, sched.DTS)
 	rec := &trace.Recorder{}
-	if _, err := Simulate(s, mustPlan(t, s, s.MinMem()), sched.Unit(), Options{Trace: rec}); err != nil {
+	if _, err := Simulate(s, mustPlan(t, s, s.MinMem()), proto.Derive(s), sched.Unit(), Options{Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	gantt := rec.Gantt(60)

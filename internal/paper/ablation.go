@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 )
 
@@ -32,6 +33,7 @@ func AblationMAPPolicy(w io.Writer, sc Scale) []AblationRowMAP {
 	for _, p := range tableProcs {
 		wl := cholWorkloads(sc, p)[0]
 		s := buildSchedule(wl.G, p, sched.MPO, 0)
+		tables := proto.Derive(s)
 		tot := s.TOT()
 		capacity := tot / 2
 		row := AblationRowMAP{Procs: p}
@@ -43,7 +45,7 @@ func AblationMAPPolicy(w io.Writer, sc Scale) []AblationRowMAP {
 			pt := math.Inf(1)
 			maps := math.Inf(1)
 			if pl.Executable {
-				res, err := machine.Simulate(s, pl, sched.T3D(), machine.Options{})
+				res, err := machine.Simulate(s, pl, tables, sched.T3D(), machine.Options{})
 				if err != nil {
 					panic(err)
 				}
@@ -110,12 +112,13 @@ func AblationSlotDepth(w io.Writer, sc Scale) []AblationRowSlots {
 		if err != nil {
 			panic(err)
 		}
+		tables := proto.Derive(s)
 		row := AblationRowSlots{Procs: p}
 		fmt.Fprintf(w, "P=%-3d", p)
 		for _, d := range depths {
 			pt := math.Inf(1)
 			if pl.Executable {
-				res, err := machine.Simulate(s, pl, sched.T3D(), machine.Options{SlotDepth: d})
+				res, err := machine.Simulate(s, pl, tables, sched.T3D(), machine.Options{SlotDepth: d})
 				if err != nil {
 					panic(err)
 				}
@@ -161,7 +164,7 @@ func AblationMergeSweep(w io.Writer, sc Scale) []AblationRowMerge {
 		if err != nil {
 			panic(err)
 		}
-		res, err := machine.Simulate(s, pl, sched.T3D(), machine.Options{})
+		res, err := machine.Simulate(s, pl, proto.Derive(s), sched.T3D(), machine.Options{})
 		if err != nil {
 			panic(err)
 		}

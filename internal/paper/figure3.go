@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -84,7 +85,7 @@ func Figure3(w io.Writer) {
 	// chart.
 	model.MAPOverhead = 0.5
 	model.MAPPerObject = 0.25
-	if _, err := machine.Simulate(s, pl, model, machine.Options{Trace: rec}); err != nil {
+	if _, err := machine.Simulate(s, pl, proto.Derive(s), model, machine.Options{Trace: rec}); err != nil {
 		panic(err)
 	}
 	fmt.Fprintln(w, "\nexecution ('#' = MAP activity):")
@@ -120,7 +121,7 @@ func ExtensionTrisolve(w io.Writer, sc Scale) []ExtensionTrisolveRow {
 				panic(err)
 			}
 		}
-		res, err := machine.Simulate(s, pl, sched.T3D(), machine.Options{})
+		res, err := machine.Simulate(s, pl, proto.Derive(s), sched.T3D(), machine.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/lu"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/trisolve"
@@ -204,7 +205,7 @@ func simulate(s *sched.Schedule, capacity int64, baseline bool) (float64, float6
 	if !pl.Executable {
 		return math.Inf(1), math.Inf(1), false
 	}
-	res, err := machine.Simulate(s, pl, sched.T3D(), machine.Options{Baseline: baseline})
+	res, err := machine.Simulate(s, pl, proto.Derive(s), sched.T3D(), machine.Options{Baseline: baseline})
 	if err != nil {
 		panic("paper: " + err.Error())
 	}

@@ -1,7 +1,8 @@
-// Package plan serializes compiled execution plans — the full output of the
-// inspector phase: task graph, processor mapping, per-processor task
-// orders, DTS slice boundaries and the MAP memory plan — into a versioned,
-// deterministic, self-checking binary format.
+// Package plan defines the compiled execution plan (Artifact) — the full
+// output of the inspector phase: task graph, processor mapping,
+// per-processor task orders, DTS slice boundaries and the MAP memory plan,
+// plus what is derived from them once per plan — and serializes it into a
+// versioned, deterministic, self-checking binary format.
 //
 // The inspector (graph transformation, clustering, ordering, MAP planning)
 // is the expensive half of the inspector/executor split; its output depends
@@ -23,33 +24,81 @@ package plan
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 )
 
 // Version is the current serialization format version. Decode rejects any
-// other version; bump it whenever the layout of Artifact or the codec
-// changes.
+// other version; bump it whenever the serialized fields of Artifact or the
+// codec change.
 const Version = 1
 
 // Artifact is a complete compiled plan: everything the executor and the
-// simulator need, with no references back to the builder that produced it.
-// It corresponds to rapid.Plan plus the task graph the schedule refers to
-// (Schedule.G) and the content address it was compiled under.
+// simulator need, with no references back to the builder that produced it
+// — the static schedule (with its task graph), the MAP plan for the memory
+// budget, and the content address it was compiled under. rapid.Plan is this
+// type.
+//
+// What is derived from a compiled plan lives here too, behind accessors:
+// the protocol tables (Tables) and the static verifier's verdict
+// (Verified). Neither is serialized. An artifact is immutable after its
+// first use; copy the exported fields into a fresh artifact to change one.
 type Artifact struct {
-	// Fingerprint is the content address of the (structure, options) pair
-	// this plan was compiled from (see Fingerprint).
-	Fingerprint string
-	// Model is the cost model the schedule was computed with.
-	Model sched.CostModel
-	// Capacity is the per-processor memory capacity of the MAP plan.
-	Capacity int64
 	// Schedule is the static schedule, including its task graph.
 	Schedule *sched.Schedule
 	// Mem is the MAP plan for Capacity.
 	Mem *mem.Plan
+	// Model is the cost model the schedule was computed with.
+	Model sched.CostModel
+	// Capacity is the per-processor memory capacity of the MAP plan.
+	Capacity int64
+	// Fingerprint is the content address of the (structure, options) pair
+	// this plan was compiled from (see Fingerprint); empty for a plan that
+	// never went through a cache.
+	Fingerprint string
+
+	tablesOnce sync.Once
+	tables     *proto.Tables
+	verified   atomic.Bool
 }
+
+// Tables returns the protocol tables of the artifact's schedule: the
+// inspector's send points, arrival thresholds and control signals, derived
+// on first use and shared by every execution and simulation of the
+// artifact, from any number of goroutines.
+func (a *Artifact) Tables() *proto.Tables {
+	a.tablesOnce.Do(func() { a.tables = proto.Derive(a.Schedule) })
+	return a.tables
+}
+
+// Verified reports whether this artifact has passed static verification
+// in this process. A decoded artifact starts unverified, whatever the
+// artifact it was encoded from carried.
+func (a *Artifact) Verified() bool { return a.verified.Load() }
+
+// MarkVerified records a clean static-verifier result. Only
+// verify.CheckArtifact calls it.
+func (a *Artifact) MarkVerified() { a.verified.Store(true) }
+
+// Executable reports whether the plan fits the memory budget.
+func (a *Artifact) Executable() bool { return a.Mem.Executable }
+
+// MinMem returns the schedule's minimum memory requirement (Definition 5).
+func (a *Artifact) MinMem() int64 { return a.Schedule.MinMem() }
+
+// TOT returns the no-recycling memory requirement.
+func (a *Artifact) TOT() int64 { return a.Schedule.TOT() }
+
+// AvgMAPs returns the planned average number of MAPs per processor.
+func (a *Artifact) AvgMAPs() float64 { return a.Mem.AvgMAPs() }
+
+// PredictedTime returns the scheduler's predicted parallel time (seconds
+// under the cost model, without memory-management overhead).
+func (a *Artifact) PredictedTime() float64 { return a.Schedule.Makespan }
 
 // Validate checks the internal consistency of a (typically just decoded)
 // artifact: schedule and memory plan present, referring to the same graph,

@@ -294,10 +294,15 @@ func TestPoisonedDiskEntryRejected(t *testing.T) {
 	if m.Get("plancache.rejected") != 1 {
 		t.Errorf("rejected counter = %d, want 1", m.Get("plancache.rejected"))
 	}
-	// The recompiled plan replaced the poisoned bytes on disk.
+	// The recompiled plan replaced the poisoned bytes on disk, and what the
+	// loader serves carries the verdict of the loader's own check.
 	c2 := New(Config{Dir: dir, Metrics: m})
-	if _, src, err := c2.GetOrCompile(key, nil); err != nil || src != SourceDisk {
-		t.Errorf("after heal: src=%v err=%v", src, err)
+	healed, src, err := c2.GetOrCompile(key, nil)
+	if err != nil || src != SourceDisk {
+		t.Fatalf("after heal: src=%v err=%v", src, err)
+	}
+	if !healed.Verified() {
+		t.Error("disk-loaded artifact does not carry the loader's verdict")
 	}
 }
 

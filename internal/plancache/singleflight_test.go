@@ -3,7 +3,6 @@ package plancache
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,16 +16,17 @@ func TestGroupCoalesces(t *testing.T) {
 	gate := make(chan struct{})
 	const n = 16
 	var leaders atomic.Int64
-	var wg sync.WaitGroup
+	var wg, attached sync.WaitGroup
+	attached.Add(n - 1)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.Do("k", func() (any, error) {
+			v, shared, err := g.DoNotify("k", func() (any, error) {
 				calls.Add(1)
 				<-gate // hold the flight open until all callers joined
 				return 42, nil
-			})
+			}, attached.Done)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
@@ -38,11 +38,9 @@ func TestGroupCoalesces(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the flight is registered, then give sharers a moment to
-	// attach before releasing it.
-	for !g.Inflight("k") {
-		runtime.Gosched()
-	}
+	// Release the leader only once every other caller has attached to its
+	// flight; a caller arriving later would start a flight of its own.
+	attached.Wait()
 	close(gate)
 	wg.Wait()
 	if got := calls.Load(); got != 1 {

@@ -25,7 +25,6 @@ package proto
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -245,53 +244,15 @@ type Engine struct {
 	Faults Faults
 }
 
-// deriveMemo caches Derive results by schedule identity. Tables are pure
-// functions of the schedule and are never written after Derive, so every
-// engine over the same *Schedule — repeated executor runs of a cached
-// plan, the two backends of an equivalence check — can share one set. The
-// ring is small and overwritten FIFO; the memo exists to amortize the
-// inspector phase across executions of one schedule, not to be a cache of
-// record. Callers must treat schedules as immutable once built (every
-// schedule in this repository is).
-var (
-	deriveMu   sync.Mutex
-	deriveMemo [8]struct {
-		s *sched.Schedule
-		t *Tables
-	}
-	deriveNext int
-)
-
-func deriveCached(s *sched.Schedule) *Tables {
-	deriveMu.Lock()
-	for i := range deriveMemo {
-		if deriveMemo[i].s == s {
-			t := deriveMemo[i].t
-			deriveMu.Unlock()
-			return t
-		}
-	}
-	deriveMu.Unlock()
-	t := Derive(s)
-	deriveMu.Lock()
-	deriveMemo[deriveNext] = struct {
-		s *sched.Schedule
-		t *Tables
-	}{s, t}
-	deriveNext = (deriveNext + 1) % len(deriveMemo)
-	deriveMu.Unlock()
-	return t
-}
-
-// NewEngine derives the protocol tables for the schedule (memoized by
-// schedule identity — the inspector runs once per schedule, not once per
-// execution). The plan must be executable (use mem.NewPlan and check
-// Executable first).
-func NewEngine(s *sched.Schedule, plan *mem.Plan, f Faults) (*Engine, error) {
+// NewEngine binds a schedule, its MAP plan and the protocol tables derived
+// from the schedule (Derive; a compiled artifact carries its own, see
+// plan.Artifact.Tables) into the shared state of one run. The plan must be
+// executable (use mem.NewPlan and check Executable first).
+func NewEngine(s *sched.Schedule, plan *mem.Plan, tables *Tables, f Faults) (*Engine, error) {
 	if !plan.Executable {
 		return nil, fmt.Errorf("proto: plan is not executable under capacity %d", plan.Capacity)
 	}
-	return &Engine{S: s, Plan: plan, Tables: deriveCached(s), Faults: f}, nil
+	return &Engine{S: s, Plan: plan, Tables: tables, Faults: f}, nil
 }
 
 // WaitKind classifies what a Blocked processor is waiting on. Drivers use
@@ -696,7 +657,7 @@ func (c *Core) recWait(t graph.TaskID) Wait {
 	if have, want := c.be.CtlCount(t), c.eng.Tables.CtlNeed[t]; have < want {
 		return Wait{Kind: WaitCtl, Task: t, Have: have, Want: want}
 	}
-	for _, need := range c.eng.Tables.Needs[t] {
+	for _, need := range c.eng.Tables.NeedsOf(t) {
 		got, ok := c.be.Arrived(need.Obj)
 		if !ok || got < need.MinArrivals {
 			return Wait{Kind: WaitArrival, Task: t, Obj: need.Obj, Have: got, Want: need.MinArrivals}
@@ -839,7 +800,7 @@ func (c *Core) ready(t graph.TaskID) (bool, error) {
 	if c.be.CtlCount(t) < c.eng.Tables.CtlNeed[t] {
 		return false, nil
 	}
-	for _, need := range c.eng.Tables.Needs[t] {
+	for _, need := range c.eng.Tables.NeedsOf(t) {
 		got, ok := c.be.Arrived(need.Obj)
 		if !ok {
 			return false, fmt.Errorf("proto: proc %d task %q needs unallocated object %q (MAP plan hole)",
@@ -862,7 +823,7 @@ func (c *Core) TaskDone(now float64) {
 	c.enter(StateSND, now)
 	t := c.curTask
 	c.Stats.TasksRun++
-	for _, snd := range c.eng.Tables.Sends[t] {
+	for _, snd := range c.eng.Tables.SendsOf(t) {
 		if c.eng.Faults.delayData(snd) {
 			c.Stats.FaultsInjected++
 			c.Stats.DataSuspended++
@@ -880,7 +841,7 @@ func (c *Core) TaskDone(now float64) {
 			c.pushOut(m)
 		}
 	}
-	for _, v := range c.eng.Tables.CtlSends[t] {
+	for _, v := range c.eng.Tables.CtlSendsOf(t) {
 		c.be.SendCtl(v)
 		c.Stats.CtlSent++
 	}
@@ -964,7 +925,7 @@ func (c *Core) BlockedInfo() string {
 			return fmt.Sprintf("REC state: task %q at position %d waiting for control signals (%d/%d)",
 				g.Tasks[t].Name, c.pos, have, want)
 		}
-		for _, need := range c.eng.Tables.Needs[t] {
+		for _, need := range c.eng.Tables.NeedsOf(t) {
 			got, ok := c.be.Arrived(need.Obj)
 			if !ok {
 				return fmt.Sprintf("REC state: task %q needs unallocated object %q", g.Tasks[t].Name, g.Objects[need.Obj].Name)

@@ -44,7 +44,7 @@ type loopBackend struct {
 
 func newLoopMachine(t *testing.T, s *sched.Schedule, pl *mem.Plan, f Faults) *loopMachine {
 	t.Helper()
-	eng, err := NewEngine(s, pl, f)
+	eng, err := NewEngine(s, pl, Derive(s), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,7 @@ func TestCoreRunsRandomGraphs(t *testing.T) {
 		m.run(t)
 
 		tables := m.eng.Tables
-		totalSends, totalCtl := 0, 0
-		for v := 0; v < g.NumTasks(); v++ {
-			totalSends += len(tables.Sends[v])
-			totalCtl += len(tables.CtlSends[v])
-		}
+		totalSends, totalCtl := len(tables.sends), len(tables.ctlSends)
 		gotSends, gotCtl, gotTasks := 0, 0, 0
 		for q, c := range m.cores {
 			if c.Stats.MAPs != len(pl.Procs[q].MAPs) {
@@ -269,7 +265,7 @@ func TestCoreForcedSuspension(t *testing.T) {
 	for q, c := range m.cores {
 		want := 0
 		for _, task := range s.Order[q] {
-			want += len(tables.Sends[task])
+			want += len(tables.SendsOf(task))
 		}
 		if c.Stats.DataSuspended != want {
 			t.Errorf("proc %d: %d suspensions, want %d (table sends)", q, c.Stats.DataSuspended, want)
@@ -335,10 +331,7 @@ func TestCoreLossAndDup(t *testing.T) {
 		m := newLoopMachine(t, s, pl, Faults{Seed: uint64(trial + 1), DropFrac: 0.3, DupFrac: 0.2})
 		m.run(t)
 
-		totalSends := 0
-		for v := 0; v < g.NumTasks(); v++ {
-			totalSends += len(m.eng.Tables.Sends[v])
-		}
+		totalSends := len(m.eng.Tables.sends)
 		gotSends, dropped, retrans, dupsSent, dupDropped, acked, addrConsumed, leftover := 0, 0, 0, 0, 0, 0, 0, 0
 		for q, c := range m.cores {
 			if c.SuspendedLen() != 0 {
@@ -479,7 +472,7 @@ func TestDropDupDeterministic(t *testing.T) {
 // not fit their capacity.
 func TestNewEngineRejectsUnexecutablePlan(t *testing.T) {
 	s := figure2Schedule(t)
-	_, err := NewEngine(s, &mem.Plan{Capacity: 3}, Faults{})
+	_, err := NewEngine(s, &mem.Plan{Capacity: 3}, Derive(s), Faults{})
 	if err == nil || !strings.Contains(err.Error(), "not executable") {
 		t.Fatalf("want not-executable error, got %v", err)
 	}

@@ -15,7 +15,8 @@
 package proto
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -37,121 +38,176 @@ type Need struct {
 	MinArrivals int32
 }
 
-// Tables holds the derived protocol state for a schedule.
+// Tables holds the derived protocol state for a schedule. They are the
+// inspector's output — a pure function of the schedule, derived once per
+// compiled artifact (see plan.Artifact.Tables) and read by every execution
+// of it — so they are stored flat: one offsets slice plus one element slice
+// per table (CSR), not a slice header per task. Never written after Derive.
 type Tables struct {
-	// Sends[t] lists the data messages task t issues on completion.
-	Sends [][]Send
-	// Needs[t] lists the volatile-object arrival thresholds gating task t.
-	Needs [][]Need
 	// CtlNeed[t] is the number of cross-processor control signals task t
 	// must receive (retained precedence edges).
 	CtlNeed []int32
-	// CtlSends[t] lists the tasks that t signals on completion.
-	CtlSends [][]graph.TaskID
-	// Expect[p] maps each volatile object of processor p to the total
-	// number of versions p will receive (for sizing and sanity checks).
-	Expect []map[graph.ObjID]int32
+
+	// Task t's entries are elems[off[t]:off[t+1]].
+	sendOff, needOff, ctlOff []int32
+	sends                    []Send
+	needs                    []Need
+	ctlSends                 []graph.TaskID
+	// Processor p's entries are expect[expOff[p]:expOff[p+1]], sorted by
+	// Obj; MinArrivals holds the total number of versions p receives.
+	expOff []int32
+	expect []Need
+}
+
+// SendsOf lists the data messages task t issues on completion, ordered by
+// (Dst, Obj). The slice must not be modified.
+func (tb *Tables) SendsOf(t graph.TaskID) []Send {
+	lo, hi := tb.sendOff[t], tb.sendOff[t+1]
+	return tb.sends[lo:hi:hi]
+}
+
+// NeedsOf lists the volatile-object arrival thresholds gating task t,
+// ordered by Obj. The slice must not be modified.
+func (tb *Tables) NeedsOf(t graph.TaskID) []Need {
+	lo, hi := tb.needOff[t], tb.needOff[t+1]
+	return tb.needs[lo:hi:hi]
+}
+
+// CtlSendsOf lists the tasks that t signals on completion. The slice must
+// not be modified.
+func (tb *Tables) CtlSendsOf(t graph.TaskID) []graph.TaskID {
+	lo, hi := tb.ctlOff[t], tb.ctlOff[t+1]
+	return tb.ctlSends[lo:hi:hi]
+}
+
+// Expect returns the total number of versions of volatile object o that
+// processor p will receive (0: no task ever sends it there).
+func (tb *Tables) Expect(p graph.Proc, o graph.ObjID) int32 {
+	seg := tb.expect[tb.expOff[p]:tb.expOff[p+1]]
+	if i, ok := slices.BinarySearchFunc(seg, o, func(e Need, o graph.ObjID) int { return cmp.Compare(e.Obj, o) }); ok {
+		return seg[i].MinArrivals
+	}
+	return 0
+}
+
+// prefixSum turns per-slot counts stored at off[i+1] into offsets.
+func prefixSum(off []int32) {
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
 }
 
 // Derive computes the protocol tables for a schedule.
 func Derive(s *sched.Schedule) *Tables {
 	n := s.G.NumTasks()
 	t := &Tables{
-		Sends:    make([][]Send, n),
-		Needs:    make([][]Need, n),
-		CtlNeed:  make([]int32, n),
-		CtlSends: make([][]graph.TaskID, n),
-		Expect:   make([]map[graph.ObjID]int32, s.P),
-	}
-	for p := range t.Expect {
-		t.Expect[p] = make(map[graph.ObjID]int32)
+		CtlNeed: make([]int32, n),
+		sendOff: make([]int32, n+1),
+		needOff: make([]int32, n+1),
+		ctlOff:  make([]int32, n+1),
+		expOff:  make([]int32, s.P+1),
 	}
 
-	// For each (object, consumer proc): the set of "version points" — for
-	// every remote reader v, the producer u*(v) with the largest schedule
-	// position among v's true in-edges for that object. Only those
-	// producers send; all are on the object's owner so their positions
-	// totally order the versions.
-	type key struct {
-		obj graph.ObjID
-		dst graph.Proc
+	// One star per (reader v, remotely produced object): u is u*(v), the
+	// producer with the largest schedule position among v's true in-edges
+	// for that object. Only the u* send; all are on the object's owner so
+	// their positions totally order the versions. A task's stars are
+	// contiguous and become its needs.
+	type star struct {
+		obj  graph.ObjID
+		u, v graph.TaskID
 	}
-	versionProducers := make(map[key]map[graph.TaskID]bool)
-	readerStar := make(map[[2]int32]graph.TaskID) // (task, obj) -> u*
-
-	for v := 0; v < n; v++ {
-		vp := s.Assign[v]
-		var perObj map[graph.ObjID]graph.TaskID
-		for _, e := range s.G.In(graph.TaskID(v)) {
+	var stars []star
+	var ctls [][2]graph.TaskID // (from, to), in reader order
+	for v := graph.TaskID(0); int(v) < n; v++ {
+		first := len(stars)
+		for _, e := range s.G.In(v) {
+			if s.Assign[e.From] == s.Assign[v] {
+				continue
+			}
 			if e.Kind != graph.DepTrue {
-				if s.Assign[e.From] != vp {
-					t.CtlNeed[v]++
-					t.CtlSends[e.From] = append(t.CtlSends[e.From], graph.TaskID(v))
-				}
+				t.CtlNeed[v]++
+				t.ctlOff[e.From+1]++
+				ctls = append(ctls, [2]graph.TaskID{e.From, v})
 				continue
 			}
-			if s.Assign[e.From] == vp {
-				continue
+			i := first
+			for i < len(stars) && stars[i].obj != e.Obj {
+				i++
 			}
-			if perObj == nil {
-				perObj = make(map[graph.ObjID]graph.TaskID)
-			}
-			if prev, ok := perObj[e.Obj]; !ok || s.Pos[e.From] > s.Pos[prev] {
-				perObj[e.Obj] = e.From
+			if i == len(stars) {
+				stars = append(stars, star{obj: e.Obj, u: e.From, v: v})
+			} else if s.Pos[e.From] > s.Pos[stars[i].u] {
+				stars[i].u = e.From
 			}
 		}
-		for o, u := range perObj { //det:ok each key writes distinct map entries; no order dependence
-			k := key{o, vp}
-			m, ok := versionProducers[k]
-			if !ok {
-				m = make(map[graph.TaskID]bool)
-				versionProducers[k] = m
-			}
-			m[u] = true
-			readerStar[[2]int32{int32(v), int32(o)}] = u
-		}
+		t.needOff[v+1] = int32(len(stars))
 	}
 
-	// Assign sequence numbers per (obj, dst) by producer schedule position.
-	seqOf := make(map[[3]int32]int32)        // (producer, obj, dst) -> seq
-	for k, prods := range versionProducers { //det:ok per-key results independent; Sends re-sorted below
-		us := make([]graph.TaskID, 0, len(prods))
-		for u := range prods { //det:ok collected and sorted below
-			us = append(us, u)
-		}
-		sort.Slice(us, func(a, b int) bool { return s.Pos[us[a]] < s.Pos[us[b]] })
-		for i, u := range us {
-			seq := int32(i + 1)
-			seqOf[[3]int32{int32(u), int32(k.obj), int32(k.dst)}] = seq
-			t.Sends[u] = append(t.Sends[u], Send{Obj: k.obj, Dst: k.dst, Seq: seq})
-		}
-		t.Expect[k.dst][k.obj] = int32(len(us))
+	// Control signals: a stable counting sort by sender keeps reader order.
+	prefixSum(t.ctlOff)
+	t.ctlSends = make([]graph.TaskID, len(ctls))
+	next := slices.Clone(t.ctlOff[:n])
+	for _, c := range ctls {
+		t.ctlSends[next[c[0]]] = c[1]
+		next[c[0]]++
 	}
 
-	// Reader thresholds.
-	for v := 0; v < n; v++ {
-		vp := s.Assign[v]
-		seen := make(map[graph.ObjID]bool)
-		for _, e := range s.G.In(graph.TaskID(v)) {
-			if e.Kind != graph.DepTrue || s.Assign[e.From] == vp || seen[e.Obj] {
-				continue
-			}
-			seen[e.Obj] = true
-			u := readerStar[[2]int32{int32(v), int32(e.Obj)}]
-			seq := seqOf[[3]int32{int32(u), int32(e.Obj), int32(vp)}]
-			t.Needs[v] = append(t.Needs[v], Need{Obj: e.Obj, MinArrivals: seq})
-		}
+	// Sequence numbers: walk the stars grouped by (dst, obj) in producer
+	// schedule order. Each distinct producer in a group is one version — one
+	// Send with the next sequence number — and every reader whose u* it is
+	// waits for that many arrivals.
+	order := make([]int32, len(stars))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	// Deterministic ordering for reproducible executions.
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := &stars[a], &stars[b]
+		return cmp.Or(
+			cmp.Compare(s.Assign[x.v], s.Assign[y.v]),
+			cmp.Compare(x.obj, y.obj),
+			cmp.Compare(s.Pos[x.u], s.Pos[y.u]),
+			cmp.Compare(x.u, y.u),
+		)
+	})
+	type taskSend struct {
+		u   graph.TaskID
+		snd Send
+	}
+	var sends []taskSend
+	t.needs = make([]Need, len(stars))
+	var prev *star
+	for _, si := range order {
+		st := &stars[si]
+		dst := s.Assign[st.v]
+		newKey := prev == nil || prev.obj != st.obj || s.Assign[prev.v] != dst
+		if newKey {
+			t.expect = append(t.expect, Need{Obj: st.obj})
+			t.expOff[dst+1]++
+		}
+		versions := &t.expect[len(t.expect)-1].MinArrivals
+		if newKey || prev.u != st.u {
+			*versions++
+			sends = append(sends, taskSend{st.u, Send{Obj: st.obj, Dst: dst, Seq: *versions}})
+			t.sendOff[st.u+1]++
+		}
+		t.needs[si] = Need{Obj: st.obj, MinArrivals: *versions}
+		prev = st
+	}
+	prefixSum(t.expOff)
+
+	// Deterministic ordering for reproducible executions: needs by object,
+	// sends by (destination, object).
 	for v := 0; v < n; v++ {
-		sort.Slice(t.Needs[v], func(a, b int) bool { return t.Needs[v][a].Obj < t.Needs[v][b].Obj })
-		sort.Slice(t.Sends[v], func(a, b int) bool {
-			sa, sb := t.Sends[v][a], t.Sends[v][b]
-			if sa.Dst != sb.Dst {
-				return sa.Dst < sb.Dst
-			}
-			return sa.Obj < sb.Obj
-		})
+		slices.SortFunc(t.needs[t.needOff[v]:t.needOff[v+1]], func(a, b Need) int { return cmp.Compare(a.Obj, b.Obj) })
+	}
+	slices.SortFunc(sends, func(a, b taskSend) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.snd.Dst, b.snd.Dst), cmp.Compare(a.snd.Obj, b.snd.Obj))
+	})
+	prefixSum(t.sendOff)
+	t.sends = make([]Send, len(sends))
+	for i := range sends {
+		t.sends[i] = sends[i].snd
 	}
 	return t
 }

@@ -29,10 +29,10 @@ func TestSendsMatchNeeds(t *testing.T) {
 	// must be at least the largest threshold.
 	for v := 0; v < s.G.NumTasks(); v++ {
 		p := s.Assign[v]
-		for _, need := range tb.Needs[v] {
-			if tb.Expect[p][need.Obj] < need.MinArrivals {
+		for _, need := range tb.NeedsOf(graph.TaskID(v)) {
+			if tb.Expect(p, need.Obj) < need.MinArrivals {
 				t.Fatalf("task %d needs %d arrivals of obj %d on proc %d but only %d are sent",
-					v, need.MinArrivals, need.Obj, p, tb.Expect[p][need.Obj])
+					v, need.MinArrivals, need.Obj, p, tb.Expect(p, need.Obj))
 			}
 		}
 	}
@@ -45,7 +45,7 @@ func TestSendsMatchNeeds(t *testing.T) {
 	seqs := map[key][]int32{}
 	poss := map[key][]int32{}
 	for u := 0; u < s.G.NumTasks(); u++ {
-		for _, snd := range tb.Sends[u] {
+		for _, snd := range tb.SendsOf(graph.TaskID(u)) {
 			k := key{snd.Obj, snd.Dst}
 			seqs[k] = append(seqs[k], snd.Seq)
 			poss[k] = append(poss[k], s.Pos[u])
@@ -74,7 +74,7 @@ func TestNoLocalSends(t *testing.T) {
 	s := figure2Schedule(t)
 	tb := Derive(s)
 	for u := 0; u < s.G.NumTasks(); u++ {
-		for _, snd := range tb.Sends[u] {
+		for _, snd := range tb.SendsOf(graph.TaskID(u)) {
 			if snd.Dst == s.Assign[u] {
 				t.Fatalf("task %d sends to its own processor", u)
 			}
@@ -113,7 +113,7 @@ func TestCtlMatchesCrossPrecEdges(t *testing.T) {
 		t.Fatalf("CtlNeed[w2] = %d, want 1", tb.CtlNeed[w2])
 	}
 	found := false
-	for _, v := range tb.CtlSends[r] {
+	for _, v := range tb.CtlSendsOf(r) {
 		if v == w2 {
 			found = true
 		}
@@ -150,11 +150,11 @@ func TestDedupAcrossVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := Derive(s)
-	if tb.Expect[1][x] != 2 {
-		t.Fatalf("expect %d versions of x on proc 1, want 2", tb.Expect[1][x])
+	if tb.Expect(1, x) != 2 {
+		t.Fatalf("expect %d versions of x on proc 1, want 2", tb.Expect(1, x))
 	}
 	needOf := func(task graph.TaskID) int32 {
-		for _, n := range tb.Needs[task] {
+		for _, n := range tb.NeedsOf(task) {
 			if n.Obj == x {
 				return n.MinArrivals
 			}
@@ -181,8 +181,8 @@ func TestRandomGraphsThresholdsConsistent(t *testing.T) {
 		}
 		tb := Derive(s)
 		for v := 0; v < g.NumTasks(); v++ {
-			for _, need := range tb.Needs[v] {
-				if tb.Expect[s.Assign[v]][need.Obj] < need.MinArrivals {
+			for _, need := range tb.NeedsOf(graph.TaskID(v)) {
+				if tb.Expect(s.Assign[v], need.Obj) < need.MinArrivals {
 					t.Fatalf("trial %d: unsatisfiable threshold", trial)
 				}
 			}

@@ -328,14 +328,6 @@ type Server struct {
 	seq      uint64
 	draining bool
 
-	// verified memoizes static-verifier verdicts by plan fingerprint, so
-	// only the first serve of a plan pays for verification; repeat hits of
-	// a cached plan (the steady-state serve path) pay a map lookup. Only
-	// passing verdicts are recorded. Entries are a few dozen bytes per
-	// distinct job shape, same growth as the plan cache keyspace.
-	verifiedMu sync.Mutex
-	verified   map[string]bool
-
 	// execHook, when set (tests), runs after admission just before the
 	// executor; a panic here exercises the job-level recovery path.
 	execHook func(spec JobSpec)
@@ -424,7 +416,6 @@ func Open(cfg Config) (*Server, error) {
 		done:      make(map[string]chan struct{}),
 		cancels:   make(map[string]context.CancelFunc),
 		tenants:   make(map[string]*tenantStats),
-		verified:  make(map[string]bool),
 	}
 	s.health.stop = make(chan struct{})
 	s.health.since = time.Now()
@@ -763,12 +754,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	s.verifiedMu.Lock()
-	verified := len(s.verified)
-	s.verifiedMu.Unlock()
 	depth, capacity := s.queue.stats()
 	stats := map[string]any{
-		"verified_plans": verified,
 		"counters":       s.metrics.Snapshot(),
 		"gauges":         s.metrics.Gauges(),
 		"health":         s.healthState().String(),
@@ -780,7 +767,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"queue_len":      depth,
 		"queue_cap":      capacity,
 		"draining":       draining,
-		"cache_entries":  s.cacheLen(),
+		"cache_entries":  s.cache.Len(),
 		"plancache_line": rapid.CacheStats(s.metrics),
 		"tenant_mem":     tenantMem,
 		"tenant_queued":  tenantAdmQueue,
@@ -855,12 +842,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw.WriteTo(w)
-}
-
-func (s *Server) cacheLen() int {
-	// The cache does not expose Len publicly through rapid; report via
-	// counters instead (misses == entries ever compiled here).
-	return int(s.metrics.Get("plancache.miss"))
 }
 
 func (s *Server) writeJob(w http.ResponseWriter, id string) {
@@ -1073,28 +1054,17 @@ func (s *Server) solve(ctx context.Context, id string, spec JobSpec, attempt int
 	}
 	// Static verification gates admission: a defective plan (stale cache,
 	// planner bug, tampering) is rejected with its findings before any
-	// budget is booked or any executor started. Verdicts are memoized by
-	// fingerprint so repeat serves of a cached plan skip re-verification.
-	already := false
-	if plan.Fingerprint != "" {
-		s.verifiedMu.Lock()
-		already = s.verified[plan.Fingerprint]
-		s.verifiedMu.Unlock()
-	}
-	if already {
+	// budget is booked or any executor started. The verdict lives on the
+	// plan, so a plan the disk loader already checked, or a repeat serve of
+	// a cached plan, is not verified again.
+	if plan.Verified() {
 		s.metrics.Inc("rapidd.verify.cached", 1)
-	} else {
-		if res := rapid.VerifyPlan(plan); !res.OK() {
-			s.metrics.Inc("rapidd.verify.rejected", 1)
-			s.update(id, func(j *Job) { j.VerifyFindings = res.Findings })
-			return fmt.Errorf("rapidd: plan rejected by static verifier: %v", res.Err())
-		}
+	} else if res := rapid.VerifyPlan(plan); res.OK() {
 		s.metrics.Inc("rapidd.verify.passed", 1)
-		if plan.Fingerprint != "" {
-			s.verifiedMu.Lock()
-			s.verified[plan.Fingerprint] = true
-			s.verifiedMu.Unlock()
-		}
+	} else {
+		s.metrics.Inc("rapidd.verify.rejected", 1)
+		s.update(id, func(j *Job) { j.VerifyFindings = res.Findings })
+		return fmt.Errorf("rapidd: plan rejected by static verifier: %v", res.Err())
 	}
 	inspectMS := float64(time.Since(t0).Microseconds()) / 1000
 	demand := aggregateDemand(plan)

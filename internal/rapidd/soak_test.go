@@ -27,14 +27,14 @@ import (
 var soakDur = flag.Duration("soak", 10*time.Second, "minimum soak-test traffic duration (CI passes 60s)")
 
 type soakStats struct {
-	Counters      map[string]int64 `json:"counters"`
-	MemInUse      int64            `json:"mem_in_use"`
-	MemPeak       int64            `json:"mem_peak"`
-	AvailMem      int64            `json:"avail_mem"`
-	JobsQueued    int              `json:"jobs_queued"`
-	QueueLen      int              `json:"queue_len"`
-	VerifiedPlans int              `json:"verified_plans"`
-	Draining      bool             `json:"draining"`
+	Counters     map[string]int64 `json:"counters"`
+	MemInUse     int64            `json:"mem_in_use"`
+	MemPeak      int64            `json:"mem_peak"`
+	AvailMem     int64            `json:"avail_mem"`
+	JobsQueued   int              `json:"jobs_queued"`
+	QueueLen     int              `json:"queue_len"`
+	CacheEntries int              `json:"cache_entries"`
+	Draining     bool             `json:"draining"`
 }
 
 func readStats(t *testing.T, url string) soakStats {
@@ -158,10 +158,11 @@ func TestSoakMixedTraffic(t *testing.T) {
 	if !st.Draining {
 		t.Fatal("stats do not report draining")
 	}
-	// The verdict memo is keyed by plan fingerprint: bounded by distinct
-	// structures (plus budget replans), no matter how many requests ran.
-	if st.VerifiedPlans == 0 || st.VerifiedPlans > 4*maxKeys {
-		t.Fatalf("verdict memo has %d entries for %d issued requests over %d keys", st.VerifiedPlans, issued, maxKeys)
+	// The plan cache — and with it every retained verdict and protocol
+	// table — is keyed by plan fingerprint: bounded by distinct structures
+	// (plus budget replans), no matter how many requests ran.
+	if st.CacheEntries == 0 || st.CacheEntries > 4*maxKeys {
+		t.Fatalf("plan cache holds %d entries for %d issued requests over %d keys", st.CacheEntries, issued, maxKeys)
 	}
 
 	// Goroutine leak: the pool exits on drain; HTTP keep-alives and timer

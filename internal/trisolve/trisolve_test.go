@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -101,7 +102,7 @@ func TestConcurrentSolveMatches(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
-		res, err := exec.Run(s, plan, exec.Config{Kernel: pr.Kernel, Init: pr.InitObject})
+		res, err := exec.Run(s, plan, proto.Derive(s), exec.Config{Kernel: pr.Kernel, Init: pr.InitObject})
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
@@ -145,7 +146,7 @@ func TestResidualThroughFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := exec.Run(s, plan, exec.Config{Kernel: cp.Kernel, Init: cp.InitObject})
+	fres, err := exec.Run(s, plan, proto.Derive(s), exec.Config{Kernel: cp.Kernel, Init: cp.InitObject})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestResidualThroughFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := exec.Run(s2, plan2, exec.Config{Kernel: pr2.Kernel, Init: pr2.InitObject})
+	sres, err := exec.Run(s2, plan2, proto.Derive(s2), exec.Config{Kernel: pr2.Kernel, Init: pr2.InitObject})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package util
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -71,68 +70,6 @@ func TestBitsetPropertySetHas(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHeapSortsKeys(t *testing.T) {
-	h := NewFloat64Heap(8)
-	keys := []float64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
-	for i, k := range keys {
-		h.Push(int32(i), k)
-	}
-	prev := -1.0
-	for h.Len() > 0 {
-		_, k := h.Pop()
-		if k < prev {
-			t.Fatalf("heap pop out of order: %v after %v", k, prev)
-		}
-		prev = k
-	}
-}
-
-func TestHeapUpdate(t *testing.T) {
-	h := NewFloat64Heap(4)
-	h.Push(1, 10)
-	h.Push(2, 20)
-	h.Push(3, 30)
-	if !h.Update(3, 5) {
-		t.Fatalf("Update said absent")
-	}
-	if id, k := h.Pop(); id != 3 || k != 5 {
-		t.Fatalf("Pop got (%d,%v), want (3,5)", id, k)
-	}
-	if h.Update(99, 1) {
-		t.Fatalf("Update of absent id returned true")
-	}
-	if !h.Contains(1) || h.Contains(3) {
-		t.Fatalf("Contains wrong")
-	}
-}
-
-func TestHeapPropertyAgainstSort(t *testing.T) {
-	f := func(keys []float64) bool {
-		h := NewFloat64Heap(len(keys))
-		for i, k := range keys {
-			h.Push(int32(i), k)
-		}
-		var got []float64
-		for h.Len() > 0 {
-			_, k := h.Pop()
-			got = append(got, k)
-		}
-		want := append([]float64(nil), keys...)
-		sort.Float64s(want)
-		for i := range want {
-			// NaN-free inputs from quick are not guaranteed; treat NaN
-			// groups as equal.
-			if got[i] != want[i] && !(got[i] != got[i] && want[i] != want[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

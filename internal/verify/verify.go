@@ -1,8 +1,8 @@
 // Package verify is a static analyzer over compiled execution plans: it
 // proves, without executing anything, the invariants the paper's
 // correctness argument rests on, so that a corrupted, stale or
-// mis-scheduled plan is rejected at a plan boundary (compile, cache load,
-// daemon admission) instead of surfacing as a runtime watchdog timeout.
+// mis-scheduled plan is rejected at a plan boundary (cache load, daemon
+// admission) instead of surfacing as a runtime watchdog timeout.
 //
 // Three analyses run over a (schedule, MAP plan) pair:
 //
@@ -236,8 +236,10 @@ func Check(s *sched.Schedule, mp *mem.Plan) *Result {
 	return c.res
 }
 
-// CheckArtifact verifies a (typically just decoded) plan artifact: the
-// artifact-level envelope plus everything Check proves.
+// CheckArtifact verifies a plan artifact: the artifact-level envelope plus
+// everything Check proves. A clean result is recorded on the artifact
+// (Artifact.Verified), so each plan boundary that gates on verification —
+// disk-cache load, daemon admission — checks a given artifact once.
 func CheckArtifact(a *plan.Artifact) *Result {
 	res := &Result{}
 	if a == nil {
@@ -262,6 +264,9 @@ func CheckArtifact(a *plan.Artifact) *Result {
 		res.add(Finding{Class: ClassStructure, Proc: graph.None, Pos: graph.None,
 			Task: graph.None, Obj: graph.None,
 			Detail: fmt.Sprintf("artifact capacity %d disagrees with memory plan capacity %d", a.Capacity, a.Mem.Capacity)})
+	}
+	if res.OK() {
+		a.MarkVerified()
 	}
 	return res
 }

@@ -50,6 +50,9 @@ type PlanCache struct {
 	c *plancache.Cache
 }
 
+// Len returns the number of plans the in-memory tier holds.
+func (pc *PlanCache) Len() int { return pc.c.Len() }
+
 // NewPlanCache creates a plan cache.
 func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
 	return &PlanCache{c: plancache.New(plancache.Config{
@@ -113,60 +116,33 @@ func CompileCached(prog *Program, opt Options, cache *PlanCache) (*Plan, CacheSo
 		return p, FromCompile, err
 	}
 	fp := Fingerprint(prog, opt)
-	art, src, err := cache.c.GetOrCompile(fp, func() (*plan.Artifact, error) {
+	return cache.c.GetOrCompile(fp, func() (*Plan, error) {
 		p, err := Compile(prog, opt)
 		if err != nil {
 			return nil, err
 		}
-		return planToArtifact(p, fp), nil
+		p.Fingerprint = fp
+		return p, nil
 	})
-	if err != nil {
-		return nil, src, err
-	}
-	return artifactToPlan(art), src, nil
 }
 
 // MarshalPlan serializes a compiled plan (including the task graph its
 // schedule refers to) into the versioned binary format of internal/plan.
 // The encoding is deterministic: equal plans marshal to equal bytes.
 func MarshalPlan(p *Plan) ([]byte, error) {
-	return plan.Encode(planToArtifact(p, p.Fingerprint))
+	return plan.Encode(p)
 }
 
 // UnmarshalPlan parses a plan serialized by MarshalPlan, verifying its
 // checksum and structural invariants.
 func UnmarshalPlan(data []byte) (*Plan, error) {
-	art, err := plan.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return artifactToPlan(art), nil
+	return plan.Decode(data)
 }
 
 // ProgramOf returns a Program view of the task graph embedded in a plan
 // (e.g. one loaded by UnmarshalPlan), for passing to Execute or Simulate.
 func ProgramOf(p *Plan) *Program {
 	return &Program{G: p.Schedule.G}
-}
-
-func planToArtifact(p *Plan, fp string) *plan.Artifact {
-	return &plan.Artifact{
-		Fingerprint: fp,
-		Model:       p.Model,
-		Capacity:    p.Capacity,
-		Schedule:    p.Schedule,
-		Mem:         p.Mem,
-	}
-}
-
-func artifactToPlan(a *plan.Artifact) *Plan {
-	return &Plan{
-		Schedule:    a.Schedule,
-		Mem:         a.Mem,
-		Model:       a.Model,
-		Capacity:    a.Capacity,
-		Fingerprint: a.Fingerprint,
-	}
 }
 
 // CacheStats formats a metrics registry's plancache counters; a

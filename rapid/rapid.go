@@ -35,6 +35,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -155,34 +156,15 @@ type Options struct {
 }
 
 // Plan is a compiled execution plan: the static schedule plus the MAP plan
-// for the memory budget.
-type Plan struct {
-	Schedule *sched.Schedule
-	Mem      *mem.Plan
-	Model    CostModel
-	// Capacity is the per-processor memory capacity the plan was built for.
-	Capacity int64
-	// Fingerprint is the content address the plan was compiled under; set
-	// by CompileCached and preserved by MarshalPlan/UnmarshalPlan (empty
-	// for plans from plain Compile).
-	Fingerprint string
-}
-
-// Executable reports whether the plan fits the memory budget.
-func (p *Plan) Executable() bool { return p.Mem.Executable }
-
-// MinMem returns the schedule's minimum memory requirement (Definition 5).
-func (p *Plan) MinMem() int64 { return p.Schedule.MinMem() }
-
-// TOT returns the no-recycling memory requirement.
-func (p *Plan) TOT() int64 { return p.Schedule.TOT() }
-
-// AvgMAPs returns the planned average number of MAPs per processor.
-func (p *Plan) AvgMAPs() float64 { return p.Mem.AvgMAPs() }
-
-// PredictedTime returns the scheduler's predicted parallel time (seconds
-// under the cost model, without memory-management overhead).
-func (p *Plan) PredictedTime() float64 { return p.Schedule.Makespan }
+// for the memory budget, with the methods Executable, MinMem, TOT, AvgMAPs
+// and PredictedTime. It is the one compiled artifact of the system — what
+// Compile returns is what a PlanCache stores and MarshalPlan serializes —
+// and it carries what is derived from it: the protocol tables every
+// Execute and Simulate of the plan share, and the VerifyPlan verdict.
+// Fingerprint is set by CompileCached and preserved by
+// MarshalPlan/UnmarshalPlan (empty for plans from plain Compile). A plan
+// is immutable after its first use.
+type Plan = plan.Artifact
 
 // Compile clusters, maps, orders and memory-plans the program.
 func Compile(prog *Program, opt Options) (*Plan, error) {
@@ -244,11 +226,7 @@ func Compile(prog *Program, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Schedule: s, Mem: mp, Model: model, Capacity: capacity}
-	if err := assertVerified(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return &Plan{Schedule: s, Mem: mp, Model: model, Capacity: capacity}, nil
 }
 
 // KernelFunc executes one task against its local object buffers.
@@ -324,7 +302,7 @@ type Report struct {
 // Execute runs the plan concurrently with one goroutine per processor,
 // under the full active-memory-management protocol.
 func Execute(prog *Program, plan *Plan, opt ExecOptions) (*Report, error) {
-	res, err := exec.Run(plan.Schedule, plan.Mem, exec.Config{
+	res, err := exec.Run(plan.Schedule, plan.Mem, plan.Tables(), exec.Config{
 		Kernel:       opt.Kernel,
 		Init:         opt.Init,
 		BufLen:       opt.BufLen,
@@ -383,7 +361,7 @@ type SimReport struct {
 
 // Simulate runs the plan on the discrete-event machine simulator.
 func Simulate(prog *Program, plan *Plan, opt SimOptions) (*SimReport, error) {
-	res, err := machine.Simulate(plan.Schedule, plan.Mem, plan.Model, machine.Options{
+	res, err := machine.Simulate(plan.Schedule, plan.Mem, plan.Tables(), plan.Model, machine.Options{
 		Baseline: opt.Baseline,
 		Trace:    opt.Trace,
 		Faults:   opt.Faults,

@@ -1,12 +1,6 @@
 package rapid
 
-import (
-	"fmt"
-	"os"
-	"sync"
-
-	"repro/internal/verify"
-)
+import "repro/internal/verify"
 
 // VerifyResult is the static verifier's report for one plan: the findings
 // (empty for a clean plan), the symbolically replayed per-processor peaks
@@ -22,37 +16,9 @@ type VerifyFinding = verify.Finding
 // and leak detection), cross-processor wait-for acyclicity (the Theorem 1
 // deadlock-freedom precondition, with the full blocking chain on failure),
 // symbolic allocator replay against the declared peaks and AVAIL_MEM, and
-// arrival-threshold / address-package cross-checks.
+// arrival-threshold / address-package cross-checks. A clean result is
+// recorded on the plan, so the plan boundaries that gate on verification
+// (disk-cache load, daemon admission) check a given plan once.
 func VerifyPlan(p *Plan) *VerifyResult {
-	if p == nil {
-		return verify.Check(nil, nil)
-	}
-	return verify.Check(p.Schedule, p.Mem)
-}
-
-var (
-	debugVerifyOnce sync.Once
-	debugVerify     bool
-)
-
-// debugVerifyEnabled reports whether RAPID_VERIFY=1 asks every Compile to
-// assert its own output (a debug mode for scheduler/planner development;
-// the plan boundaries — cache load, daemon admission, CLIs — verify
-// unconditionally).
-func debugVerifyEnabled() bool {
-	debugVerifyOnce.Do(func() {
-		debugVerify = os.Getenv("RAPID_VERIFY") == "1"
-	})
-	return debugVerify
-}
-
-// assertVerified is called by Compile under RAPID_VERIFY=1.
-func assertVerified(p *Plan) error {
-	if !debugVerifyEnabled() {
-		return nil
-	}
-	if res := VerifyPlan(p); !res.OK() {
-		return fmt.Errorf("rapid: compiled plan failed static verification (compiler bug): %w", res.Err())
-	}
-	return nil
+	return verify.CheckArtifact(p)
 }
