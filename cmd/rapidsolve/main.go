@@ -248,7 +248,7 @@ func solveChol(a *sparse.Matrix, procs, block int, h rapid.Heuristic, memPct int
 
 	l := pr.AssembleL(report.Objects)
 	rec := make([]float64, a.N*a.N)
-	blas.Gemm(false, true, a.N, a.N, a.N, 1, l, a.N, l, a.N, rec, a.N)
+	blas.Syrk(a.N, a.N, 1, l, a.N, rec, a.N)
 	ad := a.ToDense()
 	num, den := 0.0, 0.0
 	for i := 0; i < a.N; i++ {

@@ -75,7 +75,7 @@ func main() {
 	l := pr.AssembleL(report.Objects)
 	n := a.N
 	rec := make([]float64, n*n)
-	blas.Gemm(false, true, n, n, n, 1, l, n, l, n, rec, n)
+	blas.Syrk(n, n, 1, l, n, rec, n)
 	ad := a.ToDense()
 	num, den := 0.0, 0.0
 	for i := 0; i < n; i++ {

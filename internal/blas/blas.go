@@ -5,10 +5,17 @@
 // flat float64 slices with an explicit leading dimension, so sub-blocks of
 // larger panels can be addressed without copying.
 //
-// These are reference implementations in pure Go (the evaluation machine's
-// vendor BLAS is replaced by the cost model in internal/machine); they exist
-// so that the factorizations are numerically real and testable, not to win
-// flop races.
+// The kernels are pure Go, one implementation each. The paper's tables still
+// take their times from the cost model in internal/machine (which stands in
+// for the evaluation machine's vendor BLAS), but the repository benchmark's
+// factor_* rows are wall-clock of these loops, so the hot ones are
+// register-tiled: the row-axpy shapes (Gemm N·N, TrsmLeftLowerUnit) take four
+// rows of the right operand per pass over the destination row, and the
+// dot-product shapes (Gemm N·T, Syrk, TrsmRightLowerT) compute 2×2 (or 2×1)
+// tiles whose dot products share their loads. Tails fall through to the plain
+// loop, so a block smaller than a tile pays a few compares and nothing else.
+// Every kernel is a pure function of its inputs with one fixed summation
+// order.
 package blas
 
 import (
@@ -22,126 +29,197 @@ var ErrNotPD = errors.New("blas: matrix not positive definite")
 // ErrSingular is returned by Getrf when no usable pivot exists.
 var ErrSingular = errors.New("blas: matrix is singular to working precision")
 
-// Gemm computes C = C + alpha * op(A) * op(B) where op is identity or
-// transpose, for row-major matrices: A is m×k (k×m if transA), B is k×n
-// (n×k if transB), C is m×n, with leading dimensions lda, ldb, ldc.
+// Gemm computes C = C + alpha * A * op(B) where op is identity or transpose,
+// for row-major matrices: A is m×k, B is k×n (n×k if transB), C is m×n, with
+// leading dimensions lda, ldb, ldc. transA must be false: no factorization
+// here multiplies by a transposed left operand.
+//
+// Rows of A for which AllZero holds contribute nothing and are skipped in the
+// N·N shape.
 func Gemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	if transA {
+		panic("blas: Gemm with a transposed left operand is not implemented")
+	}
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
-	switch {
-	case !transA && !transB:
-		for i := 0; i < m; i++ {
-			ci := c[i*ldc : i*ldc+n]
-			for l := 0; l < k; l++ {
-				v := alpha * a[i*lda+l]
-				if v == 0 {
-					continue
-				}
-				bl := b[l*ldb : l*ldb+n]
-				for j, bv := range bl {
-					ci[j] += v * bv
-				}
+	if transB {
+		gemmNT(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	} else {
+		gemmNN(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+	}
+}
+
+// AllZero reports whether every entry of x == 0: -0 counts as zero, NaN does
+// not. It is the one definition of a row that a product may skip.
+func AllZero(x []float64) bool {
+	for _, v := range x {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// gemmNN is the row-axpy shape C_i += alpha·Σ_l a_il·B_l with l unrolled
+// four deep, so each pass over the C row retires eight flops per load and
+// store of c[j]. The b rows are re-sliced to len(ci) so the inner loop runs
+// without bounds checks.
+func gemmNN(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		ai := a[i*lda : i*lda+k]
+		if AllZero(ai) {
+			continue
+		}
+		ci := c[i*ldc : i*ldc+n]
+		l := 0
+		for ; l+4 <= k; l += 4 {
+			v0, v1, v2, v3 := alpha*ai[l], alpha*ai[l+1], alpha*ai[l+2], alpha*ai[l+3]
+			b0 := b[l*ldb:][:len(ci)]
+			b1 := b[(l+1)*ldb:][:len(ci)]
+			b2 := b[(l+2)*ldb:][:len(ci)]
+			b3 := b[(l+3)*ldb:][:len(ci)]
+			for j := range ci {
+				ci[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
 			}
 		}
-	case !transA && transB:
-		for i := 0; i < m; i++ {
-			ai := a[i*lda : i*lda+k]
-			ci := c[i*ldc : i*ldc+n]
-			for j := 0; j < n; j++ {
-				bj := b[j*ldb : j*ldb+k]
-				s := 0.0
-				for l, av := range ai {
-					s += av * bj[l]
-				}
-				ci[j] += alpha * s
+		for ; l < k; l++ {
+			v := alpha * ai[l]
+			bl := b[l*ldb:][:len(ci)]
+			for j := range ci {
+				ci[j] += v * bl[j]
 			}
 		}
-	case transA && !transB:
-		for l := 0; l < k; l++ {
-			al := a[l*lda : l*lda+m]
-			bl := b[l*ldb : l*ldb+n]
-			for i := 0; i < m; i++ {
-				v := alpha * al[i]
-				if v == 0 {
-					continue
-				}
-				ci := c[i*ldc : i*ldc+n]
-				for j, bv := range bl {
-					ci[j] += v * bv
-				}
+	}
+}
+
+// gemmNT is the dot-product shape c_ij += alpha·(A_i · B_j) in 2×2 tiles:
+// four dot products share two loads of A and two of B per step. Every dot
+// product is still summed l = 0..k-1, so each c_ij is the value the plain
+// triple loop gives.
+func gemmNT(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		a0 := a[i*lda:][:k]
+		a1 := a[(i+1)*lda:][:k]
+		c0 := c[i*ldc:][:n]
+		c1 := c[(i+1)*ldc:][:n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			b0 := b[j*ldb:][:k]
+			b1 := b[(j+1)*ldb:][:k]
+			var s00, s01, s10, s11 float64
+			for l, x0 := range a0 {
+				x1, y0, y1 := a1[l], b0[l], b1[l]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s10 += x1 * y0
+				s11 += x1 * y1
 			}
+			c0[j] += alpha * s00
+			c0[j+1] += alpha * s01
+			c1[j] += alpha * s10
+			c1[j+1] += alpha * s11
 		}
-	default: // transA && transB
-		for i := 0; i < m; i++ {
-			ci := c[i*ldc : i*ldc+n]
-			for j := 0; j < n; j++ {
-				s := 0.0
-				for l := 0; l < k; l++ {
-					s += a[l*lda+i] * b[j*ldb+l]
-				}
-				ci[j] += alpha * s
+		if j < n {
+			bj := b[j*ldb:][:k]
+			var s0, s1 float64
+			for l, y := range bj {
+				s0 += a0[l] * y
+				s1 += a1[l] * y
 			}
+			c0[j] += alpha * s0
+			c1[j] += alpha * s1
+		}
+	}
+	if i < m {
+		ai := a[i*lda:][:k]
+		ci := c[i*ldc:][:n]
+		for j := range ci {
+			bj := b[j*ldb:][:k]
+			s := 0.0
+			for l, x := range ai {
+				s += x * bj[l]
+			}
+			ci[j] += alpha * s
 		}
 	}
 }
 
 // Syrk computes the lower triangle of C = C + alpha * A * Aᵀ where A is n×k
 // row-major with leading dimension lda and C is n×n with leading dimension
-// ldc. Only the lower triangle of C is referenced and updated.
+// ldc. Only the lower triangle of C is referenced and updated. Two rows of C
+// at a time: left of the diagonal they are whole 2×2 tiles of gemmNT, and the
+// tile on the diagonal computes three of its four entries.
 func Syrk(n, k int, alpha float64, a []float64, lda int, c []float64, ldc int) {
-	for i := 0; i < n; i++ {
-		ai := a[i*lda : i*lda+k]
-		for j := 0; j <= i; j++ {
-			aj := a[j*lda : j*lda+k]
-			s := 0.0
-			for l, av := range ai {
-				s += av * aj[l]
-			}
-			c[i*ldc+j] += alpha * s
+	i := 0
+	for ; i+2 <= n; i += 2 {
+		gemmNT(2, i, k, alpha, a[i*lda:], lda, a, lda, c[i*ldc:], ldc)
+		a0 := a[i*lda:][:k]
+		a1 := a[(i+1)*lda:][:k]
+		var s00, s10, s11 float64
+		for l, x0 := range a0 {
+			x1 := a1[l]
+			s00 += x0 * x0
+			s10 += x1 * x0
+			s11 += x1 * x1
 		}
+		c[i*ldc+i] += alpha * s00
+		c[(i+1)*ldc+i] += alpha * s10
+		c[(i+1)*ldc+i+1] += alpha * s11
+	}
+	if i < n {
+		gemmNT(1, i+1, k, alpha, a[i*lda:], lda, a, lda, c[i*ldc:], ldc)
 	}
 }
 
 // TrsmRightLowerT solves X * Lᵀ = B in place for X, where L is an n×n lower
 // triangular matrix with unit or non-unit diagonal and B is m×n row-major.
 // This is the "scale a subdiagonal block by the Cholesky factor" kernel:
-// A_ik ← A_ik · L_kkᵀ⁻¹.
+// A_ik ← A_ik · L_kkᵀ⁻¹. Rows of B are independent; two are solved at a time
+// so each row of L is loaded once for both.
 func TrsmRightLowerT(m, n int, l []float64, ldl int, b []float64, ldb int, unitDiag bool) {
-	for i := 0; i < m; i++ {
-		bi := b[i*ldb : i*ldb+n]
-		for j := 0; j < n; j++ {
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		b0 := b[i*ldb:][:n]
+		b1 := b[(i+1)*ldb:][:n]
+		for j := range b0 {
+			lj := l[j*ldl:][:j+1]
+			s0, s1 := b0[j], b1[j]
+			for p, v := range lj[:j] {
+				s0 -= b0[p] * v
+				s1 -= b1[p] * v
+			}
+			if !unitDiag {
+				s0 /= lj[j]
+				s1 /= lj[j]
+			}
+			b0[j], b1[j] = s0, s1
+		}
+	}
+	if i < m {
+		bi := b[i*ldb:][:n]
+		for j := range bi {
+			lj := l[j*ldl:][:j+1]
 			s := bi[j]
-			lj := l[j*ldl : j*ldl+n]
-			for p := 0; p < j; p++ {
-				s -= bi[p] * lj[p]
+			for p, v := range lj[:j] {
+				s -= bi[p] * v
 			}
-			if unitDiag {
-				bi[j] = s
-			} else {
-				bi[j] = s / lj[j]
+			if !unitDiag {
+				s /= lj[j]
 			}
+			bi[j] = s
 		}
 	}
 }
 
 // TrsmLeftLowerUnit solves L * X = B in place for X, where L is m×m lower
 // triangular with implicit unit diagonal and B is m×n row-major. This is the
-// "compute a U block from a factored panel" kernel of LU.
+// "compute a U block from a factored panel" kernel of LU. Row i of X is
+// B_i − Σ_{p<i} l_ip·X_p: a one-row gemmNN against the rows already solved.
 func TrsmLeftLowerUnit(m, n int, l []float64, ldl int, b []float64, ldb int) {
-	for i := 0; i < m; i++ {
-		li := l[i*ldl : i*ldl+m]
-		bi := b[i*ldb : i*ldb+n]
-		for p := 0; p < i; p++ {
-			v := li[p]
-			if v == 0 {
-				continue
-			}
-			bp := b[p*ldb : p*ldb+n]
-			for j, bv := range bp {
-				bi[j] -= v * bv
-			}
-		}
+	for i := 1; i < m; i++ {
+		gemmNN(1, n, i, -1, l[i*ldl:], ldl, b, ldb, b[i*ldb:], ldb)
 	}
 }
 
@@ -176,8 +254,9 @@ func Potrf(n int, a []float64, lda int) error {
 // (m >= n) in place: P·A = L·U with unit lower-triangular L stored below the
 // diagonal and U on and above it. piv[j] records the row swapped into
 // position j at step j (LAPACK-style ipiv, 0-based). Rows are swapped across
-// the full panel width n.
-func Getrf(m, n int, a []float64, lda int, piv []int) error {
+// the full panel width n. The pivots are float64 so that a caller can keep
+// them in the panel's own buffer, where they travel with the panel.
+func Getrf(m, n int, a []float64, lda int, piv []float64) error {
 	if len(piv) < n {
 		panic("blas: pivot slice too short")
 	}
@@ -193,7 +272,7 @@ func Getrf(m, n int, a []float64, lda int, piv []int) error {
 		if pv == 0 {
 			return ErrSingular
 		}
-		piv[j] = p
+		piv[j] = float64(p)
 		if p != j {
 			rj := a[j*lda : j*lda+n]
 			rp := a[p*lda : p*lda+n]
@@ -220,8 +299,9 @@ func Getrf(m, n int, a []float64, lda int, piv []int) error {
 
 // Laswp applies the row interchanges recorded by Getrf to an m×n matrix:
 // for j = 0..len(piv)-1, rows j and piv[j] are swapped.
-func Laswp(n int, a []float64, lda int, piv []int) {
-	for j, p := range piv {
+func Laswp(n int, a []float64, lda int, piv []float64) {
+	for j, pf := range piv {
+		p := int(pf)
 		if p == j {
 			continue
 		}

@@ -1,7 +1,9 @@
 package blas
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/util"
@@ -15,57 +17,260 @@ func randMat(rng *util.RNG, m, n int) []float64 {
 	return a
 }
 
-func naiveGemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	at := func(i, l int) float64 {
-		if transA {
-			return a[l*lda+i]
-		}
-		return a[i*lda+l]
-	}
-	bt := func(l, j int) float64 {
-		if transB {
-			return b[j*ldb+l]
-		}
-		return b[l*ldb+j]
-	}
+// The naive* functions are the plain loops the tiled kernels replaced. They
+// are the reference of the differential tests below and the "before" side of
+// nothing else: non-test code has one implementation per kernel.
+
+func naiveGemm(transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for l := 0; l < k; l++ {
-				s += at(i, l) * bt(l, j)
+				if transB {
+					s += a[i*lda+l] * b[j*ldb+l]
+				} else {
+					s += a[i*lda+l] * b[l*ldb+j]
+				}
 			}
 			c[i*ldc+j] += alpha * s
 		}
 	}
 }
 
-func TestGemmAllVariants(t *testing.T) {
-	rng := util.NewRNG(1)
-	for _, tA := range []bool{false, true} {
-		for _, tB := range []bool{false, true} {
-			m, n, k := 7, 5, 6
-			var a, b []float64
-			if tA {
-				a = randMat(rng, k, m)
-			} else {
-				a = randMat(rng, m, k)
+func naiveSyrk(n, k int, alpha float64, a []float64, lda int, c []float64, ldc int) {
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			s := 0.0
+			for l := 0; l < k; l++ {
+				s += a[i*lda+l] * a[j*lda+l]
 			}
-			if tB {
-				b = randMat(rng, n, k)
-			} else {
-				b = randMat(rng, k, n)
+			c[i*ldc+j] += alpha * s
+		}
+	}
+}
+
+func naiveTrsmRightLowerT(m, n int, l []float64, ldl int, b []float64, ldb int, unitDiag bool) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := b[i*ldb+j]
+			for p := 0; p < j; p++ {
+				s -= b[i*ldb+p] * l[j*ldl+p]
 			}
-			lda := len(a) / map[bool]int{true: k, false: m}[tA]
-			ldb := len(b) / map[bool]int{true: n, false: k}[tB]
-			c1 := randMat(rng, m, n)
-			c2 := append([]float64(nil), c1...)
-			Gemm(tA, tB, m, n, k, 1.5, a, lda, b, ldb, c1, n)
-			naiveGemm(tA, tB, m, n, k, 1.5, a, lda, b, ldb, c2, n)
-			if d := MaxAbsDiff(m, n, c1, n, c2, n); d > 1e-12 {
-				t.Fatalf("Gemm(tA=%v,tB=%v) diff %v", tA, tB, d)
+			if !unitDiag {
+				s /= l[j*ldl+j]
+			}
+			b[i*ldb+j] = s
+		}
+	}
+}
+
+func naiveTrsmLeftLowerUnit(m, n int, l []float64, ldl int, b []float64, ldb int) {
+	for i := 0; i < m; i++ {
+		for p := 0; p < i; p++ {
+			for j := 0; j < n; j++ {
+				b[i*ldb+j] -= l[i*ldl+p] * b[p*ldb+j]
 			}
 		}
 	}
+}
+
+// strided returns a rows×cols matrix of normal deviates with leading
+// dimension ld >= cols; the padding holds a sentinel no kernel may touch.
+const sentinel = 7777.5
+
+func strided(rng *util.RNG, rows, cols, ld int) []float64 {
+	a := make([]float64, rows*ld)
+	for i := range a {
+		a[i] = sentinel
+	}
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			a[i*ld+j] = rng.NormFloat64()
+		}
+	}
+	return a
+}
+
+// spoil overwrites whole rows of a: about one in three becomes all +0, one
+// in ten all -0, and (when withNaN) one row all NaN, so the zero-row skip and
+// every tail see them.
+func spoil(rng *util.RNG, a []float64, rows, cols, ld int, withNaN bool) {
+	negZero := math.Copysign(0, -1)
+	for i := 0; i < rows; i++ {
+		switch r := rng.Intn(10); {
+		case r < 3:
+			for j := 0; j < cols; j++ {
+				a[i*ld+j] = 0
+			}
+		case r == 3:
+			for j := 0; j < cols; j++ {
+				a[i*ld+j] = negZero
+			}
+		}
+	}
+	if withNaN {
+		i := rng.Intn(rows)
+		for j := 0; j < cols; j++ {
+			a[i*ld+j] = math.NaN()
+		}
+	}
+}
+
+// sameWithin fails unless got and want agree entry by entry to 1e-12
+// relative (NaN must meet NaN), padding included.
+func sameWithin(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.IsNaN(w) != math.IsNaN(g) {
+			t.Fatalf("%s: entry %d is %v, reference %v", what, i, g, w)
+		}
+		if math.Abs(g-w) > 1e-12*math.Max(1, math.Abs(w)) {
+			t.Fatalf("%s: entry %d is %v, reference %v", what, i, g, w)
+		}
+	}
+}
+
+// bitEqual fails unless a and b hold the same bits.
+func bitEqual(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: entry %d differs between two runs on the same input: %v vs %v", what, i, a[i], b[i])
+		}
+	}
+}
+
+// TestKernelsAgainstNaive runs every tiled kernel against its naive loop
+// over random shapes in [1,33] (every combination of tile tails), padded
+// leading dimensions, four alphas, zero, -0 and NaN rows; and runs it twice
+// to check the result is a pure function of the input.
+func TestKernelsAgainstNaive(t *testing.T) {
+	rng := util.NewRNG(20260928)
+	alphas := []float64{0, 1, -1, 0.5}
+	for trial := 0; trial < 600; trial++ {
+		m, n, k := 1+rng.Intn(33), 1+rng.Intn(33), 1+rng.Intn(33)
+		pad := rng.Intn(4)
+		alpha := alphas[trial%len(alphas)]
+		// alpha == 0 makes Gemm a no-op (the BLAS convention), NaN or not.
+		withNaN := trial%5 == 0 && alpha != 0
+
+		// Gemm N·N and N·T.
+		for _, transB := range []bool{false, true} {
+			lda, ldc := k+pad, n+pad
+			a := strided(rng, m, k, lda)
+			spoil(rng, a, m, k, lda, withNaN)
+			var b []float64
+			ldb := n + pad
+			if transB {
+				ldb = k + pad
+				b = strided(rng, n, k, ldb)
+			} else {
+				b = strided(rng, k, n, ldb)
+			}
+			c := strided(rng, m, n, ldc)
+			got, again, want := slices.Clone(c), slices.Clone(c), slices.Clone(c)
+			Gemm(false, transB, m, n, k, alpha, a, lda, b, ldb, got, ldc)
+			Gemm(false, transB, m, n, k, alpha, a, lda, b, ldb, again, ldc)
+			naiveGemm(transB, m, n, k, alpha, a, lda, b, ldb, want, ldc)
+			what := fmt.Sprintf("Gemm(transB=%v) %dx%dx%d alpha=%v pad=%d", transB, m, n, k, alpha, pad)
+			sameWithin(t, what, got, want)
+			bitEqual(t, what, got, again)
+		}
+
+		// Syrk: the strict upper triangle of C is padding too.
+		{
+			lda, ldc := k+pad, n+pad
+			a := strided(rng, n, k, lda)
+			spoil(rng, a, n, k, lda, withNaN)
+			c := strided(rng, n, n, ldc)
+			got, again, want := slices.Clone(c), slices.Clone(c), slices.Clone(c)
+			Syrk(n, k, alpha, a, lda, got, ldc)
+			Syrk(n, k, alpha, a, lda, again, ldc)
+			naiveSyrk(n, k, alpha, a, lda, want, ldc)
+			what := fmt.Sprintf("Syrk %dx%d alpha=%v pad=%d", n, k, alpha, pad)
+			sameWithin(t, what, got, want)
+			bitEqual(t, what, got, again)
+		}
+
+		// Triangular solves: a well-conditioned L, zero and NaN rows in B.
+		{
+			ldl, ldb := n+pad, n+pad
+			l := strided(rng, n, n, ldl)
+			for i := 0; i < n; i++ {
+				l[i*ldl+i] = 2 + math.Abs(l[i*ldl+i])
+				for j := 0; j < i; j++ {
+					l[i*ldl+j] /= float64(n)
+				}
+			}
+			b := strided(rng, m, n, ldb)
+			spoil(rng, b, m, n, ldb, withNaN)
+			unit := trial%2 == 0
+			got, again, want := slices.Clone(b), slices.Clone(b), slices.Clone(b)
+			TrsmRightLowerT(m, n, l, ldl, got, ldb, unit)
+			TrsmRightLowerT(m, n, l, ldl, again, ldb, unit)
+			naiveTrsmRightLowerT(m, n, l, ldl, want, ldb, unit)
+			what := fmt.Sprintf("TrsmRightLowerT %dx%d unit=%v pad=%d", m, n, unit, pad)
+			sameWithin(t, what, got, want)
+			bitEqual(t, what, got, again)
+		}
+		{
+			ldl, ldb := m+pad, n+pad
+			l := strided(rng, m, m, ldl)
+			for i := 0; i < m; i++ {
+				for j := 0; j < i; j++ {
+					l[i*ldl+j] /= float64(m)
+				}
+			}
+			b := strided(rng, m, n, ldb)
+			spoil(rng, b, m, n, ldb, withNaN)
+			got, again, want := slices.Clone(b), slices.Clone(b), slices.Clone(b)
+			TrsmLeftLowerUnit(m, n, l, ldl, got, ldb)
+			TrsmLeftLowerUnit(m, n, l, ldl, again, ldb)
+			naiveTrsmLeftLowerUnit(m, n, l, ldl, want, ldb)
+			what := fmt.Sprintf("TrsmLeftLowerUnit %dx%d pad=%d", m, n, pad)
+			sameWithin(t, what, got, want)
+			bitEqual(t, what, got, again)
+		}
+	}
+}
+
+// TestGemmNaNRowPropagates pins the zero-row skip's definition: a row of A
+// is skipped iff every entry == 0, so a NaN row reaches C and a -0 row
+// leaves C's bits alone.
+func TestGemmNaNRowPropagates(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	a := []float64{
+		math.NaN(), 0, 0, 0, 0,
+		negZero, negZero, negZero, negZero, negZero,
+		0, 0, 0, 0, 1,
+	}
+	b := make([]float64, 5*3)
+	for i := range b {
+		b[i] = float64(i + 1)
+	}
+	c := []float64{1, 2, 3, negZero, negZero, negZero, 0, 0, 0}
+	Gemm(false, false, 3, 3, 5, 1, a, 5, b, 3, c, 3)
+	for j := 0; j < 3; j++ {
+		if !math.IsNaN(c[j]) {
+			t.Fatalf("NaN row of A was skipped: c[0][%d] = %v", j, c[j])
+		}
+		if math.Float64bits(c[3+j]) != math.Float64bits(negZero) {
+			t.Fatalf("-0 row of A was not skipped: c[1][%d] = %v", j, c[3+j])
+		}
+		if c[6+j] != b[4*3+j] {
+			t.Fatalf("row with a nonzero in the k%%4 tail: c[2][%d] = %v, want %v", j, c[6+j], b[4*3+j])
+		}
+	}
+}
+
+func TestGemmRejectsTransA(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Gemm(transA=true) did not panic")
+		}
+	}()
+	Gemm(true, false, 1, 1, 1, 1, []float64{1}, 1, []float64{1}, 1, []float64{0}, 1)
 }
 
 func TestGemmSubBlockLeadingDim(t *testing.T) {
@@ -96,7 +301,7 @@ func TestSyrkMatchesGemm(t *testing.T) {
 	c1 := make([]float64, n*n)
 	c2 := make([]float64, n*n)
 	Syrk(n, k, -1, a, k, c1, n)
-	naiveGemm(false, true, n, n, k, -1, a, k, a, k, c2, n)
+	naiveGemm(true, n, n, k, -1, a, k, a, k, c2, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if math.Abs(c1[i*n+j]-c2[i*n+j]) > 1e-12 {
@@ -153,7 +358,7 @@ func TestGetrfReconstructs(t *testing.T) {
 	m, n := 9, 6
 	a := randMat(rng, m, n)
 	f := append([]float64(nil), a...)
-	piv := make([]int, n)
+	piv := make([]float64, n)
 	if err := Getrf(m, n, f, n, piv); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +392,7 @@ func TestGetrfReconstructs(t *testing.T) {
 func TestGetrfPivotsAreUsed(t *testing.T) {
 	// First pivot is tiny; partial pivoting must select row 1.
 	a := []float64{1e-20, 1, 1, 1}
-	piv := make([]int, 2)
+	piv := make([]float64, 2)
 	if err := Getrf(2, 2, a, 2, piv); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +403,7 @@ func TestGetrfPivotsAreUsed(t *testing.T) {
 
 func TestGetrfSingular(t *testing.T) {
 	a := []float64{0, 0, 0, 0}
-	piv := make([]int, 2)
+	piv := make([]float64, 2)
 	if err := Getrf(2, 2, a, 2, piv); err != ErrSingular {
 		t.Fatalf("want ErrSingular, got %v", err)
 	}

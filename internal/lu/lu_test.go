@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/sparse"
 	"repro/internal/util"
 )
@@ -119,8 +120,10 @@ func TestPanelSizesAndHeights(t *testing.T) {
 		if pr.G.Objects[pr.PanelObj(k)].Size <= 0 {
 			t.Fatalf("panel %d size non-positive", k)
 		}
-		if pr.BufLen(pr.PanelObj(k)) != int64(pr.N*pr.BP.BlockDim(k)+pr.BP.BlockDim(k)) {
-			t.Fatalf("panel %d buffer length wrong", k)
+		// n×w matrix, w pivots, one bit per row below the diagonal block.
+		w := pr.BP.BlockDim(k)
+		if want := int64(pr.N*w + w + (pr.N-k*pr.W-w+31)/32); pr.BufLen(pr.PanelObj(k)) != want {
+			t.Fatalf("panel %d buffer length %d, want %d", k, pr.BufLen(pr.PanelObj(k)), want)
 		}
 	}
 	h := pr.Heights()
@@ -143,7 +146,7 @@ func TestPivotingActuallyHappens(t *testing.T) {
 	}
 	swaps := 0
 	for k := 0; k < pr.NB; k++ {
-		_, pivF, w := pr.panelParts(k, bufs[pr.PanelObj(k)])
+		_, pivF, _, w := pr.panelParts(k, bufs[pr.PanelObj(k)])
 		for q := 0; q < w; q++ {
 			if int(pivF[q]) != q {
 				swaps++
@@ -152,5 +155,215 @@ func TestPivotingActuallyHappens(t *testing.T) {
 	}
 	if swaps == 0 {
 		t.Fatalf("no row interchanges occurred; pivoting untested")
+	}
+}
+
+// TestSymbolicRunsOnce pins what Build takes from the one AᵀA symbolic
+// factorization against an independent run of it.
+func TestSymbolicRunsOnce(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		a := testMatrix(t, 9, 7, 14, seed)
+		w := 5
+		pr, err := Build(a, Options{Procs: 3, BlockSize: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp2 := sparse.NewBlockPattern2D(a.AtAPattern(), w)
+		for k := 0; k < pr.NB; k++ {
+			var h, nnz int64
+			for _, r := range bp2.Rows[k] {
+				h += int64(bp2.BlockDim(int(r)))
+			}
+			for j := k * w; j < k*w+bp2.BlockDim(k); j++ {
+				nnz += 2*bp2.ColNnz[j] - 1
+			}
+			if pr.Heights()[k] != h || pr.BP.PanelNnz[k] != nnz {
+				t.Fatalf("seed %d panel %d: height %d nnz %d, want %d %d",
+					seed, k, pr.Heights()[k], pr.BP.PanelNnz[k], h, nnz)
+			}
+		}
+	}
+}
+
+// listedRows decodes a panel's row index into one flag per row below the
+// diagonal block.
+func listedRows(rows []float64, below int) []bool {
+	listed := make([]bool, below)
+	for i := range listed {
+		listed[i] = uint64(rows[i/rowsPerWord])>>(i%rowsPerWord)&1 == 1
+	}
+	return listed
+}
+
+// checkRowIndex fails unless, in every factored panel, each listed row holds
+// a nonzero and each unlisted row below the diagonal block is all zero. It
+// returns how many rows are listed and how many are not.
+func checkRowIndex(t *testing.T, pr *Problem, bufs map[graph.ObjID][]float64) (listed, unlisted int) {
+	t.Helper()
+	for k := 0; k < pr.NB; k++ {
+		mat, _, rows, w := pr.panelParts(k, bufs[pr.PanelObj(k)])
+		below := mat[(pr.colStart(k)+w)*w:]
+		for i, in := range listedRows(rows, len(below)/w) {
+			nonzero := false
+			for _, v := range below[i*w : (i+1)*w] {
+				nonzero = nonzero || v != 0
+			}
+			switch {
+			case in && !nonzero:
+				t.Fatalf("panel %d: listed row %d is all zero", k, i)
+			case !in && nonzero:
+				t.Fatalf("panel %d: row %d holds a nonzero and is not listed", k, i)
+			case in:
+				listed++
+			default:
+				unlisted++
+			}
+		}
+	}
+	return listed, unlisted
+}
+
+// denseFactor is SequentialFactor with the row index defeated: after each
+// factor task the panel's index is overwritten to mark every row, so every
+// update multiplies the zero rows too.
+func denseFactor(t *testing.T, pr *Problem) map[graph.ObjID][]float64 {
+	t.Helper()
+	bufs := make(map[graph.ObjID][]float64)
+	for k := 0; k < pr.NB; k++ {
+		b := make([]float64, pr.BufLen(pr.PanelObj(k)))
+		pr.InitObject(pr.PanelObj(k), b)
+		bufs[pr.PanelObj(k)] = b
+	}
+	order, err := pr.G.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range order {
+		if err := pr.Kernel(task, func(o graph.ObjID) []float64 { return bufs[o] }); err != nil {
+			t.Fatal(err)
+		}
+		if ti := pr.info[task]; ti.kind == opFactor {
+			_, _, rows, w := pr.panelParts(int(ti.k), bufs[pr.PanelObj(int(ti.k))])
+			clear(rows)
+			for i := 0; i < pr.N-pr.colStart(int(ti.k))-w; i++ {
+				rows[i/rowsPerWord] += float64(uint64(1) << (i % rowsPerWord))
+			}
+		}
+	}
+	return bufs
+}
+
+// TestRowIndexIsExact is the test that fails if an update ever skips a row
+// it should not: the row index lists exactly the nonzero rows, and the
+// factor it yields is bit-equal to the dense update's.
+func TestRowIndexIsExact(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		a := testMatrix(t, 12, 10, 30, seed)
+		pr, err := Build(a, Options{Procs: 4, BlockSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs, err := pr.SequentialFactor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		listed, unlisted := checkRowIndex(t, pr, bufs)
+		if listed == 0 || unlisted == 0 {
+			t.Fatalf("seed %d: %d rows listed, %d not: the index is not exercised", seed, listed, unlisted)
+		}
+		dense := denseFactor(t, pr)
+		for k := 0; k < pr.NB; k++ {
+			got, gotPiv, _, _ := pr.panelParts(k, bufs[pr.PanelObj(k)])
+			want, wantPiv, _, _ := pr.panelParts(k, dense[pr.PanelObj(k)])
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d panel %d entry %d: %v with the row index, %v with the dense update",
+						seed, k, i, got[i], want[i])
+				}
+			}
+			for i := range wantPiv {
+				if gotPiv[i] != wantPiv[i] {
+					t.Fatalf("seed %d panel %d: pivot %d differs", seed, k, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSetMatrixRebuildsRowIndex follows the Newton example: the second
+// factorization, on new values over the same pattern, must list its own
+// nonzero rows, not the first one's.
+func TestSetMatrixRebuildsRowIndex(t *testing.T) {
+	a := testMatrix(t, 12, 10, 30, 7)
+	pr, err := Build(a, Options{Procs: 4, BlockSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := pr.SequentialFactor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstListed, _ := checkRowIndex(t, pr, first)
+
+	// Same pattern, but every off-diagonal value is an explicit zero: no
+	// panel has a nonzero below its diagonal block any more.
+	diag := *a
+	diag.Val = make([]float64, len(a.Val))
+	for j := 0; j < a.N; j++ {
+		vals := diag.ColVal(j)
+		for idx, i := range a.Col(j) {
+			if int(i) == j {
+				vals[idx] = 1 + float64(j)
+			}
+		}
+	}
+	if err := pr.SetMatrix(&diag); err != nil {
+		t.Fatal(err)
+	}
+	second, err := pr.SequentialFactor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondListed, _ := checkRowIndex(t, pr, second)
+	if firstListed == 0 || secondListed != 0 {
+		t.Fatalf("rows listed: %d then %d, want some then none", firstListed, secondListed)
+	}
+}
+
+// TestKernelDoesNotAllocate: pivots and the row index are read from the
+// panel buffers as stored, so a task allocates nothing.
+func TestKernelDoesNotAllocate(t *testing.T) {
+	a := testMatrix(t, 12, 10, 30, 1)
+	pr, err := Build(a, Options{Procs: 4, BlockSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs, err := pr.SequentialFactor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := make([][]float64, pr.NB)
+	for k := range flat {
+		flat[k] = bufs[pr.PanelObj(k)]
+	}
+	get := func(o graph.ObjID) []float64 { return flat[o] }
+	update := graph.TaskID(-1)
+	for ti, inf := range pr.info {
+		if inf.kind == opUpdate {
+			update = graph.TaskID(ti)
+			break
+		}
+	}
+	if update < 0 {
+		t.Fatal("no update task")
+	}
+	// Re-running an update on factored panels computes garbage, which is
+	// fine: the task's control flow is the same.
+	if n := testing.AllocsPerRun(20, func() {
+		if err := pr.Kernel(update, get); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("update task allocates %v objects per call", n)
 	}
 }

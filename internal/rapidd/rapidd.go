@@ -1259,7 +1259,7 @@ func buildProblem(spec JobSpec) (*problem, error) {
 func cholResidual(a *sparse.Matrix, pr *chol.Problem, rep *rapid.Report) float64 {
 	l := pr.AssembleL(rep.Objects)
 	rec := make([]float64, a.N*a.N)
-	blas.Gemm(false, true, a.N, a.N, a.N, 1, l, a.N, l, a.N, rec, a.N)
+	blas.Syrk(a.N, a.N, 1, l, a.N, rec, a.N)
 	ad := a.ToDense()
 	num, den := 0.0, 0.0
 	for i := 0; i < a.N; i++ {

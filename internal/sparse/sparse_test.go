@@ -302,7 +302,7 @@ func TestUnsymValuesFactorizable(t *testing.T) {
 	rng := util.NewRNG(8)
 	m := UnsymValues(AddRandomUnsymLinks(Grid2D(5, 4, false), 12, rng), rng)
 	d := m.ToDense()
-	piv := make([]int, m.N)
+	piv := make([]float64, m.N)
 	if err := blas.Getrf(m.N, m.N, d, m.N, piv); err != nil {
 		t.Fatalf("UnsymValues produced singular matrix: %v", err)
 	}

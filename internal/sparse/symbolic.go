@@ -200,6 +200,10 @@ type BlockPattern1D struct {
 	// the mirrored U rows (2·(L column counts) − diagonal), used as the
 	// panel data-object size.
 	PanelNnz []int64
+	// Heights[K] = scalar rows of the bound factor's nonzero blocks in block
+	// column K (the diagonal block included): the structural height of panel
+	// K, used for flop estimates.
+	Heights []int64
 }
 
 // NewBlockPattern1D runs the static symbolic analysis for LU.
@@ -218,7 +222,11 @@ func NewBlockPattern1D(a *Matrix, w int) *BlockPattern1D {
 		succ[k] = s
 	}
 	panelNnz := make([]int64, nb)
+	heights := make([]int64, nb)
 	for k := 0; k < nb; k++ {
+		for _, r := range bp2.Rows[k] {
+			heights[k] += int64(bp2.BlockDim(int(r)))
+		}
 		lo, hi := k*w, (k+1)*w
 		if hi > bp2.N {
 			hi = bp2.N
@@ -229,7 +237,7 @@ func NewBlockPattern1D(a *Matrix, w int) *BlockPattern1D {
 		}
 		panelNnz[k] = s
 	}
-	return &BlockPattern1D{N: bp2.N, W: w, NB: nb, Succ: succ, PanelNnz: panelNnz}
+	return &BlockPattern1D{N: bp2.N, W: w, NB: nb, Succ: succ, PanelNnz: panelNnz, Heights: heights}
 }
 
 // BlockDim returns the number of scalar columns in panel b.
