@@ -32,7 +32,7 @@ func benchGemmNN(b *testing.B, zeroRowsPct int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(false, false, m, n, k, -1, a, k, bb, n, c, n)
+		Gemm(false, m, n, k, -1, a, k, bb, n, c, n)
 	}
 	reportFlops(b, 2*float64(nonzero)*n*k)
 }
@@ -52,7 +52,7 @@ func benchGemmNT(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(false, true, n, n, n, -1, a, n, bb, n, c, n)
+		Gemm(true, n, n, n, -1, a, n, bb, n, c, n)
 	}
 	reportFlops(b, 2*float64(n)*float64(n)*float64(n))
 }

@@ -31,15 +31,12 @@ var ErrSingular = errors.New("blas: matrix is singular to working precision")
 
 // Gemm computes C = C + alpha * A * op(B) where op is identity or transpose,
 // for row-major matrices: A is m×k, B is k×n (n×k if transB), C is m×n, with
-// leading dimensions lda, ldb, ldc. transA must be false: no factorization
-// here multiplies by a transposed left operand.
+// leading dimensions lda, ldb, ldc. The left operand is never transposed: no
+// factorization here needs it.
 //
 // Rows of A for which AllZero holds contribute nothing and are skipped in the
 // N·N shape.
-func Gemm(transA, transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	if transA {
-		panic("blas: Gemm with a transposed left operand is not implemented")
-	}
+func Gemm(transB bool, m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}

@@ -170,8 +170,8 @@ func TestKernelsAgainstNaive(t *testing.T) {
 			}
 			c := strided(rng, m, n, ldc)
 			got, again, want := slices.Clone(c), slices.Clone(c), slices.Clone(c)
-			Gemm(false, transB, m, n, k, alpha, a, lda, b, ldb, got, ldc)
-			Gemm(false, transB, m, n, k, alpha, a, lda, b, ldb, again, ldc)
+			Gemm(transB, m, n, k, alpha, a, lda, b, ldb, got, ldc)
+			Gemm(transB, m, n, k, alpha, a, lda, b, ldb, again, ldc)
 			naiveGemm(transB, m, n, k, alpha, a, lda, b, ldb, want, ldc)
 			what := fmt.Sprintf("Gemm(transB=%v) %dx%dx%d alpha=%v pad=%d", transB, m, n, k, alpha, pad)
 			sameWithin(t, what, got, want)
@@ -250,7 +250,7 @@ func TestGemmNaNRowPropagates(t *testing.T) {
 		b[i] = float64(i + 1)
 	}
 	c := []float64{1, 2, 3, negZero, negZero, negZero, 0, 0, 0}
-	Gemm(false, false, 3, 3, 5, 1, a, 5, b, 3, c, 3)
+	Gemm(false, 3, 3, 5, 1, a, 5, b, 3, c, 3)
 	for j := 0; j < 3; j++ {
 		if !math.IsNaN(c[j]) {
 			t.Fatalf("NaN row of A was skipped: c[0][%d] = %v", j, c[j])
@@ -264,15 +264,6 @@ func TestGemmNaNRowPropagates(t *testing.T) {
 	}
 }
 
-func TestGemmRejectsTransA(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gemm(transA=true) did not panic")
-		}
-	}()
-	Gemm(true, false, 1, 1, 1, 1, []float64{1}, 1, []float64{1}, 1, []float64{0}, 1)
-}
-
 func TestGemmSubBlockLeadingDim(t *testing.T) {
 	// Multiply sub-blocks of a larger panel to exercise lda != n.
 	rng := util.NewRNG(2)
@@ -280,7 +271,7 @@ func TestGemmSubBlockLeadingDim(t *testing.T) {
 	a := big[2*8+1:] // 3x2 sub-block at (2,1), lda 8
 	b := randMat(rng, 2, 4)
 	c := make([]float64, 3*4)
-	Gemm(false, false, 3, 4, 2, 1, a, 8, b, 4, c, 4)
+	Gemm(false, 3, 4, 2, 1, a, 8, b, 4, c, 4)
 	want := make([]float64, 3*4)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -314,7 +305,7 @@ func TestSyrkMatchesGemm(t *testing.T) {
 func spdMatrix(rng *util.RNG, n int) []float64 {
 	b := randMat(rng, n, n)
 	a := make([]float64, n*n)
-	Gemm(false, true, n, n, n, 1, b, n, b, n, a, n)
+	Gemm(true, n, n, n, 1, b, n, b, n, a, n)
 	for i := 0; i < n; i++ {
 		a[i*n+i] += float64(n)
 	}
@@ -336,7 +327,7 @@ func TestPotrfReconstructs(t *testing.T) {
 		}
 	}
 	rec := make([]float64, n*n)
-	Gemm(false, true, n, n, n, 1, l, n, l, n, rec, n)
+	Gemm(true, n, n, n, 1, l, n, l, n, rec, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if math.Abs(rec[i*n+j]-a[i*n+j]) > 1e-9 {
@@ -424,7 +415,7 @@ func TestTrsmRightLowerT(t *testing.T) {
 	TrsmRightLowerT(m, n, l, n, x, n, false)
 	// Check X·Lᵀ == B.
 	rec := make([]float64, m*n)
-	Gemm(false, true, m, n, n, 1, x, n, l, n, rec, n)
+	Gemm(true, m, n, n, 1, x, n, l, n, rec, n)
 	if d := MaxAbsDiff(m, n, rec, n, b, n); d > 1e-10 {
 		t.Fatalf("X·Lᵀ != B, diff %v", d)
 	}
@@ -444,7 +435,7 @@ func TestTrsmLeftLowerUnit(t *testing.T) {
 	x := append([]float64(nil), b...)
 	TrsmLeftLowerUnit(m, n, l, m, x, n)
 	rec := make([]float64, m*n)
-	Gemm(false, false, m, n, m, 1, l, m, x, n, rec, n)
+	Gemm(false, m, n, m, 1, l, m, x, n, rec, n)
 	if d := MaxAbsDiff(m, n, rec, n, b, n); d > 1e-10 {
 		t.Fatalf("L·X != B, diff %v", d)
 	}

@@ -285,7 +285,7 @@ func (pr *Problem) Kernel(t graph.TaskID, get func(graph.ObjID) []float64) error
 		b := get(task.Reads[1]) // A[j,k]
 		c := get(task.Writes[0])
 		m, n, k := pr.dims[ti.i], pr.dims[ti.j], pr.dims[ti.k]
-		blas.Gemm(false, true, m, n, k, -1, a, k, b, k, c, n)
+		blas.Gemm(true, m, n, k, -1, a, k, b, k, c, n)
 		return nil
 	}
 	return fmt.Errorf("chol: unknown kernel for task %d", t)

@@ -72,12 +72,21 @@ func TestPickerDeterministicAndSkewed(t *testing.T) {
 	}
 }
 
+func openServer(t *testing.T, cfg rapidd.Config) *rapidd.Server {
+	t.Helper()
+	srv, err := rapidd.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // TestRunAgainstInProcessServer drives a small deterministic load at a real
 // rapidd server and checks the accounting adds up: every request lands in
 // exactly one outcome bucket, repeats of hot keys hit the plan cache, and
 // the report carries the headline numbers.
 func TestRunAgainstInProcessServer(t *testing.T) {
-	srv := rapidd.New(rapidd.Config{Workers: 2, QueueDepth: 16, Metrics: trace.NewMetrics()})
+	srv := openServer(t, rapidd.Config{Workers: 2, QueueDepth: 16, Metrics: trace.NewMetrics()})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -130,7 +139,7 @@ func TestRunAgainstInProcessServer(t *testing.T) {
 // queue capacity at slow jobs: some requests must be shed (counted, not
 // errored) and the run still terminates with the books balanced.
 func TestRunCountsShedResponses(t *testing.T) {
-	srv := rapidd.New(rapidd.Config{Workers: -1, QueueDepth: -1, Metrics: trace.NewMetrics()})
+	srv := openServer(t, rapidd.Config{Workers: -1, QueueDepth: -1, Metrics: trace.NewMetrics()})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -229,7 +238,7 @@ func TestSplitClientsShares(t *testing.T) {
 // partition the total, and the report names each tenant.
 func TestRunMultiTenantMix(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := rapidd.New(rapidd.Config{Workers: 2, QueueDepth: 16, Metrics: metrics})
+	srv := openServer(t, rapidd.Config{Workers: 2, QueueDepth: 16, Metrics: metrics})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -226,7 +226,7 @@ func (pr *Problem) Kernel(t graph.TaskID, get func(graph.ObjID) []float64) error
 				lo := bits.TrailingZeros64(mask)
 				n := bits.TrailingZeros64(^(mask >> lo))
 				first := r0 + wk + t*rowsPerWord + lo
-				blas.Gemm(false, false, n, wj, wk, -1,
+				blas.Gemm(false, n, wj, wk, -1,
 					matK[first*wk:], wk,
 					u, wj,
 					matJ[first*wj:], wj)

@@ -4,10 +4,7 @@ import "sync"
 
 // Group is a duplicate-call suppressor ("single-flight"): concurrent Do
 // calls with an equal key run the function once and share its result. It
-// is the coalescing mechanism behind the Cache's compile deduplication,
-// exported so other serving layers can coalesce their own idempotent work
-// — rapidd uses a Group to share one execution among identical in-flight
-// solve requests.
+// is the coalescing mechanism behind the Cache's compile deduplication.
 //
 // Unlike golang.org/x/sync/singleflight (which this module must not
 // depend on), results are not retained after the flight lands: a call
@@ -67,12 +64,4 @@ func (g *Group) DoNotify(key string, fn func() (any, error), onAttach func()) (v
 	}()
 	fl.val, fl.err = fn()
 	return fl.val, false, fl.err
-}
-
-// Inflight reports whether a flight for key is currently executing.
-func (g *Group) Inflight(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.flights[key]
-	return ok
 }

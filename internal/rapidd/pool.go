@@ -2,9 +2,10 @@ package rapidd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"slices"
 	"time"
 
 	"repro/internal/journal"
@@ -15,8 +16,7 @@ import (
 // weighted-fair across tenants (wfq.go) — a full backlog sheds the
 // request with 429 + Retry-After, low priority first, instead of letting
 // the backlog (and every queued client's latency) grow without bound.
-// Workers coalesce identical in-flight specs onto a single execution
-// (single-flight, the same mechanism the plan cache uses for compiles),
+// Workers coalesce identical in-flight specs onto a single execution,
 // enforce per-job deadlines, and drain gracefully on shutdown.
 //
 // Concurrency safety comes from the layers below: concurrent jobs share
@@ -25,223 +25,283 @@ import (
 // and the plan cache is already single-flight per fingerprint, so a burst
 // of distinct requests for one new structure compiles it once.
 
-// task is one queued execution: the job ID plus the request-scoped
-// context that carries its deadline/cancellation, stamped with its
-// weighted-fair-queueing virtual times at reservation.
-type task struct {
-	id   string
-	spec JobSpec
-	prio int
-	// vstart/vfinish are the WFQ virtual-clock stamps (see wfq.go).
+// job is the daemon's one per-job object: the record clients see plus
+// what the serving layer needs to drive it. Server.jobs is the only
+// id-keyed table, the queue holds *job, and transition is the only code
+// that moves Status. A job is driven by one goroutine at a time — the
+// submit handler (or recovery) until the queue hands it to a worker — and
+// that goroutine alone changes the record, so it may read it unlocked;
+// every other goroutine takes Server.mu for the record and for cancel.
+type job struct {
+	Job
+
+	// vstart/vfinish are the WFQ virtual-clock stamps, set by the queue's
+	// commit before it publishes the job (see wfq.go).
 	vstart, vfinish float64
-	// submittedAt feeds the latency histograms; zero for recovered jobs.
-	submittedAt time.Time
-	ctx         context.Context
-	cancel      context.CancelFunc
-	done        chan struct{}
+	// ctx carries the deadline and cancellation; only the driving
+	// goroutine reads it. The terminal edge drops it together with cancel,
+	// so a finished job holds its record and a closed channel, no more.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// done is closed last on the terminal edge, after everything else the
+	// edge owes. cause, written before that close and read only after it,
+	// is the terminal error with its identity intact: Job.Error is only
+	// its string, which would lose errors.Is(err, context.DeadlineExceeded
+	// / Canceled) and with it a follower's expired/cancelled counters.
+	done  chan struct{}
+	cause error
 }
 
-// outcome is a terminal job snapshot, shared between a coalesced group's
-// leader and its followers.
-type outcome struct {
-	job Job
-	// err is the leader's terminal cause with its identity intact —
-	// rebuilding it from the job's error string would lose
-	// errors.Is(err, context.DeadlineExceeded/Canceled), and with it the
-	// followers' expired/cancelled classification in setTerminal.
-	err error
-}
-
-// worker pulls tasks in weighted-fair order until the queue is closed by
-// Drain and fully drained.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		tk := s.queue.next()
-		if tk == nil {
-			return
-		}
-		s.process(tk)
+// newJob is the one place a job comes into being: it derives the deadline
+// context, allocates the record (pending) and does the tenant accounting.
+// rec carries what the caller knows — identity and spec; Recovered, Durable
+// and a zero submittedAt for a job replayed from the journal. queued is
+// false only for a job recovered straight into a terminal state: it never
+// enters the queue, so it does not count as submitted.
+func (s *Server) newJob(rec Job, queued bool) *job {
+	deadline := time.Duration(rec.Spec.DeadlineMS) * time.Millisecond
+	if deadline == 0 {
+		deadline = s.cfg.DefaultDeadline
 	}
-}
-
-// process drives one task to a terminal state. Identical specs already
-// executing are joined rather than re-executed: followers block on the
-// leader's flight and adopt its result. The spec is the coalescing key
-// (marshalled canonically), which is strictly finer than the plan
-// fingerprint — two specs that differ only in execution-relevant fields
-// (tenant, priority, verify, hold, fault mix, deadline) never merge,
-// while the plan cache still deduplicates their compile by fingerprint
-// underneath.
-func (s *Server) process(tk *task) {
-	defer close(tk.done)
-	defer func() {
-		tk.cancel()
-		s.mu.Lock()
-		delete(s.cancels, tk.id)
-		s.mu.Unlock()
-	}()
-	if !tk.submittedAt.IsZero() {
-		s.queueWait.Observe(time.Since(tk.submittedAt).Microseconds())
+	// The deadline clock starts at submission: queue wait counts. A
+	// recovered job's submission clock died with the old daemon, so its
+	// deadline restarts here and bounds the recovered execution.
+	start := rec.submittedAt
+	if start.IsZero() {
+		start = time.Now()
 	}
-	if err := tk.ctx.Err(); err != nil {
-		s.failFast(tk.id, fmt.Errorf("rapidd: job expired before execution: %w", err))
-		return
+	ctx, cancel := context.WithCancel(context.Background())
+	if deadline > 0 {
+		ctx, cancel = context.WithDeadline(context.Background(), start.Add(deadline))
 	}
-	v, shared, _ := s.flights.DoNotify(coalesceKey(tk.spec), func() (any, error) {
-		return s.runJob(tk), nil
-	}, func() { s.metrics.Inc("rapidd.jobs.coalesced", 1) })
-	if !shared {
-		return // leader already updated its own record inside runJob
-	}
-	oc, _ := v.(*outcome)
-	s.adoptOutcome(tk.id, oc)
-}
-
-// coalesceKey canonicalizes a normalized spec. Equal keys imply equal
-// fingerprints AND equal execution semantics, so sharing one execution is
-// observationally identical to running both (all generators and fault
-// plans are deterministic in the spec).
-func coalesceKey(spec JobSpec) string {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		// A JobSpec of scalars cannot fail to marshal; fall back to an
-		// uncoalescable key rather than wrongly merging.
-		return fmt.Sprintf("nocoalesce-%p", &spec)
-	}
-	return string(b)
-}
-
-// runJob is the leader path: compile → admit → execute with the bounded
-// fault-retry loop, exactly as the serial daemon ran jobs, but bounded by
-// the task's context. Returns the terminal snapshot for followers.
-func (s *Server) runJob(tk *task) *outcome {
-	var err error
-	for attempt := 0; ; attempt++ {
-		s.update(tk.id, func(j *Job) { j.Attempts = attempt + 1 })
-		err = s.attempt(tk.ctx, tk.id, tk.spec, attempt)
-		if err == nil {
-			s.setTerminal(tk.id, StatusDone, nil)
-			return s.snapshot(tk.id)
-		}
-		if tk.ctx.Err() != nil || !faultsFor(tk.spec, attempt).Enabled() || attempt >= s.cfg.MaxJobRetries {
-			break
-		}
-		s.metrics.Inc("rapidd.jobs.retried", 1)
-		select {
-		case <-time.After(s.cfg.RetryBackoff << attempt):
-		case <-tk.ctx.Done():
-		}
-	}
-	s.setTerminal(tk.id, StatusFailed, err)
-	oc := s.snapshot(tk.id)
-	oc.err = err
-	return oc
-}
-
-// setTerminal is the one exit gate of every job: it publishes the final
-// status, appends the journal completion record (making the terminal
-// state durable — replay will not resurrect this job), bumps the global
-// and per-tenant counters, and feeds the latency summary.
-func (s *Server) setTerminal(id string, st JobStatus, jobErr error) {
-	errStr := ""
-	if jobErr != nil {
-		errStr = jobErr.Error()
-	}
+	rec.Status = StatusPending
+	j := &job{Job: rec, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	s.mu.Lock()
-	j := s.jobs[id]
-	j.Status = st
-	j.Error = errStr
-	ts := s.tenantStatLocked(j.Spec.Tenant)
-	if st == StatusDone {
-		ts.completed++
-	} else {
-		ts.failed++
-		if errors.Is(jobErr, context.DeadlineExceeded) {
-			ts.expired++
+	s.jobs[rec.ID] = j
+	ts := s.tenantStatLocked(rec.Spec.Tenant)
+	if queued {
+		ts.submitted++
+	}
+	if rec.Recovered {
+		ts.recovered++
+	}
+	s.mu.Unlock()
+	return j
+}
+
+// edges is the job lifecycle: the legal next states of each state. Queued
+// appears only when admission has to wait; pending → done is a coalesced
+// follower adopting its leader's success.
+var edges = map[JobStatus][]JobStatus{
+	StatusPending: {StatusQueued, StatusRunning, StatusDone, StatusFailed},
+	StatusQueued:  {StatusRunning, StatusFailed},
+	StatusRunning: {StatusDone, StatusFailed},
+}
+
+// transition moves j along one lifecycle edge and does, here and nowhere
+// else, everything the edge owes. → queued: the counter. → running: the
+// admit record, durable before running is visible — it marks the job
+// in-flight, so replay after a crash fails it explicitly instead of
+// re-running it (its budget was booked and its executor may have had side
+// effects). → done/failed: the global and per-tenant counters, the latency
+// sample, the completion record (replay will not resurrect the job), the
+// leader's de-registration, the release of the context, and only then the
+// close of done — so a waiter always finds the finished record. A follower
+// passes its finished leader as lead and takes the leader's outcome: the
+// leader's record becomes its own, bar its identity. An edge not in the
+// table is a bug in the caller; it is logged and returned, never applied.
+//
+// Server.mu is never held across a journal append (an fsync), a histogram
+// observation or the channel close. The state read in the first critical
+// section is still current in the second because only this goroutine
+// drives j.
+func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error {
+	s.mu.Lock()
+	from, id, demand := j.Status, j.ID, j.DemandUnits
+	s.mu.Unlock()
+	if !slices.Contains(edges[from], to) {
+		err := fmt.Errorf("rapidd: job %s: illegal transition %s → %s", id, from, to)
+		log.Print(err)
+		return err
+	}
+	if to == StatusRunning {
+		s.journalAppend(journal.Record{Op: journal.OpAdmit, ID: id, Demand: demand})
+	}
+	terminal := to == StatusDone || to == StatusFailed
+	errStr := ""
+	if cause != nil {
+		errStr = cause.Error()
+	}
+	expired := errors.Is(cause, context.DeadlineExceeded)
+
+	s.mu.Lock()
+	if lead != nil {
+		j.Job = adopted(j.Job, lead.Job)
+	}
+	j.Status = to
+	if terminal {
+		j.Error, j.cause = errStr, cause
+		ts := s.tenantStatLocked(j.Spec.Tenant)
+		if to == StatusDone {
+			ts.completed++
+		} else {
+			ts.failed++
+			if expired {
+				ts.expired++
+			}
 		}
 	}
 	submittedAt := j.submittedAt
 	s.mu.Unlock()
 
-	if st == StatusDone {
+	switch to {
+	case StatusQueued:
+		s.metrics.Inc("rapidd.jobs.queued", 1)
+	case StatusDone:
 		s.metrics.Inc("rapidd.jobs.completed", 1)
-	} else {
+	case StatusFailed:
 		s.metrics.Inc("rapidd.jobs.failed", 1)
-		switch {
-		case errors.Is(jobErr, context.DeadlineExceeded):
+		if expired {
 			s.metrics.Inc("rapidd.jobs.deadline_expired", 1)
-		case errors.Is(jobErr, context.Canceled):
+		} else if errors.Is(cause, context.Canceled) {
 			s.metrics.Inc("rapidd.jobs.cancelled", 1)
 		}
+	}
+	if !terminal {
+		return nil
 	}
 	if !submittedAt.IsZero() {
 		s.latency.Observe(time.Since(submittedAt).Microseconds())
 	}
-	s.journalAppend(journal.Record{Op: journal.OpComplete, ID: id, Status: string(st), Error: errStr})
-}
-
-// snapshot copies the job record under the lock.
-func (s *Server) snapshot(id string) *outcome {
+	s.journalAppend(journal.Record{Op: journal.OpComplete, ID: id, Status: string(to), Error: errStr})
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &outcome{job: *s.jobs[id]}
+	if s.leaders[j.Spec] == j {
+		delete(s.leaders, j.Spec)
+	}
+	cancel := j.cancel
+	j.ctx, j.cancel = nil, nil
+	s.mu.Unlock()
+	cancel()
+	close(j.done)
+	return nil
 }
 
-// adoptOutcome copies a leader's terminal result into a follower's
-// record, marking the follower as coalesced.
-func (s *Server) adoptOutcome(id string, oc *outcome) {
-	if oc == nil {
-		s.failFast(id, errors.New("rapidd: coalesced execution returned no result"))
+// adopted is a follower's record after it takes its leader's outcome: the
+// leader's whole record — so a field added to Job reaches coalesced
+// requests without anyone remembering this function — under the
+// follower's own identity.
+func adopted(own, lead Job) Job {
+	out := lead
+	out.ID, out.Seq, out.Spec = own.ID, own.Seq, own.Spec
+	out.Recovered, out.Durable, out.submittedAt = own.Recovered, own.Durable, own.submittedAt
+	out.Coalesced, out.CoalescedWith = true, lead.ID
+	return out
+}
+
+// update mutates the job's record under the lock.
+func (s *Server) update(j *job, f func(*Job)) {
+	s.mu.Lock()
+	f(&j.Job)
+	s.mu.Unlock()
+}
+
+// worker pulls jobs in weighted-fair order until the queue is closed by
+// Drain and fully drained.
+func (s *Server) worker() {
+	defer s.wg.Done()
+	for {
+		j := s.queue.next()
+		if j == nil {
+			return
+		}
+		s.process(j)
+	}
+}
+
+// process drives one job to a terminal state. An identical spec already
+// executing is joined rather than re-executed: the first job to arrive
+// registers as the spec's leader and runs; a follower waits for the
+// leader's done — or its own deadline or cancellation, whichever comes
+// first — and adopts the result. The whole normalized spec is the
+// coalescing key, which is strictly finer than the plan fingerprint: two
+// specs that differ only in execution-relevant fields (tenant, priority,
+// verify, hold, fault mix, deadline) never merge, while the plan cache
+// still deduplicates their compile by fingerprint underneath. Equal specs
+// have equal fingerprints AND equal execution semantics (all generators
+// and fault plans are deterministic in the spec), so sharing one execution
+// is observationally identical to running both.
+func (s *Server) process(j *job) {
+	ctx := j.ctx
+	if !j.submittedAt.IsZero() {
+		s.queueWait.Observe(time.Since(j.submittedAt).Microseconds())
+	}
+	if err := ctx.Err(); err != nil {
+		s.transition(j, StatusFailed, fmt.Errorf("rapidd: job expired before execution: %w", err), nil)
 		return
 	}
-	src := oc.job
-	s.update(id, func(j *Job) {
-		j.Error = src.Error
-		j.PlanSource = src.PlanSource
-		j.Fingerprint = src.Fingerprint
-		j.Replanned = src.Replanned
-		j.DemandUnits = src.DemandUnits
-		j.Tasks = src.Tasks
-		j.Objects = src.Objects
-		j.Attempts = src.Attempts
-		j.Retransmits = src.Retransmits
-		j.MAPs = src.MAPs
-		j.PeakUnits = src.PeakUnits
-		j.Residual = src.Residual
-		j.VerifyFindings = src.VerifyFindings
-		j.InspectMS = src.InspectMS
-		j.ExecMS = src.ExecMS
-		j.StateUS = src.StateUS
-		j.Coalesced = true
-		j.CoalescedWith = src.ID
-	})
-	err := oc.err
-	if err == nil && src.Status != StatusDone && src.Error != "" {
-		err = errors.New(src.Error)
+	s.mu.Lock()
+	lead := s.leaders[j.Spec]
+	if lead == nil {
+		s.leaders[j.Spec] = j
 	}
-	s.setTerminal(id, src.Status, err)
+	s.mu.Unlock()
+	if lead == nil {
+		s.runJob(ctx, j)
+		return
+	}
+	s.metrics.Inc("rapidd.jobs.coalesced", 1)
+	select {
+	case <-lead.done:
+		// The close of done orders the leader's frozen record before
+		// these reads.
+		s.transition(j, lead.Status, lead.cause, lead)
+	case <-ctx.Done():
+		s.transition(j, StatusFailed, fmt.Errorf("rapidd: job expired waiting for its coalesced execution: %w", ctx.Err()), nil)
+	}
 }
 
-// failFast marks a job failed without executing anything.
-func (s *Server) failFast(id string, err error) {
-	s.setTerminal(id, StatusFailed, err)
+// runJob is the leader path: compile → admit → execute with the bounded
+// fault-retry loop, exactly as the serial daemon ran jobs, but bounded by
+// the job's context.
+func (s *Server) runJob(ctx context.Context, j *job) {
+	var err error
+	for attempt := 0; ; attempt++ {
+		s.update(j, func(r *Job) { r.Attempts = attempt + 1 })
+		err = s.attempt(ctx, j, attempt)
+		if err == nil {
+			s.transition(j, StatusDone, nil, nil)
+			return
+		}
+		if ctx.Err() != nil || !faultsFor(j.Spec, attempt).Enabled() || attempt >= s.cfg.MaxJobRetries {
+			break
+		}
+		s.metrics.Inc("rapidd.jobs.retried", 1)
+		select {
+		case <-time.After(s.cfg.RetryBackoff << attempt):
+		case <-ctx.Done():
+		}
+	}
+	s.transition(j, StatusFailed, err, nil)
 }
 
 // Cancel aborts the job if it is still pending or waiting for admission;
 // a job already executing runs to completion (the executor owns its
-// goroutines). Returns false for unknown jobs. The cancellation is
-// journaled so a crash between Cancel and the worker observing it does
-// not resurrect the job at replay.
+// goroutines). Returns false for unknown and for finished jobs. The
+// cancellation is journaled so a crash between Cancel and the worker
+// observing it does not resurrect the job at replay.
 func (s *Server) Cancel(id string) bool {
 	s.mu.Lock()
-	cancel, ok := s.cancels[id]
-	s.mu.Unlock()
-	if ok {
-		s.journalAppend(journal.Record{Op: journal.OpCancel, ID: id})
-		cancel()
+	var cancel context.CancelFunc
+	if j := s.jobs[id]; j != nil {
+		cancel = j.cancel
 	}
-	return ok
+	s.mu.Unlock()
+	if cancel == nil {
+		return false
+	}
+	s.journalAppend(journal.Record{Op: journal.OpCancel, ID: id})
+	cancel()
+	return true
 }
 
 // Drain stops intake — new solve requests are refused with 503 — closes

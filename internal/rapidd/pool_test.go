@@ -121,26 +121,25 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 func TestServerCoalescesIdenticalInflightSpecs(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics})
+	executing := make(chan struct{}, 1)
 	gate := make(chan struct{})
-	srv.execHook = func(JobSpec) { <-gate }
+	srv.execHook = func(JobSpec) {
+		executing <- struct{}{}
+		<-gate
+	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	spec := JobSpec{Kind: "chol", N: 90, Seed: 21, Procs: 2}
-	norm := spec
-	if err := normalizeSpec(&norm); err != nil {
-		t.Fatal(err)
-	}
-
 	a := solveAsync(t, ts, spec)
-	deadline := time.Now().Add(10 * time.Second)
-	for !srv.flights.Inflight(coalesceKey(norm)) {
-		if time.Now().After(deadline) {
-			t.Fatal("leader flight never registered")
-		}
-		time.Sleep(time.Millisecond)
+	// The hook runs after admission: the leader is registered and held.
+	select {
+	case <-executing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("leader never reached execution")
 	}
 	b := solveAsync(t, ts, spec)
+	deadline := time.Now().Add(10 * time.Second)
 	for metrics.Get("rapidd.jobs.coalesced") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never joined the in-flight execution")

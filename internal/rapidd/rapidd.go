@@ -10,7 +10,10 @@
 //	                    the job is terminal and returns the full job; the
 //	                    X-Tenant header names the tenant when the spec
 //	                    does not
-//	GET  /v1/jobs/{id}  job status and result
+//	GET    /v1/jobs/{id}  job status and result; ?wait=1 blocks until
+//	                      the job is terminal
+//	DELETE /v1/jobs/{id}  cancel the job if it has not started executing
+//	                      (see Server.Cancel); answers with the job
 //	GET  /v1/jobs       jobs in submission order; ?limit=N keeps the
 //	                    newest N
 //	GET  /v1/stats      cache counters, pool and admission state
@@ -24,7 +27,7 @@
 // concurrently; a bounded queue absorbs bursts, drains weighted-fair
 // across tenants, and sheds overload with 429 + Retry-After — low
 // priority first, each class told to back off proportionally longer;
-// identical in-flight specs coalesce onto one execution (single-flight);
+// identical in-flight specs coalesce onto one execution;
 // per-job deadlines bound queue wait + admission wait + execution; Drain
 // stops intake and lets the backlog finish on shutdown.
 //
@@ -66,7 +69,6 @@ import (
 	"repro/internal/iofault"
 	"repro/internal/journal"
 	"repro/internal/lu"
-	"repro/internal/plancache"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 	"repro/internal/util"
@@ -307,12 +309,10 @@ type Server struct {
 	latency   *trace.Histogram
 	queueWait *trace.Histogram
 
-	// queue feeds the worker pool weighted-fair across tenants; flights
-	// coalesces identical in-flight specs onto one execution (see
+	// queue feeds the worker pool weighted-fair across tenants (see
 	// pool.go, wfq.go).
-	queue   *wfqueue
-	wg      sync.WaitGroup
-	flights plancache.Group
+	queue *wfqueue
+	wg    sync.WaitGroup
 
 	// health is the failure-domain state machine: durable → degraded →
 	// recovering → durable, following the journal (see health.go).
@@ -320,13 +320,14 @@ type Server struct {
 	// shedSeq sequences the deterministic Retry-After jitter.
 	shedSeq atomic.Uint64
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	done     map[string]chan struct{}
-	cancels  map[string]context.CancelFunc
-	tenants  map[string]*tenantStats
-	seq      uint64
-	draining bool
+	mu   sync.Mutex
+	jobs map[string]*job // every job this daemon knows, by ID; guarded-by: mu
+	// leaders maps a spec to the job executing it now; identical specs
+	// arriving meanwhile follow that job instead of executing (pool.go).
+	leaders  map[JobSpec]*job        // guarded-by: mu
+	tenants  map[string]*tenantStats // guarded-by: mu
+	seq      uint64                  // guarded-by: mu
+	draining bool                    // guarded-by: mu
 
 	// execHook, when set (tests), runs after admission just before the
 	// executor; a panic here exercises the job-level recovery path.
@@ -334,16 +335,6 @@ type Server struct {
 	// planHook, when set (tests), may tamper with the compiled plan before
 	// static verification, exercising the rejection path.
 	planHook func(p *rapid.Plan)
-}
-
-// New creates a Server, panicking if the journal cannot be opened — use
-// Open when JournalDir is set and the error should be handled.
-func New(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Open creates a Server; with JournalDir set it replays the journal
@@ -412,9 +403,8 @@ func Open(cfg Config) (*Server, error) {
 		queue:     newWFQueue(cfg.QueueDepth, weight),
 		latency:   trace.NewHistogram(),
 		queueWait: trace.NewHistogram(),
-		jobs:      make(map[string]*Job),
-		done:      make(map[string]chan struct{}),
-		cancels:   make(map[string]context.CancelFunc),
+		jobs:      make(map[string]*job),
+		leaders:   make(map[JobSpec]*job),
 		tenants:   make(map[string]*tenantStats),
 	}
 	s.health.stop = make(chan struct{})
@@ -515,22 +505,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prio, _ := parsePriority(spec.Priority)
-	deadline := time.Duration(spec.DeadlineMS) * time.Millisecond
-	if deadline == 0 {
-		deadline = s.cfg.DefaultDeadline
-	}
-	// The deadline clock starts at submission: queue wait counts.
-	ctx, cancel := context.WithCancel(context.Background())
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), deadline)
-	}
 
 	// Degraded-reject gate: while the journal cannot make a submit
 	// durable, an honest 503 beats a silently weaker acknowledgement.
 	// (The journalSubmit error path below catches the race where the
 	// journal degrades between this check and the append.)
 	if s.cfg.DegradedMode == DegradedReject && s.jnl != nil && s.healthState() != HealthDurable {
-		cancel()
 		s.refuseDegraded(w, prio)
 		return
 	}
@@ -538,101 +518,85 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
 		s.metrics.Inc("rapidd.jobs.refused_draining", 1)
 		http.Error(w, "rapidd: draining, not accepting jobs", http.StatusServiceUnavailable)
 		return
 	}
 	// Reserve a queue slot before anything else: shedding stays O(1) —
-	// no job record, no journal write, no goroutine.
+	// no job object, no journal write, no goroutine.
 	slot, ok := s.queue.reserve(spec.Tenant, prio, false)
 	if !ok {
 		s.mu.Unlock()
-		cancel()
 		s.shed(w, spec.Tenant, prio)
 		return
 	}
 	s.seq++
-	id := fmt.Sprintf("j%04d", s.seq)
-	tk := &task{
-		id: id, spec: spec, prio: prio,
-		vstart: slot.vstart, vfinish: slot.vfinish,
-		submittedAt: time.Now(),
-		ctx:         ctx, cancel: cancel, done: make(chan struct{}),
-	}
-	s.jobs[id] = &Job{ID: id, Seq: s.seq, Spec: spec, Status: StatusPending, submittedAt: tk.submittedAt}
-	s.done[id] = tk.done
-	s.cancels[id] = cancel
-	seq := s.seq
-	s.tenantStatLocked(spec.Tenant).submitted++
+	rec := Job{ID: fmt.Sprintf("j%04d", s.seq), Seq: s.seq, Spec: spec, Durable: s.jnl != nil, submittedAt: time.Now()}
 	s.mu.Unlock()
 
-	// Write-ahead: the submit record is durable before a worker can see
-	// the task (commit below), so the journal can never hold an admit or
-	// completion for a job it never saw submitted.
-	durable := s.jnl != nil
-	if err := s.journalSubmit(seq, id, spec, body); err != nil {
+	// Write-ahead: the submit record is durable before the job exists and
+	// before a worker can see it (commit below), so the journal can never
+	// hold an admit or completion for a job it never saw submitted. A
+	// refused submit leaves a gap in the ID sequence and nothing else.
+	if err := s.journalSubmit(rec.Seq, rec.ID, spec, body); err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
 		s.noteJournalError(err)
-		if errors.Is(err, journal.ErrDegraded) && s.cfg.DegradedMode == DegradedServe {
-			// Availability-first policy: accept the job with the weaker
-			// guarantee made visible — Durable:false on the record, a
-			// counter on the board. A crash before re-arm loses it.
-			durable = false
-			s.metrics.Inc("rapidd.jobs.nondurable", 1)
-		} else {
+		switch {
+		case !errors.Is(err, journal.ErrDegraded):
 			s.queue.abort(slot)
-			s.mu.Lock()
-			delete(s.jobs, id)
-			delete(s.done, id)
-			delete(s.cancels, id)
-			s.tenantStatLocked(spec.Tenant).submitted--
-			s.mu.Unlock()
-			cancel()
-			if errors.Is(err, journal.ErrDegraded) {
-				s.refuseDegraded(w, prio)
-				return
-			}
 			http.Error(w, "rapidd: journal write failed: "+err.Error(), http.StatusInternalServerError)
 			return
+		case s.cfg.DegradedMode != DegradedServe:
+			s.queue.abort(slot)
+			s.refuseDegraded(w, prio)
+			return
 		}
+		// Availability-first policy: accept the job with the weaker
+		// guarantee made visible — Durable:false on the record, a
+		// counter on the board. A crash before re-arm loses it.
+		rec.Durable = false
+		s.metrics.Inc("rapidd.jobs.nondurable", 1)
 	}
-	if durable {
-		s.mu.Lock()
-		s.jobs[id].Durable = true
-		s.mu.Unlock()
-	}
-	s.queue.commit(slot, tk)
+	j := s.newJob(rec, true)
+	s.queue.commit(slot, j)
 	s.metrics.Inc("rapidd.jobs.submitted", 1)
 
 	if r.URL.Query().Get("wait") != "" {
 		select {
-		case <-tk.done:
+		case <-j.done:
 		case <-r.Context().Done():
-			// The synchronous client went away: abort the job if it has
+			// The synchronous client went away: cancel the job if it has
 			// not started executing, so an abandoned request cannot hold
 			// a queue slot or book admission budget.
-			cancel()
+			s.Cancel(rec.ID)
 		}
 	}
-	s.writeJob(w, id)
+	s.writeJob(w, j)
 }
 
+// handleJob serves one job: GET reads it, DELETE cancels it first (a
+// no-op once it is executing or finished); either waits for the terminal
+// state with ?wait=1.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
+		w.Header().Set("Allow", "GET, DELETE")
+		http.Error(w, "GET or DELETE only", http.StatusMethodNotAllowed)
+		return
+	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	s.mu.Lock()
-	_, ok := s.jobs[id]
+	j := s.jobs[id]
 	s.mu.Unlock()
-	if !ok {
+	if j == nil {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
+	if r.Method == http.MethodDelete {
+		s.Cancel(id)
+	}
 	if r.URL.Query().Get("wait") != "" {
-		s.mu.Lock()
-		ch := s.done[id]
-		s.mu.Unlock()
 		select {
-		case <-ch:
+		case <-j.done:
 		case <-r.Context().Done():
 			// The waiting client went away; release the handler goroutine
 			// instead of parking it until the job (maybe hours later)
@@ -640,7 +604,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			// ends — and the response writes into a dead connection.
 		}
 	}
-	s.writeJob(w, id)
+	s.writeJob(w, j)
 }
 
 // shed refuses one request in O(1) — no job record, no journal write, no
@@ -733,7 +697,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	list := make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		list = append(list, *j)
+		list = append(list, j.Job)
 	}
 	s.mu.Unlock()
 	// Deterministic submission order. Sorting by Seq, not ID: IDs are
@@ -844,11 +808,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.WriteTo(w)
 }
 
-func (s *Server) writeJob(w http.ResponseWriter, id string) {
+func (s *Server) writeJob(w http.ResponseWriter, j *job) {
 	s.mu.Lock()
-	j := *s.jobs[id]
+	rec := j.Job
 	s.mu.Unlock()
-	writeJSON(w, j)
+	writeJSON(w, rec)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -974,32 +938,18 @@ func parseHeuristic(name string) (rapid.Heuristic, error) {
 	return 0, fmt.Errorf("rapidd: unknown heuristic %q", name)
 }
 
-// setStatus publishes a job state transition.
-func (s *Server) setStatus(id string, st JobStatus) {
-	s.mu.Lock()
-	s.jobs[id].Status = st
-	s.mu.Unlock()
-}
-
-// update mutates the job record under the lock.
-func (s *Server) update(id string, f func(*Job)) {
-	s.mu.Lock()
-	f(s.jobs[id])
-	s.mu.Unlock()
-}
-
 // attempt runs one execution attempt, converting a panic anywhere in the
 // compile/execute path into a job failure instead of a daemon crash. The
 // booked admission units are released during unwinding (solve defers the
 // release), so a panicking job cannot leak budget.
-func (s *Server) attempt(ctx context.Context, id string, spec JobSpec, attempt int) (err error) {
+func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.Inc("rapidd.jobs.panics", 1)
 			err = fmt.Errorf("rapidd: job panicked: %v", r)
 		}
 	}()
-	return s.solve(ctx, id, spec, attempt)
+	return s.solve(ctx, j, attempt)
 }
 
 // problem abstracts the two factorization kinds for the executor.
@@ -1011,7 +961,8 @@ type problem struct {
 	verify func(rep *rapid.Report) float64
 }
 
-func (s *Server) solve(ctx context.Context, id string, spec JobSpec, attempt int) error {
+func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
+	spec := j.Spec
 	h, _ := parseHeuristic(spec.Heuristic)
 	pb, err := buildProblem(spec)
 	if err != nil {
@@ -1063,27 +1014,32 @@ func (s *Server) solve(ctx context.Context, id string, spec JobSpec, attempt int
 		s.metrics.Inc("rapidd.verify.passed", 1)
 	} else {
 		s.metrics.Inc("rapidd.verify.rejected", 1)
-		s.update(id, func(j *Job) { j.VerifyFindings = res.Findings })
+		s.update(j, func(r *Job) { r.VerifyFindings = res.Findings })
 		return fmt.Errorf("rapidd: plan rejected by static verifier: %v", res.Err())
 	}
 	inspectMS := float64(time.Since(t0).Microseconds()) / 1000
 	demand := aggregateDemand(plan)
-	s.update(id, func(j *Job) {
-		j.PlanSource = string(src)
-		j.Fingerprint = plan.Fingerprint
-		j.Replanned = replanned
-		j.DemandUnits = demand
-		j.Tasks = plan.Schedule.G.NumTasks()
-		j.Objects = plan.Schedule.G.NumObjects()
-		j.InspectMS = inspectMS
+	s.update(j, func(r *Job) {
+		r.PlanSource = string(src)
+		r.Fingerprint = plan.Fingerprint
+		r.Replanned = replanned
+		r.DemandUnits = demand
+		r.Tasks = plan.Schedule.G.NumTasks()
+		r.Objects = plan.Schedule.G.NumObjects()
+		r.InspectMS = inspectMS
 	})
 
 	// Admission: book the aggregate high-water mark before executing.
 	// The job's context bounds the wait — a deadline that expires or a
 	// client that disconnects while parked here aborts without booking.
+	// A fault retry re-enters here already running and stays so: the
+	// queued and running edges, and the one admit record, are the first
+	// admission's.
+	first := j.Status != StatusRunning
 	err = s.adm.acquireCtx(ctx, spec.Tenant, demand, func() {
-		s.setStatus(id, StatusQueued)
-		s.metrics.Inc("rapidd.jobs.queued", 1)
+		if first {
+			s.transition(j, StatusQueued, nil, nil)
+		}
 	})
 	if err != nil {
 		return err
@@ -1092,11 +1048,9 @@ func (s *Server) solve(ctx context.Context, id string, spec JobSpec, attempt int
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// The admit record marks the job in-flight: after a crash, replay
-	// fails it explicitly instead of re-running it (its budget was booked
-	// and its executor may have had side effects mid-flight).
-	s.journalAppend(journal.Record{Op: journal.OpAdmit, ID: id, Demand: demand})
-	s.setStatus(id, StatusRunning)
+	if first {
+		s.transition(j, StatusRunning, nil, nil)
+	}
 
 	if s.execHook != nil {
 		s.execHook(spec)
@@ -1139,13 +1093,13 @@ func (s *Server) solve(ctx context.Context, id string, spec JobSpec, attempt int
 	s.metrics.Inc("rapidd.reliability.dups_sent", int64(rel.DupsSent))
 	s.metrics.Inc("rapidd.reliability.dups_dropped", int64(rel.DupDropped))
 	s.metrics.Inc("rapidd.reliability.acked", int64(rel.Acked))
-	s.update(id, func(j *Job) {
-		j.Retransmits = int64(rel.Retransmits)
-		j.MAPs = maps
-		j.PeakUnits = peak
-		j.Residual = residual
-		j.ExecMS = execMS
-		j.StateUS = stateUS
+	s.update(j, func(r *Job) {
+		r.Retransmits = int64(rel.Retransmits)
+		r.MAPs = maps
+		r.PeakUnits = peak
+		r.Residual = residual
+		r.ExecMS = execMS
+		r.StateUS = stateUS
 	})
 	return nil
 }

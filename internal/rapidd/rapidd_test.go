@@ -80,6 +80,17 @@ func TestAdmissionOversizedIsCallerError(t *testing.T) {
 	}
 }
 
+// New is Open for configurations that cannot fail (no journal, or a fresh
+// test directory): the package exports one constructor, and tests that do
+// not care about its error use this.
+func New(cfg Config) *Server {
+	s, err := Open(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func solveSync(t *testing.T, ts *httptest.Server, spec JobSpec) Job {
 	t.Helper()
 	body, _ := json.Marshal(spec)

@@ -1,10 +1,9 @@
 package rapidd
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/journal"
 )
@@ -79,88 +78,51 @@ func (s *Server) recover(rep *journal.Replay) {
 			}
 		}
 	}
+	s.mu.Lock()
 	s.seq = s.jnl.HighSeq()
+	s.mu.Unlock()
 	sort.Slice(order, func(i, k int) bool { return order[i].seq < order[k].seq })
 	for _, rj := range order {
-		if rj.terminal {
-			continue
-		}
-		switch {
-		case rj.admitted:
-			s.recoverFailed(rj, "rapidd: daemon restarted while the job was executing")
-			s.metrics.Inc("rapidd.journal.failed_inflight", 1)
-		case rj.cancelled:
-			s.recoverFailed(rj, "rapidd: cancelled before the restart")
-			s.metrics.Inc("rapidd.journal.failed_cancelled", 1)
-		default:
-			s.requeue(rj)
+		if !rj.terminal {
+			s.recoverJob(rj)
 		}
 	}
 }
 
-// recoverFailed materializes a journal job directly in a terminal failed
-// state, with the completion record the previous daemon never wrote.
-func (s *Server) recoverFailed(rj *replayedJob, msg string) {
+// recoverJob gives one unfinished journal job its fate: constructed like
+// any other job, then either committed to the queue or taken straight
+// along the terminal edge, which writes the completion record the
+// previous daemon never did.
+func (s *Server) recoverJob(rj *replayedJob) {
 	spec, err := parseJobSpec(rj.spec, rj.tenant)
+	fate := ""
+	switch {
+	case rj.admitted:
+		fate = "rapidd: daemon restarted while the job was executing"
+		s.metrics.Inc("rapidd.journal.failed_inflight", 1)
+	case rj.cancelled:
+		fate = "rapidd: cancelled before the restart"
+		s.metrics.Inc("rapidd.journal.failed_cancelled", 1)
+	case err != nil:
+		fate = "rapidd: job cannot be re-queued"
+	}
 	if err != nil {
 		// The spec was validated before it was journaled; an unreadable
 		// one here means a decoding drift — keep the tenant for
 		// accounting and fail the job with both causes visible.
 		spec = JobSpec{Tenant: rj.tenant, Priority: rj.priority}
-		msg = fmt.Sprintf("%s (spec unreadable at replay: %v)", msg, err)
+		fate = fmt.Sprintf("%s (spec unreadable at replay: %v)", fate, err)
 	}
-	done := make(chan struct{})
-	close(done)
-	s.mu.Lock()
-	s.jobs[rj.id] = &Job{
-		ID: rj.id, Seq: rj.seq, Spec: spec, Status: StatusFailed,
-		Error: msg, Recovered: true, Durable: true,
-	}
-	s.done[rj.id] = done
-	s.tenantStatLocked(rj.tenant).recovered++
-	s.tenantStatLocked(rj.tenant).failed++
-	s.mu.Unlock()
-	s.metrics.Inc("rapidd.jobs.failed", 1)
-	s.journalAppend(journal.Record{
-		Op: journal.OpComplete, ID: rj.id, Status: string(StatusFailed), Error: msg,
-	})
-}
-
-// requeue re-enqueues a journal job that never started executing. The
-// queue reservation is forced: the previous daemon already accepted this
-// job, so priority shedding does not apply to it again.
-func (s *Server) requeue(rj *replayedJob) {
-	spec, err := parseJobSpec(rj.spec, rj.tenant)
-	if err != nil {
-		s.recoverFailed(rj, "rapidd: unreadable spec at replay")
+	rec := Job{ID: rj.id, Seq: rj.seq, Spec: spec, Recovered: true, Durable: true}
+	if fate != "" {
+		s.transition(s.newJob(rec, false), StatusFailed, errors.New(fate), nil)
 		return
 	}
+	// The queue reservation is forced: the previous daemon already
+	// accepted this job, so priority shedding does not apply to it again.
 	prio, _ := parsePriority(spec.Priority)
-	ctx, cancel := context.WithCancel(context.Background())
-	if s.cfg.DefaultDeadline > 0 || spec.DeadlineMS > 0 {
-		// The original submission clock died with the old daemon; the
-		// deadline restarts here, bounding the recovered execution.
-		deadline := time.Duration(spec.DeadlineMS) * time.Millisecond
-		if deadline == 0 {
-			deadline = s.cfg.DefaultDeadline
-		}
-		ctx, cancel = context.WithTimeout(context.Background(), deadline)
-	}
 	slot, _ := s.queue.reserve(spec.Tenant, prio, true)
-	tk := &task{
-		id: rj.id, spec: spec, prio: prio,
-		vstart: slot.vstart, vfinish: slot.vfinish,
-		ctx: ctx, cancel: cancel, done: make(chan struct{}),
-	}
-	s.mu.Lock()
-	s.jobs[rj.id] = &Job{ID: rj.id, Seq: rj.seq, Spec: spec, Status: StatusPending, Recovered: true, Durable: true}
-	s.done[rj.id] = tk.done
-	s.cancels[rj.id] = cancel
-	ts := s.tenantStatLocked(spec.Tenant)
-	ts.recovered++
-	ts.submitted++
-	s.mu.Unlock()
-	s.queue.commit(slot, tk)
+	s.queue.commit(slot, s.newJob(rec, true))
 	s.metrics.Inc("rapidd.journal.recovered", 1)
 	s.metrics.Inc("rapidd.jobs.submitted", 1)
 }

@@ -138,38 +138,45 @@ func TestConcurrentShedCounters(t *testing.T) {
 
 // TestCoalescedFollowerKeepsDeadlineIdentity: a follower adopting an
 // expired leader's outcome must classify as deadline-expired — the error
-// identity travels in the outcome, not just its string.
+// identity travels as the leader's cause, not just its string.
 func TestCoalescedFollowerKeepsDeadlineIdentity(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv := New(Config{Workers: 1, Metrics: metrics})
-	srv.mu.Lock()
-	srv.jobs["ja"] = &Job{ID: "ja", Spec: JobSpec{Tenant: "acme"}, Status: StatusFailed, Error: context.DeadlineExceeded.Error()}
-	srv.jobs["jb"] = &Job{ID: "jb", Spec: JobSpec{Tenant: "acme"}, Status: StatusRunning}
-	srv.mu.Unlock()
-
-	srv.adoptOutcome("jb", &outcome{job: *srv.jobs["ja"], err: context.DeadlineExceeded})
+	// finishedPair makes a leader that failed with cause and a pending
+	// follower of the same spec, as process would see them.
+	finishedPair := func(leadID, followID string, cause error) (lead, follow *job) {
+		lead = srv.newJob(Job{ID: leadID, Spec: JobSpec{Tenant: "acme"}}, false)
+		if err := srv.transition(lead, StatusFailed, cause, nil); err != nil {
+			t.Fatal(err)
+		}
+		return lead, srv.newJob(Job{ID: followID, Spec: JobSpec{Tenant: "acme"}}, false)
+	}
+	ja, jbJob := finishedPair("ja", "jb", context.DeadlineExceeded)
+	if err := srv.transition(jbJob, ja.Status, ja.cause, ja); err != nil {
+		t.Fatal(err)
+	}
 
 	jb := getJobLocal(srv, "jb")
 	if jb.Status != StatusFailed || !jb.Coalesced || jb.CoalescedWith != "ja" {
 		t.Fatalf("follower: %+v", jb)
 	}
-	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 1 {
-		t.Errorf("deadline_expired %d, want 1", got)
+	// The leader and the follower each count once.
+	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 2 {
+		t.Errorf("deadline_expired %d, want 2", got)
 	}
-	if got := srv.tenantStat("acme").expired; got != 1 {
-		t.Errorf("tenant expired counter %d, want 1", got)
+	if got := srv.tenantStat("acme").expired; got != 2 {
+		t.Errorf("tenant expired counter %d, want 2", got)
 	}
 	// A follower whose leader failed for an untyped reason still fails
 	// with the same message, without expired/cancelled misclassification.
-	srv.mu.Lock()
-	srv.jobs["jc"] = &Job{ID: "jc", Spec: JobSpec{Tenant: "acme"}, Status: StatusFailed, Error: "kernel exploded"}
-	srv.jobs["jd"] = &Job{ID: "jd", Spec: JobSpec{Tenant: "acme"}, Status: StatusRunning}
-	srv.mu.Unlock()
-	srv.adoptOutcome("jd", &outcome{job: *srv.jobs["jc"], err: errors.New("kernel exploded")})
-	if jd := getJobLocal(srv, "jd"); jd.Error != "kernel exploded" {
-		t.Fatalf("untyped follower error %q", jd.Error)
+	jc, jdJob := finishedPair("jc", "jd", errors.New("kernel exploded"))
+	if err := srv.transition(jdJob, jc.Status, jc.cause, jc); err != nil {
+		t.Fatal(err)
 	}
-	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 1 {
+	if jd := getJobLocal(srv, "jd"); jd.Status != StatusFailed || jd.Error != "kernel exploded" {
+		t.Fatalf("untyped follower: %s, error %q", jd.Status, jd.Error)
+	}
+	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 2 {
 		t.Errorf("untyped failure bumped deadline_expired to %d", got)
 	}
 	if err := srv.Drain(t.Context()); err != nil {
@@ -180,7 +187,7 @@ func TestCoalescedFollowerKeepsDeadlineIdentity(t *testing.T) {
 func getJobLocal(s *Server, id string) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return *s.jobs[id]
+	return s.jobs[id].Job
 }
 
 // TestOversizedSpecRejectedConsistently: the HTTP body cap equals the
@@ -214,10 +221,10 @@ func TestLongErrorStillJournalsCompletion(t *testing.T) {
 	dir := t.TempDir()
 	metrics := trace.NewMetrics()
 	srv := New(Config{JournalDir: dir, JournalNoSync: true, Workers: 1, Metrics: metrics})
-	srv.mu.Lock()
-	srv.jobs["jx"] = &Job{ID: "jx", Spec: JobSpec{Tenant: "acme"}, Status: StatusRunning}
-	srv.mu.Unlock()
-	srv.setTerminal("jx", StatusFailed, errors.New(strings.Repeat("e", 5*journal.MaxFieldBytes)))
+	jx := srv.newJob(Job{ID: "jx", Spec: JobSpec{Tenant: "acme"}}, false)
+	if err := srv.transition(jx, StatusFailed, errors.New(strings.Repeat("e", 5*journal.MaxFieldBytes)), nil); err != nil {
+		t.Fatal(err)
+	}
 	if got := metrics.Get("rapidd.journal.errors"); got != 0 {
 		t.Fatalf("journal.errors %d, want 0 (completion record dropped)", got)
 	}

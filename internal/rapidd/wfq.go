@@ -45,10 +45,10 @@ func priorityName(p int) string {
 // flooding the queue delays mostly itself.
 //
 // Enqueueing is two-phase so the daemon can write the job to the
-// write-ahead journal between reserving a slot and making the task
+// write-ahead journal between reserving a slot and making the job
 // visible to workers: reserve (capacity + virtual-clock stamp, under the
-// lock) → journal append (no lock) → commit (task becomes poppable).
-// A journal failure aborts the reservation; workers never see a task
+// lock) → journal append (no lock) → commit (job becomes poppable).
+// A journal failure aborts the reservation; workers never see a job
 // whose submit record is not durable, so the journal cannot record an
 // admit before its submit.
 type wfqueue struct {
@@ -76,12 +76,12 @@ type wfqueue struct {
 }
 
 type tenantQ struct {
-	tasks      []*task // sorted by vfinish (== commit order per tenant)
-	reserved   int     // reserved-not-yet-committed slots
+	tasks      []*job // sorted by vfinish (== commit order per tenant)
+	reserved   int    // reserved-not-yet-committed slots
 	lastFinish float64
 }
 
-// wslot is a reserved queue slot: the capacity unit plus the task's
+// wslot is a reserved queue slot: the capacity unit plus the job's
 // virtual-clock stamps, assigned atomically at reservation time so WFQ
 // order matches arrival order even when commits race.
 type wslot struct {
@@ -144,8 +144,10 @@ func (q *wfqueue) reserve(tenant string, prio int, force bool) (wslot, bool) {
 	return sl, true
 }
 
-// commit makes a reserved task visible to workers.
-func (q *wfqueue) commit(sl wslot, tk *task) {
+// commit stamps the job with its reservation's virtual times and makes it
+// visible to workers.
+func (q *wfqueue) commit(sl wslot, tk *job) {
+	tk.vstart, tk.vfinish = sl.vstart, sl.vfinish
 	q.mu.Lock()
 	tq := q.tenants[sl.tenant]
 	tq.reserved--
@@ -175,7 +177,7 @@ func (q *wfqueue) abort(sl wslot) {
 // choice: the tenant whose head task has the smallest virtual finish
 // (ties by tenant name, for determinism). Returns nil once the queue is
 // closed and fully drained.
-func (q *wfqueue) next() *task {
+func (q *wfqueue) next() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -201,7 +203,7 @@ func (q *wfqueue) reservedLocked() int {
 	return n
 }
 
-func (q *wfqueue) popLocked() *task {
+func (q *wfqueue) popLocked() *job {
 	var best *tenantQ
 	var bestName string
 	for name, tq := range q.tenants {

@@ -10,8 +10,7 @@ func wfqPush(q *wfqueue, tenant string, prio int) bool {
 	if !ok {
 		return false
 	}
-	q.commit(sl, &task{id: tenant, spec: JobSpec{Tenant: tenant}, prio: prio,
-		vstart: sl.vstart, vfinish: sl.vfinish})
+	q.commit(sl, &job{Job: Job{ID: tenant, Spec: JobSpec{Tenant: tenant}}})
 	return true
 }
 
@@ -28,7 +27,7 @@ func TestWFQWeightedDrainOrder(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 8; i++ {
-		counts[q.next().spec.Tenant]++
+		counts[q.next().Spec.Tenant]++
 	}
 	// vfinish for a: 1/3, 2/3, 1, 4/3 ...; for b: 1, 2. In the first 8
 	// pops a takes 6 and b 2 — the 3:1 weight ratio.
@@ -45,10 +44,10 @@ func TestWFQFIFOWithinTenant(t *testing.T) {
 		if !ok {
 			t.Fatal("shed below capacity")
 		}
-		q.commit(sl, &task{id: string(rune('a' + i)), vstart: sl.vstart, vfinish: sl.vfinish})
+		q.commit(sl, &job{Job: Job{ID: string(rune('a' + i))}})
 	}
 	for i := 0; i < 5; i++ {
-		if got := q.next().id; got != string(rune('a'+i)) {
+		if got := q.next().ID; got != string(rune('a'+i)) {
 			t.Fatalf("pop %d = %q", i, got)
 		}
 	}
@@ -112,7 +111,7 @@ func TestWFQIdleWorkerHandoff(t *testing.T) {
 	if _, ok := q.reserve("t", prioHigh, false); ok {
 		t.Fatal("unbuffered queue accepted with no idle worker")
 	}
-	got := make(chan *task)
+	got := make(chan *job)
 	go func() { got <- q.next() }()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

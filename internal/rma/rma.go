@@ -203,16 +203,11 @@ func (a *AddrSlots) TrySend(dst, src graph.Proc, pkg *AddrPackage) bool {
 	}
 }
 
-// Consume removes and returns all pending packages addressed to dst (the RA
-// operation). It returns nil when nothing is pending.
-func (a *AddrSlots) Consume(dst graph.Proc) []*AddrPackage {
-	return a.ConsumeAppend(dst, nil)
-}
-
-// ConsumeAppend is Consume with a caller-supplied buffer: pending packages
-// are appended to buf and the extended slice returned. The RA operation
-// runs in every blocking state of the protocol, so the executor reuses one
-// scratch slice per processor to keep the steady-state poll allocation-free.
+// ConsumeAppend removes all pending packages addressed to dst (the RA
+// operation), appends them to buf and returns the extended slice — buf
+// itself when nothing is pending. The RA operation runs in every blocking
+// state of the protocol, so the executor reuses one scratch slice per
+// processor to keep the steady-state poll allocation-free.
 // A bit whose sender raced the mask swap stays set for the next poll; the
 // package is simply consumed then (the wake token the executor posts after
 // TrySend guarantees that next poll happens).

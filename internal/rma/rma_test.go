@@ -138,14 +138,14 @@ func TestAddrSlotsSingleSlot(t *testing.T) {
 	if !s.TrySend(0, 2, &AddrPackage{From: 2}) {
 		t.Fatalf("independent slot blocked")
 	}
-	got := s.Consume(0)
+	got := s.ConsumeAppend(0, nil)
 	if len(got) != 2 {
 		t.Fatalf("consumed %d packages, want 2", len(got))
 	}
 	if !s.TrySend(0, 1, pkg2) {
-		t.Fatalf("slot not freed by Consume")
+		t.Fatalf("slot not freed by ConsumeAppend")
 	}
-	if pkgs := s.Consume(1); pkgs != nil {
+	if pkgs := s.ConsumeAppend(1, nil); pkgs != nil {
 		t.Fatalf("empty consume returned %v", pkgs)
 	}
 }
@@ -171,7 +171,7 @@ func TestAddrSlotsConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for received < n {
-			got := len(s.Consume(0))
+			got := len(s.ConsumeAppend(0, nil))
 			received += got
 			if got == 0 {
 				runtime.Gosched()
