@@ -33,28 +33,5 @@ func main() {
 		os.Exit(2)
 	}
 
-	w := os.Stdout
-	run := func(name string, f func()) {
-		if *exp == "all" || *exp == name {
-			f()
-		}
-	}
-	run("table1", func() { paper.Table1(w, sc) })
-	run("table2", func() { paper.Table2(w, sc) })
-	run("table3", func() { paper.Table3(w, sc) })
-	run("table4", func() { paper.Table4(w, sc) })
-	run("table5", func() { paper.Table5(w, sc) })
-	run("table6", func() { paper.Table6(w, sc) })
-	run("table7", func() { paper.Table7(w, sc) })
-	run("table8", func() { paper.Table8(w, sc) })
-	run("ablation", func() {
-		paper.AblationMAPPolicy(w, sc)
-		paper.AblationSlotDepth(w, sc)
-		paper.AblationMergeSweep(w, sc)
-	})
-	run("figure3", func() { paper.Figure3(w) })
-	run("figure7", func() { paper.Figure7(w, sc) })
-	run("trisolve", func() { paper.ExtensionTrisolve(w, sc) })
-	run("fragmentation", func() { paper.ExtensionFragmentation(w, sc) })
-	run("breakdown", func() { paper.ExtensionMemoryBreakdown(w, sc) })
+	paper.Report(os.Stdout, sc, *exp)
 }

@@ -83,6 +83,10 @@ func main() {
 	faultSeed := flag.Uint64("faultseed", 1, "fault injection seed (deterministic fault plan)")
 	doVerify := flag.Bool("verify", false, "statically verify the compiled plan; on findings, print the table to stderr and exit non-zero without executing")
 	flag.Parse()
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "rapidsolve: -n must be at least 1, got %d\n", *n)
+		os.Exit(2)
+	}
 	verifyPlans = *doVerify
 	exactFrontier = *doExact
 
@@ -125,8 +129,7 @@ func main() {
 		}
 		fmt.Printf("loaded %s: n=%d nnz=%d\n", *file, loaded.N, loaded.Nnz())
 	}
-	nx := int(math.Sqrt(float64(*n) * 1.3))
-	ny := *n / nx
+	nx, ny := sparse.GridShape(*n)
 	switch strings.ToLower(*kind) {
 	case "chol":
 		a := loaded
@@ -199,6 +202,9 @@ func compile(prog *rapid.Program, procs int, h rapid.Heuristic, memPct int) *rap
 		log.Fatal(err)
 	}
 	budget := free.TOT() * int64(memPct) / 100
+	if memPct > 0 && budget < 1 {
+		budget = 1 // Options.Memory 0 means unconstrained
+	}
 	plan, err := rapid.Compile(prog, rapid.Options{Procs: procs, Heuristic: h, Memory: budget})
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -87,5 +91,53 @@ func TestReliabilityTableFromFaultyExecution(t *testing.T) {
 	tot := rapid.SumReliability(report.Reliability)
 	if tot.Retransmits == 0 || tot.Retransmits != tot.Dropped {
 		t.Errorf("expected live retransmit counters (retransmits == drops > 0), got %+v", tot)
+	}
+}
+
+// TestMainAsChild is not a test of its own: rapidsolveChild re-runs this
+// test binary with `-test.run=TestMainAsChild -- <flags>`, and this function
+// then hands those flags to main(), whose exit status and output the parent
+// test inspects. An ordinary run has nothing after "--" and returns at once.
+func TestMainAsChild(t *testing.T) {
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"rapidsolve"}, os.Args[i+1:]...)
+			flag.CommandLine = flag.NewFlagSet("rapidsolve", flag.ExitOnError)
+			main()
+			os.Exit(0)
+		}
+	}
+}
+
+// rapidsolveChild runs the binary's main with the given flags and returns
+// its exit status and combined output.
+func rapidsolveChild(t *testing.T, flags ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestMainAsChild$", "--"}, flags...)...)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), string(out)
+}
+
+// TestRejectsNonPositiveOrder: -n 0 used to divide by zero in the grid-shape
+// formula; it is a usage error (status 2, one line on stderr).
+func TestRejectsNonPositiveOrder(t *testing.T) {
+	code, out := rapidsolveChild(t, "-n", "0")
+	if code != 2 || !strings.Contains(out, "-n must be at least 1") || strings.Contains(out, "panic") {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestPositivePercentNeverUnconstrained: 1% of a TOT of 16 truncates to a
+// budget of 0, which rapid.Options reads as "no limit", so the run used to
+// succeed unconstrained; a positive -mem compiles under a budget of at least
+// 1, which this one-block problem cannot meet.
+func TestPositivePercentNeverUnconstrained(t *testing.T) {
+	code, out := rapidsolveChild(t, "-n", "1", "-mem", "1")
+	if code != 1 || !strings.Contains(out, "budget=1 (1%)") || !strings.Contains(out, "NOT executable") {
+		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
 }

@@ -23,7 +23,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/chol"
@@ -109,15 +108,12 @@ func runFiles(files []string, expectFail bool) int {
 // and constrained memory and verifies each plan: the "all real plans pass"
 // half of the verifier's acceptance criteria.
 func runBuiltin(procs, n, block int, seed uint64) int {
+	if n < 1 {
+		fmt.Fprintf(os.Stderr, "rapidverify: -n must be at least 1, got %d\n", n)
+		return 2
+	}
 	rng := util.NewRNG(seed)
-	nx := int(math.Sqrt(float64(n) * 1.3))
-	ny := n / nx
-	if nx < 2 {
-		nx = 2
-	}
-	if ny < 2 {
-		ny = 2
-	}
+	nx, ny := sparse.GridShape(n)
 
 	cholPat := sparse.AddRandomSymLinks(sparse.Grid2D(nx, ny, true), n/8, rng)
 	cholPat = cholPat.PermuteSym(sparse.RCM(cholPat))
@@ -153,8 +149,9 @@ func runBuiltin(procs, n, block int, seed uint64) int {
 					bad++
 					continue
 				}
+				// At least 1: Options.Memory 0 means unconstrained.
 				opt := rapid.Options{Procs: procs, Heuristic: h,
-					Memory: free.TOT() * int64(memPct) / 100}
+					Memory: max(1, free.TOT()*int64(memPct)/100)}
 				p, err := rapid.Compile(pb.prog, opt)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "%s: compile: %v\n", label, err)

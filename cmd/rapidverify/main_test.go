@@ -29,3 +29,13 @@ func TestBuiltinPlansPass(t *testing.T) {
 		t.Fatalf("builtin plans failed verification (exit %d)", code)
 	}
 }
+
+// TestBuiltinRejectsNonPositiveOrder: -n 0 used to divide by zero in the
+// grid-shape formula; it is a usage error (status 2).
+func TestBuiltinRejectsNonPositiveOrder(t *testing.T) {
+	for _, n := range []int{0, -5} {
+		if code := runBuiltin(3, n, 8, 1); code != 2 {
+			t.Fatalf("-builtin -n %d exited %d, want 2", n, code)
+		}
+	}
+}

@@ -2,26 +2,27 @@
 // protocol: it runs a scheduled task graph under the active memory
 // management scheme with one goroutine per (virtual) processor, real data
 // and the real RMA substrate (deposit-then-flag buffers, single-slot
-// address packages, panics on Puts into freed memory).
+// address packages).
 //
 // The protocol transitions themselves — REC/EXE/SND/MAP/END, the MAP
 // address-package handshake, the suspended-send queue, arrival-threshold
-// receives and the RA/CQ polling discipline — live in internal/proto's
-// Engine/Core and are shared verbatim with the discrete-event simulator
-// (internal/machine). This package supplies only the wall-clock mechanics:
-// goroutines, rma.Memory arenas, atomic control-signal counters and a
-// liveness watchdog. The executor is used both as a correctness harness
-// (results must equal a sequential execution; runs under -race) and as the
-// numeric engine of the examples.
+// receives and the RA/CQ polling discipline — and the state they read (the
+// memory ledger, arrival counters, learned addresses) live in
+// internal/proto's Engine/Core and are shared verbatim with the
+// discrete-event simulator (internal/machine). This package supplies only
+// the wall-clock mechanics: goroutines, the numeric payloads, the deposit
+// into a peer followed by its wake, and a liveness watchdog. The executor
+// is used both as a correctness harness (results must equal a sequential
+// execution; runs under -race) and as the numeric engine of the examples.
 //
 // The executor is event-driven: a processor whose Advance returns Blocked
 // parks on its wake channel instead of spinning. Every remote deposit —
 // data Put, control signal, address-package deposit, slot consumption —
 // posts the destination processor's wake token at the deposit site, and
 // retransmission/fault timers registered through the Backend's WakeAfter
-// contract land on a single timer wheel. A parked processor therefore
-// costs no CPU, which is what keeps oversubscribed runs (more emulated
-// processors than cores) from collapsing.
+// contract are runtime timers that post the same token. A parked processor
+// therefore costs no CPU, which is what keeps oversubscribed runs (more
+// emulated processors than cores) from collapsing.
 package exec
 
 import (
@@ -154,23 +155,16 @@ type engine struct {
 	eng *proto.Engine
 	cfg Config
 
-	slots   *rma.AddrSlots
-	ctlRecv []atomic.Int32 // per task
-	// dupDropped counts, per receiving processor, the duplicate deliveries
-	// (data messages and address packages) discarded by sequence-number
-	// dedup. Data duplicates are detected at Put time in the sender's
-	// goroutine, hence the atomics.
-	dupDropped []atomic.Int64
-	probes     []procProbe
-	wakers     []waker
-	wheel      *timerWheel
+	slots  *rma.AddrSlots
+	probes []procProbe
+	wakers []waker
 
 	numeric bool
 	start   time.Time
 
 	abort atomic.Bool
 	// stop is closed when the run aborts or completes: parked processors
-	// and the timer wheel unblock on it.
+	// unblock on it.
 	stop      chan struct{}
 	stopOnce  sync.Once
 	stallOnce sync.Once
@@ -187,7 +181,7 @@ func (e *engine) wake(p graph.Proc) {
 	}
 }
 
-// halt unblocks every parked processor and the timer wheel. Idempotent.
+// halt unblocks every parked processor. Idempotent.
 func (e *engine) halt() { e.stopOnce.Do(func() { close(e.stop) }) }
 
 func (e *engine) fail(err error) {
@@ -248,34 +242,21 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 		cfg.BlockTimeout = 30 * time.Second
 	}
 	e := &engine{
-		eng:        pe,
-		cfg:        cfg,
-		slots:      rma.NewAddrSlots(s.P),
-		ctlRecv:    make([]atomic.Int32, s.G.NumTasks()),
-		dupDropped: make([]atomic.Int64, s.P),
-		probes:     make([]procProbe, s.P),
-		wakers:     make([]waker, s.P),
-		stop:       make(chan struct{}),
-		numeric:    cfg.Kernel != nil,
-		start:      time.Now(),
+		eng:     pe,
+		cfg:     cfg,
+		slots:   rma.NewAddrSlots(s.P),
+		probes:  make([]procProbe, s.P),
+		wakers:  make([]waker, s.P),
+		stop:    make(chan struct{}),
+		numeric: cfg.Kernel != nil,
+		start:   time.Now(),
 	}
 	for i := range e.wakers {
 		e.wakers[i].ch = make(chan struct{}, 1)
 	}
-	e.wheel = newTimerWheel(e)
-	go e.wheel.run()
 	defer e.halt()
 
-	res := &Result{
-		MAPsExecuted:    make([]int, s.P),
-		PeakUnits:       make([]int64, s.P),
-		Occupancy:       make([]proto.Occupancy, s.P),
-		SuspendedSends:  make([]int, s.P),
-		BlockedAdvances: make([]int, s.P),
-	}
-	permBufs := make([]map[graph.ObjID][]float64, s.P)
-	stats := make([]proto.Stats, s.P)
-
+	cores := make([]*proto.Core, s.P)
 	var wg sync.WaitGroup
 	for p := 0; p < s.P; p++ {
 		wg.Add(1)
@@ -286,18 +267,12 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 					e.fail(fmt.Errorf("exec: processor %d panicked: %v", p, r))
 				}
 			}()
-			out, err := e.runProc(graph.Proc(p))
+			core, err := e.runProc(graph.Proc(p))
 			if err != nil {
 				e.fail(err)
 				return
 			}
-			res.MAPsExecuted[p] = out.stats.MAPs
-			res.PeakUnits[p] = out.peak
-			res.Occupancy[p] = out.occ
-			res.SuspendedSends[p] = out.stats.DataSuspended
-			res.BlockedAdvances[p] = out.stats.BlockedAdvances
-			stats[p] = out.stats
-			permBufs[p] = out.perm
+			cores[p] = core
 		}(p)
 	}
 	wg.Wait()
@@ -310,41 +285,42 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 	if runErr != nil {
 		return nil, runErr
 	}
-	res.Reliability = make([]proto.Reliability, s.P)
-	for p := 0; p < s.P; p++ {
-		res.Messages += stats[p].DataSent
-		res.AddrPackages += stats[p].AddrConsumed
-		res.Reliability[p] = stats[p].Reliability(int(e.dupDropped[p].Load()))
+	sum := pe.Summarize(cores)
+	res := &Result{
+		MAPsExecuted:    sum.MAPs,
+		PeakUnits:       sum.PeakUnits,
+		Occupancy:       sum.Occupancy,
+		SuspendedSends:  sum.SuspendedSends,
+		Messages:        sum.Messages,
+		AddrPackages:    sum.AddrPackages,
+		Reliability:     sum.Reliability,
+		BlockedAdvances: make([]int, s.P),
+	}
+	for p, c := range cores {
+		res.BlockedAdvances[p] = c.Stats.BlockedAdvances
 	}
 	if e.numeric {
 		res.Perm = make(map[graph.ObjID][]float64, s.G.NumObjects())
-		for p := 0; p < s.P; p++ {
-			for o, b := range permBufs[p] {
-				res.Perm[o] = b
+		for oi := range s.G.Objects {
+			if b, ok := cores[s.G.Objects[oi].Owner].Lookup(graph.ObjID(oi)); ok {
+				res.Perm[graph.ObjID(oi)] = b.Data
 			}
 		}
 	}
 	return res, nil
 }
 
-// procOut is what one processor's goroutine reports back.
-type procOut struct {
-	stats proto.Stats
-	peak  int64
-	occ   proto.Occupancy
-	perm  map[graph.ObjID][]float64
-}
-
 // runProc drives one processor: a proto.Core over the wall-clock backend.
 // The loop has no spin path — a Blocked verdict Polls once and, if nothing
-// moved, parks until a wake token (peer deposit, timer wheel, abort) or
-// the watchdog deadline.
-func (e *engine) runProc(p graph.Proc) (*procOut, error) {
-	ps, err := newProcState(e, p)
+// moved, parks until a wake token (peer deposit, timer, abort) or the
+// watchdog deadline. It returns the finished core.
+func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
+	ps := &procState{e: e, p: p, lastProgress: time.Now()}
+	core, err := e.eng.NewCore(p, ps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exec: %w", err)
 	}
-	core := e.eng.NewCore(p, ps)
+	ps.core = core
 	probe := &e.probes[p]
 	parkTimer := time.NewTimer(time.Hour)
 	defer parkTimer.Stop()
@@ -361,8 +337,8 @@ func (e *engine) runProc(p graph.Proc) (*procOut, error) {
 		switch st.Kind {
 		case proto.RunMAP:
 			// Wall-clock MAPs charge no artificial cost: the real work
-			// (frees, allocations, package deposits) already happened in
-			// the backend. Loop straight into the next Advance.
+			// (frees, allocations) already happened in the core. Loop
+			// straight into the next Advance, which deposits the packages.
 			storeChanged(&probe.wait, int32(proto.WaitNone))
 			ps.touch()
 		case proto.RunTask:
@@ -382,7 +358,7 @@ func (e *engine) runProc(p graph.Proc) (*procOut, error) {
 			ps.touch()
 		case proto.Blocked:
 			storeChanged(&probe.wait, int32(st.Wait.Kind))
-			if err := ps.blockCheck(st.State, core); err != nil {
+			if err := ps.blockCheck(st.State); err != nil {
 				return nil, err
 			}
 			if core.Poll(now) {
@@ -392,77 +368,38 @@ func (e *engine) runProc(p graph.Proc) (*procOut, error) {
 			ps.park(probe, parkTimer)
 		case proto.Finished:
 			probe.done.Store(true)
-			return &procOut{stats: core.Stats, peak: ps.peak, occ: core.Occupancy(), perm: ps.perm}, nil
+			return core, nil
 		}
 	}
 }
 
-// procState is the wall-clock Backend: one processor's rma arena, learned
-// remote addresses, and watchdog stamp.
+// procState is the wall-clock Backend of one processor — the transport
+// into its peers and the physical side of its buffers — plus its watchdog
+// stamp.
 type procState struct {
 	e    *engine
 	p    graph.Proc
-	mem  *rma.Memory
-	perm map[graph.ObjID][]float64
-	// addr holds remote buffer handles learned through address packages,
-	// keyed by (object, destination processor).
-	addr map[[2]int32]*rma.Buffer
-	// pkg caches the assembled address package per destination while its
-	// deposit is being retried (at most one in flight per destination).
-	pkg map[graph.Proc]*rma.AddrPackage
-	// addrSeen is the highest address-package sequence number consumed from
-	// each source processor; packages at or below it are duplicates.
-	addrSeen []int32
-	// scratch is the reusable consume buffer of ReadAddresses — the RA poll
-	// runs in every blocking state and must not allocate in steady state.
-	scratch []*rma.AddrPackage
-	peak    int64
+	core *proto.Core
 	// lastProgress stamps the watchdog.
 	lastProgress time.Time
 }
 
-// newProcState builds the backend and allocates + initializes the
-// processor's permanent objects.
-func newProcState(e *engine, p graph.Proc) (*procState, error) {
-	ps := &procState{
-		e:            e,
-		p:            p,
-		mem:          rma.NewMemory(e.eng.Plan.Capacity),
-		perm:         make(map[graph.ObjID][]float64),
-		addr:         make(map[[2]int32]*rma.Buffer),
-		pkg:          make(map[graph.Proc]*rma.AddrPackage),
-		addrSeen:     make([]int32, e.eng.S.P),
-		lastProgress: time.Now(),
-	}
-	g := e.eng.S.G
-	for oi := range g.Objects {
-		o := &g.Objects[oi]
-		if o.Owner != p {
-			continue
-		}
-		b, aerr := ps.mem.Alloc(graph.ObjID(oi), o.Size, e.bufLen(graph.ObjID(oi)))
-		if aerr != nil {
-			return nil, fmt.Errorf("exec: proc %d permanent allocation: %w", p, aerr)
-		}
-		if e.numeric {
-			if e.cfg.Init != nil {
-				e.cfg.Init(graph.ObjID(oi), b.Data)
-			}
-			ps.perm[graph.ObjID(oi)] = b.Data
-		}
-	}
-	ps.peak = ps.mem.Used()
-	return ps, nil
-}
-
-func (e *engine) bufLen(o graph.ObjID) int64 {
-	if !e.numeric {
+// BufLen gives numeric runs a payload per object; structure-only runs get
+// flag-only buffers.
+func (ps *procState) BufLen(o graph.ObjID) int64 {
+	if !ps.e.numeric {
 		return 0
 	}
-	if e.cfg.BufLen != nil {
-		return e.cfg.BufLen(o)
+	if ps.e.cfg.BufLen != nil {
+		return ps.e.cfg.BufLen(o)
 	}
-	return e.eng.S.G.Objects[o].Size
+	return ps.e.eng.S.G.Objects[o].Size
+}
+
+func (ps *procState) InitBuffer(b *rma.Buffer) {
+	if ps.e.cfg.Init != nil {
+		ps.e.cfg.Init(b.Obj, b.Data)
+	}
 }
 
 func (ps *procState) touch() { ps.lastProgress = time.Now() }
@@ -500,7 +437,7 @@ func (ps *procState) park(probe *procProbe, t *time.Timer) {
 // suspended-send queue depth, retransmit queue depth and park reason, so a
 // stall caused by a lost message elsewhere in the machine is diagnosable
 // from the report.
-func (ps *procState) blockCheck(st proto.State, core *proto.Core) error {
+func (ps *procState) blockCheck(st proto.State) error {
 	if ps.e.abort.Load() {
 		return fmt.Errorf("exec: proc %d aborted in %s state", ps.p, st)
 	}
@@ -508,7 +445,7 @@ func (ps *procState) blockCheck(st proto.State, core *proto.Core) error {
 		// Render the report before the hook runs: the hook may unwedge the
 		// machine, and the dump must show the stall, not its aftermath.
 		err := fmt.Errorf("exec: proc %d made no progress for %v — %s (possible deadlock; see Config.BlockTimeout)\nmachine state at timeout:%s",
-			ps.p, ps.e.cfg.BlockTimeout, core.BlockedInfo(), ps.e.dumpAll())
+			ps.p, ps.e.cfg.BlockTimeout, ps.core.BlockedInfo(), ps.e.dumpAll())
 		ps.e.stalled()
 		return err
 	}
@@ -517,107 +454,45 @@ func (ps *procState) blockCheck(st proto.State, core *proto.Core) error {
 
 // get resolves an object to its local buffer for the kernel.
 func (ps *procState) get(o graph.ObjID) []float64 {
-	if b, ok := ps.mem.Lookup(o); ok {
+	if b, ok := ps.core.Lookup(o); ok {
 		return b.Data
 	}
 	panic(fmt.Sprintf("exec: proc %d kernel touched unallocated object %q", ps.p, ps.e.eng.S.G.Objects[o].Name))
 }
 
-// ApplyMAP performs one memory allocation point on the rma arena.
-func (ps *procState) ApplyMAP(m *mem.MAP) error {
-	g := ps.e.eng.S.G
-	for _, o := range m.Frees {
-		if err := ps.mem.Free(o, g.Objects[o].Size); err != nil {
-			return fmt.Errorf("exec: proc %d MAP free: %w", ps.p, err)
-		}
-	}
-	for _, o := range m.Allocs {
-		b, err := ps.mem.Alloc(o, g.Objects[o].Size, ps.e.bufLen(o))
-		if err != nil {
-			return fmt.Errorf("exec: proc %d MAP alloc (plan said it fits): %w", ps.p, err)
-		}
-		// Volatile copies of pure input objects (no producer task ever
-		// sends them) are filled during preprocessing — the runtime's
-		// initial data distribution.
-		if ps.e.numeric && ps.e.cfg.Init != nil && ps.e.eng.Tables.Expect(ps.p, o) == 0 {
-			ps.e.cfg.Init(o, b.Data)
-		}
-	}
-	if u := ps.mem.Used(); u > ps.peak {
-		ps.peak = u
-	}
-	ps.touch()
-	return nil
-}
-
-// TryNotify deposits the address package for dst through the single-slot
+// SendAddr deposits the address package for dst through the single-slot
 // mesh; false means dst has not consumed the previous package yet. A
 // successful deposit wakes dst: it may be parked waiting for these very
 // addresses (its suspended sends) or for the arrivals they unlock.
-func (ps *procState) TryNotify(dst graph.Proc, objs []graph.ObjID, seq int32) bool {
-	pkg := ps.pkg[dst]
-	if pkg == nil || pkg.Seq != seq {
-		bufs := make([]*rma.Buffer, len(objs))
-		for i, o := range objs {
-			b, ok := ps.mem.Lookup(o)
-			if !ok {
-				panic(fmt.Sprintf("exec: proc %d notifying unallocated object %d", ps.p, o))
-			}
-			bufs[i] = b
-		}
-		pkg = &rma.AddrPackage{From: ps.p, Seq: seq, Buffers: bufs}
-		ps.pkg[dst] = pkg
-	}
+func (ps *procState) SendAddr(dst graph.Proc, pkg *rma.AddrPackage) bool {
 	if !ps.e.slots.TrySend(dst, ps.p, pkg) {
 		return false
 	}
-	delete(ps.pkg, dst)
 	ps.touch()
 	ps.e.wake(dst)
 	return true
 }
 
-// ReadAddresses is RA: consume pending address packages into the handle
-// map. Duplicated deliveries (sequence number at or below the highest
-// consumed from that source) are discarded without being counted.
-// Consuming a slot frees it, so each package's sender is woken: it may be
-// MAP-blocked retrying a deposit into that slot.
-func (ps *procState) ReadAddresses() int {
-	ps.scratch = ps.e.slots.ConsumeAppend(ps.p, ps.scratch[:0])
-	n := 0
-	for _, pkg := range ps.scratch {
+// RecvAddr drains this processor's slots. Consuming a slot frees it, so
+// each package's sender is woken: it may be MAP-blocked retrying a deposit
+// into that slot.
+func (ps *procState) RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage {
+	n := len(buf)
+	buf = ps.e.slots.ConsumeAppend(ps.p, buf)
+	for _, pkg := range buf[n:] {
 		ps.e.wake(pkg.From)
-		if pkg.Seq <= ps.addrSeen[pkg.From] {
-			ps.e.dupDropped[ps.p].Add(1)
-			continue
-		}
-		ps.addrSeen[pkg.From] = pkg.Seq
-		for _, b := range pkg.Buffers {
-			ps.addr[[2]int32{int32(b.Obj), int32(pkg.From)}] = b
-		}
-		n++
 	}
-	if n > 0 {
-		ps.touch()
-	}
-	return n
-}
-
-func (ps *procState) AddrKnown(snd proto.Send) bool {
-	_, ok := ps.addr[[2]int32{int32(snd.Obj), int32(snd.Dst)}]
-	return ok
+	return buf
 }
 
 // SendData deposits one data message into the remote buffer (RMA Put) and
 // wakes the receiver, which may be parked on the object's arrival
 // threshold. A deposit the receiver's sequence check rejects was a
-// duplicate delivery; it is charged to the receiving processor's dedup
-// counter.
-func (ps *procState) SendData(snd proto.Send) {
-	b := ps.addr[[2]int32{int32(snd.Obj), int32(snd.Dst)}]
+// duplicate delivery.
+func (ps *procState) SendData(snd proto.Send, b *rma.Buffer) {
 	var delivered bool
 	if ps.e.numeric {
-		src, ok := ps.mem.Lookup(snd.Obj)
+		src, ok := ps.core.Lookup(snd.Obj)
 		if !ok {
 			panic(fmt.Sprintf("exec: proc %d sending unallocated object %d", ps.p, snd.Obj))
 		}
@@ -626,7 +501,7 @@ func (ps *procState) SendData(snd proto.Send) {
 		delivered = b.PutFlagOnly(snd.Seq)
 	}
 	if !delivered {
-		ps.e.dupDropped[snd.Dst].Add(1)
+		ps.e.eng.Discarded(snd.Dst)
 	}
 	ps.touch()
 	ps.e.wake(snd.Dst)
@@ -635,29 +510,19 @@ func (ps *procState) SendData(snd proto.Send) {
 // SendCtl delivers one control signal and wakes the task's processor,
 // which may be parked in REC on the signal count.
 func (ps *procState) SendCtl(t graph.TaskID) {
-	ps.e.ctlRecv[t].Add(1)
+	ps.e.eng.CtlRecv[t].Add(1)
 	ps.e.wake(ps.e.eng.S.Assign[t])
-}
-
-func (ps *procState) CtlCount(t graph.TaskID) int32 { return ps.e.ctlRecv[t].Load() }
-
-func (ps *procState) Arrived(o graph.ObjID) (int32, bool) {
-	b, ok := ps.mem.Lookup(o)
-	if !ok {
-		return 0, false
-	}
-	return b.Arrivals(), true
 }
 
 // WakeAfter is the wall-clock binding of the Backend timer contract: delay
 // 0 posts this processor's own wake token (re-examine as soon as it next
 // parks — used by fault-delayed deposits, which retry on the next
-// attempt); a positive delay registers the deadline on the engine's timer
-// wheel, which posts the token when it expires (retransmission RTOs).
+// attempt); a positive delay (retransmission RTOs) arms a runtime timer
+// that posts it. A timer that outlives the run posts a token nobody reads.
 func (ps *procState) WakeAfter(delay float64) {
 	if delay <= 0 {
 		ps.e.wake(ps.p)
 		return
 	}
-	ps.e.wheel.add(ps.e.clock()+delay, ps.p)
+	time.AfterFunc(time.Duration(delay*float64(time.Second)), func() { ps.e.wake(ps.p) })
 }

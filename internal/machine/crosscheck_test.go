@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -379,5 +381,63 @@ func TestSimulatorDeterminism(t *testing.T) {
 			t.Fatalf("run %d differs: %+v vs %+v", i, res, prev)
 		}
 		prev = res
+	}
+}
+
+// TestDepositIntoFreedSpaceOneError runs a plan that breaks the paper's
+// consistency rule — processor 1 frees its copy of object a before a's only
+// version has been sent — under both backends. The failure is detected in
+// one place (rma, through the handle both deposit into) and worded in one
+// place (proto), so the two runs must fail with the same text.
+//
+// The free happens-before the deposit in every interleaving: P1 runs X, the
+// tampered MAP frees a, then Y produces d; P0's T2 needs d and only then
+// sends a. T3, a's reader, is still waiting for e — sent by T4, after T2 on
+// P0 — so P1 never gets far enough to miss a itself.
+func TestDepositIntoFreedSpaceOneError(t *testing.T) {
+	b := graph.NewBuilder()
+	e, a := b.Object("e", 1), b.Object("a", 1)
+	d, x, r := b.Object("d", 1), b.Object("x", 1), b.Object("r", 1)
+	b.Task("X", 1, nil, []graph.ObjID{x})
+	b.Task("Y", 1, []graph.ObjID{x}, []graph.ObjID{d})
+	b.Task("T2", 1, []graph.ObjID{d}, []graph.ObjID{a})
+	b.Task("T4", 1, []graph.ObjID{a}, []graph.ObjID{e})
+	b.Task("T3", 1, []graph.ObjID{e, a}, []graph.ObjID{r})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o, owner := range map[graph.ObjID]graph.Proc{e: 0, a: 0, d: 1, x: 1, r: 1} {
+		g.Objects[o].Owner = owner
+	}
+	assign, err := sched.OwnerComputeAssign(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ScheduleRCP(g, assign, 2, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := mem.NewPlan(s, s.TOT())
+	if err != nil || !pl.Executable {
+		t.Fatalf("plan: %v", err)
+	}
+	maps := pl.Procs[1].MAPs
+	if len(maps) != 1 || len(s.Order[1]) != 3 {
+		t.Fatalf("want one MAP and three tasks on processor 1, got %d and %d", len(maps), len(s.Order[1]))
+	}
+	maps[0].CoverEnd = 1
+	pl.Procs[1].MAPs = append(maps, mem.MAP{Pos: 1, Frees: []graph.ObjID{a}, CoverEnd: 3})
+
+	_, simErr := Simulate(s, pl, proto.Derive(s), sched.Unit(), Options{})
+	_, exErr := exec.Run(s, pl, proto.Derive(s), exec.Config{})
+	if simErr == nil || exErr == nil {
+		t.Fatalf("both runs must fail: simulator %v, executor %v", simErr, exErr)
+	}
+	if simErr.Error() != exErr.Error() {
+		t.Fatalf("one failure, two texts:\nsimulator: %v\nexecutor:  %v", simErr, exErr)
+	}
+	if !strings.Contains(simErr.Error(), `object "a"`) || !strings.Contains(simErr.Error(), "freed") {
+		t.Fatalf("error does not name the freed object: %v", simErr)
 	}
 }

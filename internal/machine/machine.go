@@ -4,11 +4,13 @@
 // protocol as the concurrent executor — literally the same code: both
 // backends drive internal/proto's Core, which owns every REC/EXE/SND/MAP/
 // END transition, the address-package handshake and the suspended-send
-// queue. This package supplies only the virtual-clock mechanics: an event
-// queue ordered by (time, sequence), simulated arrival counters and slot
-// FIFOs, and the published T3D cost constants (103 MFLOPS per node, 2.7 µs
-// message overhead, 128 MB/s bandwidth), so the paper's timing tables can
-// be regenerated deterministically.
+// queue, and holds the memory ledger, arrival counters and learned
+// addresses they read. This package supplies only the virtual-clock
+// mechanics: an event queue ordered by (time, sequence), slot FIFOs that
+// time the address packages, flag-only deposits through the same rma
+// handles the executor uses, and the published T3D cost constants (103
+// MFLOPS per node, 2.7 µs message overhead, 128 MB/s bandwidth), so the
+// paper's timing tables can be regenerated deterministically.
 package machine
 
 import (
@@ -18,6 +20,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/proto"
+	"repro/internal/rma"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -26,8 +29,9 @@ import (
 type Options struct {
 	// Baseline simulates the original RAPID executor: the whole volatile
 	// space is allocated up front, all addresses are exchanged during
-	// preprocessing and memory management costs nothing. Use with a
-	// full-capacity plan to obtain the "100% memory, no managing overhead"
+	// preprocessing and memory management costs nothing. It needs a
+	// full-capacity plan (anything tighter cannot hold the volatile space
+	// and fails) and gives the "100% memory, no managing overhead"
 	// comparison base of Tables 2 and 3.
 	Baseline bool
 	// SlotDepth is the number of in-flight address packages each
@@ -56,7 +60,7 @@ type Result struct {
 	// MAPsPerProc is the number of MAPs each processor executed.
 	MAPsPerProc []int
 	// PeakUnits is the per-processor peak memory in use (abstract units,
-	// permanent + volatile), as accounted by the simulated allocator.
+	// permanent + volatile), as booked on the protocol core's ledger.
 	PeakUnits []int64
 	// SuspendedSends counts, per processor, the data messages that went
 	// through the suspended-send queue.
@@ -74,18 +78,18 @@ const (
 	evWake int8 = iota // re-examine processor state
 	evTaskDone
 	evMAPDone
-	evMsg // data message arrival: increments arrivals[dst][obj]
-	evCtl // control signal arrival: increments ctl[task]
+	evMsg // data message arrival: a flag-only deposit into buf
+	evCtl // control signal arrival: one more in CtlRecv[task]
 )
 
 type event struct {
 	t    float64
 	seq  int64 // tie-break for determinism
 	kind int8
-	proc graph.Proc  // evWake/evTaskDone/evMAPDone/evMsg
-	obj  graph.ObjID // evMsg
-	mseq int32       // evMsg: the message's version sequence number
+	proc graph.Proc // evWake/evTaskDone/evMAPDone
 	task graph.TaskID
+	snd  proto.Send  // evMsg: the message, landing on snd.Dst
+	buf  *rma.Buffer // evMsg: the handle snd.Dst exported for snd.Obj
 }
 
 type eventQueue []event
@@ -101,13 +105,11 @@ func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
 func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
-// slotFIFO is the queue of in-flight address packages for one
-// (receiver, sender) pair: arrival time, package contents and the
-// package's per-(sender, receiver) sequence number for receiver dedup.
-type slotFIFO struct {
-	times []float64
-	pkgs  [][]graph.ObjID
-	seqs  []int32
+// inFlight is one address package on its way through a slot, and the time
+// it lands.
+type inFlight struct {
+	at  float64
+	pkg *rma.AddrPackage
 }
 
 // driver is one simulated processor: the shared protocol core plus its
@@ -131,26 +133,26 @@ type sim struct {
 	err error
 
 	drv       []driver
-	ctl       []int32 // per task
 	slotDepth int
 
 	lastTaskFinish float64
 }
 
-func (m *sim) push(t float64, kind int8, p graph.Proc, o graph.ObjID, task graph.TaskID) {
+func (m *sim) push(ev event) {
 	m.seq++
-	heap.Push(&m.q, event{t: t, seq: m.seq, kind: kind, proc: p, obj: o, task: task})
+	ev.seq = m.seq
+	heap.Push(&m.q, ev)
 }
 
-// pushMsg enqueues a data-message arrival carrying its sequence number.
-func (m *sim) pushMsg(t float64, dst graph.Proc, o graph.ObjID, mseq int32) {
-	m.seq++
-	heap.Push(&m.q, event{t: t, seq: m.seq, kind: evMsg, proc: dst, obj: o, mseq: mseq})
-}
+// wake schedules a re-examination of processor p at time t.
+func (m *sim) wake(t float64, p graph.Proc) { m.push(event{t: t, kind: evWake, proc: p}) }
 
-func (m *sim) fail(err error) {
-	if m.err == nil {
-		m.err = err
+// land deposits an arrived data message, flag-only, into the handle its
+// consumer exported; the first failed deposit becomes the run's error.
+func (m *sim) land(ev event) {
+	defer m.eng.DepositFault(ev.snd, &m.err)
+	if !ev.buf.PutFlagOnly(ev.snd.Seq) {
+		m.eng.Discarded(ev.snd.Dst)
 	}
 }
 
@@ -166,16 +168,20 @@ func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sch
 	if depth < 1 {
 		depth = 1
 	}
+	eng.Baseline = opt.Baseline
 	m := &sim{
 		s: s, model: model, opt: opt, eng: eng,
 		drv:       make([]driver, s.P),
-		ctl:       make([]int32, s.G.NumTasks()),
 		slotDepth: depth,
 	}
-	for p := 0; p < s.P; p++ {
-		be := newSimBackend(m, graph.Proc(p))
-		m.drv[p] = driver{core: eng.NewCore(graph.Proc(p), be), be: be}
-		m.push(0, evWake, graph.Proc(p), 0, 0)
+	cores := make([]*proto.Core, s.P)
+	for p := range cores {
+		be := &simBackend{m: m, p: graph.Proc(p), slots: make([][]inFlight, s.P)}
+		if cores[p], err = eng.NewCore(graph.Proc(p), be); err != nil {
+			return nil, fmt.Errorf("machine: %w", err)
+		}
+		m.drv[p] = driver{core: cores[p], be: be}
+		m.wake(0, graph.Proc(p))
 	}
 
 	for m.q.Len() > 0 && m.err == nil {
@@ -183,10 +189,10 @@ func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sch
 		m.now = ev.t
 		switch ev.kind {
 		case evMsg:
-			m.drv[ev.proc].be.arrive(ev.obj, ev.mseq)
-			m.step(ev.proc, ev.t)
+			m.land(ev)
+			m.step(ev.snd.Dst, ev.t)
 		case evCtl:
-			m.ctl[ev.task]++
+			eng.CtlRecv[ev.task].Add(1)
 			m.step(m.s.Assign[ev.task], ev.t)
 		case evTaskDone:
 			d := &m.drv[ev.proc]
@@ -213,28 +219,22 @@ func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sch
 				p, core.Pos(), core.BlockedInfo())
 		}
 	}
-	res := &Result{
-		ParallelTime:   m.lastTaskFinish,
-		MAPsPerProc:    make([]int, s.P),
-		PeakUnits:      make([]int64, s.P),
-		SuspendedSends: make([]int, s.P),
-		Occupancy:      make([]proto.Occupancy, s.P),
-		Reliability:    make([]proto.Reliability, s.P),
-	}
+	sum := eng.Summarize(cores)
 	totalMAPs := 0
-	for p := range m.drv {
-		st := m.drv[p].core.Stats
-		totalMAPs += st.MAPs
-		res.MAPsPerProc[p] = st.MAPs
-		res.SuspendedSends[p] = st.DataSuspended
-		res.Messages += st.DataSent
-		res.AddrPackages += st.AddrConsumed
-		res.PeakUnits[p] = m.drv[p].be.peak
-		res.Occupancy[p] = m.drv[p].core.Occupancy()
-		res.Reliability[p] = st.Reliability(m.drv[p].be.dupDropped)
+	for _, n := range sum.MAPs {
+		totalMAPs += n
 	}
-	res.AvgMAPs = float64(totalMAPs) / float64(s.P)
-	return res, nil
+	return &Result{
+		ParallelTime:   m.lastTaskFinish,
+		AvgMAPs:        float64(totalMAPs) / float64(s.P),
+		Messages:       sum.Messages,
+		AddrPackages:   sum.AddrPackages,
+		MAPsPerProc:    sum.MAPs,
+		PeakUnits:      sum.PeakUnits,
+		SuspendedSends: sum.SuspendedSends,
+		Occupancy:      sum.Occupancy,
+		Reliability:    sum.Reliability,
+	}, nil
 }
 
 // step advances processor p as far as it can at time now by driving its
@@ -252,7 +252,7 @@ func (m *sim) step(p graph.Proc, now float64) {
 	for {
 		st, err := d.core.Advance(now)
 		if err != nil {
-			m.fail(err)
+			m.err = err
 			return
 		}
 		switch st.Kind {
@@ -264,14 +264,14 @@ func (m *sim) step(p graph.Proc, now float64) {
 			if cost > 0 {
 				d.busy = true
 				m.opt.Trace.Add(trace.Span{Proc: int32(p), Kind: trace.MAP, Name: "MAP", Start: now, End: now + cost})
-				m.push(now+cost, evMAPDone, p, 0, 0)
+				m.push(event{t: now + cost, kind: evMAPDone, proc: p})
 				return
 			}
 		case proto.RunTask:
 			dur := m.model.TaskTime(&m.s.G.Tasks[st.Task])
 			d.busy = true
 			m.opt.Trace.Add(trace.Span{Proc: int32(p), Kind: trace.Task, Name: m.s.G.Tasks[st.Task].Name, Start: now, End: now + dur})
-			m.push(now+dur, evTaskDone, p, 0, 0)
+			m.push(event{t: now + dur, kind: evTaskDone, proc: p})
 			return
 		case proto.Blocked:
 			// Poll already ran; the next arrival, slot release or wake event
@@ -284,188 +284,58 @@ func (m *sim) step(p graph.Proc, now float64) {
 	}
 }
 
-// simBackend is the virtual-clock proto.Backend for one processor:
-// simulated arrival counters, a capacity ledger instead of real buffers,
-// learned-address sets, and slot FIFOs timed on the event queue.
+// simBackend is the virtual-clock proto.Backend for one processor: messages
+// become events on the queue, address packages sit in slot FIFOs until
+// their arrival time, and buffers are flag-only.
 type simBackend struct {
 	m *sim
 	p graph.Proc
-	// arrivals counts delivered data messages per local volatile object.
-	arrivals map[graph.ObjID]int32
-	// lastSeq is the highest data-message sequence number delivered per
-	// local object; lower-or-equal arrivals are duplicates and are
-	// discarded. It deliberately survives free/realloc of the object (seqs
-	// are monotone per (object, receiver) across the whole run), so a
-	// duplicate landing after the buffer was recycled is still recognized —
-	// mirroring the executor, where the old rma.Buffer handle keeps its
-	// sequence watermark.
-	lastSeq map[graph.ObjID]int32
-	alloc   map[graph.ObjID]bool
-	// addr marks (object, destination) pairs whose remote buffer address
-	// this processor has learned through an address package.
-	addr map[[2]int32]bool
-	// addrSeen is the highest address-package sequence number consumed from
-	// each source processor; packages at or below it are duplicates.
-	addrSeen []int32
 	// slots holds the in-flight address packages to this processor,
 	// indexed by sender (FIFO, capacity = slotDepth).
-	slots []slotFIFO
-	// dupDropped counts the duplicate deliveries (data + address packages)
-	// this processor discarded.
-	dupDropped int
-	used, peak int64
+	slots [][]inFlight
 }
 
-func newSimBackend(m *sim, p graph.Proc) *simBackend {
-	be := &simBackend{
-		m:        m,
-		p:        p,
-		arrivals: make(map[graph.ObjID]int32),
-		lastSeq:  make(map[graph.ObjID]int32),
-		alloc:    make(map[graph.ObjID]bool),
-		addr:     make(map[[2]int32]bool),
-		addrSeen: make([]int32, m.s.P),
-		slots:    make([]slotFIFO, m.s.P),
-	}
-	// Permanent objects live on their owners for the whole run.
-	for oi := range m.s.G.Objects {
-		if m.s.G.Objects[oi].Owner == p {
-			be.used += m.s.G.Objects[oi].Size
-		}
-	}
-	be.peak = be.used
-	return be
-}
-
-// arrive records a delivered data message (evMsg). The dedup check runs
-// before the allocation check: a duplicated copy may land after the
-// receiver consumed the original and freed the buffer, and must be
-// discarded rather than flagged as a consistency violation (the same
-// ordering rma.Buffer.Put uses).
-func (be *simBackend) arrive(o graph.ObjID, seq int32) {
-	if seq <= be.lastSeq[o] {
-		be.dupDropped++
-		return
-	}
-	if !be.m.opt.Baseline && !be.alloc[o] {
-		be.m.fail(fmt.Errorf("machine: proc %d received message for unallocated object %q",
-			be.p, be.m.s.G.Objects[o].Name))
-		return
-	}
-	be.lastSeq[o] = seq
-	be.arrivals[o]++
-}
-
-// ApplyMAP performs one memory allocation point on the capacity ledger.
-func (be *simBackend) ApplyMAP(mp *mem.MAP) error {
-	g := be.m.s.G
-	for _, o := range mp.Frees {
-		if !be.m.opt.Baseline && !be.alloc[o] {
-			return fmt.Errorf("machine: proc %d MAP frees unallocated object %q", be.p, g.Objects[o].Name)
-		}
-		delete(be.alloc, o)
-		delete(be.arrivals, o)
-		be.used -= g.Objects[o].Size
-	}
-	for _, o := range mp.Allocs {
-		be.alloc[o] = true
-		if !be.m.opt.Baseline {
-			// Fresh buffer: the arrival counter restarts, mirroring the real
-			// allocator handing out a zero-arrival rma.Buffer.
-			be.arrivals[o] = 0
-		}
-		be.used += g.Objects[o].Size
-	}
-	if be.used > be.peak {
-		be.peak = be.used
-	}
-	return nil
-}
-
-// TryNotify deposits an address package into dst's slot FIFO; false while
-// the FIFO is at slot depth (the receiver has not run RA yet). In baseline
-// mode all addresses were exchanged during preprocessing, so the deposit is
-// free and instantaneous.
-func (be *simBackend) TryNotify(dst graph.Proc, objs []graph.ObjID, seq int32) bool {
-	if be.m.opt.Baseline {
-		return true
-	}
+// SendAddr deposits an address package into dst's slot FIFO; false while
+// the FIFO is at slot depth (the receiver has not run RA yet).
+func (be *simBackend) SendAddr(dst graph.Proc, pkg *rma.AddrPackage) bool {
 	q := &be.m.drv[dst].be.slots[be.p]
-	if len(q.times) >= be.m.slotDepth {
+	if len(*q) >= be.m.slotDepth {
 		return false
 	}
 	at := be.m.now + be.m.model.AddrLatency
-	q.times = append(q.times, at)
-	q.pkgs = append(q.pkgs, objs)
-	q.seqs = append(q.seqs, seq)
+	*q = append(*q, inFlight{at, pkg})
 	// Wake the destination when the package lands so its RA can run.
-	be.m.push(at, evWake, dst, 0, 0)
+	be.m.wake(at, dst)
 	return true
 }
 
-// ReadAddresses is RA: consume every address package that has arrived by
-// now, learn its addresses, and wake senders whose slot was freed.
-// Duplicated deliveries (sequence number at or below the highest consumed
-// from that source) free their slot but are otherwise discarded uncounted.
-func (be *simBackend) ReadAddresses() int {
-	if be.m.opt.Baseline {
-		return 0
-	}
-	n := 0
-	for src := 0; src < be.m.s.P; src++ {
-		q := &be.slots[src]
-		freed := false
-		for len(q.times) > 0 && q.times[0] <= be.m.now {
-			if q.seqs[0] <= be.addrSeen[src] {
-				be.dupDropped++
-			} else {
-				be.addrSeen[src] = q.seqs[0]
-				for _, o := range q.pkgs[0] {
-					be.addr[[2]int32{int32(o), int32(src)}] = true
-				}
-				n++
-			}
-			q.times = q.times[1:]
-			q.pkgs = q.pkgs[1:]
-			q.seqs = q.seqs[1:]
-			freed = true
+// RecvAddr hands over every address package that has arrived by now and
+// wakes the senders whose slot was freed: they may be blocked in MAP state
+// on the full slot.
+func (be *simBackend) RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage {
+	for src, q := range be.slots {
+		n := 0
+		for ; n < len(q) && q[n].at <= be.m.now; n++ {
+			buf = append(buf, q[n].pkg)
 		}
-		if freed {
-			// The sender may be blocked in MAP state on the full slot.
-			be.m.push(be.m.now, evWake, graph.Proc(src), 0, 0)
+		if n > 0 {
+			be.slots[src] = q[n:]
+			be.m.wake(be.m.now, graph.Proc(src))
 		}
 	}
-	return n
+	return buf
 }
 
-// The addr map is keyed the other way around from the slot bookkeeping:
-// this processor is the *producer*, snd.Dst the consumer that allocated
-// the buffer and sent the package.
-func (be *simBackend) AddrKnown(snd proto.Send) bool {
-	if be.m.opt.Baseline {
-		return true
-	}
-	return be.addr[[2]int32{int32(snd.Obj), int32(snd.Dst)}]
-}
-
-// SendData dispatches one data message on the virtual network, tagged with
-// its version sequence number so the receiver can discard duplicates.
-func (be *simBackend) SendData(snd proto.Send) {
-	be.m.pushMsg(be.m.now+be.m.model.CommTime(be.m.s.G.Objects[snd.Obj].Size), snd.Dst, snd.Obj, snd.Seq)
+// SendData dispatches one data message on the virtual network; it lands on
+// the handle after the object's transfer time.
+func (be *simBackend) SendData(snd proto.Send, b *rma.Buffer) {
+	at := be.m.now + be.m.model.CommTime(be.m.s.G.Objects[snd.Obj].Size)
+	be.m.push(event{t: at, kind: evMsg, snd: snd, buf: b})
 }
 
 // SendCtl delivers one control signal after the message latency.
 func (be *simBackend) SendCtl(t graph.TaskID) {
-	be.m.push(be.m.now+be.m.model.Latency, evCtl, 0, 0, t)
-}
-
-func (be *simBackend) CtlCount(t graph.TaskID) int32 { return be.m.ctl[t] }
-
-func (be *simBackend) Arrived(o graph.ObjID) (int32, bool) {
-	if !be.m.opt.Baseline && !be.alloc[o] {
-		return 0, false
-	}
-	return be.arrivals[o], true
+	be.m.push(event{t: be.m.now + be.m.model.Latency, kind: evCtl, task: t})
 }
 
 // WakeAfter schedules a future wake event: the simulator's binding of the
@@ -478,5 +348,9 @@ func (be *simBackend) WakeAfter(delay float64) {
 	if delay <= 0 {
 		delay = be.m.model.AddrLatency
 	}
-	be.m.push(be.m.now+delay, evWake, be.p, 0, 0)
+	be.m.wake(be.m.now+delay, be.p)
 }
+
+// The simulator moves no payloads: every buffer is flag-only.
+func (be *simBackend) BufLen(graph.ObjID) int64 { return 0 }
+func (be *simBackend) InitBuffer(*rma.Buffer)   {}

@@ -95,6 +95,21 @@ func TestManagedSlowerThanBaseline(t *testing.T) {
 	}
 }
 
+// TestBaselineNeedsTheWholeVolatileSpace: the original executor allocates
+// every volatile object before the first task, so a plan whose capacity
+// holds less is refused on the one ledger rather than simulated with a peak
+// that executor could not have had.
+func TestBaselineNeedsTheWholeVolatileSpace(t *testing.T) {
+	s := figure2Schedule(t, sched.MPO)
+	if s.MinMem() >= s.TOT() {
+		t.Fatal("test needs a schedule that recycling helps")
+	}
+	_, err := Simulate(s, mustPlan(t, s, s.MinMem()), proto.Derive(s), sched.Unit(), Options{Baseline: true})
+	if err == nil || !strings.Contains(err.Error(), "Baseline") || !strings.Contains(err.Error(), "out of memory") {
+		t.Fatalf("want a Baseline capacity error, got %v", err)
+	}
+}
+
 func TestUnitModelMakespanMatchesListPrediction(t *testing.T) {
 	// With the unit model and the baseline executor, the simulated parallel
 	// time should be close to the list scheduler's prediction (same cost

@@ -93,7 +93,7 @@ func figure7half(w io.Writer, title string, workloads func(Scale, int) []Workloa
 			for _, wl := range workloads(sc, p) {
 				s := buildSchedule(wl.G, p, h, 0)
 				s1 := float64(wl.G.SeqSpace())
-				sum += s1 / float64(s.PerProcPeak())
+				sum += s1 / float64(s.MinMem())
 				count++
 			}
 			s7.Ratios = append(s7.Ratios, sum/float64(count))

@@ -241,3 +241,32 @@ func fmtMAPs(v float64) string {
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n=== %s ===\n", title)
 }
+
+// Report writes the experiments selected by exp ("all", or one of table1 …
+// table8, ablation, figure3, figure7, trisolve, fragmentation, breakdown) in
+// the order the paper presents them: what cmd/paper prints.
+func Report(w io.Writer, sc Scale, exp string) {
+	run := func(name string, f func()) {
+		if exp == "all" || exp == name {
+			f()
+		}
+	}
+	run("table1", func() { Table1(w, sc) })
+	run("table2", func() { Table2(w, sc) })
+	run("table3", func() { Table3(w, sc) })
+	run("table4", func() { Table4(w, sc) })
+	run("table5", func() { Table5(w, sc) })
+	run("table6", func() { Table6(w, sc) })
+	run("table7", func() { Table7(w, sc) })
+	run("table8", func() { Table8(w, sc) })
+	run("ablation", func() {
+		AblationMAPPolicy(w, sc)
+		AblationSlotDepth(w, sc)
+		AblationMergeSweep(w, sc)
+	})
+	run("figure3", func() { Figure3(w) })
+	run("figure7", func() { Figure7(w, sc) })
+	run("trisolve", func() { ExtensionTrisolve(w, sc) })
+	run("fragmentation", func() { ExtensionFragmentation(w, sc) })
+	run("breakdown", func() { ExtensionMemoryBreakdown(w, sc) })
+}

@@ -1,8 +1,10 @@
 package paper
 
 import (
+	"bytes"
 	"io"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -160,4 +162,34 @@ func TestExtensionTrisolveMemoryScales(t *testing.T) {
 			t.Fatalf("per-processor memory share not shrinking: %+v", rows)
 		}
 	}
+}
+
+// TestPaperSmallGolden compares everything `go run ./cmd/paper -scale small`
+// prints with testdata/paper_small.golden, byte for byte. The simulator is
+// deterministic, so any change to a number it reports — makespans, MAP
+// counts, overheads — shows here, where the other tests in this file only
+// assert trends. The file was generated at the commit before the receive
+// half moved into proto.Core; regenerate it (`go run ./cmd/paper -scale
+// small > internal/paper/testdata/paper_small.golden`) only for a change
+// that means to move these numbers.
+func TestPaperSmallGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every Small experiment (~4 s)")
+	}
+	want, err := os.ReadFile("testdata/paper_small.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	Report(&got, Small, "all")
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("report has %d lines, golden %d", len(gl), len(wl))
 }

@@ -202,13 +202,6 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// Bytes returns the encoded size held by the in-memory tier.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 func (c *Cache) insertMem(key string, art *plan.Artifact, size int64) {
 	if c.budget < 0 {
 		return

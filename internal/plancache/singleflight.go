@@ -2,8 +2,8 @@ package plancache
 
 import "sync"
 
-// Group is a duplicate-call suppressor ("single-flight"): concurrent Do
-// calls with an equal key run the function once and share its result. It
+// Group is a duplicate-call suppressor ("single-flight"): concurrent
+// DoNotify calls with an equal key run the function once and share its result. It
 // is the coalescing mechanism behind the Cache's compile deduplication.
 //
 // Unlike golang.org/x/sync/singleflight (which this module must not
@@ -23,22 +23,18 @@ type flight struct {
 	err  error
 }
 
-// Do runs fn once per key at a time. The first caller for a key executes
-// fn; callers that arrive while it runs block and receive the same (val,
-// err) with shared = true. fn runs without any Group lock held, so
+// DoNotify runs fn once per key at a time. The first caller for a key
+// executes fn; callers that arrive while it runs block and receive the same
+// (val, err) with shared = true. fn runs without any Group lock held, so
 // distinct keys proceed in parallel.
 //
 // A panic in fn propagates to the first caller; sharers are then released
 // with a nil result rather than deadlocked.
-func (g *Group) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
-	return g.DoNotify(key, fn, nil)
-}
-
-// DoNotify is Do with an attach hook: onAttach (may be nil) fires
-// synchronously when this caller joins another caller's in-flight
-// execution, before blocking on its result. Counters that mean "requests
-// currently coalesced onto a flight" need the hook: by the time Do
-// returns shared=true, the flight has already landed.
+//
+// onAttach (may be nil) fires synchronously when this caller joins another
+// caller's in-flight execution, before blocking on its result. Counters that
+// mean "requests currently coalesced onto a flight" need the hook: by the
+// time DoNotify returns shared=true, the flight has already landed.
 func (g *Group) DoNotify(key string, fn func() (any, error), onAttach func()) (val any, shared bool, err error) {
 	g.mu.Lock()
 	if g.flights == nil {

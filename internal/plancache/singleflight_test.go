@@ -50,7 +50,7 @@ func TestGroupCoalesces(t *testing.T) {
 		t.Fatalf("%d callers saw shared=false, want exactly 1", got)
 	}
 	// The flight is cleared once it lands: a later call runs fn again.
-	if _, shared, _ := g.Do("k", func() (any, error) { calls.Add(1); return 42, nil }); shared || calls.Load() != 2 {
+	if _, shared, _ := g.DoNotify("k", func() (any, error) { calls.Add(1); return 42, nil }, nil); shared || calls.Load() != 2 {
 		t.Fatalf("flight not cleared after landing: shared=%v, fn ran %d times", shared, calls.Load())
 	}
 }
@@ -63,15 +63,15 @@ func TestGroupDistinctKeysRunConcurrently(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		g.Do("a", func() (any, error) {
+		g.DoNotify("a", func() (any, error) {
 			close(aStarted)
 			<-release
 			return nil, nil
-		})
+		}, nil)
 	}()
 	<-aStarted
 	// If keys serialized, this would deadlock (a's flight never releases).
-	if _, shared, err := g.Do("b", func() (any, error) { return "b", nil }); shared || err != nil {
+	if _, shared, err := g.DoNotify("b", func() (any, error) { return "b", nil }, nil); shared || err != nil {
 		t.Fatalf("key b: shared=%v err=%v", shared, err)
 	}
 	close(release)
@@ -83,25 +83,25 @@ func TestGroupDistinctKeysRunConcurrently(t *testing.T) {
 func TestGroupSharesErrors(t *testing.T) {
 	var g Group
 	wantErr := errors.New("boom")
-	_, shared, err := g.Do("k", func() (any, error) { return nil, wantErr })
+	_, shared, err := g.DoNotify("k", func() (any, error) { return nil, wantErr }, nil)
 	if shared || !errors.Is(err, wantErr) {
 		t.Fatalf("first call: shared=%v err=%v", shared, err)
 	}
-	v, shared, err := g.Do("k", func() (any, error) { return 7, nil })
+	v, shared, err := g.DoNotify("k", func() (any, error) { return 7, nil }, nil)
 	if shared || err != nil || v != 7 {
 		t.Fatalf("retry after error: v=%v shared=%v err=%v", v, shared, err)
 	}
 }
 
-// TestGroupSequentialCallsRunEachTime: Do is a coalescer, not a cache.
+// TestGroupSequentialCallsRunEachTime: DoNotify is a coalescer, not a cache.
 func TestGroupSequentialCallsRunEachTime(t *testing.T) {
 	var g Group
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v, shared, err := g.Do("k", func() (any, error) {
+		v, shared, err := g.DoNotify("k", func() (any, error) {
 			calls++
 			return fmt.Sprintf("r%d", calls), nil
-		})
+		}, nil)
 		if shared || err != nil {
 			t.Fatalf("call %d: shared=%v err=%v", i, shared, err)
 		}

@@ -13,21 +13,27 @@
 //	     packages (retrying while a peer's single slot is occupied),
 //	END  drain the suspended-send queue.
 //
-// Exactly one implementation of these transitions exists; the concurrent
-// executor (internal/exec, wall clock, goroutines, real RMA buffers) and
+// Exactly one implementation of these transitions exists, and exactly one
+// copy of the state they read: each Core holds its processor's receive half
+// — the rma.Memory ledger, the rma.Buffer arrival counters with their
+// sequence-number dedup, the learned-address book — and the run's Engine
+// holds the control-signal and duplicate-discard counters. The concurrent
+// executor (internal/exec, wall clock, goroutines, numeric payloads) and
 // the discrete-event simulator (internal/machine, virtual clock, T3D cost
-// model) are thin drivers that supply a Backend each. Because every
-// transition flows through this choke point, fault injection (Faults) and
-// per-state occupancy accounting (Occupancy) apply to both executors
-// uniformly.
+// model) are thin drivers that supply a Backend each: a transport and a
+// clock. Because every transition flows through this choke point, fault
+// injection (Faults) and per-state occupancy accounting (Occupancy) apply
+// to both executors uniformly.
 package proto
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/rma"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -194,34 +200,28 @@ func (f Faults) dupAddr(src, dst graph.Proc, seq int32) bool {
 	return hit(util.Hash64(f.Seed, 0xADB1, uint64(src), uint64(dst), uint64(seq)), f.DupFrac)
 }
 
-// Backend supplies a Core with the mechanics that differ between the
-// wall-clock executor and the virtual-clock simulator. Every method is
+// Backend supplies a Core with what differs between the wall-clock executor
+// and the virtual-clock simulator: a transport that moves address packages,
+// data messages and control signals toward a peer, a timer, and the
+// executor's physical buffers. It holds no protocol state. Every method is
 // called only by the Core's own driver (one logical processor), never
 // concurrently for the same Core.
 type Backend interface {
-	// ApplyMAP performs a MAP's frees and allocations on local memory.
-	ApplyMAP(m *mem.MAP) error
-	// TryNotify attempts to deposit the address package for the given
-	// freshly allocated objects into dst's slot; it reports false while
+	// SendAddr moves one address package toward dst; it reports false while
 	// dst has not consumed the previous package (single-slot handshake).
-	// seq is the package's per-(src,dst) sequence number; receivers use it
-	// to discard duplicated deliveries.
-	TryNotify(dst graph.Proc, objs []graph.ObjID, seq int32) bool
-	// ReadAddresses is the RA operation: consume every address package
-	// currently pending for this processor. Returns the packages consumed.
-	ReadAddresses() int
-	// AddrKnown reports whether the remote buffer address for snd has been
-	// learned through an address package (or preprocessing).
-	AddrKnown(snd Send) bool
-	// SendData dispatches one data message; AddrKnown(snd) must hold.
-	SendData(snd Send)
-	// SendCtl delivers one control signal toward task t.
+	SendAddr(dst graph.Proc, pkg *rma.AddrPackage) bool
+	// RecvAddr appends every address package that has arrived for this
+	// processor to buf and frees the slots they occupied (waking their
+	// senders, which may be retrying a deposit into them).
+	RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage
+	// SendData delivers snd's data message to b, the handle snd.Dst exported
+	// for snd.Obj. When the transport's clock says the message landed it
+	// deposits with b.Put or b.PutFlagOnly and reports a rejected
+	// (duplicate) deposit through Engine.Discarded.
+	SendData(snd Send, b *rma.Buffer)
+	// SendCtl delivers one control signal toward task t: the transport adds
+	// one to Engine.CtlRecv[t] when its clock says the signal landed.
 	SendCtl(t graph.TaskID)
-	// CtlCount returns the control signals received for task t so far.
-	CtlCount(t graph.TaskID) int32
-	// Arrived returns the arrival counter of local object o and whether o
-	// is currently allocated.
-	Arrived(o graph.ObjID) (int32, bool)
 	// WakeAfter registers a wake timer: the backend must guarantee this
 	// processor's driver runs Poll and Advance again no later than delay
 	// clock seconds from now (delay 0: as soon as possible). The Core arms
@@ -229,19 +229,45 @@ type Backend interface {
 	// deposit — fault-delayed messages and retransmission timers (RTO with
 	// backoff) — so a driver may park the processor between events without
 	// losing liveness. The contract is binding for both backends: the
-	// wall-clock executor schedules the wake on its timer wheel, the
-	// virtual-clock simulator pushes a wake event.
+	// wall-clock executor arms a runtime timer, the virtual-clock simulator
+	// pushes a wake event.
 	WakeAfter(delay float64)
+	// BufLen is the physical length, in float64s, of the buffer backing
+	// object o; 0 gives a flag-only buffer (the simulator, and the executor
+	// running structure-only).
+	BufLen(o graph.ObjID) int64
+	// InitBuffer fills a freshly allocated input buffer (b.Data != nil): a
+	// permanent object, or a volatile copy no task ever sends.
+	InitBuffer(b *rma.Buffer)
 }
 
-// Engine is the immutable shared state of one protocol run: the schedule,
-// the MAP plan, the derived communication tables and the fault plan. Both
-// executors build one Engine and drive one Core per processor off it.
+// Engine is the shared state of one protocol run: the schedule, the MAP
+// plan, the derived communication tables and the fault plan, which no one
+// writes, plus the two machine-wide counter arrays the transports write.
+// Both executors build one Engine per run and drive one Core per processor
+// off it.
 type Engine struct {
 	S      *sched.Schedule
 	Plan   *mem.Plan
 	Tables *Tables
 	Faults Faults
+	// Baseline runs the original RAPID executor: the whole volatile space is
+	// allocated and every address exchanged during preprocessing, so memory
+	// management does no work at run time. It needs a plan whose capacity
+	// holds a processor's whole volatile space (the first MAP of a
+	// full-capacity plan allocates exactly that). Single-threaded drivers
+	// only: the cores share one address book.
+	Baseline bool
+	// CtlRecv[t] counts the control signals that have landed for task t. A
+	// transport adds to it when its clock says a signal arrived; REC reads it.
+	CtlRecv []atomic.Int32
+	// dupDropped counts, per receiving processor, the duplicate deliveries
+	// (data messages and address packages) discarded by sequence number. The
+	// executor detects a data duplicate in the sender's goroutine, hence the
+	// atomics.
+	dupDropped []atomic.Int64
+	// known is the machine-wide address book of a Baseline run.
+	known map[[2]int32]*rma.Buffer
 }
 
 // NewEngine binds a schedule, its MAP plan and the protocol tables derived
@@ -252,7 +278,27 @@ func NewEngine(s *sched.Schedule, plan *mem.Plan, tables *Tables, f Faults) (*En
 	if !plan.Executable {
 		return nil, fmt.Errorf("proto: plan is not executable under capacity %d", plan.Capacity)
 	}
-	return &Engine{S: s, Plan: plan, Tables: tables, Faults: f}, nil
+	return &Engine{
+		S: s, Plan: plan, Tables: tables, Faults: f,
+		CtlRecv:    make([]atomic.Int32, s.G.NumTasks()),
+		dupDropped: make([]atomic.Int64, s.P),
+	}, nil
+}
+
+// Discarded charges one duplicate delivery, rejected by sequence number, to
+// the receiving processor p.
+func (e *Engine) Discarded(p graph.Proc) { e.dupDropped[p].Add(1) }
+
+// DepositFault is deferred around a transport's rma deposit of snd's data
+// message. rma panics when a non-duplicate deposit targets freed space — a
+// MAP recycled an address still in use, which the paper's consistency
+// theorem forbids of a correct plan — and that becomes the run's error,
+// worded here for both backends. The run's first error wins.
+func (e *Engine) DepositFault(snd Send, err *error) {
+	if r := recover(); r != nil && *err == nil {
+		*err = fmt.Errorf("proto: data message (object %q version %d to processor %d) could not be deposited: %v",
+			e.S.G.Objects[snd.Obj].Name, snd.Seq, snd.Dst, r)
+	}
 }
 
 // WaitKind classifies what a Blocked processor is waiting on. Drivers use
@@ -385,8 +431,9 @@ type Stats struct {
 
 // Reliability summarizes the ack/retransmit layer for one processor.
 // Retransmits, Dropped, DupsSent and Acked are sender-side (from Stats);
-// DupDropped is receiver-side, counted by the backend that discarded the
-// duplicate deliveries. Machine-wide, DupsSent must equal DupDropped.
+// DupDropped is receiver-side: the duplicate deliveries charged to this
+// processor through Engine.Discarded. Machine-wide, DupsSent must equal
+// DupDropped.
 type Reliability struct {
 	// Retransmits is the number of retransmissions performed.
 	Retransmits int
@@ -399,18 +446,6 @@ type Reliability struct {
 	DupDropped int
 	// Acked is the number of transmissions confirmed delivered.
 	Acked int
-}
-
-// Reliability extracts the sender-side reliability counters, attaching the
-// receiver-side duplicate-discard count the backend observed.
-func (s Stats) Reliability(dupDropped int) Reliability {
-	return Reliability{
-		Retransmits: s.Retransmits,
-		Dropped:     s.Dropped,
-		DupsSent:    s.DupsSent,
-		DupDropped:  dupDropped,
-		Acked:       s.Acked,
-	}
 }
 
 // SumReliability folds per-processor reliability counters into a
@@ -427,12 +462,61 @@ func SumReliability(rs []Reliability) Reliability {
 	return t
 }
 
+// Summary is what a finished run reports whichever backend drove it: one
+// entry per processor, plus the machine-wide message counts.
+type Summary struct {
+	// MAPs is the number of MAPs each processor executed.
+	MAPs []int
+	// PeakUnits is each processor's peak memory in use (abstract units,
+	// permanent + volatile), as booked on its ledger.
+	PeakUnits []int64
+	// SuspendedSends counts the data messages that went through each
+	// processor's suspended-send queue.
+	SuspendedSends []int
+	// Occupancy is the time each processor spent in each protocol state.
+	Occupancy []Occupancy
+	// Reliability is each processor's ack/retransmit summary.
+	Reliability []Reliability
+	// Messages is the number of data messages delivered, and AddrPackages
+	// the number of address packages consumed, both net of duplicates.
+	Messages, AddrPackages int
+}
+
+// Summarize folds the run's finished cores, indexed by processor.
+func (e *Engine) Summarize(cores []*Core) Summary {
+	n := len(cores)
+	sum := Summary{
+		MAPs:           make([]int, n),
+		PeakUnits:      make([]int64, n),
+		SuspendedSends: make([]int, n),
+		Occupancy:      make([]Occupancy, n),
+		Reliability:    make([]Reliability, n),
+	}
+	for p, c := range cores {
+		st := &c.Stats
+		sum.MAPs[p] = st.MAPs
+		sum.PeakUnits[p] = c.mem.Peak()
+		sum.SuspendedSends[p] = st.DataSuspended
+		sum.Occupancy[p] = c.occ
+		sum.Reliability[p] = Reliability{
+			Retransmits: st.Retransmits,
+			Dropped:     st.Dropped,
+			DupsSent:    st.DupsSent,
+			DupDropped:  int(e.dupDropped[p].Load()),
+			Acked:       st.Acked,
+		}
+		sum.Messages += st.DataSent
+		sum.AddrPackages += st.AddrConsumed
+	}
+	return sum
+}
+
 // pendPkg is one not-yet-deposited address package of the current MAP.
 type pendPkg struct {
-	dst  graph.Proc
-	objs []graph.ObjID
-	// seq is the per-(src,dst) package sequence number (1-based).
-	seq     int32
+	dst graph.Proc
+	// pkg carries the exported handles and the per-(src,dst) package
+	// sequence number (1-based).
+	pkg     *rma.AddrPackage
 	delayed bool
 	// dup marks an injected duplicate copy of an already-delivered
 	// package; it skips loss/duplication rolls and is discarded by the
@@ -479,8 +563,21 @@ type Core struct {
 	outKeys map[[2]int32]int
 	// addrSeq numbers the address packages sent to each destination.
 	addrSeq []int32
-	// err latches a fatal protocol error (retry budget exhausted) that the
-	// next Advance surfaces.
+
+	// The receive half. mem is the processor's capacity ledger and the home
+	// of its buffers, whose arrival counters REC reads. addr holds the remote
+	// handles learned through address packages, keyed by (object, consumer
+	// processor); addrSeen is the highest package sequence number consumed
+	// from each source (packages at or below it are duplicates); scratch is
+	// the reusable consume buffer of the RA poll, which runs in every
+	// blocking state and must not allocate in steady state.
+	mem      *rma.Memory
+	addr     map[[2]int32]*rma.Buffer
+	addrSeen []int32
+	scratch  []*rma.AddrPackage
+
+	// err latches a fatal protocol error (retry budget exhausted, failed
+	// deposit) that the next Advance surfaces.
 	err error
 
 	// Stats accumulates protocol event counts; read it after Finished.
@@ -492,20 +589,81 @@ type Core struct {
 	stamp    float64
 }
 
-// NewCore returns the protocol state machine for processor p backed by be.
-func (e *Engine) NewCore(p graph.Proc, be Backend) *Core {
-	return &Core{
-		eng:     e,
-		be:      be,
-		p:       p,
-		order:   e.S.Order[p],
-		maps:    e.Plan.Procs[p].MAPs,
-		addrSeq: make([]int32, e.S.P),
+// NewCore returns the protocol state machine for processor p backed by be,
+// with p's permanent objects allocated and initialised.
+func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
+	c := &Core{
+		eng:      e,
+		be:       be,
+		p:        p,
+		order:    e.S.Order[p],
+		maps:     e.Plan.Procs[p].MAPs,
+		addrSeq:  make([]int32, e.S.P),
+		mem:      rma.NewMemory(e.Plan.Capacity),
+		addr:     make(map[[2]int32]*rma.Buffer),
+		addrSeen: make([]int32, e.S.P),
 	}
+	for oi := range e.S.G.Objects {
+		if e.S.G.Objects[oi].Owner != p {
+			continue
+		}
+		if _, err := c.alloc(graph.ObjID(oi)); err != nil {
+			return nil, fmt.Errorf("proto: proc %d permanent allocation: %w", p, err)
+		}
+	}
+	if e.Baseline {
+		// Preprocessing does every MAP's allocations and tells every producer
+		// at once; what is left of the MAPs frees, allocates and notifies
+		// nothing.
+		if e.known == nil {
+			e.known = make(map[[2]int32]*rma.Buffer)
+		}
+		c.addr = e.known
+		planned := c.maps
+		c.maps = make([]mem.MAP, len(planned))
+		for i, m := range planned {
+			c.maps[i] = mem.MAP{Pos: m.Pos, CoverEnd: m.CoverEnd}
+			for _, o := range m.Allocs {
+				b, err := c.alloc(o)
+				if err != nil {
+					return nil, fmt.Errorf("proto: proc %d: Baseline allocates the whole volatile space up front: %w", p, err)
+				}
+				e.known[[2]int32{int32(o), int32(p)}] = b
+			}
+		}
+	}
+	return c, nil
 }
 
-// Proc returns the processor this core drives.
-func (c *Core) Proc() graph.Proc { return c.p }
+// alloc books object o on the ledger. An input — a permanent object, or a
+// volatile copy of an object no task ever sends, which the runtime's
+// initial data distribution provides — is filled now.
+func (c *Core) alloc(o graph.ObjID) (*rma.Buffer, error) {
+	obj := &c.eng.S.G.Objects[o]
+	b, err := c.mem.Alloc(o, obj.Size, c.be.BufLen(o))
+	if err == nil && b.Data != nil && (obj.Owner == c.p || c.eng.Tables.Expect(c.p, o) == 0) {
+		c.be.InitBuffer(b)
+	}
+	return b, err
+}
+
+// applyMAP performs one memory allocation point on the ledger.
+func (c *Core) applyMAP(m *mem.MAP) error {
+	for _, o := range m.Frees {
+		if err := c.mem.Free(o, c.eng.S.G.Objects[o].Size); err != nil {
+			return fmt.Errorf("proto: proc %d MAP free: %w", c.p, err)
+		}
+	}
+	for _, o := range m.Allocs {
+		if _, err := c.alloc(o); err != nil {
+			return fmt.Errorf("proto: proc %d MAP alloc (plan said it fits): %w", c.p, err)
+		}
+	}
+	return nil
+}
+
+// Lookup returns the live local buffer of object o, if any.
+func (c *Core) Lookup(o graph.ObjID) (*rma.Buffer, bool) { return c.mem.Lookup(o) }
 
 // Pos returns the current position in the processor's task order.
 func (c *Core) Pos() int32 { return c.pos }
@@ -534,9 +692,6 @@ func (c *Core) RetransPending() int {
 
 // CurrentState returns the protocol state the core last entered.
 func (c *Core) CurrentState() State { return c.cur }
-
-// Occupancy returns the per-state time accumulated so far.
-func (c *Core) Occupancy() Occupancy { return c.occ }
 
 // enter switches occupancy accounting to state s at time now.
 func (c *Core) enter(s State, now float64) {
@@ -579,10 +734,12 @@ func (c *Core) Advance(now float64) (Status, error) {
 		c.mapIdx++
 		c.Stats.MAPs++
 		c.enter(StateMAP, now)
-		if err := c.be.ApplyMAP(m); err != nil {
+		if err := c.applyMAP(m); err != nil {
 			return Status{}, err
 		}
-		c.queueNotify(m)
+		if err := c.queueNotify(m); err != nil {
+			return Status{}, err
+		}
 		return Status{Kind: RunMAP, MAP: m}, nil
 	}
 	// END state: out of tasks, drain the outbound queue.
@@ -637,7 +794,7 @@ func (c *Core) pendWait(now float64) Wait {
 // timer. Due is the earliest deadline across the whole queue.
 func (c *Core) outWait(now float64) Wait {
 	w := Wait{Kind: WaitAddr, Obj: c.outq[0].snd.Obj, Dst: c.outq[0].snd.Dst}
-	if c.be.AddrKnown(c.outq[0].snd) {
+	if c.addr[sendKey(c.outq[0].snd)] != nil {
 		w.Kind = WaitTimer
 	}
 	for i := range c.outq {
@@ -650,15 +807,15 @@ func (c *Core) outWait(now float64) Wait {
 
 // recWait derives the Wait of a REC-blocked processor: the first unmet
 // control-signal or arrival requirement of the gating task. Counters are
-// re-read from the backend, so a deposit racing with the blocked verdict
-// may leave no unmet requirement; the generic fallback is harmless — the
-// driver's next Advance will see the task ready.
+// re-read, so a deposit racing with the blocked verdict may leave no unmet
+// requirement; the generic fallback is harmless — the driver's next Advance
+// will see the task ready.
 func (c *Core) recWait(t graph.TaskID) Wait {
-	if have, want := c.be.CtlCount(t), c.eng.Tables.CtlNeed[t]; have < want {
+	if have, want := c.eng.CtlRecv[t].Load(), c.eng.Tables.CtlNeed[t]; have < want {
 		return Wait{Kind: WaitCtl, Task: t, Have: have, Want: want}
 	}
 	for _, need := range c.eng.Tables.NeedsOf(t) {
-		got, ok := c.be.Arrived(need.Obj)
+		got, ok := c.arrived(need.Obj)
 		if !ok || got < need.MinArrivals {
 			return Wait{Kind: WaitArrival, Task: t, Obj: need.Obj, Have: got, Want: need.MinArrivals}
 		}
@@ -666,11 +823,22 @@ func (c *Core) recWait(t graph.TaskID) Wait {
 	return Wait{Kind: WaitArrival, Task: t}
 }
 
-// queueNotify stages the MAP's address packages in deterministic
-// destination order and applies the fault plan to each.
-func (c *Core) queueNotify(m *mem.MAP) {
+// arrived returns the arrival counter of local object o and whether o is
+// currently allocated.
+func (c *Core) arrived(o graph.ObjID) (int32, bool) {
+	b, ok := c.mem.Lookup(o)
+	if !ok {
+		return 0, false
+	}
+	return b.Arrivals(), true
+}
+
+// queueNotify stages the MAP's address packages — the handles of the
+// buffers it just allocated — in deterministic destination order and
+// applies the fault plan to each.
+func (c *Core) queueNotify(m *mem.MAP) error {
 	if len(m.Notify) == 0 {
-		return
+		return nil
 	}
 	dsts := make([]graph.Proc, 0, len(m.Notify))
 	for dst := range m.Notify { //det:ok collected and sorted below
@@ -678,14 +846,24 @@ func (c *Core) queueNotify(m *mem.MAP) {
 	}
 	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
 	for _, dst := range dsts {
+		objs := m.Notify[dst]
 		c.addrSeq[dst]++
+		pkg := &rma.AddrPackage{From: c.p, Seq: c.addrSeq[dst], Buffers: make([]*rma.Buffer, len(objs))}
+		for i, o := range objs {
+			b, ok := c.mem.Lookup(o)
+			if !ok {
+				return fmt.Errorf("proto: proc %d MAP notifies processor %d of unallocated object %q",
+					c.p, dst, c.eng.S.G.Objects[o].Name)
+			}
+			pkg.Buffers[i] = b
+		}
 		c.pend = append(c.pend, pendPkg{
 			dst:     dst,
-			objs:    m.Notify[dst],
-			seq:     c.addrSeq[dst],
+			pkg:     pkg,
 			delayed: c.eng.Faults.delayAddr(c.p, dst, c.mapIdx-1),
 		})
 	}
+	return nil
 }
 
 // flushNotify attempts every pending address package once and reports
@@ -710,7 +888,7 @@ func (c *Core) flushNotify(now float64) bool {
 			kept = append(kept, pk)
 			continue
 		}
-		if !pk.dup && c.eng.Faults.dropAddr(c.p, pk.dst, pk.seq, pk.attempt+1) {
+		if !pk.dup && c.eng.Faults.dropAddr(c.p, pk.dst, pk.pkg.Seq, pk.attempt+1) {
 			// This transmission is lost in transit: the slot is untouched
 			// and the receiver sees nothing. Arm the retransmission timer.
 			pk.attempt++
@@ -720,7 +898,7 @@ func (c *Core) flushNotify(now float64) bool {
 			c.Stats.Dropped++
 			if int(pk.attempt) > c.eng.Faults.maxRetries() {
 				c.err = fmt.Errorf("proto: proc %d: address package %d to processor %d lost %d times, retry budget %d exhausted",
-					c.p, pk.seq, pk.dst, pk.attempt, c.eng.Faults.maxRetries())
+					c.p, pk.pkg.Seq, pk.dst, pk.attempt, c.eng.Faults.maxRetries())
 				kept = append(kept, pk)
 				continue
 			}
@@ -729,7 +907,7 @@ func (c *Core) flushNotify(now float64) bool {
 			kept = append(kept, pk)
 			continue
 		}
-		if !c.be.TryNotify(pk.dst, pk.objs, pk.seq) {
+		if !c.be.SendAddr(pk.dst, pk.pkg) {
 			// Slot occupied: the ordinary MAP handshake retry, not a loss.
 			kept = append(kept, pk)
 			continue
@@ -742,10 +920,10 @@ func (c *Core) flushNotify(now float64) bool {
 			c.Stats.Retransmits++
 		}
 		c.Stats.Acked++
-		if c.eng.Faults.dupAddr(c.p, pk.dst, pk.seq) {
+		if c.eng.Faults.dupAddr(c.p, pk.dst, pk.pkg.Seq) {
 			// Queue an identical second copy; it deposits once the slot
 			// frees and the receiver discards it by sequence number.
-			kept = append(kept, pendPkg{dst: pk.dst, objs: pk.objs, seq: pk.seq, dup: true})
+			kept = append(kept, pendPkg{dst: pk.dst, pkg: pk.pkg, dup: true})
 		}
 	}
 	c.pend = kept
@@ -781,27 +959,36 @@ func (c *Core) transmit(m *outSend, now float64) bool {
 		c.be.WakeAfter(m.due - now)
 		return false
 	}
-	c.be.SendData(m.snd)
+	if c.deposit(m.snd); c.err != nil {
+		return false
+	}
 	c.Stats.DataSent++
 	c.Stats.Acked++
 	if c.eng.Faults.dupData(m.snd) {
 		// Deliver a second copy; the receiver's per-buffer sequence check
 		// discards it without touching the arrival counter.
-		c.be.SendData(m.snd)
+		c.deposit(m.snd)
 		c.Stats.DupsSent++
 	}
 	return true
+}
+
+// deposit hands snd to the transport with the handle its consumer exported;
+// a deposit rma refuses latches the run's error.
+func (c *Core) deposit(snd Send) {
+	defer c.eng.DepositFault(snd, &c.err)
+	c.be.SendData(snd, c.addr[sendKey(snd)])
 }
 
 // ready implements the REC condition for task t: all cross-processor
 // control signals received and every volatile input's arrival counter at
 // its threshold.
 func (c *Core) ready(t graph.TaskID) (bool, error) {
-	if c.be.CtlCount(t) < c.eng.Tables.CtlNeed[t] {
+	if c.eng.CtlRecv[t].Load() < c.eng.Tables.CtlNeed[t] {
 		return false, nil
 	}
 	for _, need := range c.eng.Tables.NeedsOf(t) {
-		got, ok := c.be.Arrived(need.Obj)
+		got, ok := c.arrived(need.Obj)
 		if !ok {
 			return false, fmt.Errorf("proto: proc %d task %q needs unallocated object %q (MAP plan hole)",
 				c.p, c.eng.S.G.Tasks[t].Name, c.eng.S.G.Objects[need.Obj].Name)
@@ -831,7 +1018,7 @@ func (c *Core) TaskDone(now float64) {
 			c.be.WakeAfter(0)
 			continue
 		}
-		if (len(c.outq) > 0 && c.outKeys[sendKey(snd)] > 0) || !c.be.AddrKnown(snd) {
+		if (len(c.outq) > 0 && c.outKeys[sendKey(snd)] > 0) || c.addr[sendKey(snd)] == nil {
 			c.Stats.DataSuspended++
 			c.pushOut(outSend{snd: snd})
 			continue
@@ -848,15 +1035,26 @@ func (c *Core) TaskDone(now float64) {
 	c.pos++
 }
 
-// Poll runs RA (read address packages) then CQ (dispatch queued sends
-// whose addresses are known and whose retransmission timers have expired,
-// FIFO per (object, destination)) — the two operations the protocol
-// requires in every blocking state. It reports whether any message moved,
-// which drivers use as a progress signal.
+// Poll runs RA (read the address packages that have arrived into the
+// address book; a duplicated delivery — sequence number at or below the
+// highest consumed from that source — is discarded uncounted) then CQ
+// (dispatch queued sends whose addresses are known and whose retransmission
+// timers have expired, FIFO per (object, destination)) — the two operations
+// the protocol requires in every blocking state. It reports whether any
+// message moved, which drivers use as a progress signal.
 func (c *Core) Poll(now float64) bool {
 	progress := false
-	if n := c.be.ReadAddresses(); n > 0 {
-		c.Stats.AddrConsumed += n
+	c.scratch = c.be.RecvAddr(c.scratch[:0])
+	for _, pkg := range c.scratch {
+		if pkg.Seq <= c.addrSeen[pkg.From] {
+			c.eng.Discarded(c.p)
+			continue
+		}
+		c.addrSeen[pkg.From] = pkg.Seq
+		for _, b := range pkg.Buffers {
+			c.addr[[2]int32{int32(b.Obj), int32(pkg.From)}] = b
+		}
+		c.Stats.AddrConsumed++
 		progress = true
 	}
 	if len(c.outq) > 0 {
@@ -865,7 +1063,7 @@ func (c *Core) Poll(now float64) bool {
 		for i := range c.outq {
 			m := c.outq[i]
 			k := sendKey(m.snd)
-			if blocked[k] || !c.be.AddrKnown(m.snd) {
+			if blocked[k] || c.addr[k] == nil {
 				blocked[k] = true
 				kept = append(kept, m)
 				continue
@@ -921,12 +1119,12 @@ func (c *Core) BlockedInfo() string {
 		return "finished"
 	default:
 		t := c.order[c.pos]
-		if have, want := c.be.CtlCount(t), c.eng.Tables.CtlNeed[t]; have < want {
+		if have, want := c.eng.CtlRecv[t].Load(), c.eng.Tables.CtlNeed[t]; have < want {
 			return fmt.Sprintf("REC state: task %q at position %d waiting for control signals (%d/%d)",
 				g.Tasks[t].Name, c.pos, have, want)
 		}
 		for _, need := range c.eng.Tables.NeedsOf(t) {
-			got, ok := c.be.Arrived(need.Obj)
+			got, ok := c.arrived(need.Obj)
 			if !ok {
 				return fmt.Sprintf("REC state: task %q needs unallocated object %q", g.Tasks[t].Name, g.Objects[need.Obj].Name)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/rma"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -17,29 +18,17 @@ import (
 // the real backends (which have their own equivalence suite).
 type loopMachine struct {
 	eng   *Engine
-	ctl   []int32
 	be    []*loopBackend
 	cores []*Core
 	tick  float64
 }
 
+// loopBackend is a transport and nothing else: slots[src] holds the
+// at-most-one in-flight package from src.
 type loopBackend struct {
-	m        *loopMachine
-	p        graph.Proc
-	arrivals map[graph.ObjID]int32
-	// lastSeq is the highest data-message sequence delivered per object
-	// (receiver-side dedup).
-	lastSeq map[graph.ObjID]int32
-	alloc   map[graph.ObjID]bool
-	addr    map[[2]int32]bool
-	// slots[src] holds the at-most-one in-flight package from src.
-	slots   []([]graph.ObjID)
-	slotSeq []int32
-	full    []bool
-	// seen is the highest address-package sequence consumed per source.
-	seen []int32
-	// dupDrop counts duplicate deliveries this processor discarded.
-	dupDrop int
+	m     *loopMachine
+	p     graph.Proc
+	slots []*rma.AddrPackage
 }
 
 func newLoopMachine(t *testing.T, s *sched.Schedule, pl *mem.Plan, f Faults) *loopMachine {
@@ -48,21 +37,15 @@ func newLoopMachine(t *testing.T, s *sched.Schedule, pl *mem.Plan, f Faults) *lo
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &loopMachine{eng: eng, ctl: make([]int32, s.G.NumTasks())}
+	m := &loopMachine{eng: eng}
 	for p := 0; p < s.P; p++ {
-		be := &loopBackend{
-			m: m, p: graph.Proc(p),
-			arrivals: make(map[graph.ObjID]int32),
-			lastSeq:  make(map[graph.ObjID]int32),
-			alloc:    make(map[graph.ObjID]bool),
-			addr:     make(map[[2]int32]bool),
-			slots:    make([][]graph.ObjID, s.P),
-			slotSeq:  make([]int32, s.P),
-			full:     make([]bool, s.P),
-			seen:     make([]int32, s.P),
+		be := &loopBackend{m: m, p: graph.Proc(p), slots: make([]*rma.AddrPackage, s.P)}
+		core, err := eng.NewCore(graph.Proc(p), be)
+		if err != nil {
+			t.Fatal(err)
 		}
 		m.be = append(m.be, be)
-		m.cores = append(m.cores, eng.NewCore(graph.Proc(p), be))
+		m.cores = append(m.cores, core)
 	}
 	return m
 }
@@ -114,75 +97,37 @@ func (m *loopMachine) runE() error {
 	}
 }
 
-func (be *loopBackend) ApplyMAP(mp *mem.MAP) error {
-	for _, o := range mp.Frees {
-		delete(be.alloc, o)
-		delete(be.arrivals, o)
-	}
-	for _, o := range mp.Allocs {
-		be.alloc[o] = true
-		be.arrivals[o] = 0
-	}
-	return nil
-}
-
-func (be *loopBackend) TryNotify(dst graph.Proc, objs []graph.ObjID, seq int32) bool {
+func (be *loopBackend) SendAddr(dst graph.Proc, pkg *rma.AddrPackage) bool {
 	peer := be.m.be[dst]
-	if peer.full[be.p] {
+	if peer.slots[be.p] != nil {
 		return false
 	}
-	peer.slots[be.p] = objs
-	peer.slotSeq[be.p] = seq
-	peer.full[be.p] = true
+	peer.slots[be.p] = pkg
 	return true
 }
 
-func (be *loopBackend) ReadAddresses() int {
-	n := 0
-	for src := range be.slots {
-		if !be.full[src] {
-			continue
+func (be *loopBackend) RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage {
+	for src, pkg := range be.slots {
+		if pkg != nil {
+			buf = append(buf, pkg)
+			be.slots[src] = nil
 		}
-		be.full[src] = false
-		if be.slotSeq[src] <= be.seen[src] {
-			be.dupDrop++
-			continue
-		}
-		be.seen[src] = be.slotSeq[src]
-		for _, o := range be.slots[src] {
-			be.addr[[2]int32{int32(o), int32(src)}] = true
-		}
-		n++
 	}
-	return n
+	return buf
 }
 
-func (be *loopBackend) AddrKnown(snd Send) bool {
-	return be.addr[[2]int32{int32(snd.Obj), int32(snd.Dst)}]
-}
-
-func (be *loopBackend) SendData(snd Send) {
-	peer := be.m.be[snd.Dst]
-	if snd.Seq <= peer.lastSeq[snd.Obj] {
-		peer.dupDrop++
-		return
+func (be *loopBackend) SendData(snd Send, b *rma.Buffer) {
+	if !b.PutFlagOnly(snd.Seq) {
+		be.m.eng.Discarded(snd.Dst)
 	}
-	peer.lastSeq[snd.Obj] = snd.Seq
-	peer.arrivals[snd.Obj]++
 }
 
-func (be *loopBackend) SendCtl(t graph.TaskID) { be.m.ctl[t]++ }
-
-func (be *loopBackend) CtlCount(t graph.TaskID) int32 { return be.m.ctl[t] }
-
-func (be *loopBackend) Arrived(o graph.ObjID) (int32, bool) {
-	if !be.alloc[o] {
-		return 0, false
-	}
-	return be.arrivals[o], true
-}
+func (be *loopBackend) SendCtl(t graph.TaskID) { be.m.eng.CtlRecv[t].Add(1) }
 
 func (be *loopBackend) WakeAfter(delay float64) {} // round-robin re-examines everyone
+
+func (be *loopBackend) BufLen(graph.ObjID) int64 { return 0 }
+func (be *loopBackend) InitBuffer(*rma.Buffer)   {}
 
 func planFor(t *testing.T, s *sched.Schedule) *mem.Plan {
 	t.Helper()
@@ -234,7 +179,7 @@ func TestCoreRunsRandomGraphs(t *testing.T) {
 			if c.SuspendedLen() != 0 {
 				t.Errorf("trial %d: proc %d finished with %d suspended sends", trial, q, c.SuspendedLen())
 			}
-			if len(s.Order[q]) > 0 && c.Occupancy().Total() <= 0 {
+			if len(s.Order[q]) > 0 && c.occ.Total() <= 0 {
 				t.Errorf("trial %d: proc %d accounted no occupancy", trial, q)
 			}
 			gotSends += c.Stats.DataSent
@@ -343,13 +288,13 @@ func TestCoreLossAndDup(t *testing.T) {
 			dupsSent += c.Stats.DupsSent
 			acked += c.Stats.Acked
 			addrConsumed += c.Stats.AddrConsumed
-			dupDropped += m.be[q].dupDrop
+			dupDropped += int(m.eng.dupDropped[q].Load())
 			// A duplicated address package deposited after its receiver
 			// finished stays in the slot unconsumed; it is the only kind of
 			// message legitimately in flight at termination.
-			for src, f := range m.be[q].full {
-				if f {
-					if m.be[q].slotSeq[src] > m.be[q].seen[src] {
+			for src, pkg := range m.be[q].slots {
+				if pkg != nil {
+					if pkg.Seq > c.addrSeen[src] {
 						t.Errorf("trial %d: proc %d finished with a non-duplicate package from %d unconsumed", trial, q, src)
 					}
 					leftover++

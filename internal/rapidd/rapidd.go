@@ -976,7 +976,8 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 		if err != nil {
 			return err
 		}
-		opt.Memory = free.TOT() * int64(spec.MemPercent) / 100
+		// At least 1: Options.Memory 0 means unconstrained.
+		opt.Memory = max(1, free.TOT()*int64(spec.MemPercent)/100)
 	}
 
 	t0 := time.Now()
@@ -1168,14 +1169,7 @@ func aggregateDemand(plan *rapid.Plan) int64 {
 // makes the plan cache effective across requests.
 func buildProblem(spec JobSpec) (*problem, error) {
 	rng := util.NewRNG(spec.Seed)
-	nx := int(math.Sqrt(float64(spec.N) * 1.3))
-	if nx < 2 {
-		nx = 2
-	}
-	ny := spec.N / nx
-	if ny < 2 {
-		ny = 2
-	}
+	nx, ny := sparse.GridShape(spec.N)
 	switch spec.Kind {
 	case "chol":
 		pat := sparse.AddRandomSymLinks(sparse.Grid2D(nx, ny, true), spec.N/8, rng)

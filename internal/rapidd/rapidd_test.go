@@ -634,3 +634,16 @@ func TestVerifyVerdictMemoized(t *testing.T) {
 		t.Fatalf("verify.cached = %d, want 1", got)
 	}
 }
+
+// TestPositiveMemPercentNeverUnconstrained: 1% of a small problem's TOT
+// truncates to 0, which rapid.Options reads as "no limit", so the job used
+// to run on the unconstrained plan. A positive mem_percent compiles under a
+// budget of at least 1 — here one the problem cannot meet.
+func TestPositiveMemPercentNeverUnconstrained(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 8, Block: 1, Procs: 2, MemPercent: 1})
+	if j.Status != StatusFailed || !strings.Contains(j.Error, "not executable under memory budget 1 ") {
+		t.Fatalf("mem_percent=1 of a TOT below 100: %s %q", j.Status, j.Error)
+	}
+}

@@ -99,6 +99,7 @@ type AddrPackage struct {
 type Memory struct {
 	capacity int64
 	used     int64
+	peak     int64
 	bufs     map[graph.ObjID]*Buffer
 }
 
@@ -110,6 +111,9 @@ func NewMemory(capacity int64) *Memory {
 // Used returns the units currently allocated.
 func (m *Memory) Used() int64 { return m.used }
 
+// Peak returns the most units ever allocated at once.
+func (m *Memory) Peak() int64 { return m.peak }
+
 // Alloc reserves size units for object o and returns its buffer with a
 // backing slice of bufLen float64s (bufLen 0 gives a flag-only buffer).
 func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
@@ -120,6 +124,9 @@ func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
 		return nil, fmt.Errorf("rma: out of memory: %d + %d > %d", m.used, size, m.capacity)
 	}
 	m.used += size
+	if m.used > m.peak {
+		m.peak = m.used
+	}
 	var data []float64
 	if bufLen > 0 {
 		data = make([]float64, bufLen)

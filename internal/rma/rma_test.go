@@ -26,8 +26,8 @@ func TestMemoryCapacityAccounting(t *testing.T) {
 	if err := m.Free(1, 6); err != nil {
 		t.Fatal(err)
 	}
-	if m.Used() != 0 {
-		t.Fatalf("used %d after free", m.Used())
+	if m.Used() != 0 || m.Peak() != 6 {
+		t.Fatalf("used %d, peak %d after free; want 0, 6", m.Used(), m.Peak())
 	}
 	if err := m.Free(1, 6); err == nil {
 		t.Fatalf("double free succeeded")

@@ -348,10 +348,10 @@ func TestQuickDTSTheorem2BoundEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHeuristicNamesAndPeakAlias pins the user-facing names of the four
+// TestHeuristicNamesAndPeakVector pins the user-facing names of the
 // heuristics (they appear in trace tables and rapidload reports) and the
-// PerProcPeak alias used for Figure-7 style comparisons.
-func TestHeuristicNamesAndPeakAlias(t *testing.T) {
+// per-processor peak vector's relation to MIN_MEM (Definition 5).
+func TestHeuristicNamesAndPeakVector(t *testing.T) {
 	names := map[sched.Heuristic]string{
 		sched.RCP:      "RCP",
 		sched.MPO:      "MPO",
@@ -378,11 +378,7 @@ func TestHeuristicNamesAndPeakAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PerProcPeak() != s.MinMem() {
-		t.Errorf("PerProcPeak %d != MinMem %d", s.PerProcPeak(), s.MinMem())
-	}
-	// PerProcPeak must be derivable from the full vector: the max of
-	// PerProcPeaks, which itself maxes to MIN_MEM by Definition 5.
+	// The max of PerProcPeaks is MIN_MEM by Definition 5.
 	peaks := s.PerProcPeaks()
 	if len(peaks) != 3 {
 		t.Fatalf("PerProcPeaks returned %d entries for 3 procs", len(peaks))
@@ -393,8 +389,8 @@ func TestHeuristicNamesAndPeakAlias(t *testing.T) {
 			max = pk
 		}
 	}
-	if max != s.PerProcPeak() {
-		t.Errorf("max of PerProcPeaks %d != PerProcPeak %d", max, s.PerProcPeak())
+	if max != s.MinMem() {
+		t.Errorf("max of PerProcPeaks %d != MinMem %d", max, s.MinMem())
 	}
 	if imb := s.PeakImbalance(); imb < 1 || imb > 3 {
 		t.Errorf("PeakImbalance %g outside [1, procs]", imb)

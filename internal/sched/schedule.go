@@ -293,11 +293,6 @@ func (s *Schedule) MinMem() int64 {
 	return minMem
 }
 
-// PerProcPeak returns the largest per-processor peak, max_p S_p^A. By
-// Definition 5 this equals MIN_MEM; callers that need the full vector (to
-// report imbalance, not just the max) use PerProcPeaks.
-func (s *Schedule) PerProcPeak() int64 { return s.MinMem() }
-
 // PeakImbalance reports how unevenly the peak space requirement is spread
 // across processors: the largest per-processor peak divided by the mean
 // peak. 1.0 means perfectly balanced; p means one processor carries

@@ -238,8 +238,8 @@ func TestFigure2PerProcPeaks(t *testing.T) {
 	if len(peaks) != 2 || peaks[0] != 7 || peaks[1] != 9 {
 		t.Fatalf("RCP per-proc peaks %v, want [7 9]", peaks)
 	}
-	if rcp.PerProcPeak() != 9 || rcp.MinMem() != 9 {
-		t.Fatalf("RCP max peak %d / MinMem %d, want 9/9", rcp.PerProcPeak(), rcp.MinMem())
+	if rcp.MinMem() != 9 {
+		t.Fatalf("RCP MinMem %d, want 9", rcp.MinMem())
 	}
 	if imb := rcp.PeakImbalance(); imb != 1.125 {
 		t.Fatalf("RCP peak imbalance %g, want 1.125 (9*2/16)", imb)

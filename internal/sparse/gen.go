@@ -1,8 +1,18 @@
 package sparse
 
 import (
+	"math"
+
 	"repro/internal/util"
 )
+
+// GridShape returns the dimensions of the nx × ny grid the built-in problem
+// generators (rapidsolve, rapidverify -builtin, rapidd) lay a matrix of
+// order about n on: nx ≈ √(1.3 n) and ny = n / nx, neither below 2.
+func GridShape(n int) (nx, ny int) {
+	nx = max(2, int(math.Sqrt(1.3*float64(n))))
+	return nx, max(2, n/nx)
+}
 
 // Grid2D returns the symmetric pattern of a 9-point (stencil9=true) or
 // 5-point finite-difference/element operator on an nx×ny grid, diagonal

@@ -331,3 +331,19 @@ func TestNamedGeneratorsDimensions(t *testing.T) {
 		}
 	}
 }
+
+// TestGridShape: the grid rule never panics or returns a degenerate grid,
+// and the shapes rapidd has always produced for its usual orders are pinned
+// so plan fingerprints do not move.
+func TestGridShape(t *testing.T) {
+	pinned := map[int][2]int{120: {12, 10}, 400: {22, 18}, 1496: {44, 34}}
+	for _, n := range []int{0, 1, 2, 3, 120, 400, 1496} {
+		nx, ny := GridShape(n)
+		if nx < 2 || ny < 2 {
+			t.Errorf("GridShape(%d) = %d × %d, want both at least 2", n, nx, ny)
+		}
+		if want, ok := pinned[n]; ok && [2]int{nx, ny} != want {
+			t.Errorf("GridShape(%d) = %d × %d, want %d × %d", n, nx, ny, want[0], want[1])
+		}
+	}
+}

@@ -327,7 +327,8 @@ func Execute(prog *Program, plan *Plan, opt ExecOptions) (*Report, error) {
 // SimOptions configure Simulate.
 type SimOptions struct {
 	// Baseline simulates the original RAPID executor (no memory management
-	// overhead, all addresses pre-exchanged).
+	// overhead, the whole volatile space allocated and all addresses
+	// exchanged up front). It needs a plan compiled without a memory limit.
 	Baseline bool
 	// Trace records task and MAP spans for Gantt rendering.
 	Trace *trace.Recorder

@@ -19,8 +19,9 @@
 //     `if !TrySend { return }` idiom satisfies);
 //   - ConsumeAppend — draining the mesh frees slots, which owes each
 //     freed sender a wake;
-//   - Add on a receiver whose expression mentions ctlRecv — the
-//     control-signal counter REC parks on.
+//   - Add on a receiver whose expression mentions CtlRecv (any case) —
+//     the run's control-signal counters (proto.Engine.CtlRecv), which REC
+//     parks on.
 //
 // The wake post is any call to a method or function named wake/Wake.
 // The rule is lexical within one function body: every deposit call must
@@ -43,7 +44,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "storethenwake",
-	Doc: "every deposit of observable protocol state (Put/PutFlagOnly/TrySend/ConsumeAppend/ctlRecv.Add) " +
+	Doc: "every deposit of observable protocol state (Put/PutFlagOnly/TrySend/ConsumeAppend/CtlRecv.Add) " +
 		"must be followed by a wake-token post in the same function; a missing or pre-store wake is the " +
 		"PR-7 lost-wakeup bug",
 	DefaultPackages: []string{
@@ -124,7 +125,7 @@ func depositSite(call *ast.CallExpr) (string, bool) {
 	case "Put", "PutFlagOnly", "TrySend", "ConsumeAppend":
 		return render(sel.X) + "." + sel.Sel.Name, true
 	case "Add":
-		if strings.Contains(render(sel.X), "ctlRecv") {
+		if strings.Contains(strings.ToLower(render(sel.X)), "ctlrecv") {
 			return render(sel.X) + ".Add", true
 		}
 	}

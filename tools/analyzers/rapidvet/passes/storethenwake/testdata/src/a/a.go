@@ -1,6 +1,6 @@
 // Corpus for the storethenwake analyzer. Local lookalikes of the
 // executor's deposit vocabulary (Put/PutFlagOnly/TrySend/ConsumeAppend,
-// a ctlRecv counter, a wake method); the seeded violations are the PR-7
+// the run's CtlRecv counters, a wake method); the seeded violations are the PR-7
 // lost-wakeup shapes, each next to its corrected form.
 package a
 
@@ -22,7 +22,9 @@ type counter struct{}
 
 func (c *counter) Add(n int32) int32 { return 0 }
 
-type counters struct{ ctlRecv []counter }
+// counters stands in for proto.Engine, which holds the run's control
+// counters since the receive half moved into the core.
+type counters struct{ CtlRecv []counter }
 
 // lostWakeup is the PR-7 must-catch: the deposit lands but no token is
 // posted, so a receiver already parked on this object sleeps forever.
@@ -41,7 +43,7 @@ func wakeBeforeStore(e *engine, b *buf, dst int, seq int32) {
 // ctlWithoutWake increments the control counter REC parks on without
 // waking the task's processor.
 func ctlWithoutWake(c *counters, t int) {
-	c.ctlRecv[t].Add(1) // want "lost wakeup"
+	c.CtlRecv[t].Add(1) // want "lost wakeup"
 }
 
 // goroutineActor: a goroutine is its own actor — the spawner's wake does
@@ -69,7 +71,7 @@ func trySendIdiom(e *engine, m *mesh, dst, src int, pkg any) bool {
 	return true
 }
 
-// drainThenWakeSenders mirrors ReadAddresses: consuming frees slots and
+// drainThenWakeSenders mirrors RecvAddr: consuming frees slots and
 // wakes each freed sender.
 func drainThenWakeSenders(e *engine, m *mesh, dst int) {
 	for _, from := range m.ConsumeAppend(dst, nil) {
@@ -79,6 +81,6 @@ func drainThenWakeSenders(e *engine, m *mesh, dst int) {
 
 // ctlThenWake is the corrected control-signal shape.
 func ctlThenWake(e *engine, c *counters, t int) {
-	c.ctlRecv[t].Add(1)
+	c.CtlRecv[t].Add(1)
 	e.wake(t)
 }
