@@ -31,18 +31,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
+	"slices"
 	"strings"
 
-	"repro/internal/blas"
-	"repro/internal/chol"
-	"repro/internal/lu"
+	"repro/internal/factor"
 	"repro/internal/sched"
 	"repro/internal/sched/exact"
 	"repro/internal/sparse"
 	"repro/internal/trace"
-	"repro/internal/util"
 	"repro/rapid"
 )
 
@@ -67,7 +64,7 @@ func reliabilityTable(report *rapid.Report) string {
 }
 
 func main() {
-	kind := flag.String("kind", "chol", "factorization: chol or lu")
+	kindFlag := flag.String("kind", "chol", "factorization: chol or lu")
 	n := flag.Int("n", 300, "approximate matrix order")
 	procs := flag.Int("procs", 4, "virtual processors")
 	block := flag.Int("block", 8, "block / panel size")
@@ -83,75 +80,64 @@ func main() {
 	faultSeed := flag.Uint64("faultseed", 1, "fault injection seed (deterministic fault plan)")
 	doVerify := flag.Bool("verify", false, "statically verify the compiled plan; on findings, print the table to stderr and exit non-zero without executing")
 	flag.Parse()
-	if *n < 1 {
-		fmt.Fprintf(os.Stderr, "rapidsolve: -n must be at least 1, got %d\n", *n)
-		os.Exit(2)
-	}
 	verifyPlans = *doVerify
 	exactFrontier = *doExact
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "rapidsolve: %v\n", err)
+		os.Exit(2)
+	}
 
-	faults := rapid.Faults{
+	h, err := sched.ParseHeuristic(*heur)
+	if err != nil {
+		usage(err)
+	}
+	kind := strings.ToLower(*kindFlag)
+	if !slices.Contains(factor.Kinds, kind) {
+		usage(fmt.Errorf("unknown kind %q", *kindFlag))
+	}
+	var a *sparse.Matrix
+	if *file != "" {
+		f, err := os.Open(*file)
+		if err != nil {
+			log.Fatal(err)
+		}
+		a, err = sparse.ReadMatrixMarket(f)
+		f.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("loaded %s: n=%d nnz=%d\n", *file, a.N, a.Nnz())
+	} else if a, err = factor.Matrix(kind, *n, *seed); err != nil {
+		usage(err)
+	}
+
+	pb, err := factor.Build(kind, a, *procs, *block)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prog := pb.Program
+	fmt.Printf("%s: n=%d nnz=%d procs=%d block=%d\n", pb.Title, a.N, a.Nnz(), *procs, *block)
+	fmt.Printf("graph:    %d tasks, %d objects\n", prog.G.NumTasks(), prog.G.NumObjects())
+	plan := compile(prog, *procs, h, *memPct)
+	execOpt := pb.Exec
+	execOpt.Faults = rapid.Faults{
 		Seed:     *faultSeed,
 		AddrFrac: *addrDelay,
 		DataFrac: *dataDelay,
 		DropFrac: *drop,
 		DupFrac:  *dup,
 	}
-
-	var h rapid.Heuristic
-	switch strings.ToLower(*heur) {
-	case "rcp":
-		h = rapid.RCP
-	case "mpo":
-		h = rapid.MPO
-	case "dts":
-		h = rapid.DTS
-	case "dtsmerge":
-		h = rapid.DTSMerge
-	case "treemem":
-		h = rapid.TreeMem
-	default:
-		fmt.Fprintf(os.Stderr, "unknown heuristic %q\n", *heur)
-		os.Exit(2)
+	report, err := rapid.Execute(prog, plan, execOpt)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	rng := util.NewRNG(*seed)
-	var loaded *sparse.Matrix
-	if *file != "" {
-		f, err := os.Open(*file)
-		if err != nil {
-			log.Fatal(err)
-		}
-		loaded, err = sparse.ReadMatrixMarket(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("loaded %s: n=%d nnz=%d\n", *file, loaded.N, loaded.Nnz())
+	fmt.Printf("executed: MAPs %v, %d messages, %d address packages\n",
+		report.MAPsPerProc, report.Messages, report.AddrPackages)
+	fmt.Printf("protocol state occupancy:\n%s", stateTable(report))
+	if execOpt.Faults.Enabled() {
+		fmt.Printf("reliability (injected faults, seed %d):\n%s", execOpt.Faults.Seed, reliabilityTable(report))
 	}
-	nx, ny := sparse.GridShape(*n)
-	switch strings.ToLower(*kind) {
-	case "chol":
-		a := loaded
-		if a == nil {
-			pat := sparse.AddRandomSymLinks(sparse.Grid2D(nx, ny, true), *n/8, rng)
-			pat = pat.PermuteSym(sparse.RCM(pat))
-			a = sparse.SPDValues(pat, rng)
-		} else if !a.IsSymmetricPattern() {
-			log.Fatal("chol requires a symmetric-pattern matrix")
-		}
-		solveChol(a, *procs, *block, h, *memPct, faults)
-	case "lu":
-		a := loaded
-		if a == nil {
-			pat := sparse.AddRandomUnsymLinks(sparse.Grid2D(nx, ny, true), *n/4, rng)
-			a = sparse.UnsymValues(pat, rng)
-		}
-		solveLU(a, *procs, *block, h, *memPct, rng, faults)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown kind %q\n", *kind)
-		os.Exit(2)
-	}
+	fmt.Printf("residual: %s = %.3g\n", pb.Check, pb.Residual(report.Objects, *seed))
 }
 
 // verifyPlans mirrors the -verify flag: compiled plans are statically
@@ -197,21 +183,19 @@ func reportExact(prog *rapid.Program, procs int, plan *rapid.Plan) {
 }
 
 func compile(prog *rapid.Program, procs int, h rapid.Heuristic, memPct int) *rapid.Plan {
-	free, err := rapid.Compile(prog, rapid.Options{Procs: procs, Heuristic: h})
+	opt := rapid.Options{Procs: procs, Heuristic: h}
+	budget, tot, err := rapid.MemoryPercent(prog, opt, memPct)
 	if err != nil {
 		log.Fatal(err)
 	}
-	budget := free.TOT() * int64(memPct) / 100
-	if memPct > 0 && budget < 1 {
-		budget = 1 // Options.Memory 0 means unconstrained
-	}
-	plan, err := rapid.Compile(prog, rapid.Options{Procs: procs, Heuristic: h, Memory: budget})
+	opt.Memory = budget
+	plan, err := rapid.Compile(prog, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("schedule: %v, predicted time %.4gs\n", h, plan.PredictedTime())
 	fmt.Printf("memory:   TOT=%d units, budget=%d (%d%%), MIN_MEM=%d\n",
-		free.TOT(), budget, memPct, plan.MinMem())
+		tot, budget, memPct, plan.MinMem())
 	if !plan.Executable() {
 		log.Fatalf("schedule is NOT executable under %d%% memory; try -heuristic dtsmerge or a larger -mem", memPct)
 	}
@@ -230,82 +214,4 @@ func compile(prog *rapid.Program, procs int, h rapid.Heuristic, memPct int) *rap
 		reportExact(prog, procs, plan)
 	}
 	return plan
-}
-
-func solveChol(a *sparse.Matrix, procs, block int, h rapid.Heuristic, memPct int, faults rapid.Faults) {
-	fmt.Printf("sparse Cholesky: n=%d nnz=%d procs=%d block=%d\n", a.N, a.Nnz(), procs, block)
-	pr, err := chol.Build(a, chol.Options{Procs: procs, BlockSize: block})
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog := rapid.FromGraph(pr.G)
-	fmt.Printf("graph:    %d tasks, %d blocks\n", pr.G.NumTasks(), pr.G.NumObjects())
-	plan := compile(prog, procs, h, memPct)
-	report, err := rapid.Execute(prog, plan, rapid.ExecOptions{Kernel: pr.Kernel, Init: pr.InitObject, Faults: faults})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("executed: MAPs %v, %d messages, %d address packages\n",
-		report.MAPsPerProc, report.Messages, report.AddrPackages)
-	fmt.Printf("protocol state occupancy:\n%s", stateTable(report))
-	if faults.Enabled() {
-		fmt.Printf("reliability (injected faults, seed %d):\n%s", faults.Seed, reliabilityTable(report))
-	}
-
-	l := pr.AssembleL(report.Objects)
-	rec := make([]float64, a.N*a.N)
-	blas.Syrk(a.N, a.N, 1, l, a.N, rec, a.N)
-	ad := a.ToDense()
-	num, den := 0.0, 0.0
-	for i := 0; i < a.N; i++ {
-		for j := 0; j <= i; j++ {
-			d := ad[i*a.N+j] - rec[i*a.N+j]
-			num += d * d
-			den += ad[i*a.N+j] * ad[i*a.N+j]
-		}
-	}
-	fmt.Printf("residual: ‖A−LLᵀ‖/‖A‖ = %.3g\n", math.Sqrt(num/den))
-}
-
-func solveLU(a *sparse.Matrix, procs, block int, h rapid.Heuristic, memPct int, rng *util.RNG, faults rapid.Faults) {
-	fmt.Printf("sparse LU with partial pivoting: n=%d nnz=%d procs=%d panel=%d\n", a.N, a.Nnz(), procs, block)
-	pr, err := lu.Build(a, lu.Options{Procs: procs, BlockSize: block})
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog := rapid.FromGraph(pr.G)
-	fmt.Printf("graph:    %d tasks, %d panels\n", pr.G.NumTasks(), pr.NB)
-	plan := compile(prog, procs, h, memPct)
-	report, err := rapid.Execute(prog, plan, rapid.ExecOptions{
-		Kernel: pr.Kernel, Init: pr.InitObject, BufLen: pr.BufLen, Faults: faults,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("executed: MAPs %v, %d messages, %d address packages\n",
-		report.MAPsPerProc, report.Messages, report.AddrPackages)
-	fmt.Printf("protocol state occupancy:\n%s", stateTable(report))
-	if faults.Enabled() {
-		fmt.Printf("reliability (injected faults, seed %d):\n%s", faults.Seed, reliabilityTable(report))
-	}
-
-	xTrue := make([]float64, a.N)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, a.N)
-	for j := 0; j < a.N; j++ {
-		vals := a.ColVal(j)
-		for k, i := range a.Col(j) {
-			b[i] += vals[k] * xTrue[j]
-		}
-	}
-	x := pr.Solve(report.Objects, b)
-	maxErr := 0.0
-	for i := range x {
-		if d := math.Abs(x[i] - xTrue[i]); d > maxErr {
-			maxErr = d
-		}
-	}
-	fmt.Printf("solve:    max |x−x*| = %.3g\n", maxErr)
 }

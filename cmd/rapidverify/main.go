@@ -25,12 +25,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/chol"
-	"repro/internal/lu"
+	"repro/internal/factor"
 	"repro/internal/plan"
-	"repro/internal/sparse"
 	"repro/internal/trace"
-	"repro/internal/util"
 	"repro/internal/verify"
 	"repro/rapid"
 )
@@ -108,51 +105,26 @@ func runFiles(files []string, expectFail bool) int {
 // and constrained memory and verifies each plan: the "all real plans pass"
 // half of the verifier's acceptance criteria.
 func runBuiltin(procs, n, block int, seed uint64) int {
-	if n < 1 {
-		fmt.Fprintf(os.Stderr, "rapidverify: -n must be at least 1, got %d\n", n)
-		return 2
-	}
-	rng := util.NewRNG(seed)
-	nx, ny := sparse.GridShape(n)
-
-	cholPat := sparse.AddRandomSymLinks(sparse.Grid2D(nx, ny, true), n/8, rng)
-	cholPat = cholPat.PermuteSym(sparse.RCM(cholPat))
-	cholA := sparse.SPDValues(cholPat, rng)
-	cholPr, err := chol.Build(cholA, chol.Options{Procs: procs, BlockSize: block})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rapidverify: chol build: %v\n", err)
-		return 1
-	}
-	luPat := sparse.AddRandomUnsymLinks(sparse.Grid2D(nx, ny, true), n/4, rng)
-	luA := sparse.UnsymValues(luPat, rng)
-	luPr, err := lu.Build(luA, lu.Options{Procs: procs, BlockSize: block})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rapidverify: lu build: %v\n", err)
-		return 1
-	}
-	programs := []struct {
-		name string
-		prog *rapid.Program
-	}{
-		{"chol", rapid.FromGraph(cholPr.G)},
-		{"lu", rapid.FromGraph(luPr.G)},
-	}
-
 	bad := 0
-	for _, pb := range programs {
+	for _, kind := range factor.Kinds {
+		a, err := factor.Matrix(kind, n, seed)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rapidverify: %v\n", err)
+			return 2
+		}
+		pb, err := factor.Build(kind, a, procs, block)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rapidverify: %s build: %v\n", kind, err)
+			return 1
+		}
 		for _, h := range []rapid.Heuristic{rapid.RCP, rapid.MPO, rapid.DTS, rapid.DTSMerge, rapid.TreeMem} {
 			for _, memPct := range []int{100, 60} {
-				label := fmt.Sprintf("%s/%v/mem=%d%%", pb.name, h, memPct)
-				free, err := rapid.Compile(pb.prog, rapid.Options{Procs: procs, Heuristic: h})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "%s: compile: %v\n", label, err)
-					bad++
-					continue
+				label := fmt.Sprintf("%s/%v/mem=%d%%", kind, h, memPct)
+				opt := rapid.Options{Procs: procs, Heuristic: h}
+				var p *rapid.Plan
+				if opt.Memory, _, err = rapid.MemoryPercent(pb.Program, opt, memPct); err == nil {
+					p, err = rapid.Compile(pb.Program, opt)
 				}
-				// At least 1: Options.Memory 0 means unconstrained.
-				opt := rapid.Options{Procs: procs, Heuristic: h,
-					Memory: max(1, free.TOT()*int64(memPct)/100)}
-				p, err := rapid.Compile(pb.prog, opt)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "%s: compile: %v\n", label, err)
 					bad++

@@ -11,9 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
-	"repro/internal/blas"
 	"repro/internal/chol"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -72,20 +70,7 @@ func main() {
 	fmt.Printf("executed: MAPs per proc %v, peak units %v\n", report.MAPsPerProc, report.PeakUnits)
 
 	// Residual check against the input matrix.
-	l := pr.AssembleL(report.Objects)
-	n := a.N
-	rec := make([]float64, n*n)
-	blas.Syrk(n, n, 1, l, n, rec, n)
-	ad := a.ToDense()
-	num, den := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			d := ad[i*n+j] - rec[i*n+j]
-			num += d * d
-			den += ad[i*n+j] * ad[i*n+j]
-		}
-	}
-	res := math.Sqrt(num / den)
+	res := pr.Residual(report.Objects)
 	fmt.Printf("relative residual ‖A−LLᵀ‖/‖A‖ = %.3g\n", res)
 	if res > 1e-10 {
 		log.Fatal("residual too large")

@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/lu"
 	"repro/internal/sparse"
@@ -83,26 +82,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Solve A·x = b with the factored panels and check the answer.
-	n := a.N
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	for j := 0; j < n; j++ {
-		vals := a.ColVal(j)
-		for k, i := range a.Col(j) {
-			b[i] += vals[k] * xTrue[j]
-		}
-	}
-	x := pr.Solve(report.Objects, b)
-	maxErr := 0.0
-	for i := range x {
-		if d := math.Abs(x[i] - xTrue[i]); d > maxErr {
-			maxErr = d
-		}
-	}
+	// Solve A·x = b for a known x with the factored panels and check the
+	// answer.
+	maxErr := pr.SolveError(report.Objects, rng)
 	fmt.Printf("solve max error vs known solution: %.3g\n", maxErr)
 	if maxErr > 1e-6 {
 		log.Fatal("solve error too large")

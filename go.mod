@@ -1,13 +1,3 @@
 module repro
 
 go 1.22
-
-// rapidvet (tools/analyzers/rapidvet) compiles against a local mirror of
-// the go/analysis API so the suite builds offline. The pin below records
-// the upstream the mirror tracks; the replace gates it against the
-// network — this environment has no module proxy, so the requirement
-// resolves to the empty stub in third_party/. To adopt the real module,
-// follow third_party/golang.org/x/tools/README.md.
-require golang.org/x/tools v0.24.0
-
-replace golang.org/x/tools => ./third_party/golang.org/x/tools

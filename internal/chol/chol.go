@@ -333,3 +333,22 @@ func (pr *Problem) AssembleL(bufs map[graph.ObjID][]float64) []float64 {
 	}
 	return l
 }
+
+// Residual returns ‖A − L·Lᵀ‖_F / ‖A‖_F over the lower triangle, for the
+// factor held in the block buffers: the factorization's numerical check.
+func (pr *Problem) Residual(bufs map[graph.ObjID][]float64) float64 {
+	a, n := pr.A, pr.N
+	l := pr.AssembleL(bufs)
+	rec := make([]float64, n*n)
+	blas.Syrk(n, n, 1, l, n, rec, n)
+	ad := a.ToDense()
+	num, den := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			d := ad[i*n+j] - rec[i*n+j]
+			num += d * d
+			den += ad[i*n+j] * ad[i*n+j]
+		}
+	}
+	return math.Sqrt(num / den)
+}

@@ -76,30 +76,13 @@ type Config struct {
 	Faults proto.Faults
 }
 
-// Result reports a completed run.
+// Result reports a completed run: the protocol's run report plus what only
+// a wall-clock run with real data has.
 type Result struct {
-	// MAPsExecuted is the number of MAPs each processor performed.
-	MAPsExecuted []int
-	// PeakUnits is the per-processor peak memory in use (abstract units).
-	PeakUnits []int64
-	// Perm maps every object to its final buffer on its owner (numeric
+	proto.Summary
+	// Objects maps every object to its final buffer on its owner (numeric
 	// mode; nil otherwise).
-	Perm map[graph.ObjID][]float64
-	// Occupancy is the wall-clock seconds each processor spent in each
-	// protocol state (indexed by proto.State).
-	Occupancy []proto.Occupancy
-	// SuspendedSends counts, per processor, the data messages that went
-	// through the suspended-send queue.
-	SuspendedSends []int
-	// Messages is the machine-wide number of data messages delivered
-	// (excluding injected duplicates, which receivers discard).
-	Messages int
-	// AddrPackages is the machine-wide number of address packages consumed,
-	// net of discarded duplicates.
-	AddrPackages int
-	// Reliability is the per-processor ack/retransmit summary (sender-side
-	// counters plus the duplicate deliveries that processor discarded).
-	Reliability []proto.Reliability
+	Objects map[graph.ObjID][]float64
 	// BlockedAdvances is the per-processor count of Advance calls that
 	// returned Blocked — the executor's spin metric. Parked processors are
 	// re-examined only after a wake token or timer, so the count stays
@@ -285,25 +268,15 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 	if runErr != nil {
 		return nil, runErr
 	}
-	sum := pe.Summarize(cores)
-	res := &Result{
-		MAPsExecuted:    sum.MAPs,
-		PeakUnits:       sum.PeakUnits,
-		Occupancy:       sum.Occupancy,
-		SuspendedSends:  sum.SuspendedSends,
-		Messages:        sum.Messages,
-		AddrPackages:    sum.AddrPackages,
-		Reliability:     sum.Reliability,
-		BlockedAdvances: make([]int, s.P),
-	}
+	res := &Result{Summary: pe.Summarize(cores), BlockedAdvances: make([]int, s.P)}
 	for p, c := range cores {
 		res.BlockedAdvances[p] = c.Stats.BlockedAdvances
 	}
 	if e.numeric {
-		res.Perm = make(map[graph.ObjID][]float64, s.G.NumObjects())
+		res.Objects = make(map[graph.ObjID][]float64, s.G.NumObjects())
 		for oi := range s.G.Objects {
 			if b, ok := cores[s.G.Objects[oi].Owner].Lookup(graph.ObjID(oi)); ok {
-				res.Perm[graph.ObjID(oi)] = b.Data
+				res.Objects[graph.ObjID(oi)] = b.Data
 			}
 		}
 	}

@@ -73,7 +73,7 @@ func TestCholeskyConcurrentMatchesSequential(t *testing.T) {
 			}
 			for oi := range pr.G.Objects {
 				o := graph.ObjID(oi)
-				got := res.Perm[o]
+				got := res.Objects[o]
 				ref := want[o]
 				for i := range ref {
 					if math.Abs(got[i]-ref[i]) > 1e-9 {
@@ -93,7 +93,7 @@ func TestCholeskyUnderTightMemory(t *testing.T) {
 	capacity := s.MinMem()
 	res := runNumeric(t, pr, s, capacity)
 	total := 0
-	for _, m := range res.MAPsExecuted {
+	for _, m := range res.MAPsPerProc {
 		total += m
 	}
 	if total <= 4 {
@@ -112,7 +112,7 @@ func TestCholeskyUnderTightMemory(t *testing.T) {
 	for oi := range pr.G.Objects {
 		o := graph.ObjID(oi)
 		for i := range want[o] {
-			if math.Abs(res.Perm[o][i]-want[o][i]) > 1e-9 {
+			if math.Abs(res.Objects[o][i]-want[o][i]) > 1e-9 {
 				t.Fatalf("object %q differs under tight memory", pr.G.Objects[oi].Name)
 			}
 		}
@@ -155,7 +155,7 @@ func TestLUConcurrentSolves(t *testing.T) {
 			b[i] += vals[k] * xTrue[j]
 		}
 	}
-	x := pr.Solve(res.Perm, b)
+	x := pr.Solve(res.Objects, b)
 	for i := range x {
 		if math.Abs(x[i]-xTrue[i]) > 1e-7 {
 			t.Fatalf("solve error at %d: %v vs %v", i, x[i], xTrue[i])
@@ -195,9 +195,9 @@ func TestStructureOnlyRandomStress(t *testing.T) {
 			t.Fatalf("trial %d (p=%d, %v): %v", trial, p, h, err)
 		}
 		for q := 0; q < p; q++ {
-			if res.MAPsExecuted[q] != len(plan.Procs[q].MAPs) {
+			if res.MAPsPerProc[q] != len(plan.Procs[q].MAPs) {
 				t.Fatalf("trial %d: proc %d executed %d MAPs, plan has %d",
-					trial, q, res.MAPsExecuted[q], len(plan.Procs[q].MAPs))
+					trial, q, res.MAPsPerProc[q], len(plan.Procs[q].MAPs))
 			}
 		}
 	}

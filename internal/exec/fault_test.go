@@ -79,7 +79,7 @@ func TestCholeskyUnderFaultInjection(t *testing.T) {
 		for oi := range pr.G.Objects {
 			o := graph.ObjID(oi)
 			for i := range want[o] {
-				if math.Abs(res.Perm[o][i]-want[o][i]) > 1e-9 {
+				if math.Abs(res.Objects[o][i]-want[o][i]) > 1e-9 {
 					t.Fatalf("faults %+v: object %q differs at %d", f, pr.G.Objects[oi].Name, i)
 				}
 			}

@@ -33,7 +33,7 @@ func TestParkedProcessorsDoNotSpin(t *testing.T) {
 		tasks += len(s.Order[q])
 	}
 	maps := 0
-	for _, m := range res.MAPsExecuted {
+	for _, m := range res.MAPsPerProc {
 		maps += m
 	}
 	// Every wake-worthy event, generously: one per message, address

@@ -1,0 +1,150 @@
+package factor
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/sparse"
+	"repro/rapid"
+)
+
+// matrixHash is SHA-256 over ColPtr, RowIdx (each entry as a little-endian
+// uint64) and the values' IEEE bits.
+func matrixHash(a *sparse.Matrix) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, v := range a.ColPtr {
+		put(uint64(v))
+	}
+	for _, v := range a.RowIdx {
+		put(uint64(v))
+	}
+	for _, v := range a.Val {
+		put(math.Float64bits(v))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMatrixBytesPinned: the generator is what rapidd's buildProblem was at
+// commit 0efa92a, byte for byte — the hashes were taken there. Plan-cache
+// keys, coalescing and bench/'s serve_* structures all hang off these
+// bytes; a change here is a change of every fingerprint.
+func TestMatrixBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		kind   string
+		n      int
+		order  int
+		nnz    int
+		sha256 string
+	}{
+		{"chol", 120, 120, 980, "978b1f8b84c89bcafcf917155313e495b47fe64beaa79c6ca4fa293d17f938ea"},
+		{"chol", 400, 396, 3424, "7b97255d91c58b0b27a41655c3ec172fbf2fce47ff49e396b5dbb1eb2149cf0c"},
+		{"lu", 1496, 1496, 13374, "e22267446c9da43413608895b62ad244ec65fd41f5ce3f6f5204b331365cd13c"},
+	} {
+		a, err := Matrix(c.kind, c.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.N != c.order || a.Nnz() != c.nnz {
+			t.Errorf("%s n=%d: order %d nnz %d, want %d and %d", c.kind, c.n, a.N, a.Nnz(), c.order, c.nnz)
+		}
+		if got := matrixHash(a); got != c.sha256 {
+			t.Errorf("%s n=%d: matrix bytes moved: sha256 %s, want %s", c.kind, c.n, got, c.sha256)
+		}
+	}
+}
+
+// TestMatrixRefusesBadInput: n < 1 (which used to divide by zero in the
+// grid-shape formula) and unknown kinds are refused here, once, for every
+// caller; the tools print the error after their name and exit 2.
+func TestMatrixRefusesBadInput(t *testing.T) {
+	for _, n := range []int{0, -5} {
+		if _, err := Matrix("chol", n, 1); err == nil || !strings.HasPrefix(err.Error(), "-n must be at least 1") {
+			t.Errorf("n=%d: error %v", n, err)
+		}
+	}
+	if _, err := Matrix("qr", 100, 1); err == nil {
+		t.Error("unknown kind generated a matrix")
+	}
+	a, _ := Matrix("chol", 100, 1)
+	if _, err := Build("qr", a, 2, 8); err == nil {
+		t.Error("unknown kind built a problem")
+	}
+}
+
+// TestResidualsPinned: chol.Problem.Residual and lu.Problem.SolveError are
+// the arithmetic rapidd's cholResidual and luResidual did at commit
+// 0efa92a, including the seed+12345 rule of LU's known solution: on the
+// sequential factor of the (kind, 120, 1) matrix they return the very bits
+// measured there.
+func TestResidualsPinned(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		bits uint64
+	}{
+		{"chol", 0x3ca45df10707f243}, // 1.4132416790467954e-16
+		{"lu", 0x3d32000000000000},   // 6.394884621840902e-14
+	} {
+		a, err := Matrix(c.kind, 120, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := Build(c.kind, a, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects, err := pb.Sequential()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pb.Residual(objects, 1); math.Float64bits(got) != c.bits {
+			t.Errorf("%s: %s = %v (bits %#x), want %v", c.kind, pb.Check, got, math.Float64bits(got), math.Float64frombits(c.bits))
+		}
+	}
+}
+
+// TestMemoryPercentIsCompilesTOT: TOT read off the assignment stage alone
+// is the TOT of the compiled plan, for both kinds under every heuristic,
+// and a positive percentage is never the "unconstrained" 0.
+func TestMemoryPercentIsCompilesTOT(t *testing.T) {
+	heuristics := []rapid.Heuristic{rapid.RCP, rapid.MPO, rapid.DTS, rapid.DTSMerge, rapid.TreeMem}
+	for _, kind := range Kinds {
+		for _, n := range []int{1, 120} {
+			a, err := Matrix(kind, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := Build(kind, a, 4, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range heuristics {
+				opt := rapid.Options{Procs: 4, Heuristic: h}
+				plan, err := rapid.Compile(pb.Program, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pct := range []int{1, 40, 60, 100} {
+					memory, tot, err := rapid.MemoryPercent(pb.Program, opt, pct)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tot != plan.TOT() {
+						t.Fatalf("%s n=%d %v: assignment-only TOT %d, compiled plan's %d", kind, n, h, tot, plan.TOT())
+					}
+					if want := max(1, tot*int64(pct)/100); memory != want {
+						t.Fatalf("%s n=%d %v: %d%% of %d is %d, want %d", kind, n, h, pct, tot, memory, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -38,11 +38,13 @@ package lu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/blas"
 	"repro/internal/graph"
 	"repro/internal/sparse"
+	"repro/internal/util"
 )
 
 type opKind uint8
@@ -305,6 +307,32 @@ func (pr *Problem) Solve(bufs map[graph.ObjID][]float64, b []float64) []float64 
 		}
 	}
 	return x
+}
+
+// SolveError draws a solution x* from rng, solves A·x = A·x* with the
+// factored panel buffers and returns max |x − x*|: the factorization's
+// numerical check.
+func (pr *Problem) SolveError(bufs map[graph.ObjID][]float64, rng *util.RNG) float64 {
+	a := pr.A
+	xTrue := make([]float64, a.N)
+	for i := range xTrue {
+		xTrue[i] = rng.NormFloat64()
+	}
+	b := make([]float64, a.N)
+	for j := 0; j < a.N; j++ {
+		vals := a.ColVal(j)
+		for k, i := range a.Col(j) {
+			b[i] += vals[k] * xTrue[j]
+		}
+	}
+	x := pr.Solve(bufs, b)
+	maxErr := 0.0
+	for i := range x {
+		if d := math.Abs(x[i] - xTrue[i]); d > maxErr {
+			maxErr = d
+		}
+	}
+	return maxErr
 }
 
 // Heights exposes the structural panel heights (for cost reporting).

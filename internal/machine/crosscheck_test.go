@@ -51,7 +51,7 @@ func TestSimulatorAndExecutorAgree(t *testing.T) {
 		}
 		total := 0
 		for q := 0; q < p; q++ {
-			total += exRes.MAPsExecuted[q]
+			total += exRes.MAPsPerProc[q]
 		}
 		if simRes.AvgMAPs != float64(total)/float64(p) {
 			t.Fatalf("trial %d: simulator AvgMAPs %v != executor %v",
@@ -121,9 +121,9 @@ func TestRandomizedEquivalence(t *testing.T) {
 		}
 		check := func(mode string, simRes *Result, exRes *exec.Result) {
 			for q := 0; q < p; q++ {
-				if simRes.MAPsPerProc[q] != exRes.MAPsExecuted[q] {
+				if simRes.MAPsPerProc[q] != exRes.MAPsPerProc[q] {
 					t.Errorf("trial %d %s: proc %d MAPs sim %d != exec %d",
-						trial, mode, q, simRes.MAPsPerProc[q], exRes.MAPsExecuted[q])
+						trial, mode, q, simRes.MAPsPerProc[q], exRes.MAPsPerProc[q])
 				}
 				if simRes.PeakUnits[q] != exRes.PeakUnits[q] {
 					t.Errorf("trial %d %s: proc %d peak sim %d != exec %d",
@@ -232,9 +232,9 @@ func TestLossDupEquivalence(t *testing.T) {
 
 		lossySim, lossyEx := run(proto.Faults{Seed: uint64(trial) + 1, DropFrac: 0.25, DupFrac: 0.10})
 		for q := 0; q < p; q++ {
-			if lossySim.MAPsPerProc[q] != cleanSim.MAPsPerProc[q] || lossyEx.MAPsExecuted[q] != cleanSim.MAPsPerProc[q] {
+			if lossySim.MAPsPerProc[q] != cleanSim.MAPsPerProc[q] || lossyEx.MAPsPerProc[q] != cleanSim.MAPsPerProc[q] {
 				t.Errorf("trial %d: proc %d MAPs under loss: sim %d exec %d, clean %d",
-					trial, q, lossySim.MAPsPerProc[q], lossyEx.MAPsExecuted[q], cleanSim.MAPsPerProc[q])
+					trial, q, lossySim.MAPsPerProc[q], lossyEx.MAPsPerProc[q], cleanSim.MAPsPerProc[q])
 			}
 			if lossySim.PeakUnits[q] != cleanSim.PeakUnits[q] || lossyEx.PeakUnits[q] != cleanSim.PeakUnits[q] {
 				t.Errorf("trial %d: proc %d peak under loss: sim %d exec %d, clean %d",

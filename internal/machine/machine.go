@@ -47,30 +47,15 @@ type Options struct {
 	Faults proto.Faults
 }
 
-// Result reports a completed simulation.
+// Result reports a completed simulation: the protocol's run report (in
+// virtual seconds) plus the simulated clock's readings.
 type Result struct {
-	// ParallelTime is the completion time of the last task (seconds).
+	proto.Summary
+	// ParallelTime is the completion time of the last task (seconds under
+	// the plan's cost model).
 	ParallelTime float64
 	// AvgMAPs is the average number of MAPs executed per processor.
 	AvgMAPs float64
-	// Messages is the number of data messages delivered.
-	Messages int
-	// AddrPackages is the number of address packages delivered.
-	AddrPackages int
-	// MAPsPerProc is the number of MAPs each processor executed.
-	MAPsPerProc []int
-	// PeakUnits is the per-processor peak memory in use (abstract units,
-	// permanent + volatile), as booked on the protocol core's ledger.
-	PeakUnits []int64
-	// SuspendedSends counts, per processor, the data messages that went
-	// through the suspended-send queue.
-	SuspendedSends []int
-	// Occupancy is the virtual time each processor spent in each protocol
-	// state (indexed by proto.State).
-	Occupancy []proto.Occupancy
-	// Reliability is the per-processor ack/retransmit summary (sender-side
-	// counters plus the duplicate deliveries that processor discarded).
-	Reliability []proto.Reliability
 }
 
 // event kinds
@@ -221,19 +206,13 @@ func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sch
 	}
 	sum := eng.Summarize(cores)
 	totalMAPs := 0
-	for _, n := range sum.MAPs {
+	for _, n := range sum.MAPsPerProc {
 		totalMAPs += n
 	}
 	return &Result{
-		ParallelTime:   m.lastTaskFinish,
-		AvgMAPs:        float64(totalMAPs) / float64(s.P),
-		Messages:       sum.Messages,
-		AddrPackages:   sum.AddrPackages,
-		MAPsPerProc:    sum.MAPs,
-		PeakUnits:      sum.PeakUnits,
-		SuspendedSends: sum.SuspendedSends,
-		Occupancy:      sum.Occupancy,
-		Reliability:    sum.Reliability,
+		Summary:      sum,
+		ParallelTime: m.lastTaskFinish,
+		AvgMAPs:      float64(totalMAPs) / float64(s.P),
 	}, nil
 }
 

@@ -462,11 +462,15 @@ func SumReliability(rs []Reliability) Reliability {
 	return t
 }
 
-// Summary is what a finished run reports whichever backend drove it: one
-// entry per processor, plus the machine-wide message counts.
+// Summary is the run report, whichever backend drove the run: one entry
+// per processor, plus the machine-wide message counts. It is declared once;
+// exec.Result and machine.Result embed it and the public rapid.Report and
+// rapid.SimReport are those types, so a new counter is added here and
+// nowhere else. Times are wall-clock seconds from the executor and virtual
+// seconds from the simulator.
 type Summary struct {
-	// MAPs is the number of MAPs each processor executed.
-	MAPs []int
+	// MAPsPerProc is the number of MAPs each processor executed.
+	MAPsPerProc []int
 	// PeakUnits is each processor's peak memory in use (abstract units,
 	// permanent + volatile), as booked on its ledger.
 	PeakUnits []int64
@@ -486,7 +490,7 @@ type Summary struct {
 func (e *Engine) Summarize(cores []*Core) Summary {
 	n := len(cores)
 	sum := Summary{
-		MAPs:           make([]int, n),
+		MAPsPerProc:    make([]int, n),
 		PeakUnits:      make([]int64, n),
 		SuspendedSends: make([]int, n),
 		Occupancy:      make([]Occupancy, n),
@@ -494,7 +498,7 @@ func (e *Engine) Summarize(cores []*Core) Summary {
 	}
 	for p, c := range cores {
 		st := &c.Stats
-		sum.MAPs[p] = st.MAPs
+		sum.MAPsPerProc[p] = st.MAPs
 		sum.PeakUnits[p] = c.mem.Peak()
 		sum.SuspendedSends[p] = st.DataSuspended
 		sum.Occupancy[p] = c.occ

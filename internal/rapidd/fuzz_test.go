@@ -2,6 +2,8 @@ package rapidd
 
 import (
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // FuzzParseJobSpec fuzzes the solve endpoint's whole input surface: any
@@ -47,7 +49,7 @@ func FuzzParseJobSpec(f *testing.F) {
 		if spec.Block < 1 || spec.Block > 256 {
 			t.Fatalf("accepted block %d", spec.Block)
 		}
-		if _, err := parseHeuristic(spec.Heuristic); err != nil {
+		if _, err := sched.ParseHeuristic(spec.Heuristic); err != nil {
 			t.Fatalf("accepted heuristic %q", spec.Heuristic)
 		}
 		if spec.MemPercent < 0 || spec.MemPercent > 100 {

@@ -209,11 +209,7 @@ func (s *Server) update(j *job, f func(*Job)) {
 // Drain and fully drained.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		j := s.queue.next()
-		if j == nil {
-			return
-		}
+	for j := s.queue.next(true); j != nil; j = s.queue.next(false) {
 		s.process(j)
 	}
 }

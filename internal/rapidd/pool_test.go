@@ -115,6 +115,29 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
+// TestFreshServerNeverSheds: "an idle server never sheds anything" holds
+// from the moment Open returns. A one-worker server with no backlog used to
+// refuse a request posted before its worker goroutine had parked in next():
+// only parked workers counted as capacity, and Open returns right after
+// the go statement.
+func TestFreshServerNeverSheds(t *testing.T) {
+	body := `{"kind":"chol","n":8,"procs":1}`
+	for round := 0; round < 200; round++ {
+		srv := New(Config{Workers: 1, QueueDepth: -1})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+		if rec.Code == http.StatusTooManyRequests {
+			t.Fatalf("round %d: a just-opened idle server shed its first request", round)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("round %d: HTTP %d: %s", round, rec.Code, rec.Body)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestServerCoalescesIdenticalInflightSpecs: while one request for a spec
 // is executing, a second identical request joins it instead of executing
 // again — one execution, two completed jobs, the follower marked coalesced.

@@ -54,9 +54,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,12 +64,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blas"
-	"repro/internal/chol"
+	"repro/internal/factor"
 	"repro/internal/iofault"
 	"repro/internal/journal"
-	"repro/internal/lu"
-	"repro/internal/sparse"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/util"
 	"repro/rapid"
@@ -429,6 +427,7 @@ func Open(cfg Config) (*Server, error) {
 		s.recover(rep)
 	}
 	s.wg.Add(cfg.Workers)
+	s.queue.expect(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
@@ -857,8 +856,8 @@ func normalizeSpec(spec *JobSpec) error {
 	if spec.Kind == "" {
 		spec.Kind = "chol"
 	}
-	if spec.Kind != "chol" && spec.Kind != "lu" {
-		return fmt.Errorf("rapidd: unknown kind %q (want chol or lu)", spec.Kind)
+	if !slices.Contains(factor.Kinds, spec.Kind) {
+		return fmt.Errorf("rapidd: unknown kind %q (want %s)", spec.Kind, strings.Join(factor.Kinds, " or "))
 	}
 	if spec.N == 0 {
 		spec.N = 120
@@ -884,8 +883,8 @@ func normalizeSpec(spec *JobSpec) error {
 	if spec.Heuristic == "" {
 		spec.Heuristic = "mpo"
 	}
-	if _, err := parseHeuristic(spec.Heuristic); err != nil {
-		return err
+	if _, err := sched.ParseHeuristic(spec.Heuristic); err != nil {
+		return fmt.Errorf("rapidd: %w", err)
 	}
 	if spec.MemPercent < 0 || spec.MemPercent > 100 {
 		return fmt.Errorf("rapidd: mem_percent=%d out of range [0, 100]", spec.MemPercent)
@@ -922,22 +921,6 @@ func faultsFor(spec JobSpec, attempt int) rapid.Faults {
 	}
 }
 
-func parseHeuristic(name string) (rapid.Heuristic, error) {
-	switch strings.ToLower(name) {
-	case "rcp":
-		return rapid.RCP, nil
-	case "mpo":
-		return rapid.MPO, nil
-	case "dts":
-		return rapid.DTS, nil
-	case "dtsmerge":
-		return rapid.DTSMerge, nil
-	case "treemem":
-		return rapid.TreeMem, nil
-	}
-	return 0, fmt.Errorf("rapidd: unknown heuristic %q", name)
-}
-
 // attempt runs one execution attempt, converting a panic anywhere in the
 // compile/execute path into a job failure instead of a daemon crash. The
 // booked admission units are released during unwinding (solve defers the
@@ -952,36 +935,28 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
 	return s.solve(ctx, j, attempt)
 }
 
-// problem abstracts the two factorization kinds for the executor.
-type problem struct {
-	prog   *rapid.Program
-	kernel rapid.KernelFunc
-	init   rapid.InitFunc
-	bufLen func(rapid.ObjID) int64
-	verify func(rep *rapid.Report) float64
-}
-
 func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 	spec := j.Spec
-	h, _ := parseHeuristic(spec.Heuristic)
-	pb, err := buildProblem(spec)
+	// Equal specs yield identical structures (the generator is seeded),
+	// which is what makes the plan cache effective across requests.
+	a, err := factor.Matrix(spec.Kind, spec.N, spec.Seed)
 	if err != nil {
 		return err
 	}
+	pb, err := factor.Build(spec.Kind, a, spec.Procs, spec.Block)
+	if err != nil {
+		return err
+	}
+	h, _ := sched.ParseHeuristic(spec.Heuristic)
 	opt := rapid.Options{Procs: spec.Procs, Heuristic: h}
 	if spec.MemPercent > 0 {
-		// The percentage is relative to the schedule's no-recycling total,
-		// which itself requires a throwaway compile; cache that one too.
-		free, _, err := rapid.CompileCached(pb.prog, opt, s.cache)
-		if err != nil {
+		if opt.Memory, _, err = rapid.MemoryPercent(pb.Program, opt, spec.MemPercent); err != nil {
 			return err
 		}
-		// At least 1: Options.Memory 0 means unconstrained.
-		opt.Memory = max(1, free.TOT()*int64(spec.MemPercent)/100)
 	}
 
 	t0 := time.Now()
-	plan, src, err := rapid.CompileCached(pb.prog, opt, s.cache)
+	plan, src, err := rapid.CompileCached(pb.Program, opt, s.cache)
 	if err != nil {
 		return err
 	}
@@ -993,7 +968,7 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 	}
 	replanned := false
 	if budget > 0 {
-		plan, opt, replanned, err = s.planForBudget(pb.prog, opt, plan, budget)
+		plan, opt, replanned, err = s.planForBudget(pb.Program, opt, plan, budget)
 		if err != nil {
 			return err
 		}
@@ -1057,11 +1032,10 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 		s.execHook(spec)
 	}
 	t1 := time.Now()
-	rep, err := rapid.Execute(pb.prog, plan, rapid.ExecOptions{
-		Kernel: pb.kernel, Init: pb.init, BufLen: pb.bufLen,
-		Faults:       faultsFor(spec, attempt),
-		BlockTimeout: s.cfg.JobTimeout,
-	})
+	execOpt := pb.Exec
+	execOpt.Faults = faultsFor(spec, attempt)
+	execOpt.BlockTimeout = s.cfg.JobTimeout
+	rep, err := rapid.Execute(pb.Program, plan, execOpt)
 	if err != nil {
 		return err
 	}
@@ -1082,7 +1056,7 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 	}
 	residual := 0.0
 	if spec.Verify {
-		residual = pb.verify(rep)
+		residual = pb.Residual(rep.Objects, spec.Seed)
 	}
 	stateUS := stateOccupancyUS(rep.Occupancy)
 	for name, us := range stateUS {
@@ -1162,84 +1136,4 @@ func aggregateDemand(plan *rapid.Plan) int64 {
 		sum += plan.Mem.Procs[i].Peak
 	}
 	return sum
-}
-
-// buildProblem constructs the matrix and task graph for a spec. Equal
-// specs yield identical structures (generators are seeded), which is what
-// makes the plan cache effective across requests.
-func buildProblem(spec JobSpec) (*problem, error) {
-	rng := util.NewRNG(spec.Seed)
-	nx, ny := sparse.GridShape(spec.N)
-	switch spec.Kind {
-	case "chol":
-		pat := sparse.AddRandomSymLinks(sparse.Grid2D(nx, ny, true), spec.N/8, rng)
-		pat = pat.PermuteSym(sparse.RCM(pat))
-		a := sparse.SPDValues(pat, rng)
-		pr, err := chol.Build(a, chol.Options{Procs: spec.Procs, BlockSize: spec.Block})
-		if err != nil {
-			return nil, err
-		}
-		return &problem{
-			prog:   rapid.FromGraph(pr.G),
-			kernel: pr.Kernel,
-			init:   pr.InitObject,
-			verify: func(rep *rapid.Report) float64 { return cholResidual(a, pr, rep) },
-		}, nil
-	case "lu":
-		pat := sparse.AddRandomUnsymLinks(sparse.Grid2D(nx, ny, true), spec.N/4, rng)
-		a := sparse.UnsymValues(pat, rng)
-		pr, err := lu.Build(a, lu.Options{Procs: spec.Procs, BlockSize: spec.Block})
-		if err != nil {
-			return nil, err
-		}
-		return &problem{
-			prog:   rapid.FromGraph(pr.G),
-			kernel: pr.Kernel,
-			init:   pr.InitObject,
-			bufLen: pr.BufLen,
-			verify: func(rep *rapid.Report) float64 { return luResidual(a, pr, rep, spec.Seed) },
-		}, nil
-	}
-	return nil, fmt.Errorf("rapidd: unknown kind %q", spec.Kind)
-}
-
-// cholResidual computes ‖A−LLᵀ‖_F/‖A‖_F over the lower triangle.
-func cholResidual(a *sparse.Matrix, pr *chol.Problem, rep *rapid.Report) float64 {
-	l := pr.AssembleL(rep.Objects)
-	rec := make([]float64, a.N*a.N)
-	blas.Syrk(a.N, a.N, 1, l, a.N, rec, a.N)
-	ad := a.ToDense()
-	num, den := 0.0, 0.0
-	for i := 0; i < a.N; i++ {
-		for j := 0; j <= i; j++ {
-			d := ad[i*a.N+j] - rec[i*a.N+j]
-			num += d * d
-			den += ad[i*a.N+j] * ad[i*a.N+j]
-		}
-	}
-	return math.Sqrt(num / den)
-}
-
-// luResidual solves A x = b for a known x and reports max |x−x*|.
-func luResidual(a *sparse.Matrix, pr *lu.Problem, rep *rapid.Report, seed uint64) float64 {
-	rng := util.NewRNG(seed + 12345)
-	xTrue := make([]float64, a.N)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, a.N)
-	for j := 0; j < a.N; j++ {
-		vals := a.ColVal(j)
-		for k, i := range a.Col(j) {
-			b[i] += vals[k] * xTrue[j]
-		}
-	}
-	x := pr.Solve(rep.Objects, b)
-	maxErr := 0.0
-	for i := range x {
-		if d := math.Abs(x[i] - xTrue[i]); d > maxErr {
-			maxErr = d
-		}
-	}
-	return maxErr
 }

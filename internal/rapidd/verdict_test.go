@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/factor"
 	"repro/internal/trace"
 	"repro/rapid"
 )
@@ -39,11 +40,15 @@ func TestVerifyDiskServedPlanCheckedOnce(t *testing.T) {
 // RSS the budget does not see; the per-task slice-of-slices layout cost
 // 309 KB here.
 func TestServeShapeTablesStayFlat(t *testing.T) {
-	pb, err := buildProblem(JobSpec{Kind: "chol", N: 400, Seed: 1, Procs: 4, Block: 8})
+	a, err := factor.Matrix("chol", 400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := rapid.Compile(pb.prog, rapid.Options{Procs: 4, Heuristic: rapid.MPO})
+	pb, err := factor.Build("chol", a, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := rapid.Compile(pb.Program, rapid.Options{Procs: 4, Heuristic: rapid.MPO})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,7 @@ type wfqueue struct {
 	maxDepth int // buffered capacity; 0 = handoff to an idle worker only
 	depth    int // reserved-or-queued tasks; guarded-by: mu
 	idle     int // workers parked in next(); guarded-by: mu
+	starting int // workers announced by expect, not yet in their first next(); guarded-by: mu
 
 	vtime   float64             // guarded-by: mu
 	tenants map[string]*tenantQ // guarded-by: mu
@@ -103,7 +104,9 @@ func newWFQueue(maxDepth int, weight func(string) float64) *wfqueue {
 // fractions round up, so a small queue never rounds a class's share to
 // zero (a depth-1 queue still accepts one job of any class). Idle
 // workers always count as extra capacity (the channel-handoff semantics
-// of the pre-WFQ pool), so an idle server never sheds anything.
+// of the pre-WFQ pool), so an idle server never sheds anything — from
+// the moment it opens: a worker counts from expect, not from whenever the
+// scheduler first runs its goroutine.
 func (q *wfqueue) prioLimit(prio int) int {
 	switch prio {
 	case prioLow:
@@ -121,7 +124,7 @@ func (q *wfqueue) prioLimit(prio int) int {
 func (q *wfqueue) reserve(tenant string, prio int, force bool) (wslot, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if !force && q.depth >= q.prioLimit(prio)+q.idle {
+	if !force && q.depth >= q.prioLimit(prio)+q.idle+q.starting {
 		return wslot{}, false
 	}
 	tq := q.tenants[tenant]
@@ -173,13 +176,25 @@ func (q *wfqueue) abort(sl wslot) {
 	q.cond.Signal()
 }
 
+// expect books n workers that are about to be started as idle capacity.
+// Each of them passes first=true on its first call of next.
+func (q *wfqueue) expect(n int) {
+	q.mu.Lock()
+	q.starting += n
+	q.mu.Unlock()
+}
+
 // next blocks until a task is available and returns the fair-queueing
 // choice: the tenant whose head task has the smallest virtual finish
 // (ties by tenant name, for determinism). Returns nil once the queue is
-// closed and fully drained.
-func (q *wfqueue) next() *job {
+// closed and fully drained. first marks the first call of a worker booked
+// by expect: from here on it is counted by where it is, not as starting.
+func (q *wfqueue) next(first bool) *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if first {
+		q.starting--
+	}
 	for {
 		if tk := q.popLocked(); tk != nil {
 			return tk

@@ -27,7 +27,7 @@ func TestWFQWeightedDrainOrder(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 8; i++ {
-		counts[q.next().Spec.Tenant]++
+		counts[q.next(false).Spec.Tenant]++
 	}
 	// vfinish for a: 1/3, 2/3, 1, 4/3 ...; for b: 1, 2. In the first 8
 	// pops a takes 6 and b 2 — the 3:1 weight ratio.
@@ -47,7 +47,7 @@ func TestWFQFIFOWithinTenant(t *testing.T) {
 		q.commit(sl, &job{Job: Job{ID: string(rune('a' + i))}})
 	}
 	for i := 0; i < 5; i++ {
-		if got := q.next().ID; got != string(rune('a'+i)) {
+		if got := q.next(false).ID; got != string(rune('a'+i)) {
 			t.Fatalf("pop %d = %q", i, got)
 		}
 	}
@@ -112,7 +112,7 @@ func TestWFQIdleWorkerHandoff(t *testing.T) {
 		t.Fatal("unbuffered queue accepted with no idle worker")
 	}
 	got := make(chan *job)
-	go func() { got <- q.next() }()
+	go func() { got <- q.next(false) }()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if ok := wfqPush(q, "t", prioLow); ok {
@@ -132,7 +132,7 @@ func TestWFQIdleWorkerHandoff(t *testing.T) {
 		t.Fatal("handoff never reached the worker")
 	}
 	q.close()
-	if q.next() != nil {
+	if q.next(false) != nil {
 		t.Fatal("closed empty queue returned a task")
 	}
 }
@@ -163,11 +163,11 @@ func TestWFQCloseDrainsBacklog(t *testing.T) {
 	}
 	q.close()
 	for i := 0; i < 3; i++ {
-		if q.next() == nil {
+		if q.next(false) == nil {
 			t.Fatalf("pop %d: backlog lost at close", i)
 		}
 	}
-	if q.next() != nil {
+	if q.next(false) != nil {
 		t.Fatal("drained closed queue returned a task")
 	}
 }

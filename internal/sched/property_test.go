@@ -9,6 +9,7 @@ package sched_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +367,22 @@ func TestHeuristicNamesAndPeakVector(t *testing.T) {
 	}
 	if got := sched.Heuristic(250).String(); got != "?" {
 		t.Errorf("unknown heuristic prints %q, want ?", got)
+	}
+	// The five command-line spellings, in any letter case, and nothing
+	// else — in particular not the String() forms above.
+	for spelling, want := range map[string]sched.Heuristic{
+		"rcp": sched.RCP, "mpo": sched.MPO, "dts": sched.DTS, "dtsmerge": sched.DTSMerge, "treemem": sched.TreeMem,
+	} {
+		for _, s := range []string{spelling, strings.ToUpper(spelling), strings.ToUpper(spelling[:1]) + spelling[1:]} {
+			if got, err := sched.ParseHeuristic(s); err != nil || got != want {
+				t.Errorf("ParseHeuristic(%q) = %v, %v; want %v", s, got, err, want)
+			}
+		}
+	}
+	for _, s := range []string{"", "DTS+merge", "dts-merge", "heft", " mpo"} {
+		if _, err := sched.ParseHeuristic(s); err == nil {
+			t.Errorf("ParseHeuristic(%q) accepted", s)
+		}
 	}
 
 	rng := util.NewRNG(11)

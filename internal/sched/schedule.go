@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -48,6 +49,24 @@ func (h Heuristic) String() string {
 		return "TreeMem"
 	}
 	return "?"
+}
+
+// ParseHeuristic reads a heuristic as the command lines and job specs spell
+// it — rcp, mpo, dts, dtsmerge, treemem, in any letter case.
+func ParseHeuristic(name string) (Heuristic, error) {
+	switch strings.ToLower(name) {
+	case "rcp":
+		return RCP, nil
+	case "mpo":
+		return MPO, nil
+	case "dts":
+		return DTS, nil
+	case "dtsmerge":
+		return DTSMerge, nil
+	case "treemem":
+		return TreeMem, nil
+	}
+	return 0, fmt.Errorf("unknown heuristic %q (want rcp, mpo, dts, dtsmerge or treemem)", name)
 }
 
 // Schedule is a static schedule: an assignment of every task to a processor

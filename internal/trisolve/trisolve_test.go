@@ -109,7 +109,7 @@ func TestConcurrentSolveMatches(t *testing.T) {
 		// x segments live on their owners; gather from Perm plus any local
 		// buffers (x objects are permanent on their owners, so Perm has
 		// them all).
-		x := pr.Assemble(res.Perm)
+		x := pr.Assemble(res.Objects)
 		for i := range x {
 			if math.Abs(x[i]-xTrue[i]) > 1e-8 {
 				t.Fatalf("%v: x[%d] = %v, want %v", h, i, x[i], xTrue[i])
@@ -150,7 +150,7 @@ func TestResidualThroughFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr2, err := Build(cp, fres.Perm, b)
+	pr2, err := Build(cp, fres.Objects, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestResidualThroughFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := pr2.Assemble(sres.Perm)
+	x := pr2.Assemble(sres.Objects)
 	// residual ‖Ax − b‖_∞ relative to ‖b‖_∞
 	r := append([]float64(nil), b...)
 	for j := 0; j < m.N; j++ {

@@ -32,35 +32,19 @@ const (
 	FromCompile = plancache.SourceCompiled
 )
 
-// PlanCacheConfig configures NewPlanCache.
-type PlanCacheConfig struct {
-	// Dir is the on-disk store directory; empty keeps the cache purely
-	// in-memory.
-	Dir string
-	// MemBudget bounds the in-memory tier by total encoded plan size in
-	// bytes (0: a 256 MiB default; negative: disable the memory tier).
-	MemBudget int64
-	// Metrics receives the plancache.* counters (nil: discarded).
-	Metrics *trace.Metrics
-}
+// PlanCacheConfig configures NewPlanCache: Dir is the on-disk store
+// directory (empty: memory only), MemBudget bounds the in-memory tier by
+// total encoded plan size in bytes (0: a 256 MiB default; negative: no
+// memory tier) and Metrics receives the plancache.* counters.
+type PlanCacheConfig = plancache.Config
 
 // PlanCache caches compiled plans by structural fingerprint. Safe for
-// concurrent use; lookups for the same fingerprint are single-flight.
-type PlanCache struct {
-	c *plancache.Cache
-}
-
-// Len returns the number of plans the in-memory tier holds.
-func (pc *PlanCache) Len() int { return pc.c.Len() }
+// concurrent use; lookups for the same fingerprint are single-flight. Len
+// returns the number of plans the in-memory tier holds.
+type PlanCache = plancache.Cache
 
 // NewPlanCache creates a plan cache.
-func NewPlanCache(cfg PlanCacheConfig) *PlanCache {
-	return &PlanCache{c: plancache.New(plancache.Config{
-		Dir:       cfg.Dir,
-		MemBudget: cfg.MemBudget,
-		Metrics:   cfg.Metrics,
-	})}
-}
+func NewPlanCache(cfg PlanCacheConfig) *PlanCache { return plancache.New(cfg) }
 
 // Fingerprint returns the content address (a SHA-256 hex string) of the
 // compilation input: the program's full task-graph structure plus the
@@ -116,7 +100,7 @@ func CompileCached(prog *Program, opt Options, cache *PlanCache) (*Plan, CacheSo
 		return p, FromCompile, err
 	}
 	fp := Fingerprint(prog, opt)
-	return cache.c.GetOrCompile(fp, func() (*Plan, error) {
+	return cache.GetOrCompile(fp, func() (*Plan, error) {
 		p, err := Compile(prog, opt)
 		if err != nil {
 			return nil, err

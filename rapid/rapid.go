@@ -29,7 +29,6 @@ package rapid
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -38,7 +37,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // ObjID identifies a data object.
@@ -166,10 +164,14 @@ type Options struct {
 // is immutable after its first use.
 type Plan = plan.Artifact
 
-// Compile clusters, maps, orders and memory-plans the program.
-func Compile(prog *Program, opt Options) (*Plan, error) {
+// assignStage is the first stage of Compile: it resolves the cost model,
+// applies the owner policy (in place, on the program's objects) and maps
+// every task to a processor by the owner-compute rule. Everything about
+// a plan's space that does not depend on the task order — TOT above all —
+// is decided here.
+func assignStage(prog *Program, opt Options) (CostModel, []Proc, error) {
 	if opt.Procs < 1 {
-		return nil, fmt.Errorf("rapid: Procs must be >= 1, got %d", opt.Procs)
+		return CostModel{}, nil, fmt.Errorf("rapid: Procs must be >= 1, got %d", opt.Procs)
 	}
 	model := opt.Model
 	if model == (CostModel{}) {
@@ -194,9 +196,37 @@ func Compile(prog *Program, opt Options) (*Plan, error) {
 		sched.DSCOwners(g, opt.Procs, model)
 	}
 	assign, err := sched.OwnerComputeAssign(g, opt.Procs)
+	return model, assign, err
+}
+
+// MemoryPercent states a memory budget the way the paper's tables do, as
+// pct % of TOT: the per-processor space the program needs under opt's
+// data mapping when nothing is recycled. It returns that budget, for
+// Options.Memory, and TOT itself. TOT depends on the owners and the
+// task → processor assignment only, not on the order, so no schedule is
+// computed; Compile(prog, opt).TOT() is the same number for every
+// heuristic. A positive pct never yields 0 — Options.Memory 0 means
+// unconstrained, so the budget rounds up to 1 — and pct <= 0 yields 0.
+// Like Compile, it applies opt's owner policy to the program in place.
+func MemoryPercent(prog *Program, opt Options, pct int) (memory, tot int64, err error) {
+	_, assign, err := assignStage(prog, opt)
+	if err != nil {
+		return 0, 0, err
+	}
+	tot = (&sched.Schedule{G: prog.G, P: opt.Procs, Assign: assign}).TOT()
+	if pct > 0 {
+		memory = max(1, tot*int64(pct)/100)
+	}
+	return memory, tot, nil
+}
+
+// Compile clusters, maps, orders and memory-plans the program.
+func Compile(prog *Program, opt Options) (*Plan, error) {
+	model, assign, err := assignStage(prog, opt)
 	if err != nil {
 		return nil, err
 	}
+	g := prog.G
 
 	// The volatile budget for slice merging: capacity minus the largest
 	// permanent footprint.
@@ -261,124 +291,37 @@ type StateOccupancy = proto.Occupancy
 // StateNames returns the five protocol state names in StateOccupancy order.
 func StateNames() []string { return proto.StateNames() }
 
-// ExecOptions configure Execute.
-type ExecOptions struct {
-	// Kernel runs each task (nil: structure-only protocol run).
-	Kernel KernelFunc
-	// Init initializes permanent objects (numeric mode).
-	Init InitFunc
-	// BufLen overrides physical buffer lengths (defaults to object sizes).
-	BufLen func(o ObjID) int64
-	// Faults injects protocol perturbations (zero value: none).
-	Faults Faults
-	// BlockTimeout aborts the run when a processor makes no protocol
-	// progress for this long (the liveness watchdog; 0 means the executor's
-	// 30-second default).
-	BlockTimeout time.Duration
-}
+// ExecOptions configure Execute: Kernel runs each task (nil: a
+// structure-only protocol run), Init fills permanent objects, BufLen
+// overrides physical buffer lengths (default: object sizes), Faults injects
+// protocol perturbations and BlockTimeout is the liveness watchdog (0: the
+// executor's 30-second default).
+type ExecOptions = exec.Config
 
-// Report summarizes an execution.
-type Report struct {
-	// MAPsPerProc is the number of memory allocation points each processor
-	// executed.
-	MAPsPerProc []int
-	// PeakUnits is the per-processor peak memory use.
-	PeakUnits []int64
-	// Objects maps every object to its final buffer (numeric mode).
-	Objects map[ObjID][]float64
-	// Occupancy is the wall-clock seconds each processor spent in each
-	// protocol state.
-	Occupancy []StateOccupancy
-	// SuspendedSends counts, per processor, the data messages that went
-	// through the suspended-send queue.
-	SuspendedSends []int
-	// Messages and AddrPackages delivered machine-wide.
-	Messages     int
-	AddrPackages int
-	// Reliability is the per-processor ack/retransmit summary.
-	Reliability []ReliabilityStats
-}
+// Report summarizes an execution: the protocol's per-processor run report
+// (MAPsPerProc, PeakUnits, Occupancy in wall-clock seconds, SuspendedSends,
+// Reliability, and the machine-wide Messages and AddrPackages) plus
+// Objects, every object's final buffer in numeric mode.
+type Report = exec.Result
 
 // Execute runs the plan concurrently with one goroutine per processor,
 // under the full active-memory-management protocol.
 func Execute(prog *Program, plan *Plan, opt ExecOptions) (*Report, error) {
-	res, err := exec.Run(plan.Schedule, plan.Mem, plan.Tables(), exec.Config{
-		Kernel:       opt.Kernel,
-		Init:         opt.Init,
-		BufLen:       opt.BufLen,
-		Faults:       opt.Faults,
-		BlockTimeout: opt.BlockTimeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Report{
-		MAPsPerProc:    res.MAPsExecuted,
-		PeakUnits:      res.PeakUnits,
-		Objects:        res.Perm,
-		Occupancy:      res.Occupancy,
-		SuspendedSends: res.SuspendedSends,
-		Messages:       res.Messages,
-		AddrPackages:   res.AddrPackages,
-		Reliability:    res.Reliability,
-	}, nil
+	return exec.Run(plan.Schedule, plan.Mem, plan.Tables(), opt)
 }
 
-// SimOptions configure Simulate.
-type SimOptions struct {
-	// Baseline simulates the original RAPID executor (no memory management
-	// overhead, the whole volatile space allocated and all addresses
-	// exchanged up front). It needs a plan compiled without a memory limit.
-	Baseline bool
-	// Trace records task and MAP spans for Gantt rendering.
-	Trace *trace.Recorder
-	// Faults injects protocol perturbations (zero value: none).
-	Faults Faults
-}
+// SimOptions configure Simulate: Baseline simulates the original RAPID
+// executor (needs a plan compiled without a memory limit), Trace records
+// task and MAP spans for Gantt rendering, Faults injects protocol
+// perturbations.
+type SimOptions = machine.Options
 
-// SimReport summarizes a timing simulation.
-type SimReport struct {
-	// ParallelTime in seconds under the plan's cost model.
-	ParallelTime float64
-	// AvgMAPs per processor.
-	AvgMAPs float64
-	// Messages and AddrPackages delivered.
-	Messages     int
-	AddrPackages int
-	// MAPsPerProc is the number of MAPs each processor executed.
-	MAPsPerProc []int
-	// PeakUnits is the per-processor peak memory use (permanent + volatile)
-	// under the simulated allocator.
-	PeakUnits []int64
-	// SuspendedSends counts, per processor, the data messages that went
-	// through the suspended-send queue.
-	SuspendedSends []int
-	// Occupancy is the virtual time each processor spent in each protocol
-	// state.
-	Occupancy []StateOccupancy
-	// Reliability is the per-processor ack/retransmit summary.
-	Reliability []ReliabilityStats
-}
+// SimReport summarizes a timing simulation: the same run report as Report,
+// in virtual seconds, plus ParallelTime under the plan's cost model and
+// AvgMAPs per processor.
+type SimReport = machine.Result
 
 // Simulate runs the plan on the discrete-event machine simulator.
 func Simulate(prog *Program, plan *Plan, opt SimOptions) (*SimReport, error) {
-	res, err := machine.Simulate(plan.Schedule, plan.Mem, plan.Tables(), plan.Model, machine.Options{
-		Baseline: opt.Baseline,
-		Trace:    opt.Trace,
-		Faults:   opt.Faults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SimReport{
-		ParallelTime:   res.ParallelTime,
-		AvgMAPs:        res.AvgMAPs,
-		Messages:       res.Messages,
-		AddrPackages:   res.AddrPackages,
-		MAPsPerProc:    res.MAPsPerProc,
-		PeakUnits:      res.PeakUnits,
-		SuspendedSends: res.SuspendedSends,
-		Occupancy:      res.Occupancy,
-		Reliability:    res.Reliability,
-	}, nil
+	return machine.Simulate(plan.Schedule, plan.Mem, plan.Tables(), plan.Model, opt)
 }

@@ -164,6 +164,31 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestMemoryPercent: the budget is a share of the TOT that Compile reports
+// for the same data mapping, whatever the owner policy; a positive share
+// rounds up to 1 (Memory 0 would mean unconstrained) and a share of 0 is 0.
+func TestMemoryPercent(t *testing.T) {
+	for _, owners := range []rapid.OwnerPolicy{rapid.OwnersCyclic, rapid.OwnersLoadBalanced, rapid.OwnersDSC} {
+		opt := rapid.Options{Procs: 3, Heuristic: rapid.MPO, Owners: owners}
+		plan, err := rapid.Compile(pipelineProgram(t), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pct, want := range map[int]int64{0: 0, -3: 0, 1: 1, 50: plan.TOT() / 2, 100: plan.TOT()} {
+			memory, tot, err := rapid.MemoryPercent(pipelineProgram(t), opt, pct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tot != plan.TOT() || memory != want {
+				t.Errorf("owners %d, %d%%: memory %d of TOT %d, want %d of %d", owners, pct, memory, tot, want, plan.TOT())
+			}
+		}
+	}
+	if _, _, err := rapid.MemoryPercent(pipelineProgram(t), rapid.Options{Procs: 0}, 50); err == nil {
+		t.Error("Procs=0 must error")
+	}
+}
+
 func TestNonExecutableBudgetReported(t *testing.T) {
 	prog := rapid.FromGraph(sched.Figure2DAG())
 	plan, err := rapid.Compile(prog, rapid.Options{

@@ -9,10 +9,11 @@
 // ../checker) loads packages with `go list -json -export -deps` — gc
 // export data plus source type-checking, the same trick the original
 // nondeterminism linter used — and drives Analyzers through this API.
-// The field and function shapes intentionally match x/tools so that when
-// a pinned golang.org/x/tools is available (go.mod already carries the
-// gated requirement), each analyzer can be ported by swapping the import
-// path and deleting this package, not by rewriting the analyses.
+// It is a source-compatible subset of go/analysis (v0.24.0: Analyzer,
+// Pass, Diagnostic, analysistest): the field and function shapes match
+// x/tools on purpose, so that where the real module can be required each
+// analyzer is ported by swapping the import path and deleting this
+// package, not by rewriting the analyses.
 package analysis
 
 import (
