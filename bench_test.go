@@ -1,6 +1,6 @@
 package repro_test
 
-// The two executor benchmarks CI's benchstat step gates. Everything else
+// The three executor benchmarks CI's benchstat step gates. Everything else
 // that used to live here is a cmd/paper experiment (byte-gated by
 // TestPaperSmallGolden) or a per-layer metric of bench/ (BENCHMARK.json).
 
@@ -14,42 +14,51 @@ import (
 	"repro/rapid"
 )
 
-// concurrentExecProblem builds the fixed factorization problem the
-// executor benchmarks share — a 24×18 nine-point grid with 120 extra
-// couplings, block 12, unchanged since the gate was introduced so base and
-// head always time the same work — compiled with MPO at full memory for p
-// emulated processors.
-func concurrentExecProblem(b *testing.B, p int) (*factor.Problem, *rapid.Plan) {
+// concurrentExecProblem builds the fixed factorization problem the executor
+// benchmarks share — the Cholesky of a 24×18 nine-point grid with 120 extra
+// couplings, unchanged since the gate was introduced so base and head always
+// time the same work — cut into blocks of the given size and compiled for
+// opt.Procs emulated processors at memPct % of TOT (0: full memory).
+func concurrentExecProblem(b *testing.B, block int, opt rapid.Options, memPct int) (*factor.Problem, *rapid.Plan) {
 	b.Helper()
 	rng := util.NewRNG(1)
 	m := sparse.AddRandomSymLinks(sparse.Grid2D(24, 18, true), 120, rng)
 	m = sparse.SPDValues(m.PermuteSym(sparse.RCM(m)), rng)
-	pb, err := factor.Build("chol", m, p, 12)
+	pb, err := factor.Build("chol", m, opt.Procs, block)
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan, err := rapid.Compile(pb.Program, rapid.Options{Procs: p, Heuristic: rapid.MPO})
-	if err != nil || !plan.Executable() {
-		b.Fatalf("plan not executable: %v", err)
+	if opt.Memory, _, err = rapid.MemoryPercent(pb.Program, opt, memPct); err != nil {
+		b.Fatal(err)
 	}
+	plan, err := rapid.Compile(pb.Program, opt)
+	if err != nil || !plan.Executable() {
+		b.Fatalf("plan not executable at %d%% of TOT: %v", memPct, err)
+	}
+	plan.Tables() // derived once per plan, not per run
 	return pb, plan
 }
 
+// timeExec times rapid.Execute of the compiled problem.
+func timeExec(b *testing.B, pb *factor.Problem, plan *rapid.Plan, opt rapid.ExecOptions) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rapid.Execute(pb.Program, plan, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchExec runs the full-memory benchmarks: block 12, MPO.
 func benchExec(b *testing.B, numeric bool) {
 	for _, p := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			pb, plan := concurrentExecProblem(b, p)
+			pb, plan := concurrentExecProblem(b, 12, rapid.Options{Procs: p, Heuristic: rapid.MPO}, 0)
 			var opt rapid.ExecOptions
 			if numeric {
 				opt = pb.Exec
 			}
-			plan.Tables() // derived once per plan, not per run
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rapid.Execute(pb.Program, plan, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
+			timeExec(b, pb, plan, opt)
 		})
 	}
 }
@@ -70,3 +79,16 @@ func BenchmarkConcurrentExec(b *testing.B) { benchExec(b, false) }
 // regressions show up here damped; the structure-only benchmark above is
 // the sensitive gauge.
 func BenchmarkConcurrentExecNumeric(b *testing.B) { benchExec(b, true) }
+
+// BenchmarkConcurrentExecConstrained is the paper's regime, which the two
+// benchmarks above never enter: at full memory a processor runs one MAP and
+// its suspended-send queue stays shallow, so a cost that grows with queue
+// depth or with the number of MAPs passes them unseen. Here the same matrix
+// is cut at block 6 (16 617 tasks, 2 620 messages) and compiled with
+// DTSMerge at 40 % of TOT for 4 processors — 3–6 MAPs and 100–135 suspended
+// sends per processor — and run structure-only, so the time is the
+// protocol's.
+func BenchmarkConcurrentExecConstrained(b *testing.B) {
+	pb, plan := concurrentExecProblem(b, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	timeExec(b, pb, plan, rapid.ExecOptions{})
+}

@@ -210,7 +210,7 @@ func (e *engine) dumpAll() string {
 
 // clock is the wall clock passed to the protocol core (seconds since the
 // run started), which accounts per-state occupancy with it.
-func (e *engine) clock() float64 { return time.Since(e.start).Seconds() }
+func (e *engine) clock() float64 { return float64(time.Since(e.start)) / float64(time.Second) }
 
 // Run executes the schedule under the MAP plan, driven by the schedule's
 // protocol tables (proto.Derive(s); a compiled artifact carries its own).
@@ -288,18 +288,21 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 // moved, parks until a wake token (peer deposit, timer, abort) or the
 // watchdog deadline. It returns the finished core.
 func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
-	ps := &procState{e: e, p: p, lastProgress: time.Now()}
+	ps := &procState{e: e, p: p}
 	core, err := e.eng.NewCore(p, ps)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
 	ps.core = core
+	get := ps.get // bound once: a method value built per Kernel call escapes
 	probe := &e.probes[p]
 	parkTimer := time.NewTimer(time.Hour)
 	defer parkTimer.Stop()
 	for {
-		now := e.clock()
-		st, err := core.Advance(now)
+		// One clock reading per protocol step: it times the step and stamps
+		// the watchdog for whatever progress the step makes.
+		ps.now = e.clock()
+		st, err := core.Advance(ps.now)
 		if err != nil {
 			return nil, err
 		}
@@ -317,24 +320,24 @@ func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
 		case proto.RunTask:
 			storeChanged(&probe.wait, int32(proto.WaitNone))
 			if e.numeric {
-				if kerr := e.cfg.Kernel(st.Task, ps.get); kerr != nil {
+				if kerr := e.cfg.Kernel(st.Task, get); kerr != nil {
 					return nil, fmt.Errorf("exec: proc %d task %q: %w", p, e.eng.S.G.Tasks[st.Task].Name, kerr)
 				}
-				// Re-read the clock after the kernel so SND occupancy does
-				// not absorb the EXE time.
-				now = e.clock()
+				// The task boundary's reading: without it SND occupancy
+				// would absorb the kernel's time.
+				ps.now = e.clock()
 			}
-			core.TaskDone(now)
+			core.TaskDone(ps.now)
 			// Poll between tasks so peers' address packages are consumed
 			// promptly even on processors that never block.
-			core.Poll(now)
+			core.Poll(ps.now)
 			ps.touch()
 		case proto.Blocked:
 			storeChanged(&probe.wait, int32(st.Wait.Kind))
 			if err := ps.blockCheck(st.State); err != nil {
 				return nil, err
 			}
-			if core.Poll(now) {
+			if core.Poll(ps.now) {
 				ps.touch()
 				continue
 			}
@@ -353,8 +356,10 @@ type procState struct {
 	e    *engine
 	p    graph.Proc
 	core *proto.Core
-	// lastProgress stamps the watchdog.
-	lastProgress time.Time
+	// now is the driver loop's latest clock reading and lastProgress, the
+	// watchdog stamp, the reading at which the processor last moved: a stamp
+	// costs no clock read of its own.
+	now, lastProgress float64
 }
 
 // BufLen gives numeric runs a payload per object; structure-only runs get
@@ -375,7 +380,13 @@ func (ps *procState) InitBuffer(b *rma.Buffer) {
 	}
 }
 
-func (ps *procState) touch() { ps.lastProgress = time.Now() }
+func (ps *procState) touch() { ps.lastProgress = ps.now }
+
+// stalledFor is the time since the processor last moved, as of the loop's
+// latest clock reading.
+func (ps *procState) stalledFor() time.Duration {
+	return time.Duration((ps.now - ps.lastProgress) * float64(time.Second))
+}
 
 // park sleeps until a wake token arrives, the engine stops, or the
 // watchdog deadline passes (the caller's next blockCheck then reports the
@@ -385,8 +396,7 @@ func (ps *procState) touch() { ps.lastProgress = time.Now() }
 // immediately; a token left over from a change already observed costs one
 // spurious Advance.
 func (ps *procState) park(probe *procProbe, t *time.Timer) {
-	remain := ps.e.cfg.BlockTimeout - time.Since(ps.lastProgress)
-	t.Reset(remain)
+	t.Reset(ps.e.cfg.BlockTimeout - ps.stalledFor())
 	probe.parked.Store(true)
 	select {
 	case <-ps.e.wakers[ps.p].ch:
@@ -414,7 +424,7 @@ func (ps *procState) blockCheck(st proto.State) error {
 	if ps.e.abort.Load() {
 		return fmt.Errorf("exec: proc %d aborted in %s state", ps.p, st)
 	}
-	if time.Since(ps.lastProgress) > ps.e.cfg.BlockTimeout {
+	if ps.stalledFor() > ps.e.cfg.BlockTimeout {
 		// Render the report before the hook runs: the hook may unwedge the
 		// machine, and the dump must show the stall, not its aftermath.
 		err := fmt.Errorf("exec: proc %d made no progress for %v — %s (possible deadlock; see Config.BlockTimeout)\nmachine state at timeout:%s",

@@ -252,3 +252,37 @@ func randomOwnerComputeDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
 	sched.CyclicOwners(g, p)
 	return g
 }
+
+// TestExecuteAllocsPerTask pins the driver's per-task heap cost: what a
+// numeric run allocates is per run and per object (cores, ledgers, buffers),
+// not per task, so on a problem with many more tasks than objects the
+// allocation count stays under half an object per task. A method value or a
+// map built on the task path shows up here as one or more per task.
+func TestExecuteAllocsPerTask(t *testing.T) {
+	const p = 4
+	rng := util.NewRNG(5)
+	m := sparse.AddRandomSymLinks(sparse.Grid2D(16, 14, true), 400, rng)
+	m = sparse.SPDValues(m.PermuteSym(sparse.RCM(m)), rng)
+	pr, err := chol.Build(m, chol.Options{Procs: p, BlockSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := scheduleFor(t, pr.G, p, sched.MPO)
+	plan, err := mem.NewPlan(s, s.MinMem()+(s.TOT()-s.MinMem())/4)
+	if err != nil || !plan.Executable {
+		t.Fatalf("constrained plan not executable: %v", err)
+	}
+	tables := proto.Derive(s)
+	cfg := Config{Kernel: pr.Kernel, Init: pr.InitObject}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(s, plan, tables, cfg); err != nil {
+			t.Error(err)
+		}
+	})
+	tasks := pr.G.NumTasks()
+	if perTask := allocs / float64(tasks); perTask >= 0.5 {
+		t.Fatalf("numeric Run allocates %.0f objects for %d tasks (%.2f per task), want < 0.5", allocs, tasks, perTask)
+	} else {
+		t.Logf("%.0f allocations, %d tasks, %d objects: %.2f per task", allocs, tasks, pr.G.NumObjects(), perTask)
+	}
+}

@@ -156,21 +156,23 @@ func (f Faults) rto(attempt int32) float64 {
 	return d
 }
 
-// hit converts a hash to a [0,1) coin toss against frac.
-func hit(h uint64, frac float64) bool {
-	return frac > 0 && float64(h>>11)/float64(1<<53) < frac
+// hit tosses the coin identified by key — a hash of (Seed, key) mapped to
+// [0,1) — against frac. A zero fraction, the common case of a run without
+// faults, hashes nothing.
+func (f Faults) hit(frac float64, key ...uint64) bool {
+	return frac > 0 && float64(util.Hash64(f.Seed, key...)>>11)/float64(1<<53) < frac
 }
 
 // delayData decides whether the data message snd is delayed. The key
 // (Obj, Dst, Seq) identifies a message uniquely machine-wide.
 func (f Faults) delayData(snd Send) bool {
-	return hit(util.Hash64(f.Seed, 0xDA7A, uint64(snd.Obj), uint64(snd.Dst), uint64(snd.Seq)), f.DataFrac)
+	return f.hit(f.DataFrac, 0xDA7A, uint64(snd.Obj), uint64(snd.Dst), uint64(snd.Seq))
 }
 
 // delayAddr decides whether the address package of src's mapIdx-th MAP to
 // dst is delayed.
 func (f Faults) delayAddr(src, dst graph.Proc, mapIdx int) bool {
-	return hit(util.Hash64(f.Seed, 0xADD2, uint64(src), uint64(dst), uint64(mapIdx)), f.AddrFrac)
+	return f.hit(f.AddrFrac, 0xADD2, uint64(src), uint64(dst), uint64(mapIdx))
 }
 
 // dropData decides whether the attempt-th transmission (1-based) of data
@@ -179,25 +181,25 @@ func (f Faults) delayAddr(src, dst graph.Proc, mapIdx int) bool {
 // the attempt sequence of a message is itself deterministic, both backends
 // lose exactly the same transmissions.
 func (f Faults) dropData(snd Send, attempt int32) bool {
-	return hit(util.Hash64(f.Seed, 0xD209, uint64(snd.Obj), uint64(snd.Dst), uint64(snd.Seq), uint64(attempt)), f.DropFrac)
+	return f.hit(f.DropFrac, 0xD209, uint64(snd.Obj), uint64(snd.Dst), uint64(snd.Seq), uint64(attempt))
 }
 
 // dupData decides whether the (eventually delivered) data message snd
 // arrives in duplicate.
 func (f Faults) dupData(snd Send) bool {
-	return hit(util.Hash64(f.Seed, 0xD0B1, uint64(snd.Obj), uint64(snd.Dst), uint64(snd.Seq)), f.DupFrac)
+	return f.hit(f.DupFrac, 0xD0B1, uint64(snd.Obj), uint64(snd.Dst), uint64(snd.Seq))
 }
 
 // dropAddr decides whether the attempt-th transmission of src's seq-th
 // address package to dst is lost in transit.
 func (f Faults) dropAddr(src, dst graph.Proc, seq, attempt int32) bool {
-	return hit(util.Hash64(f.Seed, 0xAD09, uint64(src), uint64(dst), uint64(seq), uint64(attempt)), f.DropFrac)
+	return f.hit(f.DropFrac, 0xAD09, uint64(src), uint64(dst), uint64(seq), uint64(attempt))
 }
 
 // dupAddr decides whether src's seq-th address package to dst arrives in
 // duplicate.
 func (f Faults) dupAddr(src, dst graph.Proc, seq int32) bool {
-	return hit(util.Hash64(f.Seed, 0xADB1, uint64(src), uint64(dst), uint64(seq)), f.DupFrac)
+	return f.hit(f.DupFrac, 0xADB1, uint64(src), uint64(dst), uint64(seq))
 }
 
 // Backend supplies a Core with what differs between the wall-clock executor
@@ -266,8 +268,8 @@ type Engine struct {
 	// executor detects a data duplicate in the sender's goroutine, hence the
 	// atomics.
 	dupDropped []atomic.Int64
-	// known is the machine-wide address book of a Baseline run.
-	known map[[2]int32]*rma.Buffer
+	// known is the machine-wide address book of a Baseline run, by channel.
+	known []*rma.Buffer
 }
 
 // NewEngine binds a schedule, its MAP plan and the protocol tables derived
@@ -427,6 +429,13 @@ type Stats struct {
 	// orders of magnitude more. It is timing-dependent and deliberately NOT
 	// part of the backend-equivalence comparison.
 	BlockedAdvances int
+	// CQExamined is the number of queued sends CQ looked at: one per
+	// transmission attempt plus one per look at a channel head whose timer
+	// still runs. Without faults it equals DataSuspended — every suspended
+	// send is examined once, when its address is learned. It is a cost
+	// counter, not a protocol event: NOT part of Summary or of the
+	// backend-equivalence comparison.
+	CQExamined int
 }
 
 // Reliability summarizes the ack/retransmit layer for one processor.
@@ -534,15 +543,20 @@ type pendPkg struct {
 
 // outSend is one data message in the outbound (suspended-send) queue:
 // waiting for its remote address, for a retransmission timer, or for an
-// earlier message with the same (object, destination) to be delivered
-// first (per-key FIFO keeps versions arriving in sequence order).
+// earlier message of the same channel to be delivered first (the
+// per-channel FIFO keeps versions arriving in sequence order).
 type outSend struct {
 	snd     Send
 	attempt int32
-	due     float64
+	// next is the log index of the channel's next queued message, 0 at the
+	// tail.
+	next int32
+	due  float64
 }
 
-func sendKey(snd Send) [2]int32 { return [2]int32{int32(snd.Obj), int32(snd.Dst)} }
+// chanFIFO is one channel's queue: the log indices of its oldest and newest
+// queued messages, 0 when empty.
+type chanFIFO struct{ head, tail int32 }
 
 // Core is the per-processor protocol state machine. Drivers loop on
 // Advance, acting on the returned Status, and call Poll in every blocking
@@ -559,24 +573,32 @@ type Core struct {
 	pend    []pendPkg
 	curTask graph.TaskID
 
-	// outq is the outbound data-message queue (the paper's suspended-send
-	// queue, extended with retransmission state); outKeys counts queued
-	// entries per (object, destination) so fresh sends cannot overtake a
-	// queued predecessor of the same key.
-	outq    []outSend
-	outKeys map[[2]int32]int
+	// The outbound data-message queue (the paper's suspended-send queue,
+	// extended with retransmission state). outq logs the queued messages in
+	// issue order — a message's index is its issue number; outq[0] is unused
+	// so that 0 can mean "none" — and is truncated whenever the queue runs
+	// empty. fifo threads one FIFO per channel through the log, so a fresh
+	// send cannot overtake a queued predecessor of its channel. armed lists
+	// the channels CQ has something to do for: address known and FIFO not
+	// empty, i.e. just unblocked by RA or waiting on a retransmission or
+	// fault-delay timer; without Faults CQ always leaves it empty. queued
+	// counts the undelivered messages.
+	outq   []outSend
+	fifo   []chanFIFO
+	armed  []int32
+	queued int
 	// addrSeq numbers the address packages sent to each destination.
 	addrSeq []int32
 
 	// The receive half. mem is the processor's capacity ledger and the home
 	// of its buffers, whose arrival counters REC reads. addr holds the remote
-	// handles learned through address packages, keyed by (object, consumer
-	// processor); addrSeen is the highest package sequence number consumed
-	// from each source (packages at or below it are duplicates); scratch is
-	// the reusable consume buffer of the RA poll, which runs in every
-	// blocking state and must not allocate in steady state.
+	// handles learned through address packages, by channel; addrSeen is the
+	// highest package sequence number consumed from each source (packages at
+	// or below it are duplicates); scratch is the reusable consume buffer of
+	// the RA poll, which runs in every blocking state and must not allocate
+	// in steady state.
 	mem      *rma.Memory
-	addr     map[[2]int32]*rma.Buffer
+	addr     []*rma.Buffer
 	addrSeen []int32
 	scratch  []*rma.AddrPackage
 
@@ -602,9 +624,9 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 		p:        p,
 		order:    e.S.Order[p],
 		maps:     e.Plan.Procs[p].MAPs,
+		fifo:     make([]chanFIFO, e.Tables.NumChans()),
 		addrSeq:  make([]int32, e.S.P),
 		mem:      rma.NewMemory(e.Plan.Capacity),
-		addr:     make(map[[2]int32]*rma.Buffer),
 		addrSeen: make([]int32, e.S.P),
 	}
 	for oi := range e.S.G.Objects {
@@ -620,7 +642,7 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 		// at once; what is left of the MAPs frees, allocates and notifies
 		// nothing.
 		if e.known == nil {
-			e.known = make(map[[2]int32]*rma.Buffer)
+			e.known = make([]*rma.Buffer, e.Tables.NumChans())
 		}
 		c.addr = e.known
 		planned := c.maps
@@ -632,9 +654,13 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 				if err != nil {
 					return nil, fmt.Errorf("proto: proc %d: Baseline allocates the whole volatile space up front: %w", p, err)
 				}
-				e.known[[2]int32{int32(o), int32(p)}] = b
+				if ch := e.Tables.Chan(p, o); ch >= 0 {
+					e.known[ch] = b
+				}
 			}
 		}
+	} else {
+		c.addr = make([]*rma.Buffer, e.Tables.NumChans())
 	}
 	return c, nil
 }
@@ -673,7 +699,7 @@ func (c *Core) Lookup(o graph.ObjID) (*rma.Buffer, bool) { return c.mem.Lookup(o
 func (c *Core) Pos() int32 { return c.pos }
 
 // SuspendedLen returns the current outbound (suspended-send) queue length.
-func (c *Core) SuspendedLen() int { return len(c.outq) }
+func (c *Core) SuspendedLen() int { return c.queued }
 
 // RetransPending returns the number of queued messages — data sends plus
 // address packages — currently awaiting a retransmission timer after an
@@ -681,8 +707,10 @@ func (c *Core) SuspendedLen() int { return len(c.outq) }
 // diagnosable.
 func (c *Core) RetransPending() int {
 	n := 0
-	for i := range c.outq {
-		if c.outq[i].attempt > 0 {
+	// Only a channel's head is ever transmitted, so only the heads of armed
+	// channels can have been lost.
+	for _, ch := range c.armed {
+		if c.outq[c.fifo[ch].head].attempt > 0 {
 			n++
 		}
 	}
@@ -748,7 +776,7 @@ func (c *Core) Advance(now float64) (Status, error) {
 	}
 	// END state: out of tasks, drain the outbound queue.
 	if int(c.pos) >= len(c.order) {
-		if len(c.outq) > 0 {
+		if c.queued > 0 {
 			c.enter(StateEND, now)
 			c.Stats.BlockedAdvances++
 			return Status{Kind: Blocked, State: StateEND, Wait: c.outWait(now)}, nil
@@ -797,16 +825,30 @@ func (c *Core) pendWait(now float64) Wait {
 // queue's head: an unlearned remote address, or a running retransmission
 // timer. Due is the earliest deadline across the whole queue.
 func (c *Core) outWait(now float64) Wait {
-	w := Wait{Kind: WaitAddr, Obj: c.outq[0].snd.Obj, Dst: c.outq[0].snd.Dst}
-	if c.addr[sendKey(c.outq[0].snd)] != nil {
+	head := c.queueHead().snd
+	w := Wait{Kind: WaitAddr, Obj: head.Obj, Dst: head.Dst}
+	if c.addr[head.Chan] != nil {
 		w.Kind = WaitTimer
 	}
-	for i := range c.outq {
-		if due := c.outq[i].due; due > now && (w.Due == 0 || due < w.Due) {
+	for _, ch := range c.armed {
+		if due := c.outq[c.fifo[ch].head].due; due > now && (w.Due == 0 || due < w.Due) {
 			w.Due = due
 		}
 	}
 	return w
+}
+
+// queueHead returns the oldest queued message: the earliest-issued channel
+// head. The queue must not be empty. It serves the END-blocked verdict and
+// stall reports, not the task path.
+func (c *Core) queueHead() *outSend {
+	first := int32(len(c.outq))
+	for _, f := range c.fifo {
+		if f.head != 0 && f.head < first {
+			first = f.head
+		}
+	}
+	return &c.outq[first]
 }
 
 // recWait derives the Wait of a REC-blocked processor: the first unmet
@@ -934,13 +976,26 @@ func (c *Core) flushNotify(now float64) bool {
 	return len(c.pend) == 0
 }
 
-// pushOut appends a data message to the outbound queue.
+// pushOut appends a data message to the outbound queue, at the tail of its
+// channel's FIFO. A channel whose address is known has nothing to wait for
+// but CQ (a fault delay) or its timer (a lost transmission): it is armed.
 func (c *Core) pushOut(m outSend) {
-	if c.outKeys == nil {
-		c.outKeys = make(map[[2]int32]int)
+	if c.queued == 0 {
+		c.outq = append(c.outq[:0], outSend{})
 	}
-	c.outKeys[sendKey(m.snd)]++
+	i, ch := int32(len(c.outq)), m.snd.Chan
 	c.outq = append(c.outq, m)
+	f := &c.fifo[ch]
+	if f.head == 0 {
+		f.head = i
+		if c.addr[ch] != nil {
+			c.armed = append(c.armed, ch)
+		}
+	} else {
+		c.outq[f.tail].next = i
+	}
+	f.tail = i
+	c.queued++
 }
 
 // transmit performs one transmission attempt of m's data message and
@@ -955,8 +1010,8 @@ func (c *Core) transmit(m *outSend, now float64) bool {
 	if c.eng.Faults.dropData(m.snd, m.attempt) {
 		c.Stats.Dropped++
 		if int(m.attempt) > c.eng.Faults.maxRetries() {
-			c.err = fmt.Errorf("proto: proc %d: data message (object %d seq %d to processor %d) lost %d times, retry budget %d exhausted",
-				c.p, m.snd.Obj, m.snd.Seq, m.snd.Dst, m.attempt, c.eng.Faults.maxRetries())
+			c.err = fmt.Errorf("proto: proc %d: data message (object %q version %d to processor %d) lost %d times, retry budget %d exhausted",
+				c.p, c.eng.S.G.Objects[m.snd.Obj].Name, m.snd.Seq, m.snd.Dst, m.attempt, c.eng.Faults.maxRetries())
 			return false
 		}
 		m.due = now + c.eng.Faults.rto(m.attempt)
@@ -981,7 +1036,7 @@ func (c *Core) transmit(m *outSend, now float64) bool {
 // a deposit rma refuses latches the run's error.
 func (c *Core) deposit(snd Send) {
 	defer c.eng.DepositFault(snd, &c.err)
-	c.be.SendData(snd, c.addr[sendKey(snd)])
+	c.be.SendData(snd, c.addr[snd.Chan])
 }
 
 // ready implements the REC condition for task t: all cross-processor
@@ -1006,10 +1061,9 @@ func (c *Core) ready(t graph.TaskID) (bool, error) {
 
 // TaskDone records completion of the task last returned by Advance and
 // performs the SND state: data messages whose remote address is unknown —
-// or that fault injection delays, or whose (object, destination) key has a
-// queued predecessor awaiting retransmission — go onto the outbound queue;
-// the rest transmit immediately (and join the queue if that transmission
-// is lost).
+// or that fault injection delays, or whose channel has a queued
+// predecessor — go onto the outbound queue; the rest transmit immediately
+// (and join the queue if that transmission is lost).
 func (c *Core) TaskDone(now float64) {
 	c.enter(StateSND, now)
 	t := c.curTask
@@ -1022,7 +1076,7 @@ func (c *Core) TaskDone(now float64) {
 			c.be.WakeAfter(0)
 			continue
 		}
-		if (len(c.outq) > 0 && c.outKeys[sendKey(snd)] > 0) || c.addr[sendKey(snd)] == nil {
+		if c.fifo[snd.Chan].head != 0 || c.addr[snd.Chan] == nil {
 			c.Stats.DataSuspended++
 			c.pushOut(outSend{snd: snd})
 			continue
@@ -1043,9 +1097,9 @@ func (c *Core) TaskDone(now float64) {
 // address book; a duplicated delivery — sequence number at or below the
 // highest consumed from that source — is discarded uncounted) then CQ
 // (dispatch queued sends whose addresses are known and whose retransmission
-// timers have expired, FIFO per (object, destination)) — the two operations
-// the protocol requires in every blocking state. It reports whether any
-// message moved, which drivers use as a progress signal.
+// timers have expired, FIFO per channel) — the two operations the protocol
+// requires in every blocking state. It reports whether any message moved,
+// which drivers use as a progress signal.
 func (c *Core) Poll(now float64) bool {
 	progress := false
 	c.scratch = c.be.RecvAddr(c.scratch[:0])
@@ -1056,43 +1110,85 @@ func (c *Core) Poll(now float64) bool {
 		}
 		c.addrSeen[pkg.From] = pkg.Seq
 		for _, b := range pkg.Buffers {
-			c.addr[[2]int32{int32(b.Obj), int32(pkg.From)}] = b
+			ch := c.eng.Tables.Chan(pkg.From, b.Obj)
+			if ch < 0 {
+				continue // nothing is ever sent there
+			}
+			if c.addr[ch] == nil && c.fifo[ch].head != 0 {
+				c.armed = append(c.armed, ch)
+			}
+			c.addr[ch] = b
 		}
 		c.Stats.AddrConsumed++
 		progress = true
 	}
-	if len(c.outq) > 0 {
-		blocked := make(map[[2]int32]bool)
-		kept := c.outq[:0]
-		for i := range c.outq {
-			m := c.outq[i]
-			k := sendKey(m.snd)
-			if blocked[k] || c.addr[k] == nil {
-				blocked[k] = true
-				kept = append(kept, m)
-				continue
-			}
-			if m.due > now {
-				// Retransmission timer still running; later messages of the
-				// same key must wait behind it to keep versions in order.
-				blocked[k] = true
-				kept = append(kept, m)
-				c.be.WakeAfter(m.due - now)
-				continue
-			}
-			if !c.transmit(&m, now) {
-				blocked[k] = true
-				kept = append(kept, m)
-				continue
-			}
-			if c.outKeys[k]--; c.outKeys[k] == 0 {
-				delete(c.outKeys, k)
-			}
-			progress = true
-		}
-		c.outq = kept
+	if len(c.armed) > 0 && c.cq(now) {
+		progress = true
 	}
 	return progress
+}
+
+// cq is the CQ operation over the armed channels: it transmits from their
+// heads in issue order — a merge of the channel FIFOs through a binary heap
+// of channels keyed by head, so the transport sees exactly the sequence a
+// walk of the whole queue would produce — until each channel is empty or
+// its head must wait (timer running, transmission lost). Channels that
+// still hold messages stay armed. It reports whether any message went out.
+func (c *Core) cq(now float64) bool {
+	progress := false
+	h := c.armed
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		c.siftDown(h, i)
+	}
+	for n := len(h); n > 0; {
+		f := &c.fifo[h[0]]
+		m := &c.outq[f.head]
+		c.Stats.CQExamined++
+		if m.due > now {
+			// Retransmission timer still running; later messages of the
+			// channel wait behind it to keep versions in order.
+			c.be.WakeAfter(m.due - now)
+		} else if c.transmit(m, now) {
+			f.head = m.next
+			c.queued--
+			progress = true
+			if f.head != 0 {
+				c.siftDown(h[:n], 0)
+				continue
+			}
+		}
+		// The channel leaves this round's merge: empty, or head waiting.
+		n--
+		h[0], h[n] = h[n], h[0]
+		c.siftDown(h[:n], 0)
+	}
+	kept := h[:0]
+	for _, ch := range h {
+		if c.fifo[ch].head != 0 {
+			kept = append(kept, ch)
+		}
+	}
+	c.armed = kept
+	return progress
+}
+
+// siftDown restores the heap property of h — channels ordered by the issue
+// number of their head message — below position i.
+func (c *Core) siftDown(h []int32, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && c.fifo[h[r]].head < c.fifo[h[l]].head {
+			l = r
+		}
+		if c.fifo[h[i]].head <= c.fifo[h[l]].head {
+			return
+		}
+		h[i], h[l] = h[l], h[i]
+		i = l
+	}
 }
 
 // BlockedInfo describes what the processor is currently waiting on, for
@@ -1111,14 +1207,14 @@ func (c *Core) BlockedInfo() string {
 		}
 		return fmt.Sprintf("MAP state: waiting to deposit address packages to processors %v (previous package not yet consumed; %d awaiting retransmission)", dsts, retrans)
 	case int(c.pos) >= len(c.order):
-		if len(c.outq) > 0 {
-			m := c.outq[0]
+		if c.queued > 0 {
+			m := c.queueHead()
 			why := "address not yet received"
 			if m.attempt > 0 {
 				why = fmt.Sprintf("lost %d times, awaiting retransmission", m.attempt)
 			}
 			return fmt.Sprintf("END state: draining %d suspended sends, head is object %q to processor %d (%s)",
-				len(c.outq), g.Objects[m.snd.Obj].Name, m.snd.Dst, why)
+				c.queued, g.Objects[m.snd.Obj].Name, m.snd.Dst, why)
 		}
 		return "finished"
 	default:

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,10 @@ type loopMachine struct {
 	be    []*loopBackend
 	cores []*Core
 	tick  float64
+	// onData, if set, sees every data message handed to the transport;
+	// afterPoll, if set, sees each core after each of its Polls.
+	onData    func(snd Send)
+	afterPoll func(c *Core)
 }
 
 // loopBackend is a transport and nothing else: slots[src] holds the
@@ -84,9 +89,9 @@ func (m *loopMachine) runE() error {
 			case RunTask:
 				m.tick++
 				c.TaskDone(m.tick)
-				c.Poll(m.tick)
+				m.poll(c)
 			case Blocked:
-				c.Poll(m.tick)
+				m.poll(c)
 			case Finished:
 				done[i] = true
 			}
@@ -94,6 +99,13 @@ func (m *loopMachine) runE() error {
 		if allDone {
 			return nil
 		}
+	}
+}
+
+func (m *loopMachine) poll(c *Core) {
+	c.Poll(m.tick)
+	if m.afterPoll != nil {
+		m.afterPoll(c)
 	}
 }
 
@@ -117,6 +129,9 @@ func (be *loopBackend) RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage {
 }
 
 func (be *loopBackend) SendData(snd Send, b *rma.Buffer) {
+	if be.m.onData != nil {
+		be.m.onData(snd)
+	}
 	if !b.PutFlagOnly(snd.Seq) {
 		be.m.eng.Discarded(snd.Dst)
 	}
@@ -221,7 +236,216 @@ func TestCoreForcedSuspension(t *testing.T) {
 		if want > 0 && c.Stats.FaultsInjected < want {
 			t.Errorf("proc %d: %d faults injected, want >= %d", q, c.Stats.FaultsInjected, want)
 		}
+		if c.Stats.CQExamined != c.Stats.DataSuspended {
+			t.Errorf("proc %d: CQ examined %d queue entries for %d suspended sends, want each looked at once",
+				q, c.Stats.CQExamined, c.Stats.DataSuspended)
+		}
 	}
+}
+
+// constrainedRandom returns a random schedule whose plan runs at the
+// tightest capacity it admits, with objects rewritten and re-read often
+// enough that channels carry several versions.
+func constrainedRandom(t *testing.T, seed uint64) (*sched.Schedule, *mem.Plan) {
+	t.Helper()
+	rng := util.NewRNG(seed)
+	g := randomDAG(rng, 400, 12, 4)
+	assign, err := sched.OwnerComputeAssign(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ScheduleWith(sched.MPO, g, assign, 4, sched.Unit(), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, planFor(t, s)
+}
+
+// TestCQLinear: without faults a suspended send waits for one thing, its
+// address, and CQ looks at it exactly once — when RA learns that address —
+// however many Polls run in between.
+func TestCQLinear(t *testing.T) {
+	s, pl := constrainedRandom(t, 11)
+	m := newLoopMachine(t, s, pl, Faults{})
+	m.run(t)
+	suspended := 0
+	for q, c := range m.cores {
+		if c.Stats.CQExamined != c.Stats.DataSuspended {
+			t.Errorf("proc %d: CQ examined %d queue entries for %d suspended sends", q, c.Stats.CQExamined, c.Stats.DataSuspended)
+		}
+		suspended += c.Stats.DataSuspended
+	}
+	if suspended == 0 {
+		t.Fatal("no send was suspended: the run does not exercise the queue")
+	}
+}
+
+// TestPollAllocatesNothing: a Poll that has nothing to dispatch — here over
+// a hundred sends queued on a channel whose address is unknown — allocates
+// nothing, whatever the queue depth.
+func TestPollAllocatesNothing(t *testing.T) {
+	s := figure2Schedule(t)
+	m := newLoopMachine(t, s, planFor(t, s), Faults{})
+	snd := m.eng.Tables.sends[0]
+	var c *Core
+	for _, pc := range m.cores {
+		if _, ok := pc.Lookup(snd.Obj); ok && pc.p != snd.Dst {
+			c = pc // the producer: the message's object is permanent there
+		}
+	}
+	for i := 0; i < 128; i++ {
+		c.pushOut(outSend{snd: snd})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Poll(1) }); allocs != 0 {
+		t.Fatalf("Poll over %d queued sends allocates %v objects, want 0", c.SuspendedLen(), allocs)
+	}
+	if c.SuspendedLen() != 128 || c.Stats.CQExamined != 0 {
+		t.Fatalf("%d queued, %d examined; want 128 untouched", c.SuspendedLen(), c.Stats.CQExamined)
+	}
+}
+
+// TestQueueReasons covers each way a send comes to sit in the outbound
+// queue. In every case the versions of a channel reach the transport in
+// sequence order, and after every Poll the queue's counters equal a recount
+// of its FIFOs and the armed list holds exactly the channels CQ has work for.
+func TestQueueReasons(t *testing.T) {
+	// wholeRun drives the machine to completion under its fault plan and
+	// reports whether the reason under test occurred.
+	wholeRun := func(occurred func(m *loopMachine, waitingForAddr, lostInQueue int) bool) func(*testing.T, *loopMachine, *queueAudit) {
+		return func(t *testing.T, m *loopMachine, a *queueAudit) {
+			m.run(t)
+			if !occurred(m, a.waitingForAddr, a.lostInQueue) {
+				t.Fatal("the run never queued a send this way")
+			}
+			for ch, want := range m.eng.Tables.expect {
+				if a.lastSeq[ch] != want.MinArrivals {
+					t.Errorf("channel %d: %d of %d versions delivered", ch, a.lastSeq[ch], want.MinArrivals)
+				}
+			}
+		}
+	}
+	cases := []struct {
+		name   string
+		faults Faults
+		run    func(*testing.T, *loopMachine, *queueAudit)
+	}{
+		{"address unknown", Faults{},
+			wholeRun(func(_ *loopMachine, waitingForAddr, _ int) bool { return waitingForAddr > 0 })},
+		{"transmission lost", Faults{Seed: 6, DropFrac: 0.3, RTO: 3},
+			wholeRun(func(_ *loopMachine, _, lostInQueue int) bool { return lostInQueue > 0 })},
+		{"fault-delayed", Faults{Seed: 7, DataFrac: 1},
+			wholeRun(func(m *loopMachine, _, _ int) bool {
+				return slices.ContainsFunc(m.cores, func(c *Core) bool { return c.Stats.FaultsInjected > 0 })
+			})},
+		// The dependence-complete graph keeps a channel's next version from
+		// being produced before the last one was read, so a run never queues
+		// two; the FIFO is the engine's own guard and is driven by hand: a
+		// version lost once and waiting out its timer, the next one issued.
+		{"predecessor of the same channel queued", Faults{}, func(t *testing.T, m *loopMachine, a *queueAudit) {
+			tables := m.eng.Tables
+			var v1, v2 Send
+			var second graph.TaskID
+			for task := graph.TaskID(0); int(task) < m.eng.S.G.NumTasks(); task++ {
+				for _, snd := range tables.SendsOf(task) {
+					if snd.Seq == 2 && v2.Seq == 0 {
+						v1, v2, second = snd, snd, task
+						v1.Seq = 1
+					}
+				}
+			}
+			if v2.Seq == 0 {
+				t.Fatal("no channel carries two versions")
+			}
+			c, ch := m.cores[m.eng.S.Assign[second]], v2.Chan
+			c.addr[ch] = &rma.Buffer{Obj: v2.Obj}
+			c.pushOut(outSend{snd: v1, attempt: 1, due: 50})
+			c.curTask = second
+			c.TaskDone(1)
+			if head := c.fifo[ch].head; c.outq[head].snd != v1 || c.outq[c.outq[head].next].snd != v2 {
+				t.Fatalf("version 2 was not queued behind version 1: %+v", c.outq[1:])
+			}
+			m.tick = 1
+			m.poll(c)
+			if a.lastSeq[ch] != 0 {
+				t.Fatalf("version %d went out while version 1 waits for its timer", a.lastSeq[ch])
+			}
+			m.tick = 50
+			m.poll(c)
+			if a.lastSeq[ch] != 2 || c.fifo[ch].head != 0 {
+				t.Fatalf("timer due: delivered up to version %d, channel head %d; want 2, 0", a.lastSeq[ch], c.fifo[ch].head)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, pl := constrainedRandom(t, 11)
+			m := newLoopMachine(t, s, pl, tc.faults)
+			tc.run(t, m, auditQueue(t, m))
+		})
+	}
+}
+
+// queueAudit is what auditQueue's hooks observed of a machine's outbound
+// queues.
+type queueAudit struct {
+	// lastSeq is the last version of each channel handed to the transport.
+	lastSeq []int32
+	// waitingForAddr and lostInQueue count, over all Polls, the channels
+	// found waiting for an address and the queued sends found lost.
+	waitingForAddr, lostInQueue int
+}
+
+// auditQueue hooks m so that every data message is checked to leave in
+// sequence order on its channel, and every core's queue is recounted by
+// brute force after each of its Polls.
+func auditQueue(t *testing.T, m *loopMachine) *queueAudit {
+	a := &queueAudit{lastSeq: make([]int32, m.eng.Tables.NumChans())}
+	m.onData = func(snd Send) {
+		// A duplicate copy repeats the sequence number just delivered.
+		if last := a.lastSeq[snd.Chan]; snd.Seq != last+1 && snd.Seq != last {
+			t.Fatalf("channel %d: version %d handed to the transport after version %d", snd.Chan, snd.Seq, last)
+		}
+		a.lastSeq[snd.Chan] = snd.Seq
+	}
+	m.afterPoll = func(c *Core) {
+		queued, lost, armed := 0, 0, 0
+		for ch := range c.fifo {
+			depth, seq := 0, int32(0)
+			for i := c.fifo[ch].head; i != 0; i = c.outq[i].next {
+				e := &c.outq[i]
+				if int(e.snd.Chan) != ch || e.snd.Seq <= seq || (depth > 0 && e.attempt > 0) {
+					t.Fatalf("proc %d channel %d: entry %+v out of place behind version %d", c.p, ch, *e, seq)
+				}
+				seq = e.snd.Seq
+				depth++
+				if e.attempt > 0 {
+					lost++
+				}
+			}
+			queued += depth
+			if depth > 0 && c.addr[ch] == nil {
+				a.waitingForAddr++
+			} else if depth > 0 {
+				armed++
+			}
+		}
+		a.lostInQueue += lost
+		for i := range c.pend {
+			if c.pend[i].attempt > 0 {
+				lost++
+			}
+		}
+		if c.SuspendedLen() != queued || c.RetransPending() != lost || len(c.armed) != armed {
+			t.Fatalf("proc %d: SuspendedLen %d, RetransPending %d, %d armed; recount says %d, %d, %d",
+				c.p, c.SuspendedLen(), c.RetransPending(), len(c.armed), queued, lost, armed)
+		}
+		for _, ch := range c.armed {
+			if c.fifo[ch].head == 0 || c.addr[ch] == nil {
+				t.Fatalf("proc %d: channel %d armed with nothing to dispatch", c.p, ch)
+			}
+		}
+	}
+	return a
 }
 
 // TestFaultsDeterministic: delay decisions are pure functions of the seed

@@ -24,11 +24,14 @@ import (
 
 // Send is one data message a task issues after completing: object Obj to
 // processor Dst, carrying version sequence number Seq (1-based) among all
-// versions of Obj that Dst receives.
+// versions of Obj that Dst receives. Chan is the message's channel: the
+// (Dst, Obj) pair's index in the tables (Tables.Chan), by which the engine
+// finds the remote address and the suspended-send FIFO without hashing.
 type Send struct {
-	Obj graph.ObjID
-	Dst graph.Proc
-	Seq int32
+	Obj  graph.ObjID
+	Dst  graph.Proc
+	Seq  int32
+	Chan int32
 }
 
 // Need is one data requirement of a task: the arrival counter of volatile
@@ -54,7 +57,9 @@ type Tables struct {
 	needs                    []Need
 	ctlSends                 []graph.TaskID
 	// Processor p's entries are expect[expOff[p]:expOff[p+1]], sorted by
-	// Obj; MinArrivals holds the total number of versions p receives.
+	// Obj; MinArrivals holds the total number of versions p receives. There
+	// is one entry per (consumer processor, object) pair that receives
+	// anything, so an entry's index is the pair's channel id.
 	expOff []int32
 	expect []Need
 }
@@ -80,12 +85,26 @@ func (tb *Tables) CtlSendsOf(t graph.TaskID) []graph.TaskID {
 	return tb.ctlSends[lo:hi:hi]
 }
 
+// NumChans is the number of channels: (consumer processor, object) pairs
+// that receive at least one version. Channel ids are 0..NumChans()-1.
+func (tb *Tables) NumChans() int { return len(tb.expect) }
+
+// Chan returns the channel on which processor p receives object o, or -1
+// when no task ever sends o there.
+func (tb *Tables) Chan(p graph.Proc, o graph.ObjID) int32 {
+	lo := tb.expOff[p]
+	seg := tb.expect[lo:tb.expOff[p+1]]
+	if i, ok := slices.BinarySearchFunc(seg, o, func(e Need, o graph.ObjID) int { return cmp.Compare(e.Obj, o) }); ok {
+		return lo + int32(i)
+	}
+	return -1
+}
+
 // Expect returns the total number of versions of volatile object o that
 // processor p will receive (0: no task ever sends it there).
 func (tb *Tables) Expect(p graph.Proc, o graph.ObjID) int32 {
-	seg := tb.expect[tb.expOff[p]:tb.expOff[p+1]]
-	if i, ok := slices.BinarySearchFunc(seg, o, func(e Need, o graph.ObjID) int { return cmp.Compare(e.Obj, o) }); ok {
-		return seg[i].MinArrivals
+	if ch := tb.Chan(p, o); ch >= 0 {
+		return tb.expect[ch].MinArrivals
 	}
 	return 0
 }
@@ -188,7 +207,7 @@ func Derive(s *sched.Schedule) *Tables {
 		versions := &t.expect[len(t.expect)-1].MinArrivals
 		if newKey || prev.u != st.u {
 			*versions++
-			sends = append(sends, taskSend{st.u, Send{Obj: st.obj, Dst: dst, Seq: *versions}})
+			sends = append(sends, taskSend{st.u, Send{Obj: st.obj, Dst: dst, Seq: *versions, Chan: int32(len(t.expect) - 1)}})
 			t.sendOff[st.u+1]++
 		}
 		t.needs[si] = Need{Obj: st.obj, MinArrivals: *versions}

@@ -19,7 +19,7 @@ func TestReceiveHalf(t *testing.T) {
 	pl := planFor(t, s)
 	snd := Derive(s).sends[0]
 	name := s.G.Objects[snd.Obj].Name
-	key := sendKey(snd)
+	ch := snd.Chan
 	dropped := func(m *loopMachine, p graph.Proc) int64 { return m.eng.dupDropped[p].Load() }
 	free := &mem.MAP{Frees: []graph.ObjID{snd.Obj}}
 	alloc := &mem.MAP{Allocs: []graph.ObjID{snd.Obj}}
@@ -79,7 +79,7 @@ func TestReceiveHalf(t *testing.T) {
 		{"a duplicated address package is discarded by sequence number", func(t *testing.T, m *loopMachine, c, prod *Core) {
 			b, _ := c.Lookup(snd.Obj)
 			pkg := &rma.AddrPackage{From: c.p, Seq: prod.addrSeen[c.p] + 1, Buffers: []*rma.Buffer{b}}
-			delete(prod.addr, key)
+			prod.addr[ch] = nil
 			for round, wantProgress := range []bool{true, false} {
 				m.be[prod.p].slots[c.p] = pkg
 				before := prod.Stats.AddrConsumed
@@ -87,8 +87,8 @@ func TestReceiveHalf(t *testing.T) {
 					t.Fatalf("round %d: progress %v, consumed %d", round, got, prod.Stats.AddrConsumed-before)
 				}
 			}
-			if prod.addr[key] != b || dropped(m, prod.p) != 1 {
-				t.Fatalf("address learned: %v, discards %d", prod.addr[key] == b, dropped(m, prod.p))
+			if prod.addr[ch] != b || dropped(m, prod.p) != 1 {
+				t.Fatalf("address learned: %v, discards %d", prod.addr[ch] == b, dropped(m, prod.p))
 			}
 		}},
 		{"the arrival counter restarts with each allocation", func(t *testing.T, m *loopMachine, c, prod *Core) {
@@ -129,7 +129,7 @@ func TestReceiveHalf(t *testing.T) {
 			if prod == nil || !ok {
 				t.Fatalf("object %q has no producer or is not allocated on its consumer", name)
 			}
-			prod.addr[key] = b
+			prod.addr[ch] = b
 			tc.run(t, m, c, prod)
 		})
 	}

@@ -100,12 +100,15 @@ type Memory struct {
 	capacity int64
 	used     int64
 	peak     int64
-	bufs     map[graph.ObjID]*Buffer
+	// bufs is indexed by object id (nil: not allocated) and grows to the
+	// largest id allocated, so Lookup — one per kernel operand and per
+	// arrival check — is an index and a nil test.
+	bufs []*Buffer
 }
 
 // NewMemory returns an arena with the given capacity in abstract units.
 func NewMemory(capacity int64) *Memory {
-	return &Memory{capacity: capacity, bufs: make(map[graph.ObjID]*Buffer)}
+	return &Memory{capacity: capacity}
 }
 
 // Used returns the units currently allocated.
@@ -117,7 +120,7 @@ func (m *Memory) Peak() int64 { return m.peak }
 // Alloc reserves size units for object o and returns its buffer with a
 // backing slice of bufLen float64s (bufLen 0 gives a flag-only buffer).
 func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
-	if _, dup := m.bufs[o]; dup {
+	if _, dup := m.Lookup(o); dup {
 		return nil, fmt.Errorf("rma: object %d already allocated (volatile objects are allocated once)", o)
 	}
 	if m.used+size > m.capacity {
@@ -132,6 +135,9 @@ func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
 		data = make([]float64, bufLen)
 	}
 	b := &Buffer{Obj: o, Data: data}
+	for int(o) >= len(m.bufs) {
+		m.bufs = append(m.bufs, nil)
+	}
 	m.bufs[o] = b
 	return b, nil
 }
@@ -139,20 +145,23 @@ func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
 // Free releases object o's buffer and marks it dead so that stray Puts are
 // detected.
 func (m *Memory) Free(o graph.ObjID, size int64) error {
-	b, ok := m.bufs[o]
+	b, ok := m.Lookup(o)
 	if !ok {
 		return fmt.Errorf("rma: freeing unallocated object %d", o)
 	}
 	b.freed.Store(true)
-	delete(m.bufs, o)
+	m.bufs[o] = nil
 	m.used -= size
 	return nil
 }
 
 // Lookup returns the live buffer of object o, if any.
 func (m *Memory) Lookup(o graph.ObjID) (*Buffer, bool) {
-	b, ok := m.bufs[o]
-	return b, ok
+	if uint(o) >= uint(len(m.bufs)) {
+		return nil, false
+	}
+	b := m.bufs[o]
+	return b, b != nil
 }
 
 // AddrSlots is the mesh of single-slot address buffers: slot (dst, src)
@@ -215,13 +224,18 @@ func (a *AddrSlots) TrySend(dst, src graph.Proc, pkg *AddrPackage) bool {
 // itself when nothing is pending. The RA operation runs in every blocking
 // state of the protocol, so the executor reuses one scratch slice per
 // processor to keep the steady-state poll allocation-free.
-// A bit whose sender raced the mask swap stays set for the next poll; the
-// package is simply consumed then (the wake token the executor posts after
-// TrySend guarantees that next poll happens).
+// An idle word costs a plain load, not a locked swap. A bit whose sender
+// raced the load or the swap stays set for the next poll; the package is
+// simply consumed then (the wake token the executor posts after TrySend
+// guarantees that next poll happens).
 func (a *AddrSlots) ConsumeAppend(dst graph.Proc, buf []*AddrPackage) []*AddrPackage {
 	base := int(dst) * a.p
 	for w := 0; w < a.words; w++ {
-		mask := a.masks[int(dst)*a.words+w].w.Swap(0)
+		m := &a.masks[int(dst)*a.words+w].w
+		if m.Load() == 0 {
+			continue
+		}
+		mask := m.Swap(0)
 		for mask != 0 {
 			src := w*64 + bits.TrailingZeros64(mask)
 			mask &= mask - 1
