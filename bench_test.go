@@ -1,6 +1,6 @@
 package repro_test
 
-// The three executor benchmarks CI's benchstat step gates. Everything else
+// The three executor benchmarks and the inspector benchmark CI's benchstat step gates. Everything else
 // that used to live here is a cmd/paper experiment (byte-gated by
 // TestPaperSmallGolden) or a per-layer metric of bench/ (BENCHMARK.json).
 
@@ -14,16 +14,21 @@ import (
 	"repro/rapid"
 )
 
-// concurrentExecProblem builds the fixed factorization problem the executor
-// benchmarks share — the Cholesky of a 24×18 nine-point grid with 120 extra
-// couplings, unchanged since the gate was introduced so base and head always
-// time the same work — cut into blocks of the given size and compiled for
-// opt.Procs emulated processors at memPct % of TOT (0: full memory).
-func concurrentExecProblem(b *testing.B, block int, opt rapid.Options, memPct int) (*factor.Problem, *rapid.Plan) {
-	b.Helper()
+// benchMatrix is the fixed matrix the benchmarks here share — a 24×18
+// nine-point grid with 120 extra couplings, SPD values, RCM-ordered —
+// unchanged since the gate was introduced so base and head always time the
+// same work.
+func benchMatrix() *sparse.Matrix {
 	rng := util.NewRNG(1)
 	m := sparse.AddRandomSymLinks(sparse.Grid2D(24, 18, true), 120, rng)
-	m = sparse.SPDValues(m.PermuteSym(sparse.RCM(m)), rng)
+	return sparse.SPDValues(m.PermuteSym(sparse.RCM(m)), rng)
+}
+
+// inspect is the inspector, matrix to first task: the Cholesky of m cut
+// into blocks of the given size, compiled for opt.Procs emulated processors
+// at memPct % of TOT (0: full memory), protocol tables derived.
+func inspect(b testing.TB, m *sparse.Matrix, block int, opt rapid.Options, memPct int) (*factor.Problem, *rapid.Plan) {
+	b.Helper()
 	pb, err := factor.Build("chol", m, opt.Procs, block)
 	if err != nil {
 		b.Fatal(err)
@@ -53,7 +58,7 @@ func timeExec(b *testing.B, pb *factor.Problem, plan *rapid.Plan, opt rapid.Exec
 func benchExec(b *testing.B, numeric bool) {
 	for _, p := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			pb, plan := concurrentExecProblem(b, 12, rapid.Options{Procs: p, Heuristic: rapid.MPO}, 0)
+			pb, plan := inspect(b, benchMatrix(), 12, rapid.Options{Procs: p, Heuristic: rapid.MPO}, 0)
 			var opt rapid.ExecOptions
 			if numeric {
 				opt = pb.Exec
@@ -89,6 +94,37 @@ func BenchmarkConcurrentExecNumeric(b *testing.B) { benchExec(b, true) }
 // sends per processor — and run structure-only, so the time is the
 // protocol's.
 func BenchmarkConcurrentExecConstrained(b *testing.B) {
-	pb, plan := concurrentExecProblem(b, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	pb, plan := inspect(b, benchMatrix(), 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
 	timeExec(b, pb, plan, rapid.ExecOptions{})
+}
+
+// TestInspectorAllocsPerTask: from the matrix to the protocol tables the
+// inspector keeps its working state in tables indexed by task, object or
+// (processor, object) id, sized from counts it knows before it fills them
+// (DESIGN.md §7), so what it allocates grows with the number of tables, not
+// of tasks. One allocation per task anywhere on the path would read 1.0
+// here.
+func TestInspectorAllocsPerTask(t *testing.T) {
+	m := benchMatrix()
+	opt := rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}
+	pb, _ := inspect(t, m, 6, opt, 40)
+	tasks := float64(pb.Program.G.NumTasks())
+	allocs := testing.AllocsPerRun(5, func() { inspect(t, m, 6, opt, 40) })
+	if perTask := allocs / tasks; perTask > 0.5 {
+		t.Fatalf("inspector: %.0f allocations for %.0f tasks, %.2f per task; want at most 0.5", allocs, tasks, perTask)
+	}
+}
+
+// BenchmarkInspect is everything before the first task of the constrained
+// problem above: build the task graph from the matrix, resolve 40 % of TOT,
+// schedule with DTSMerge, plan the MAPs and derive the protocol tables. The
+// paper's inspector/executor split pays off only while this stays within a
+// small multiple of one execution.
+func BenchmarkInspect(b *testing.B) {
+	m := benchMatrix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inspect(b, m, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	}
 }

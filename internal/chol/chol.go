@@ -17,6 +17,8 @@ package chol
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"repro/internal/blas"
 	"repro/internal/graph"
@@ -47,13 +49,18 @@ type Problem struct {
 	P  int // processors
 	G  *graph.DAG
 
-	// Rows[J] lists block rows I >= J with a present block (post closure).
+	// Rows[J] lists block rows I >= J with a present block (post closure),
+	// ascending; Rows[J][0] is J, the diagonal block.
 	Rows [][]int32
 
-	blockOf map[[2]int32]graph.ObjID
-	coordOf map[graph.ObjID][2]int32 // lazy inverse of blockOf
-	info    []taskInfo
-	dims    []int // scalar dimension of each block row/column
+	// Blocks are numbered column by column, each column's in row order, and
+	// that number is the block's object ID: the blocks of column J are
+	// objects first[J], first[J]+1, … in Rows[J] order, and coord[o] is
+	// object o's (I, J).
+	first []graph.ObjID
+	coord [][2]int32
+	info  []taskInfo
+	dims  []int // scalar dimension of each block row/column
 
 	// A holds the numeric input matrix when numerics are requested.
 	A *sparse.Matrix
@@ -87,79 +94,86 @@ func Build(a *sparse.Matrix, opt Options) (*Problem, error) {
 		return nil, fmt.Errorf("chol: matrix pattern is not symmetric")
 	}
 	bp := sparse.NewBlockPattern2D(a, opt.BlockSize)
-	pr := &Problem{
-		N: a.N, W: opt.BlockSize, NB: bp.NB, P: opt.Procs,
-		blockOf: make(map[[2]int32]graph.ObjID),
-		A:       a,
-	}
-	pr.dims = make([]int, bp.NB)
-	for b := 0; b < bp.NB; b++ {
+	nb := bp.NB
+	pr := &Problem{N: a.N, W: opt.BlockSize, NB: nb, P: opt.Procs, Rows: bp.Rows, A: a}
+	pr.dims = make([]int, nb)
+	for b := 0; b < nb; b++ {
 		pr.dims[b] = bp.BlockDim(b)
 	}
 
 	// Block-level closure: if blocks (I,k) and (J,k) are present with
-	// I >= J > k, block (I,J) receives an update and must be present.
-	rowSets := make([]map[int32]bool, bp.NB)
-	for j := 0; j < bp.NB; j++ {
-		rowSets[j] = make(map[int32]bool, len(bp.Rows[j]))
-		for _, r := range bp.Rows[j] {
-			rowSets[j][r] = true
+	// I >= J > k, block (I,J) receives an update and must be present. It is
+	// enough to merge column k's rows below its first off-diagonal block J
+	// into column J: column J then passes them on, in its turn, to every
+	// later column the pairwise rule names (the elimination-tree argument
+	// of symbolic factorization, on blocks). Column k is complete when its
+	// turn comes, since only earlier columns add to it. The same sweep
+	// counts the tasks and the entries of their access lists.
+	nObj, nTasks, nAccess := 0, 0, 0
+	for k := 0; k < nb; k++ {
+		below := pr.Rows[k][1:]
+		if len(below) > 0 {
+			pr.Rows[below[0]] = mergeSorted(pr.Rows[below[0]], below)
 		}
-	}
-	for k := 0; k < bp.NB; k++ {
-		below := belowDiag(sortedKeys(rowSets[k]), int32(k))
-		for x := 0; x < len(below); x++ {
-			for y := 0; y <= x; y++ {
-				rowSets[below[y]][below[x]] = true // block (I=below[x], J=below[y])
-			}
-		}
-	}
-	pr.Rows = make([][]int32, bp.NB)
-	for j := 0; j < bp.NB; j++ {
-		pr.Rows[j] = sortedKeys(rowSets[j])
+		b := len(below)
+		nObj += 1 + b
+		nTasks += 1 + b + b*(b+1)/2          // potrf, scales, syrks + updates
+		nAccess += 2 + 3*b + 3*b + 2*b*(b-1) // (1+1) + (2+1)·b + (2+1)·b + (3+1)·b(b−1)/2
 	}
 
 	// Objects with 2-D cyclic owners.
 	gb := graph.NewBuilder()
+	gb.Grow(nTasks, nAccess)
 	prp, prc := procGrid(opt.Procs)
-	owners := make([]graph.Proc, 0, 1024)
-	for j := 0; j < bp.NB; j++ {
+	owners := make([]graph.Proc, 0, nObj)
+	pr.first = make([]graph.ObjID, nb)
+	pr.coord = make([][2]int32, 0, nObj)
+	for j := 0; j < nb; j++ {
+		pr.first[j] = graph.ObjID(len(owners))
 		for _, i := range pr.Rows[j] {
-			id := gb.Object(blockName(i, int32(j)), int64(pr.dims[i]*pr.dims[j]))
-			pr.blockOf[[2]int32{i, int32(j)}] = id
+			gb.Object("A["+strconv.Itoa(int(i))+","+strconv.Itoa(j)+"]", int64(pr.dims[i]*pr.dims[j]))
+			pr.coord = append(pr.coord, [2]int32{i, int32(j)})
 			owners = append(owners, graph.Proc((int(i)%prp)*prc+(j%prc)))
 		}
 	}
 
-	// Tasks in right-looking sequential order.
-	for k := int32(0); k < int32(bp.NB); k++ {
+	// Tasks in right-looking sequential order, named after the graph is
+	// built.
+	var names graph.Names
+	names.Grow(nTasks)
+	pr.info = make([]taskInfo, 0, nTasks)
+	for k := int32(0); k < int32(nb); k++ {
 		dk := pr.dims[k]
-		diag := pr.blockOf[[2]int32{k, k}]
+		diag := pr.first[k]
 		fk := float64(dk)
-		gb.Task(fmt.Sprintf("potrf(%d)", k), fk*fk*fk/3,
+		names.Add("potrf", k)
+		gb.Task("", fk*fk*fk/3,
 			[]graph.ObjID{diag}, []graph.ObjID{diag})
 		pr.info = append(pr.info, taskInfo{kind: opPotrf, i: k, j: k, k: k})
 
-		below := belowDiag(pr.Rows[k], k)
-		for _, i := range below {
-			bik := pr.blockOf[[2]int32{i, k}]
-			gb.Task(fmt.Sprintf("scale(%d,%d)", i, k), float64(pr.dims[i])*fk*fk,
+		below := pr.Rows[k][1:] // block (below[x], k) is object diag+1+x
+		for x, i := range below {
+			bik := diag + 1 + graph.ObjID(x)
+			names.Add("scale", i, k)
+			gb.Task("", float64(pr.dims[i])*fk*fk,
 				[]graph.ObjID{diag, bik}, []graph.ObjID{bik})
 			pr.info = append(pr.info, taskInfo{kind: opScale, i: i, j: k, k: k})
 		}
 		for x := 0; x < len(below); x++ {
 			for y := 0; y <= x; y++ {
 				i, j := below[x], below[y]
-				bik := pr.blockOf[[2]int32{i, k}]
-				bjk := pr.blockOf[[2]int32{j, k}]
-				bij := pr.blockOf[[2]int32{i, j}]
+				bik := diag + 1 + graph.ObjID(x)
+				bjk := diag + 1 + graph.ObjID(y)
+				bij, _ := pr.BlockObj(int(i), int(j))
 				if i == j {
-					gb.CommutativeTask(fmt.Sprintf("syrk(%d,%d)", i, k),
+					names.Add("syrk", i, k)
+					gb.CommutativeTask("",
 						float64(pr.dims[i])*float64(pr.dims[i])*fk,
 						[]graph.ObjID{bik, bij}, []graph.ObjID{bij})
 					pr.info = append(pr.info, taskInfo{kind: opSyrk, i: i, j: j, k: k})
 				} else {
-					gb.CommutativeTask(fmt.Sprintf("update(%d,%d,%d)", i, j, k),
+					names.Add("update", i, j, k)
+					gb.CommutativeTask("",
 						2*float64(pr.dims[i])*float64(pr.dims[j])*fk,
 						[]graph.ObjID{bik, bjk, bij}, []graph.ObjID{bij})
 					pr.info = append(pr.info, taskInfo{kind: opUpdate, i: i, j: j, k: k})
@@ -172,45 +186,48 @@ func Build(a *sparse.Matrix, opt Options) (*Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chol: %w", err)
 	}
+	names.Apply(g.Tasks)
 	for oi := range owners {
 		g.Objects[oi].Owner = owners[oi]
-	}
-	pr.coordOf = make(map[graph.ObjID][2]int32, len(pr.blockOf))
-	for c, id := range pr.blockOf {
-		pr.coordOf[id] = c
 	}
 	pr.G = g
 	return pr, nil
 }
 
-func blockName(i, j int32) string { return fmt.Sprintf("A[%d,%d]", i, j) }
-
-func sortedKeys(m map[int32]bool) []int32 {
-	out := make([]int32, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// insertion sort (short lists)
-	for i := 1; i < len(out); i++ {
-		v := out[i]
-		j := i - 1
-		for j >= 0 && out[j] > v {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = v
-	}
-	return out
-}
-
-func belowDiag(rows []int32, k int32) []int32 {
-	out := make([]int32, 0, len(rows))
-	for _, r := range rows {
-		if r > k {
-			out = append(out, r)
+// mergeSorted returns the union of the ascending lists dst and add, in
+// dst's storage when add brings nothing new.
+func mergeSorted(dst, add []int32) []int32 {
+	missing := 0
+	for i, j := 0, 0; j < len(add); {
+		switch {
+		case i == len(dst) || add[j] < dst[i]:
+			missing++
+			j++
+		case add[j] == dst[i]:
+			i, j = i+1, j+1
+		default:
+			i++
 		}
 	}
-	return out
+	if missing == 0 {
+		return dst
+	}
+	out := make([]int32, 0, len(dst)+missing)
+	i, j := 0, 0
+	for i < len(dst) && j < len(add) {
+		switch {
+		case dst[i] < add[j]:
+			out = append(out, dst[i])
+			i++
+		case add[j] < dst[i]:
+			out = append(out, add[j])
+			j++
+		default:
+			out = append(out, dst[i])
+			i, j = i+1, j+1
+		}
+	}
+	return append(append(out, dst[i:]...), add[j:]...)
 }
 
 // BlockDim returns the scalar dimension of block row/column b.
@@ -218,8 +235,11 @@ func (pr *Problem) BlockDim(b int) int { return pr.dims[b] }
 
 // BlockObj returns the object ID of block (i, j).
 func (pr *Problem) BlockObj(i, j int) (graph.ObjID, bool) {
-	id, ok := pr.blockOf[[2]int32{int32(i), int32(j)}]
-	return id, ok
+	if j < 0 || j >= pr.NB {
+		return 0, false
+	}
+	x, ok := slices.BinarySearch(pr.Rows[j], int32(i))
+	return pr.first[j] + graph.ObjID(x), ok
 }
 
 // InitObject fills buf (row-major dims[i]×dims[j]) with the values of block
@@ -232,7 +252,7 @@ func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
 	if pr.A == nil || pr.A.Val == nil {
 		return
 	}
-	bi, bj := pr.blockCoords(o)
+	bi, bj := pr.coord[o][0], pr.coord[o][1]
 	w := pr.W
 	r0, c0 := int(bi)*w, int(bj)*w
 	rows, cols := pr.dims[bi], pr.dims[bj]
@@ -249,13 +269,6 @@ func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
 			}
 		}
 	}
-}
-
-// blockCoords recovers (I, J) for an object. The inverse map is built by
-// Build so that InitObject is safe to call from concurrent executors.
-func (pr *Problem) blockCoords(o graph.ObjID) (int32, int32) {
-	c := pr.coordOf[o]
-	return c[0], c[1]
 }
 
 // Kernel executes task t numerically against the object buffers supplied by
@@ -317,10 +330,10 @@ func (pr *Problem) SequentialFactor() (map[graph.ObjID][]float64, error) {
 func (pr *Problem) AssembleL(bufs map[graph.ObjID][]float64) []float64 {
 	n := pr.N
 	l := make([]float64, n*n)
-	for c, id := range pr.blockOf {
+	for o, c := range pr.coord {
 		bi, bj := c[0], c[1]
 		rows, cols := pr.dims[bi], pr.dims[bj]
-		buf := bufs[id]
+		buf := bufs[graph.ObjID(o)]
 		for r := 0; r < rows; r++ {
 			for q := 0; q < cols; q++ {
 				gi, gj := int(bi)*pr.W+r, int(bj)*pr.W+q

@@ -1,7 +1,9 @@
 package chol
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/blas"
@@ -172,4 +174,73 @@ func TestCostsArePositive(t *testing.T) {
 		t.Fatalf("sequential space must be positive")
 	}
 	_ = graph.None
+}
+
+// TestBuildMatchesPairwiseClosure: Build closes the block pattern by merging
+// each column into its first off-diagonal block's column only; the rule it
+// implements is pairwise — blocks (I,k) and (J,k), I >= J > k, make block
+// (I,J) present. The reference applies that rule pair by pair, over sets, and
+// must arrive at the same rows. The numbering and the names follow from the
+// rows: blocks are objects in column-then-row order, called A[I,J], and the
+// tasks are called after their kernel and block coordinates.
+func TestBuildMatchesPairwiseClosure(t *testing.T) {
+	grew := false
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, w := range []int{2, 3, 5} {
+			a := testMatrix(t, 9, 8, 30, seed)
+			pr, err := Build(a, Options{Procs: 4, BlockSize: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp := sparse.NewBlockPattern2D(a, w)
+			sets := make([]map[int32]bool, bp.NB)
+			for j, rows := range bp.Rows {
+				sets[j] = map[int32]bool{}
+				for _, r := range rows {
+					sets[j][r] = true
+				}
+			}
+			next := graph.ObjID(0)
+			for k := 0; k < bp.NB; k++ {
+				var col []int32
+				for r := range sets[k] {
+					col = append(col, r)
+				}
+				slices.Sort(col)
+				if !slices.Equal(col, pr.Rows[k]) {
+					t.Fatalf("seed %d w %d: column %d has rows %v, pairwise closure %v", seed, w, k, pr.Rows[k], col)
+				}
+				grew = grew || len(col) > len(bp.Rows[k])
+				for _, i := range col {
+					o, ok := pr.BlockObj(int(i), k)
+					if !ok || o != next || pr.G.Objects[o].Name != fmt.Sprintf("A[%d,%d]", i, k) {
+						t.Fatalf("seed %d w %d: block (%d,%d) is object %d %q (present %v), want %d", seed, w, i, k, o, pr.G.Objects[o].Name, ok, next)
+					}
+					next++
+				}
+				for x, i := range col[1:] {
+					for _, j := range col[1 : x+2] {
+						sets[j][i] = true
+					}
+				}
+			}
+			if _, ok := pr.BlockObj(0, bp.NB-1); ok && bp.NB > 1 {
+				t.Fatalf("seed %d w %d: block (0,%d) lies above the diagonal and is reported present", seed, w, bp.NB-1)
+			}
+			for ti, in := range pr.info {
+				want := map[opKind]string{
+					opPotrf:  fmt.Sprintf("potrf(%d)", in.k),
+					opScale:  fmt.Sprintf("scale(%d,%d)", in.i, in.k),
+					opSyrk:   fmt.Sprintf("syrk(%d,%d)", in.i, in.k),
+					opUpdate: fmt.Sprintf("update(%d,%d,%d)", in.i, in.j, in.k),
+				}[in.kind]
+				if got := pr.G.Tasks[ti].Name; got != want {
+					t.Fatalf("seed %d w %d: task %d is named %q, want %q", seed, w, ti, got, want)
+				}
+			}
+		}
+	}
+	if !grew {
+		t.Fatal("no column grew under closure; the matrices no longer exercise it")
+	}
 }

@@ -148,3 +148,62 @@ func TestMemoryPercentIsCompilesTOT(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanBytesPinned: the inspector's output is a function of its input,
+// not of how its tables are laid out. The digests were taken at commit
+// 7ba6f29, before the builder, the schedulers, the MAP planner and Derive
+// gave up their hash maps; a change that moves one has changed a plan, so
+// every cached plan, fingerprint and golden table moves with it.
+func TestPlanBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		kind        string
+		n, block    int
+		h           rapid.Heuristic
+		pct         int
+		plan, print string
+	}{
+		{"chol", 400, 8, rapid.MPO, 0,
+			"0469b3c05768196677a1409d56e3ed5968715a67f3b6a9ae3bec3e65140757b7",
+			"8c2c6b70450625712703056dbe5b3b018ff99b96766133103d0f067aaa5c88e3"},
+		{"chol", 1496, 12, rapid.DTSMerge, 40,
+			"419af6bf9e48a8f1039ac2a04113631bac6de9f0703a71ef4b7b36c092669266",
+			"0df6651cdf6e1d0699b6933a66be4e470093081afeb7ce2992dab000670db51f"},
+		{"lu", 1496, 16, rapid.MPO, 0,
+			"3c4cb9fe4774375b507eb9b9699a567843bb716ea9adcf003240baf71fa40161",
+			"40c29d3a5b9b04b2e6b01c949ca6cf4b10e4d50a375ead97052956d2706117fc"},
+		{"chol", 1496, 12, rapid.DTS, 60,
+			"97ff8b6552e1982c6dbb21d44beee8fe16e5e2bf1606e7a39d8a063b34c72376",
+			"85622bef5c0148fd33c733896c7e9721705abb375c61e009ed598ea2d2a1c55a"},
+		{"lu", 400, 8, rapid.RCP, 50,
+			"91ccee36c51558696efc55efd151fc93e33661e33025add5911cc5c2e28c8637",
+			"720a3907a5b201c0cfc1a4d95c0695ddb424dbba48ee2af1bbfe4111ab16a2c5"},
+	} {
+		a, err := Matrix(c.kind, c.n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := Build(c.kind, a, 4, c.block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := rapid.Options{Procs: 4, Heuristic: c.h}
+		if opt.Memory, _, err = rapid.MemoryPercent(pb.Program, opt, c.pct); err != nil {
+			t.Fatal(err)
+		}
+		pl, err := rapid.Compile(pb.Program, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := rapid.MarshalPlan(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != c.plan {
+			t.Errorf("%s n=%d block=%d %v %d%%: plan bytes moved: sha256 %s, want %s", c.kind, c.n, c.block, c.h, c.pct, got, c.plan)
+		}
+		if got := rapid.Fingerprint(pb.Program, opt); got != c.print {
+			t.Errorf("%s n=%d block=%d %v %d%%: fingerprint moved: %s, want %s", c.kind, c.n, c.block, c.h, c.pct, got, c.print)
+		}
+	}
+}

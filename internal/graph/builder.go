@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Builder constructs a transformed task dependence graph from a sequential
 // stream of task declarations. Dependencies are derived from the read/write
@@ -20,16 +23,32 @@ type Builder struct {
 	tasks   []Task
 	objects []Object
 
-	objNames  map[string]ObjID
-	taskNames map[string]struct{}
+	// access holds every task's read list followed by its write list, in
+	// declaration order; task t's reads end at ends[2t] and its writes at
+	// ends[2t+1]. Build hands each task its two slices of it.
+	access []ObjID
+	ends   []int32
+
+	objNames map[string]ObjID
+	// sizeConflict is the first redeclaration of an object with another
+	// size; Build reports it.
+	sizeConflict error
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		objNames:  make(map[string]ObjID),
-		taskNames: make(map[string]struct{}),
-	}
+	return &Builder{objNames: make(map[string]ObjID)}
+}
+
+// Grow makes room for the given number of further tasks and of entries in
+// their read and write lists together, so that declaring them allocates
+// nothing. A caller that knows its program's size (the factorizations read
+// it off the symbolic structure) calls it once; the counts are a hint, not
+// a limit.
+func (b *Builder) Grow(tasks, accesses int) {
+	b.tasks = slices.Grow(b.tasks, tasks)
+	b.ends = slices.Grow(b.ends, 2*tasks)
+	b.access = slices.Grow(b.access, accesses)
 }
 
 // Object declares a data object with the given name and size (memory
@@ -37,6 +56,9 @@ func NewBuilder() *Builder {
 // Build time if the sizes differ; otherwise the original ID is returned.
 func (b *Builder) Object(name string, size int64) ObjID {
 	if id, ok := b.objNames[name]; ok {
+		if first := b.objects[id].Size; first != size && b.sizeConflict == nil {
+			b.sizeConflict = fmt.Errorf("graph: object %q declared with size %d and again with size %d", name, first, size)
+		}
 		return id
 	}
 	id := ObjID(len(b.objects))
@@ -65,92 +87,182 @@ func (b *Builder) CommutativeTask(name string, cost float64, reads, writes []Obj
 
 func (b *Builder) addTask(name string, cost float64, reads, writes []ObjID, comm bool) TaskID {
 	id := TaskID(len(b.tasks))
-	b.tasks = append(b.tasks, Task{
-		ID:          id,
-		Name:        name,
-		Cost:        cost,
-		Reads:       append([]ObjID(nil), reads...),
-		Writes:      append([]ObjID(nil), writes...),
-		Commutative: comm,
-	})
+	b.tasks = append(b.tasks, Task{ID: id, Name: name, Cost: cost, Commutative: comm})
+	b.access = append(b.access, reads...)
+	b.ends = append(b.ends, int32(len(b.access)))
+	b.access = append(b.access, writes...)
+	b.ends = append(b.ends, int32(len(b.access)))
 	return id
 }
 
 // NumTasks returns the number of tasks declared so far.
 func (b *Builder) NumTasks() int { return len(b.tasks) }
 
-// rawDep is a dependence discovered during the sequential scan.
-type rawDep struct {
-	from, to TaskID
-	obj      ObjID
-	kind     DepKind
+// chain is a FIFO of task ids threaded through the scan's node pool: the
+// per-object writer and reader lists of Build. head and tail index the
+// pool; 0 is the empty chain (the pool's slot 0 is never used). A chain is
+// emptied, or moved to another field, by assigning the struct; its nodes
+// stay behind in the pool.
+type chain struct{ head, tail int32 }
+
+type chainNode struct {
+	task TaskID
+	next int32
+}
+
+// objScan is the scan state of one object.
+type objScan struct {
+	// lastWriters holds the most recent writing group: a single task, or
+	// all members of an open commutative group.
+	lastWriters chain
+	// readersSince holds tasks that read the object after the last write.
+	readersSince chain
+	// groupPreds / groupAntiPreds hold the writers and readers that
+	// preceded the currently-open commutative group, so that tasks
+	// joining the group later are still ordered after them.
+	groupPreds, groupAntiPreds chain
+	commOpen                   bool
+}
+
+// scan is the working state of one Build. Every table is indexed by a
+// task or object id and sized from a count Build knows before the sweep
+// starts; the sweep itself allocates only when edges outgrows its estimate.
+type scan struct {
+	obj []objScan
+	// pool holds the chains' nodes. A read or write of an object links at
+	// most one node, so the access count bounds it.
+	pool []chainNode
+	// seen deduplicates (from, to) pairs. Every dependence found while
+	// scanning task t ends at t, so one stamp per source does: seen[from]
+	// is 2(t+1), plus 1 if the recorded dependence is a true one, while
+	// from → t is recorded, and names an earlier t otherwise.
+	seen []int32
+	// edges collects the true dependences, in discovery order; those into
+	// task t are edges[trueOff[t]:trueOff[t+1]]. weak collects the anti and
+	// output dependences.
+	edges, weak []Edge
+	trueOff     []int32
+	// mark and stack serve subsumed.
+	mark  []int32
+	stamp int32
+	stack []TaskID
+}
+
+func (sc *scan) push(c *chain, t TaskID) {
+	sc.pool = append(sc.pool, chainNode{task: t})
+	i := int32(len(sc.pool) - 1)
+	if c.tail != 0 {
+		sc.pool[c.tail].next = i
+	} else {
+		c.head = i
+	}
+	c.tail = i
+}
+
+// add records the dependence from → to on obj unless the pair already has
+// one at least as strong: a true dependence dominates, and only the
+// strongest kind of a pair is kept. (An anti or output dependence recorded
+// before the pair's true one stays in weak; its true edge subsumes it.)
+func (sc *scan) add(from, to TaskID, obj ObjID, kind DepKind) {
+	if from == to {
+		return
+	}
+	stamp := 2 * (to + 1)
+	if prev := sc.seen[from]; prev&^1 == stamp && (prev&1 == 1 || kind != DepTrue) {
+		return
+	}
+	e := Edge{From: from, To: to, Obj: obj, Kind: kind}
+	if kind == DepTrue {
+		sc.seen[from] = stamp | 1
+		sc.edges = append(sc.edges, e)
+	} else {
+		sc.seen[from] = stamp
+		sc.weak = append(sc.weak, e)
+	}
+}
+
+// addAll records a dependence of the given kind from every task of c.
+func (sc *scan) addAll(c chain, to TaskID, obj ObjID, kind DepKind) {
+	for i := c.head; i != 0; i = sc.pool[i].next {
+		sc.add(sc.pool[i].task, to, obj, kind)
+	}
+}
+
+// subsumed reports whether a path of true dependences leads from from to
+// to. Dependences run forward in program order, so from < to and no task
+// before from lies on such a path: the search walks true in-edges back
+// from to and prunes below from. Queries are local (producer and consumer
+// close in program order), so it stays short.
+func (sc *scan) subsumed(from, to TaskID) bool {
+	sc.stamp++
+	sc.mark[to] = sc.stamp
+	sc.stack = append(sc.stack[:0], to)
+	for len(sc.stack) > 0 {
+		v := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		for _, e := range sc.edges[sc.trueOff[v]:sc.trueOff[v+1]] {
+			if e.From == from {
+				return true
+			}
+			if e.From < from || sc.mark[e.From] == sc.stamp {
+				continue
+			}
+			sc.mark[e.From] = sc.stamp
+			sc.stack = append(sc.stack, e.From)
+		}
+	}
+	return false
 }
 
 // Build derives the DDG, applies the transformation and returns the
 // resulting DAG. The returned graph owns the task and object slices.
 //
 // Build is deterministic: dependencies are discovered by a single scan in
-// program order and edges are inserted in discovery order, so two Builds of
-// the same declaration sequence produce DAGs with identical adjacency-list
-// orders. (The maps used here — name lookup and edge dedup — never drive
-// iteration.) Plan content addressing relies on this invariant; see
-// internal/plan.
+// program order and edges are inserted in discovery order — the true ones
+// first, then the retained precedence edges — so two Builds of the same
+// declaration sequence produce DAGs with identical adjacency-list orders.
+// (The one map here, name lookup, never drives iteration.) Plan content
+// addressing relies on this invariant; see internal/plan.
 func (b *Builder) Build() (*DAG, error) {
-	nObj := len(b.objects)
-	g := newDAG(b.tasks, b.objects)
-
-	// Per-object scan state.
-	type objState struct {
-		// lastWriters holds the most recent writing group: a single task, or
-		// all members of an open commutative group.
-		lastWriters []TaskID
-		commOpen    bool
-		// readersSince holds tasks that read the object after the last write.
-		readersSince []TaskID
-		// groupPreds / groupAntiPreds hold the writers and readers that
-		// preceded the currently-open commutative group, so that tasks
-		// joining the group later are still ordered after them.
-		groupPreds     []TaskID
-		groupAntiPreds []TaskID
+	if b.sizeConflict != nil {
+		return nil, b.sizeConflict
 	}
-	st := make([]objState, nObj)
-
-	var deps []rawDep
-	seen := make(map[[2]TaskID]DepKind)
-	add := func(from, to TaskID, obj ObjID, kind DepKind) {
-		if from == to {
-			return
+	n := len(b.tasks)
+	lo := int32(0)
+	for ti := range b.tasks {
+		t, mid, hi := &b.tasks[ti], b.ends[2*ti], b.ends[2*ti+1]
+		t.Reads, t.Writes = nil, nil
+		if mid > lo {
+			t.Reads = b.access[lo:mid:mid]
 		}
-		key := [2]TaskID{from, to}
-		if prev, ok := seen[key]; ok {
-			// True dependence dominates; keep the strongest kind only.
-			if prev == DepTrue || kind != DepTrue {
-				return
-			}
+		if hi > mid {
+			t.Writes = b.access[mid:hi:hi]
 		}
-		seen[key] = kind
-		deps = append(deps, rawDep{from, to, obj, kind})
+		lo = hi
 	}
 
+	sc := &scan{
+		obj:     make([]objScan, len(b.objects)),
+		pool:    make([]chainNode, 1, len(b.access)+1),
+		seen:    make([]int32, n),
+		edges:   make([]Edge, 0, len(b.access)),
+		trueOff: make([]int32, n+1),
+	}
 	for ti := range b.tasks {
 		t := &b.tasks[ti]
-		writes := make(map[ObjID]bool, len(t.Writes))
-		for _, o := range t.Writes {
-			writes[o] = true
-		}
+		sc.trueOff[ti] = int32(len(sc.edges))
 		for _, o := range t.Reads {
-			if writes[o] && t.Commutative {
+			rmw := writesObj(t, o)
+			if rmw && t.Commutative {
 				// Read-modify-write inside a commutative group: ordering is
 				// handled by the write scan against the pre-group writers,
 				// not against the other (commuting) group members.
 				continue
 			}
-			s := &st[o]
-			for _, w := range s.lastWriters {
-				add(w, t.ID, o, DepTrue)
-			}
-			if !writes[o] {
-				s.readersSince = append(s.readersSince, t.ID)
+			s := &sc.obj[o]
+			sc.addAll(s.lastWriters, t.ID, o, DepTrue)
+			if !rmw {
+				sc.push(&s.readersSince, t.ID)
 				// A plain read consumes the accumulated value: any open
 				// commutative group on o is closed so that writers declared
 				// later are ordered after this reader, whatever the
@@ -160,69 +272,46 @@ func (b *Builder) Build() (*DAG, error) {
 			}
 		}
 		for _, o := range t.Writes {
-			s := &st[o]
+			s := &sc.obj[o]
 			if t.Commutative && s.commOpen {
 				// Member of the open commutative group: unordered against the
 				// other members, but still ordered after everything that
 				// preceded the group.
-				for _, w := range s.groupPreds {
-					add(w, t.ID, o, DepTrue)
-				}
-				for _, r := range s.groupAntiPreds {
-					add(r, t.ID, o, DepAnti)
-				}
-				s.lastWriters = append(s.lastWriters, t.ID)
+				sc.addAll(s.groupPreds, t.ID, o, DepTrue)
+				sc.addAll(s.groupAntiPreds, t.ID, o, DepAnti)
+				sc.push(&s.lastWriters, t.ID)
 				continue
 			}
 			// Close out the previous writers/readers.
-			for _, r := range s.readersSince {
-				add(r, t.ID, o, DepAnti)
+			sc.addAll(s.readersSince, t.ID, o, DepAnti)
+			kind := DepOutput
+			if readsObj(t, o) {
+				kind = DepTrue // read-modify-write: value flows
 			}
-			for _, w := range s.lastWriters {
-				kind := DepOutput
-				if readsObj(t, o) {
-					kind = DepTrue // read-modify-write: value flows
-				}
-				add(w, t.ID, o, kind)
-			}
+			sc.addAll(s.lastWriters, t.ID, o, kind)
 			if t.Commutative {
 				// Opening a new group: remember what preceded it.
-				s.groupPreds = append(s.groupPreds[:0], s.lastWriters...)
-				s.groupAntiPreds = append(s.groupAntiPreds[:0], s.readersSince...)
+				s.groupPreds, s.groupAntiPreds = s.lastWriters, s.readersSince
 			}
-			s.readersSince = s.readersSince[:0]
-			s.lastWriters = append(s.lastWriters[:0], t.ID)
+			s.readersSince, s.lastWriters = chain{}, chain{}
+			sc.push(&s.lastWriters, t.ID)
 			s.commOpen = t.Commutative
 		}
 	}
-
-	// Insert true edges first so subsumption can consult them.
-	for _, d := range deps {
-		if d.kind == DepTrue {
-			g.AddEdge(Edge{From: d.from, To: d.to, Obj: d.obj, Kind: DepTrue})
-		}
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("graph: true-dependence subgraph is cyclic: %w", err)
-	}
-	topoIdx := make([]int32, len(b.tasks))
-	for i, t := range order {
-		topoIdx[t] = int32(i)
-	}
+	sc.trueOff[n] = int32(len(sc.edges))
 
 	// Transformation: drop anti/output edges subsumed by a true-dependence
 	// path; keep the rest as precedence edges.
-	reach := newReachability(g, topoIdx)
-	for _, d := range deps {
-		if d.kind == DepTrue {
-			continue
-		}
-		if reach.hasPath(d.from, d.to) {
-			continue // subsumed
-		}
-		g.AddEdge(Edge{From: d.from, To: d.to, Obj: d.obj, Kind: DepPrec})
+	if len(sc.weak) > 0 {
+		sc.mark = make([]int32, n)
 	}
+	for _, d := range sc.weak {
+		if !sc.subsumed(d.From, d.To) {
+			d.Kind = DepPrec
+			sc.edges = append(sc.edges, d)
+		}
+	}
+	g := NewDAG(b.tasks, b.objects, sc.edges)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -233,53 +322,6 @@ func readsObj(t *Task, o ObjID) bool {
 	for _, r := range t.Reads {
 		if r == o {
 			return true
-		}
-	}
-	return false
-}
-
-// reachability answers s->t path queries over the true-dependence subgraph
-// using a DFS pruned by topological index. Queries are expected to be local
-// (producer and consumer close in program order), so the pruned DFS is fast
-// in practice.
-type reachability struct {
-	g       *DAG
-	topoIdx []int32
-	mark    []int32
-	stamp   int32
-	stack   []TaskID
-}
-
-func newReachability(g *DAG, topoIdx []int32) *reachability {
-	return &reachability{g: g, topoIdx: topoIdx, mark: make([]int32, len(g.Tasks))}
-}
-
-func (r *reachability) hasPath(from, to TaskID) bool {
-	if from == to {
-		return true
-	}
-	if r.topoIdx[from] >= r.topoIdx[to] {
-		return false
-	}
-	r.stamp++
-	r.stack = append(r.stack[:0], from)
-	r.mark[from] = r.stamp
-	limit := r.topoIdx[to]
-	for len(r.stack) > 0 {
-		t := r.stack[len(r.stack)-1]
-		r.stack = r.stack[:len(r.stack)-1]
-		for _, e := range r.g.out[t] {
-			if e.Kind != DepTrue {
-				continue
-			}
-			if e.To == to {
-				return true
-			}
-			if r.topoIdx[e.To] >= limit || r.mark[e.To] == r.stamp {
-				continue
-			}
-			r.mark[e.To] = r.stamp
-			r.stack = append(r.stack, e.To)
 		}
 	}
 	return false

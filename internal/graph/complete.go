@@ -29,7 +29,7 @@ func (g *DAG) CheckDependenceComplete() error {
 	reach := make([][]uint64, n)
 	for _, t := range order {
 		row := make([]uint64, words)
-		for _, e := range g.in[t] {
+		for _, e := range g.In(t) {
 			row[e.From>>6] |= 1 << uint(e.From&63)
 			for wi, w := range reach[e.From] {
 				row[wi] |= w

@@ -18,6 +18,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // TaskID identifies a task within a DAG.
@@ -101,10 +102,11 @@ type DAG struct {
 	Tasks   []Task
 	Objects []Object
 
-	out [][]Edge
-	in  [][]Edge
-
-	nEdges int
+	// The adjacency lists, flat: task t's out-edges are
+	// outEdges[outOff[t]:outOff[t+1]] and its in-edges
+	// inEdges[inOff[t]:inOff[t+1]].
+	outOff, inOff     []int32
+	outEdges, inEdges []Edge
 }
 
 // NumTasks returns the number of tasks.
@@ -113,37 +115,83 @@ func (g *DAG) NumTasks() int { return len(g.Tasks) }
 // NumObjects returns the number of data objects.
 func (g *DAG) NumObjects() int { return len(g.Objects) }
 
-// NumEdges returns the number of dependence edges.
-func (g *DAG) NumEdges() int { return g.nEdges }
-
-// Out returns the out-edges of task t. The slice must not be modified.
-func (g *DAG) Out(t TaskID) []Edge { return g.out[t] }
-
-// In returns the in-edges of task t. The slice must not be modified.
-func (g *DAG) In(t TaskID) []Edge { return g.in[t] }
-
-// AddEdge inserts a dependence edge. It does not deduplicate; use the
-// Builder for that.
-func (g *DAG) AddEdge(e Edge) {
-	g.out[e.From] = append(g.out[e.From], e)
-	g.in[e.To] = append(g.in[e.To], e)
-	g.nEdges++
+// NumAccesses returns the number of entries in all tasks' read and write
+// lists together: the bound the schedulers size their per-access tables by.
+func (g *DAG) NumAccesses() int {
+	n := 0
+	for t := range g.Tasks {
+		n += len(g.Tasks[t].Reads) + len(g.Tasks[t].Writes)
+	}
+	return n
 }
 
-// NewDAG allocates a DAG with the given tasks and objects and no edges.
-// Deserializers and generators add edges with AddEdge (in a deterministic
-// order — adjacency-list order is observable) and should run Validate once
-// construction is complete.
-func NewDAG(tasks []Task, objects []Object) *DAG { return newDAG(tasks, objects) }
+// NumEdges returns the number of dependence edges.
+func (g *DAG) NumEdges() int { return len(g.outEdges) }
 
-// newDAG allocates a DAG with the given tasks and objects and no edges.
-func newDAG(tasks []Task, objects []Object) *DAG {
-	return &DAG{
-		Tasks:   tasks,
-		Objects: objects,
-		out:     make([][]Edge, len(tasks)),
-		in:      make([][]Edge, len(tasks)),
+// Out returns the out-edges of task t. The slice must not be modified.
+func (g *DAG) Out(t TaskID) []Edge {
+	lo, hi := g.outOff[t], g.outOff[t+1]
+	return g.outEdges[lo:hi:hi]
+}
+
+// In returns the in-edges of task t. The slice must not be modified.
+func (g *DAG) In(t TaskID) []Edge {
+	lo, hi := g.inOff[t], g.inOff[t+1]
+	return g.inEdges[lo:hi:hi]
+}
+
+// NewDAG builds a DAG over the given tasks and objects from its complete
+// edge list, which it keeps. Every endpoint must be a task id in range (the
+// builder's are by construction; the plan decoder checks before it calls);
+// callers run Validate on graphs built from outside input.
+//
+// Adjacency-list order is observable — schedulers, the plan codec and the
+// protocol tables iterate Out and In — and is the order of edges: Out(t)
+// lists t's out-edges, and In(t) its in-edges, in the order they appear
+// there. Both degrees of every task are counted before an edge is placed,
+// so each side is one allocation filled in one sweep; and a side the list
+// is already grouped by — the decoder reads edges source by source, the
+// builder finds them target by target — is the list itself.
+func NewDAG(tasks []Task, objects []Object, edges []Edge) *DAG {
+	n := len(tasks)
+	g := &DAG{Tasks: tasks, Objects: objects, outOff: make([]int32, n+1), inOff: make([]int32, n+1)}
+	byFrom, byTo := true, true
+	for i := range edges {
+		e := &edges[i]
+		g.outOff[e.From+1]++
+		g.inOff[e.To+1]++
+		if i > 0 {
+			byFrom = byFrom && edges[i-1].From <= e.From
+			byTo = byTo && edges[i-1].To <= e.To
+		}
 	}
+	for t := 0; t < n; t++ {
+		g.outOff[t+1] += g.outOff[t]
+		g.inOff[t+1] += g.inOff[t]
+	}
+	// grouped scatters the edges into the lists the offsets off describe,
+	// keyed by source or by target.
+	grouped := func(off []int32, byTarget bool) []Edge {
+		list := make([]Edge, len(edges))
+		next := slices.Clone(off[:n])
+		for _, e := range edges {
+			t := e.From
+			if byTarget {
+				t = e.To
+			}
+			list[next[t]] = e
+			next[t]++
+		}
+		return list
+	}
+	g.outEdges, g.inEdges = edges, edges
+	if !byFrom {
+		g.outEdges = grouped(g.outOff, false)
+	}
+	if !byTo {
+		g.inEdges = grouped(g.inOff, true)
+	}
+	return g
 }
 
 // TopoSort returns a topological order of the tasks, or an error if the
@@ -152,9 +200,7 @@ func (g *DAG) TopoSort() ([]TaskID, error) {
 	n := len(g.Tasks)
 	indeg := make([]int32, n)
 	for t := 0; t < n; t++ {
-		for range g.in[t] {
-			indeg[t]++
-		}
+		indeg[t] = g.inOff[t+1] - g.inOff[t]
 	}
 	order := make([]TaskID, 0, n)
 	queue := make([]TaskID, 0, n)
@@ -167,7 +213,7 @@ func (g *DAG) TopoSort() ([]TaskID, error) {
 		t := queue[0]
 		queue = queue[1:]
 		order = append(order, t)
-		for _, e := range g.out[t] {
+		for _, e := range g.Out(t) {
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
 				queue = append(queue, e.To)
@@ -201,8 +247,8 @@ func (g *DAG) Validate() error {
 			}
 		}
 	}
-	for ti := range g.out {
-		for _, e := range g.out[ti] {
+	for ti := range g.Tasks {
+		for _, e := range g.Out(TaskID(ti)) {
 			if e.From != TaskID(ti) {
 				return fmt.Errorf("graph: edge %v stored under task %d", e, ti)
 			}

@@ -203,12 +203,13 @@ func TestDependenceComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build an incomplete graph by hand: two unordered writers of x.
-	bad := newDAG(
+	bad := NewDAG(
 		[]Task{
 			{ID: 0, Name: "w1", Writes: []ObjID{0}},
 			{ID: 1, Name: "w2", Writes: []ObjID{0}},
 		},
 		[]Object{{ID: 0, Name: "x", Size: 1, Owner: None}},
+		nil,
 	)
 	if err := bad.CheckDependenceComplete(); err == nil {
 		t.Fatalf("expected incompleteness error")
@@ -292,12 +293,11 @@ func TestSCCCycle(t *testing.T) {
 }
 
 func TestValidateCatchesCycle(t *testing.T) {
-	g := newDAG(
+	g := NewDAG(
 		[]Task{{ID: 0, Name: "a"}, {ID: 1, Name: "b"}},
 		nil,
+		[]Edge{{From: 0, To: 1, Kind: DepPrec}, {From: 1, To: 0, Kind: DepPrec}},
 	)
-	g.AddEdge(Edge{From: 0, To: 1, Kind: DepPrec})
-	g.AddEdge(Edge{From: 1, To: 0, Kind: DepPrec})
 	if err := g.Validate(); err == nil {
 		t.Fatalf("cycle not detected")
 	}

@@ -25,7 +25,7 @@ func (g *DAG) BottomLevels(comm CommCostFunc) []float64 {
 	for i := len(order) - 1; i >= 0; i-- {
 		t := order[i]
 		best := 0.0
-		for _, e := range g.out[t] {
+		for _, e := range g.Out(t) {
 			v := comm(e) + bl[e.To]
 			if v > best {
 				best = v
@@ -45,7 +45,7 @@ func (g *DAG) TopLevels(comm CommCostFunc) []float64 {
 	}
 	tl := make([]float64, len(g.Tasks))
 	for _, t := range order {
-		for _, e := range g.out[t] {
+		for _, e := range g.Out(t) {
 			v := tl[t] + g.Tasks[t].Cost + comm(e)
 			if v > tl[e.To] {
 				tl[e.To] = v
@@ -61,7 +61,7 @@ func (g *DAG) CriticalPathLength(comm CommCostFunc) float64 {
 	bl := g.BottomLevels(comm)
 	best := 0.0
 	for t := range g.Tasks {
-		if len(g.in[t]) == 0 && bl[t] > best {
+		if len(g.In(TaskID(t))) == 0 && bl[t] > best {
 			best = bl[t]
 		}
 	}
@@ -81,7 +81,7 @@ func (g *DAG) Depth() int {
 		if d[t] > max {
 			max = d[t]
 		}
-		for _, e := range g.out[t] {
+		for _, e := range g.Out(t) {
 			if d[t]+1 > d[e.To] {
 				d[e.To] = d[t] + 1
 			}

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"repro/internal/blas"
 	"repro/internal/graph"
@@ -92,24 +93,33 @@ func Build(a *sparse.Matrix, opt Options) (*Problem, error) {
 	gb := graph.NewBuilder()
 	pr.panelObj = make([]graph.ObjID, bp.NB)
 	owners := make([]graph.Proc, bp.NB)
+	nTasks := bp.NB
 	for k := 0; k < bp.NB; k++ {
-		pr.panelObj[k] = gb.Object(fmt.Sprintf("P[%d]", k), bp.PanelNnz[k])
+		pr.panelObj[k] = gb.Object("P["+strconv.Itoa(k)+"]", bp.PanelNnz[k])
 		owners[k] = graph.Proc(k % opt.Procs)
+		nTasks += len(bp.Succ[k])
 	}
+	gb.Grow(nTasks, 3*nTasks-bp.NB) // a factor has two accesses, an update three
 
 	// Sequential elimination order. Updates into a panel are ordered by
 	// ascending k through the read-modify-write chain (non-commutative).
+	// The tasks are named after the graph is built.
+	var names graph.Names
+	names.Grow(nTasks)
+	pr.info = make([]taskInfo, 0, nTasks)
 	for k := int32(0); k < int32(bp.NB); k++ {
 		wk := float64(bp.BlockDim(int(k)))
 		hk := float64(bp.Heights[k])
 		pk := pr.panelObj[k]
-		gb.Task(fmt.Sprintf("factor(%d)", k), hk*wk*wk,
+		names.Add("factor", k)
+		gb.Task("", hk*wk*wk,
 			[]graph.ObjID{pk}, []graph.ObjID{pk})
 		pr.info = append(pr.info, taskInfo{kind: opFactor, k: k, j: k})
 		for _, j := range bp.Succ[k] {
 			wj := float64(bp.BlockDim(int(j)))
 			pj := pr.panelObj[j]
-			gb.Task(fmt.Sprintf("update(%d,%d)", k, j), 2*hk*wk*wj,
+			names.Add("update", k, j)
+			gb.Task("", 2*hk*wk*wj,
 				[]graph.ObjID{pk, pj}, []graph.ObjID{pj})
 			pr.info = append(pr.info, taskInfo{kind: opUpdate, k: k, j: j})
 		}
@@ -118,6 +128,7 @@ func Build(a *sparse.Matrix, opt Options) (*Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lu: %w", err)
 	}
+	names.Apply(g.Tasks)
 	for k := 0; k < bp.NB; k++ {
 		g.Objects[pr.panelObj[k]].Owner = owners[k]
 	}

@@ -16,10 +16,11 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
+	"repro/internal/util"
 )
 
 // MAP is one memory allocation point on a processor. It executes
@@ -95,11 +96,11 @@ func (pl *Plan) MaxPeak() int64 {
 	return peak
 }
 
-// remoteProducers returns, for processor p, a map from volatile object to
-// the set of processors that execute producer tasks whose output is
-// RMA-deposited into p's copy of the object.
-func remoteProducers(s *sched.Schedule, p graph.Proc) map[graph.ObjID]map[graph.Proc]bool {
-	res := make(map[graph.ObjID]map[graph.Proc]bool)
+// markRemoteProducers sets, for every volatile object of processor p, the
+// processors that execute producer tasks whose output is RMA-deposited into
+// p's copy of the object: bit q of the object's row of producers, words
+// uint64 words to a row. Rows of other objects are left alone.
+func markRemoteProducers(s *sched.Schedule, p graph.Proc, producers []uint64, words int) {
 	for _, t := range s.Order[p] {
 		for _, e := range s.G.In(t) {
 			if e.Kind != graph.DepTrue {
@@ -115,15 +116,9 @@ func remoteProducers(s *sched.Schedule, p graph.Proc) map[graph.ObjID]map[graph.
 				// preprocessing, as in the original RAPID).
 				continue
 			}
-			m, ok := res[e.Obj]
-			if !ok {
-				m = make(map[graph.Proc]bool)
-				res[e.Obj] = m
-			}
-			m[q] = true
+			producers[int(e.Obj)*words+int(q>>6)] |= 1 << (q & 63)
 		}
 	}
-	return res
 }
 
 // Options tune the planner (ablation studies).
@@ -152,13 +147,13 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 	perm := s.PermSize()
 	lifetimes := s.VolatileLifetimes()
 	pl := &Plan{Schedule: s, Capacity: capacity, Procs: make([]ProcPlan, s.P), Executable: true}
+	words := (s.P + 63) / 64
+	producers := make([]uint64, s.G.NumObjects()*words)
 
 	for p := 0; p < s.P; p++ {
 		pp := &pl.Procs[p]
 		pp.Executable = true
 		order := s.Order[p]
-		lt := lifetimes[p]
-		producers := remoteProducers(s, graph.Proc(p))
 
 		if perm[p] > capacity {
 			pp.Executable = false
@@ -168,56 +163,51 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 			continue
 		}
 
-		// lastUse sorted by position for dead-point scanning.
-		type life struct {
-			obj         graph.ObjID
-			first, last int32
-		}
-		lives := make([]life, 0, len(lt))
-		for o, r := range lt { //det:ok collected then sorted below
-			lives = append(lives, life{o, r[0], r[1]})
-		}
-		// The lifetime table is a map; order the scan by (first use, object)
-		// so the Frees/Allocs lists of every MAP come out in one canonical
-		// order. Plan serialization content-addresses compiled artifacts, so
-		// equal inputs must produce byte-identical plans.
-		sort.Slice(lives, func(i, j int) bool {
-			if lives[i].first != lives[j].first {
-				return lives[i].first < lives[j].first
+		// The lifetimes come ordered by (first use, object), and objects are
+		// allocated in that order: the Frees/Allocs lists of every MAP come
+		// out in one canonical order (plan serialization content-addresses
+		// compiled artifacts, so equal inputs must produce byte-identical
+		// plans), the objects first needed at a position are one run of
+		// lives, and the allocated ones are a prefix of it, lives[:next].
+		lives := lifetimes[p]
+		next := 0
+		freed := util.NewBitset(len(lives)) // i: lives[i] was freed
+		markRemoteProducers(s, graph.Proc(p), producers, words)
+		// Every MAP's Frees and Allocs are carved out of ids: an object is
+		// allocated once and freed at most once.
+		ids := make([]graph.ObjID, 0, 2*len(lives))
+		since := func(lo int) []graph.ObjID {
+			if lo == len(ids) {
+				return nil
 			}
-			return lives[i].obj < lives[j].obj
-		})
-		// volatile objects needed (first) by each task position.
-		needAt := make([][]graph.ObjID, len(order)+1)
-		for _, l := range lives {
-			needAt[l.first] = append(needAt[l.first], l.obj)
+			return ids[lo:len(ids):len(ids)]
 		}
 
 		inUse := perm[p]
 		peak := perm[p]
-		allocated := make(map[graph.ObjID]bool, len(lives))
-		freed := make(map[graph.ObjID]bool, len(lives))
 
 		pos := int32(0)
 		for {
 			m := MAP{Pos: pos, Notify: make(map[graph.Proc][]graph.ObjID)}
 			// Deallocate dead volatiles: allocated, not yet freed, last use
 			// before pos.
-			for _, l := range lives {
-				if allocated[l.obj] && !freed[l.obj] && l.last < pos {
-					freed[l.obj] = true
-					inUse -= s.G.Objects[l.obj].Size
-					m.Frees = append(m.Frees, l.obj)
+			lo := len(ids)
+			for i, l := range lives[:next] {
+				if !freed.Has(i) && l.Last < pos {
+					freed.Set(i)
+					inUse -= s.G.Objects[l.Obj].Size
+					ids = append(ids, l.Obj)
 				}
 			}
+			m.Frees = since(lo)
 			// Allocate ahead following the execution chain.
+			lo = len(ids)
 			k := pos
 			for int(k) < len(order) {
 				var need int64
-				for _, o := range needAt[k] {
-					if !allocated[o] {
-						need += s.G.Objects[o].Size
-					}
+				end := next
+				for ; end < len(lives) && lives[end].First == k; end++ {
+					need += s.G.Objects[lives[end].Obj].Size
 				}
 				if opt.JustInTime && k > pos && need > 0 {
 					break // defer the next allocation to its own MAP
@@ -225,19 +215,20 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 				if inUse+need > capacity {
 					break
 				}
-				for _, o := range needAt[k] {
-					if allocated[o] {
-						continue
-					}
-					allocated[o] = true
+				for ; next < end; next++ {
+					o := lives[next].Obj
 					inUse += s.G.Objects[o].Size
-					m.Allocs = append(m.Allocs, o)
-					for q := range producers[o] { //det:ok one append per distinct q; per-q list order set by the o loop
-						m.Notify[q] = append(m.Notify[q], o)
+					ids = append(ids, o)
+					for w, row := range producers[int(o)*words : (int(o)+1)*words] {
+						for ; row != 0; row &= row - 1 {
+							q := graph.Proc(w<<6 + bits.TrailingZeros64(row))
+							m.Notify[q] = append(m.Notify[q], o)
+						}
 					}
 				}
 				k++
 			}
+			m.Allocs = since(lo)
 			if inUse > peak {
 				peak = inUse
 			}
@@ -259,6 +250,9 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 			pos = k
 		}
 		pp.Peak = peak
+		for _, l := range lives {
+			clear(producers[int(l.Obj)*words : (int(l.Obj)+1)*words])
+		}
 	}
 	return pl, nil
 }

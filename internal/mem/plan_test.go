@@ -109,7 +109,10 @@ func replayPlan(t *testing.T, pl *Plan) {
 		if !pp.Executable {
 			continue
 		}
-		lt := lifetimes[p]
+		lt := make(map[graph.ObjID][2]int32, len(lifetimes[p]))
+		for _, l := range lifetimes[p] {
+			lt[l.Obj] = [2]int32{l.First, l.Last}
+		}
 		inUse := perm[p]
 		allocatedAt := make(map[graph.ObjID]int32)
 		freed := make(map[graph.ObjID]bool)

@@ -89,8 +89,8 @@ func ExtensionMemoryBreakdown(w io.Writer, sc Scale) []BreakdownRow {
 			}
 			dep := float64(wordsPerTask*localTasks + wordsPerEdgeEnd*localEdgeEnds)
 			data := float64(perm[q])
-			for _, sz := range vol[q] {
-				data += float64(sz)
+			for _, o := range vol[q] {
+				data += float64(s.G.Objects[o].Size)
 			}
 			depSum += dep
 			dataSum += data

@@ -31,8 +31,8 @@ func Table1(w io.Writer, sc Scale) []Table1Row {
 			s1 := float64(wl.G.SeqSpace())
 			for q := 0; q < p; q++ {
 				used := float64(perm[q])
-				for _, sz := range vol[q] {
-					used += float64(sz)
+				for _, o := range vol[q] {
+					used += float64(wl.G.Objects[o].Size)
 				}
 				sum += used / (s1 / float64(p))
 				count++

@@ -199,7 +199,7 @@ func decodeDAG(d *decoder) (*graph.DAG, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	g := graph.NewDAG(tasks, objects)
+	var edges []graph.Edge
 	for t := 0; t < nTask; t++ {
 		nOut := d.count("edges")
 		for k := 0; k < nOut; k++ {
@@ -215,12 +215,13 @@ func decodeDAG(d *decoder) (*graph.DAG, error) {
 			if kind > uint64(graph.DepPrec) {
 				return nil, fmt.Errorf("plan: bad edge kind %d", kind)
 			}
-			g.AddEdge(graph.Edge{From: graph.TaskID(t), To: to, Obj: obj, Kind: graph.DepKind(kind)})
+			edges = append(edges, graph.Edge{From: graph.TaskID(t), To: to, Obj: obj, Kind: graph.DepKind(kind)})
 		}
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
+	g := graph.NewDAG(tasks, objects, edges)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

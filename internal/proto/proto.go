@@ -136,8 +136,8 @@ func Derive(s *sched.Schedule) *Tables {
 		obj  graph.ObjID
 		u, v graph.TaskID
 	}
-	var stars []star
-	var ctls [][2]graph.TaskID // (from, to), in reader order
+	stars := make([]star, 0, s.G.NumEdges()) // an in-edge adds at most one
+	var ctls [][2]graph.TaskID               // (from, to), in reader order
 	for v := graph.TaskID(0); int(v) < n; v++ {
 		first := len(stars)
 		for _, e := range s.G.In(v) {
@@ -172,61 +172,95 @@ func Derive(s *sched.Schedule) *Tables {
 		next[c[0]]++
 	}
 
-	// Sequence numbers: walk the stars grouped by (dst, obj) in producer
-	// schedule order. Each distinct producer in a group is one version — one
-	// Send with the next sequence number — and every reader whose u* it is
-	// waits for that many arrivals.
-	order := make([]int32, len(stars))
-	for i := range order {
-		order[i] = int32(i)
+	// Order the stars by (dst, obj): a counting sort by object, then a
+	// stable one by destination. Each (dst, obj) group is one channel; a
+	// group's stars are then put in producer schedule order.
+	byObj, order := make([]int32, len(stars)), make([]int32, len(stars))
+	start := make([]int32, max(s.G.NumObjects(), s.P)+1)
+	for i := range stars {
+		start[stars[i].obj+1]++
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		x, y := &stars[a], &stars[b]
-		return cmp.Or(
-			cmp.Compare(s.Assign[x.v], s.Assign[y.v]),
-			cmp.Compare(x.obj, y.obj),
-			cmp.Compare(s.Pos[x.u], s.Pos[y.u]),
-			cmp.Compare(x.u, y.u),
-		)
-	})
+	prefixSum(start)
+	for i := range stars {
+		o := stars[i].obj
+		byObj[start[o]] = int32(i)
+		start[o]++
+	}
+	clear(start)
+	for i := range stars {
+		start[s.Assign[stars[i].v]+1]++
+	}
+	prefixSum(start)
+	for _, si := range byObj {
+		dst := s.Assign[stars[si].v]
+		order[start[dst]] = si
+		start[dst]++
+	}
+	sameChan := func(a, b int32) bool {
+		return stars[a].obj == stars[b].obj && s.Assign[stars[a].v] == s.Assign[stars[b].v]
+	}
+	chans, nSends := 0, 0 // a channel's every distinct producer sends one version
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		for hi = lo + 1; hi < len(order) && sameChan(order[lo], order[hi]); hi++ {
+		}
+		slices.SortFunc(order[lo:hi], func(a, b int32) int {
+			x, y := stars[a].u, stars[b].u
+			return cmp.Or(cmp.Compare(s.Pos[x], s.Pos[y]), cmp.Compare(x, y))
+		})
+		chans++
+		nSends++
+		for i := lo + 1; i < hi; i++ {
+			if stars[order[i]].u != stars[order[i-1]].u {
+				nSends++
+			}
+		}
+	}
+
+	// Sequence numbers: walk the stars channel by channel. Each distinct
+	// producer in a group is one version — one Send with the next sequence
+	// number — and every reader whose u* it is waits for that many
+	// arrivals.
 	type taskSend struct {
 		u   graph.TaskID
 		snd Send
 	}
-	var sends []taskSend
+	sends := make([]taskSend, 0, nSends)
 	t.needs = make([]Need, len(stars))
-	var prev *star
+	t.expect = make([]Need, 0, chans)
+	prev := int32(-1)
 	for _, si := range order {
 		st := &stars[si]
 		dst := s.Assign[st.v]
-		newKey := prev == nil || prev.obj != st.obj || s.Assign[prev.v] != dst
+		newKey := prev < 0 || !sameChan(prev, si)
 		if newKey {
 			t.expect = append(t.expect, Need{Obj: st.obj})
 			t.expOff[dst+1]++
 		}
 		versions := &t.expect[len(t.expect)-1].MinArrivals
-		if newKey || prev.u != st.u {
+		if newKey || stars[prev].u != st.u {
 			*versions++
 			sends = append(sends, taskSend{st.u, Send{Obj: st.obj, Dst: dst, Seq: *versions, Chan: int32(len(t.expect) - 1)}})
 			t.sendOff[st.u+1]++
 		}
 		t.needs[si] = Need{Obj: st.obj, MinArrivals: *versions}
-		prev = st
+		prev = si
 	}
 	prefixSum(t.expOff)
 
 	// Deterministic ordering for reproducible executions: needs by object,
-	// sends by (destination, object).
+	// sends by (destination, object) — the order they were issued in, so a
+	// stable counting sort by sender is all that is left to do.
 	for v := 0; v < n; v++ {
-		slices.SortFunc(t.needs[t.needOff[v]:t.needOff[v+1]], func(a, b Need) int { return cmp.Compare(a.Obj, b.Obj) })
+		if needs := t.needs[t.needOff[v]:t.needOff[v+1]]; len(needs) > 1 {
+			slices.SortFunc(needs, func(a, b Need) int { return cmp.Compare(a.Obj, b.Obj) })
+		}
 	}
-	slices.SortFunc(sends, func(a, b taskSend) int {
-		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.snd.Dst, b.snd.Dst), cmp.Compare(a.snd.Obj, b.snd.Obj))
-	})
 	prefixSum(t.sendOff)
 	t.sends = make([]Send, len(sends))
-	for i := range sends {
-		t.sends[i] = sends[i].snd
+	next = append(next[:0], t.sendOff[:n]...)
+	for _, ts := range sends {
+		t.sends[next[ts.u]] = ts.snd
+		next[ts.u]++
 	}
 	return t
 }

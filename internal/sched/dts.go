@@ -6,68 +6,109 @@ import (
 	"repro/internal/graph"
 )
 
-// assocObjects returns the data nodes a task is associated with in the data
-// connection graph (Section 4.2): the objects it uses but does not modify,
-// or, if it has none (e.g. it only modifies objects), the objects it
-// modifies.
-func assocObjects(t *graph.Task) []graph.ObjID {
-	writes := make(map[graph.ObjID]bool, len(t.Writes))
+// appendAssoc appends to dst the data nodes task t is associated with in the
+// data connection graph (Section 4.2): the objects it uses but does not
+// modify, or, if it has none (e.g. it only modifies objects), the objects it
+// modifies. mark is scratch indexed by object id: while t is being looked
+// at, 2·t+1 marks an object t writes and 2·t+2 one already appended.
+func appendAssoc(dst []graph.ObjID, t *graph.Task, mark []int32) []graph.ObjID {
+	written, taken := 2*t.ID+1, 2*t.ID+2
 	for _, o := range t.Writes {
-		writes[o] = true
+		mark[o] = written
 	}
-	var assoc []graph.ObjID
-	seen := map[graph.ObjID]bool{}
+	first := len(dst)
 	for _, o := range t.Reads {
-		if !writes[o] && !seen[o] {
-			seen[o] = true
-			assoc = append(assoc, o)
+		if mark[o] != written && mark[o] != taken {
+			mark[o] = taken
+			dst = append(dst, o)
 		}
 	}
-	if len(assoc) == 0 {
+	if len(dst) == first {
 		for _, o := range t.Writes {
-			if !seen[o] {
-				seen[o] = true
-				assoc = append(assoc, o)
+			if mark[o] != taken {
+				mark[o] = taken
+				dst = append(dst, o)
 			}
 		}
 	}
-	return assoc
+	return dst
 }
 
 // BuildDCG constructs the data connection graph of the DAG: one node per
 // data object, doubly-directed edges among the objects associated with a
 // common task, and an edge d_i -> d_j for every task dependence edge
 // (Tx, Ty) with Tx associated with d_i and Ty associated with d_j. It
-// returns the adjacency list and the per-task association lists.
+// returns the adjacency list and the per-task association lists. Both are
+// carved out of one allocation each: the access lists bound the
+// associations, and a counting sweep over the edges sizes the adjacency
+// before a second one fills it.
 func BuildDCG(g *graph.DAG) (adj [][]int32, assoc [][]graph.ObjID) {
 	m := g.NumObjects()
-	adj = make([][]int32, m)
 	assoc = make([][]graph.ObjID, g.NumTasks())
-	addEdge := func(a, b graph.ObjID) {
-		if a == b {
-			return
-		}
-		adj[a] = append(adj[a], int32(b))
-	}
+	nodes := make([]graph.ObjID, 0, g.NumAccesses())
+	mark := make([]int32, m)
 	for ti := range g.Tasks {
-		as := assocObjects(&g.Tasks[ti])
-		assoc[ti] = as
-		// Strongly connect multi-associated data nodes.
-		for i := 0; i < len(as); i++ {
-			for j := i + 1; j < len(as); j++ {
-				addEdge(as[i], as[j])
-				addEdge(as[j], as[i])
+		first := len(nodes)
+		nodes = appendAssoc(nodes, &g.Tasks[ti], mark)
+		assoc[ti] = nodes[first:len(nodes):len(nodes)]
+	}
+
+	// Node a's neighbours are to[off[a]:off[a+1]], in the order the sweep
+	// meets them. A task's successors are mostly associated with the same
+	// few nodes, and a repeated neighbour changes nothing SCC computes, so
+	// each task links a node once: mark now says which task, in which
+	// sweep, linked it last. (Repeats between tasks stay.)
+	off := make([]int32, m+1)
+	var to, next []int32
+	clear(mark)
+	for _, fill := range [2]bool{false, true} {
+		link := func(a, b graph.ObjID) {
+			switch {
+			case a == b:
+			case fill:
+				to[next[a]] = b
+				next[a]++
+			default:
+				off[a+1]++
 			}
 		}
-	}
-	for ti := range g.Tasks {
-		for _, e := range g.Out(graph.TaskID(ti)) {
-			for _, di := range assoc[e.From] {
-				for _, dj := range assoc[e.To] {
-					addEdge(di, dj)
+		for _, as := range assoc {
+			// Strongly connect multi-associated data nodes.
+			for i := 0; i < len(as); i++ {
+				for j := i + 1; j < len(as); j++ {
+					link(as[i], as[j])
+					link(as[j], as[i])
 				}
 			}
 		}
+		for ti, from := range assoc {
+			linked := int32(2*ti + 1)
+			if fill {
+				linked++
+			}
+			for _, e := range g.Out(graph.TaskID(ti)) {
+				for _, dj := range assoc[e.To] {
+					if mark[dj] == linked {
+						continue
+					}
+					mark[dj] = linked
+					for _, di := range from {
+						link(di, dj)
+					}
+				}
+			}
+		}
+		if !fill {
+			for a := 0; a < m; a++ {
+				off[a+1] += off[a]
+			}
+			to = make([]int32, off[m])
+			next = append(make([]int32, 0, m), off[:m]...)
+		}
+	}
+	adj = make([][]int32, m)
+	for a := range adj {
+		adj[a] = to[off[a]:off[a+1]:off[a+1]]
 	}
 	return adj, assoc
 }
@@ -101,39 +142,43 @@ func Slices(g *graph.DAG) (sliceOf []int32, nSlices int, err error) {
 // maximum over processors of the total size of distinct volatile objects
 // used by the slice's tasks on that processor.
 func SliceVolatileNeed(g *graph.DAG, assign []graph.Proc, p int, sliceOf []int32, nSlices int) []int64 {
-	type key struct {
-		slice int32
-		proc  graph.Proc
-		obj   graph.ObjID
+	// Bucket the tasks by slice, so that a (processor, object) pair needs
+	// one stamp — the last slice that counted it — not one per slice.
+	sliceOff := make([]int32, nSlices+1)
+	for _, s := range sliceOf {
+		sliceOff[s+1]++
 	}
-	seen := make(map[key]bool)
-	perProc := make([][]int64, nSlices)
-	for s := range perProc {
-		perProc[s] = make([]int64, p)
+	for s := 0; s < nSlices; s++ {
+		sliceOff[s+1] += sliceOff[s]
 	}
-	for ti := range g.Tasks {
-		t := &g.Tasks[ti]
-		s := sliceOf[ti]
-		q := assign[ti]
-		for _, lists := range [2][]graph.ObjID{t.Reads, t.Writes} {
-			for _, o := range lists {
-				if g.Objects[o].Owner == q {
-					continue
-				}
-				k := key{s, q, o}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				perProc[s][q] += g.Objects[o].Size
-			}
-		}
+	tasks := make([]graph.TaskID, len(sliceOf))
+	next := append(make([]int32, 0, nSlices), sliceOff[:nSlices]...)
+	for ti, s := range sliceOf {
+		tasks[next[s]] = graph.TaskID(ti)
+		next[s]++
 	}
+
+	m := g.NumObjects()
+	counted := make([]int32, p*m) // counted[q·m+o] == s+1: slice s counted o on q
+	load := make([]int64, p)
 	h := make([]int64, nSlices)
 	for s := 0; s < nSlices; s++ {
-		for q := 0; q < p; q++ {
-			if perProc[s][q] > h[s] {
-				h[s] = perProc[s][q]
+		clear(load)
+		for _, ti := range tasks[sliceOff[s]:sliceOff[s+1]] {
+			t := &g.Tasks[ti]
+			q := assign[ti]
+			for _, lists := range [2][]graph.ObjID{t.Reads, t.Writes} {
+				for _, o := range lists {
+					if slot := int(q)*m + int(o); g.Objects[o].Owner != q && counted[slot] != int32(s)+1 {
+						counted[slot] = int32(s) + 1
+						load[q] += g.Objects[o].Size
+					}
+				}
+			}
+		}
+		for _, l := range load {
+			if l > h[s] {
+				h[s] = l
 			}
 		}
 	}

@@ -4,99 +4,115 @@ import "repro/internal/graph"
 
 // taskHeap is a binary min-heap of tasks keyed by a lexicographic
 // (k1, k2, id) triple; schedulers negate "higher is better" priorities so
-// the heap top is the best candidate. Updatable by task id.
+// the heap top is the best candidate. Updatable by task id: pos[t] is task
+// t's index in the heap that holds it, -1 in none. A task sits in one heap
+// at a time — its processor's ready list — so the p heaps of a scheduling
+// run share one pos table indexed by task id.
 type taskHeap struct {
-	ids []graph.TaskID
-	k1  []float64
-	k2  []float64
-	pos map[graph.TaskID]int
+	items []heapItem
+	pos   []int32
 }
 
-func newTaskHeap() *taskHeap {
-	return &taskHeap{pos: make(map[graph.TaskID]int)}
+type heapItem struct {
+	id     graph.TaskID
+	k1, k2 float64
 }
 
-func (h *taskHeap) Len() int { return len(h.ids) }
+func (a *heapItem) less(b *heapItem) bool {
+	if a.k1 != b.k1 {
+		return a.k1 < b.k1
+	}
+	if a.k2 != b.k2 {
+		return a.k2 < b.k2
+	}
+	return a.id < b.id
+}
 
-func (h *taskHeap) Top() graph.TaskID { return h.ids[0] }
+// newTaskHeaps returns p empty heaps over tasks 0..n-1.
+func newTaskHeaps(p, n int) []taskHeap {
+	pos := make([]int32, n)
+	for t := range pos {
+		pos[t] = -1
+	}
+	heaps := make([]taskHeap, p)
+	for q := range heaps {
+		heaps[q].pos = pos
+	}
+	return heaps
+}
+
+func (h *taskHeap) Len() int { return len(h.items) }
+
+func (h *taskHeap) Top() graph.TaskID { return h.items[0].id }
 
 func (h *taskHeap) Push(id graph.TaskID, k1, k2 float64) {
-	h.ids = append(h.ids, id)
-	h.k1 = append(h.k1, k1)
-	h.k2 = append(h.k2, k2)
-	h.pos[id] = len(h.ids) - 1
-	h.up(len(h.ids) - 1)
+	h.items = append(h.items, heapItem{})
+	h.up(len(h.items)-1, heapItem{id, k1, k2})
 }
 
 func (h *taskHeap) Pop() graph.TaskID {
-	id := h.ids[0]
-	n := len(h.ids) - 1
-	h.swap(0, n)
-	h.ids = h.ids[:n]
-	h.k1 = h.k1[:n]
-	h.k2 = h.k2[:n]
-	delete(h.pos, id)
+	id := h.items[0].id
+	n := len(h.items) - 1
+	last := h.items[n]
+	h.items = h.items[:n]
+	h.pos[id] = -1
 	if n > 0 {
-		h.down(0)
+		h.down(0, last)
 	}
 	return id
 }
 
 // Update changes the keys of id if present.
 func (h *taskHeap) Update(id graph.TaskID, k1, k2 float64) {
-	i, ok := h.pos[id]
-	if !ok {
+	i := int(h.pos[id])
+	if i < 0 {
 		return
 	}
-	h.k1[i], h.k2[i] = k1, k2
-	h.up(i)
-	h.down(h.pos[id])
-}
-
-func (h *taskHeap) less(i, j int) bool {
-	if h.k1[i] != h.k1[j] {
-		return h.k1[i] < h.k1[j]
+	it := heapItem{id, k1, k2}
+	if i > 0 && it.less(&h.items[(i-1)/2]) {
+		h.up(i, it)
+	} else {
+		h.down(i, it)
 	}
-	if h.k2[i] != h.k2[j] {
-		return h.k2[i] < h.k2[j]
-	}
-	return h.ids[i] < h.ids[j]
 }
 
-func (h *taskHeap) swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.k1[i], h.k1[j] = h.k1[j], h.k1[i]
-	h.k2[i], h.k2[j] = h.k2[j], h.k2[i]
-	h.pos[h.ids[i]] = i
-	h.pos[h.ids[j]] = j
+// place stores it at index i.
+func (h *taskHeap) place(i int, it heapItem) {
+	h.items[i] = it
+	h.pos[it.id] = int32(i)
 }
 
-func (h *taskHeap) up(i int) {
+// up settles it at or above the free index i, moving parents down into
+// the gap as it rises.
+func (h *taskHeap) up(i int, it heapItem) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
+		if !it.less(&h.items[p]) {
+			break
 		}
-		h.swap(i, p)
+		h.place(i, h.items[p])
 		i = p
 	}
+	h.place(i, it)
 }
 
-func (h *taskHeap) down(i int) {
-	n := len(h.ids)
+// down settles it at or below the free index i, moving the smaller child
+// up into the gap as it sinks.
+func (h *taskHeap) down(i int, it heapItem) {
+	n := len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && h.less(l, s) {
-			s = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, s) {
-			s = r
+		if r := c + 1; r < n && h.items[r].less(&h.items[c]) {
+			c = r
 		}
-		if s == i {
-			return
+		if !h.items[c].less(&it) {
+			break
 		}
-		h.swap(i, s)
-		i = s
+		h.place(i, h.items[c])
+		i = c
 	}
+	h.place(i, it)
 }

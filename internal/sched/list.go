@@ -49,10 +49,20 @@ func runList(g *graph.DAG, assign []graph.Proc, p int, model CostModel, pol poli
 		Order:     make([][]graph.TaskID, p),
 		Heuristic: h,
 	}
-	heaps := make([]*taskHeap, p)
-	for q := 0; q < p; q++ {
-		heaps[q] = newTaskHeap()
+	// Every processor's order is carved at its final length out of one
+	// allocation: the assignment says how many tasks each will run.
+	count := make([]int, p)
+	for _, q := range assign {
+		count[q]++
 	}
+	orders := make([]graph.TaskID, n)
+	for q, lo := 0, 0; q < p; q++ {
+		if count[q] > 0 {
+			s.Order[q] = orders[lo : lo : lo+count[q]]
+			lo += count[q]
+		}
+	}
+	heaps := newTaskHeaps(p, n)
 	if r, ok := pol.(refreshable); ok {
 		r.setRefresh(func(t graph.TaskID, q graph.Proc) {
 			k1, k2 := pol.keys(t)
@@ -62,8 +72,10 @@ func runList(g *graph.DAG, assign []graph.Proc, p int, model CostModel, pol poli
 
 	remaining := make([]int32, n)
 	dataReady := make([]float64, n)
+	taskTime := make([]float64, n)
 	for t := 0; t < n; t++ {
 		remaining[t] = int32(len(g.In(graph.TaskID(t))))
+		taskTime[t] = model.TaskTime(&g.Tasks[t])
 	}
 	insert := func(t graph.TaskID) {
 		q := assign[t]
@@ -98,7 +110,7 @@ func runList(g *graph.DAG, assign []graph.Proc, p int, model CostModel, pol poli
 		if dataReady[chosen] > start {
 			start = dataReady[chosen]
 		}
-		f := start + model.TaskTime(&g.Tasks[chosen])
+		f := start + taskTime[chosen]
 		clock[best] = f
 		s.Order[best] = append(s.Order[best], chosen)
 		scheduledCount++

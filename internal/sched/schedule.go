@@ -9,10 +9,13 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/util"
 )
 
 // Heuristic names a task-ordering algorithm.
@@ -191,24 +194,49 @@ func (s *Schedule) PermSize() []int64 {
 	return perm
 }
 
-// VolatileObjects returns, for each processor, the set of volatile objects
-// it touches: objects read or written by its tasks but owned elsewhere,
-// keyed by object ID mapped to size.
-func (s *Schedule) VolatileObjects() []map[graph.ObjID]int64 {
-	vol := make([]map[graph.ObjID]int64, s.P)
-	for p := range vol {
-		vol[p] = make(map[graph.ObjID]int64)
-	}
-	for t := 0; t < s.G.NumTasks(); t++ {
+// volatilePairs marks the (processor, volatile object) pairs of the
+// schedule — objects read or written by a processor's tasks but owned
+// elsewhere — as p·m+o, m the object count, and counts them per processor.
+// It reads the assignment only, not the order.
+func (s *Schedule) volatilePairs() (touched *util.Bitset, count []int) {
+	m := s.G.NumObjects()
+	touched = util.NewBitset(s.P * m)
+	count = make([]int, s.P)
+	for t := range s.G.Tasks {
 		p := s.Assign[t]
 		task := &s.G.Tasks[t]
 		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
 			for _, o := range lists {
-				if s.G.Objects[o].Owner != p {
-					vol[p][o] = s.G.Objects[o].Size
+				if slot := int(p)*m + int(o); s.G.Objects[o].Owner != p && !touched.Has(slot) {
+					touched.Set(slot)
+					count[p]++
 				}
 			}
 		}
+	}
+	return touched, count
+}
+
+// VolatileObjects returns, for each processor, the volatile objects it
+// touches — objects read or written by its tasks but owned elsewhere — in
+// ascending ID order. It reads the assignment only, not the order.
+func (s *Schedule) VolatileObjects() [][]graph.ObjID {
+	touched, count := s.volatilePairs()
+	total := 0
+	for _, c := range count {
+		total += c
+	}
+	m := s.G.NumObjects()
+	objs := make([]graph.ObjID, 0, total)
+	vol := make([][]graph.ObjID, s.P)
+	for p := range vol {
+		first := len(objs)
+		for o := 0; o < m; o++ {
+			if touched.Has(p*m + o) {
+				objs = append(objs, graph.ObjID(o))
+			}
+		}
+		vol[p] = objs[first:len(objs):len(objs)]
 	}
 	return vol
 }
@@ -223,8 +251,8 @@ func (s *Schedule) TOT() int64 {
 	var tot int64
 	for p := 0; p < s.P; p++ {
 		sum := perm[p]
-		for _, sz := range vol[p] { //det:ok sum fold, commutative
-			sum += sz
+		for _, o := range vol[p] {
+			sum += s.G.Objects[o].Size
 		}
 		if sum > tot {
 			tot = sum
@@ -233,36 +261,52 @@ func (s *Schedule) TOT() int64 {
 	return tot
 }
 
-// VolatileLifetimes computes, for each processor, the first-use and
-// last-use positions of each volatile object in that processor's order
-// (Definition 4 alive range). Returned as maps object -> [2]int32{first,
-// last}.
-func (s *Schedule) VolatileLifetimes() []map[graph.ObjID][2]int32 {
-	lt := make([]map[graph.ObjID][2]int32, s.P)
-	for p := range lt {
-		lt[p] = make(map[graph.ObjID][2]int32)
+// Lifetime is the alive range of one volatile object on one processor
+// (Definition 4): the positions, in the processor's order, of the first and
+// the last task that uses it.
+type Lifetime struct {
+	Obj         graph.ObjID
+	First, Last int32
+}
+
+// VolatileLifetimes computes, for each processor, the lifetime of every
+// volatile object it touches, ordered by (first use, object).
+func (s *Schedule) VolatileLifetimes() [][]Lifetime {
+	n := 0
+	_, count := s.volatilePairs()
+	for _, c := range count {
+		n += c
 	}
+	// at[o] is 1 + the index in all of o's lifetime on the processor being
+	// swept, if that is beyond the processor's first index.
+	at := make([]int32, s.G.NumObjects())
+	all := make([]Lifetime, 0, n)
+	lt := make([][]Lifetime, s.P)
 	for p := 0; p < s.P; p++ {
+		first := len(all)
 		for i, t := range s.Order[p] {
 			task := &s.G.Tasks[t]
-			touch := func(o graph.ObjID) {
-				if s.G.Objects[o].Owner == graph.Proc(p) {
-					return
-				}
-				if r, ok := lt[p][o]; ok {
-					r[1] = int32(i)
-					lt[p][o] = r
-				} else {
-					lt[p][o] = [2]int32{int32(i), int32(i)}
+			firstUsed := len(all) // the objects task i is the first to use start here
+			for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
+				for _, o := range lists {
+					switch {
+					case s.G.Objects[o].Owner == graph.Proc(p):
+					case int(at[o]) > first:
+						all[at[o]-1].Last = int32(i)
+					default:
+						all = append(all, Lifetime{Obj: o, First: int32(i), Last: int32(i)})
+						at[o] = int32(len(all))
+					}
 				}
 			}
-			for _, o := range task.Reads {
-				touch(o)
-			}
-			for _, o := range task.Writes {
-				touch(o)
+			if seg := all[firstUsed:]; len(seg) > 1 {
+				slices.SortFunc(seg, func(a, b Lifetime) int { return cmp.Compare(a.Obj, b.Obj) })
+				for k := range seg {
+					at[seg[k].Obj] = int32(firstUsed + k + 1)
+				}
 			}
 		}
+		lt[p] = all[first:len(all):len(all)]
 	}
 	return lt
 }
@@ -275,23 +319,28 @@ func (s *Schedule) VolatileLifetimes() []map[graph.ObjID][2]int32 {
 func (s *Schedule) PerProcPeaks() []int64 {
 	perm := s.PermSize()
 	lt := s.VolatileLifetimes()
+	longest := 0
+	for p := 0; p < s.P; p++ {
+		longest = max(longest, len(s.Order[p]))
+	}
+	// Sizes allocated at, and freed after, each position of the order swept.
+	allocAt, freeAfter := make([]int64, longest), make([]int64, longest)
 	peaks := make([]int64, s.P)
 	for p := 0; p < s.P; p++ {
-		// Sweep the order accumulating alive volatile sizes.
-		allocAt := make(map[int32]int64) // position -> size allocated
-		freeAfter := make(map[int32]int64)
-		for o, r := range lt[p] { //det:ok sums into position buckets, commutative
-			allocAt[r[0]] += s.G.Objects[o].Size
-			freeAfter[r[1]] += s.G.Objects[o].Size
+		clear(allocAt)
+		clear(freeAfter)
+		for _, l := range lt[p] {
+			allocAt[l.First] += s.G.Objects[l.Obj].Size
+			freeAfter[l.Last] += s.G.Objects[l.Obj].Size
 		}
 		peak := perm[p]
 		var alive int64
 		for i := range s.Order[p] {
-			alive += allocAt[int32(i)]
+			alive += allocAt[i]
 			if req := perm[p] + alive; req > peak {
 				peak = req
 			}
-			alive -= freeAfter[int32(i)]
+			alive -= freeAfter[i]
 		}
 		peaks[p] = peak
 	}

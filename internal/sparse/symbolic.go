@@ -107,12 +107,12 @@ func NewBlockPattern2D(m *Matrix, w int) *BlockPattern2D {
 	for i := range mark {
 		mark[i] = -1
 	}
-	// blockSeen[J] tracks, for the current block row span, which block
-	// columns have been touched; accumulate into per-block-column sets.
-	sets := make([]map[int32]struct{}, nb)
-	for j := range sets {
-		sets[j] = make(map[int32]struct{})
-		sets[j][int32(j)] = struct{}{} // diagonal block always present
+	// Rows are swept in ascending order, so each block column meets its
+	// block rows in ascending order too: a block row is new to a column
+	// exactly when it is not the last one the column took.
+	bp := &BlockPattern2D{N: n, W: w, NB: nb, Rows: make([][]int32, nb), ColNnz: counts}
+	for j := range bp.Rows {
+		bp.Rows[j] = []int32{int32(j)} // diagonal block always present
 	}
 	for i := 0; i < n; i++ {
 		counts[i]++
@@ -126,19 +126,12 @@ func NewBlockPattern2D(m *Matrix, w int) *BlockPattern2D {
 			for k != -1 && k < i && mark[k] != int32(i) {
 				counts[k]++
 				mark[k] = int32(i)
-				sets[k/w][bi] = struct{}{}
+				if rows := bp.Rows[k/w]; rows[len(rows)-1] != bi {
+					bp.Rows[k/w] = append(rows, bi)
+				}
 				k = int(parent[k])
 			}
 		}
-	}
-	bp := &BlockPattern2D{N: n, W: w, NB: nb, Rows: make([][]int32, nb), ColNnz: counts}
-	for j := 0; j < nb; j++ {
-		rows := make([]int32, 0, len(sets[j]))
-		for r := range sets[j] {
-			rows = append(rows, r)
-		}
-		sortInt32(rows)
-		bp.Rows[j] = rows
 	}
 	return bp
 }
@@ -167,19 +160,6 @@ func (bp *BlockPattern2D) HasBlock(i, j int) bool {
 		}
 	}
 	return lo < len(rows) && rows[lo] == int32(i)
-}
-
-func sortInt32(a []int32) {
-	// Insertion sort is fine: block-row lists are short and nearly sorted.
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 // BlockPattern1D computes the column-block (panel) structure for the 1-D

@@ -89,7 +89,8 @@ type Builder struct {
 func NewBuilder() *Builder { return &Builder{b: graph.NewBuilder()} }
 
 // Object declares a data object with a size in abstract memory units and
-// returns its ID; redeclaring a name returns the existing ID.
+// returns its ID; redeclaring a name returns the existing ID, and doing so
+// with another size makes Build fail.
 func (b *Builder) Object(name string, size int64) ObjID { return b.b.Object(name, size) }
 
 // Task declares a task with the given cost (work units) and access sets.

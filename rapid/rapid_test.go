@@ -2,6 +2,7 @@ package rapid_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -161,6 +162,38 @@ func TestCompileErrors(t *testing.T) {
 	prog := pipelineProgram(t)
 	if _, err := rapid.Compile(prog, rapid.Options{Procs: 0}); err == nil {
 		t.Fatalf("Procs=0 must error")
+	}
+}
+
+// TestObjectSizeConflictFailsBuild: a name declared twice with two sizes is
+// one object with an ambiguous size; Build refuses the program and names
+// the object and both sizes (the first conflict, if there are several).
+// Redeclaring with the same size is the documented way to look an ID up.
+func TestObjectSizeConflictFailsBuild(t *testing.T) {
+	b := rapid.NewBuilder()
+	x := b.Object("x", 64)
+	if again := b.Object("x", 64); again != x {
+		t.Fatalf("redeclaring x with its own size returned object %d, want %d", again, x)
+	}
+	b.Task("produce", 1, nil, []rapid.ObjID{x})
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("same-size redeclaration must build: %v", err)
+	}
+	if again := b.Object("x", 32); again != x {
+		t.Fatalf("redeclaring x with another size returned object %d, want %d", again, x)
+	}
+	b.Object("x", 16) // a later conflict does not replace the first
+	_, err := b.Build()
+	if err == nil {
+		t.Fatal("Build accepted object x declared with sizes 64 and 32")
+	}
+	for _, want := range []string{`"x"`, "64", "32"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "16") {
+		t.Errorf("error %q reports the second conflict, not the first", err)
 	}
 }
 
