@@ -1,14 +1,21 @@
 package repro_test
 
-// The three executor benchmarks and the inspector benchmark CI's benchstat step gates. Everything else
+// The three executor benchmarks, the inspector benchmark and the daemon's
+// hot request CI's benchstat step gates. Everything else
 // that used to live here is a cmd/paper experiment (byte-gated by
 // TestPaperSmallGolden) or a per-layer metric of bench/ (BENCHMARK.json).
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/factor"
+	"repro/internal/rapidd"
 	"repro/internal/sparse"
 	"repro/internal/util"
 	"repro/rapid"
@@ -127,4 +134,52 @@ func BenchmarkInspect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inspect(b, m, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
 	}
+}
+
+// benchSolve times one rapidd request per iteration, handed to the
+// daemon's handler in process — no listener, no socket — and waited for:
+// decode, queue, resolve the problem and its plan, admit, execute, record.
+// The shape is bench/'s serve_hot and serve_cold: chol n=400 on 4
+// processors. next names iteration i's spec; every job must report
+// planSource.
+func benchSolve(b *testing.B, planSource string, next func(i int) rapidd.JobSpec) {
+	srv, err := rapidd.Open(rapidd.Config{CacheMemBudget: 32 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain(context.Background())
+	solve := func(spec rapidd.JobSpec) rapidd.Job {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve?wait=1", bytes.NewReader(body)))
+		var job rapidd.Job
+		if err := json.Unmarshal(w.Body.Bytes(), &job); err != nil || job.Status != rapidd.StatusDone {
+			b.Fatalf("solve: HTTP %d, job %+v (%v)", w.Code, job, err)
+		}
+		return job
+	}
+	solve(next(0)) // untimed: the first sight of the hot key compiles it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if job := solve(next(i)); job.PlanSource != planSource {
+			b.Fatalf("job %s plan_source %q, want %q", job.ID, job.PlanSource, planSource)
+		}
+	}
+}
+
+// BenchmarkSolveHot is a request whose problem and plan the daemon
+// already holds: it should cost one execute and little else (DESIGN.md §9,
+// "The request path").
+func BenchmarkSolveHot(b *testing.B) {
+	benchSolve(b, "memory", func(int) rapidd.JobSpec { return rapidd.JobSpec{N: 400, Seed: 1} })
+}
+
+// BenchmarkSolveCold is a request for a structure never seen: generate,
+// build, fingerprint, compile, verify, then the same execute.
+func BenchmarkSolveCold(b *testing.B) {
+	benchSolve(b, "compiled", func(i int) rapidd.JobSpec { return rapidd.JobSpec{N: 400, Seed: uint64(1 + i)} })
 }

@@ -233,6 +233,16 @@ func mergeSorted(dst, add []int32) []int32 {
 // BlockDim returns the scalar dimension of block row/column b.
 func (pr *Problem) BlockDim(b int) int { return pr.dims[b] }
 
+// Bytes returns what the problem retains besides its task graph: the
+// matrix and the kernel tables.
+func (pr *Problem) Bytes() int64 {
+	n := pr.A.Bytes() + 4*int64(len(pr.first)) + 8*int64(len(pr.coord)+len(pr.dims)) + 16*int64(len(pr.info))
+	for _, rows := range pr.Rows {
+		n += 24 + 4*int64(len(rows))
+	}
+	return n
+}
+
 // BlockObj returns the object ID of block (i, j).
 func (pr *Problem) BlockObj(i, j int) (graph.ObjID, bool) {
 	if j < 0 || j >= pr.NB {

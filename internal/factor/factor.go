@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/chol"
+	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -51,7 +52,10 @@ func errUnknown(kind string) error {
 }
 
 // Problem is one built factorization, ready for rapid.Compile and
-// rapid.Execute.
+// rapid.Execute. Nothing an execution calls writes to it — Kernel, Init,
+// BufLen and Residual only read the matrix and the kernel tables, and
+// payload buffers belong to each Execute — so concurrent executions may
+// share one Problem.
 type Problem struct {
 	// Title names the factorization and Check the quantity Residual
 	// returns, for the tools' output.
@@ -70,6 +74,24 @@ type Problem struct {
 	// whose known solution x* is drawn from seed+12345 (pass the matrix's
 	// generator seed, so a spec's residual is a function of the spec).
 	Residual func(objects map[rapid.ObjID][]float64, seed uint64) float64
+	// Bytes is what the problem retains besides the task graph: the matrix
+	// and the kernel tables.
+	Bytes int64
+	// graph is where the kind's kernels and sequential reference read the
+	// task graph from.
+	graph **graph.DAG
+}
+
+// Adopt makes the task graph of plan, which must have been compiled from
+// this problem's program or from one with an equal fingerprint, the
+// problem's own, and lets go of the copy Build made: one task graph per
+// structure, and the plan owns it. Equal fingerprints mean identical
+// graphs with identical ids, so kernels and initializers run unchanged.
+// Adopt before the problem is shared; a shared problem is read-only.
+func (p *Problem) Adopt(plan *rapid.Plan) {
+	if g := plan.Schedule.G; g != p.Program.G {
+		p.Program.G, *p.graph = g, g
+	}
 }
 
 // Build constructs kind's block factorization of a for procs processors
@@ -89,6 +111,8 @@ func Build(kind string, a *sparse.Matrix, procs, block int) (*Problem, error) {
 			Residual: func(objects map[rapid.ObjID][]float64, _ uint64) float64 {
 				return pr.Residual(objects)
 			},
+			Bytes: pr.Bytes(),
+			graph: &pr.G,
 		}, nil
 	case "lu":
 		pr, err := lu.Build(a, lu.Options{Procs: procs, BlockSize: block})
@@ -103,6 +127,8 @@ func Build(kind string, a *sparse.Matrix, procs, block int) (*Problem, error) {
 			Residual: func(objects map[rapid.ObjID][]float64, seed uint64) float64 {
 				return pr.SolveError(objects, util.NewRNG(seed+12345))
 			},
+			Bytes: pr.Bytes(),
+			graph: &pr.G,
 		}, nil
 	}
 	return nil, errUnknown(kind)

@@ -111,6 +111,67 @@ func TestResidualsPinned(t *testing.T) {
 	}
 }
 
+// TestAdoptRunsOnThePlansGraph: a problem that has taken a decoded plan's
+// copy of the task graph for its own — kernels, initializers and the
+// sequential reference now read that copy — computes the very bits the
+// problem as built computes, and holds no second graph.
+func TestAdoptRunsOnThePlansGraph(t *testing.T) {
+	for _, kind := range Kinds {
+		a, err := Matrix(kind, 120, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := Build(kind, a, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopted, err := Build(kind, a, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := rapid.Compile(built.Program, rapid.Options{Procs: 4, Heuristic: rapid.MPO})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := rapid.MarshalPlan(compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := rapid.UnmarshalPlan(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded.Schedule.G == adopted.Program.G {
+			t.Fatal("a decoded plan shares the built graph; the test proves nothing")
+		}
+		adopted.Adopt(decoded)
+		if adopted.Program.G != decoded.Schedule.G {
+			t.Fatalf("%s: after Adopt the program's graph is not the plan's", kind)
+		}
+		if adopted.Bytes <= 0 || adopted.Bytes != built.Bytes {
+			t.Errorf("%s: Bytes %d and %d for one matrix", kind, adopted.Bytes, built.Bytes)
+		}
+		want, err := rapid.Execute(built.Program, compiled, built.Exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rapid.Execute(adopted.Program, decoded, adopted.Exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := adopted.Sequential()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := built.Residual(want.Objects, 1)
+		for name, objects := range map[string]map[rapid.ObjID][]float64{"executed": got.Objects, "sequential": seq} {
+			if g := adopted.Residual(objects, 1); math.Float64bits(g) != math.Float64bits(r) {
+				t.Errorf("%s: %s residual on the adopted graph %v, as built %v", kind, name, g, r)
+			}
+		}
+	}
+}
+
 // TestMemoryPercentIsCompilesTOT: TOT read off the assignment stage alone
 // is the TOT of the compiled plan, for both kinds under every heuristic,
 // and a positive percentage is never the "unconstrained" 0.

@@ -149,6 +149,17 @@ func (pr *Problem) SetMatrix(a *sparse.Matrix) error {
 	return nil
 }
 
+// Bytes returns what the problem retains besides its task graph: the
+// matrix, the block pattern and the kernel tables.
+func (pr *Problem) Bytes() int64 {
+	n := pr.A.Bytes() + 4*int64(len(pr.panelObj)) + 12*int64(len(pr.info)) +
+		8*int64(len(pr.BP.PanelNnz)+len(pr.BP.Heights))
+	for _, succ := range pr.BP.Succ {
+		n += 24 + 4*int64(len(succ))
+	}
+	return n
+}
+
 // PanelObj returns the object ID of panel k.
 func (pr *Problem) PanelObj(k int) graph.ObjID { return pr.panelObj[k] }
 

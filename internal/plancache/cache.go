@@ -9,6 +9,13 @@
 //   - an optional on-disk content-addressed store (one file per
 //     fingerprint under a cache directory) that survives process restarts.
 //
+// A caller that can name a plan without building the program it was compiled
+// from — a daemon that knows which request resolves to which plan — attaches
+// that name to the entry (Attach) and finds the plan by it from then on
+// (Lookup): one map lookup, no fingerprint. A name may carry a value, whose
+// size is charged to the entry: the memory budget bounds plans and what hangs
+// on them together, and a name goes when its plan goes.
+//
 // Lookups are single-flight: concurrent requests for the same fingerprint
 // compile once and share the result. Disk entries are statically verified
 // on load (internal/verify); corrupted, unreadable, mis-keyed or
@@ -17,10 +24,13 @@
 //
 // Counters are reported through a trace.Metrics registry:
 //
-//	plancache.hit.mem    lookups served from the in-memory LRU
+//	plancache.hit.mem    lookups served from the in-memory LRU, by
+//	                     fingerprint or by name
 //	plancache.hit.disk   lookups decoded from the disk store
 //	plancache.miss       lookups that had to compile
 //	plancache.evict      entries evicted from the LRU
+//	plancache.detach     names dropped, oldest first, from the one entry
+//	                     left when it alone is over the budget
 //	plancache.corrupt    disk entries dropped as corrupted/unreadable
 //	plancache.rejected   disk entries dropped by the static verifier
 //	plancache.shared     lookups that piggybacked on an in-flight compile
@@ -61,7 +71,8 @@ type Config struct {
 	// Dir is the on-disk store directory. Empty disables the disk tier.
 	Dir string
 	// MemBudget bounds the in-memory tier by the total encoded size of its
-	// entries, in bytes (0: DefaultMemBudget; negative: no in-memory tier).
+	// entries plus the sizes of the values attached to them, in bytes (0:
+	// DefaultMemBudget; negative: no in-memory tier).
 	MemBudget int64
 	// Metrics receives the counters listed in the package comment (nil:
 	// counters are discarded).
@@ -81,13 +92,22 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // fingerprint -> lru element
+	names   map[string]*attachment   // name -> the entry it was attached to
 	lru     *list.List               // front = most recent
 	bytes   int64
 }
 
 type entry struct {
-	key  string
-	art  *plan.Artifact
+	key   string
+	art   *plan.Artifact
+	size  int64    // encoded plan plus the attached values
+	names []string // what was attached to this artifact, oldest first
+}
+
+// attachment is one name of an entry and the value that hangs on it.
+type attachment struct {
+	el   *list.Element
+	val  any
 	size int64
 }
 
@@ -115,6 +135,7 @@ func New(cfg Config) *Cache {
 		metrics: cfg.Metrics,
 		fs:      fs,
 		entries: make(map[string]*list.Element),
+		names:   make(map[string]*attachment),
 		lru:     list.New(),
 	}
 }
@@ -209,25 +230,87 @@ func (c *Cache) insertMem(key string, art *plan.Artifact, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		c.bytes += size - el.Value.(*entry).size
-		el.Value.(*entry).art = art
-		el.Value.(*entry).size = size
+		// The names were given to the artifact this one replaces.
+		e := el.Value.(*entry)
+		c.detach(e, len(e.names))
+		c.bytes += size - e.size
+		e.art, e.size = art, size
 		c.lru.MoveToFront(el)
 	} else {
 		c.entries[key] = c.lru.PushFront(&entry{key: key, art: art, size: size})
 		c.bytes += size
 	}
-	// Evict from the back until within budget; the entry just inserted is
-	// at the front and survives even if it alone exceeds the budget (a
-	// cache that cannot hold the current working plan would only thrash).
+	c.shrink()
+}
+
+// Lookup returns the plan name was attached to and the value attached with
+// it; ok is false when the name is unknown or its plan has been evicted.
+func (c *Cache) Lookup(name string) (art *plan.Artifact, val any, ok bool) {
+	c.mu.Lock()
+	at := c.names[name]
+	if at == nil {
+		c.mu.Unlock()
+		return nil, nil, false
+	}
+	c.lru.MoveToFront(at.el)
+	art, val = at.el.Value.(*entry).art, at.val
+	c.mu.Unlock()
+	c.metrics.Inc("plancache.hit.mem", 1)
+	return art, val, true
+}
+
+// Attach makes the in-memory entry of fingerprint key reachable by name as
+// well and hangs val on it, charging size bytes to the entry. It does
+// nothing when the entry is not held or the name is taken: the first
+// attachment of a name stands until its plan goes. val is shared by every
+// Lookup of the name, so it must not change once attached.
+func (c *Cache) Attach(key, name string, val any, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok || c.names[name] != nil {
+		return
+	}
+	e := el.Value.(*entry)
+	c.names[name] = &attachment{el: el, val: val, size: size}
+	e.names = append(e.names, name)
+	e.size += size
+	c.bytes += size
+	c.lru.MoveToFront(el)
+	c.shrink()
+}
+
+// shrink evicts from the back until within budget; the entry at the front
+// — just inserted or attached to — survives even if it alone exceeds the
+// budget (a cache that cannot hold the current working plan would only
+// thrash), but then it sheds all names but its newest, oldest first: many
+// names sharing one plan must not grow it without bound.
+func (c *Cache) shrink() {
 	for c.bytes > c.budget && c.lru.Len() > 1 {
 		back := c.lru.Back()
 		e := back.Value.(*entry)
+		c.detach(e, len(e.names))
 		c.lru.Remove(back)
 		delete(c.entries, e.key)
 		c.bytes -= e.size
 		c.metrics.Inc("plancache.evict", 1)
 	}
+	e := c.lru.Front().Value.(*entry)
+	for c.bytes > c.budget && len(e.names) > 1 {
+		c.detach(e, 1)
+		c.metrics.Inc("plancache.detach", 1)
+	}
+}
+
+// detach drops e's n oldest names and what they carry.
+func (c *Cache) detach(e *entry, n int) {
+	for _, name := range e.names[:n] {
+		size := c.names[name].size
+		delete(c.names, name)
+		e.size -= size
+		c.bytes -= size
+	}
+	e.names = e.names[n:]
 }
 
 // loadDisk reads, decodes and statically verifies the disk entry for key.

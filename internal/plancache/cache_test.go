@@ -333,3 +333,127 @@ func TestMiskeyedDiskEntryRejected(t *testing.T) {
 		t.Errorf("rejected counter = %d, want 1", m.Get("plancache.rejected"))
 	}
 }
+
+// TestAttachLookup: a name attached to an entry finds the plan and the
+// value without the fingerprint, counts as a memory hit, keeps its first
+// value, and goes when the plan goes — by eviction or by replacement.
+func TestAttachLookup(t *testing.T) {
+	m := trace.NewMetrics()
+	key0, art0 := compileArtifact(t, 0)
+	key1, art1 := compileArtifact(t, 1)
+	enc0, err := plan.Encode(art0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc1, err := plan.Encode(art1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for both plans and 100 bytes of attached values, no more.
+	c := New(Config{MemBudget: int64(len(enc0)+len(enc1)) + 100, Metrics: m})
+	if _, _, ok := c.Lookup("a"); ok {
+		t.Fatal("Lookup of a name never attached hit")
+	}
+	c.Attach(key0, "a", 1, 10) // no such entry yet: nothing happens
+	if _, _, ok := c.Lookup("a"); ok {
+		t.Fatal("Attach to a fingerprint the cache does not hold took effect")
+	}
+	if err := c.Put(key0, art0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key1, art1); err != nil {
+		t.Fatal(err)
+	}
+	c.Attach(key0, "a", "first", 60)
+	c.Attach(key0, "a", "second", 60) // the first attachment stands
+	c.Attach(key0, "bare", nil, 0)
+	hits := m.Get("plancache.hit.mem")
+	art, val, ok := c.Lookup("a")
+	if !ok || art != art0 || val != "first" {
+		t.Fatalf("Lookup(a) = %p, %v, %v; want %p, first, true", art, val, ok, art0)
+	}
+	if art, val, ok := c.Lookup("bare"); !ok || art != art0 || val != nil {
+		t.Fatalf("Lookup(bare) = %p, %v, %v; want %p, nil, true", art, val, ok, art0)
+	}
+	if got := m.Get("plancache.hit.mem") - hits; got != 2 {
+		t.Fatalf("two Lookup hits counted %d plancache.hit.mem", got)
+	}
+	// The attached bytes are charged to the budget: 60 + 60 overflows it,
+	// and the least recently used entry — key0, names and all — goes.
+	c.Attach(key1, "b", "other", 60)
+	if c.Len() != 1 || m.Get("plancache.evict") != 1 {
+		t.Fatalf("Len = %d, evictions = %d; want 1, 1", c.Len(), m.Get("plancache.evict"))
+	}
+	for _, name := range []string{"a", "bare"} {
+		if _, _, ok := c.Lookup(name); ok {
+			t.Fatalf("name %q outlived its plan", name)
+		}
+	}
+	if _, val, ok := c.Lookup("b"); !ok || val != "other" {
+		t.Fatalf("Lookup(b) = %v, %v", val, ok)
+	}
+	// A name freed by eviction can be attached again.
+	if err := c.Put(key0, art0); err != nil {
+		t.Fatal(err)
+	}
+	c.Attach(key0, "a", "third", 1)
+	if _, val, _ := c.Lookup("a"); val != "third" {
+		t.Fatalf("re-attached name reads %v", val)
+	}
+	// Replacing the artifact under a fingerprint drops the names given to
+	// the old one.
+	if err := c.Put(key0, art0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.Lookup("a"); ok {
+		t.Fatal("name survived the replacement of its artifact")
+	}
+	if c.bytes != int64(len(enc0)+len(enc1))+60 {
+		t.Fatalf("bytes = %d, want the two plans + 60", c.bytes)
+	}
+
+	// No memory tier: nothing to attach to.
+	off := New(Config{MemBudget: -1})
+	if err := off.Put(key0, art0); err != nil {
+		t.Fatal(err)
+	}
+	off.Attach(key0, "a", 1, 1)
+	if _, _, ok := off.Lookup("a"); ok {
+		t.Fatal("Lookup hit with the memory tier off")
+	}
+}
+
+// TestSoleEntryShedsOldestNames: the entry in use is never evicted, so
+// values attached to it are what the budget can still take back — all but
+// the newest, oldest first.
+func TestSoleEntryShedsOldestNames(t *testing.T) {
+	m := trace.NewMetrics()
+	key, art := compileArtifact(t, 0)
+	enc, err := plan.Encode(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{MemBudget: int64(len(enc)) + 25, Metrics: m})
+	if err := c.Put(key, art); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		c.Attach(key, fmt.Sprint("seed", i), i, 10)
+	}
+	for i, want := range []bool{false, false, false, true, true} {
+		if _, _, ok := c.Lookup(fmt.Sprint("seed", i)); ok != want {
+			t.Errorf("seed%d held = %v, want %v", i, ok, want)
+		}
+	}
+	if got := m.Get("plancache.detach"); got != 3 {
+		t.Errorf("plancache.detach = %d, want 3", got)
+	}
+	// One value bigger than the whole budget still stays: it is the newest.
+	c.Attach(key, "huge", nil, 1<<20)
+	if _, _, ok := c.Lookup("huge"); !ok || c.Len() != 1 {
+		t.Errorf("newest name dropped (held=%v, Len=%d)", ok, c.Len())
+	}
+	if c.bytes != int64(len(enc))+1<<20 {
+		t.Errorf("bytes = %d, want plan + huge", c.bytes)
+	}
+}

@@ -27,7 +27,8 @@ import (
 
 // job is the daemon's one per-job object: the record clients see plus
 // what the serving layer needs to drive it. Server.jobs is the only
-// id-keyed table, the queue holds *job, and transition is the only code
+// id-keyed table (every unfinished job and the newest jobHistory finished
+// ones), the queue holds *job, and transition is the only code
 // that moves Status. A job is driven by one goroutine at a time — the
 // submit handler (or recovery) until the queue hands it to a worker — and
 // that goroutine alone changes the record, so it may read it unlocked;
@@ -51,6 +52,14 @@ type job struct {
 	done  chan struct{}
 	cause error
 }
+
+// jobHistory is how many terminal jobs the daemon remembers. Unfinished
+// jobs are always held; each job that finishes pushes the oldest finished
+// one out of Server.jobs, so a long-lived daemon's job table stops growing.
+// A forgotten id answers 404, as every terminal job does after a restart;
+// whoever holds the *job — a ?wait=1 caller, a coalesced follower — still
+// reads its record.
+const jobHistory = 1024
 
 // newJob is the one place a job comes into being: it derives the deadline
 // context, allocates the record (pending) and does the tenant accounting.
@@ -180,7 +189,17 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 	}
 	cancel := j.cancel
 	j.ctx, j.cancel = nil, nil
+	// j takes the history slot of the terminal job jobHistory before it,
+	// which the daemon now forgets.
+	slot := &s.history[s.finished%jobHistory]
+	forgot := *slot != ""
+	delete(s.jobs, *slot)
+	*slot = id
+	s.finished++
 	s.mu.Unlock()
+	if forgot {
+		s.metrics.Inc("rapidd.jobs.forgotten", 1)
+	}
 	cancel()
 	close(j.done)
 	return nil

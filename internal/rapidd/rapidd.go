@@ -1,8 +1,10 @@
 // Package rapidd implements the long-running solve service: an HTTP daemon
 // that accepts sparse factorization jobs, compiles-or-fetches their
 // execution plans through the plan cache (so repeated structures skip the
-// inspector phase), and executes them on a bounded worker pool under a
-// machine-wide memory-budget admission controller.
+// inspector phase, and a repeated spec finds its built problem and its plan
+// by name, without generating, building or fingerprinting anything), and
+// executes them on a bounded worker pool under a machine-wide memory-budget
+// admission controller.
 //
 // Endpoints (JSON unless noted):
 //
@@ -14,7 +16,9 @@
 //	                      the job is terminal
 //	DELETE /v1/jobs/{id}  cancel the job if it has not started executing
 //	                      (see Server.Cancel); answers with the job
-//	GET  /v1/jobs       jobs in submission order; ?limit=N keeps the
+//	GET  /v1/jobs       the jobs the daemon holds — every unfinished one
+//	                    and the newest 1024 finished ones; an older id is
+//	                    404 — in submission order; ?limit=N keeps the
 //	                    newest N
 //	GET  /v1/stats      cache counters, pool and admission state
 //	GET  /metrics       Prometheus text format: counters, per-tenant
@@ -77,7 +81,8 @@ import (
 type Config struct {
 	// CacheDir is the on-disk plan store ("" disables the disk tier).
 	CacheDir string
-	// CacheMemBudget bounds the in-memory plan cache in bytes (0: default).
+	// CacheMemBudget bounds the in-memory plan cache — the plans and the
+	// built problems held beside them — in bytes (0: default).
 	CacheMemBudget int64
 	// AvailMem is the machine-wide memory budget in abstract units; jobs
 	// whose planned footprint would overflow it queue until space frees.
@@ -268,7 +273,9 @@ type Job struct {
 	// adopted the result of an identical in-flight job (CoalescedWith).
 	Coalesced     bool   `json:"coalesced,omitempty"`
 	CoalescedWith string `json:"coalesced_with,omitempty"`
-	// InspectMS and ExecMS time the two phases.
+	// InspectMS and ExecMS time the two phases: everything from the top of
+	// the attempt to the verifier's verdict — finding or building the
+	// problem and the plan — and the executor run.
 	InspectMS float64 `json:"inspect_ms"`
 	ExecMS    float64 `json:"exec_ms"`
 	// StateUS is the executor's protocol-state occupancy summed across
@@ -320,6 +327,10 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job // every job this daemon knows, by ID; guarded-by: mu
+	// history is a ring of the ids of the terminal jobs in jobs, in the
+	// order they finished; finished counts them and so names the next slot.
+	history  [jobHistory]string // guarded-by: mu
+	finished uint64             // guarded-by: mu
 	// leaders maps a spec to the job executing it now; identical specs
 	// arriving meanwhile follow that job instead of executing (pool.go).
 	leaders  map[JobSpec]*job        // guarded-by: mu
@@ -935,31 +946,78 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
 	return s.solve(ctx, j, attempt)
 }
 
-func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
-	spec := j.Spec
+// planName is how a request names a plan without building anything: the
+// canonical problem key (kind, n, seed, procs, block), the heuristic, and
+// the memory budget either as the request states it, a percentage of TOT
+// (memPercent), or as a replan fixes it, units per processor (memory).
+// The matrix, its task graph and the compile options are functions of these
+// — the property coalescing relies on — so the name stands for the plan's
+// fingerprint in Server.cache.
+func planName(spec JobSpec, h rapid.Heuristic, memPercent int, memory int64) string {
+	b := make([]byte, 0, 96)
+	b = append(b, spec.Kind...)
+	for _, v := range [...]uint64{uint64(spec.N), spec.Seed, uint64(spec.Procs), uint64(spec.Block), uint64(h), uint64(memPercent)} {
+		b = strconv.AppendUint(append(b, '/'), v, 10)
+	}
+	b = strconv.AppendInt(append(b, '/'), memory, 10)
+	return string(b)
+}
+
+// resolved is what the plan cache holds under a request's planName beside
+// the plan: the problem built for the spec and the compile options the
+// spec's heuristic and mem_percent came to. Read-only once attached.
+type resolved struct {
+	pb  *factor.Problem
+	opt rapid.Options
+}
+
+// resolve finds the built problem and the plan a spec names. A spec served
+// before, whose plan the cache still holds, is one lookup: no matrix, no
+// task graph, no fingerprint. The miss path generates and builds, compiles
+// through the cache, and makes the plan's task graph the problem's own
+// before the problem is attached, and so visible to other jobs.
+func (s *Server) resolve(spec JobSpec) (*resolved, *rapid.Plan, rapid.CacheSource, error) {
+	h, _ := sched.ParseHeuristic(spec.Heuristic)
+	name := planName(spec, h, spec.MemPercent, 0)
+	if plan, val, ok := s.cache.Lookup(name); ok {
+		s.metrics.Inc("rapidd.problem.hit", 1)
+		return val.(*resolved), plan, rapid.FromMemory, nil
+	}
+	s.metrics.Inc("rapidd.problem.miss", 1)
 	// Equal specs yield identical structures (the generator is seeded),
 	// which is what makes the plan cache effective across requests.
 	a, err := factor.Matrix(spec.Kind, spec.N, spec.Seed)
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
 	pb, err := factor.Build(spec.Kind, a, spec.Procs, spec.Block)
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
-	h, _ := sched.ParseHeuristic(spec.Heuristic)
 	opt := rapid.Options{Procs: spec.Procs, Heuristic: h}
 	if spec.MemPercent > 0 {
 		if opt.Memory, _, err = rapid.MemoryPercent(pb.Program, opt, spec.MemPercent); err != nil {
-			return err
+			return nil, nil, "", err
 		}
 	}
-
-	t0 := time.Now()
 	plan, src, err := rapid.CompileCached(pb.Program, opt, s.cache)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	pb.Adopt(plan)
+	rv := &resolved{pb: pb, opt: opt}
+	s.cache.Attach(plan.Fingerprint, name, rv, pb.Bytes)
+	return rv, plan, src, nil
+}
+
+func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
+	t0 := time.Now()
+	spec := j.Spec
+	rv, plan, src, err := s.resolve(spec)
 	if err != nil {
 		return err
 	}
+	pb, opt := rv.pb, rv.opt
 	// The effective budget a single job must fit alone is the tighter of
 	// the machine budget and its tenant's sub-quota.
 	budget := s.cfg.AvailMem
@@ -968,7 +1026,7 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 	}
 	replanned := false
 	if budget > 0 {
-		plan, opt, replanned, err = s.planForBudget(pb.Program, opt, plan, budget)
+		plan, opt, replanned, err = s.planForBudget(spec, pb.Program, opt, plan, budget)
 		if err != nil {
 			return err
 		}
@@ -1104,7 +1162,7 @@ func stateOccupancyUS(occ []rapid.StateOccupancy) map[string]int64 {
 // capacity), first with the requested heuristic, then with DTS + slice
 // merging, whose Theorem-2 space bound makes tight budgets executable
 // when time-oriented orderings are not.
-func (s *Server) planForBudget(prog *rapid.Program, opt rapid.Options, plan *rapid.Plan, budget int64) (*rapid.Plan, rapid.Options, bool, error) {
+func (s *Server) planForBudget(spec JobSpec, prog *rapid.Program, opt rapid.Options, plan *rapid.Plan, budget int64) (*rapid.Plan, rapid.Options, bool, error) {
 	demand := aggregateDemand(plan)
 	if demand <= budget {
 		return plan, opt, false, nil
@@ -1115,17 +1173,32 @@ func (s *Server) planForBudget(prog *rapid.Program, opt rapid.Options, plan *rap
 		capped.Memory = capacity
 	}
 	s.metrics.Inc("rapidd.jobs.replanned", 1)
-	tight, _, err := rapid.CompileCached(prog, capped, s.cache)
+	tight, err := s.replan(spec, prog, capped)
 	if err == nil && tight.Executable() {
 		return tight, capped, true, nil
 	}
 	merged := capped
 	merged.Heuristic = rapid.DTSMerge
-	tight, _, err = rapid.CompileCached(prog, merged, s.cache)
+	tight, err = s.replan(spec, prog, merged)
 	if err != nil {
 		return nil, merged, true, err
 	}
 	return tight, merged, true, nil
+}
+
+// replan is rapid.CompileCached for a replan's capped options, behind the
+// plan's name: a repeat of the job finds the capped plan as it found the
+// first, without fingerprinting the program again.
+func (s *Server) replan(spec JobSpec, prog *rapid.Program, capped rapid.Options) (*rapid.Plan, error) {
+	name := planName(spec, capped.Heuristic, 0, capped.Memory)
+	if plan, _, ok := s.cache.Lookup(name); ok {
+		return plan, nil
+	}
+	plan, _, err := rapid.CompileCached(prog, capped, s.cache)
+	if err == nil {
+		s.cache.Attach(plan.Fingerprint, name, nil, 0)
+	}
+	return plan, err
 }
 
 // aggregateDemand is the job's machine-wide memory claim: the sum over

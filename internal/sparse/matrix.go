@@ -25,6 +25,11 @@ type Matrix struct {
 // Nnz returns the number of stored entries.
 func (m *Matrix) Nnz() int { return len(m.RowIdx) }
 
+// Bytes returns the size of the stored arrays.
+func (m *Matrix) Bytes() int64 {
+	return 4*int64(len(m.ColPtr)+len(m.RowIdx)) + 8*int64(len(m.Val))
+}
+
 // Col returns the row indices of column j.
 func (m *Matrix) Col(j int) []int32 { return m.RowIdx[m.ColPtr[j]:m.ColPtr[j+1]] }
 

@@ -34,13 +34,16 @@ const (
 
 // PlanCacheConfig configures NewPlanCache: Dir is the on-disk store
 // directory (empty: memory only), MemBudget bounds the in-memory tier by
-// total encoded plan size in bytes (0: a 256 MiB default; negative: no
-// memory tier) and Metrics receives the plancache.* counters.
+// total encoded plan size plus attached values in bytes (0: a 256 MiB
+// default; negative: no memory tier) and Metrics receives the plancache.*
+// counters.
 type PlanCacheConfig = plancache.Config
 
 // PlanCache caches compiled plans by structural fingerprint. Safe for
 // concurrent use; lookups for the same fingerprint are single-flight. Len
-// returns the number of plans the in-memory tier holds.
+// returns the number of plans the in-memory tier holds. Attach gives a held
+// plan a second, caller-chosen name and hangs a value on it, charged to the
+// memory budget; Lookup finds the plan and the value by that name.
 type PlanCache = plancache.Cache
 
 // NewPlanCache creates a plan cache.
@@ -55,8 +58,14 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache { return plancache.New(cfg) }
 // owner policies assign object owners in place, so a program hashed after
 // compilation keys differently from the same program hashed fresh (both
 // keys are valid content addresses; they simply name different input
-// states). Rebuilding the program per request, as a daemon does, always
-// produces the fresh key.
+// states). A program fresh from its builder always produces the fresh key.
+//
+// Fingerprint materializes and hashes the whole graph encoding, so it costs
+// time and memory in proportion to the program. A caller that can tell
+// which plan a request resolves to without building the program — rapidd
+// can: a job spec names its matrix, and so its task graph — fingerprints a
+// structure once and finds the plan afterwards by a name it attaches to
+// the cache entry (PlanCache.Attach and Lookup), with no program in hand.
 func Fingerprint(prog *Program, opt Options) string {
 	return plan.Fingerprint(prog.G, encodeOptions(opt))
 }
