@@ -1,8 +1,8 @@
 package repro_test
 
-// The three executor benchmarks, the inspector benchmark and the daemon's
-// hot request CI's benchstat step gates. Everything else
-// that used to live here is a cmd/paper experiment (byte-gated by
+// The three executor benchmarks, the inspector and verifier benchmarks and
+// the daemon's hot and cold requests CI's benchstat step gates. Everything
+// else that used to live here is a cmd/paper experiment (byte-gated by
 // TestPaperSmallGolden) or a per-layer metric of bench/ (BENCHMARK.json).
 
 import (
@@ -133,6 +133,48 @@ func BenchmarkInspect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inspect(b, m, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	}
+}
+
+// factorCholPlan is bench/'s factor_chol shape: the (chol, 1496, seed 1)
+// matrix cut into 12×12 blocks, compiled with DTS+merge at 40 % of TOT for
+// 4 processors.
+func factorCholPlan(tb testing.TB) *rapid.Plan {
+	a, err := factor.Matrix("chol", 1496, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, plan := inspect(tb, a, 12, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	return plan
+}
+
+// TestVerifyAllocsPerTask: the static verifier keeps its tables the way the
+// inspector does (DESIGN.md §8, "The verifier's tables") and formats text
+// only for a finding, so verifying a clean plan allocates per table, not
+// per task.
+func TestVerifyAllocsPerTask(t *testing.T) {
+	plan := factorCholPlan(t)
+	tasks := float64(plan.Schedule.G.NumTasks())
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := rapid.VerifyPlan(plan).Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTask := allocs / tasks; perTask > 0.5 {
+		t.Fatalf("verify: %.0f allocations for %.0f tasks, %.2f per task; want at most 0.5", allocs, tasks, perTask)
+	}
+}
+
+// BenchmarkVerify is the static verifier on the factor_chol plan: every
+// compile miss and every disk load of a plan pays it.
+func BenchmarkVerify(b *testing.B) {
+	plan := factorCholPlan(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rapid.VerifyPlan(plan).Err(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -44,6 +45,27 @@ func EncodeLenient(a *Artifact) ([]byte, error) {
 
 func encode(a *Artifact) ([]byte, error) {
 	e := &encoder{}
+	encodePayload(e, a)
+	sum := sha256.Sum256(e.b)
+	e.raw(sum[:])
+	return e.b, nil
+}
+
+// EncodedLen returns len(Encode(a)), validating a as Encode does, without
+// building the encoding: the encoder runs through its window, whose bytes
+// are counted and dropped. A plan cache that keeps plans only in memory
+// charges an entry this, so a compile miss never encodes.
+func EncodedLen(a *Artifact) (int, error) {
+	if err := a.Validate(); err != nil {
+		return 0, err
+	}
+	e := newStreamEncoder(nil)
+	encodePayload(e, a)
+	return e.len() + sha256.Size, nil
+}
+
+// encodePayload writes everything the checksum covers.
+func encodePayload(e *encoder, a *Artifact) {
 	e.raw(magic[:])
 	e.u64(Version)
 	e.str(a.Fingerprint)
@@ -52,9 +74,6 @@ func encode(a *Artifact) ([]byte, error) {
 	encodeDAG(e, a.Schedule.G)
 	encodeSchedule(e, a.Schedule)
 	encodeMemPlan(e, a.Mem)
-	sum := sha256.Sum256(e.b)
-	e.raw(sum[:])
-	return e.b, nil
 }
 
 // Decode parses a serialized artifact, verifying version, checksum and all
@@ -150,6 +169,7 @@ func encodeDAG(e *encoder, g *graph.DAG) {
 		e.str(o.Name)
 		e.i64(o.Size)
 		e.i32(o.Owner)
+		e.spill()
 	}
 	e.u64(uint64(g.NumTasks()))
 	for i := range g.Tasks {
@@ -159,17 +179,22 @@ func encodeDAG(e *encoder, g *graph.DAG) {
 		e.ids(t.Reads)
 		e.ids(t.Writes)
 		e.bool(t.Commutative)
+		e.spill()
 	}
 	// Edges in adjacency-list order (From implied by the outer loop), which
 	// the graph builder guarantees to be deterministic.
 	for t := 0; t < g.NumTasks(); t++ {
 		out := g.Out(graph.TaskID(t))
 		e.u64(uint64(len(out)))
-		for _, ed := range out {
+		for i, ed := range out {
 			e.i32(ed.To)
 			e.i32(ed.Obj)
 			e.u64(uint64(ed.Kind))
+			if i%1024 == 1023 {
+				e.spill()
+			}
 		}
+		e.spill()
 	}
 }
 
@@ -383,8 +408,44 @@ func decodeMemPlan(d *decoder, s *sched.Schedule) (*mem.Plan, error) {
 	return pl, nil
 }
 
-// encoder appends varint/fixed primitives to a buffer.
-type encoder struct{ b []byte }
+// encoder appends varint/fixed primitives to a buffer. A stream encoder's
+// buffer is a window instead: at record boundaries (spill), once it holds
+// window bytes they go to its sink, or are only counted when it has none,
+// and the window starts over. So an encoding of any length passes through
+// about window bytes of memory, and the primitives stay plain appends.
+type encoder struct {
+	b      []byte
+	window int       // 0: b accumulates the whole encoding
+	sink   io.Writer // nil: the flushed bytes are counted and dropped
+	n      int       // bytes flushed
+}
+
+// streamWindow is a stream encoder's window. Its buffer has room for the
+// records written between two spills on top.
+const streamWindow = 32 << 10
+
+func newStreamEncoder(sink io.Writer) *encoder {
+	return &encoder{b: make([]byte, 0, 2*streamWindow), window: streamWindow, sink: sink}
+}
+
+// spill hands a full window on; the walkers call it between records.
+func (e *encoder) spill() {
+	if e.window > 0 && len(e.b) >= e.window {
+		e.flush()
+	}
+}
+
+// flush hands whatever the window holds on.
+func (e *encoder) flush() {
+	if e.sink != nil {
+		e.sink.Write(e.b)
+	}
+	e.n += len(e.b)
+	e.b = e.b[:0]
+}
+
+// len is the number of bytes encoded so far.
+func (e *encoder) len() int { return e.n + len(e.b) }
 
 func (e *encoder) raw(p []byte)  { e.b = append(e.b, p...) }
 func (e *encoder) u64(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
@@ -402,9 +463,13 @@ func (e *encoder) bool(v bool) {
 
 func (e *encoder) ids(s []int32) {
 	e.u64(uint64(len(s)))
-	for _, v := range s {
+	for i, v := range s {
 		e.i32(v)
+		if i%4096 == 4095 {
+			e.spill()
+		}
 	}
+	e.spill()
 }
 
 // decoder consumes the same primitives, latching the first error.

@@ -26,13 +26,16 @@ const fingerprintDomain = "rapid-plan-fingerprint-v1"
 // an owner policy during compilation must fingerprint before mutation and
 // include the policy in opts (the policy is a deterministic function of the
 // pre-mutation state).
+//
+// The encoding streams into the hash through the encoder's fixed window:
+// the bytes hashed are the whole encoding, which is never built.
 func Fingerprint(g *graph.DAG, opts []byte) string {
 	h := sha256.New()
-	e := &encoder{}
+	e := newStreamEncoder(h)
 	e.str(fingerprintDomain)
 	encodeDAG(e, g)
 	e.u64(uint64(len(opts)))
 	e.raw(opts)
-	h.Write(e.b)
+	e.flush()
 	return hex.EncodeToString(h.Sum(nil))
 }

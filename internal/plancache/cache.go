@@ -5,7 +5,8 @@
 // The cache is two-tier:
 //
 //   - an in-memory LRU of decoded artifacts, bounded by the total encoded
-//     size of the entries it holds, and
+//     size of the entries it holds (counted, not built, when there is no
+//     disk tier to write the encoding to), and
 //   - an optional on-disk content-addressed store (one file per
 //     fingerprint under a cache directory) that survives process restarts.
 //
@@ -188,15 +189,9 @@ func (c *Cache) fill(key string, compile func() (*plan.Artifact, error)) (*plan.
 	if err != nil {
 		return nil, SourceCompiled, err
 	}
-	enc, err := plan.Encode(art)
-	if err != nil {
+	if err := c.store(key, art); err != nil {
 		return nil, SourceCompiled, fmt.Errorf("plancache: encoding compiled plan: %w", err)
 	}
-	if err := c.storeDisk(key, enc); err != nil {
-		// A full or read-only disk must not fail the computation.
-		c.metrics.Inc("plancache.diskerror", 1)
-	}
-	c.insertMem(key, art, int64(len(enc)))
 	return art, SourceCompiled, nil
 }
 
@@ -205,11 +200,27 @@ func (c *Cache) Put(key string, art *plan.Artifact) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
+	return c.store(key, art)
+}
+
+// store puts art in both tiers under key, charging the memory tier its
+// encoded size. Only the disk tier needs the encoding itself; without one
+// the size is counted, not built.
+func (c *Cache) store(key string, art *plan.Artifact) error {
+	if c.dir == "" {
+		size, err := plan.EncodedLen(art)
+		if err != nil {
+			return err
+		}
+		c.insertMem(key, art, int64(size))
+		return nil
+	}
 	enc, err := plan.Encode(art)
 	if err != nil {
 		return err
 	}
 	if err := c.storeDisk(key, enc); err != nil {
+		// A full or read-only disk must not fail the computation.
 		c.metrics.Inc("plancache.diskerror", 1)
 	}
 	c.insertMem(key, art, int64(len(enc)))

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,6 +100,39 @@ func TestMemoryAndDiskTiers(t *testing.T) {
 	}
 	if m.Get("plancache.hit.mem") != 1 || m.Get("plancache.hit.disk") != 1 || m.Get("plancache.miss") != 1 {
 		t.Errorf("counters: %v", m.Snapshot())
+	}
+}
+
+// TestMemoryMissCountsNotEncodes: a cache with no disk tier charges a
+// compiled plan its encoded length — the budget's unit — without building
+// the encoding. The plan here has long names, so an encoding built on the
+// miss would show in the bytes it allocates.
+func TestMemoryMissCountsNotEncodes(t *testing.T) {
+	key, art := compileArtifact(t, 0)
+	g := art.Schedule.G
+	for i := range g.Tasks {
+		g.Tasks[i].Name = strings.Repeat("t", 16<<10)
+	}
+	for i := range g.Objects {
+		g.Objects[i].Name = strings.Repeat("o", 16<<10)
+	}
+	enc, err := plan.Encode(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, src, err := c.GetOrCompile(key, func() (*plan.Artifact, error) { return art, nil })
+	runtime.ReadMemStats(&m1)
+	if err != nil || src != SourceCompiled {
+		t.Fatalf("miss: src=%v err=%v", src, err)
+	}
+	if c.bytes != int64(len(enc)) {
+		t.Fatalf("entry charged %d bytes, its encoding is %d", c.bytes, len(enc))
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(enc))/2 {
+		t.Fatalf("the miss allocated %d bytes; the encoding it must not build is %d", alloc, len(enc))
 	}
 }
 

@@ -138,18 +138,31 @@ func (s *Schedule) Validate() error {
 	// the union.
 	n := s.G.NumTasks()
 	indeg := make([]int32, n)
-	extra := make([][]graph.TaskID, n)
+	// The chain edges, grouped by source: u's successors on the processors
+	// that order it are extraTo[extraOff[u]:extraOff[u+1]].
+	extraOff := make([]int32, n+1)
+	chains := 0
+	for p := 0; p < s.P; p++ {
+		for i := 1; i < len(s.Order[p]); i++ {
+			extraOff[s.Order[p][i-1]+1]++
+			chains++
+		}
+	}
+	for t := 0; t < n; t++ {
+		extraOff[t+1] += extraOff[t]
+	}
+	extraTo := make([]graph.TaskID, chains)
+	next := slices.Clone(extraOff[:n])
 	for p := 0; p < s.P; p++ {
 		for i := 1; i < len(s.Order[p]); i++ {
 			u, v := s.Order[p][i-1], s.Order[p][i]
-			extra[u] = append(extra[u], v)
+			extraTo[next[u]] = v
+			next[u]++
 			indeg[v]++
 		}
 	}
 	for t := 0; t < n; t++ {
-		for range s.G.In(graph.TaskID(t)) {
-			indeg[t]++
-		}
+		indeg[t] += int32(len(s.G.In(graph.TaskID(t))))
 	}
 	queue := make([]graph.TaskID, 0, n)
 	for t := 0; t < n; t++ {
@@ -171,7 +184,7 @@ func (s *Schedule) Validate() error {
 		for _, e := range s.G.Out(u) {
 			relax(e.To)
 		}
-		for _, v := range extra[u] {
+		for _, v := range extraTo[extraOff[u]:extraOff[u+1]] {
 			relax(v)
 		}
 	}

@@ -9,8 +9,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Matrix is a compressed sparse column (CSC) matrix. Row indices within a
@@ -45,29 +46,39 @@ func (m *Matrix) ColVal(j int) []float64 {
 type coord struct{ r, c int32 }
 
 // FromCoords builds a pattern matrix from a list of (row, col) coordinates,
-// deduplicating and sorting. Values are not set.
+// deduplicating and sorting. Values are not set. The coordinates are
+// bucketed by column with a counting sort, then each column's rows are
+// sorted and deduplicated where they lie.
 func FromCoords(n int, coords []coord) *Matrix {
-	sort.Slice(coords, func(i, j int) bool {
-		if coords[i].c != coords[j].c {
-			return coords[i].c < coords[j].c
-		}
-		return coords[i].r < coords[j].r
-	})
 	colPtr := make([]int32, n+1)
-	rowIdx := make([]int32, 0, len(coords))
-	prev := coord{-1, -1}
 	for _, cc := range coords {
-		if cc == prev {
-			continue
-		}
-		prev = cc
-		rowIdx = append(rowIdx, cc.r)
 		colPtr[cc.c+1]++
 	}
 	for j := 0; j < n; j++ {
 		colPtr[j+1] += colPtr[j]
 	}
-	return &Matrix{N: n, ColPtr: colPtr, RowIdx: rowIdx}
+	rowIdx := make([]int32, len(coords))
+	next := slices.Clone(colPtr[:n])
+	for _, cc := range coords {
+		rowIdx[next[cc.c]] = cc.r
+		next[cc.c]++
+	}
+	// Compact: column j's distinct rows move down to colPtr[j], the new
+	// start, which never lies past the old one.
+	kept := int32(0)
+	for j := 0; j < n; j++ {
+		col := rowIdx[colPtr[j]:colPtr[j+1]]
+		slices.Sort(col)
+		colPtr[j] = kept
+		for k, r := range col {
+			if k == 0 || r != col[k-1] {
+				rowIdx[kept] = r
+				kept++
+			}
+		}
+	}
+	colPtr[n] = kept
+	return &Matrix{N: n, ColPtr: colPtr, RowIdx: rowIdx[:kept]}
 }
 
 // Clone returns a deep copy.
@@ -168,40 +179,36 @@ func (m *Matrix) PermuteSym(perm []int32) *Matrix {
 	for newI, oldI := range perm {
 		inv[oldI] = int32(newI)
 	}
-	type entry struct {
-		r, c int32
-		v    float64
-	}
-	entries := make([]entry, 0, m.Nnz())
-	for j := 0; j < n; j++ {
-		vals := m.ColVal(j)
-		for k, i := range m.Col(j) {
-			var v float64
-			if vals != nil {
-				v = vals[k]
-			}
-			entries = append(entries, entry{inv[i], inv[j], v})
-		}
-	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].c != entries[b].c {
-			return entries[a].c < entries[b].c
-		}
-		return entries[a].r < entries[b].r
-	})
-	out := &Matrix{N: n, ColPtr: make([]int32, n+1), RowIdx: make([]int32, len(entries))}
+	// New column j is old column perm[j] with its rows renamed, so the
+	// column pointers come from the old lengths and only each column's rows
+	// need sorting.
+	out := &Matrix{N: n, ColPtr: make([]int32, n+1), RowIdx: make([]int32, m.Nnz())}
 	if m.Val != nil {
-		out.Val = make([]float64, len(entries))
+		out.Val = make([]float64, m.Nnz())
 	}
-	for k, e := range entries {
-		out.RowIdx[k] = e.r
-		out.ColPtr[e.c+1]++
-		if out.Val != nil {
-			out.Val[k] = e.v
+	type entry struct {
+		r int32
+		v float64
+	}
+	var col []entry
+	for j, old := range perm {
+		vals := m.ColVal(int(old))
+		col = col[:0]
+		for k, i := range m.Col(int(old)) {
+			e := entry{r: inv[i]}
+			if vals != nil {
+				e.v = vals[k]
+			}
+			col = append(col, e)
 		}
-	}
-	for j := 0; j < n; j++ {
-		out.ColPtr[j+1] += out.ColPtr[j]
+		slices.SortFunc(col, func(a, b entry) int { return cmp.Compare(a.r, b.r) })
+		out.ColPtr[j+1] = out.ColPtr[j] + int32(len(col))
+		for k, e := range col {
+			out.RowIdx[int(out.ColPtr[j])+k] = e.r
+			if vals != nil {
+				out.Val[int(out.ColPtr[j])+k] = e.v
+			}
+		}
 	}
 	return out
 }

@@ -14,11 +14,12 @@
 //     use-after-free / double-free / leak detection with task- and
 //     object-precise diagnostics.
 //
-//   - A cross-processor wait-for graph is built from the schedule's
+//   - A cross-processor wait-for graph, read off the schedule's
 //     receive/send ordering (per-processor execution chains, data-arrival
 //     waits on version producers, control-signal waits on retained
-//     precedence edges). A cycle means the deadlock-freedom precondition of
-//     Theorem 1 is violated; the finding carries the full blocking chain.
+//     precedence edges), is searched for cycles. A cycle means the
+//     deadlock-freedom precondition of Theorem 1 is violated; the finding
+//     carries the full blocking chain.
 //     The MAP address-package handshake adds no further cycles statically:
 //     every blocking protocol state performs RA, so a deposit can only
 //     stall behind a peer that is itself making progress (see
@@ -40,7 +41,11 @@
 // would precede their address package.
 //
 // The verifier never panics on malformed input: a structural pre-pass
-// checks every index before the deeper passes dereference it.
+// checks every index before the deeper passes dereference it. It keeps its
+// working state the way the inspector does — tables indexed by task,
+// object or (processor, object) id, sized up front — and formats text only
+// for a finding, so a clean plan costs a few dozen allocations whatever
+// its size (DESIGN.md §8).
 package verify
 
 import (
@@ -136,7 +141,14 @@ func (f Finding) String() string {
 // produce an unbounded report; Truncated records that the cap was hit.
 const maxFindings = 100
 
-// Result is the outcome of one verification.
+// Result is the outcome of one verification. It is a pure function of the
+// plan: the passes run in a fixed order — structure, owner-compute, order
+// edges, wait-for cycles, thresholds, liveness, DTS bound — and each walks
+// the plan in its own order (tasks by id, processors ascending, each
+// processor's order and MAPs front to back). Where a pass reports a set —
+// the objects a MAP leaks, the objects a MAP's address packages get wrong —
+// it reports it in ascending (processor, object id) order. So the cap
+// always keeps the same findings.
 type Result struct {
 	// Findings lists every detected invariant violation (capped).
 	Findings []Finding
@@ -192,20 +204,33 @@ func (r *Result) Rows() (cols []string, rows [][]string) {
 	return cols, rows
 }
 
-// checker carries the state shared by the analysis passes.
+// checker carries the state shared by the analysis passes. Like the
+// inspector's, every table is a slice indexed by task, object or
+// (processor, object) id and sized from counts known before it is filled;
+// DESIGN.md §8 lists them.
 type checker struct {
 	s   *sched.Schedule
 	mp  *mem.Plan
 	g   *graph.DAG
 	res *Result
+	// m is the object count.
+	m int
 	// pos is the position of each task recomputed from the orders (the
 	// stored Pos array is itself subject to verification).
 	pos []int32
-	// lifetimes[p] maps each volatile object of processor p to its
-	// first/last use positions.
-	lifetimes []map[graph.ObjID][2]int32
-	// dedup suppresses repeat findings of the same (class, proc, obj).
-	dedup map[string]bool
+	// reported lists the (class, processor, object) keys filed through
+	// once; the findings cap keeps it short.
+	reported []onceKey
+	// volPeak is, for a DTS schedule, each processor's immediate-free
+	// volatile peak; byPos is its scratch, indexed by order position.
+	volPeak, byPos []int64
+}
+
+// onceKey identifies a finding that is filed at most once.
+type onceKey struct {
+	class Class
+	p     graph.Proc
+	o     graph.ObjID
 }
 
 // Check statically verifies a compiled plan: schedule structure, protocol
@@ -213,12 +238,7 @@ type checker struct {
 // (for DTS schedules) the Theorem 2 bound. It never executes anything and
 // never panics on malformed input.
 func Check(s *sched.Schedule, mp *mem.Plan) *Result {
-	c := &checker{
-		s:     s,
-		mp:    mp,
-		res:   &Result{},
-		dedup: make(map[string]bool),
-	}
+	c := &checker{s: s, mp: mp, res: &Result{}}
 	if s != nil && mp != nil {
 		c.res.Executable = mp.Executable
 	}
@@ -226,7 +246,7 @@ func Check(s *sched.Schedule, mp *mem.Plan) *Result {
 		return c.res
 	}
 	c.g = s.G
-	c.computeLifetimes()
+	c.m = c.g.NumObjects()
 	c.ownerCompute()
 	c.orderEdges()
 	c.waitFor()
@@ -283,60 +303,36 @@ func (r *Result) add(f Finding) {
 // report files a finding, resolving task/object names when in range.
 func (c *checker) report(f Finding) {
 	if c.g != nil {
-		if f.Task != graph.None && int(f.Task) < len(c.g.Tasks) {
+		if f.Task >= 0 && int(f.Task) < len(c.g.Tasks) {
 			f.TaskName = c.g.Tasks[f.Task].Name
 		}
-		if f.Obj != graph.None && int(f.Obj) < len(c.g.Objects) {
+		if f.Obj >= 0 && int(f.Obj) < len(c.g.Objects) {
 			f.ObjName = c.g.Objects[f.Obj].Name
 		}
 	}
 	c.res.add(f)
 }
 
-// reportOnce files a finding unless an identical (class, proc, obj) one was
-// already filed — liveness defects repeat at every later use otherwise.
-func (c *checker) reportOnce(f Finding) {
-	key := fmt.Sprintf("%s/%d/%d", f.Class, f.Proc, f.Obj)
-	if c.dedup[key] {
-		return
+// once reports whether a finding of class about object o on processor p is
+// to be filed: the first is, its repeats are not — liveness defects would
+// otherwise repeat at every later use. Callers format a finding only when
+// once says it is filed.
+func (c *checker) once(class Class, p graph.Proc, o graph.ObjID) bool {
+	if c.res.Truncated {
+		return false // nothing more is filed
 	}
-	c.dedup[key] = true
-	c.report(f)
+	k := onceKey{class, p, o}
+	for _, r := range c.reported {
+		if r == k {
+			return false
+		}
+	}
+	c.reported = append(c.reported, k)
+	return true
 }
 
 // check counts one invariant check.
 func (c *checker) check() { c.res.Checks++ }
-
-// computeLifetimes fills lifetimes from the verified orders (not from the
-// stored Pos array, which may itself be corrupt).
-func (c *checker) computeLifetimes() {
-	s := c.s
-	c.lifetimes = make([]map[graph.ObjID][2]int32, s.P)
-	for p := 0; p < s.P; p++ {
-		lt := make(map[graph.ObjID][2]int32)
-		for i, t := range s.Order[p] {
-			task := &c.g.Tasks[t]
-			touch := func(o graph.ObjID) {
-				if c.g.Objects[o].Owner == graph.Proc(p) {
-					return
-				}
-				if r, ok := lt[o]; ok {
-					r[1] = int32(i)
-					lt[o] = r
-				} else {
-					lt[o] = [2]int32{int32(i), int32(i)}
-				}
-			}
-			for _, o := range task.Reads {
-				touch(o)
-			}
-			for _, o := range task.Writes {
-				touch(o)
-			}
-		}
-		c.lifetimes[p] = lt
-	}
-}
 
 // ownerCompute checks the owner-compute precondition of the active memory
 // scheme: tasks write only objects owned by their processor.

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,12 +29,8 @@ func figure2Plan(t *testing.T, h sched.Heuristic, capacity int64) (*sched.Schedu
 }
 
 func has(res *Result, cl Class) bool {
-	for _, f := range res.Findings {
-		if f.Class == cl {
-			return true
-		}
-	}
-	return false
+	_, ok := find(res, cl)
+	return ok
 }
 
 func find(res *Result, cl Class) (Finding, bool) {
@@ -43,6 +40,52 @@ func find(res *Result, cl Class) (Finding, bool) {
 		}
 	}
 	return Finding{}, false
+}
+
+// mutation is one plan the tests of this file check: a defect planted in a
+// clean plan, or an edge case. TestVerifyGolden records the verifier's
+// whole output on every one of them.
+type mutation struct {
+	name string
+	plan func(t *testing.T) (*sched.Schedule, *mem.Plan)
+}
+
+func mutations() []mutation {
+	heuristics := []sched.Heuristic{sched.RCP, sched.MPO, sched.DTS, sched.DTSMerge, sched.TreeMem}
+	var ms []mutation
+	for _, h := range heuristics {
+		for _, cap := range []int64{1 << 30, 12, 9} {
+			ms = append(ms, mutation{fmt.Sprintf("figure2 %v capacity %d", h, cap), func(t *testing.T) (*sched.Schedule, *mem.Plan) {
+				return figure2Plan(t, h, cap)
+			}})
+		}
+	}
+	drop := func(f func(t *testing.T) (*sched.Schedule, *mem.Plan, graph.Proc, graph.ObjID)) func(t *testing.T) (*sched.Schedule, *mem.Plan) {
+		return func(t *testing.T) (*sched.Schedule, *mem.Plan) { s, pl, _, _ := f(t); return s, pl }
+	}
+	return append(ms,
+		mutation{"non-executable", func(t *testing.T) (*sched.Schedule, *mem.Plan) { return figure2Plan(t, sched.RCP, 3) }},
+		mutation{"nil", func(*testing.T) (*sched.Schedule, *mem.Plan) { return nil, nil }},
+		mutation{"stripped allocation", drop(stripAlloc)},
+		mutation{"free before last use", drop(earlyFree)},
+		mutation{"double free and resurrection", doubleFreeRealloc},
+		mutation{"budget overflow and peak mismatch", overBudget},
+		mutation{"dropped notify", dropNotify},
+		mutation{"reversed order", reverseOrder},
+		mutation{"wait-for cycle", crossSchedule},
+		mutation{"threshold baseline", func(t *testing.T) (*sched.Schedule, *mem.Plan) {
+			s, pl, _, _, _ := thresholdFixture(t)
+			return s, pl
+		}},
+		mutation{"ungated remote read", func(t *testing.T) (*sched.Schedule, *mem.Plan) {
+			s, pl, tamper, _, _ := thresholdFixture(t)
+			tamper()
+			return s, pl
+		}},
+		mutation{"slice order broken", breakSliceOrder},
+		mutation{"gutted", gutted},
+		mutation{"stale peak", stalePeak},
+	)
 }
 
 func TestCleanPlansPass(t *testing.T) {
@@ -106,49 +149,62 @@ func firstVolatileAlloc(t *testing.T, pl *mem.Plan) (p, mi, ai int) {
 	return 0, 0, 0
 }
 
-func TestDetectUseBeforeMAP(t *testing.T) {
-	s, pl := figure2Plan(t, sched.RCP, 1<<30)
-	p, mi, ai := firstVolatileAlloc(t, pl)
-	mapp := &pl.Procs[p].MAPs[mi]
-	o := mapp.Allocs[ai]
+// stripAlloc drops the first volatile allocation of a clean plan: its
+// object o is then used on processor p before any MAP allocates it.
+func stripAlloc(t *testing.T) (s *sched.Schedule, pl *mem.Plan, p graph.Proc, o graph.ObjID) {
+	s, pl = figure2Plan(t, sched.RCP, 1<<30)
+	pi, mi, ai := firstVolatileAlloc(t, pl)
+	mapp := &pl.Procs[pi].MAPs[mi]
+	o = mapp.Allocs[ai]
 	mapp.Allocs = append(mapp.Allocs[:ai], mapp.Allocs[ai+1:]...)
+	return s, pl, graph.Proc(pi), o
+}
+
+func TestDetectUseBeforeMAP(t *testing.T) {
+	s, pl, p, o := stripAlloc(t)
 	res := Check(s, pl)
 	f, ok := find(res, ClassUseBeforeMAP)
 	if !ok {
 		t.Fatalf("stripped allocation not detected: %v", res.Findings)
 	}
-	if f.Obj != o || f.Proc != graph.Proc(p) || f.Task == graph.None {
+	if f.Obj != o || f.Proc != p || f.Task == graph.None {
 		t.Fatalf("imprecise diagnostic: %+v (want obj %d on P%d with a task)", f, o, p)
 	}
 }
 
-func TestDetectFreeBeforeLastUse(t *testing.T) {
-	s, pl := figure2Plan(t, sched.RCP, 1<<30)
-	p, mi, ai := firstVolatileAlloc(t, pl)
-	mapp := &pl.Procs[p].MAPs[mi]
-	o := mapp.Allocs[ai]
-	// Free it immediately at a synthetic MAP right after the allocating one,
-	// before its last use.
-	last := int32(len(s.Order[p]))
-	pl.Procs[p].MAPs[mi].CoverEnd = mapp.Pos + 1
-	pl.Procs[p].MAPs = append(pl.Procs[p].MAPs, mem.MAP{
+// earlyFree frees the first volatile allocation's object o at a synthetic
+// MAP right after the allocating one, before its last use on p.
+func earlyFree(t *testing.T) (s *sched.Schedule, pl *mem.Plan, p graph.Proc, o graph.ObjID) {
+	s, pl = figure2Plan(t, sched.RCP, 1<<30)
+	pi, mi, ai := firstVolatileAlloc(t, pl)
+	mapp := &pl.Procs[pi].MAPs[mi]
+	o = mapp.Allocs[ai]
+	last := int32(len(s.Order[pi]))
+	pl.Procs[pi].MAPs[mi].CoverEnd = mapp.Pos + 1
+	pl.Procs[pi].MAPs = append(pl.Procs[pi].MAPs, mem.MAP{
 		Pos: mapp.Pos + 1, CoverEnd: last, Frees: []graph.ObjID{o},
 	})
+	return s, pl, graph.Proc(pi), o
+}
+
+func TestDetectFreeBeforeLastUse(t *testing.T) {
+	s, pl, p, o := earlyFree(t)
 	res := Check(s, pl)
 	f, ok := find(res, ClassUseAfterFree)
 	if !ok {
 		t.Fatalf("early free not detected: %v", res.Findings)
 	}
-	if f.Obj != o || f.Proc != graph.Proc(p) {
+	if f.Obj != o || f.Proc != p {
 		t.Fatalf("imprecise diagnostic: %+v", f)
 	}
 }
 
-func TestDetectDoubleFreeAndRealloc(t *testing.T) {
+// doubleFreeRealloc adds a last MAP that frees the first volatile
+// allocation's object twice and allocates it again.
+func doubleFreeRealloc(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
 	p, mi, ai := firstVolatileAlloc(t, pl)
-	mapp := &pl.Procs[p].MAPs[mi]
-	o := mapp.Allocs[ai]
+	o := pl.Procs[p].MAPs[mi].Allocs[ai]
 	last := int32(len(s.Order[p]))
 	pl.Procs[p].MAPs[mi].CoverEnd = last - 1
 	pl.Procs[p].MAPs = append(pl.Procs[p].MAPs, mem.MAP{
@@ -156,7 +212,11 @@ func TestDetectDoubleFreeAndRealloc(t *testing.T) {
 		Frees:  []graph.ObjID{o, o},
 		Allocs: []graph.ObjID{o},
 	})
-	res := Check(s, pl)
+	return s, pl
+}
+
+func TestDetectDoubleFreeAndRealloc(t *testing.T) {
+	res := Check(doubleFreeRealloc(t))
 	if !has(res, ClassDoubleFree) {
 		t.Fatalf("double free not detected: %v", res.Findings)
 	}
@@ -165,11 +225,17 @@ func TestDetectDoubleFreeAndRealloc(t *testing.T) {
 	}
 }
 
-func TestDetectBudgetOverflowAndPeakMismatch(t *testing.T) {
+// overBudget sets the capacity far below the replayed peak, which the plan
+// still claims to fit, and makes P0's declared peak stale.
+func overBudget(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
-	pl.Capacity = 1 // far below the replayed peak
+	pl.Capacity = 1
 	pl.Procs[0].Peak++
-	res := Check(s, pl)
+	return s, pl
+}
+
+func TestDetectBudgetOverflowAndPeakMismatch(t *testing.T) {
+	res := Check(overBudget(t))
 	if !has(res, ClassBudgetOverflow) {
 		t.Fatalf("budget overflow not detected: %v", res.Findings)
 	}
@@ -179,32 +245,32 @@ func TestDetectBudgetOverflowAndPeakMismatch(t *testing.T) {
 	}
 }
 
-func TestDetectNotifyMismatch(t *testing.T) {
+// dropNotify empties the first non-empty address-package set; the plan
+// comes back untouched if it has none.
+func dropNotify(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
-	tampered := false
 	for p := range pl.Procs {
 		for mi := range pl.Procs[p].MAPs {
 			if len(pl.Procs[p].MAPs[mi].Notify) > 0 {
 				pl.Procs[p].MAPs[mi].Notify = nil
-				tampered = true
-				break
+				return s, pl
 			}
 		}
-		if tampered {
-			break
-		}
 	}
-	if !tampered {
-		t.Skip("plan has no cross-processor notifications")
-	}
+	return s, pl
+}
+
+func TestDetectNotifyMismatch(t *testing.T) {
+	s, pl := dropNotify(t)
 	if res := Check(s, pl); !has(res, ClassNotifyMismatch) {
 		t.Fatalf("dropped address packages not detected: %v", res.Findings)
 	}
 }
 
-func TestDetectOrderViolation(t *testing.T) {
+// reverseOrder reverses the first processor order with two or more tasks:
+// every same-processor edge on it flips.
+func reverseOrder(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
-	// Reverse one processor's order: every same-proc edge flips.
 	for p := range s.Order {
 		if len(s.Order[p]) < 2 {
 			continue
@@ -215,7 +281,11 @@ func TestDetectOrderViolation(t *testing.T) {
 		}
 		break
 	}
-	if res := Check(s, pl); !has(res, ClassOrderViolation) {
+	return s, pl
+}
+
+func TestDetectOrderViolation(t *testing.T) {
+	if res := Check(reverseOrder(t)); !has(res, ClassOrderViolation) {
 		t.Fatalf("reversed order not detected: %v", res.Findings)
 	}
 }
@@ -344,46 +414,50 @@ func TestDetectThresholdMismatch(t *testing.T) {
 	}
 }
 
-func TestDetectDTSBoundViolation(t *testing.T) {
+// breakSliceOrder gives the last task of the first DTS processor order with
+// a multi-slice tail a smaller slice than its predecessor; the plan comes
+// back untouched if there is no such order.
+func breakSliceOrder(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.DTS, 1<<30)
 	if s.Slices == nil {
-		t.Skip("DTS schedule has no slices")
+		return s, pl
 	}
-	// Break slice monotonicity: give the last task of P0's order a smaller
-	// slice than its predecessor.
-	var tampered bool
 	for p := range s.Order {
 		o := s.Order[p]
 		if len(o) < 2 {
 			continue
 		}
-		lastT := o[len(o)-1]
-		prevT := o[len(o)-2]
+		lastT, prevT := o[len(o)-1], o[len(o)-2]
 		if s.Slices[prevT] > 0 {
 			s.Slices[lastT] = s.Slices[prevT] - 1
-			tampered = true
 			break
 		}
 	}
-	if !tampered {
-		t.Skip("no multi-slice processor order to tamper")
-	}
+	return s, pl
+}
+
+func TestDetectDTSBoundViolation(t *testing.T) {
+	s, pl := breakSliceOrder(t)
 	if res := Check(s, pl); !has(res, ClassDTSBound) {
 		t.Fatalf("slice-monotonicity violation not detected: %v", res.Findings)
 	}
 }
 
-func TestFindingsCapped(t *testing.T) {
+// gutted strips every allocation and address package everywhere: floods of
+// use-before-map findings, bounded by dedup and the cap.
+func gutted(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
-	// Strip every allocation everywhere: floods of use-before-map findings,
-	// bounded by dedup + the cap.
 	for p := range pl.Procs {
 		for mi := range pl.Procs[p].MAPs {
 			pl.Procs[p].MAPs[mi].Allocs = nil
 			pl.Procs[p].MAPs[mi].Notify = nil
 		}
 	}
-	res := Check(s, pl)
+	return s, pl
+}
+
+func TestFindingsCapped(t *testing.T) {
+	res := Check(gutted(t))
 	if res.OK() {
 		t.Fatal("gutted plan passed")
 	}
@@ -392,10 +466,15 @@ func TestFindingsCapped(t *testing.T) {
 	}
 }
 
-func TestResultRendering(t *testing.T) {
+// stalePeak makes P0's declared peak disagree with the replay.
+func stalePeak(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
 	pl.Procs[0].Peak++
-	res := Check(s, pl)
+	return s, pl
+}
+
+func TestResultRendering(t *testing.T) {
+	res := Check(stalePeak(t))
 	if res.Err() == nil {
 		t.Fatal("expected error")
 	}

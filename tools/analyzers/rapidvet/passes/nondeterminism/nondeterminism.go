@@ -35,6 +35,9 @@ var Analyzer = &analysis.Analyzer{
 		"internal/sched/bakeoff",
 		"internal/mem",
 		"internal/proto",
+		// The verifier's findings are shown in job records and by
+		// rapidverify: they must be a pure function of the plan too.
+		"internal/verify",
 	},
 	Run: run,
 }
