@@ -29,8 +29,9 @@
 // On SIGINT/SIGTERM the daemon stops accepting jobs (503), finishes the
 // backlog, and exits.
 //
-// With -journal-dir set every accepted job is journaled (fsync'd) before the
-// submit is acknowledged; on restart the daemon replays the journal, requeues
+// With -journal-dir set every accepted job is journaled, and fsync'd before
+// any answer reports it (a ?wait=1 job costs one fsync, shared with the
+// answers sent beside it); on restart the daemon replays the journal, requeues
 // jobs that never ran and explicitly fails the ones it was executing when it
 // died. If the journal's disk fails mid-run the daemon degrades instead of
 // wedging: -degraded-mode picks whether new submits are refused with 503
@@ -96,7 +97,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 0, "client back-off hint on shed responses (0: 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	journalDir := flag.String("journal-dir", "", "write-ahead job journal directory (empty: no durability)")
-	journalNoSync := flag.Bool("journal-nosync", false, "skip per-record journal fsync (benchmarks only; crashes can lose acknowledged jobs)")
+	journalNoSync := flag.Bool("journal-nosync", false, "skip the journal fsync (benchmarks only; crashes can lose acknowledged jobs)")
 	degradedMode := flag.String("degraded-mode", "", "submit policy while the journal is degraded: reject (default: 503 new submits) or serve (accept with durable:false)")
 	rearmBackoff := flag.Duration("rearm-backoff", 0, "initial delay between journal re-arm attempts while degraded (0: 50ms), doubled per failure")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant avail-mem sub-quotas, e.g. gold=48,bronze=16")

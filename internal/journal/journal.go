@@ -1,12 +1,21 @@
 // Package journal is the write-ahead job journal of the rapidd solve
 // service. Every job-lifecycle transition (submit, admit, complete,
-// cancel) is appended — checksummed and fsync'd — before the daemon acts
+// cancel) is written — checksummed — before the daemon acts on it, and
+// made durable by an fsync before the daemon promises anything that rests
 // on it, so a restart can replay the log and reconstruct exactly which
 // jobs were queued (recoverable) and which were executing (must be failed
 // explicitly). The journal never silently drops an acknowledged record:
 // the only tolerated damage is a torn tail on the newest segment, which a
 // crash mid-append produces by construction, and even that is truncated
 // loudly (reported in Stats) rather than skipped over.
+//
+// Writing and syncing are separate calls. Write appends a record to the
+// active segment and returns its Pos; Sync(pos) returns once that record
+// is durable. One fsync covers every record written before it started, so
+// concurrent Syncs share it: the first caller runs the fsync outside the
+// lock while later writers keep appending, and whoever waits behind it
+// either finds its record already covered or runs the next fsync for all
+// of them (group commit). Append is Write followed by Sync.
 //
 // Layout: a journal directory holds numbered segment files
 // (wal-00000001.log, ...). Records are length-prefixed, CRC-32C-framed
@@ -134,6 +143,12 @@ var (
 // Append failing fast with this error — until Rearm rotates onto a fresh
 // segment. Callers match it with errors.Is.
 var ErrDegraded = errors.New("journal: degraded")
+
+// ErrLost is what Sync returns for a record that was written but that a
+// fault discarded before any fsync covered it — the journal may be
+// durable again since. It matches ErrDegraded too. The fault was
+// reported when it happened, to whoever's Write or Sync hit it.
+var ErrLost = fmt.Errorf("%w: record lost to a fault window", ErrDegraded)
 
 func putStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -267,9 +282,9 @@ type Options struct {
 	// MaxSegmentBytes triggers compaction when the active segment outgrows
 	// it (default 1 MiB; minimum 4 KiB).
 	MaxSegmentBytes int64
-	// NoSync skips the per-append fsync. Tests and benchmarks only: a
-	// production journal without fsync can acknowledge records a crash
-	// then loses.
+	// NoSync skips the fsync: a record counts as durable once written.
+	// Tests and benchmarks only: a production journal without fsync can
+	// acknowledge records a crash then loses.
 	NoSync bool
 	// FS is the filesystem seam; nil means the real OS. Fault-injection
 	// tests pass an iofault.FaultFS here.
@@ -279,7 +294,8 @@ type Options struct {
 // Stats reports journal health.
 type Stats struct {
 	Segments       int   // segment files on disk
-	Records        int64 // records appended or replayed this session
+	Records        int64 // records written or replayed this session
+	Syncs          int64 // fsyncs that made written records durable
 	TruncatedBytes int64 // torn-tail bytes discarded at Open
 	Compactions    int64 // segment compactions this session
 	LiveJobs       int   // non-terminal jobs currently tracked
@@ -303,7 +319,22 @@ type liveJob struct {
 	bytes  int64
 }
 
-// Journal is an open journal directory. Safe for concurrent Append.
+// Pos is a place in the journal's write stream: the number of bytes this
+// session has written up to the end of one record. Write returns it, and
+// Sync(pos) makes everything up to it durable. The zero Pos is durable
+// from the start.
+type Pos int64
+
+// written is a record that has reached the active segment but no fsync
+// yet: the frame is kept so a compaction can carry it over, and the
+// record (spec dropped) so it joins the live-job state once durable.
+type written struct {
+	rec   Record
+	frame []byte
+	end   Pos
+}
+
+// Journal is an open journal directory. Safe for concurrent use.
 type Journal struct {
 	dir  string
 	opts Options
@@ -319,13 +350,32 @@ type Journal struct {
 	stats    Stats               // guarded-by: mu
 	closed   bool                // guarded-by: mu
 
+	// The write stream. end is the Pos of the last record written, synced
+	// the Pos up to which every record is durable; unsynced holds the
+	// records in between, in write order. Only durable records enter the
+	// live-job state, so neither a compaction root nor a re-arm can make
+	// durable a record whose own fsync failed.
+	end      Pos       // guarded-by: mu
+	synced   Pos       // guarded-by: mu
+	unsynced []written // guarded-by: mu
+	// syncing is set while one caller runs an fsync with mu released;
+	// idle (on mu) wakes the callers that wait for it to finish.
+	syncing bool // guarded-by: mu
+	idle    sync.Cond
+
 	// Degraded-mode state. ackedBytes is the durable prefix of the active
-	// segment: it advances only after a successful write+fsync, so when a
-	// fault poisons the segment it is exactly the offset past which bytes
-	// are suspect — the extent the re-arm's OpGap record carries.
-	degraded      bool  // guarded-by: mu
-	degradedCause error // guarded-by: mu
-	ackedBytes    int64 // guarded-by: mu
+	// segment: it advances only after a successful fsync, so when a fault
+	// poisons the segment it is exactly the offset past which bytes are
+	// suspect — the extent the re-arm's OpGap record carries. lost lists
+	// the (from, to] Pos ranges written past that point, whose records
+	// the gap discards; held keeps the ones that belong to a job whose
+	// submit is durable, and the records such jobs write while degraded,
+	// for the re-arm to write behind the gap.
+	degraded      bool      // guarded-by: mu
+	degradedCause error     // guarded-by: mu
+	ackedBytes    int64     // guarded-by: mu
+	lost          [][2]Pos  // guarded-by: mu
+	held          []written // guarded-by: mu
 	// compactAfter backs off compaction retries after an I/O failure:
 	// no new attempt until the active segment grows past it.
 	compactAfter int64 // guarded-by: mu
@@ -444,6 +494,7 @@ func Open(dir string, opts Options) (*Journal, *Replay, error) {
 		return nil, nil, err
 	}
 	j := &Journal{dir: dir, opts: opts, fs: fs, live: make(map[string]*liveJob)}
+	j.idle.L = &j.mu
 	rep := &Replay{}
 	loaded, suspect, err := loadSegments(fs, dir, segs, true)
 	if err != nil {
@@ -589,60 +640,158 @@ func (j *Journal) applyLocked(rec Record, frame []byte) {
 	}
 }
 
-// Append encodes, writes and (unless NoSync) fsyncs one record, then
-// compacts if the active segment outgrew its bound. The record is durable
-// when Append returns nil. Any I/O failure on the append path poisons the
-// active segment — the fd is closed and never written again (a failed
-// fsync may have silently dropped earlier dirty pages) — and Append
-// returns an error matching ErrDegraded, as does every subsequent Append
-// until Rearm succeeds.
+// Append writes one record and waits until it is durable: Write, then
+// Sync. The record is durable when Append returns nil.
 func (j *Journal) Append(rec Record) error {
-	frame, err := EncodeRecord(rec)
+	pos, err := j.Write(rec)
 	if err != nil {
 		return err
 	}
+	return j.Sync(pos)
+}
+
+// Write encodes rec and appends it to the active segment, without an
+// fsync, and returns the Pos that Sync takes to make it durable. Any I/O
+// failure poisons the active segment — the fd is closed and never written
+// again (a failed fsync may have silently dropped earlier dirty pages) —
+// and Write returns an error matching ErrDegraded, as does every Write
+// until Rearm succeeds. While degraded, an admit, cancel or complete
+// record of a job whose submit is durable is not dropped: the journal
+// holds it, and the Rearm that ends the window writes it right behind its
+// gap marker, so a job that finished during a disk outage does not run
+// again after a restart. The error still reports it, since it is not
+// durable yet.
+func (j *Journal) Write(rec Record) (Pos, error) {
+	frame, err := EncodeRecord(rec)
+	if err != nil {
+		return 0, err
+	}
+	rec.Spec = nil // the frame carries it
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
-		return errors.New("journal: closed")
+		return 0, errors.New("journal: closed")
 	}
 	if j.degraded {
-		return fmt.Errorf("%w: %v", ErrDegraded, j.degradedCause)
+		j.holdLocked(written{rec: rec, frame: frame})
+		return 0, j.degradedErrLocked()
 	}
 	if _, err := j.f.Write(frame); err != nil {
 		j.poisonLocked(fmt.Errorf("append: %w", err))
-		return fmt.Errorf("%w: %v", ErrDegraded, j.degradedCause)
-	}
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			j.poisonLocked(fmt.Errorf("fsync: %w", err))
-			return fmt.Errorf("%w: %v", ErrDegraded, j.degradedCause)
-		}
+		j.holdLocked(written{rec: rec, frame: frame})
+		return 0, j.degradedErrLocked()
 	}
 	j.segBytes += int64(len(frame))
-	j.ackedBytes = j.segBytes
+	j.end += Pos(len(frame))
 	j.stats.Records++
-	j.applyLocked(rec, frame)
-	// Compact when the segment is oversized and mostly dead weight —
-	// compacting a segment that is all live jobs would thrash. A failed
-	// compaction never fails the append (the record above is already
-	// durable); it is retried once the segment grows past the backoff
-	// watermark.
-	if j.segBytes >= j.opts.MaxSegmentBytes && j.liveByte < j.segBytes/2 && j.segBytes >= j.compactAfter {
-		if err := j.compactLocked(); err != nil {
-			j.stats.CompactFailures++
-			j.compactAfter = j.segBytes + j.opts.MaxSegmentBytes/4
-		} else {
-			j.compactAfter = 0
+	j.unsynced = append(j.unsynced, written{rec: rec, frame: frame, end: j.end})
+	if j.opts.NoSync {
+		j.durableLocked(j.end, j.segBytes)
+		j.maybeCompactLocked()
+	}
+	return j.end, nil
+}
+
+// Sync returns once the record Write returned pos for is durable. If an
+// fsync is already running it waits for that one, which may cover pos;
+// otherwise it runs one itself, outside the lock, covering every record
+// written so far — so concurrent callers share fsyncs, and writers keep
+// appending while one runs. It fails with an error matching ErrDegraded
+// if the fsync fails, and with ErrLost if the record was lost to a fault
+// window.
+func (j *Journal) Sync(pos Pos) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.syncing && pos > j.synced {
+		j.idle.Wait()
+	}
+	for _, r := range j.lost {
+		if pos > r[0] && pos <= r[1] {
+			return ErrLost
 		}
 	}
+	switch {
+	case pos <= j.synced:
+		return nil
+	case j.closed:
+		return errors.New("journal: closed")
+	case j.degraded:
+		return j.degradedErrLocked()
+	}
+	f, upto, seg := j.f, j.end, j.segBytes
+	j.syncing = true
+	j.mu.Unlock()
+	err := f.Sync()
+	j.mu.Lock()
+	j.syncing = false
+	j.idle.Broadcast()
+	if j.f != f {
+		// A failed Write poisoned the segment while the fsync ran; the
+		// records it covered are in the lost range now.
+		f.Close()
+		return j.degradedErrLocked()
+	}
+	if err != nil {
+		j.poisonLocked(fmt.Errorf("fsync: %w", err))
+		return j.degradedErrLocked()
+	}
+	j.stats.Syncs++
+	j.durableLocked(upto, seg)
+	j.maybeCompactLocked()
 	return nil
 }
 
+// durableLocked records that everything up to upto is durable — seg bytes
+// of the active segment — and folds those records into the live-job state.
+func (j *Journal) durableLocked(upto Pos, seg int64) {
+	n := 0
+	for ; n < len(j.unsynced) && j.unsynced[n].end <= upto; n++ {
+		j.applyLocked(j.unsynced[n].rec, j.unsynced[n].frame)
+	}
+	rest := copy(j.unsynced, j.unsynced[n:])
+	clear(j.unsynced[rest:])
+	j.unsynced = j.unsynced[:rest]
+	j.synced = upto
+	j.ackedBytes = seg
+}
+
+// maybeCompactLocked compacts when the segment is oversized and mostly
+// dead weight — compacting a segment that is all live jobs would thrash.
+// A failed compaction fails nothing (every record is where it was); it is
+// retried once the segment grows past the backoff watermark.
+func (j *Journal) maybeCompactLocked() {
+	if j.segBytes < j.opts.MaxSegmentBytes || j.liveByte >= j.segBytes/2 || j.segBytes < j.compactAfter {
+		return
+	}
+	if err := j.compactLocked(); err != nil {
+		j.stats.CompactFailures++
+		j.compactAfter = j.segBytes + j.opts.MaxSegmentBytes/4
+	} else {
+		j.compactAfter = 0
+	}
+}
+
+func (j *Journal) degradedErrLocked() error {
+	return fmt.Errorf("%w: %v", ErrDegraded, j.degradedCause)
+}
+
+// holdLocked keeps a record that could not be made durable for the
+// re-arm, if a durable submit refers to it: without it, replay would
+// re-run a job that already ran. Anything else is dropped — no durable
+// record refers to it.
+func (j *Journal) holdLocked(w written) {
+	if w.rec.Op == OpSubmit || j.live[w.rec.ID] == nil {
+		return
+	}
+	j.held = append(j.held, w)
+}
+
 // poisonLocked moves the journal into degraded mode: the active segment's
-// fd is closed immediately and never reused. ackedBytes is left at the
-// last acknowledged extent — the value a re-arm's OpGap record publishes
-// so replay discards everything past it.
+// fd is closed — by the fsync running on it, if there is one — and never
+// reused. ackedBytes is left at the last durable extent — the value a
+// re-arm's OpGap record publishes so replay discards everything past it —
+// and the records written past it are lost, bar the ones held for the
+// re-arm.
 func (j *Journal) poisonLocked(cause error) {
 	if j.degraded {
 		return
@@ -651,10 +800,18 @@ func (j *Journal) poisonLocked(cause error) {
 	j.degradedCause = cause
 	j.stats.Degraded = true
 	j.stats.DegradedCause = cause.Error()
-	if j.f != nil {
-		j.f.Close() // fd is suspect; release it regardless of the result
-		j.f = nil
+	if j.end > j.synced {
+		j.lost = append(j.lost, [2]Pos{j.synced, j.end})
 	}
+	for _, w := range j.unsynced {
+		j.holdLocked(w)
+	}
+	clear(j.unsynced)
+	j.unsynced = j.unsynced[:0]
+	if j.f != nil && !j.syncing {
+		j.f.Close() // fd is suspect; release it regardless of the result
+	}
+	j.f = nil
 }
 
 // Degraded reports whether the journal is refusing appends, and why.
@@ -670,36 +827,74 @@ func (j *Journal) Degraded() (bool, error) {
 // that filled the disk. Otherwise (or if that fails) it rotates onto a
 // fresh segment whose first record is an OpGap marker carrying the
 // poisoned segment's durable extent, so replay knows exactly where the
-// fault window starts. Returns nil when the journal is durable again;
-// callers own the retry/backoff policy.
+// fault window starts. Either way the records held during the window
+// follow, in one write and one fsync. Returns nil when the journal is
+// durable again; callers own the retry/backoff policy.
 func (j *Journal) Rearm() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for j.syncing {
+		j.idle.Wait()
+	}
 	if j.closed {
 		return errors.New("journal: closed")
 	}
 	if !j.degraded {
 		return nil
 	}
+	reopened := false
 	if errors.Is(j.degradedCause, syscall.ENOSPC) {
-		if err := j.compactLocked(); err == nil {
-			j.rearmedLocked()
-			return nil
+		reopened = j.compactLocked() == nil
+	}
+	if !reopened {
+		if err := j.rotateGapLocked(); err != nil {
+			j.stats.RearmFailures++
+			return err
 		}
 	}
-	if err := j.rotateGapLocked(); err != nil {
-		j.stats.RearmFailures++
-		return err
-	}
-	j.rearmedLocked()
-	return nil
-}
-
-func (j *Journal) rearmedLocked() {
+	j.synced = j.end // nothing was written since the poison
 	j.degraded = false
 	j.degradedCause = nil
 	j.stats.Degraded = false
+	if err := j.writeHeldLocked(); err != nil {
+		j.stats.RearmFailures++
+		return err
+	}
 	j.stats.Rearms++
+	return nil
+}
+
+// writeHeldLocked appends the records held through the fault window to the
+// fresh segment and fsyncs them; a failure poisons it again, and the
+// records stay held for the next Rearm.
+func (j *Journal) writeHeldLocked() error {
+	if len(j.held) == 0 {
+		return nil
+	}
+	var buf []byte
+	for _, w := range j.held {
+		buf = append(buf, w.frame...)
+	}
+	held := j.held
+	j.held = nil
+	if _, err := j.f.Write(buf); err != nil {
+		j.poisonLocked(fmt.Errorf("rearm: %w", err))
+		j.held = held
+		return j.degradedErrLocked()
+	}
+	if err := j.f.Sync(); err != nil {
+		j.poisonLocked(fmt.Errorf("rearm fsync: %w", err))
+		j.held = held
+		return j.degradedErrLocked()
+	}
+	j.segBytes += int64(len(buf))
+	j.ackedBytes = j.segBytes
+	j.stats.Syncs++
+	for _, w := range held {
+		j.stats.Records++
+		j.applyLocked(w.rec, w.frame)
+	}
+	return nil
 }
 
 // rotateGapLocked opens a fresh segment and makes its first record an
@@ -772,7 +967,8 @@ func (j *Journal) rotateGapLocked() error {
 }
 
 // compactLocked writes a fresh segment holding the high-water mark plus
-// every live job's frames, fsyncs it, renames it into place, then removes
+// every live job's frames, then the records not yet synced, fsyncs it —
+// which makes all of them durable — renames it into place, then removes
 // the older segment. The temp-then-rename order is what makes crash
 // recovery unambiguous: a published segment starting with OpMark is
 // guaranteed complete (Open treats it as a compaction root and drops any
@@ -815,6 +1011,12 @@ func (j *Journal) compactLocked() error {
 			size += int64(len(frame))
 		}
 	}
+	for _, w := range j.unsynced {
+		if _, err := f.Write(w.frame); err != nil {
+			return fail(fmt.Errorf("journal: compact: %w", err))
+		}
+		size += int64(len(w.frame))
+	}
 	if err := f.Sync(); err != nil {
 		return fail(fmt.Errorf("journal: compact fsync: %w", err))
 	}
@@ -841,7 +1043,7 @@ func (j *Journal) compactLocked() error {
 	}
 	old := j.f
 	j.f, j.seg, j.segBytes = f, next, size
-	j.ackedBytes = size
+	j.durableLocked(j.end, size)
 	j.stats.Compactions++
 	// Post-publish cleanup. The root is durable, so these failures cannot
 	// lose records — Open's compaction-root handling deletes any stragglers
@@ -898,12 +1100,16 @@ func (j *Journal) Stats() Stats {
 	return st
 }
 
-// Close fsyncs and closes the active segment. Appends after Close fail.
-// Closing a degraded journal is a no-op on the fd (poisoning already
-// closed it) but still latches the closed state.
+// Close fsyncs and closes the active segment, which makes every record
+// written so far durable. Writes after Close fail. Closing a degraded
+// journal is a no-op on the fd (poisoning already closed it) but still
+// latches the closed state; records held for a re-arm are lost with it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for j.syncing {
+		j.idle.Wait()
+	}
 	if j.closed {
 		return nil
 	}
@@ -916,6 +1122,7 @@ func (j *Journal) Close() error {
 			j.f.Close()
 			return fmt.Errorf("journal: close: %w", err)
 		}
+		j.durableLocked(j.end, j.segBytes)
 	}
 	return j.f.Close()
 }

@@ -120,11 +120,12 @@ func (s *Server) setHealthLocked(st HealthState, cause string) {
 	s.metrics.Set("rapidd.health.state", int64(st))
 }
 
-// noteJournalError observes an Append failure. A degraded-journal error
-// flips the state machine and starts the re-arm loop (once); any other
-// error is just counted by the caller.
+// noteJournalError observes a journal Write or Sync failure. A
+// degraded-journal error flips the state machine and starts the re-arm
+// loop (once); any other error — and a record lost to a window already
+// observed — is just counted by the caller.
 func (s *Server) noteJournalError(err error) {
-	if !errors.Is(err, journal.ErrDegraded) {
+	if !errors.Is(err, journal.ErrDegraded) || errors.Is(err, journal.ErrLost) {
 		return
 	}
 	s.health.mu.Lock()

@@ -51,6 +51,10 @@ type job struct {
 	// / Canceled) and with it a follower's expired/cancelled counters.
 	done  chan struct{}
 	cause error
+	// at is where the job's newest journal record ends: the position an
+	// answer about the job syncs to (promise, syncJob). Guarded by
+	// Server.mu, since an answer may read it while the job moves.
+	at journal.Pos
 }
 
 // jobHistory is how many terminal jobs the daemon remembers. Unfinished
@@ -109,7 +113,7 @@ var edges = map[JobStatus][]JobStatus{
 
 // transition moves j along one lifecycle edge and does, here and nowhere
 // else, everything the edge owes. → queued: the counter. → running: the
-// admit record, durable before running is visible — it marks the job
+// admit record, written before running is visible — it marks the job
 // in-flight, so replay after a crash fails it explicitly instead of
 // re-running it (its budget was booked and its executor may have had side
 // effects). → done/failed: the global and per-tenant counters, the latency
@@ -119,8 +123,11 @@ var edges = map[JobStatus][]JobStatus{
 // passes its finished leader as lead and takes the leader's outcome: the
 // leader's record becomes its own, bar its identity. An edge not in the
 // table is a bug in the caller; it is logged and returned, never applied.
+// Records are written here and synced by the answer that reports them
+// (promise, syncJob): a crash before that sync loses only what no client
+// was told, so replay may re-queue a job whose admit no answer showed.
 //
-// Server.mu is never held across a journal append (an fsync), a histogram
+// Server.mu is never held across a journal write, a histogram
 // observation or the channel close. The state read in the first critical
 // section is still current in the second because only this goroutine
 // drives j.
@@ -133,8 +140,9 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 		log.Print(err)
 		return err
 	}
+	var pos journal.Pos
 	if to == StatusRunning {
-		s.journalAppend(journal.Record{Op: journal.OpAdmit, ID: id, Demand: demand})
+		pos = s.journalWrite(journal.Record{Op: journal.OpAdmit, ID: id, Demand: demand})
 	}
 	terminal := to == StatusDone || to == StatusFailed
 	errStr := ""
@@ -148,6 +156,7 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 		j.Job = adopted(j.Job, lead.Job)
 	}
 	j.Status = to
+	j.at = max(j.at, pos)
 	if terminal {
 		j.Error, j.cause = errStr, cause
 		ts := s.tenantStatLocked(j.Spec.Tenant)
@@ -182,8 +191,9 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 	if !submittedAt.IsZero() {
 		s.latency.Observe(time.Since(submittedAt).Microseconds())
 	}
-	s.journalAppend(journal.Record{Op: journal.OpComplete, ID: id, Status: string(to), Error: errStr})
+	pos = s.journalWrite(journal.Record{Op: journal.OpComplete, ID: id, Status: string(to), Error: errStr})
 	s.mu.Lock()
+	j.at = max(j.at, pos)
 	if s.leaders[j.Spec] == j {
 		delete(s.leaders, j.Spec)
 	}
@@ -302,19 +312,21 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 // Cancel aborts the job if it is still pending or waiting for admission;
 // a job already executing runs to completion (the executor owns its
 // goroutines). Returns false for unknown and for finished jobs. The
-// cancellation is journaled so a crash between Cancel and the worker
-// observing it does not resurrect the job at replay.
+// cancellation is journaled — and synced by the answer to the DELETE — so
+// a crash between Cancel and the worker observing it does not resurrect
+// the job at replay.
 func (s *Server) Cancel(id string) bool {
 	s.mu.Lock()
+	j := s.jobs[id]
 	var cancel context.CancelFunc
-	if j := s.jobs[id]; j != nil {
+	if j != nil {
 		cancel = j.cancel
 	}
 	s.mu.Unlock()
 	if cancel == nil {
 		return false
 	}
-	s.journalAppend(journal.Record{Op: journal.OpCancel, ID: id})
+	s.journaled(j, s.journalWrite(journal.Record{Op: journal.OpCancel, ID: id}))
 	cancel()
 	return true
 }

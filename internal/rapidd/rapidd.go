@@ -36,11 +36,14 @@
 // stops intake and lets the backlog finish on shutdown.
 //
 // Durability (see journal.go in internal/journal): with a journal
-// directory configured, every job transition is written ahead to an
-// fsync'd checksummed log. A restarted daemon replays it, re-queues jobs
-// that were waiting, explicitly fails jobs that were executing, and
-// continues ID allocation past the journal's high-water mark — no
-// acknowledged job is ever silently forgotten.
+// directory configured, every job transition is written ahead to a
+// checksummed log, and every answer that reports a job is preceded by the
+// fsync that makes the records behind it durable — one fsync per
+// synchronous job, shared with every commit running beside it. A
+// restarted daemon replays the log, re-queues jobs that were waiting,
+// explicitly fails jobs that were executing, and continues ID allocation
+// past the journal's high-water mark — no acknowledged job is ever
+// silently forgotten.
 //
 // Memory admission: with a configured AVAIL_MEM, the daemon books each
 // job's aggregate planned high-water mark (sum over processors of the MAP
@@ -126,7 +129,7 @@ type Config struct {
 	// JournalDir enables the write-ahead job journal in this directory
 	// ("" disables durability). See internal/journal.
 	JournalDir string
-	// JournalNoSync skips the per-record fsync (tests and benchmarks
+	// JournalNoSync skips the journal's fsync (tests and benchmarks
 	// only — an unsynced journal can acknowledge jobs a crash loses).
 	JournalNoSync bool
 	// TenantQuotas caps each named tenant's admitted memory at a slice of
@@ -238,8 +241,9 @@ type Job struct {
 	Recovered bool `json:"recovered,omitempty"`
 	// Durable is true when the submit record is fsync'd in the journal: a
 	// crash cannot lose this job. False when durability is disabled
-	// (no -journal-dir) or the job was accepted while the journal was
-	// degraded under -degraded-mode=serve.
+	// (no -journal-dir) or the journal lost the submit to a fault — the
+	// job was accepted, or answered, while degraded under
+	// -degraded-mode=serve.
 	Durable bool `json:"durable"`
 
 	// PlanSource says where the plan came from: compiled, memory, disk.
@@ -543,12 +547,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.seq++
 	rec := Job{ID: fmt.Sprintf("j%04d", s.seq), Seq: s.seq, Spec: spec, Durable: s.jnl != nil, submittedAt: time.Now()}
 	s.mu.Unlock()
+	wait := r.URL.Query().Get("wait") != ""
 
-	// Write-ahead: the submit record is durable before the job exists and
+	// Write-ahead: the submit record is written before the job exists and
 	// before a worker can see it (commit below), so the journal can never
 	// hold an admit or completion for a job it never saw submitted. A
-	// refused submit leaves a gap in the ID sequence and nothing else.
-	if err := s.journalSubmit(rec.Seq, rec.ID, spec, body); err != nil {
+	// refused submit leaves a gap in the ID sequence and nothing else. The
+	// fsync waits for the answer that promises the job: an asynchronous
+	// acknowledgement is that answer, so it syncs here; a synchronous one
+	// comes after the job finishes, and one fsync then covers its submit,
+	// admit and complete records together.
+	pos, err := s.journalSubmit(rec.Seq, rec.ID, spec, body)
+	if err == nil && !wait {
+		err = s.journalSync(pos)
+	}
+	if err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
 		s.noteJournalError(err)
 		switch {
@@ -568,12 +581,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Inc("rapidd.jobs.nondurable", 1)
 	}
 	j := s.newJob(rec, true)
+	s.journaled(j, pos)
 	s.queue.commit(slot, j)
 	s.metrics.Inc("rapidd.jobs.submitted", 1)
 
-	if r.URL.Query().Get("wait") != "" {
+	if wait {
 		select {
 		case <-j.done:
+			if rec.Durable && !s.promise(j, pos) {
+				// The journal lost the submit before an fsync covered it:
+				// nothing durable records this job, and the answer must
+				// not claim otherwise.
+				if s.cfg.DegradedMode != DegradedServe {
+					s.refuseDegraded(w, prio)
+					return
+				}
+				s.metrics.Inc("rapidd.jobs.nondurable", 1)
+			}
 		case <-r.Context().Done():
 			// The synchronous client went away: cancel the job if it has
 			// not started executing, so an abandoned request cannot hold
@@ -614,6 +638,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			// ends — and the response writes into a dead connection.
 		}
 	}
+	// What the answer reports is durable first. The answer goes out even
+	// if the fsync fails: the fault is counted and the journal re-armed,
+	// and the submit this job rests on was durable when it was acked.
+	s.syncJob(j)
 	s.writeJob(w, j)
 }
 
@@ -653,35 +681,94 @@ func (s *Server) retryAfterSecs(prio int) int {
 	return secs + jitter
 }
 
-// journalSubmit appends the write-ahead submit record (no-op without a
-// journal). body is the raw spec JSON as received — replay re-parses it
+// journalSubmit writes the write-ahead submit record (no-op without a
+// journal) and returns its position; the caller syncs it when it promises
+// the job. body is the raw spec JSON as received — replay re-parses it
 // through the same parseJobSpec the handler used.
-func (s *Server) journalSubmit(seq uint64, id string, spec JobSpec, body []byte) error {
+func (s *Server) journalSubmit(seq uint64, id string, spec JobSpec, body []byte) (journal.Pos, error) {
 	if s.jnl == nil {
-		return nil
+		return 0, nil
 	}
-	return s.jnl.Append(journal.Record{
+	return s.jnl.Write(journal.Record{
 		Op: journal.OpSubmit, Seq: seq, ID: id,
 		Tenant: spec.Tenant, Priority: spec.Priority, Spec: body,
 	})
 }
 
-// journalAppend writes a non-submit record, surfacing failures as a
+// journalWrite writes a non-submit record at the edge that owes it and
+// returns its position (0 if it was not written), surfacing failures as a
 // counter and to the health plane — the job proceeds (the daemon must not
 // wedge on a full disk), but the gap is visible and the re-arm loop
-// starts working on it. Free-form fields are truncated to the journal's
-// per-field cap first: dropping a completion record because a job's error
-// string was long would resurrect an already-terminal job at replay.
-func (s *Server) journalAppend(rec journal.Record) {
+// starts working on it. No fsync: the answer that reports the edge makes
+// it durable (promise, syncJob). Free-form fields are truncated to the
+// journal's per-field cap first: dropping a completion record because a
+// job's error string was long would resurrect an already-terminal job at
+// replay.
+func (s *Server) journalWrite(rec journal.Record) journal.Pos {
 	if s.jnl == nil {
-		return
+		return 0
 	}
 	rec.Status = truncateJournalField(rec.Status)
 	rec.Error = truncateJournalField(rec.Error)
-	if err := s.jnl.Append(rec); err != nil {
+	pos, err := s.jnl.Write(rec)
+	if err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
 		s.noteJournalError(err)
 	}
+	return pos
+}
+
+// journalSync makes every record up to pos durable (no-op without a
+// journal); concurrent callers share one fsync.
+func (s *Server) journalSync(pos journal.Pos) error {
+	if s.jnl == nil {
+		return nil
+	}
+	return s.jnl.Sync(pos)
+}
+
+// journalSyncCounted is journalSync for an answer that goes out whether
+// or not the fsync succeeds: a failure is counted and sent to the health
+// plane, like a failed write. A record lost to an earlier fault window is
+// not a new failure: the fault was counted by whoever hit it.
+func (s *Server) journalSyncCounted(pos journal.Pos) error {
+	err := s.journalSync(pos)
+	if err != nil && !errors.Is(err, journal.ErrLost) {
+		s.metrics.Inc("rapidd.journal.errors", 1)
+		s.noteJournalError(err)
+	}
+	return err
+}
+
+// journaled notes that j's newest journal record ends at pos.
+func (s *Server) journaled(j *job, pos journal.Pos) {
+	s.mu.Lock()
+	j.at = max(j.at, pos)
+	s.mu.Unlock()
+}
+
+// syncJob makes j's journal records durable before an answer reports
+// its state.
+func (s *Server) syncJob(j *job) error {
+	s.mu.Lock()
+	at := j.at
+	s.mu.Unlock()
+	return s.journalSyncCounted(at)
+}
+
+// promise makes the records behind a synchronous answer durable before it
+// is given — one fsync, shared with every commit running beside it, or
+// none if one already covered them. It reports whether j is still
+// durable: false if the journal lost its submit record (at submit) to a
+// fault, which also clears Job.Durable. A later record lost after a
+// durable submit leaves the job durable: the journal holds it for the
+// re-arm, and the submit is what the acknowledgement promises.
+func (s *Server) promise(j *job, submit journal.Pos) bool {
+	if s.syncJob(j) == nil || s.journalSync(submit) == nil {
+		return true
+	}
+	s.update(j, func(r *Job) { r.Durable = false })
+	return false
 }
 
 // truncateJournalField clamps s to the journal's per-field byte cap,
@@ -706,10 +793,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	list := make([]Job, 0, len(s.jobs))
+	var at journal.Pos
 	for _, j := range s.jobs {
 		list = append(list, j.Job)
+		at = max(at, j.at)
 	}
 	s.mu.Unlock()
+	s.journalSyncCounted(at)
 	// Deterministic submission order. Sorting by Seq, not ID: IDs are
 	// derived from Seq but compare lexicographically, which breaks once
 	// the counter outgrows its zero padding (j10000 < j9999).
@@ -810,6 +900,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Gauge("rapidd_journal_live_jobs", "non-terminal jobs in the journal", nil, float64(st.LiveJobs))
 		pw.Gauge("rapidd_journal_degraded", "1 while the active segment is poisoned", nil, degraded)
 		pw.Counter("rapidd_journal_records_total", "journal records this session", nil, float64(st.Records))
+		pw.Counter("rapidd_journal_syncs_total", "journal fsyncs this session; concurrent commits share one", nil, float64(st.Syncs))
 		pw.Counter("rapidd_journal_compactions_total", "journal compactions this session", nil, float64(st.Compactions))
 		pw.Counter("rapidd_journal_rearms_total", "successful re-arms after degradation", nil, float64(st.Rearms))
 		pw.Counter("rapidd_journal_gap_records_total", "gap markers written by re-arms", nil, float64(st.GapRecords))
