@@ -280,7 +280,7 @@ func decodeSchedule(d *decoder, g *graph.DAG) (*sched.Schedule, error) {
 		s.Order[p] = d.ids()
 	}
 	s.Makespan = d.f64()
-	s.Heuristic = sched.Heuristic(d.u64())
+	h := d.u64()
 	if d.bool() {
 		s.Slices = d.ids()
 		s.NumSlices = int(d.u64())
@@ -288,6 +288,10 @@ func decodeSchedule(d *decoder, g *graph.DAG) (*sched.Schedule, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	if h > uint64(sched.TreeMem) {
+		return nil, fmt.Errorf("plan: bad heuristic %d", h)
+	}
+	s.Heuristic = sched.Heuristic(h)
 	if s.NumSlices < 0 || s.NumSlices > n+1 {
 		return nil, fmt.Errorf("plan: implausible slice count %d for %d tasks", s.NumSlices, n)
 	}

@@ -207,6 +207,24 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownHeuristic: a well-formed payload whose heuristic
+// id names no scheduler is refused by both decoders, as edge kinds are.
+func TestDecodeRejectsUnknownHeuristic(t *testing.T) {
+	a := buildArtifact(t, sched.MPO, 2)
+	a.Schedule.Heuristic = 200
+	enc, err := EncodeLenient(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "plan: bad heuristic 200"
+	if _, err := Decode(enc); err == nil || err.Error() != want {
+		t.Errorf("Decode: err %v, want %q", err, want)
+	}
+	if _, err := DecodeLenient(enc); err == nil || err.Error() != want {
+		t.Errorf("DecodeLenient: err %v, want %q", err, want)
+	}
+}
+
 func TestFingerprintSensitivity(t *testing.T) {
 	build := func(extraObj bool, size int64) *graph.DAG {
 		b := graph.NewBuilder()

@@ -95,6 +95,11 @@ func DefaultStructures() ([]Structure, error) {
 		{name: "elimtree-120", gen: "elimtree", seed: 11, size: 120, procs: 4},
 		{name: "powerlaw-150", gen: "powerlaw", seed: 13, size: 150, procs: 4},
 		{name: "highfill-90", gen: "highfill", seed: 17, size: 90, procs: 4},
+		// The two structures that keep TreeMem: its MIN_MEM is strictly
+		// below every other scheduler's at every budget, on Liu's path
+		// (memtree-120) and on the greedy path (powerlaw-90).
+		{name: "memtree-120", gen: "memtree", seed: 7, size: 120, procs: 2},
+		{name: "powerlaw-90", gen: "powerlaw", seed: 7, size: 90, procs: 4},
 	}
 	gens := make(map[string]graph.Scenario)
 	for _, sc := range graph.Scenarios() {

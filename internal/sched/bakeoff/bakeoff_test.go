@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 var update = flag.Bool("update", false, "regenerate the golden bake-off table")
@@ -106,6 +108,50 @@ func TestTableCoverage(t *testing.T) {
 	}
 	if !dtsGap {
 		t.Fatal("no exact-frontier gap measured for DTS on any structure")
+	}
+}
+
+// TestTreeMemWinsItsCells pins why TreeMem is in the zoo: on memtree-120
+// (an in-forest, so Liu's traversal) and powerlaw-90 (a general DAG, so the
+// greedy sweep) its MIN_MEM is strictly below every other scheduler's at
+// every budget. Compare ignores rows that disappear, so deleting TreeMem
+// would otherwise drop these rows without failing anything.
+func TestTreeMemWinsItsCells(t *testing.T) {
+	structures, err := DefaultStructures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLiu := map[string]bool{"memtree-120": true, "powerlaw-90": false}
+	for _, st := range structures {
+		liu, ok := wantLiu[st.Name]
+		if !ok {
+			continue
+		}
+		delete(wantLiu, st.Name)
+		if _, got, err := sched.TreeMemOrder(st.G, st.Assign, sched.Unit()); err != nil || got != liu {
+			t.Errorf("%s: TreeMem takes Liu's path %v (err %v), want %v", st.Name, got, err, liu)
+		}
+		tbl, err := Run([]Structure{st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := map[int]int64{}
+		best := map[int]int64{}
+		for _, c := range tbl.Cells {
+			if c.Sched == sched.TreeMem {
+				tree[c.BudgetPct] = c.MinMem
+			} else if b, seen := best[c.BudgetPct]; !seen || c.MinMem < b {
+				best[c.BudgetPct] = c.MinMem
+			}
+		}
+		for _, pct := range BudgetPcts {
+			if tree[pct] >= best[pct] {
+				t.Errorf("%s at %d%%: TreeMem MIN_MEM %d, best other %d", st.Name, pct, tree[pct], best[pct])
+			}
+		}
+	}
+	if len(wantLiu) > 0 {
+		t.Fatalf("structures missing from the zoo: %v", wantLiu)
 	}
 }
 

@@ -30,7 +30,7 @@ func cholProgram(t testing.TB, procs int) (*rapid.Program, *chol.Problem) {
 // bytes, for every heuristic and owner policy that feeds the cache.
 func TestCompileDeterministic(t *testing.T) {
 	for _, h := range []rapid.Heuristic{rapid.RCP, rapid.MPO, rapid.DTS, rapid.DTSMerge, rapid.TreeMem} {
-		for _, owners := range []rapid.OwnerPolicy{rapid.OwnersPreset, rapid.OwnersCyclic, rapid.OwnersLoadBalanced, rapid.OwnersDSC} {
+		for _, owners := range []rapid.OwnerPolicy{rapid.OwnersPreset, rapid.OwnersCyclic, rapid.OwnersLoadBalanced} {
 			opt := rapid.Options{Procs: 4, Heuristic: h, Owners: owners, Memory: 0}
 			prog1, _ := cholProgram(t, 4)
 			prog2, _ := cholProgram(t, 4)

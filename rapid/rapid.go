@@ -133,9 +133,6 @@ const (
 	// OwnersLoadBalanced clusters tasks by written object and maps clusters
 	// largest-first onto the least-loaded processor.
 	OwnersLoadBalanced
-	// OwnersDSC applies DSC-style locality clustering (edge zeroing over
-	// owner-compute units) before load-balanced mapping.
-	OwnersDSC
 )
 
 // Options configure Compile.
@@ -174,6 +171,9 @@ func assignStage(prog *Program, opt Options) (CostModel, []Proc, error) {
 	if opt.Procs < 1 {
 		return CostModel{}, nil, fmt.Errorf("rapid: Procs must be >= 1, got %d", opt.Procs)
 	}
+	if opt.Owners > OwnersLoadBalanced {
+		return CostModel{}, nil, fmt.Errorf("rapid: unknown owner policy %d", opt.Owners)
+	}
 	model := opt.Model
 	if model == (CostModel{}) {
 		model = sched.T3D()
@@ -193,8 +193,6 @@ func assignStage(prog *Program, opt Options) (CostModel, []Proc, error) {
 		sched.CyclicOwners(g, opt.Procs)
 	case OwnersLoadBalanced:
 		sched.LoadBalancedOwners(g, opt.Procs)
-	case OwnersDSC:
-		sched.DSCOwners(g, opt.Procs, model)
 	}
 	assign, err := sched.OwnerComputeAssign(g, opt.Procs)
 	return model, assign, err

@@ -1,6 +1,7 @@
 package rapid_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -165,6 +166,22 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownOwnerPolicyRejected: a policy outside the three named ones is
+// an error from Compile and MemoryPercent, not a run on whatever owners the
+// objects already carry.
+func TestUnknownOwnerPolicyRejected(t *testing.T) {
+	for _, owners := range []rapid.OwnerPolicy{3, 255} {
+		opt := rapid.Options{Procs: 2, Heuristic: rapid.MPO, Owners: owners}
+		want := fmt.Sprintf("rapid: unknown owner policy %d", owners)
+		if _, err := rapid.Compile(pipelineProgram(t), opt); err == nil || err.Error() != want {
+			t.Errorf("Compile with owners %d: err %v, want %q", owners, err, want)
+		}
+		if _, _, err := rapid.MemoryPercent(pipelineProgram(t), opt, 50); err == nil || err.Error() != want {
+			t.Errorf("MemoryPercent with owners %d: err %v, want %q", owners, err, want)
+		}
+	}
+}
+
 // TestObjectSizeConflictFailsBuild: a name declared twice with two sizes is
 // one object with an ambiguous size; Build refuses the program and names
 // the object and both sizes (the first conflict, if there are several).
@@ -201,7 +218,7 @@ func TestObjectSizeConflictFailsBuild(t *testing.T) {
 // for the same data mapping, whatever the owner policy; a positive share
 // rounds up to 1 (Memory 0 would mean unconstrained) and a share of 0 is 0.
 func TestMemoryPercent(t *testing.T) {
-	for _, owners := range []rapid.OwnerPolicy{rapid.OwnersCyclic, rapid.OwnersLoadBalanced, rapid.OwnersDSC} {
+	for _, owners := range []rapid.OwnerPolicy{rapid.OwnersCyclic, rapid.OwnersLoadBalanced} {
 		opt := rapid.Options{Procs: 3, Heuristic: rapid.MPO, Owners: owners}
 		plan, err := rapid.Compile(pipelineProgram(t), opt)
 		if err != nil {

@@ -1,10 +1,8 @@
 // Package checker drives the rapidvet analyzer suite: it loads packages
 // (load.go), runs every applicable analyzer, applies the audited
-// suppression markers, and performs the stale-suppression audit. It has
-// two front ends: the standalone multichecker (Run/Main, used by
-// `go run ./tools/analyzers/rapidvet ./...` and cmd/rapidvet) and a
-// unitchecker-style vettool mode (vettool.go) so the same binary works
-// under `go vet -vettool=`.
+// suppression markers, and performs the stale-suppression audit. Its one
+// front end is the standalone multichecker (Run/Main, used by
+// `go run ./tools/analyzers/rapidvet ./...`).
 //
 // Suppression contract: a finding is silenced by a trailing comment on
 // the flagged line — //vet:ok <reason> for any analyzer, //det:ok
@@ -17,14 +15,11 @@
 package checker
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"go/ast"
 	"go/token"
-	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -133,9 +128,6 @@ func Run(opts Options) ([]Finding, error) {
 // checkPackage runs every applicable analyzer over one loaded package and
 // folds in the suppression audit.
 func checkPackage(fset *token.FileSet, pkg *Package, opts Options) ([]Finding, error) {
-	if opts.Analyzers == nil {
-		opts.Analyzers = All
-	}
 	// Index suppressions per file line.
 	type fileSupp struct {
 		file  *ast.File
@@ -244,12 +236,11 @@ func analyzerNames() string {
 	return strings.Join(names, ", ")
 }
 
-// Main is the shared entry point of cmd/rapidvet and
-// tools/analyzers/rapidvet. Exit status: 0 clean, 1 findings (or, with
-// -expect-fail, zero findings), 2 operational error.
+// Main is the entry point of tools/analyzers/rapidvet. Exit status: 0
+// clean, 1 findings (or, with -expect-fail, zero findings), 2 operational
+// error.
 func Main() {
 	fs := flag.NewFlagSet("rapidvet", flag.ExitOnError)
-	version := fs.String("V", "", "print version and exit (go vet tool-ID handshake)")
 	expectFail := fs.Bool("expect-fail", false, "invert the verdict: exit 0 only if the suite reports at least one finding (corpus self-test)")
 	scopeOff := fs.Bool("scope", true, "apply each analyzer's default package scope (=false runs every analyzer everywhere)")
 	only := fs.String("analyzers", "", "comma-separated analyzer subset (default: all; disables the stale-suppression audit)")
@@ -260,41 +251,8 @@ func Main() {
 			"invariants. Default packages: ./...\n\n")
 		fs.PrintDefaults()
 	}
-	// `go vet -vettool` probes the tool with a bare -flags argument and
-	// expects a JSON description of the flags it may forward. We expose
-	// none — go vet drives rapidvet purely through .cfg files.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
 	fs.Parse(os.Args[1:])
 
-	if *version != "" {
-		// `go vet -vettool` probes the tool with -V=full and requires the
-		// reply to end in "buildID=<id>" — the id keys go's action cache, so
-		// hash the executable: a rebuilt rapidvet invalidates cached vet
-		// results, an identical binary reuses them.
-		name := filepath.Base(os.Args[0])
-		if *version != "full" {
-			fmt.Printf("%s version devel\n", name)
-			return
-		}
-		h := sha256.New()
-		exe, err := os.Executable()
-		if err == nil {
-			var f *os.File
-			if f, err = os.Open(exe); err == nil {
-				_, err = io.Copy(h, f)
-				f.Close()
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rapidvet: hashing executable: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("%s version devel buildID=%02x\n", name, h.Sum(nil))
-		return
-	}
 	if *list {
 		for _, a := range All {
 			scope := "all packages"
@@ -306,20 +264,13 @@ func Main() {
 		return
 	}
 
-	args := fs.Args()
-	// Under `go vet -vettool=rapidvet`, the go command invokes the tool
-	// once per package with a single JSON config file argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vettool(args[0]))
-	}
-
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rapidvet: %v\n", err)
 		os.Exit(2)
 	}
 	findings, err := Run(Options{
-		Patterns:     args,
+		Patterns:     fs.Args(),
 		Analyzers:    analyzers,
 		ScopeOff:     !*scopeOff,
 		NoStaleAudit: *only != "",

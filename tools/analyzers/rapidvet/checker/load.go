@@ -66,7 +66,7 @@ func goList(args ...string) ([]listedPackage, error) {
 // exportImporter satisfies types.Importer with gc export data located via
 // `go list -export -deps`.
 func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importerFor(fset, func(path string) (io.ReadCloser, error) {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok || file == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -75,16 +75,9 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	})
 }
 
-// importerFor adapts a lookup function to a gc-export-data importer; the
-// vettool front end supplies lookups from the go command's vet config.
-func importerFor(fset *token.FileSet, lookup func(path string) (io.ReadCloser, error)) types.Importer {
-	return importer.ForCompiler(fset, "gc", lookup)
-}
-
 // Package is one loaded, type-checked target.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
@@ -138,7 +131,6 @@ func Load(patterns []string) (*token.FileSet, []*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
 			Files:      files,
 			Pkg:        tpkg,
 			Info:       info,

@@ -1,8 +1,6 @@
-// Command rapidvet (tools tree entry point) statically enforces the
-// runtime's concurrency and durability invariants; see ./checker for the
-// suite and DESIGN.md §13 for the invariant table. Identical to
-// cmd/rapidvet — this path keeps `go run ./tools/analyzers/rapidvet`
-// working next to the repo's other tools.
+// Command rapidvet statically enforces the runtime's concurrency and
+// durability invariants; see ./checker for the suite and DESIGN.md §13 for
+// the invariant table. Run it as `go run ./tools/analyzers/rapidvet ./...`.
 package main
 
 import "repro/tools/analyzers/rapidvet/checker"
