@@ -1,8 +1,8 @@
 // Package exec is the wall-clock backend of the five-state execution
 // protocol: it runs a scheduled task graph under the active memory
-// management scheme with one goroutine per (virtual) processor, real data
-// and the real RMA substrate (deposit-then-flag buffers, single-slot
-// address packages).
+// management scheme with real data and the real RMA substrate
+// (deposit-then-flag buffers, single-slot address packages), its p
+// (virtual) processors driven by k = min(p, GOMAXPROCS) worker goroutines.
 //
 // The protocol transitions themselves — REC/EXE/SND/MAP/END, the MAP
 // address-package handshake, the suspended-send queue, arrival-threshold
@@ -10,23 +10,29 @@
 // memory ledger, arrival counters, learned addresses) live in
 // internal/proto's Engine/Core and are shared verbatim with the
 // discrete-event simulator (internal/machine). This package supplies only
-// the wall-clock mechanics: goroutines, the numeric payloads, the deposit
+// the wall-clock mechanics: the workers, the numeric payloads, the deposit
 // into a peer followed by its wake, and a liveness watchdog. The executor
 // is used both as a correctness harness (results must equal a sequential
 // execution; runs under -race) and as the numeric engine of the examples.
 //
-// The executor is event-driven: a processor whose Advance returns Blocked
-// parks on its wake channel instead of spinning. Every remote deposit —
-// data Put, control signal, address-package deposit, slot consumption —
-// posts the destination processor's wake token at the deposit site, and
-// retransmission/fault timers registered through the Backend's WakeAfter
-// contract are runtime timers that post the same token. A parked processor
-// therefore costs no CPU, which is what keeps oversubscribed runs (more
-// emulated processors than cores) from collapsing.
+// The processors are logical. A proto.Core never waits, so a processor
+// needs a thread only while it has something to do: runnable cores sit in
+// one shared run queue, and a worker takes one and drives its
+// Advance/TaskDone/Poll loop until it is Blocked and a fresh Poll moves
+// nothing, then takes the next. Every remote deposit — data Put, control
+// signal, address-package deposit, slot consumption — wakes the
+// destination core at the deposit site: an idle core is queued, a running
+// one is told to look again before its worker lets it go. Retransmission
+// and fault timers registered through the Backend's WakeAfter contract are
+// runtime timers that wake the same way. A blocked core therefore costs no
+// CPU and holds no goroutine, and an oversubscribed run (more emulated
+// processors than cores) keeps k goroutines, not p, on the Go scheduler.
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,8 +67,10 @@ type Config struct {
 	// dispatched from the suspended queue — for this long. It is the
 	// liveness watchdog: a genuine deadlock (which Theorem 1 rules out for
 	// correct plans) or a lost message trips it instead of hanging the
-	// process. 0 means the 30-second default; raise it when a single
-	// kernel invocation may legitimately run longer than that.
+	// process. 0 means the 30-second default and a negative value is an
+	// error; raise it when a single kernel invocation may legitimately run
+	// longer than that. The watchdog looks every BlockTimeout/4, so a
+	// stall is reported within about 1.25 × BlockTimeout.
 	BlockTimeout time.Duration
 	// OnStall, if set, is called exactly once, just before the first
 	// watchdog timeout error is reported. Tests use it as an event hook to
@@ -84,30 +92,29 @@ type Result struct {
 	// mode; nil otherwise).
 	Objects map[graph.ObjID][]float64
 	// BlockedAdvances is the per-processor count of Advance calls that
-	// returned Blocked — the executor's spin metric. Parked processors are
-	// re-examined only after a wake token or timer, so the count stays
-	// within a small multiple of the machine's event count; a busy-polling
-	// executor shows counts proportional to wall time instead. The value is
+	// returned Blocked — the executor's spin metric. A blocked core is
+	// re-examined only after a wake (a deposit, a timer or the watchdog),
+	// so the count stays within a small multiple of the machine's event
+	// count; an executor that re-queues or busy-polls blocked cores shows
+	// counts proportional to wall time instead. The value is
 	// timing-dependent and is NOT part of the backend-equivalence
 	// comparison.
 	BlockedAdvances []int
 }
 
 // procProbe is one processor's watchdog-visible gauge set. It is written
-// only by that processor's own goroutine and read by whichever processor
-// trips the BlockTimeout watchdog, so a stall report can dump the whole
-// machine's protocol state, not just the blocked processor's.
+// only by whoever drives that processor's core and read by whichever
+// driver trips the BlockTimeout watchdog, so a stall report can dump the
+// whole machine's protocol state, not just the blocked processor's.
 type procProbe struct {
 	state   atomic.Int32 // proto.State last entered
 	pos     atomic.Int32 // position in the task order
 	susp    atomic.Int32 // suspended-send queue depth
 	retrans atomic.Int32 // queued messages awaiting a retransmission timer
 	wait    atomic.Int32 // proto.WaitKind of the last Blocked verdict
-	parked  atomic.Bool  // true while sleeping on the wake channel
-	done    atomic.Bool
 	// The probes are updated on every Advance; pad to a cache line so
 	// neighbouring processors' stores do not false-share.
-	_ [64 - 22]byte
+	_ [64 - 20]byte
 }
 
 // storeChanged stores v only on change: the common case (re-entering one
@@ -119,19 +126,22 @@ func storeChanged(g *atomic.Int32, v int32) {
 	}
 }
 
-// waker is one processor's wake signal: a one-token channel. Deposit sites
-// post the token with a non-blocking send; the owning processor consumes
-// it when parking. The token is permission to re-examine the protocol
-// state, not a message: posting to an awake processor leaves the token for
-// its next park, so a deposit racing with the park decision is never lost
-// — the deposit's store happens before the post, and a token posted after
-// the processor's last Poll makes its park return immediately. A stale
-// token costs one spurious Advance, which is harmless. Padded to a cache
-// line so neighbouring processors' wakes do not false-share (the same fix
-// the probe array needed; see EXPERIMENTS.md).
-type waker struct {
-	ch chan struct{}
-	_  [64 - 8]byte
+// Scheduling states of a core. wake moves idle → queued (and pushes the
+// core) and running → notified; the worker that pops a queued core moves
+// it to running, and only that worker moves it on, to idle or done.
+const (
+	coreIdle     int32 = iota // blocked and in no queue: the next wake queues it
+	coreQueued                // in the run queue
+	coreRunning               // a worker is driving it
+	coreNotified              // running, and woken since its driver last polled
+	coreDone                  // finished
+)
+
+// coreSlot is one core's scheduling state, padded to a cache line so
+// wakes of neighbouring cores do not false-share.
+type coreSlot struct {
+	state atomic.Int32
+	_     [64 - 4]byte
 }
 
 type engine struct {
@@ -140,31 +150,63 @@ type engine struct {
 
 	slots  *rma.AddrSlots
 	probes []procProbe
-	wakers []waker
+	cores  []coreSlot
+	procs  []*procState
+	// runq holds the queued cores. Only idle → queued pushes, so a core is
+	// in it at most once and a push into its capacity p never blocks.
+	runq chan graph.Proc
+	// live counts the cores not yet finished; the last to finish stops
+	// the run.
+	live atomic.Int32
 
 	numeric bool
 	start   time.Time
 
 	abort atomic.Bool
-	// stop is closed when the run aborts or completes: parked processors
+	// stop is closed when the run aborts or completes: idle workers
 	// unblock on it.
 	stop      chan struct{}
 	stopOnce  sync.Once
 	stallOnce sync.Once
 	errMu     sync.Mutex
 	runErr    error // first failure wins; guarded-by: errMu
+
+	// watchdog is the run's one liveness timer (see watch). Run sets
+	// watchOff under watchMu and then waits on watching before it reads
+	// the cores, so a firing that is driving a core finishes first and a
+	// later one does nothing.
+	watchMu  sync.Mutex
+	watchdog *time.Timer // guarded-by: watchMu
+	watchOff bool        // guarded-by: watchMu
+	watching sync.WaitGroup
+	period   time.Duration // the watchdog's re-arm period
 }
 
-// wake posts p's wake token. Non-blocking: if a token is already pending,
-// p will re-examine everything anyway.
+// wake makes core p look at its protocol state again: an idle core is
+// queued for a worker, a running one is notified so its worker re-advances
+// it before letting it go. A queued, notified or finished core needs
+// nothing. Deposit sites call it after their stores, so whoever next
+// advances p sees the deposit.
 func (e *engine) wake(p graph.Proc) {
-	select {
-	case e.wakers[p].ch <- struct{}{}:
-	default:
+	st := &e.cores[p].state
+	for {
+		switch st.Load() {
+		case coreIdle:
+			if st.CompareAndSwap(coreIdle, coreQueued) {
+				e.runq <- p
+				return
+			}
+		case coreRunning:
+			if st.CompareAndSwap(coreRunning, coreNotified) {
+				return
+			}
+		default:
+			return
+		}
 	}
 }
 
-// halt unblocks every parked processor. Idempotent.
+// halt unblocks every idle worker. Idempotent.
 func (e *engine) halt() { e.stopOnce.Do(func() { close(e.stop) }) }
 
 func (e *engine) fail(err error) {
@@ -186,20 +228,24 @@ func (e *engine) stalled() {
 }
 
 // dumpAll renders every processor's probe for watchdog escalation,
-// including why a parked processor is parked.
+// including why a blocked processor is blocked — or, for a queued one,
+// that it waits for a worker rather than for the protocol.
 func (e *engine) dumpAll() string {
 	var sb strings.Builder
 	for p := range e.probes {
 		pr := &e.probes[p]
-		if pr.done.Load() {
+		sched := e.cores[p].state.Load()
+		if sched == coreDone {
 			fmt.Fprintf(&sb, "\n  proc %d: finished", p)
 			continue
 		}
 		fmt.Fprintf(&sb, "\n  proc %d: state %s, position %d, %d suspended sends (%d awaiting retransmission)",
 			p, proto.State(pr.state.Load()), pr.pos.Load(), pr.susp.Load(), pr.retrans.Load())
-		if k := proto.WaitKind(pr.wait.Load()); k != proto.WaitNone {
+		if sched == coreQueued {
+			sb.WriteString(", runnable, waiting for a worker")
+		} else if k := proto.WaitKind(pr.wait.Load()); k != proto.WaitNone {
 			verb := "waiting on"
-			if pr.parked.Load() {
+			if sched == coreIdle {
 				verb = "parked on"
 			}
 			fmt.Fprintf(&sb, ", %s %s", verb, k)
@@ -215,8 +261,12 @@ func (e *engine) clock() float64 { return float64(time.Since(e.start)) / float64
 // Run executes the schedule under the MAP plan, driven by the schedule's
 // protocol tables (proto.Derive(s); a compiled artifact carries its own).
 // The plan must be executable (use mem.NewPlan and check Executable first);
-// capacity is taken from it.
+// capacity is taken from it. The p processors run on
+// k = min(p, runtime.GOMAXPROCS(0)) workers.
 func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*Result, error) {
+	if cfg.BlockTimeout < 0 {
+		return nil, errors.New("exec: negative BlockTimeout")
+	}
 	pe, err := proto.NewEngine(s, plan, tables, cfg.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
@@ -229,37 +279,43 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 		cfg:     cfg,
 		slots:   rma.NewAddrSlots(s.P),
 		probes:  make([]procProbe, s.P),
-		wakers:  make([]waker, s.P),
+		cores:   make([]coreSlot, s.P),
+		procs:   make([]*procState, s.P),
+		runq:    make(chan graph.Proc, s.P),
 		stop:    make(chan struct{}),
+		period:  max(cfg.BlockTimeout/4, time.Microsecond),
 		numeric: cfg.Kernel != nil,
 		start:   time.Now(),
 	}
-	for i := range e.wakers {
-		e.wakers[i].ch = make(chan struct{}, 1)
+	// Every core starts queued; each builds its proto.Core on its first
+	// turn, so the permanent allocations run on the workers.
+	for p := range e.procs {
+		e.procs[p] = &procState{e: e, p: graph.Proc(p)}
+		e.cores[p].state.Store(coreQueued)
+		e.runq <- graph.Proc(p)
 	}
+	e.live.Store(int32(s.P))
 	defer e.halt()
 
-	cores := make([]*proto.Core, s.P)
+	e.watchMu.Lock()
+	e.watchdog = time.AfterFunc(e.period, e.watch)
+	e.watchMu.Unlock()
 	var wg sync.WaitGroup
-	for p := 0; p < s.P; p++ {
+	for w := min(s.P, runtime.GOMAXPROCS(0)); w > 0; w-- {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					e.fail(fmt.Errorf("exec: processor %d panicked: %v", p, r))
-				}
-			}()
-			core, err := e.runProc(graph.Proc(p))
-			if err != nil {
-				e.fail(err)
-				return
-			}
-			cores[p] = core
-		}(p)
+			e.work()
+		}()
 	}
 	wg.Wait()
-	// The join above orders every fail() before this read, but take the
+	e.watchMu.Lock()
+	e.watchOff = true
+	e.watchdog.Stop()
+	e.watchMu.Unlock()
+	e.watching.Wait()
+
+	// The joins above order every fail() before this read, but take the
 	// lock anyway: the invariant is "runErr moves under errMu", not
 	// "runErr moves under errMu except where a barrier happens to exist".
 	e.errMu.Lock()
@@ -268,10 +324,13 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 	if runErr != nil {
 		return nil, runErr
 	}
-	res := &Result{Summary: pe.Summarize(cores), BlockedAdvances: make([]int, s.P)}
-	for p, c := range cores {
-		res.BlockedAdvances[p] = c.Stats.BlockedAdvances
+	cores := make([]*proto.Core, s.P)
+	res := &Result{BlockedAdvances: make([]int, s.P)}
+	for p, ps := range e.procs {
+		cores[p] = ps.core
+		res.BlockedAdvances[p] = ps.core.Stats.BlockedAdvances
 	}
+	res.Summary = pe.Summarize(cores)
 	if e.numeric {
 		res.Objects = make(map[graph.ObjID][]float64, s.G.NumObjects())
 		for oi := range s.G.Objects {
@@ -283,28 +342,112 @@ func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*
 	return res, nil
 }
 
-// runProc drives one processor: a proto.Core over the wall-clock backend.
-// The loop has no spin path — a Blocked verdict Polls once and, if nothing
-// moved, parks until a wake token (peer deposit, timer, abort) or the
-// watchdog deadline. It returns the finished core.
-func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
-	ps := &procState{e: e, p: p}
-	core, err := e.eng.NewCore(p, ps)
-	if err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
+// work is one worker: it drives queued cores, one turn each, until the
+// run stops. With the queue empty it parks on the channel; it has no
+// timer of its own.
+func (e *engine) work() {
+	for {
+		select {
+		case p := <-e.runq:
+			if e.abort.Load() {
+				return
+			}
+			e.drive(p)
+		case <-e.stop:
+			return
+		}
 	}
-	ps.core = core
-	get := ps.get // bound once: a method value built per Kernel call escapes
-	probe := &e.probes[p]
-	parkTimer := time.NewTimer(time.Hour)
-	defer parkTimer.Stop()
+}
+
+// watch is the liveness watchdog: one runtime timer per run, firing every
+// BlockTimeout/4. A firing acts as a temporary worker. It wakes every core
+// and drives the run queue empty, so each blocked core's own blockCheck
+// measures its stall, then re-arms. Because the timer is not a worker, a
+// stall is reported even when every worker is held by a kernel that never
+// returns — at GOMAXPROCS=1 that is one wedged kernel.
+func (e *engine) watch() {
+	e.watchMu.Lock()
+	if e.watchOff {
+		e.watchMu.Unlock()
+		return
+	}
+	e.watching.Add(1)
+	e.watchMu.Unlock()
+	defer e.watching.Done()
+	for p := range e.cores {
+		e.wake(graph.Proc(p))
+	}
+drain:
+	for !e.abort.Load() {
+		select {
+		case p := <-e.runq:
+			e.drive(p)
+		default:
+			break drain
+		}
+	}
+	e.watchMu.Lock()
+	if !e.watchOff {
+		e.watchdog.Reset(e.period)
+	}
+	e.watchMu.Unlock()
+}
+
+// drive gives core p one turn: it runs the core until it finishes, fails,
+// or blocks with nothing to poll, and then lets it go idle — unless a wake
+// arrived meanwhile, in which case the deposit may postdate the last Poll
+// and the core runs again. No wakeup is lost: a wake before the
+// running → idle CAS makes the CAS fail, and one after it finds the core
+// idle and queues it.
+func (e *engine) drive(p graph.Proc) {
+	st := &e.cores[p].state
+	st.Store(coreRunning)
+	defer func() {
+		if r := recover(); r != nil {
+			e.fail(fmt.Errorf("exec: processor %d panicked: %v", p, r))
+		}
+	}()
+	ps := e.procs[p]
+	for {
+		finished, err := ps.run()
+		if err != nil {
+			e.fail(err)
+			return
+		}
+		if finished {
+			st.Store(coreDone)
+			if e.live.Add(-1) == 0 {
+				e.halt()
+			}
+			return
+		}
+		if st.CompareAndSwap(coreRunning, coreIdle) {
+			return
+		}
+		st.Store(coreRunning) // notified
+	}
+}
+
+// run drives one processor — a proto.Core over the wall-clock backend —
+// until it finishes or a Blocked verdict's Poll moves nothing. The loop
+// has no spin path and no yield: a core keeps its worker from one block
+// to the next, and a blocked core waits for a wake, not for a re-poll.
+func (ps *procState) run() (finished bool, err error) {
+	e := ps.e
+	if ps.core == nil {
+		if ps.core, err = e.eng.NewCore(ps.p, ps); err != nil {
+			return false, fmt.Errorf("exec: %w", err)
+		}
+		ps.get = ps.buf // bound once: a method value built per Kernel call escapes
+	}
+	core, probe := ps.core, &e.probes[ps.p]
 	for {
 		// One clock reading per protocol step: it times the step and stamps
 		// the watchdog for whatever progress the step makes.
 		ps.now = e.clock()
 		st, err := core.Advance(ps.now)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		storeChanged(&probe.state, int32(core.CurrentState()))
 		storeChanged(&probe.pos, core.Pos())
@@ -320,8 +463,8 @@ func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
 		case proto.RunTask:
 			storeChanged(&probe.wait, int32(proto.WaitNone))
 			if e.numeric {
-				if kerr := e.cfg.Kernel(st.Task, get); kerr != nil {
-					return nil, fmt.Errorf("exec: proc %d task %q: %w", p, e.eng.S.G.Tasks[st.Task].Name, kerr)
+				if kerr := e.cfg.Kernel(st.Task, ps.get); kerr != nil {
+					return false, fmt.Errorf("exec: proc %d task %q: %w", ps.p, e.eng.S.G.Tasks[st.Task].Name, kerr)
 				}
 				// The task boundary's reading: without it SND occupancy
 				// would absorb the kernel's time.
@@ -335,16 +478,15 @@ func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
 		case proto.Blocked:
 			storeChanged(&probe.wait, int32(st.Wait.Kind))
 			if err := ps.blockCheck(st.State); err != nil {
-				return nil, err
+				return false, err
 			}
 			if core.Poll(ps.now) {
 				ps.touch()
 				continue
 			}
-			ps.park(probe, parkTimer)
+			return false, nil
 		case proto.Finished:
-			probe.done.Store(true)
-			return core, nil
+			return true, nil
 		}
 	}
 }
@@ -355,7 +497,8 @@ func (e *engine) runProc(p graph.Proc) (*proto.Core, error) {
 type procState struct {
 	e    *engine
 	p    graph.Proc
-	core *proto.Core
+	core *proto.Core // built on the processor's first turn
+	get  func(graph.ObjID) []float64
 	// now is the driver loop's latest clock reading and lastProgress, the
 	// watchdog stamp, the reading at which the processor last moved: a stamp
 	// costs no clock read of its own.
@@ -388,36 +531,10 @@ func (ps *procState) stalledFor() time.Duration {
 	return time.Duration((ps.now - ps.lastProgress) * float64(time.Second))
 }
 
-// park sleeps until a wake token arrives, the engine stops, or the
-// watchdog deadline passes (the caller's next blockCheck then reports the
-// timeout). Correctness of the token protocol: every deposit posts the
-// destination's token after its stores, so any state change that happened
-// after this processor's last Poll leaves a token and the select returns
-// immediately; a token left over from a change already observed costs one
-// spurious Advance.
-func (ps *procState) park(probe *procProbe, t *time.Timer) {
-	t.Reset(ps.e.cfg.BlockTimeout - ps.stalledFor())
-	probe.parked.Store(true)
-	select {
-	case <-ps.e.wakers[ps.p].ch:
-	case <-ps.e.stop:
-	case <-t.C:
-		probe.parked.Store(false)
-		return
-	}
-	probe.parked.Store(false)
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
 // blockCheck aborts on engine failure or watchdog expiry. The timeout
 // error names the blocked processor, its protocol state and the task or
 // object it is waiting on, then dumps every processor's protocol state,
-// suspended-send queue depth, retransmit queue depth and park reason, so a
+// suspended-send queue depth, retransmit queue depth and wait reason, so a
 // stall caused by a lost message elsewhere in the machine is diagnosable
 // from the report.
 func (ps *procState) blockCheck(st proto.State) error {
@@ -435,8 +552,8 @@ func (ps *procState) blockCheck(st proto.State) error {
 	return nil
 }
 
-// get resolves an object to its local buffer for the kernel.
-func (ps *procState) get(o graph.ObjID) []float64 {
+// buf resolves an object to its local buffer for the kernel.
+func (ps *procState) buf(o graph.ObjID) []float64 {
 	if b, ok := ps.core.Lookup(o); ok {
 		return b.Data
 	}
@@ -498,10 +615,11 @@ func (ps *procState) SendCtl(t graph.TaskID) {
 }
 
 // WakeAfter is the wall-clock binding of the Backend timer contract: delay
-// 0 posts this processor's own wake token (re-examine as soon as it next
-// parks — used by fault-delayed deposits, which retry on the next
-// attempt); a positive delay (retransmission RTOs) arms a runtime timer
-// that posts it. A timer that outlives the run posts a token nobody reads.
+// 0 wakes this processor's own core, which is running, so its worker
+// re-advances it before letting it go — used by fault-delayed deposits,
+// which retry on the next attempt; a positive delay (retransmission RTOs)
+// arms a runtime timer that wakes it. A timer that outlives the run queues
+// the core into a queue nobody reads.
 func (ps *procState) WakeAfter(delay float64) {
 	if delay <= 0 {
 		ps.e.wake(ps.p)

@@ -135,3 +135,26 @@ func TestWatchdogFiresOnArtificialStall(t *testing.T) {
 	}
 	_ = fmt.Sprint(err)
 }
+
+// TestNegativeBlockTimeoutRejected: a negative watchdog deadline is an
+// error up front. Taken as a deadline, it reported a deadlock on the first
+// processor that blocked.
+func TestNegativeBlockTimeoutRejected(t *testing.T) {
+	g := sched.Figure2DAG()
+	assign, err := sched.OwnerComputeAssign(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ScheduleRCP(g, assign, 2, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mem.NewPlan(s, s.TOT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(s, plan, proto.Derive(s), Config{BlockTimeout: -1})
+	if err == nil || err.Error() != "exec: negative BlockTimeout" {
+		t.Fatalf("Run with BlockTimeout -1: %v, want exec: negative BlockTimeout", err)
+	}
+}

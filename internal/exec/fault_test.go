@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -150,5 +151,74 @@ func TestWatchdogReportsBlockedDetail(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("watchdog error missing %q: %v", want, err)
 		}
+	}
+}
+
+// TestWatchdogReportsQueuedCore tells a protocol wait from CPU starvation
+// in the watchdog dump. At GOMAXPROCS=1 the one worker is held by proc 0's
+// wedged kernel, so the watchdog timer drives the other cores itself. Proc
+// 1 blocks on a's arrival first; proc 2 runs a 30 ms local task before it
+// blocks on the same arrival, so proc 1's stall is reported first, from
+// the watchdog's turn on it, while proc 2 sits queued behind it: the dump
+// must call proc 2 runnable, not repeat its stale wait reason.
+func TestWatchdogReportsQueuedCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := graph.NewBuilder()
+	a := b.Object("a", 4)
+	bb := b.Object("b", 4)
+	c := b.Object("c", 4)
+	t0 := b.Task("t0", 1, nil, []graph.ObjID{a})
+	b.Task("t1", 1, []graph.ObjID{a}, []graph.ObjID{bb})
+	prep := b.Task("prep", 1, nil, []graph.ObjID{c})
+	b.Task("t2", 1, []graph.ObjID{a, c}, []graph.ObjID{c})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.CyclicOwners(g, 3) // a on proc 0, b on proc 1, c on proc 2
+	assign, err := sched.OwnerComputeAssign(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ScheduleRCP(g, assign, 3, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mem.NewPlan(s, s.TOT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	_, err = Run(s, plan, proto.Derive(s), Config{
+		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
+			switch tk {
+			case t0:
+				<-release // held exactly until the watchdog fires
+			case prep:
+				time.Sleep(30 * time.Millisecond)
+			}
+			return nil
+		},
+		Init:         func(graph.ObjID, []float64) {},
+		BlockTimeout: 250 * time.Millisecond,
+		OnStall:      func() { close(release) },
+	})
+	if err == nil {
+		t.Fatal("expected a watchdog timeout, got success")
+	}
+	msg := err.Error()
+	for _, want := range []string{
+		"exec: proc 1 made no progress",
+		"proc 1: state REC",
+		"waiting on arrival",
+		"proc 2: state REC",
+		"runnable, waiting for a worker",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("watchdog error missing %q: %v", want, err)
+		}
+	}
+	if strings.Count(msg, "runnable, waiting for a worker") != 1 {
+		t.Errorf("exactly proc 2 should be queued: %v", err)
 	}
 }

@@ -1,21 +1,29 @@
 package exec
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
 
-// TestParkedProcessorsDoNotSpin is the executor's idle-CPU assertion: a
-// blocked processor must park, not poll, so the number of Advance calls
+// TestParkedProcessorsDoNotSpin is the executor's idle-CPU assertion,
+// restated per worker: with p = 16 cores on k = 1 and k = 2 workers, a
+// blocked core must go idle until a wake, so the number of Advance calls
 // that return Blocked stays within a small multiple of the machine's event
 // count (every blocked Advance is preceded by a wake — a deposit, a timer,
-// or at worst a stale token). A busy-polling executor re-advances blocked
-// processors continuously and exceeds this bound by orders of magnitude on
-// an oversubscribed box.
+// or at worst a stale notification) plus a constant per worker. Each task
+// sleeps, so a worker holds a core for a while and the cores it does not
+// hold sit blocked: a worker that re-queues a blocked core, or re-advances
+// blocked cores while the queue is empty, exceeds the bound by orders of
+// magnitude.
 func TestParkedProcessorsDoNotSpin(t *testing.T) {
 	const p = 16
 	pr := cholProblem(t, p, 8, 21)
@@ -24,32 +32,86 @@ func TestParkedProcessorsDoNotSpin(t *testing.T) {
 	if err != nil || !plan.Executable {
 		t.Fatal("plan not executable")
 	}
-	res, err := Run(s, plan, proto.Derive(s), Config{}) // structure-only: pure protocol
-	if err != nil {
-		t.Fatal(err)
-	}
 	tasks := 0
 	for q := range s.Order {
 		tasks += len(s.Order[q])
 	}
-	maps := 0
-	for _, m := range res.MAPsPerProc {
-		maps += m
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
+			res, err := Run(s, plan, proto.Derive(s), Config{
+				Kernel: func(graph.TaskID, func(graph.ObjID) []float64) error {
+					time.Sleep(200 * time.Microsecond)
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			maps := 0
+			for _, m := range res.MAPsPerProc {
+				maps += m
+			}
+			// Every wake-worthy event, generously: one per message, address
+			// package, control-signal-bearing task and MAP, with slack for
+			// timer and stale-notification wakes plus a per-worker constant.
+			events := res.Messages + res.AddrPackages + tasks + maps
+			bound := 10*events + 100*k
+			blocked := 0
+			for _, n := range res.BlockedAdvances {
+				blocked += n
+			}
+			if blocked > bound {
+				t.Fatalf("executor is spinning: %d blocked Advances for ~%d events (bound %d)", blocked, events, bound)
+			}
+			if blocked == 0 && res.Messages > 0 {
+				t.Fatalf("no blocked Advances at p=%d — the spin counter is not wired", p)
+			}
+			t.Logf("%d blocked Advances for ~%d events (bound %d)", blocked, events, bound)
+		})
 	}
-	// Every wake-worthy event, generously: one per message, address
-	// package, control-signal-bearing task and MAP, with slack for timer
-	// and stale-token wakes plus a per-processor constant.
-	events := res.Messages + res.AddrPackages + tasks + maps
-	bound := 10*events + 100*p
-	blocked := 0
-	for _, n := range res.BlockedAdvances {
-		blocked += n
+}
+
+// TestKernelsInFlightBoundedByWorkers checks the worker count: p = 8
+// processors on GOMAXPROCS = 2 run at most two kernels at a time, and
+// nothing the run started — workers, watchdog timer — outlives Run.
+func TestKernelsInFlightBoundedByWorkers(t *testing.T) {
+	const p = 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pr := cholProblem(t, p, 5, 13)
+	s := scheduleFor(t, pr.G, p, sched.MPO)
+	plan, err := mem.NewPlan(s, s.TOT())
+	if err != nil || !plan.Executable {
+		t.Fatal("plan not executable")
 	}
-	if blocked > bound {
-		t.Fatalf("executor is spinning: %d blocked Advances for ~%d events (bound %d)", blocked, events, bound)
+	before := runtime.NumGoroutine()
+	var inFlight, peak atomic.Int32
+	_, err = Run(s, plan, proto.Derive(s), Config{
+		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
+			n := inFlight.Add(1)
+			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
+			}
+			time.Sleep(200 * time.Microsecond)
+			err := pr.Kernel(tk, get)
+			inFlight.Add(-1)
+			return err
+		},
+		Init: pr.InitObject,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if blocked == 0 && res.Messages > 0 {
-		t.Fatalf("no blocked Advances at p=%d — the spin counter is not wired", p)
+	if got := peak.Load(); got > 2 {
+		t.Fatalf("%d kernels ran at once on GOMAXPROCS=2, want at most 2", got)
+	} else if got == 0 {
+		t.Fatal("no kernel ran")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

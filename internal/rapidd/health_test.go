@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -180,6 +181,16 @@ func TestHealthzWithoutJournal(t *testing.T) {
 func TestBadDegradedModeRejected(t *testing.T) {
 	if _, err := Open(Config{DegradedMode: "shrug"}); err == nil {
 		t.Fatal("Open accepted degraded mode \"shrug\"")
+	}
+}
+
+// TestNegativeJobTimeoutRejected: a negative watchdog deadline fails at
+// Open. Passed through, it made the executor report a deadlock on the
+// first processor that blocked, so every job failed.
+func TestNegativeJobTimeoutRejected(t *testing.T) {
+	_, err := Open(Config{JobTimeout: -time.Second})
+	if err == nil || !strings.Contains(err.Error(), "negative JobTimeout") {
+		t.Fatalf("Open with JobTimeout -1s: %v, want a negative JobTimeout error", err)
 	}
 }
 

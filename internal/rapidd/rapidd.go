@@ -94,7 +94,7 @@ type Config struct {
 	// JobTimeout bounds each execution attempt: it becomes the executor's
 	// watchdog BlockTimeout, so a job stalled by faults (or a kernel bug)
 	// fails with a machine-state dump instead of wedging a worker forever.
-	// 0 uses the executor default.
+	// 0 uses the executor default; a negative value is an error.
 	JobTimeout time.Duration
 	// MaxJobRetries bounds re-execution of jobs that fail under injected
 	// faults; each retry uses a different fault seed so it does not replay
@@ -354,6 +354,9 @@ type Server struct {
 // first, recovering queued jobs and explicitly failing the ones the
 // previous daemon was executing when it died.
 func Open(cfg Config) (*Server, error) {
+	if cfg.JobTimeout < 0 {
+		return nil, errors.New("rapidd: negative JobTimeout")
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = trace.NewMetrics()
 	}

@@ -226,7 +226,7 @@ func (a *AddrSlots) TrySend(dst, src graph.Proc, pkg *AddrPackage) bool {
 // processor to keep the steady-state poll allocation-free.
 // An idle word costs a plain load, not a locked swap. A bit whose sender
 // raced the load or the swap stays set for the next poll; the package is
-// simply consumed then (the wake token the executor posts after TrySend
+// simply consumed then (the wake the executor issues after TrySend
 // guarantees that next poll happens).
 func (a *AddrSlots) ConsumeAppend(dst graph.Proc, buf []*AddrPackage) []*AddrPackage {
 	base := int(dst) * a.p

@@ -11,9 +11,10 @@
 // the owner-compute rule, orders them with one of the paper's three
 // heuristics (RCP, MPO, DTS — optionally with slice merging), plans the
 // Memory Allocation Points for a given per-processor capacity, and executes
-// the schedule either concurrently (one goroutine per processor, real data,
-// the full five-state protocol with active memory management) or on a
-// discrete-event simulator with the paper's Cray-T3D cost model.
+// the schedule either concurrently (the processors driven by
+// min(p, GOMAXPROCS) worker goroutines, real data, the full five-state
+// protocol with active memory management) or on a discrete-event
+// simulator with the paper's Cray-T3D cost model.
 //
 // A minimal session:
 //
@@ -303,8 +304,10 @@ type ExecOptions = exec.Config
 // Objects, every object's final buffer in numeric mode.
 type Report = exec.Result
 
-// Execute runs the plan concurrently with one goroutine per processor,
-// under the full active-memory-management protocol.
+// Execute runs the plan concurrently under the full
+// active-memory-management protocol: k = min(p, runtime.GOMAXPROCS(0))
+// worker goroutines drive the plan's p processors from one shared run
+// queue, each processor until it blocks.
 func Execute(prog *Program, plan *Plan, opt ExecOptions) (*Report, error) {
 	return exec.Run(plan.Schedule, plan.Mem, plan.Tables(), opt)
 }
