@@ -1,6 +1,6 @@
 package repro_test
 
-// The three executor benchmarks, the inspector and verifier benchmarks and
+// The four executor benchmarks, the inspector and verifier benchmarks and
 // the daemon's hot and cold requests CI's benchstat step gates. Everything
 // else that used to live here is a cmd/paper experiment (byte-gated by
 // TestPaperSmallGolden) or a per-layer metric of bench/ (BENCHMARK.json).
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/factor"
@@ -103,6 +104,40 @@ func BenchmarkConcurrentExecNumeric(b *testing.B) { benchExec(b, true) }
 func BenchmarkConcurrentExecConstrained(b *testing.B) {
 	pb, plan := inspect(b, benchMatrix(), 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
 	timeExec(b, pb, plan, rapid.ExecOptions{})
+}
+
+// BenchmarkExecuteServeShape is the execute of bench/'s serve_hot request
+// — chol n=400 cut into 8×8 blocks, MPO, 4 processors, full memory — with
+// two Executes of the one plan running at once, as rapidd's workers run
+// them. The benchmarks above run one execute at a time on smaller blocks,
+// so what two concurrent runs cost each other (the allocator and the
+// collector they share, first of all) shows only here; allocs/op is per
+// pair of runs.
+func BenchmarkExecuteServeShape(b *testing.B) {
+	a, err := factor.Matrix("chol", 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pb, plan := inspect(b, a, 8, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
+	var errs [2]error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for k := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[k] = rapid.Execute(pb.Program, plan, pb.Exec)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestInspectorAllocsPerTask: from the matrix to the protocol tables the

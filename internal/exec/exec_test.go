@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,13 +51,29 @@ func runNumeric(t *testing.T, pr *chol.Problem, s *sched.Schedule, capacity int6
 	if !plan.Executable {
 		t.Fatalf("plan not executable at capacity %d (MinMem %d)", capacity, s.MinMem())
 	}
+	// A MAP's payloads are carved from one slab, so every buffer a kernel
+	// is handed must end at its own length, or an append in one kernel
+	// would write into a neighbour's object.
+	var loose atomic.Int32
+	kernel := func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
+		return pr.Kernel(tk, func(o graph.ObjID) []float64 {
+			b := get(o)
+			if cap(b) != len(b) {
+				loose.Add(1)
+			}
+			return b
+		})
+	}
 	res, err := Run(s, plan, proto.Derive(s), Config{
-		Kernel:       pr.Kernel,
+		Kernel:       kernel,
 		Init:         pr.InitObject,
 		BlockTimeout: 20 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := loose.Load(); n > 0 {
+		t.Fatalf("kernels saw %d payloads whose capacity runs past their length", n)
 	}
 	return res
 }
@@ -253,12 +270,13 @@ func randomOwnerComputeDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
 	return g
 }
 
-// TestExecuteAllocsPerTask pins the driver's per-task heap cost: what a
-// numeric run allocates is per run and per object (cores, ledgers, buffers),
-// not per task, so on a problem with many more tasks than objects the
-// allocation count stays under half an object per task. A method value or a
-// map built on the task path shows up here as one or more per task.
-func TestExecuteAllocsPerTask(t *testing.T) {
+// TestExecuteAllocsPerRun pins the driver's heap cost: a numeric run
+// allocates per processor, per MAP and per address package — a core's
+// ledger and tables, one header slab and one payload slab per allocation
+// event, one allocation for a MAP's packages and one for their handles —
+// and not per object or per task. One allocation per buffer, or a method
+// value or a map built on the task path, reads far above the bound.
+func TestExecuteAllocsPerRun(t *testing.T) {
 	const p = 4
 	rng := util.NewRNG(5)
 	m := sparse.AddRandomSymLinks(sparse.Grid2D(16, 14, true), 400, rng)
@@ -272,17 +290,25 @@ func TestExecuteAllocsPerTask(t *testing.T) {
 	if err != nil || !plan.Executable {
 		t.Fatalf("constrained plan not executable: %v", err)
 	}
-	tables := proto.Derive(s)
+	tables := proto.Derive(s).Bind(plan)
 	cfg := Config{Kernel: pr.Kernel, Init: pr.InitObject}
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Run(s, plan, tables, cfg); err != nil {
 			t.Error(err)
 		}
 	})
-	tasks := pr.G.NumTasks()
-	if perTask := allocs / float64(tasks); perTask >= 0.5 {
-		t.Fatalf("numeric Run allocates %.0f objects for %d tasks (%.2f per task), want < 0.5", allocs, tasks, perTask)
-	} else {
-		t.Logf("%.0f allocations, %d tasks, %d objects: %.2f per task", allocs, tasks, pr.G.NumObjects(), perTask)
+	maps, pkgs, volatile := plan.TotalMAPs(), 0, 0
+	for q := range plan.Procs {
+		for _, mp := range plan.Procs[q].MAPs {
+			pkgs += mp.Notify.Len()
+			volatile += len(mp.Allocs)
+		}
+	}
+	const perUnit = 5
+	bound := perUnit * (p + maps + pkgs)
+	t.Logf("%.0f allocations; bound %d = %d × (%d processors + %d MAPs + %d address packages); %d objects, %d volatile copies, %d tasks",
+		allocs, bound, perUnit, p, maps, pkgs, pr.G.NumObjects(), volatile, pr.G.NumTasks())
+	if allocs > float64(bound) {
+		t.Fatalf("numeric Run allocates %.0f times, want at most %d", allocs, bound)
 	}
 }

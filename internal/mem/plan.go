@@ -17,6 +17,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -36,10 +37,31 @@ type MAP struct {
 	// CoverEnd is the position of the first task NOT covered by this MAP
 	// (i.e. the next MAP's position, or the order length for the last MAP).
 	CoverEnd int32
-	// Notify maps a destination processor to the objects among Allocs whose
-	// addresses that processor needs (because it executes producer tasks
-	// that will RMA-deposit those objects here).
-	Notify map[graph.Proc][]graph.ObjID
+	// Notify lists the MAP's address packages: for each destination
+	// processor, the objects among Allocs whose addresses it needs (because
+	// it executes producer tasks that will RMA-deposit those objects here).
+	Notify Notify
+}
+
+// Notify is a MAP's address packages in CSR form: package i goes to
+// processor Dst[i] and announces the objects Objs[Off[i]:Off[i+1]].
+// Destinations are strictly ascending — the order the packages are sent
+// and serialized in — and each destination's objects come in allocation
+// order. The zero value announces nothing.
+type Notify struct {
+	Dst  []graph.Proc
+	Off  []int32 // len(Dst)+1 offsets into Objs; empty when Dst is
+	Objs []graph.ObjID
+}
+
+// Len returns the number of address packages.
+func (n *Notify) Len() int { return len(n.Dst) }
+
+// Objects returns the objects announced to Dst[i]. The slice must not be
+// modified.
+func (n *Notify) Objects(i int) []graph.ObjID {
+	lo, hi := n.Off[i], n.Off[i+1]
+	return n.Objs[lo:hi:hi]
 }
 
 // ProcPlan is the MAP plan of one processor.
@@ -121,6 +143,66 @@ func markRemoteProducers(s *sched.Schedule, p graph.Proc, producers []uint64, wo
 	}
 }
 
+// notifyPool holds the slices every MAP's Notify is carved from, so a
+// plan's address packages cost a few allocations in all, not a few per MAP,
+// and the scratch that builds one: cnt, a counter per processor (zero
+// between MAPs), and touched, the destinations of the MAP being built.
+type notifyPool struct {
+	dst, touched []graph.Proc
+	off, objs    []int32
+	cnt          []int32
+}
+
+// carve returns the tail of s from lo, capped so an append to it cannot
+// write into what is carved next.
+func carve(s []int32, lo int) []int32 { return s[lo:len(s):len(s)] }
+
+// notify builds the address packages of a MAP allocating allocs: every
+// object goes to each processor marked in its row of producers (words
+// uint64 words to a row). Destinations come out ascending and each one's
+// objects in allocation order, which is the order the codec writes.
+func (pool *notifyPool) notify(allocs []graph.ObjID, producers []uint64, words int) Notify {
+	cnt, touched := pool.cnt, pool.touched[:0]
+	for _, o := range allocs {
+		for w, row := range producers[int(o)*words : (int(o)+1)*words] {
+			for ; row != 0; row &= row - 1 {
+				q := graph.Proc(w<<6 + bits.TrailingZeros64(row))
+				if cnt[q] == 0 {
+					touched = append(touched, q)
+				}
+				cnt[q]++
+			}
+		}
+	}
+	pool.touched = touched
+	if len(touched) == 0 {
+		return Notify{}
+	}
+	slices.Sort(touched)
+	d0, o0, b0 := len(pool.dst), len(pool.off), len(pool.objs)
+	at := int32(0)
+	pool.off = append(pool.off, 0)
+	for _, q := range touched {
+		pool.dst = append(pool.dst, q)
+		at, cnt[q] = at+cnt[q], at // cnt[q] becomes q's next slot
+		pool.off = append(pool.off, at)
+	}
+	pool.objs = slices.Grow(pool.objs, int(at))[:b0+int(at)]
+	for _, o := range allocs {
+		for w, row := range producers[int(o)*words : (int(o)+1)*words] {
+			for ; row != 0; row &= row - 1 {
+				q := graph.Proc(w<<6 + bits.TrailingZeros64(row))
+				pool.objs[b0+int(cnt[q])] = o
+				cnt[q]++
+			}
+		}
+	}
+	for _, q := range touched {
+		cnt[q] = 0
+	}
+	return Notify{Dst: carve(pool.dst, d0), Off: carve(pool.off, o0), Objs: carve(pool.objs, b0)}
+}
+
 // Options tune the planner (ablation studies).
 type Options struct {
 	// JustInTime disables the paper's greedy allocate-ahead: each MAP
@@ -149,6 +231,7 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 	pl := &Plan{Schedule: s, Capacity: capacity, Procs: make([]ProcPlan, s.P), Executable: true}
 	words := (s.P + 63) / 64
 	producers := make([]uint64, s.G.NumObjects()*words)
+	pool := &notifyPool{cnt: make([]int32, s.P)}
 
 	for p := 0; p < s.P; p++ {
 		pp := &pl.Procs[p]
@@ -188,7 +271,7 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 
 		pos := int32(0)
 		for {
-			m := MAP{Pos: pos, Notify: make(map[graph.Proc][]graph.ObjID)}
+			m := MAP{Pos: pos}
 			// Deallocate dead volatiles: allocated, not yet freed, last use
 			// before pos.
 			lo := len(ids)
@@ -219,16 +302,11 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 					o := lives[next].Obj
 					inUse += s.G.Objects[o].Size
 					ids = append(ids, o)
-					for w, row := range producers[int(o)*words : (int(o)+1)*words] {
-						for ; row != 0; row &= row - 1 {
-							q := graph.Proc(w<<6 + bits.TrailingZeros64(row))
-							m.Notify[q] = append(m.Notify[q], o)
-						}
-					}
 				}
 				k++
 			}
 			m.Allocs = since(lo)
+			m.Notify = pool.notify(m.Allocs, producers, words)
 			if inUse > peak {
 				peak = inUse
 			}

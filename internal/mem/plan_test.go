@@ -227,7 +227,11 @@ func TestNotifyTargetsAreProducers(t *testing.T) {
 	}
 	for p := range pl.Procs {
 		for _, m := range pl.Procs[p].MAPs {
-			for dst, objs := range m.Notify {
+			for i, dst := range m.Notify.Dst {
+				if i > 0 && dst <= m.Notify.Dst[i-1] {
+					t.Fatalf("proc %d notifies %d after %d", p, dst, m.Notify.Dst[i-1])
+				}
+				objs := m.Notify.Objects(i)
 				if dst == graph.Proc(p) {
 					t.Fatalf("proc %d notifies itself", p)
 				}

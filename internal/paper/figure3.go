@@ -66,9 +66,9 @@ func Figure3(w io.Writer) {
 				}
 				fmt.Fprint(w, "}")
 			}
-			for dst, objs := range m.Notify {
+			for k, dst := range m.Notify.Dst {
 				fmt.Fprintf(w, " notify P%d of {", dst)
-				for i, o := range objs {
+				for i, o := range m.Notify.Objects(k) {
 					if i > 0 {
 						fmt.Fprint(w, ",")
 					}

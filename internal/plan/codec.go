@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -18,10 +17,9 @@ import (
 var magic = [4]byte{'R', 'P', 'L', 'N'}
 
 // Encode serializes the artifact. The output is a pure function of the
-// artifact's contents: slices are written in stored order and the only maps
-// in the artifact (MAP notify sets) are written in sorted key order, so two
-// equal artifacts encode to identical bytes. The payload is terminated by a
-// SHA-256 checksum.
+// artifact's contents: the artifact holds no maps and slices are written in
+// stored order, so two equal artifacts encode to identical bytes. The
+// payload is terminated by a SHA-256 checksum.
 func Encode(a *Artifact) ([]byte, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -344,17 +342,11 @@ func encodeMemPlan(e *encoder, pl *mem.Plan) {
 			e.i32(m.CoverEnd)
 			e.ids(m.Frees)
 			e.ids(m.Allocs)
-			// Notify in sorted destination order: the map itself has no
-			// canonical order.
-			dests := make([]graph.Proc, 0, len(m.Notify))
-			for q := range m.Notify { //det:ok keys collected then sorted below
-				dests = append(dests, q)
-			}
-			sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-			e.u64(uint64(len(dests)))
-			for _, q := range dests {
+			// Notify in its stored order: destinations ascending.
+			e.u64(uint64(m.Notify.Len()))
+			for i, q := range m.Notify.Dst {
 				e.i32(q)
-				e.ids(m.Notify[q])
+				e.ids(m.Notify.Objects(i))
 			}
 		}
 	}
@@ -379,17 +371,26 @@ func decodeMemPlan(d *decoder, s *sched.Schedule) (*mem.Plan, error) {
 			m.Frees = d.ids()
 			m.Allocs = d.ids()
 			nDest := d.count("notify destinations")
-			m.Notify = make(map[graph.Proc][]graph.ObjID, nDest)
+			if nDest > 0 {
+				m.Notify.Dst = make([]graph.Proc, 0, nDest)
+				m.Notify.Off = append(make([]int32, 0, nDest+1), 0)
+			}
 			for k := 0; k < nDest; k++ {
 				q := d.i32()
-				objs := d.ids()
+				m.Notify.Objs = d.appendIDs(m.Notify.Objs)
 				if d.err != nil {
 					return nil, d.err
 				}
 				if q < 0 || int(q) >= s.P {
 					return nil, fmt.Errorf("plan: notify destination %d out of range", q)
 				}
-				m.Notify[q] = objs
+				if k > 0 && q <= m.Notify.Dst[k-1] {
+					// A repeated destination would make two byte strings one
+					// plan.
+					return nil, fmt.Errorf("plan: notify destinations out of order (%d after %d)", q, m.Notify.Dst[k-1])
+				}
+				m.Notify.Dst = append(m.Notify.Dst, q)
+				m.Notify.Off = append(m.Notify.Off, int32(len(m.Notify.Objs)))
 			}
 		}
 	}
@@ -588,6 +589,15 @@ func (d *decoder) count(what string) int {
 		return 0
 	}
 	return int(n)
+}
+
+// appendIDs reads an id list onto s.
+func (d *decoder) appendIDs(s []int32) []int32 {
+	n := d.count("id list")
+	for i := 0; i < n && d.err == nil; i++ {
+		s = append(s, d.i32())
+	}
+	return s
 }
 
 func (d *decoder) ids() []int32 {

@@ -66,12 +66,13 @@ type Artifact struct {
 	verified   atomic.Bool
 }
 
-// Tables returns the protocol tables of the artifact's schedule: the
-// inspector's send points, arrival thresholds and control signals, derived
-// on first use and shared by every execution and simulation of the
-// artifact, from any number of goroutines.
+// Tables returns the protocol tables of the artifact's schedule, bound to
+// its MAP plan: the inspector's send points, arrival thresholds and control
+// signals, and the channel of every MAP allocation, derived on first use
+// and shared by every execution and simulation of the artifact, from any
+// number of goroutines.
 func (a *Artifact) Tables() *proto.Tables {
-	a.tablesOnce.Do(func() { a.tables = proto.Derive(a.Schedule) })
+	a.tablesOnce.Do(func() { a.tables = proto.Derive(a.Schedule).Bind(a.Mem) })
 	return a.tables
 }
 

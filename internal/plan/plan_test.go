@@ -2,7 +2,10 @@ package plan
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -150,14 +153,9 @@ func checkArtifactEqual(t *testing.T, want, got *Artifact) {
 				!reflect.DeepEqual(w.Frees, g.Frees) || !reflect.DeepEqual(w.Allocs, g.Allocs) {
 				t.Errorf("proc %d MAP %d differs", p, mi)
 			}
-			if len(w.Notify) != len(g.Notify) {
-				t.Errorf("proc %d MAP %d notify size differs", p, mi)
-				continue
-			}
-			for q, objs := range w.Notify {
-				if !reflect.DeepEqual(objs, g.Notify[q]) {
-					t.Errorf("proc %d MAP %d notify[%d] differs", p, mi, q)
-				}
+			if !slices.Equal(w.Notify.Dst, g.Notify.Dst) || !slices.Equal(w.Notify.Off, g.Notify.Off) ||
+				!slices.Equal(w.Notify.Objs, g.Notify.Objs) {
+				t.Errorf("proc %d MAP %d notify differs", p, mi)
 			}
 		}
 	}
@@ -222,6 +220,59 @@ func TestDecodeRejectsUnknownHeuristic(t *testing.T) {
 	}
 	if _, err := DecodeLenient(enc); err == nil || err.Error() != want {
 		t.Errorf("DecodeLenient: err %v, want %q", err, want)
+	}
+}
+
+// TestDecodeRejectsUnorderedNotify: a MAP's address packages are encoded
+// in strictly ascending destination order, so a payload that names a
+// destination twice, or out of order, is not an encoding of any plan —
+// decoding it used to let the later list replace the earlier one, so two
+// byte strings decoded to one plan. The payload is written field by field
+// here: the plan types cannot hold such a list.
+func TestDecodeRejectsUnorderedNotify(t *testing.T) {
+	a := buildArtifact(t, sched.MPO, 3)
+	for _, dests := range [][]graph.Proc{{1, 1}, {2, 1}} {
+		e := &encoder{}
+		e.raw(magic[:])
+		e.u64(Version)
+		e.str(a.Fingerprint)
+		encodeModel(e, a.Model)
+		e.i64(a.Capacity)
+		encodeDAG(e, a.Schedule.G)
+		encodeSchedule(e, a.Schedule)
+		pl := a.Mem
+		e.i64(pl.Capacity)
+		e.bool(pl.Executable)
+		for p := range pl.Procs {
+			pp := &pl.Procs[p]
+			e.i64(pp.Peak)
+			e.bool(pp.Executable)
+			e.i32(pp.FailPos)
+			e.u64(uint64(len(pp.MAPs)))
+			for mi := range pp.MAPs {
+				m := &pp.MAPs[mi]
+				e.i32(m.Pos)
+				e.i32(m.CoverEnd)
+				e.ids(m.Frees)
+				e.ids(m.Allocs)
+				if p != 0 || mi != 0 {
+					e.u64(0)
+					continue
+				}
+				e.u64(uint64(len(dests)))
+				for _, q := range dests {
+					e.i32(q)
+					e.ids(nil)
+				}
+			}
+		}
+		sum := sha256.Sum256(e.b)
+		e.raw(sum[:])
+		for i, decode := range []func([]byte) (*Artifact, error){Decode, DecodeLenient} {
+			if _, err := decode(e.b); err == nil || !strings.Contains(err.Error(), "plan: notify destinations out of order") {
+				t.Errorf("decoder %d, destinations %v: err %v, want notify destinations out of order", i, dests, err)
+			}
+		}
 	}
 }
 

@@ -298,7 +298,7 @@ func TestPoisonedDiskEntryRejected(t *testing.T) {
 		for p := range a.Mem.Procs {
 			for mi := range a.Mem.Procs[p].MAPs {
 				a.Mem.Procs[p].MAPs[mi].Allocs = nil
-				a.Mem.Procs[p].MAPs[mi].Notify = nil
+				a.Mem.Procs[p].MAPs[mi].Notify = mem.Notify{}
 			}
 		}
 		return a

@@ -28,7 +28,6 @@ package proto
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -273,12 +272,16 @@ type Engine struct {
 }
 
 // NewEngine binds a schedule, its MAP plan and the protocol tables derived
-// from the schedule (Derive; a compiled artifact carries its own, see
-// plan.Artifact.Tables) into the shared state of one run. The plan must be
-// executable (use mem.NewPlan and check Executable first).
+// from the schedule (Derive; a compiled artifact carries its own, bound to
+// its plan, see plan.Artifact.Tables) into the shared state of one run.
+// Tables not bound to plan are bound here, for this run only. The plan must
+// be executable (use mem.NewPlan and check Executable first).
 func NewEngine(s *sched.Schedule, plan *mem.Plan, tables *Tables, f Faults) (*Engine, error) {
 	if !plan.Executable {
 		return nil, fmt.Errorf("proto: plan is not executable under capacity %d", plan.Capacity)
+	}
+	if tables.plan != plan {
+		tables = tables.Bind(plan)
 	}
 	return &Engine{
 		S: s, Plan: plan, Tables: tables, Faults: f,
@@ -591,13 +594,16 @@ type Core struct {
 	addrSeq []int32
 
 	// The receive half. mem is the processor's capacity ledger and the home
-	// of its buffers, whose arrival counters REC reads. addr holds the remote
-	// handles learned through address packages, by channel; addrSeen is the
-	// highest package sequence number consumed from each source (packages at
-	// or below it are duplicates); scratch is the reusable consume buffer of
-	// the RA poll, which runs in every blocking state and must not allocate
-	// in steady state.
+	// of its buffers, whose arrival counters REC reads; allocCh is what is
+	// left of the channels of its MAP allocations (Tables.AllocChans), one
+	// MAP's worth consumed per MAP. addr holds the remote handles learned
+	// through address packages, by channel; addrSeen is the highest package
+	// sequence number consumed from each source (packages at or below it are
+	// duplicates); scratch is the reusable consume buffer of the RA poll,
+	// which runs in every blocking state and must not allocate in steady
+	// state.
 	mem      *rma.Memory
+	allocCh  []int32
 	addr     []*rma.Buffer
 	addrSeen []int32
 	scratch  []*rma.AddrPackage
@@ -618,6 +624,7 @@ type Core struct {
 // NewCore returns the protocol state machine for processor p backed by be,
 // with p's permanent objects allocated and initialised.
 func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
+	g := e.S.G
 	c := &Core{
 		eng:      e,
 		be:       be,
@@ -626,14 +633,24 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 		maps:     e.Plan.Procs[p].MAPs,
 		fifo:     make([]chanFIFO, e.Tables.NumChans()),
 		addrSeq:  make([]int32, e.S.P),
-		mem:      rma.NewMemory(e.Plan.Capacity),
+		mem:      rma.NewMemoryFor(e.Plan.Capacity, g.NumObjects()),
+		allocCh:  e.Tables.AllocChans(p),
 		addrSeen: make([]int32, e.S.P),
 	}
-	for oi := range e.S.G.Objects {
-		if e.S.G.Objects[oi].Owner != p {
+	// The permanent allocation is one event.
+	n, floats := 0, int64(0)
+	for oi := range g.Objects {
+		if g.Objects[oi].Owner == p {
+			n++
+			floats += rma.SlabLen(be.BufLen(graph.ObjID(oi)))
+		}
+	}
+	c.mem.Reserve(n, floats)
+	for oi := range g.Objects {
+		if g.Objects[oi].Owner != p {
 			continue
 		}
-		if _, err := c.alloc(graph.ObjID(oi)); err != nil {
+		if _, err := c.alloc(graph.ObjID(oi), -1); err != nil {
 			return nil, fmt.Errorf("proto: proc %d permanent allocation: %w", p, err)
 		}
 	}
@@ -647,15 +664,15 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 		c.addr = e.known
 		planned := c.maps
 		c.maps = make([]mem.MAP, len(planned))
-		for i, m := range planned {
+		for i := range planned {
+			m := &planned[i]
 			c.maps[i] = mem.MAP{Pos: m.Pos, CoverEnd: m.CoverEnd}
+			if err := c.allocMAP(m); err != nil {
+				return nil, fmt.Errorf("proto: proc %d: Baseline allocates the whole volatile space up front: %w", p, err)
+			}
 			for _, o := range m.Allocs {
-				b, err := c.alloc(o)
-				if err != nil {
-					return nil, fmt.Errorf("proto: proc %d: Baseline allocates the whole volatile space up front: %w", p, err)
-				}
-				if ch := e.Tables.Chan(p, o); ch >= 0 {
-					e.known[ch] = b
+				if b, _ := c.mem.Lookup(o); b.Chan >= 0 {
+					e.known[b.Chan] = b
 				}
 			}
 		}
@@ -665,16 +682,38 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 	return c, nil
 }
 
-// alloc books object o on the ledger. An input — a permanent object, or a
-// volatile copy of an object no task ever sends, which the runtime's
-// initial data distribution provides — is filled now.
-func (c *Core) alloc(o graph.ObjID) (*rma.Buffer, error) {
+// alloc books object o, exported under channel ch, on the ledger. An input
+// — a permanent object, or a volatile copy of an object no task ever sends
+// (ch < 0), which the runtime's initial data distribution provides — is
+// filled now.
+func (c *Core) alloc(o graph.ObjID, ch int32) (*rma.Buffer, error) {
 	obj := &c.eng.S.G.Objects[o]
-	b, err := c.mem.Alloc(o, obj.Size, c.be.BufLen(o))
-	if err == nil && b.Data != nil && (obj.Owner == c.p || c.eng.Tables.Expect(c.p, o) == 0) {
+	b, err := c.mem.AllocChan(o, ch, obj.Size, c.be.BufLen(o))
+	if err == nil && b.Data != nil && (obj.Owner == c.p || ch < 0) {
 		c.be.InitBuffer(b)
 	}
 	return b, err
+}
+
+// allocMAP performs m's allocations as one event, each exported under the
+// channel the bound tables resolved for it.
+func (c *Core) allocMAP(m *mem.MAP) error {
+	if len(m.Allocs) > len(c.allocCh) {
+		return fmt.Errorf("MAP allocates %d objects but the tables resolved channels for %d more (bound to another plan?)", len(m.Allocs), len(c.allocCh))
+	}
+	chans := c.allocCh[:len(m.Allocs)]
+	c.allocCh = c.allocCh[len(m.Allocs):]
+	floats := int64(0)
+	for _, o := range m.Allocs {
+		floats += rma.SlabLen(c.be.BufLen(o))
+	}
+	c.mem.Reserve(len(m.Allocs), floats)
+	for i, o := range m.Allocs {
+		if _, err := c.alloc(o, chans[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyMAP performs one memory allocation point on the ledger.
@@ -684,10 +723,8 @@ func (c *Core) applyMAP(m *mem.MAP) error {
 			return fmt.Errorf("proto: proc %d MAP free: %w", c.p, err)
 		}
 	}
-	for _, o := range m.Allocs {
-		if _, err := c.alloc(o); err != nil {
-			return fmt.Errorf("proto: proc %d MAP alloc (plan said it fits): %w", c.p, err)
-		}
+	if err := c.allocMAP(m); err != nil {
+		return fmt.Errorf("proto: proc %d MAP alloc (plan said it fits): %w", c.p, err)
 	}
 	return nil
 }
@@ -880,28 +917,28 @@ func (c *Core) arrived(o graph.ObjID) (int32, bool) {
 }
 
 // queueNotify stages the MAP's address packages — the handles of the
-// buffers it just allocated — in deterministic destination order and
-// applies the fault plan to each.
+// buffers it just allocated — in the plan's destination order and applies
+// the fault plan to each. A MAP's packages share one allocation, and their
+// handle lists another.
 func (c *Core) queueNotify(m *mem.MAP) error {
-	if len(m.Notify) == 0 {
+	nt := &m.Notify
+	if nt.Len() == 0 {
 		return nil
 	}
-	dsts := make([]graph.Proc, 0, len(m.Notify))
-	for dst := range m.Notify { //det:ok collected and sorted below
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		objs := m.Notify[dst]
+	pkgs := make([]rma.AddrPackage, nt.Len())
+	bufs := make([]*rma.Buffer, len(nt.Objs))
+	for i, dst := range nt.Dst {
 		c.addrSeq[dst]++
-		pkg := &rma.AddrPackage{From: c.p, Seq: c.addrSeq[dst], Buffers: make([]*rma.Buffer, len(objs))}
-		for i, o := range objs {
+		pkg := &pkgs[i]
+		pkg.From, pkg.Seq = c.p, c.addrSeq[dst]
+		pkg.Buffers = bufs[nt.Off[i]:nt.Off[i+1]:nt.Off[i+1]]
+		for j, o := range nt.Objects(i) {
 			b, ok := c.mem.Lookup(o)
 			if !ok {
 				return fmt.Errorf("proto: proc %d MAP notifies processor %d of unallocated object %q",
 					c.p, dst, c.eng.S.G.Objects[o].Name)
 			}
-			pkg.Buffers[i] = b
+			pkg.Buffers[j] = b
 		}
 		c.pend = append(c.pend, pendPkg{
 			dst:     dst,
@@ -1110,7 +1147,7 @@ func (c *Core) Poll(now float64) bool {
 		}
 		c.addrSeen[pkg.From] = pkg.Seq
 		for _, b := range pkg.Buffers {
-			ch := c.eng.Tables.Chan(pkg.From, b.Obj)
+			ch := b.Chan
 			if ch < 0 {
 				continue // nothing is ever sent there
 			}

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/mem"
 	"repro/internal/sched"
 )
 
@@ -45,7 +46,8 @@ type Need struct {
 // inspector's output — a pure function of the schedule, derived once per
 // compiled artifact (see plan.Artifact.Tables) and read by every execution
 // of it — so they are stored flat: one offsets slice plus one element slice
-// per table (CSR), not a slice header per task. Never written after Derive.
+// per table (CSR), not a slice header per task. Never written after Derive
+// (Bind returns a copy).
 type Tables struct {
 	// CtlNeed[t] is the number of cross-processor control signals task t
 	// must receive (retained precedence edges).
@@ -62,6 +64,49 @@ type Tables struct {
 	// anything, so an entry's index is the pair's channel id.
 	expOff []int32
 	expect []Need
+
+	// Set by Bind: the MAP plan the tables are bound to, and the channel of
+	// every allocation it makes — processor p's, in MAP then Allocs order,
+	// are allocCh[allocOff[p]:allocOff[p+1]].
+	plan     *mem.Plan
+	allocOff []int32
+	allocCh  []int32
+}
+
+// Bind returns tb bound to the MAP plan pl, which must plan tb's schedule:
+// the same tables plus the channel of every volatile allocation pl makes
+// (-1 where nothing is ever sent), resolved here once — a compiled artifact
+// binds its tables to its plan when it derives them — so that no run
+// searches for a channel. The table has one entry per MAP allocation,
+// never one per (processor, object) pair. tb itself is not modified.
+func (tb *Tables) Bind(pl *mem.Plan) *Tables {
+	bt := *tb
+	bt.plan = pl
+	bt.allocOff = make([]int32, len(pl.Procs)+1)
+	n := 0
+	for p := range pl.Procs {
+		for mi := range pl.Procs[p].MAPs {
+			n += len(pl.Procs[p].MAPs[mi].Allocs)
+		}
+		bt.allocOff[p+1] = int32(n)
+	}
+	bt.allocCh = make([]int32, 0, n)
+	for p := range pl.Procs {
+		for mi := range pl.Procs[p].MAPs {
+			for _, o := range pl.Procs[p].MAPs[mi].Allocs {
+				bt.allocCh = append(bt.allocCh, tb.Chan(graph.Proc(p), o))
+			}
+		}
+	}
+	return &bt
+}
+
+// AllocChans returns the channels of processor p's MAP allocations, in MAP
+// then Allocs order, for the plan the tables are bound to. The slice must
+// not be modified.
+func (tb *Tables) AllocChans(p graph.Proc) []int32 {
+	lo, hi := tb.allocOff[p], tb.allocOff[p+1]
+	return tb.allocCh[lo:hi:hi]
 }
 
 // SendsOf lists the data messages task t issues on completion, ordered by

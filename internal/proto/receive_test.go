@@ -22,7 +22,12 @@ func TestReceiveHalf(t *testing.T) {
 	ch := snd.Chan
 	dropped := func(m *loopMachine, p graph.Proc) int64 { return m.eng.dupDropped[p].Load() }
 	free := &mem.MAP{Frees: []graph.ObjID{snd.Obj}}
-	alloc := &mem.MAP{Allocs: []graph.ObjID{snd.Obj}}
+	// realloc runs a MAP the plan does not have, allocating the object
+	// again under its channel.
+	realloc := func(c *Core) error {
+		c.allocCh = []int32{ch}
+		return c.applyMAP(&mem.MAP{Allocs: []graph.ObjID{snd.Obj}})
+	}
 
 	cases := []struct {
 		name string
@@ -55,7 +60,7 @@ func TestReceiveHalf(t *testing.T) {
 			}
 		}},
 		{"allocating an allocated object is an error", func(t *testing.T, m *loopMachine, c, prod *Core) {
-			if err := c.applyMAP(alloc); err == nil || !strings.Contains(err.Error(), "already allocated") {
+			if err := realloc(c); err == nil || !strings.Contains(err.Error(), "already allocated") {
 				t.Fatalf("got %v", err)
 			}
 		}},
@@ -72,7 +77,7 @@ func TestReceiveHalf(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.mem = rma.NewMemory(s.G.Objects[snd.Obj].Size - 1)
-			if err := c.applyMAP(alloc); err == nil || !strings.Contains(err.Error(), "out of memory") {
+			if err := realloc(c); err == nil || !strings.Contains(err.Error(), "out of memory") {
 				t.Fatalf("got %v", err)
 			}
 		}},
@@ -102,7 +107,7 @@ func TestReceiveHalf(t *testing.T) {
 			if _, ok := c.arrived(snd.Obj); ok {
 				t.Fatal("freed object still counts as allocated")
 			}
-			if err := c.applyMAP(alloc); err != nil {
+			if err := realloc(c); err != nil {
 				t.Fatal(err)
 			}
 			if n, ok := c.arrived(snd.Obj); !ok || n != 0 {

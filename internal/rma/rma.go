@@ -34,7 +34,11 @@ import (
 // message's version sequence number; the buffer discards duplicates
 // (retransmission-layer dedup: at most one arrival per sequence number).
 type Buffer struct {
-	Obj      graph.ObjID
+	Obj graph.ObjID
+	// Chan is the channel id producers know the buffer by (-1: nothing is
+	// ever deposited into it). It travels with the handle in address
+	// packages, so a producer files a learned address without a search.
+	Chan     int32
 	Data     []float64
 	arrivals atomic.Int32
 	lastSeq  atomic.Int32
@@ -84,9 +88,9 @@ func (b *Buffer) PutFlagOnly(seq int32) bool {
 }
 
 // AddrPackage is one address-notification message: the exported buffers a
-// consumer tells a producer about. Seq is the package's per-(sender,
-// receiver) sequence number, used by the receiver to discard duplicated
-// deliveries.
+// consumer tells a producer about, each carrying its channel id. Seq is the
+// package's per-(sender, receiver) sequence number, used by the receiver to
+// discard duplicated deliveries.
 type AddrPackage struct {
 	From    graph.Proc
 	Seq     int32
@@ -96,19 +100,50 @@ type AddrPackage struct {
 // Memory is one processor's capacity-accounted arena. Allocation and
 // freeing are performed only by the owner processor's goroutine; buffers
 // are handed to remote producers through address packages.
+//
+// Memory is allocated per event, not per object: Reserve opens an event
+// (a processor's permanent allocation, one MAP's allocations) with one
+// slab of headers and one of payloads, and the event's Allocs carve from
+// them. A header is never reused, so a freed buffer keeps its freed flag
+// and sequence watermark for as long as a stray handle to it exists.
 type Memory struct {
 	capacity int64
 	used     int64
 	peak     int64
 	// bufs is indexed by object id (nil: not allocated) and grows to the
-	// largest id allocated, so Lookup — one per kernel operand and per
-	// arrival check — is an index and a nil test.
+	// largest id allocated, unless NewMemoryFor sized it once, so Lookup —
+	// one per kernel operand and per arrival check — is an index and a nil
+	// test.
 	bufs []*Buffer
+	// hdrs and pay are what is left of the open event's slabs.
+	hdrs []Buffer
+	pay  []float64
+}
+
+// LargePayload is the payload length, in float64s, from which a buffer
+// gets an allocation of its own instead of a place in its event's slab:
+// 32 KiB, Go's large-object size. Carving payloads that large (LU's dense
+// panels) out of one slab measured slower and bigger than allocating each.
+const LargePayload = 32 << 10 / 8
+
+// SlabLen is the share of an event's payload slab a buffer of bufLen
+// float64s takes: bufLen, or 0 from LargePayload on.
+func SlabLen(bufLen int64) int64 {
+	if bufLen >= LargePayload {
+		return 0
+	}
+	return bufLen
 }
 
 // NewMemory returns an arena with the given capacity in abstract units.
 func NewMemory(capacity int64) *Memory {
 	return &Memory{capacity: capacity}
+}
+
+// NewMemoryFor is NewMemory for object ids below objects: the buffer index
+// is sized once instead of grown.
+func NewMemoryFor(capacity int64, objects int) *Memory {
+	return &Memory{capacity: capacity, bufs: make([]*Buffer, objects)}
 }
 
 // Used returns the units currently allocated.
@@ -117,9 +152,29 @@ func (m *Memory) Used() int64 { return m.used }
 // Peak returns the most units ever allocated at once.
 func (m *Memory) Peak() int64 { return m.peak }
 
+// Reserve opens an allocation event: the next n Allocs carve their headers
+// from one slab, and their payloads, where SlabLen says so, from another of
+// floats float64s — the sum of their SlabLens. What an event leaves unused
+// is dropped by the next Reserve; an Alloc past what was reserved
+// allocates on its own.
+func (m *Memory) Reserve(n int, floats int64) {
+	m.hdrs = make([]Buffer, n)
+	m.pay = nil
+	if floats > 0 {
+		m.pay = make([]float64, floats)
+	}
+}
+
 // Alloc reserves size units for object o and returns its buffer with a
-// backing slice of bufLen float64s (bufLen 0 gives a flag-only buffer).
+// backing slice of bufLen float64s (bufLen 0 gives a flag-only buffer),
+// exported under no channel.
 func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
+	return m.AllocChan(o, -1, size, bufLen)
+}
+
+// AllocChan is Alloc for a buffer exported under channel ch. The payload's
+// capacity is its length.
+func (m *Memory) AllocChan(o graph.ObjID, ch int32, size, bufLen int64) (*Buffer, error) {
 	if _, dup := m.Lookup(o); dup {
 		return nil, fmt.Errorf("rma: object %d already allocated (volatile objects are allocated once)", o)
 	}
@@ -130,11 +185,19 @@ func (m *Memory) Alloc(o graph.ObjID, size, bufLen int64) (*Buffer, error) {
 	if m.used > m.peak {
 		m.peak = m.used
 	}
-	var data []float64
-	if bufLen > 0 {
-		data = make([]float64, bufLen)
+	var b *Buffer
+	if len(m.hdrs) > 0 {
+		b, m.hdrs = &m.hdrs[0], m.hdrs[1:]
+	} else {
+		b = new(Buffer)
 	}
-	b := &Buffer{Obj: o, Data: data}
+	b.Obj, b.Chan = o, ch
+	switch n := SlabLen(bufLen); {
+	case n > 0 && n <= int64(len(m.pay)):
+		b.Data, m.pay = m.pay[:n:n], m.pay[n:]
+	case bufLen > 0:
+		b.Data = make([]float64, bufLen)
+	}
 	for int(o) >= len(m.bufs) {
 		m.bufs = append(m.bufs, nil)
 	}

@@ -1,7 +1,9 @@
 package rma
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -181,5 +183,62 @@ func TestAddrSlotsConcurrent(t *testing.T) {
 	wg.Wait()
 	if sent != n || received != n {
 		t.Fatalf("sent %d received %d", sent, received)
+	}
+}
+
+// TestSlabNeighboursIsolated: the buffers of one allocation event share a
+// payload slab, so each payload's capacity must end where it ends — a Put
+// (or a kernel's append) into one can then never write into the next — and
+// a deposit leaves every neighbour's payload bit-identical. A payload of
+// LargePayload float64s or more is not carved from the slab at all.
+func TestSlabNeighboursIsolated(t *testing.T) {
+	lens := []int64{3, 1, LargePayload, 4, 2}
+	m := NewMemoryFor(1<<20, len(lens))
+	var floats int64
+	for _, n := range lens {
+		floats += SlabLen(n)
+	}
+	m.Reserve(len(lens), floats)
+	bufs := make([]*Buffer, len(lens))
+	for i, n := range lens {
+		b, err := m.AllocChan(graph.ObjID(i), int32(i), 1, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(b.Data)) != n || cap(b.Data) != len(b.Data) {
+			t.Fatalf("buffer %d: len %d cap %d, want both %d", i, len(b.Data), cap(b.Data), n)
+		}
+		for j := range b.Data {
+			b.Data[j] = float64(100*i + j)
+		}
+		bufs[i] = b
+	}
+	if len(m.pay) != 0 {
+		t.Fatalf("%d float64s of the slab unused", len(m.pay))
+	}
+	snapshot := func() [][]uint64 {
+		s := make([][]uint64, len(bufs))
+		for i, b := range bufs {
+			for _, v := range b.Data {
+				s[i] = append(s[i], math.Float64bits(v))
+			}
+		}
+		return s
+	}
+	for i, b := range bufs {
+		before := snapshot()
+		data := make([]float64, len(b.Data))
+		for j := range data {
+			data[j] = math.NaN()
+		}
+		if !b.Put(data, 1) {
+			t.Fatalf("deposit into buffer %d rejected", i)
+		}
+		after := snapshot()
+		for k := range bufs {
+			if k != i && !slices.Equal(before[k], after[k]) {
+				t.Fatalf("a deposit into buffer %d changed buffer %d", i, k)
+			}
+		}
 	}
 }

@@ -40,19 +40,20 @@ func badPlans(t *testing.T) map[string]func(t *testing.T) *plan.Artifact {
 			mapp := &pl.Procs[p].MAPs[mi]
 			o := mapp.Allocs[ai]
 			mapp.Allocs = append(mapp.Allocs[:ai], mapp.Allocs[ai+1:]...)
-			for q, objs := range mapp.Notify {
-				keep := objs[:0]
-				for _, oo := range objs {
+			keep := mem.Notify{Off: []int32{0}}
+			for i, q := range mapp.Notify.Dst {
+				n := len(keep.Objs)
+				for _, oo := range mapp.Notify.Objects(i) {
 					if oo != o {
-						keep = append(keep, oo)
+						keep.Objs = append(keep.Objs, oo)
 					}
 				}
-				if len(keep) == 0 {
-					delete(mapp.Notify, q)
-				} else {
-					mapp.Notify[q] = keep
+				if len(keep.Objs) > n {
+					keep.Dst = append(keep.Dst, q)
+					keep.Off = append(keep.Off, int32(len(keep.Objs)))
 				}
 			}
+			mapp.Notify = keep
 			return wrap(s, pl)
 		},
 		"use-after-free": func(t *testing.T) *plan.Artifact {

@@ -9,6 +9,36 @@ import (
 	"repro/internal/mem"
 )
 
+// notifyShape checks that a MAP's address packages are well-formed CSR
+// naming processors in [0,p) in strictly ascending order, and says what is
+// wrong if they are not ("" if nothing).
+func notifyShape(nt *mem.Notify, p int) string {
+	if len(nt.Dst) == 0 {
+		if len(nt.Off) > 1 || len(nt.Objs) > 0 {
+			return "lists notified objects without a destination"
+		}
+		return ""
+	}
+	if len(nt.Off) != len(nt.Dst)+1 || nt.Off[0] != 0 || int(nt.Off[len(nt.Dst)]) != len(nt.Objs) {
+		return "has malformed address-package offsets"
+	}
+	out := 0
+	for i, q := range nt.Dst {
+		if nt.Off[i+1] < nt.Off[i] {
+			return "has malformed address-package offsets"
+		}
+		if q < 0 || int(q) >= p {
+			out++
+		} else if i > 0 && q <= nt.Dst[i-1] {
+			return "notifies processors out of order"
+		}
+	}
+	if out > 0 {
+		return fmt.Sprintf("notifies %d processor(s) outside [0,%d)", out, p)
+	}
+	return ""
+}
+
 // structural is the pre-pass that makes the deeper analyses safe: it checks
 // every index the later passes dereference and recomputes task positions
 // from the orders. It returns false when the plan is too malformed to
@@ -118,14 +148,8 @@ func (c *checker) structural() bool {
 					}
 				}
 			}
-			inRange := 0
-			for q := graph.Proc(0); int(q) < s.P; q++ {
-				if _, ok := mapp.Notify[q]; ok {
-					inRange++
-				}
-			}
-			if inRange != len(mapp.Notify) {
-				return fatal(fmt.Sprintf("processor %d MAP at %d notifies %d processor(s) outside [0,%d)", p, mapp.Pos, len(mapp.Notify)-inRange, s.P))
+			if msg := notifyShape(&mapp.Notify, s.P); msg != "" {
+				return fatal(fmt.Sprintf("processor %d MAP at %d %s", p, mapp.Pos, msg))
 			}
 		}
 		c.res.Checks += len(maps)
@@ -487,8 +511,8 @@ func (c *checker) crossCheckNotify(r *replay, mapp *mem.MAP) {
 		}
 	}
 	matched := 0
-	for q := graph.Proc(0); int(q) < c.s.P; q++ {
-		for _, o := range mapp.Notify[q] {
+	for i, q := range mapp.Notify.Dst {
+		for _, o := range mapp.Notify.Objects(i) {
 			c.check()
 			if o >= 0 && int(o) < c.m && r.inMAP[o] == seq && r.produces(o, q) {
 				word := &r.row(r.notified, o)[q>>6]

@@ -251,8 +251,8 @@ func dropNotify(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	s, pl := figure2Plan(t, sched.RCP, 1<<30)
 	for p := range pl.Procs {
 		for mi := range pl.Procs[p].MAPs {
-			if len(pl.Procs[p].MAPs[mi].Notify) > 0 {
-				pl.Procs[p].MAPs[mi].Notify = nil
+			if pl.Procs[p].MAPs[mi].Notify.Len() > 0 {
+				pl.Procs[p].MAPs[mi].Notify = mem.Notify{}
 				return s, pl
 			}
 		}
@@ -328,9 +328,9 @@ func crossSchedule(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	// Minimal MAP structure: one initial MAP per processor allocating the
 	// volatile objects it reads.
 	alloc := [][]graph.ObjID{{u}, {x}}
-	notify := []map[graph.Proc][]graph.ObjID{
-		{1: {u}},
-		{0: {x}},
+	notify := []mem.Notify{
+		{Dst: []graph.Proc{1}, Off: []int32{0, 1}, Objs: []graph.ObjID{u}},
+		{Dst: []graph.Proc{0}, Off: []int32{0, 1}, Objs: []graph.ObjID{x}},
 	}
 	for p := range pl.Procs {
 		pl.Procs[p] = mem.ProcPlan{Executable: true, Peak: 1,
@@ -392,7 +392,7 @@ func thresholdFixture(t *testing.T) (s *sched.Schedule, pl *mem.Plan, tamper fun
 			{Executable: true, Peak: 3, // permanent y,z + volatile x
 				MAPs: []mem.MAP{{Pos: 0, CoverEnd: 2,
 					Allocs: []graph.ObjID{x},
-					Notify: map[graph.Proc][]graph.ObjID{0: {x}}}}},
+					Notify: mem.Notify{Dst: []graph.Proc{0}, Off: []int32{0, 1}, Objs: []graph.ObjID{x}}}}},
 		}}
 	tamper = func() { g.Tasks[tc].Reads = append(g.Tasks[tc].Reads, x) }
 	return s, pl, tamper, tc, x
@@ -450,7 +450,7 @@ func gutted(t *testing.T) (*sched.Schedule, *mem.Plan) {
 	for p := range pl.Procs {
 		for mi := range pl.Procs[p].MAPs {
 			pl.Procs[p].MAPs[mi].Allocs = nil
-			pl.Procs[p].MAPs[mi].Notify = nil
+			pl.Procs[p].MAPs[mi].Notify = mem.Notify{}
 		}
 	}
 	return s, pl
