@@ -1,8 +1,7 @@
-package loadgen
+package rapidd
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -13,8 +12,8 @@ import (
 
 	"repro/internal/iofault"
 	"repro/internal/journal"
-	"repro/internal/rapidd"
 	"repro/internal/trace"
+	"repro/internal/util"
 )
 
 // TestJournalChaosSoak is the failure-domain proof run: a closed-loop
@@ -33,7 +32,7 @@ func TestJournalChaosSoak(t *testing.T) {
 	dir := t.TempDir()
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
 	metrics := trace.NewMetrics()
-	srv, err := rapidd.Open(rapidd.Config{
+	srv, err := Open(Config{
 		JournalDir:   dir,
 		JournalFS:    ffs,
 		Workers:      4,
@@ -50,10 +49,12 @@ func TestJournalChaosSoak(t *testing.T) {
 	// must answer for each of these at replay.
 	var mu sync.Mutex
 	acked := make(map[string]bool)
-	observe := func(job rapidd.Job) {
+	var durable int64
+	observe := func(job Job) {
 		if job.Durable {
 			mu.Lock()
 			acked[job.ID] = true
+			durable++
 			mu.Unlock()
 		}
 	}
@@ -106,32 +107,22 @@ func TestJournalChaosSoak(t *testing.T) {
 		}
 	}()
 
-	res, err := Run(Config{
-		URL:      ts.URL,
-		Clients:  8,
-		Requests: 400,
-		Keys:     4,
-		N:        48,
-		Procs:    2,
-		Seed:     7,
-		Observe:  observe,
-	}, nil)
+	res := closedLoop(ts.URL, 8, 400, 7, func(rng *util.RNG) JobSpec {
+		return JobSpec{N: 48, Procs: 2, Seed: uint64(zipfKey(rng, 4, 0) + 1)}
+	}, observe)
 	close(stop)
 	<-chaosDone
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The daemon never wedged: every request got an answer, none errored.
-	if res.Errors != 0 {
-		t.Errorf("%d requests errored under chaos (daemon wedged or crashed?)", res.Errors)
+	if res.errors != 0 {
+		t.Errorf("%d requests errored under chaos (daemon wedged or crashed?)", res.errors)
 	}
-	if res.Done+res.Failed+res.Shed+res.Refused+res.Errors != res.Issued {
+	if res.done+res.failed+res.shed+res.refused+res.errors != res.issued {
 		t.Errorf("outcomes do not partition issued: %+v", res)
 	}
-	if res.Durable != res.Done+res.Failed {
+	if durable != res.done+res.failed {
 		t.Errorf("served %d but durable-acked %d: reject mode must never serve non-durably",
-			res.Done+res.Failed, res.Durable)
+			res.done+res.failed, durable)
 	}
 
 	// The state machine round-trips to durable (the run may have ended
@@ -150,29 +141,15 @@ func TestJournalChaosSoak(t *testing.T) {
 	if metrics.Get("rapidd.health.rearms") == 0 {
 		t.Error("daemon recovered without a recorded re-arm")
 	}
-	if res.Refused == 0 && metrics.Get("rapidd.jobs.refused_degraded") == 0 {
+	if res.refused == 0 && metrics.Get("rapidd.jobs.refused_degraded") == 0 {
 		t.Error("no request was refused while degraded")
 	}
+	t.Logf("chaos: %d degraded windows, %d re-arms, %d of %d requests refused",
+		metrics.Get("rapidd.health.degraded_windows"), metrics.Get("rapidd.health.rearms"), res.refused, res.issued)
 
 	// Budget invariant: with the run over, no admission units or queue
 	// slots may stay booked.
-	waitSettled := func() bool {
-		resp, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			return false
-		}
-		defer resp.Body.Close()
-		var st struct {
-			MemInUse   int64 `json:"mem_in_use"`
-			JobsQueued int64 `json:"jobs_queued"`
-			QueueLen   int64 `json:"queue_len"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			return false
-		}
-		return st.MemInUse == 0 && st.JobsQueued == 0 && st.QueueLen == 0
-	}
-	for !waitSettled() {
+	for st := readStats(t, ts.URL); st.MemInUse != 0 || st.JobsQueued != 0 || st.QueueLen != 0; st = readStats(t, ts.URL) {
 		if time.Now().After(deadline) {
 			t.Fatal("admission/queue ledgers never settled to zero")
 		}

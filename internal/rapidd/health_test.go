@@ -199,10 +199,13 @@ func TestNegativeJobTimeoutRejected(t *testing.T) {
 // parking it until the job finishes.
 func TestJobWaitReturnsWhenClientGone(t *testing.T) {
 	srv := New(Config{Workers: 1})
+	// The job waits at the gate until the abandoned wait is proven over.
+	gate := make(chan struct{})
+	srv.execHook = func(JobSpec) { <-gate }
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	j := solveAsync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 11, Procs: 2, HoldMS: 1500})
+	j := solveAsync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 11, Procs: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"?wait=1", nil).WithContext(ctx)
@@ -219,6 +222,7 @@ func TestJobWaitReturnsWhenClientGone(t *testing.T) {
 		t.Fatal("handler still parked after the waiting client left")
 	}
 	// The job itself is unaffected and still completes.
+	close(gate)
 	if got := getJob(t, ts, j.ID, true); got.Status != StatusDone {
 		t.Fatalf("job after abandoned wait: %s (%s)", got.Status, got.Error)
 	}

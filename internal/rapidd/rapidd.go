@@ -134,14 +134,16 @@ type Config struct {
 	JournalNoSync bool
 	// TenantQuotas caps each named tenant's admitted memory at a slice of
 	// AVAIL_MEM, in the same abstract units. Tenants absent from the map
-	// fall back to DefaultTenantQuota.
+	// fall back to DefaultTenantQuota. Open rejects a key no request can
+	// carry (see validTenant) and a negative quota.
 	TenantQuotas map[string]int64
 	// DefaultTenantQuota caps tenants without an explicit quota
-	// (0: uncapped — only AVAIL_MEM limits them).
+	// (0: uncapped — only AVAIL_MEM limits them; negative: an error).
 	DefaultTenantQuota int64
 	// TenantWeights sets weighted-fair-queueing weights (default 1 —
 	// equal shares; higher drains proportionally faster under
-	// contention). Non-positive weights are treated as 1.
+	// contention). Non-positive weights are treated as 1; Open rejects
+	// a key no request can carry.
 	TenantWeights map[string]float64
 	// Metrics receives cache and job counters (nil: a fresh registry).
 	Metrics *trace.Metrics
@@ -154,10 +156,6 @@ type Config struct {
 	// RearmBackoff is the initial delay between journal re-arm attempts
 	// while degraded (default 50ms), doubled per failure up to 32× this.
 	RearmBackoff time.Duration
-	// ShedJitterSeed seeds the deterministic Retry-After jitter on shed
-	// and degraded-reject responses (0: seed 1). Equal seeds produce
-	// identical jitter sequences — load tests stay reproducible.
-	ShedJitterSeed uint64
 	// JournalFS is the filesystem seam the journal runs on (nil: the real
 	// OS). Chaos tests inject an iofault.FaultFS here to kill and revive
 	// the disk under the daemon.
@@ -398,8 +396,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.RearmBackoff <= 0 {
 		cfg.RearmBackoff = 50 * time.Millisecond
 	}
-	if cfg.ShedJitterSeed == 0 {
-		cfg.ShedJitterSeed = 1
+	if err := checkTenantConfig(cfg); err != nil {
+		return nil, err
 	}
 	weight := func(tenant string) float64 {
 		if w, ok := cfg.TenantWeights[tenant]; ok && w > 0 {
@@ -667,9 +665,9 @@ func (s *Server) shed(w http.ResponseWriter, tenant string, prio int) {
 // priority-scaled base (low 2×, normal 1×, high ½×, rounded up to whole
 // seconds) plus a seeded jitter of up to one base, spreading backed-off
 // clients over [base, 2×base] instead of re-stampeding at one instant.
-// The jitter is a hash of (ShedJitterSeed, priority, refusal#) — a pure
-// function of the request sequence, so identically seeded and identically
-// driven servers emit identical hints and load tests stay reproducible.
+// The jitter is a hash of (priority, refusal#) — a pure function of the
+// request sequence, so identically driven servers emit identical hints
+// and load tests stay reproducible.
 func (s *Server) retryAfterSecs(prio int) int {
 	after := s.cfg.RetryAfter
 	switch prio {
@@ -680,7 +678,7 @@ func (s *Server) retryAfterSecs(prio int) int {
 	}
 	secs := int((after + time.Second - 1) / time.Second)
 	n := s.shedSeq.Add(1)
-	jitter := int(util.Hash64(s.cfg.ShedJitterSeed, uint64(prio), n) % uint64(secs+1))
+	jitter := int(util.Hash64(1, uint64(prio), n) % uint64(secs+1))
 	return secs + jitter
 }
 
@@ -943,6 +941,29 @@ func validTenant(name string) bool {
 		}
 	}
 	return true
+}
+
+// checkTenantConfig rejects tenant settings that could never apply: a
+// quota or weight keyed by a name no request can carry, and a negative
+// quota, which admission would read as uncapped.
+func checkTenantConfig(cfg Config) error {
+	if cfg.DefaultTenantQuota < 0 {
+		return fmt.Errorf("rapidd: negative DefaultTenantQuota %d", cfg.DefaultTenantQuota)
+	}
+	for name, q := range cfg.TenantQuotas {
+		if !validTenant(name) {
+			return fmt.Errorf("rapidd: TenantQuotas: bad tenant %q (want 1-64 bytes of [a-zA-Z0-9._-])", name)
+		}
+		if q < 0 {
+			return fmt.Errorf("rapidd: TenantQuotas: tenant %q has negative quota %d", name, q)
+		}
+	}
+	for name := range cfg.TenantWeights {
+		if !validTenant(name) {
+			return fmt.Errorf("rapidd: TenantWeights: bad tenant %q (want 1-64 bytes of [a-zA-Z0-9._-])", name)
+		}
+	}
+	return nil
 }
 
 func normalizeSpec(spec *JobSpec) error {

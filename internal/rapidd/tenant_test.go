@@ -1,6 +1,7 @@
 package rapidd
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -81,6 +82,45 @@ func TestTenantHeaderAndValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad header tenant: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOpenRejectsDeadTenantConfig: a quota or weight keyed by a name no
+// request can carry would never apply, and a negative quota would read as
+// uncapped, so Open refuses both instead of starting with them silently.
+// A non-positive weight stays legal: it is documented to mean 1.
+func TestOpenRejectsDeadTenantConfig(t *testing.T) {
+	long := strings.Repeat("a", 65)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string // "" means Open must succeed
+	}{
+		{"quota key with a space", Config{TenantQuotas: map[string]int64{"gold team": 5}}, "gold team"},
+		{"empty quota key", Config{TenantQuotas: map[string]int64{"": 5}}, "TenantQuotas"},
+		{"quota key too long", Config{TenantQuotas: map[string]int64{long: 5}}, long},
+		{"negative quota", Config{TenantQuotas: map[string]int64{"gold": -1}}, "negative quota"},
+		{"negative default quota", Config{DefaultTenantQuota: -1}, "DefaultTenantQuota"},
+		{"weight key with a slash", Config{TenantWeights: map[string]float64{"gold/1": 3}}, "gold/1"},
+		{"valid quotas and weights", Config{
+			TenantQuotas:       map[string]int64{"gold": 5, "bronze.2": 0},
+			DefaultTenantQuota: 3,
+			TenantWeights:      map[string]float64{"gold": 3, "bronze_2": 0},
+		}, ""},
+	} {
+		srv, err := Open(tc.cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Open: %v, want success", tc.name, err)
+		case tc.want == "":
+			if err := srv.Drain(context.Background()); err != nil {
+				t.Errorf("%s: Drain: %v", tc.name, err)
+			}
+		case err == nil:
+			t.Errorf("%s: Open accepted the config, want an error naming %q", tc.name, tc.want)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: Open: %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -192,16 +232,28 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 		TenantQuotas: map[string]int64{"hog": demand}, // fits exactly one job
 		Workers:      2,
 	})
+	// Job A waits at the gate inside execHook, after admission booked it.
+	arrived := make(chan struct{})
+	gate := make(chan struct{})
+	srv.execHook = func(s JobSpec) {
+		if s.Tenant == "hog" && s.Seed == spec.Seed {
+			close(arrived)
+			<-gate
+		}
+	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Job A books the hog's whole quota and holds it; wait for Running so
-	// the quota is provably booked before the backlog exists.
+	// Job A books the hog's whole quota and holds it; wait until it is at
+	// the gate so the quota is provably booked before the backlog exists.
 	a := spec
 	a.Tenant = "hog"
-	a.HoldMS = 2500
 	ja := solveAsync(t, ts, a)
-	waitStatus(t, ts, ja.ID, StatusRunning, StatusDone)
+	select {
+	case <-arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("hog job A never reached execution")
+	}
 
 	var backlog []Job
 	for i := 0; i < 3; i++ {
@@ -219,7 +271,7 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 		t.Fatalf("victim wedged behind hog backlog on a 2-worker pool: %s (%s)", jv.Status, jv.Error)
 	}
 	if j := getJob(t, ts, ja.ID, false); j.Status != StatusRunning {
-		t.Fatalf("hog job A already %s — victim completion proves nothing, raise its hold", j.Status)
+		t.Fatalf("hog job A already %s while held at the gate — victim completion proves nothing", j.Status)
 	}
 	// The old failure signature is a hog job parked AT ADMISSION (a worker
 	// picked it up and wedged); quota-aware dispatch keeps the backlog in
@@ -233,6 +285,7 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 
 	// Once A releases, the headroom wake drains the backlog under the
 	// quota; nothing is stranded by the dispatch filter.
+	close(gate)
 	for _, j := range backlog {
 		if got := getJob(t, ts, j.ID, true); got.Status != StatusDone {
 			t.Fatalf("backlog job %s: %s (%s)", j.ID, got.Status, got.Error)

@@ -350,7 +350,7 @@ func TestQuickDTSTheorem2BoundEndToEnd(t *testing.T) {
 }
 
 // TestHeuristicNamesAndPeakVector pins the user-facing names of the
-// heuristics (they appear in trace tables and rapidload reports) and the
+// heuristics (they appear in trace tables and the paper reports) and the
 // per-processor peak vector's relation to MIN_MEM (Definition 5).
 func TestHeuristicNamesAndPeakVector(t *testing.T) {
 	names := map[sched.Heuristic]string{

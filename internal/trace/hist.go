@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 )
 
@@ -18,7 +16,7 @@ const histSubBits = 4
 // sub-buckets (the HDR-histogram layout), so quantiles are accurate to a
 // few percent across the full int64 range while the whole structure stays
 // a flat array of counters: Observe is a couple of shifts and one add,
-// cheap enough for the closed-loop load generator's hot path.
+// cheap enough for the request path.
 //
 // A nil *Histogram is valid and discards everything, mirroring Metrics.
 type Histogram struct {
@@ -97,39 +95,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum
 }
 
-// Mean returns the arithmetic mean of the samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Quantile returns the q-quantile (q in [0, 1]) as the upper edge of the
 // bucket holding the q-th sample, clamped to the observed min/max so exact
 // extremes stay exact. Returns 0 when empty.
@@ -166,46 +131,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Merge folds other's samples into h (min/max/sum/count included); other
-// is unchanged. A nil other is a no-op.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	counts := other.counts
-	n, sum, mn, mx := other.n, other.sum, other.min, other.max
-	other.mu.Unlock()
-	if n == 0 {
-		return
-	}
-	h.mu.Lock()
-	for b := range counts {
-		h.counts[b] += counts[b]
-	}
-	if h.n == 0 || mn < h.min {
-		h.min = mn
-	}
-	if mx > h.max {
-		h.max = mx
-	}
-	h.n += n
-	h.sum += sum
-	h.mu.Unlock()
-}
-
-// Summary renders count/mean/min/p50/p90/p99/max on one line, dividing
-// samples by scale (e.g. 1000 for µs→ms) and suffixing unit.
-func (h *Histogram) Summary(scale float64, unit string) string {
-	if scale <= 0 {
-		scale = 1
-	}
-	f := func(v int64) string { return fmt.Sprintf("%.2f%s", float64(v)/scale, unit) }
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.2f%s min=%s p50=%s p90=%s p99=%s max=%s",
-		h.Count(), h.Mean()/scale, unit, f(h.Min()),
-		f(h.Quantile(0.50)), f(h.Quantile(0.90)), f(h.Quantile(0.99)), f(h.Max()))
-	return b.String()
 }
