@@ -10,7 +10,7 @@
 //	rapidd [-addr :8437] [-cache-dir DIR] [-cache-mem BYTES] [-avail-mem UNITS]
 //	       [-job-timeout 30s] [-job-retries 2]
 //	       [-workers N] [-queue-depth N] [-deadline DUR] [-retry-after 1s]
-//	       [-journal-dir DIR] [-degraded-mode reject|serve] [-rearm-backoff 50ms]
+//	       [-journal-dir DIR] [-rearm-backoff 50ms]
 //	       [-tenant-quotas gold=48,bronze=16]
 //	       [-default-tenant-quota UNITS] [-tenant-weights gold=3,bronze=1]
 //
@@ -23,8 +23,8 @@
 // inspector phase is skipped — and if the duplicate arrives while the first
 // is still executing it coalesces onto that execution ("coalesced": true).
 // When the backlog exceeds -queue-depth the daemon sheds load with 429 +
-// Retry-After instead of queueing without bound. See /v1/stats for cache,
-// pool and admission counters.
+// Retry-After instead of queueing without bound. GET /metrics serves the
+// cache, pool, admission and journal numbers.
 //
 // On SIGINT/SIGTERM the daemon stops accepting jobs (503), finishes the
 // backlog, and exits.
@@ -34,14 +34,13 @@
 // answers sent beside it); on restart the daemon replays the journal, requeues
 // jobs that never ran and explicitly fails the ones it was executing when it
 // died. If the journal's disk fails mid-run the daemon degrades instead of
-// wedging: -degraded-mode picks whether new submits are refused with 503
-// (reject, the default) or accepted with "durable": false (serve), while a
-// background loop retries re-arming the journal every -rearm-backoff
-// (doubling). GET /healthz is a readiness probe: 200 while durable, 503 +
-// JSON state while degraded. Tenants (X-Tenant header or "tenant" spec
-// field) get per-tenant
-// -avail-mem sub-quotas, weighted-fair queueing and priority-aware shedding;
-// GET /metrics exposes the counters in Prometheus text format.
+// wedging: new submits are refused with 503 while a background loop
+// retries re-arming the journal every -rearm-backoff (doubling). GET
+// /healthz is a readiness probe: 200 while durable, 503 + JSON state while
+// degraded. Tenants (X-Tenant header or "tenant" spec field) get
+// per-tenant -avail-mem sub-quotas, weighted-fair queueing and
+// priority-aware shedding; GET /metrics exposes the counters in Prometheus
+// text format.
 package main
 
 import (
@@ -97,8 +96,6 @@ func main() {
 	retryAfter := flag.Duration("retry-after", 0, "client back-off hint on shed responses (0: 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	journalDir := flag.String("journal-dir", "", "write-ahead job journal directory (empty: no durability)")
-	journalNoSync := flag.Bool("journal-nosync", false, "skip the journal fsync (benchmarks only; crashes can lose acknowledged jobs)")
-	degradedMode := flag.String("degraded-mode", "", "submit policy while the journal is degraded: reject (default: 503 new submits) or serve (accept with durable:false)")
 	rearmBackoff := flag.Duration("rearm-backoff", 0, "initial delay between journal re-arm attempts while degraded (0: 50ms), doubled per failure")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant avail-mem sub-quotas, e.g. gold=48,bronze=16")
 	defaultTenantQuota := flag.Int64("default-tenant-quota", 0, "avail-mem sub-quota for tenants not in -tenant-quotas (0: uncapped)")
@@ -137,8 +134,6 @@ func main() {
 		DefaultDeadline:    *deadline,
 		RetryAfter:         *retryAfter,
 		JournalDir:         *journalDir,
-		JournalNoSync:      *journalNoSync,
-		DegradedMode:       *degradedMode,
 		RearmBackoff:       *rearmBackoff,
 		TenantQuotas:       quotas,
 		DefaultTenantQuota: *defaultTenantQuota,

@@ -50,7 +50,11 @@ func stateTable(report *rapid.Report) string {
 	for p, occ := range report.Occupancy {
 		rows[p] = occ[:]
 	}
-	return trace.StateTable(rapid.StateNames(), rows, "s")
+	heads := rapid.StateNames()
+	for i := range heads {
+		heads[i] += "(s)"
+	}
+	return trace.Table(heads, rows, ".4g")
 }
 
 // reliabilityTable renders the per-processor ack/retransmit counters of the
@@ -60,7 +64,7 @@ func reliabilityTable(report *rapid.Report) string {
 	for p, r := range report.Reliability {
 		rows[p] = []int64{int64(r.Retransmits), int64(r.Dropped), int64(r.DupsSent), int64(r.DupDropped), int64(r.Acked)}
 	}
-	return trace.CountTable([]string{"retrans", "dropped", "dups-sent", "dups-rcvd", "acked"}, rows)
+	return trace.Table([]string{"retrans", "dropped", "dups-sent", "dups-rcvd", "acked"}, rows, "d")
 }
 
 func main() {

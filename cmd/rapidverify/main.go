@@ -13,8 +13,8 @@
 //	                                      (chol + lu x rcp/mpo/dts/dtsmerge
 //	                                      x 100%/60% memory) and verify each
 //
-// Plan files are decoded leniently (checksum and structure enforced,
-// semantic validation left to the verifier), so deliberately defective
+// Plan files are decoded with checksum and structure enforced and
+// semantic validation left to the verifier, so deliberately defective
 // corpora — e.g. internal/verify/testdata/badplans — can be checked with
 // -expect-fail. Exit status: 0 when every input matches the expectation,
 // 1 otherwise, 2 on usage errors.
@@ -67,7 +67,7 @@ func runFiles(files []string, expectFail bool) int {
 			bad++
 			continue
 		}
-		a, err := plan.DecodeLenient(data)
+		a, err := plan.Decode(data)
 		if err != nil {
 			// Undecodable bytes cannot reach the verifier; under
 			// -expect-fail that still counts as a detected-bad plan.

@@ -67,12 +67,6 @@ func (b *Builder) Object(name string, size int64) ObjID {
 	return id
 }
 
-// ObjectID returns the ID of a previously declared object name.
-func (b *Builder) ObjectID(name string) (ObjID, bool) {
-	id, ok := b.objNames[name]
-	return id, ok
-}
-
 // Task appends a task to the sequential program. Reads and writes may
 // overlap (read-modify-write).
 func (b *Builder) Task(name string, cost float64, reads, writes []ObjID) TaskID {

@@ -85,14 +85,3 @@ func SCC(adj [][]int32) (comp []int32, nComp int) {
 	}
 	return comp, int(compCnt)
 }
-
-// CondensationTopoOrder converts Tarjan component indices (reverse
-// topological) into a topological order of components: position i of the
-// result is the component that comes i-th.
-func CondensationTopoOrder(nComp int) []int32 {
-	order := make([]int32, nComp)
-	for i := 0; i < nComp; i++ {
-		order[i] = int32(nComp - 1 - i)
-	}
-	return order
-}

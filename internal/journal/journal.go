@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -1166,25 +1165,4 @@ func ReplayDir(dir string) (*Replay, error) {
 		}
 	}
 	return rep, nil
-}
-
-// WriteTo streams a human-readable dump of a replay (debugging aid).
-func (r *Replay) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, rec := range r.Records {
-		n, err := fmt.Fprintf(w, "%s seq=%d id=%s tenant=%s prio=%s demand=%d status=%s err=%q spec=%dB\n",
-			rec.Op, rec.Seq, rec.ID, rec.Tenant, rec.Priority, rec.Demand, rec.Status, rec.Error, len(rec.Spec))
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	if r.TruncatedBytes > 0 {
-		n, err := fmt.Fprintf(w, "torn tail: %d bytes truncated\n", r.TruncatedBytes)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

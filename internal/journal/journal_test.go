@@ -484,17 +484,3 @@ func TestMidSegmentMarkDoesNotReset(t *testing.T) {
 		t.Fatalf("mid-segment mark dropped records:\n got %+v\nwant %+v", rep.Records, want)
 	}
 }
-
-func TestReplayDump(t *testing.T) {
-	rep := &Replay{Records: sampleRecords(), TruncatedBytes: 3}
-	var b bytes.Buffer
-	if _, err := rep.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"submit", "admit", "complete", "cancel", "mark", "torn tail: 3 bytes"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
-	}
-}

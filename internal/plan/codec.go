@@ -19,29 +19,14 @@ var magic = [4]byte{'R', 'P', 'L', 'N'}
 // Encode serializes the artifact. The output is a pure function of the
 // artifact's contents: the artifact holds no maps and slices are written in
 // stored order, so two equal artifacts encode to identical bytes. The
-// payload is terminated by a SHA-256 checksum.
+// payload is terminated by a SHA-256 checksum. Encode refuses only plans it
+// cannot represent; the semantic checks are Artifact.Validate's (and the
+// verifier's), so deliberately defective plans — verifier test corpora,
+// crash repros — persist too.
 func Encode(a *Artifact) ([]byte, error) {
-	if err := a.Validate(); err != nil {
+	if err := encodable(a); err != nil {
 		return nil, err
 	}
-	return encode(a)
-}
-
-// EncodeLenient serializes without the semantic Validate pass, so that
-// deliberately defective plans (verifier test corpora, crash repros) can be
-// persisted. The byte format and checksum are identical to Encode's; only
-// plans the encoder cannot represent at all are rejected.
-func EncodeLenient(a *Artifact) ([]byte, error) {
-	if a == nil || a.Schedule == nil || a.Schedule.G == nil || a.Mem == nil {
-		return nil, fmt.Errorf("plan: artifact missing schedule, graph or memory plan")
-	}
-	if len(a.Mem.Procs) != a.Schedule.P || len(a.Schedule.Order) != a.Schedule.P {
-		return nil, fmt.Errorf("plan: processor counts disagree; cannot encode")
-	}
-	return encode(a)
-}
-
-func encode(a *Artifact) ([]byte, error) {
 	e := &encoder{}
 	encodePayload(e, a)
 	sum := sha256.Sum256(e.b)
@@ -49,17 +34,28 @@ func encode(a *Artifact) ([]byte, error) {
 	return e.b, nil
 }
 
-// EncodedLen returns len(Encode(a)), validating a as Encode does, without
-// building the encoding: the encoder runs through its window, whose bytes
-// are counted and dropped. A plan cache that keeps plans only in memory
-// charges an entry this, so a compile miss never encodes.
+// EncodedLen returns len(Encode(a)) without building the encoding: the
+// encoder runs through its window, whose bytes are counted and dropped. A
+// plan cache that keeps plans only in memory charges an entry this, so a
+// compile miss never encodes.
 func EncodedLen(a *Artifact) (int, error) {
-	if err := a.Validate(); err != nil {
+	if err := encodable(a); err != nil {
 		return 0, err
 	}
 	e := newStreamEncoder(nil)
 	encodePayload(e, a)
 	return e.len() + sha256.Size, nil
+}
+
+// encodable reports why the encoder cannot represent a, if it cannot.
+func encodable(a *Artifact) error {
+	if a == nil || a.Schedule == nil || a.Schedule.G == nil || a.Mem == nil {
+		return fmt.Errorf("plan: artifact missing schedule, graph or memory plan")
+	}
+	if len(a.Mem.Procs) != a.Schedule.P || len(a.Schedule.Order) != a.Schedule.P {
+		return fmt.Errorf("plan: processor counts disagree; cannot encode")
+	}
+	return nil
 }
 
 // encodePayload writes everything the checksum covers.
@@ -74,29 +70,12 @@ func encodePayload(e *encoder, a *Artifact) {
 	encodeMemPlan(e, a.Mem)
 }
 
-// Decode parses a serialized artifact, verifying version, checksum and all
-// structural invariants. Corrupted or truncated input yields an error.
+// Decode parses a serialized artifact, verifying version, checksum and
+// the decoder's structural invariants. Corrupted or truncated input yields
+// an error. The semantic checks are Artifact.Validate's: a plan destined
+// for the static verifier reports its defects there as findings, not as a
+// bare decode error.
 func Decode(data []byte) (*Artifact, error) {
-	a, err := decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// DecodeLenient parses a serialized artifact, verifying version, checksum
-// and the decoder's structural invariants but skipping the final semantic
-// Validate. Use it to load plans destined for the static verifier (which
-// reports semantic defects as findings instead of a bare decode error) and
-// for the defective-plan test corpus.
-func DecodeLenient(data []byte) (*Artifact, error) {
-	return decode(data)
-}
-
-func decode(data []byte) (*Artifact, error) {
 	if len(data) < len(magic)+sha256.Size {
 		return nil, fmt.Errorf("plan: input too short (%d bytes)", len(data))
 	}

@@ -206,20 +206,17 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeRejectsUnknownHeuristic: a well-formed payload whose heuristic
-// id names no scheduler is refused by both decoders, as edge kinds are.
+// id names no scheduler is refused by the decoder, as edge kinds are.
 func TestDecodeRejectsUnknownHeuristic(t *testing.T) {
 	a := buildArtifact(t, sched.MPO, 2)
 	a.Schedule.Heuristic = 200
-	enc, err := EncodeLenient(a)
+	enc, err := Encode(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "plan: bad heuristic 200"
 	if _, err := Decode(enc); err == nil || err.Error() != want {
 		t.Errorf("Decode: err %v, want %q", err, want)
-	}
-	if _, err := DecodeLenient(enc); err == nil || err.Error() != want {
-		t.Errorf("DecodeLenient: err %v, want %q", err, want)
 	}
 }
 
@@ -268,10 +265,8 @@ func TestDecodeRejectsUnorderedNotify(t *testing.T) {
 		}
 		sum := sha256.Sum256(e.b)
 		e.raw(sum[:])
-		for i, decode := range []func([]byte) (*Artifact, error){Decode, DecodeLenient} {
-			if _, err := decode(e.b); err == nil || !strings.Contains(err.Error(), "plan: notify destinations out of order") {
-				t.Errorf("decoder %d, destinations %v: err %v, want notify destinations out of order", i, dests, err)
-			}
+		if _, err := Decode(e.b); err == nil || !strings.Contains(err.Error(), "plan: notify destinations out of order") {
+			t.Errorf("destinations %v: err %v, want notify destinations out of order", dests, err)
 		}
 	}
 }
@@ -312,60 +307,5 @@ func TestFingerprintSensitivity(t *testing.T) {
 	g.Objects[0].Owner = 1 - g.Objects[0].Owner
 	if fpBefore == Fingerprint(g, []byte{1}) {
 		t.Error("owner change not reflected")
-	}
-}
-
-func TestLenientCodecCarriesDefectivePlans(t *testing.T) {
-	a := buildArtifact(t, sched.RCP, 2)
-	// Reverse P0's order: Schedule.Validate fails, so the strict codec
-	// refuses the plan in both directions, but the lenient codec must carry
-	// it byte-for-byte so the verifier corpus can persist such fixtures.
-	o := a.Schedule.Order[0]
-	for i, j := 0, len(o)-1; i < j; i, j = i+1, j-1 {
-		o[i], o[j] = o[j], o[i]
-	}
-	for p := range a.Schedule.Order {
-		for i, tk := range a.Schedule.Order[p] {
-			a.Schedule.Pos[tk] = int32(i)
-		}
-	}
-	if _, err := Encode(a); err == nil {
-		t.Fatal("strict Encode accepted an invalid schedule")
-	}
-	enc, err := EncodeLenient(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(enc); err == nil {
-		t.Fatal("strict Decode accepted an invalid schedule")
-	}
-	got, err := DecodeLenient(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkArtifactEqual(t, a, got)
-	// Checksum and truncation protection still apply.
-	bad := append([]byte(nil), enc...)
-	bad[len(bad)/2] ^= 0x5a
-	if _, err := DecodeLenient(bad); err == nil {
-		t.Fatal("lenient decode skipped the checksum")
-	}
-	if _, err := DecodeLenient(enc[:len(enc)/2]); err == nil {
-		t.Fatal("lenient decode accepted truncation")
-	}
-}
-
-func TestLenientMatchesStrictOnValidPlans(t *testing.T) {
-	a := buildArtifact(t, sched.MPO, 3)
-	strict, err := Encode(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lenient, err := EncodeLenient(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(strict, lenient) {
-		t.Fatal("lenient encoding diverges from strict on a valid plan")
 	}
 }

@@ -195,14 +195,6 @@ func (c *Cache) fill(key string, compile func() (*plan.Artifact, error)) (*plan.
 	return art, SourceCompiled, nil
 }
 
-// Put inserts a pre-compiled artifact under the key (both tiers).
-func (c *Cache) Put(key string, art *plan.Artifact) error {
-	if err := validKey(key); err != nil {
-		return err
-	}
-	return c.store(key, art)
-}
-
 // store puts art in both tiers under key, charging the memory tier its
 // encoded size. Only the disk tier needs the encoding itself; without one
 // the size is counted, not built.
@@ -342,9 +334,9 @@ func (c *Cache) loadDisk(key string) (*plan.Artifact, []byte) {
 		}
 		return nil, nil
 	}
-	// Lenient decode: semantic defects are the verifier's to report (and
-	// count) rather than surfacing as a bare decode error.
-	art, err := plan.DecodeLenient(enc)
+	// Decode checks structure only: semantic defects are the verifier's to
+	// report (and count).
+	art, err := plan.Decode(enc)
 	if err != nil {
 		c.metrics.Inc("plancache.corrupt", 1)
 		c.fs.Remove(path)

@@ -136,6 +136,14 @@ func TestMemoryMissCountsNotEncodes(t *testing.T) {
 	}
 }
 
+// put caches art under key the way a compile miss does.
+func put(t *testing.T, c *Cache, key string, art *plan.Artifact) {
+	t.Helper()
+	if _, _, err := c.GetOrCompile(key, func() (*plan.Artifact, error) { return art, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEvictionUnderTinyBudget(t *testing.T) {
 	m := trace.NewMetrics()
 	key0, art0 := compileArtifact(t, 0)
@@ -146,13 +154,9 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	// Budget fits roughly one entry: inserting a second must evict the
 	// least recently used one.
 	c := New(Config{MemBudget: int64(len(enc0)) + 16, Metrics: m})
-	if err := c.Put(key0, art0); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, key0, art0)
 	key1, art1 := compileArtifact(t, 1)
-	if err := c.Put(key1, art1); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, key1, art1)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after eviction", c.Len())
 	}
@@ -173,9 +177,7 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	// An entry bigger than the budget is still admitted (never thrash the
 	// plan currently in use) but evicts everything else.
 	c2 := New(Config{MemBudget: 1, Metrics: trace.NewMetrics()})
-	if err := c2.Put(key0, art0); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c2, key0, art0)
 	if c2.Len() != 1 {
 		t.Fatalf("oversized entry dropped (len=%d)", c2.Len())
 	}
@@ -186,9 +188,7 @@ func TestCorruptDiskEntryFallsBack(t *testing.T) {
 	m := trace.NewMetrics()
 	key, art := compileArtifact(t, 0)
 	c := New(Config{Dir: dir, Metrics: m})
-	if err := c.Put(key, art); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, key, art)
 	path := filepath.Join(dir, key+".rplan")
 	enc, err := os.ReadFile(path)
 	if err != nil {
@@ -306,7 +306,7 @@ func TestPoisonedDiskEntryRejected(t *testing.T) {
 	if res := verify.CheckArtifact(poisoned); res.OK() {
 		t.Fatal("poisoned artifact unexpectedly verifies clean")
 	}
-	enc, err := plan.EncodeLenient(poisoned)
+	enc, err := plan.Encode(poisoned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,12 +393,8 @@ func TestAttachLookup(t *testing.T) {
 	if _, _, ok := c.Lookup("a"); ok {
 		t.Fatal("Attach to a fingerprint the cache does not hold took effect")
 	}
-	if err := c.Put(key0, art0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(key1, art1); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, key0, art0)
+	put(t, c, key1, art1)
 	c.Attach(key0, "a", "first", 60)
 	c.Attach(key0, "a", "second", 60) // the first attachment stands
 	c.Attach(key0, "bare", nil, 0)
@@ -428,16 +424,15 @@ func TestAttachLookup(t *testing.T) {
 		t.Fatalf("Lookup(b) = %v, %v", val, ok)
 	}
 	// A name freed by eviction can be attached again.
-	if err := c.Put(key0, art0); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, key0, art0)
 	c.Attach(key0, "a", "third", 1)
 	if _, val, _ := c.Lookup("a"); val != "third" {
 		t.Fatalf("re-attached name reads %v", val)
 	}
 	// Replacing the artifact under a fingerprint drops the names given to
-	// the old one.
-	if err := c.Put(key0, art0); err != nil {
+	// the old one: a miss that loses the race to fill its key stores over
+	// the winner's entry.
+	if err := c.store(key0, art0); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := c.Lookup("a"); ok {
@@ -449,9 +444,7 @@ func TestAttachLookup(t *testing.T) {
 
 	// No memory tier: nothing to attach to.
 	off := New(Config{MemBudget: -1})
-	if err := off.Put(key0, art0); err != nil {
-		t.Fatal(err)
-	}
+	put(t, off, key0, art0)
 	off.Attach(key0, "a", 1, 1)
 	if _, _, ok := off.Lookup("a"); ok {
 		t.Fatal("Lookup hit with the memory tier off")
@@ -469,9 +462,7 @@ func TestSoleEntryShedsOldestNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(Config{MemBudget: int64(len(enc)) + 25, Metrics: m})
-	if err := c.Put(key, art); err != nil {
-		t.Fatal(err)
-	}
+	put(t, c, key, art)
 	for i := 0; i < 5; i++ {
 		c.Attach(key, fmt.Sprint("seed", i), i, 10)
 	}

@@ -70,24 +70,21 @@ func (a *admission) quota(tenant string) int64 {
 	return a.defaultQuota
 }
 
-// acquire blocks until demand units fit under both the machine budget and
-// the tenant's quota. onQueue (may be nil) fires exactly once if the
+// acquireCtx blocks until demand units fit under both the machine budget
+// and the tenant's quota. onQueue (may be nil) fires exactly once if the
 // caller has to wait, before blocking — callers use it to expose a
 // "queued" state. Demands larger than the whole budget or the tenant
 // quota are rejected with an error: the caller must replan to a smaller
 // footprint first (see planForBudget), so a failure here is a caller bug,
 // not load.
-func (a *admission) acquire(tenant string, demand int64, onQueue func()) error {
-	return a.acquireCtx(context.Background(), tenant, demand, onQueue)
-}
-
-// acquireCtx is acquire with cancellation: a waiter whose context expires
-// (per-job deadline) or is cancelled (client disconnect, shed) leaves the
-// queue without ever booking budget — and without wedging the jobs parked
-// behind it, which are re-pumped in case the departed waiter was the
-// too-big head. If admission and cancellation race, the booked units are
-// released before returning the context error, so either way no budget
-// can leak from a caller that does not run.
+//
+// A waiter whose context expires (per-job deadline) or is cancelled
+// (client disconnect, shed) leaves the queue without ever booking budget —
+// and without wedging the jobs parked behind it, which are re-pumped in
+// case the departed waiter was the too-big head. If admission and
+// cancellation race, the booked units are released before returning the
+// context error, so either way no budget can leak from a caller that does
+// not run.
 func (a *admission) acquireCtx(ctx context.Context, tenant string, demand int64, onQueue func()) error {
 	if demand < 0 {
 		return fmt.Errorf("rapidd: negative admission demand %d", demand)

@@ -23,41 +23,41 @@ func TestAdmissionEdgeCases(t *testing.T) {
 		steps func(t *testing.T, a *admission)
 	}{
 		{"unlimited-admits-anything", 0, func(t *testing.T, a *admission) {
-			if err := a.acquire("t", 1<<50, nil); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 1<<50, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := a.acquire("t", 1<<50, func() { t.Error("unlimited controller queued") }); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 1<<50, func() { t.Error("unlimited controller queued") }); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"exact-fit-admits-immediately", 100, func(t *testing.T, a *admission) {
-			if err := a.acquire("t", 100, func() { t.Error("exact fit queued") }); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 100, func() { t.Error("exact fit queued") }); err != nil {
 				t.Fatal(err)
 			}
 			if _, inUse, _, _ := a.snapshot(); inUse != 100 {
 				t.Fatalf("inUse %d", inUse)
 			}
 			a.release("t", 100)
-			if err := a.acquire("t", 100, func() { t.Error("refilled budget queued") }); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 100, func() { t.Error("refilled budget queued") }); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"zero-demand-always-fits", 10, func(t *testing.T, a *admission) {
-			if err := a.acquire("t", 10, nil); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 10, nil); err != nil {
 				t.Fatal(err)
 			}
 			// An empty queue and a zero demand: admitted without waiting
 			// even though the budget is exhausted.
-			if err := a.acquire("t", 0, func() { t.Error("zero demand queued") }); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 0, func() { t.Error("zero demand queued") }); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"one-over-budget-rejected", 100, func(t *testing.T, a *admission) {
-			if err := a.acquire("t", 101, nil); err == nil {
+			if err := a.acquireCtx(context.Background(), "t", 101, nil); err == nil {
 				t.Fatal("101/100 must be a caller error")
 			}
 			// The rejection booked nothing.
-			if err := a.acquire("t", 100, nil); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 100, nil); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -78,7 +78,7 @@ func TestAdmissionConcurrentLastBytes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := a.acquire("t", 3, nil); err != nil {
+			if err := a.acquireCtx(context.Background(), "t", 3, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -110,7 +110,7 @@ func TestAdmissionCancelledWaiterReleasesNothing(t *testing.T) {
 		t.Fatalf("cancelled pre-check booked %d units", inUse)
 	}
 
-	if err := a.acquire("t", 8, nil); err != nil {
+	if err := a.acquireCtx(context.Background(), "t", 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancelHead := context.WithCancel(done)
@@ -156,7 +156,7 @@ func TestAdmissionCancelledWaiterReleasesNothing(t *testing.T) {
 func TestAdmissionCancelAdmitRace(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		a := newAdmission(1, nil, 0)
-		if err := a.acquire("t", 1, nil); err != nil {
+		if err := a.acquireCtx(context.Background(), "t", 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())

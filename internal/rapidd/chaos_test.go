@@ -121,7 +121,7 @@ func TestJournalChaosSoak(t *testing.T) {
 		t.Errorf("outcomes do not partition issued: %+v", res)
 	}
 	if durable != res.done+res.failed {
-		t.Errorf("served %d but durable-acked %d: reject mode must never serve non-durably",
+		t.Errorf("served %d but durable-acked %d: a degraded daemon must never serve non-durably",
 			res.done+res.failed, durable)
 	}
 
@@ -131,7 +131,7 @@ func TestJournalChaosSoak(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for healthz() != http.StatusOK {
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon stuck degraded after heal; health state %d", metrics.Gauge("rapidd.health.state"))
+			t.Fatalf("daemon stuck degraded after heal; health state %d", srv.healthState())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -149,7 +149,7 @@ func TestJournalChaosSoak(t *testing.T) {
 
 	// Budget invariant: with the run over, no admission units or queue
 	// slots may stay booked.
-	for st := readStats(t, ts.URL); st.MemInUse != 0 || st.JobsQueued != 0 || st.QueueLen != 0; st = readStats(t, ts.URL) {
+	for st := readMetrics(t, ts.URL); st["rapidd_mem_in_use_units"] != 0 || st["rapidd_admission_waiters"] != 0 || st["rapidd_queue_depth"] != 0; st = readMetrics(t, ts.URL) {
 		if time.Now().After(deadline) {
 			t.Fatal("admission/queue ledgers never settled to zero")
 		}

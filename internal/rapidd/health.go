@@ -21,12 +21,11 @@ import (
 // I/O fault (see journal.ErrDegraded) — and the health plane follows:
 // noteJournalError observes the fault, flips the state and starts one
 // re-arm loop that retries journal.Rearm with exponential backoff until
-// the disk comes back. While degraded, the -degraded-mode policy decides
-// what happens to new submits: "reject" refuses them with 503 +
-// Retry-After (durability required), "serve" accepts them with
-// Durable:false stamped on the job record. /healthz exposes the state
-// with readiness semantics (200 durable / 503 + JSON otherwise) so a
-// router tier can steer traffic away before clients see failures.
+// the disk comes back. While degraded, new submits are refused with 503 +
+// Retry-After: a client never gets an acknowledgement weaker than the
+// durability it was promised. /healthz exposes the state with readiness
+// semantics (200 durable / 503 + JSON otherwise) so a router tier can
+// steer traffic away before clients see failures.
 
 // HealthState enumerates the daemon's durability states.
 type HealthState int
@@ -53,18 +52,6 @@ func (h HealthState) String() string {
 	return "durable"
 }
 
-// Degraded-mode policies (Config.DegradedMode).
-const (
-	// DegradedReject refuses new submits with 503 while the journal is
-	// degraded: clients that need the durability guarantee get an honest
-	// "not now" instead of a silently weaker acknowledgement.
-	DegradedReject = "reject"
-	// DegradedServe keeps accepting submits while degraded, stamping
-	// Durable:false on the job record: availability first, with the
-	// weaker guarantee visible per job.
-	DegradedServe = "serve"
-)
-
 // maxRearmBackoffFactor caps the exponential backoff at 32× the base.
 const maxRearmBackoffFactor = 32
 
@@ -86,7 +73,6 @@ type healthSnapshot struct {
 	Cause    string `json:"cause,omitempty"`
 	SinceMS  int64  `json:"since_ms"` // time in the current state
 	Attempts int64  `json:"rearm_attempts"`
-	Mode     string `json:"degraded_mode"`
 }
 
 // healthState returns the current state.
@@ -105,19 +91,17 @@ func (s *Server) healthSnap() healthSnapshot {
 		Cause:    s.health.cause,
 		SinceMS:  time.Since(s.health.since).Milliseconds(),
 		Attempts: s.health.attempts,
-		Mode:     s.cfg.DegradedMode,
 	}
 }
 
-// setHealth transitions the state machine and publishes the gauge.
-// Called with health.mu held.
+// setHealthLocked transitions the state machine. Called with health.mu
+// held.
 func (s *Server) setHealthLocked(st HealthState, cause string) {
 	if s.health.state != st {
 		s.health.since = time.Now()
 	}
 	s.health.state = st
 	s.health.cause = cause
-	s.metrics.Set("rapidd.health.state", int64(st))
 }
 
 // noteJournalError observes a journal Write or Sync failure. A
@@ -200,7 +184,7 @@ func (s *Server) refuseDegraded(w http.ResponseWriter, prio int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	json.NewEncoder(w).Encode(map[string]any{
-		"error":  "rapidd: journal degraded, not accepting jobs (degraded-mode=reject)",
+		"error":  "rapidd: journal degraded, not accepting jobs",
 		"health": s.healthSnap(),
 	})
 }

@@ -16,7 +16,7 @@ import (
 
 // faultServer builds a journaled server on an injectable filesystem with
 // a fast re-arm loop, plus its test frontend.
-func faultServer(t *testing.T, mode string) (*Server, *httptest.Server, *iofault.FaultFS, *trace.Metrics) {
+func faultServer(t *testing.T) (*Server, *httptest.Server, *iofault.FaultFS, *trace.Metrics) {
 	t.Helper()
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
 	metrics := trace.NewMetrics()
@@ -24,7 +24,6 @@ func faultServer(t *testing.T, mode string) (*Server, *httptest.Server, *iofault
 		JournalDir:   t.TempDir(),
 		JournalFS:    ffs,
 		Workers:      2,
-		DegradedMode: mode,
 		RearmBackoff: time.Millisecond,
 		Metrics:      metrics,
 	})
@@ -62,13 +61,13 @@ func waitHealthz(t *testing.T, ts *httptest.Server, want int) {
 	}
 }
 
-// TestDegradedRejectRoundTrip walks the whole state machine under the
-// default reject policy: a healthy submit is acked Durable:true; a disk
+// TestDegradedRejectRoundTrip walks the whole state machine: a healthy
+// submit is acked Durable:true; a disk
 // fault degrades the daemon on the next submit (503), flips /healthz to
 // 503 + JSON, and keeps refusing; healing lets the re-arm loop rotate
 // onto a fresh segment and the daemon serves durably again.
 func TestDegradedRejectRoundTrip(t *testing.T) {
-	_, ts, ffs, metrics := faultServer(t, DegradedReject)
+	srv, ts, ffs, metrics := faultServer(t)
 
 	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 3, Procs: 2})
 	if j.Status != StatusDone || !j.Durable {
@@ -98,14 +97,13 @@ func TestDegradedRejectRoundTrip(t *testing.T) {
 	}
 	var snap struct {
 		State string `json:"state"`
-		Mode  string `json:"degraded_mode"`
 	}
 	if err := json.NewDecoder(hr.Body).Decode(&snap); err != nil {
 		t.Fatalf("healthz body not JSON: %v", err)
 	}
 	hr.Body.Close()
-	if snap.State == "durable" || snap.Mode != DegradedReject {
-		t.Fatalf("healthz snapshot %+v, want degraded/recovering with mode reject", snap)
+	if snap.State == "durable" {
+		t.Fatalf("healthz snapshot %+v, want degraded or recovering", snap)
 	}
 
 	// Still degraded (the fast gate, no journal touch): submits refuse.
@@ -124,39 +122,10 @@ func TestDegradedRejectRoundTrip(t *testing.T) {
 		t.Errorf("rearms=%d windows=%d, want >=1/1",
 			metrics.Get("rapidd.health.rearms"), metrics.Get("rapidd.health.degraded_windows"))
 	}
-	if metrics.Gauge("rapidd.health.state") != int64(HealthDurable) {
-		t.Errorf("health gauge %d after recovery, want %d", metrics.Gauge("rapidd.health.state"), HealthDurable)
+	if st := srv.healthState(); st != HealthDurable {
+		t.Errorf("health state %d after recovery, want %d", st, HealthDurable)
 	}
 	j2 := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 6, Procs: 2})
-	if j2.Status != StatusDone || !j2.Durable {
-		t.Fatalf("post-recovery job: status=%s durable=%v, want done/true", j2.Status, j2.Durable)
-	}
-}
-
-// TestDegradedServeStampsNonDurable: under the availability-first policy
-// the daemon keeps serving through a dead disk, but the acknowledgement
-// says Durable:false — the weaker guarantee is visible, not silent.
-func TestDegradedServeStampsNonDurable(t *testing.T) {
-	_, ts, ffs, metrics := faultServer(t, DegradedServe)
-
-	ffs.Break(iofault.ClassDurability, syscall.EIO)
-	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 9, Procs: 2})
-	if j.Status != StatusDone {
-		t.Fatalf("serve-mode job under dead disk: %s (%s)", j.Status, j.Error)
-	}
-	if j.Durable {
-		t.Fatal("job acked Durable:true while the journal was degraded")
-	}
-	if metrics.Get("rapidd.jobs.nondurable") == 0 {
-		t.Error("nondurable counter did not advance")
-	}
-	if healthzCode(t, ts) != http.StatusServiceUnavailable {
-		t.Error("serve mode must still report not-ready on /healthz")
-	}
-
-	ffs.Heal()
-	waitHealthz(t, ts, http.StatusOK)
-	j2 := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 10, Procs: 2})
 	if j2.Status != StatusDone || !j2.Durable {
 		t.Fatalf("post-recovery job: status=%s durable=%v, want done/true", j2.Status, j2.Durable)
 	}
@@ -173,14 +142,6 @@ func TestHealthzWithoutJournal(t *testing.T) {
 	}
 	if j := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 2, Procs: 2}); j.Durable {
 		t.Fatal("journal-less job claims durability")
-	}
-}
-
-// TestBadDegradedModeRejected: a typo'd policy fails at Open, not at the
-// first outage.
-func TestBadDegradedModeRejected(t *testing.T) {
-	if _, err := Open(Config{DegradedMode: "shrug"}); err == nil {
-		t.Fatal("Open accepted degraded mode \"shrug\"")
 	}
 }
 

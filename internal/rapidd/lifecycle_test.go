@@ -127,7 +127,7 @@ func TestLifecycleEdgeTable(t *testing.T) {
 			t.Run(string(from)+"→"+string(to), func(t *testing.T) {
 				dir := t.TempDir()
 				var fs hookFS
-				srv, err := Open(Config{JournalDir: dir, JournalNoSync: true, JournalFS: &fs, Workers: 1, Metrics: trace.NewMetrics()})
+				srv, err := Open(Config{JournalDir: dir, JournalFS: &fs, Workers: 1, Metrics: trace.NewMetrics()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +228,7 @@ func TestLifecycleEdgeTable(t *testing.T) {
 					}
 				}
 
-				if err := srv.Drain(t.Context()); err != nil {
+				if err := srv.Drain(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				rep, err := journal.ReplayDir(dir)
@@ -281,7 +281,7 @@ func TestLifecycleFailureCauses(t *testing.T) {
 		if !errors.Is(j.cause, tc.cause) || srv.latency.Count() != 0 {
 			t.Errorf("%s: cause %v, %d latency samples (want the cause kept and no sample without a submission time)", name, j.cause, srv.latency.Count())
 		}
-		if err := srv.Drain(t.Context()); err != nil {
+		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func journalOps(t *testing.T, dir string) map[string]string {
 func TestDeleteCancelsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	metrics := trace.NewMetrics()
-	srv := New(Config{JournalDir: dir, JournalNoSync: true, Workers: -1, QueueDepth: 2, AvailMem: 1 << 40, Metrics: metrics})
+	srv := New(Config{JournalDir: dir, Workers: -1, QueueDepth: 2, AvailMem: 1 << 40, Metrics: metrics})
 	executing := make(chan uint64, 2)
 	gate := make(chan struct{})
 	srv.execHook = func(spec JobSpec) {
@@ -468,7 +468,7 @@ func TestDeleteCancelsQueuedJob(t *testing.T) {
 	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
 		t.Errorf("admission after the cancel: inUse=%d queued=%d", inUse, queued)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if ops := journalOps(t, dir); ops[j2.ID] != "SCX" || ops[j1.ID] != "SAX" {
@@ -582,8 +582,8 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	var tamper atomic.Bool
 	metrics := trace.NewMetrics()
 	srv, err := Open(Config{
-		JournalDir: dir, JournalNoSync: true, Workers: 2, QueueDepth: 8,
-		AvailMem: ref.DemandUnits * 3 / 2, MaxJobRetries: 1, RetryBackoff: time.Millisecond,
+		JournalDir: dir, Workers: 2, QueueDepth: 8,
+		AvailMem: ref.DemandUnits * 3 / 2, MaxJobRetries: 1,
 		JobTimeout: 10 * time.Second, Metrics: metrics,
 	})
 	if err != nil {
@@ -715,7 +715,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	if depth, _ := srv.queue.stats(); depth != 0 {
 		t.Errorf("queue depth %d, want 0", depth)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

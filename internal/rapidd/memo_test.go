@@ -296,7 +296,7 @@ func TestEvictedPlanRecompiles(t *testing.T) {
 // re-enters solve; only the first builds.
 func TestFaultRetriesHitTheMemo(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{MaxJobRetries: 2, RetryBackoff: time.Millisecond, JobTimeout: 10 * time.Second, Metrics: metrics})
+	srv := New(Config{MaxJobRetries: 2, JobTimeout: 10 * time.Second, Metrics: metrics})
 	j := post(t, srv, JobSpec{N: 100, Seed: 3, Procs: 3, DropFrac: 1})
 	if j.Status != StatusFailed || j.Attempts != 3 {
 		t.Fatalf("unsurvivable job: %s after %d attempts, want failed after 3", j.Status, j.Attempts)

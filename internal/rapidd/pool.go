@@ -302,12 +302,16 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}
 		s.metrics.Inc("rapidd.jobs.retried", 1)
 		select {
-		case <-time.After(s.cfg.RetryBackoff << attempt):
+		case <-time.After(retryBackoff << attempt):
 		case <-ctx.Done():
 		}
 	}
 	s.transition(j, StatusFailed, err, nil)
 }
+
+// retryBackoff is the delay before a fault-failed job's first retry,
+// doubled on each further attempt.
+const retryBackoff = 10 * time.Millisecond
 
 // Cancel aborts the job if it is still pending or waiting for admission;
 // a job already executing runs to completion (the executor owns its

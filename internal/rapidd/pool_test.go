@@ -332,20 +332,8 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("second drain: %v", err)
 	}
 
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Workers  int  `json:"workers"`
-		QueueCap int  `json:"queue_cap"`
-		Draining bool `json:"draining"`
-	}
-	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	statsResp.Body.Close()
-	if stats.Workers != 2 || !stats.Draining {
-		t.Fatalf("stats workers=%d draining=%v, want 2, true", stats.Workers, stats.Draining)
+	stats := readMetrics(t, ts.URL)
+	if stats["rapidd_workers"] != 2 || stats["rapidd_draining"] != 1 {
+		t.Fatalf("metrics workers=%v draining=%v, want 2, 1", stats["rapidd_workers"], stats["rapidd_draining"])
 	}
 }

@@ -20,9 +20,9 @@
 //	                    and the newest 1024 finished ones; an older id is
 //	                    404 — in submission order; ?limit=N keeps the
 //	                    newest N
-//	GET  /v1/stats      cache counters, pool and admission state
-//	GET  /metrics       Prometheus text format: counters, per-tenant
-//	                    gauges, latency summaries
+//	GET  /metrics       Prometheus text format: counters, pool,
+//	                    admission, cache and journal gauges, per-tenant
+//	                    series, latency summaries
 //	GET  /healthz       readiness: 200 while every acknowledged submit is
 //	                    durable, 503 + JSON state while the journal is
 //	                    degraded (see health.go)
@@ -98,13 +98,11 @@ type Config struct {
 	JobTimeout time.Duration
 	// MaxJobRetries bounds re-execution of jobs that fail under injected
 	// faults; each retry uses a different fault seed so it does not replay
-	// the loss pattern that killed the previous attempt. 0 means the
-	// default (2); negative disables retries. Fault-free jobs never retry:
-	// their failures are deterministic.
+	// the loss pattern that killed the previous attempt, and waits twice
+	// as long as the one before (10ms first). 0 means the default (2);
+	// negative disables retries. Fault-free jobs never retry: their
+	// failures are deterministic.
 	MaxJobRetries int
-	// RetryBackoff is the delay before the first retry (default 10ms),
-	// doubled on each subsequent attempt.
-	RetryBackoff time.Duration
 	// Workers bounds how many jobs execute concurrently (the worker-pool
 	// size). Concurrent jobs share AVAIL_MEM through the admission
 	// controller. 0 means max(2, GOMAXPROCS); 1 serves serially (the
@@ -129,9 +127,6 @@ type Config struct {
 	// JournalDir enables the write-ahead job journal in this directory
 	// ("" disables durability). See internal/journal.
 	JournalDir string
-	// JournalNoSync skips the journal's fsync (tests and benchmarks
-	// only — an unsynced journal can acknowledge jobs a crash loses).
-	JournalNoSync bool
 	// TenantQuotas caps each named tenant's admitted memory at a slice of
 	// AVAIL_MEM, in the same abstract units. Tenants absent from the map
 	// fall back to DefaultTenantQuota. Open rejects a key no request can
@@ -147,12 +142,6 @@ type Config struct {
 	TenantWeights map[string]float64
 	// Metrics receives cache and job counters (nil: a fresh registry).
 	Metrics *trace.Metrics
-	// DegradedMode selects the submit policy while the journal is degraded
-	// (an I/O fault poisoned the active segment, see internal/journal):
-	// "reject" (default) refuses new submits with 503 — durability
-	// required; "serve" keeps accepting with Durable:false stamped on the
-	// job record. See health.go.
-	DegradedMode string
 	// RearmBackoff is the initial delay between journal re-arm attempts
 	// while degraded (default 50ms), doubled per failure up to 32× this.
 	RearmBackoff time.Duration
@@ -238,10 +227,9 @@ type Job struct {
 	// was executing when the previous daemon died.
 	Recovered bool `json:"recovered,omitempty"`
 	// Durable is true when the submit record is fsync'd in the journal: a
-	// crash cannot lose this job. False when durability is disabled
-	// (no -journal-dir) or the journal lost the submit to a fault — the
-	// job was accepted, or answered, while degraded under
-	// -degraded-mode=serve.
+	// crash cannot lose this job. False when durability is disabled (no
+	// -journal-dir), or on the record of a job whose submit the journal
+	// lost to a fault — that job's own answer was refused with 503.
 	Durable bool `json:"durable"`
 
 	// PlanSource says where the plan came from: compiled, memory, disk.
@@ -364,9 +352,6 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.MaxJobRetries < 0 {
 		cfg.MaxJobRetries = 0
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 10 * time.Millisecond
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 		if cfg.Workers < 2 {
@@ -384,14 +369,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
-	}
-	switch cfg.DegradedMode {
-	case "":
-		cfg.DegradedMode = DegradedReject
-	case DegradedReject, DegradedServe:
-	default:
-		return nil, fmt.Errorf("rapidd: unknown degraded mode %q (want %q or %q)",
-			cfg.DegradedMode, DegradedReject, DegradedServe)
 	}
 	if cfg.RearmBackoff <= 0 {
 		cfg.RearmBackoff = 50 * time.Millisecond
@@ -423,7 +400,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.health.stop = make(chan struct{})
 	s.health.since = time.Now()
-	s.metrics.Set("rapidd.health.state", int64(HealthDurable))
 	// Quota-aware dispatch: the WFQ pop consults the admission ledgers so
 	// workers skip tenants with no headroom (their jobs would only park at
 	// admission, wedging pool slots), and admission wakes the queue when
@@ -433,7 +409,7 @@ func Open(cfg Config) (*Server, error) {
 	s.queue.dispatchable = s.adm.dispatchable
 	s.adm.onHeadroom = s.queue.wake
 	if cfg.JournalDir != "" {
-		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{NoSync: cfg.JournalNoSync, FS: cfg.JournalFS})
+		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{FS: cfg.JournalFS})
 		if err != nil {
 			return nil, err
 		}
@@ -451,7 +427,6 @@ func Open(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/solve", s.handleSolve)
 	s.mux.HandleFunc("/v1/jobs/", s.handleJob)
 	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s, nil
@@ -521,11 +496,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	prio, _ := parsePriority(spec.Priority)
 
-	// Degraded-reject gate: while the journal cannot make a submit
-	// durable, an honest 503 beats a silently weaker acknowledgement.
-	// (The journalSubmit error path below catches the race where the
-	// journal degrades between this check and the append.)
-	if s.cfg.DegradedMode == DegradedReject && s.jnl != nil && s.healthState() != HealthDurable {
+	// Degraded gate: while the journal cannot make a submit durable, an
+	// honest 503 beats a silently weaker acknowledgement. (The
+	// journalSubmit error path below catches the race where the journal
+	// degrades between this check and the append.)
+	if s.jnl != nil && s.healthState() != HealthDurable {
 		s.refuseDegraded(w, prio)
 		return
 	}
@@ -565,21 +540,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
 		s.noteJournalError(err)
-		switch {
-		case !errors.Is(err, journal.ErrDegraded):
-			s.queue.abort(slot)
-			http.Error(w, "rapidd: journal write failed: "+err.Error(), http.StatusInternalServerError)
-			return
-		case s.cfg.DegradedMode != DegradedServe:
-			s.queue.abort(slot)
+		s.queue.abort(slot)
+		if errors.Is(err, journal.ErrDegraded) {
 			s.refuseDegraded(w, prio)
-			return
+		} else {
+			http.Error(w, "rapidd: journal write failed: "+err.Error(), http.StatusInternalServerError)
 		}
-		// Availability-first policy: accept the job with the weaker
-		// guarantee made visible — Durable:false on the record, a
-		// counter on the board. A crash before re-arm loses it.
-		rec.Durable = false
-		s.metrics.Inc("rapidd.jobs.nondurable", 1)
+		return
 	}
 	j := s.newJob(rec, true)
 	s.journaled(j, pos)
@@ -593,11 +560,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				// The journal lost the submit before an fsync covered it:
 				// nothing durable records this job, and the answer must
 				// not claim otherwise.
-				if s.cfg.DegradedMode != DegradedServe {
-					s.refuseDegraded(w, prio)
-					return
-				}
-				s.metrics.Inc("rapidd.jobs.nondurable", 1)
+				s.refuseDegraded(w, prio)
+				return
 			}
 		case <-r.Context().Done():
 			// The synchronous client went away: cancel the job if it has
@@ -813,41 +777,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, list)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	avail, inUse, peak, queued := s.adm.snapshot()
-	tenantMem, tenantAdmQueue := s.adm.tenantSnapshot()
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	depth, capacity := s.queue.stats()
-	stats := map[string]any{
-		"counters":       s.metrics.Snapshot(),
-		"gauges":         s.metrics.Gauges(),
-		"health":         s.healthState().String(),
-		"avail_mem":      avail,
-		"mem_in_use":     inUse,
-		"mem_peak":       peak,
-		"jobs_queued":    queued,
-		"workers":        s.cfg.Workers,
-		"queue_len":      depth,
-		"queue_cap":      capacity,
-		"draining":       draining,
-		"cache_entries":  s.cache.Len(),
-		"plancache_line": rapid.CacheStats(s.metrics),
-		"tenant_mem":     tenantMem,
-		"tenant_queued":  tenantAdmQueue,
-		"tenant_depth":   s.queue.depths(),
-	}
-	if s.jnl != nil {
-		stats["journal"] = s.jnl.Stats()
-	}
-	writeJSON(w, stats)
-}
-
-// handleMetrics renders the Prometheus text exposition: every
-// trace.Metrics counter, per-tenant gauges (queue depth, booked budget,
+// handleMetrics renders the Prometheus text exposition — the daemon's one
+// stats surface: every trace.Metrics counter, pool, admission, plan-cache
+// and journal gauges, per-tenant gauges (queue depth, booked budget,
 // quota) and counters (submitted/completed/failed/shed/expired/
-// recovered), pool/admission gauges, and latency summaries.
+// recovered), and latency summaries.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw := trace.NewPromWriter()
 	for name, v := range s.metrics.Snapshot() {
@@ -863,10 +797,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rapidd_queue_depth", "jobs queued for a worker", nil, float64(depth))
 	pw.Gauge("rapidd_queue_capacity", "configured backlog bound", nil, float64(capacity))
 	pw.Gauge("rapidd_workers", "worker-pool size", nil, float64(s.cfg.Workers))
+	pw.Gauge("rapidd_cache_entries", "plans in the memory tier", nil, float64(s.cache.Len()))
 
 	tenantMem, tenantAdmQueue := s.adm.tenantSnapshot()
 	tenantDepth := s.queue.depths()
 	s.mu.Lock()
+	pw.Gauge("rapidd_draining", "1 once Drain stopped intake", nil, boolGauge(s.draining))
 	names := make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
 		names = append(names, name)
@@ -893,21 +829,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rapidd_health_state", "0 durable, 1 degraded, 2 recovering", nil, float64(s.healthState()))
 	if s.jnl != nil {
 		st := s.jnl.Stats()
-		degraded := 0.0
-		if st.Degraded {
-			degraded = 1
-		}
 		pw.Gauge("rapidd_journal_segments", "journal segment files", nil, float64(st.Segments))
 		pw.Gauge("rapidd_journal_live_jobs", "non-terminal jobs in the journal", nil, float64(st.LiveJobs))
-		pw.Gauge("rapidd_journal_degraded", "1 while the active segment is poisoned", nil, degraded)
+		pw.Gauge("rapidd_journal_degraded", "1 while the active segment is poisoned", nil, boolGauge(st.Degraded))
+		pw.Gauge("rapidd_journal_active_bytes", "size of the active segment", nil, float64(st.ActiveBytes))
+		pw.Gauge("rapidd_journal_truncated_bytes", "torn-tail bytes discarded at open", nil, float64(st.TruncatedBytes))
+		pw.Gauge("rapidd_journal_suspect_bytes", "unacknowledged bytes discarded at open", nil, float64(st.SuspectBytes))
 		pw.Counter("rapidd_journal_records_total", "journal records this session", nil, float64(st.Records))
 		pw.Counter("rapidd_journal_syncs_total", "journal fsyncs this session; concurrent commits share one", nil, float64(st.Syncs))
 		pw.Counter("rapidd_journal_compactions_total", "journal compactions this session", nil, float64(st.Compactions))
 		pw.Counter("rapidd_journal_rearms_total", "successful re-arms after degradation", nil, float64(st.Rearms))
 		pw.Counter("rapidd_journal_gap_records_total", "gap markers written by re-arms", nil, float64(st.GapRecords))
+		pw.Counter("rapidd_journal_rearm_failures_total", "failed re-arm attempts", nil, float64(st.RearmFailures))
+		pw.Counter("rapidd_journal_compact_failures_total", "compactions aborted by I/O errors", nil, float64(st.CompactFailures))
+		pw.Counter("rapidd_journal_cleanup_failures_total", "non-fatal close/remove errors after a compaction", nil, float64(st.CleanupErrors))
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw.WriteTo(w)
+}
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (s *Server) writeJob(w http.ResponseWriter, j *job) {

@@ -2,6 +2,7 @@ package rapidd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -20,14 +21,14 @@ import (
 // and releases admit from the head.
 func TestAdmissionFIFO(t *testing.T) {
 	a := newAdmission(100, nil, 0)
-	if err := a.acquire("t", 60, func() { t.Error("first job must not queue") }); err != nil {
+	if err := a.acquireCtx(context.Background(), "t", 60, func() { t.Error("first job must not queue") }); err != nil {
 		t.Fatal(err)
 	}
 
 	queued2 := make(chan struct{})
 	done2 := make(chan struct{})
 	go func() {
-		if err := a.acquire("t", 60, func() { close(queued2) }); err != nil {
+		if err := a.acquireCtx(context.Background(), "t", 60, func() { close(queued2) }); err != nil {
 			t.Error(err)
 		}
 		close(done2)
@@ -37,7 +38,7 @@ func TestAdmissionFIFO(t *testing.T) {
 	// Third job would fit (60+10 <= 100) but must wait behind the head.
 	done3 := make(chan struct{})
 	go func() {
-		if err := a.acquire("t", 10, nil); err != nil {
+		if err := a.acquireCtx(context.Background(), "t", 10, nil); err != nil {
 			t.Error(err)
 		}
 		close(done3)
@@ -67,15 +68,15 @@ func TestAdmissionFIFO(t *testing.T) {
 
 func TestAdmissionOversizedIsCallerError(t *testing.T) {
 	a := newAdmission(100, nil, 0)
-	if err := a.acquire("t", 101, nil); err == nil {
+	if err := a.acquireCtx(context.Background(), "t", 101, nil); err == nil {
 		t.Fatal("demand above AVAIL_MEM must error (caller should have replanned)")
 	}
-	if err := a.acquire("t", -1, nil); err == nil {
+	if err := a.acquireCtx(context.Background(), "t", -1, nil); err == nil {
 		t.Fatal("negative demand must error")
 	}
 	// Unlimited controller admits anything.
 	u := newAdmission(0, nil, 0)
-	if err := u.acquire("t", 1<<40, nil); err != nil {
+	if err := u.acquireCtx(context.Background(), "t", 1<<40, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -341,32 +342,18 @@ func TestServerStatsAndJobList(t *testing.T) {
 	solveSync(t, ts, spec)
 	solveSync(t, ts, spec)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	stats := readMetrics(t, ts.URL)
+	if stats["rapidd_jobs_completed"] != 2 {
+		t.Errorf("completed=%v, want 2 (metrics %v)", stats["rapidd_jobs_completed"], stats)
 	}
-	var stats struct {
-		Counters  map[string]int64 `json:"counters"`
-		AvailMem  int64            `json:"avail_mem"`
-		MemInUse  int64            `json:"mem_in_use"`
-		MemPeak   int64            `json:"mem_peak"`
-		JobsQueue int              `json:"jobs_queued"`
+	if stats["rapidd_plancache_hit_mem"] != 1 {
+		t.Errorf("hit.mem=%v, want 1", stats["rapidd_plancache_hit_mem"])
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Counters["rapidd.jobs.completed"] != 2 {
-		t.Errorf("completed=%d, want 2 (counters %v)", stats.Counters["rapidd.jobs.completed"], stats.Counters)
-	}
-	if stats.Counters["plancache.hit.mem"] != 1 {
-		t.Errorf("hit.mem=%d, want 1", stats.Counters["plancache.hit.mem"])
-	}
-	if stats.AvailMem != 1<<40 || stats.MemInUse != 0 || stats.MemPeak <= 0 {
-		t.Errorf("admission stats: %+v", stats)
+	if stats["rapidd_avail_mem_units"] != 1<<40 || stats["rapidd_mem_in_use_units"] != 0 || stats["rapidd_mem_peak_units"] <= 0 {
+		t.Errorf("admission stats: avail %v in use %v peak %v", stats["rapidd_avail_mem_units"], stats["rapidd_mem_in_use_units"], stats["rapidd_mem_peak_units"])
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/jobs")
+	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +374,7 @@ func TestServerStatsAndJobList(t *testing.T) {
 
 // TestServerStateOccupancyMetrics checks that a completed job carries the
 // executor's per-state occupancy and that the machine-wide counters appear
-// in the /v1/stats metrics snapshot, one per protocol state.
+// in /metrics, one per protocol state.
 func TestServerStateOccupancyMetrics(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv := New(Config{CacheDir: t.TempDir(), Metrics: metrics})
@@ -414,24 +401,14 @@ func TestServerStateOccupancyMetrics(t *testing.T) {
 		t.Errorf("job spent no accounted time in any state: %v", j.StateUS)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	stats := readMetrics(t, ts.URL)
 	for _, s := range []string{"rec", "exe", "snd", "map", "end"} {
-		if _, ok := stats.Counters["rapidd.state."+s+"_us"]; !ok {
-			t.Errorf("stats counters missing rapidd.state.%s_us: %v", s, stats.Counters)
+		if _, ok := stats["rapidd_state_"+s+"_us"]; !ok {
+			t.Errorf("metrics missing rapidd_state_%s_us: %v", s, stats)
 		}
 	}
-	if stats.Counters["rapidd.state.exe_us"] != j.StateUS["EXE"] {
-		t.Errorf("stats exe_us %d != job EXE %d", stats.Counters["rapidd.state.exe_us"], j.StateUS["EXE"])
+	if stats["rapidd_state_exe_us"] != float64(j.StateUS["EXE"]) {
+		t.Errorf("metrics exe_us %v != job EXE %d", stats["rapidd_state_exe_us"], j.StateUS["EXE"])
 	}
 }
 
@@ -486,7 +463,6 @@ func TestServerFailingJobReleasesAdmission(t *testing.T) {
 	srv := New(Config{
 		AvailMem:      1 << 40,
 		MaxJobRetries: 1,
-		RetryBackoff:  time.Millisecond,
 		JobTimeout:    10 * time.Second,
 		Metrics:       metrics,
 	})

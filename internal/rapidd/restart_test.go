@@ -2,6 +2,7 @@ package rapidd
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -56,7 +57,7 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 	})
 
 	metrics := trace.NewMetrics()
-	srv, err := Open(Config{JournalDir: dir, JournalNoSync: true, Workers: 2, Metrics: metrics})
+	srv, err := Open(Config{JournalDir: dir, Workers: 2, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 // fresh IDs.
 func TestCleanRestartReplaysEmpty(t *testing.T) {
 	dir := t.TempDir()
-	srv1 := New(Config{JournalDir: dir, JournalNoSync: true, Workers: 2})
+	srv1 := New(Config{JournalDir: dir, Workers: 2})
 	ts1 := httptest.NewServer(srv1)
 	var firstIDs []string
 	for i := 0; i < 3; i++ {
@@ -126,13 +127,13 @@ func TestCleanRestartReplaysEmpty(t *testing.T) {
 		}
 		firstIDs = append(firstIDs, j.ID)
 	}
-	if err := srv1.Drain(t.Context()); err != nil {
+	if err := srv1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 
 	metrics := trace.NewMetrics()
-	srv2, err := Open(Config{JournalDir: dir, JournalNoSync: true, Workers: 2, Metrics: metrics})
+	srv2, err := Open(Config{JournalDir: dir, Workers: 2, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestCleanRestartReplaysEmpty(t *testing.T) {
 func TestJournalWriteFailureRejectsSubmit(t *testing.T) {
 	dir := t.TempDir()
 	metrics := trace.NewMetrics()
-	srv := New(Config{JournalDir: dir, JournalNoSync: true, Workers: 1, QueueDepth: 4, Metrics: metrics})
+	srv := New(Config{JournalDir: dir, Workers: 1, QueueDepth: 4, Metrics: metrics})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -291,7 +292,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Fatal("every job completed before the kill; the crash tested nothing")
 	}
 
-	srv, err := Open(Config{JournalDir: dir, JournalNoSync: true, Workers: 2, QueueDepth: 32})
+	srv, err := Open(Config{JournalDir: dir, Workers: 2, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
 		t.Fatalf("budget leaked across the crash: inUse=%d queued=%d", inUse, queued)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A clean drain leaves no live jobs for the next incarnation.

@@ -46,7 +46,7 @@ func TestRestartAfterInterruptedCompactionRunsJobsOnce(t *testing.T) {
 	}
 
 	metrics := trace.NewMetrics()
-	srv, err := Open(Config{JournalDir: dir, JournalNoSync: true, Workers: 2, Metrics: metrics})
+	srv, err := Open(Config{JournalDir: dir, Workers: 2, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRestartAfterInterruptedCompactionRunsJobsOnce(t *testing.T) {
 	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
 		t.Fatalf("admission state after recovery: inUse=%d queued=%d", inUse, queued)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -86,7 +86,7 @@ func TestDuplicateSubmitReplayDeduped(t *testing.T) {
 		{Op: journal.OpSubmit, Seq: 1, ID: "j0001", Tenant: "acme", Priority: "normal", Spec: spec},
 	})
 	metrics := trace.NewMetrics()
-	srv, err := Open(Config{JournalDir: dir, JournalNoSync: true, Workers: 2, Metrics: metrics})
+	srv, err := Open(Config{JournalDir: dir, Workers: 2, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDuplicateSubmitReplayDeduped(t *testing.T) {
 	if got := metrics.Get("rapidd.journal.recovered"); got != 1 {
 		t.Errorf("recovered counter %d, want 1", got)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,7 +131,7 @@ func TestConcurrentShedCounters(t *testing.T) {
 	if got := srv.tenantStat("acme").shed; got != n {
 		t.Fatalf("tenant shed counter %d, want %d", got, n)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +179,7 @@ func TestCoalescedFollowerKeepsDeadlineIdentity(t *testing.T) {
 	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 2 {
 		t.Errorf("untyped failure bumped deadline_expired to %d", got)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,7 +198,7 @@ func TestOversizedSpecRejectedConsistently(t *testing.T) {
 	big := `{"kind":"chol","n":90,"procs":2,"pad":"` + strings.Repeat("x", journal.MaxSpecBytes) + `"}`
 	for name, cfg := range map[string]Config{
 		"no-journal": {Workers: 1},
-		"journal":    {Workers: 1, JournalDir: t.TempDir(), JournalNoSync: true},
+		"journal":    {Workers: 1, JournalDir: t.TempDir()},
 	} {
 		srv := New(cfg)
 		ts := httptest.NewServer(srv)
@@ -207,7 +207,7 @@ func TestOversizedSpecRejectedConsistently(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: oversized spec: HTTP %d, want 400", name, resp.StatusCode)
 		}
-		if err := srv.Drain(t.Context()); err != nil {
+		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		ts.Close()
@@ -220,7 +220,7 @@ func TestOversizedSpecRejectedConsistently(t *testing.T) {
 func TestLongErrorStillJournalsCompletion(t *testing.T) {
 	dir := t.TempDir()
 	metrics := trace.NewMetrics()
-	srv := New(Config{JournalDir: dir, JournalNoSync: true, Workers: 1, Metrics: metrics})
+	srv := New(Config{JournalDir: dir, Workers: 1, Metrics: metrics})
 	jx := srv.newJob(Job{ID: "jx", Spec: JobSpec{Tenant: "acme"}}, false)
 	if err := srv.transition(jx, StatusFailed, errors.New(strings.Repeat("e", 5*journal.MaxFieldBytes)), nil); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestLongErrorStillJournalsCompletion(t *testing.T) {
 	if got := metrics.Get("rapidd.journal.errors"); got != 0 {
 		t.Fatalf("journal.errors %d, want 0 (completion record dropped)", got)
 	}
-	if err := srv.Drain(t.Context()); err != nil {
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := journal.ReplayDir(dir)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -24,29 +25,29 @@ import (
 
 var soakDur = flag.Duration("soak", 10*time.Second, "minimum soak-test traffic duration (CI passes 60s)")
 
-type soakStats struct {
-	Counters     map[string]int64 `json:"counters"`
-	MemInUse     int64            `json:"mem_in_use"`
-	MemPeak      int64            `json:"mem_peak"`
-	AvailMem     int64            `json:"avail_mem"`
-	JobsQueued   int              `json:"jobs_queued"`
-	QueueLen     int              `json:"queue_len"`
-	CacheEntries int              `json:"cache_entries"`
-	Draining     bool             `json:"draining"`
-}
-
-func readStats(t *testing.T, url string) soakStats {
+// readMetrics scrapes GET /metrics through the strict exposition parser
+// and returns every sample's value by its key: the name, plus the labels
+// when it has any (trace.PromSample.Key).
+func readMetrics(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/stats")
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st soakStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	samples, err := trace.ParsePromText(string(body))
+	if err != nil {
+		t.Fatalf("/metrics rejected by the strict parser: %v", err)
+	}
+	byKey := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		byKey[s.Key()] = s.Value
+	}
+	return byKey
 }
 
 // loadTally counts one closed-loop run's requests by outcome: done and
@@ -153,7 +154,6 @@ func TestSoakMixedTraffic(t *testing.T) {
 		QueueDepth:    2,
 		AvailMem:      ref.DemandUnits * 5 / 2,
 		MaxJobRetries: 1,
-		RetryBackoff:  2 * time.Millisecond,
 		JobTimeout:    5 * time.Second,
 		Metrics:       metrics,
 	})
@@ -215,21 +215,21 @@ func TestSoakMixedTraffic(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := readStats(t, ts.URL)
-	if st.MemInUse != 0 || st.JobsQueued != 0 || st.QueueLen != 0 {
-		t.Fatalf("state left after drain: inUse=%d queued=%d queueLen=%d", st.MemInUse, st.JobsQueued, st.QueueLen)
+	st := readMetrics(t, ts.URL)
+	if inUse, queued, queueLen := st["rapidd_mem_in_use_units"], st["rapidd_admission_waiters"], st["rapidd_queue_depth"]; inUse != 0 || queued != 0 || queueLen != 0 {
+		t.Fatalf("state left after drain: inUse=%v queued=%v queueLen=%v", inUse, queued, queueLen)
 	}
-	if st.MemPeak > st.AvailMem {
-		t.Fatalf("admitted peak %d exceeded AVAIL_MEM %d", st.MemPeak, st.AvailMem)
+	if peak, avail := st["rapidd_mem_peak_units"], st["rapidd_avail_mem_units"]; peak > avail {
+		t.Fatalf("admitted peak %v exceeded AVAIL_MEM %v", peak, avail)
 	}
-	if !st.Draining {
-		t.Fatal("stats do not report draining")
+	if st["rapidd_draining"] != 1 {
+		t.Fatal("metrics do not report draining")
 	}
 	// The plan cache — and with it every retained verdict and protocol
 	// table — is keyed by plan fingerprint: bounded by distinct structures
 	// (plus budget replans), no matter how many requests ran.
-	if st.CacheEntries == 0 || st.CacheEntries > 4*maxKeys {
-		t.Fatalf("plan cache holds %d entries for %d issued requests over %d keys", st.CacheEntries, issued, maxKeys)
+	if entries := st["rapidd_cache_entries"]; entries == 0 || entries > 4*maxKeys {
+		t.Fatalf("plan cache holds %v entries for %d issued requests over %d keys", entries, issued, maxKeys)
 	}
 
 	// Goroutine leak: the pool exits on drain; HTTP keep-alives and timer

@@ -439,10 +439,12 @@ func TestJobsOrderAndLimit(t *testing.T) {
 
 // TestMetricsEndpoint: GET /metrics emits strict Prometheus text — the
 // acceptance bar is that a real scraper's parser accepts it — including
-// per-tenant series and the latency summary.
+// per-tenant series, the latency summary, and the plan-cache, drain and
+// journal gauges that make it the daemon's one stats surface.
 func TestMetricsEndpoint(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 2, AvailMem: 1 << 30, TenantQuotas: map[string]int64{"gold": 1 << 29}, Metrics: metrics})
+	srv := New(Config{Workers: 2, AvailMem: 1 << 30, TenantQuotas: map[string]int64{"gold": 1 << 29},
+		JournalDir: t.TempDir(), Metrics: metrics})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -482,6 +484,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rapidd_job_latency_us_count":                    3,
 		"rapidd_avail_mem_units":                         float64(1 << 30),
 		"rapidd_workers":                                 2,
+		"rapidd_cache_entries":                           float64(srv.cache.Len()),
+		"rapidd_draining":                                0,
+		"rapidd_journal_active_bytes":                    float64(srv.jnl.Stats().ActiveBytes),
+		"rapidd_journal_truncated_bytes":                 0,
+		"rapidd_journal_suspect_bytes":                   0,
+		"rapidd_journal_rearm_failures_total":            0,
+		"rapidd_journal_compact_failures_total":          0,
+		"rapidd_journal_cleanup_failures_total":          0,
 	}
 	for key, want := range checks {
 		if got, ok := byKey[key]; !ok || got != want {
@@ -490,6 +500,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if byKey[`rapidd_job_latency_us{quantile="0.99"}`] <= 0 {
 		t.Error("latency p99 missing or zero")
+	}
+	if byKey["rapidd_cache_entries"] <= 0 || byKey["rapidd_journal_active_bytes"] <= 0 {
+		t.Errorf("cache entries %v, journal active bytes %v; want both positive",
+			byKey["rapidd_cache_entries"], byKey["rapidd_journal_active_bytes"])
 	}
 	// Determinism: a second scrape renders tenants in the same order.
 	resp2, err := http.Get(ts.URL + "/metrics")

@@ -178,7 +178,7 @@ func TestEtreeAndColCountsAgainstDense(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := AddRandomSymLinks(Grid2D(3+rng.Intn(4), 3+rng.Intn(4), trial%2 == 0), rng.Intn(8), rng)
 		parent := EliminationTree(m)
-		counts := ColCounts(m, parent)
+		counts := NewBlockPattern2D(m, 2).ColNnz
 		fill := denseSymbolicFill(m)
 		n := m.N
 		for j := 0; j < n; j++ {

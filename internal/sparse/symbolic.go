@@ -31,61 +31,13 @@ func EliminationTree(m *Matrix) []int32 {
 	return parent
 }
 
-// ColCounts returns the number of nonzeros in each column of the Cholesky
-// factor L (diagonal included), computed by the row-subtree traversal: the
-// nonzeros of row i of L are the nodes on the paths from each k in
-// A(i, 0..i-1) up the elimination tree towards i. O(|L|) time.
-func ColCounts(m *Matrix, parent []int32) []int64 {
-	n := m.N
-	counts := make([]int64, n)
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		counts[i]++ // diagonal
-		mark[i] = int32(i)
-		// Row i of L: walk up from each below-diagonal entry of column i of
-		// the symmetric pattern (i.e. each A(i,k) with k < i).
-		for _, r := range m.Col(i) {
-			k := int(r)
-			if k >= i {
-				continue
-			}
-			for k != -1 && k < i && mark[k] != int32(i) {
-				counts[k]++
-				mark[k] = int32(i)
-				k = int(parent[k])
-			}
-		}
-	}
-	return counts
-}
-
-// FactorNnz returns the total number of nonzeros in L.
-func FactorNnz(counts []int64) int64 {
-	var s int64
-	for _, c := range counts {
-		s += c
-	}
-	return s
-}
-
-// CholeskyFlops returns the flop count of the numeric factorization,
-// sum over columns of c_j² + 2·c_j (standard column-Cholesky estimate).
-func CholeskyFlops(counts []int64) int64 {
-	var s int64
-	for _, c := range counts {
-		s += c*c + 2*c
-	}
-	return s
-}
-
 // BlockPattern2D computes the block-level nonzero pattern of the Cholesky
 // factor for a uniform block size w: block (I, J), I >= J, is present iff
 // some L(i, j) != 0 with i in block I and j in block J. It is computed
-// during the same row-subtree traversal as ColCounts without materializing
-// L. The result maps each block column J to the sorted list of block rows
+// during the row-subtree traversal that counts L's columns, without
+// materializing L: the nonzeros of row i of L are the nodes on the paths
+// from each k in A(i, 0..i-1) up the elimination tree towards i. The
+// result maps each block column J to the sorted list of block rows
 // I >= J with nonzero blocks (the diagonal block is always present).
 type BlockPattern2D struct {
 	N    int       // matrix order

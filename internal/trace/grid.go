@@ -10,7 +10,7 @@ import (
 // detail columns do not drag trailing spaces. Ragged rows are tolerated
 // (missing cells render empty). It is the text form of the static
 // verifier's findings report, used by cmd/rapidverify and cmd/rapidsolve;
-// like StateTable it is deliberately independent of internal/verify.
+// like Table it is deliberately independent of internal/verify.
 func Grid(cols []string, rows [][]string) string {
 	widths := make([]int, len(cols))
 	for i, c := range cols {

@@ -7,22 +7,20 @@ import (
 	"sync"
 )
 
-// Metrics is a thread-safe registry of named monotonic counters plus
-// last-value gauges. It is the recorder's numeric sibling: where Recorder
-// captures timed spans for Gantt rendering, Metrics captures event counts
-// from long-running components (the plan cache's hits/misses/evictions,
-// the daemon's admissions) and point-in-time states (the daemon's health
-// state). A nil *Metrics is valid and discards everything, mirroring
+// Metrics is a thread-safe registry of named monotonic counters. It is
+// the recorder's numeric sibling: where Recorder captures timed spans for
+// Gantt rendering, Metrics captures event counts from long-running
+// components (the plan cache's hits/misses/evictions, the daemon's
+// admissions). A nil *Metrics is valid and discards everything, mirroring
 // Recorder.Add.
 type Metrics struct {
 	mu sync.Mutex
 	c  map[string]int64
-	g  map[string]int64
 }
 
 // NewMetrics returns an empty counter registry.
 func NewMetrics() *Metrics {
-	return &Metrics{c: make(map[string]int64), g: make(map[string]int64)}
+	return &Metrics{c: make(map[string]int64)}
 }
 
 // Inc adds delta to the named counter, creating it at zero if absent.
@@ -43,41 +41,6 @@ func (m *Metrics) Get(name string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.c[name]
-}
-
-// Set stores the current value of the named gauge. Unlike a counter a
-// gauge moves both ways — it reports a state, not an accumulation.
-func (m *Metrics) Set(name string, v int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.g[name] = v
-	m.mu.Unlock()
-}
-
-// Gauge returns the last value Set for the named gauge (zero if absent).
-func (m *Metrics) Gauge(name string) int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.g[name]
-}
-
-// Gauges returns a copy of all gauges.
-func (m *Metrics) Gauges() map[string]int64 {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.g))
-	for k, v := range m.g {
-		out[k] = v
-	}
-	return out
 }
 
 // Snapshot returns a copy of all counters.

@@ -16,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "regenerate the badplans corpus")
 
 // corpusDir holds one golden fixture per verifier finding class. Each file
-// is a checksummed lenient encoding of a deliberately defective plan; the
+// is the checksummed encoding of a deliberately defective plan; the
 // expected finding class is the filename stem.
 const corpusDir = "testdata/badplans"
 
@@ -106,7 +106,7 @@ func TestGenerateCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, build := range badPlans(t) {
-		enc, err := plan.EncodeLenient(build(t))
+		enc, err := plan.Encode(build(t))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -116,7 +116,7 @@ func TestGenerateCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusDetection loads every committed fixture through the lenient
+// TestCorpusDetection loads every committed fixture through the plan
 // codec and asserts the verifier reports the class the filename names, with
 // object-precise diagnostics for the liveness classes.
 func TestCorpusDetection(t *testing.T) {
@@ -134,7 +134,7 @@ func TestCorpusDetection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := plan.DecodeLenient(data)
+			a, err := plan.Decode(data)
 			if err != nil {
 				t.Fatalf("fixture does not decode: %v", err)
 			}
@@ -172,7 +172,7 @@ func TestCorpusInSync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v (regenerate with -update)", name, err)
 		}
-		enc, err := plan.EncodeLenient(build(t))
+		enc, err := plan.Encode(build(t))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func TestVerifyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := plan.DecodeLenient(data)
+		a, err := plan.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,10 @@ package rapid
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/trace"
 )
 
 // The inspector phase behind Compile — dependence transformation,
@@ -123,28 +121,27 @@ func CompileCached(prog *Program, opt Options, cache *PlanCache) (*Plan, CacheSo
 // schedule refers to) into the versioned binary format of internal/plan.
 // The encoding is deterministic: equal plans marshal to equal bytes.
 func MarshalPlan(p *Plan) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	return plan.Encode(p)
 }
 
 // UnmarshalPlan parses a plan serialized by MarshalPlan, verifying its
 // checksum and structural invariants.
 func UnmarshalPlan(data []byte) (*Plan, error) {
-	return plan.Decode(data)
+	p, err := plan.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // ProgramOf returns a Program view of the task graph embedded in a plan
 // (e.g. one loaded by UnmarshalPlan), for passing to Execute or Simulate.
 func ProgramOf(p *Plan) *Program {
 	return &Program{G: p.Schedule.G}
-}
-
-// CacheStats formats a metrics registry's plancache counters; a
-// convenience for demo binaries.
-func CacheStats(m *trace.Metrics) string {
-	if m == nil {
-		return ""
-	}
-	return fmt.Sprintf("hits(mem)=%d hits(disk)=%d misses=%d evictions=%d corrupt=%d",
-		m.Get("plancache.hit.mem"), m.Get("plancache.hit.disk"),
-		m.Get("plancache.miss"), m.Get("plancache.evict"), m.Get("plancache.corrupt"))
 }

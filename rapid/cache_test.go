@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chol"
+	"repro/internal/plan"
 	"repro/internal/sparse"
 	"repro/internal/trace"
 	"repro/internal/util"
@@ -83,6 +84,53 @@ func TestMarshalPlanRoundTrip(t *testing.T) {
 	}
 	if got.Capacity != p.Capacity || got.MinMem() != p.MinMem() || got.PredictedTime() != p.PredictedTime() {
 		t.Error("round trip changed plan statistics")
+	}
+}
+
+// TestLenientCodecCarriesDefectivePlans: MarshalPlan and UnmarshalPlan
+// refuse a plan that fails Validate in both directions, but the codec
+// underneath carries it byte for byte, so the verifier corpus can persist
+// such fixtures. Checksum and truncation protection still apply.
+func TestLenientCodecCarriesDefectivePlans(t *testing.T) {
+	prog, _ := cholProgram(t, 2)
+	p, err := rapid.Compile(prog, rapid.Options{Procs: 2, Heuristic: rapid.RCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reverse P0's order: Schedule.Validate fails.
+	o := p.Schedule.Order[0]
+	for i, j := 0, len(o)-1; i < j; i, j = i+1, j-1 {
+		o[i], o[j] = o[j], o[i]
+	}
+	for _, order := range p.Schedule.Order {
+		for i, tk := range order {
+			p.Schedule.Pos[tk] = int32(i)
+		}
+	}
+	if _, err := rapid.MarshalPlan(p); err == nil {
+		t.Fatal("MarshalPlan accepted an invalid schedule")
+	}
+	enc, err := plan.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rapid.UnmarshalPlan(enc); err == nil {
+		t.Fatal("UnmarshalPlan accepted an invalid schedule")
+	}
+	got, err := plan.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc2, err := plan.Encode(got); err != nil || !bytes.Equal(enc, enc2) {
+		t.Fatalf("defective plan did not round-trip byte for byte (err %v)", err)
+	}
+	bad := append([]byte(nil), enc...)
+	bad[len(bad)/2] ^= 0x5a
+	if _, err := plan.Decode(bad); err == nil {
+		t.Fatal("decode skipped the checksum")
+	}
+	if _, err := plan.Decode(enc[:len(enc)/2]); err == nil {
+		t.Fatal("decode accepted truncation")
 	}
 }
 
