@@ -156,12 +156,9 @@ var exactFrontier bool
 // reportExact solves the instance exactly and prints the frontier and the
 // compiled schedule's gap against it. Instances above the solver's task cap
 // abort with a hint to shrink -n.
-func reportExact(prog *rapid.Program, procs int, plan *rapid.Plan) {
-	assign, err := sched.OwnerComputeAssign(prog.G, procs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := exact.Frontier(prog.G, assign, procs, plan.Model, exact.Options{})
+func reportExact(plan *rapid.Plan) {
+	s := plan.Schedule
+	res, err := exact.Frontier(s.G, s.Assign, s.P, plan.Model, exact.Options{})
 	if err != nil {
 		log.Fatalf("exact solve: %v (use a smaller -n/-block so the graph has at most 20 tasks)", err)
 	}
@@ -173,7 +170,6 @@ func reportExact(prog *rapid.Program, procs int, plan *rapid.Plan) {
 		fmt.Printf(" (time %.4g, mem %d)", pt.Makespan, pt.MinMem)
 	}
 	fmt.Println()
-	s := plan.Schedule
 	if gt, ok := res.GapTime(s.Makespan, s.MinMem()); ok {
 		fmt.Printf("exact:    time gap %.4gx at this memory", gt)
 	} else {
@@ -215,7 +211,7 @@ func compile(prog *rapid.Program, procs int, h rapid.Heuristic, memPct int) *rap
 		fmt.Printf("verified: %d static checks passed, replayed peaks %v\n", res.Checks, res.Peaks)
 	}
 	if exactFrontier {
-		reportExact(prog, procs, plan)
+		reportExact(plan)
 	}
 	return plan
 }

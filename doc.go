@@ -12,6 +12,11 @@
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation; see DESIGN.md and EXPERIMENTS.md.
 //
+// A run takes one compiled plan, internal/plan's Artifact (rapid.Plan):
+// plan.Compile turns a mapped task graph and a memory budget into the
+// schedule and its MAP plan, and the executor (exec.Run), the simulator
+// (machine.Simulate) and every harness run exactly that value.
+//
 // The inspector phase is deterministic and content-addressable:
 // rapid.CompileCached fingerprints the (task structure, options) pair and
 // reuses compiled plans from a two-tier plan cache (in-memory LRU over an

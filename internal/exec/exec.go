@@ -39,10 +39,9 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/mem"
+	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/rma"
-	"repro/internal/sched"
 )
 
 // KernelFunc executes a task against its object buffers. get returns the
@@ -258,16 +257,16 @@ func (e *engine) dumpAll() string {
 // run started), which accounts per-state occupancy with it.
 func (e *engine) clock() float64 { return float64(time.Since(e.start)) / float64(time.Second) }
 
-// Run executes the schedule under the MAP plan, driven by the schedule's
-// protocol tables (proto.Derive(s); a compiled artifact carries its own).
-// The plan must be executable (use mem.NewPlan and check Executable first);
-// capacity is taken from it. The p processors run on
-// k = min(p, runtime.GOMAXPROCS(0)) workers.
-func Run(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, cfg Config) (*Result, error) {
+// Run executes the compiled plan: its schedule under its MAP plan, driven
+// by its protocol tables. The plan must be executable; capacity is taken
+// from it. The p processors run on k = min(p, runtime.GOMAXPROCS(0))
+// workers.
+func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	if cfg.BlockTimeout < 0 {
 		return nil, errors.New("exec: negative BlockTimeout")
 	}
-	pe, err := proto.NewEngine(s, plan, tables, cfg.Faults)
+	s := a.Schedule
+	pe, err := proto.NewEngine(s, a.Mem, a.Tables(), cfg.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("exec: %w", err)
 	}
@@ -476,7 +475,7 @@ func (ps *procState) run() (finished bool, err error) {
 			core.Poll(ps.now)
 			ps.touch()
 		case proto.Blocked:
-			storeChanged(&probe.wait, int32(st.Wait.Kind))
+			storeChanged(&probe.wait, int32(st.Wait))
 			if err := ps.blockCheck(st.State); err != nil {
 				return false, err
 			}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/mem"
-	"repro/internal/proto"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -42,6 +42,12 @@ func scheduleFor(t *testing.T, g *graph.DAG, p int, h sched.Heuristic) *sched.Sc
 	return s
 }
 
+// artifact wraps a schedule and its MAP plan as the compiled plan Run
+// takes.
+func artifact(s *sched.Schedule, pl *mem.Plan) *plan.Artifact {
+	return &plan.Artifact{Schedule: s, Mem: pl, Model: sched.T3D(), Capacity: pl.Capacity}
+}
+
 func runNumeric(t *testing.T, pr *chol.Problem, s *sched.Schedule, capacity int64) *Result {
 	t.Helper()
 	plan, err := mem.NewPlan(s, capacity)
@@ -64,7 +70,7 @@ func runNumeric(t *testing.T, pr *chol.Problem, s *sched.Schedule, capacity int6
 			return b
 		})
 	}
-	res, err := Run(s, plan, proto.Derive(s), Config{
+	res, err := Run(artifact(s, plan), Config{
 		Kernel:       kernel,
 		Init:         pr.InitObject,
 		BlockTimeout: 20 * time.Second,
@@ -151,7 +157,7 @@ func TestLUConcurrentSolves(t *testing.T) {
 	if !plan.Executable {
 		t.Fatalf("not executable at MinMem")
 	}
-	res, err := Run(s, plan, proto.Derive(s), Config{
+	res, err := Run(artifact(s, plan), Config{
 		Kernel: pr.Kernel,
 		Init:   pr.InitObject,
 		BufLen: pr.BufLen,
@@ -207,7 +213,7 @@ func TestStructureOnlyRandomStress(t *testing.T) {
 				t.Fatalf("trial %d: TOT plan must be executable", trial)
 			}
 		}
-		res, err := Run(s, plan, proto.Derive(s), Config{BlockTimeout: 20 * time.Second})
+		res, err := Run(artifact(s, plan), Config{BlockTimeout: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("trial %d (p=%d, %v): %v", trial, p, h, err)
 		}
@@ -237,7 +243,7 @@ func TestNonExecutablePlanRejected(t *testing.T) {
 	if plan.Executable {
 		t.Fatalf("capacity 3 should not be executable")
 	}
-	if _, err := Run(s, plan, proto.Derive(s), Config{}); err == nil {
+	if _, err := Run(artifact(s, plan), Config{}); err == nil {
 		t.Fatalf("Run must reject non-executable plans")
 	}
 }
@@ -290,10 +296,10 @@ func TestExecuteAllocsPerRun(t *testing.T) {
 	if err != nil || !plan.Executable {
 		t.Fatalf("constrained plan not executable: %v", err)
 	}
-	tables := proto.Derive(s).Bind(plan)
+	a := artifact(s, plan)
 	cfg := Config{Kernel: pr.Kernel, Init: pr.InitObject}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(s, plan, tables, cfg); err != nil {
+		if _, err := Run(a, cfg); err != nil {
 			t.Error(err)
 		}
 	})

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
-	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -37,7 +36,7 @@ func TestKernelFailureAbortsCleanly(t *testing.T) {
 		victim := graph.TaskID(rng.Intn(g.NumTasks()))
 		boom := errors.New("injected fault")
 		start := time.Now()
-		_, err = Run(s, plan, proto.Derive(s), Config{
+		_, err = Run(artifact(s, plan), Config{
 			Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 				if tk == victim {
 					return boom
@@ -78,7 +77,7 @@ func TestKernelPanicRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(s, plan, proto.Derive(s), Config{
+	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == 5 {
 				panic("kernel exploded")
@@ -114,7 +113,7 @@ func TestWatchdogFiresOnArtificialStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	_, err = Run(s, plan, proto.Derive(s), Config{
+	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == 0 {
 				select {
@@ -153,7 +152,7 @@ func TestNegativeBlockTimeoutRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(s, plan, proto.Derive(s), Config{BlockTimeout: -1})
+	_, err = Run(artifact(s, plan), Config{BlockTimeout: -1})
 	if err == nil || err.Error() != "exec: negative BlockTimeout" {
 		t.Fatalf("Run with BlockTimeout -1: %v, want exec: negative BlockTimeout", err)
 	}

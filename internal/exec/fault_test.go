@@ -38,7 +38,7 @@ func TestCholeskyUnderFaultInjection(t *testing.T) {
 		{Seed: 11, DropFrac: 0.25, DupFrac: 0.10},
 		{Seed: 13, AddrFrac: 0.3, DataFrac: 0.3, DropFrac: 0.25, DupFrac: 0.25},
 	} {
-		res, err := Run(s, plan, proto.Derive(s), Config{
+		res, err := Run(artifact(s, plan), Config{
 			Kernel:       pr.Kernel,
 			Init:         pr.InitObject,
 			BlockTimeout: 20 * time.Second,
@@ -121,7 +121,7 @@ func TestWatchdogReportsBlockedDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	_, err = Run(s, plan, proto.Derive(s), Config{
+	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == t0 {
 				<-release // held exactly until the watchdog fires
@@ -189,7 +189,7 @@ func TestWatchdogReportsQueuedCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	_, err = Run(s, plan, proto.Derive(s), Config{
+	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			switch tk {
 			case t0:

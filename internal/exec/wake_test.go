@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
-	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -39,7 +38,7 @@ func TestParkedProcessorsDoNotSpin(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
-			res, err := Run(s, plan, proto.Derive(s), Config{
+			res, err := Run(artifact(s, plan), Config{
 				Kernel: func(graph.TaskID, func(graph.ObjID) []float64) error {
 					time.Sleep(200 * time.Microsecond)
 					return nil
@@ -86,7 +85,7 @@ func TestKernelsInFlightBoundedByWorkers(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	var inFlight, peak atomic.Int32
-	_, err = Run(s, plan, proto.Derive(s), Config{
+	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			n := inFlight.Add(1)
 			for m := peak.Load(); n > m && !peak.CompareAndSwap(m, n); m = peak.Load() {
@@ -139,7 +138,7 @@ func TestDepositVsParkRace(t *testing.T) {
 		if err != nil || !plan.Executable {
 			t.Fatal("plan not executable")
 		}
-		if _, err := Run(s, plan, proto.Derive(s), Config{}); err != nil {
+		if _, err := Run(artifact(s, plan), Config{}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

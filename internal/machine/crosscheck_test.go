@@ -41,11 +41,12 @@ func TestSimulatorAndExecutorAgree(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
-		simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
+		compiled := artifact(s, pl, sched.T3D())
+		simRes, err := Simulate(compiled, Options{})
 		if err != nil {
 			t.Fatalf("trial %d sim: %v", trial, err)
 		}
-		exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{})
+		exRes, err := exec.Run(compiled, exec.Config{})
 		if err != nil {
 			t.Fatalf("trial %d exec: %v", trial, err)
 		}
@@ -107,13 +108,14 @@ func TestRandomizedEquivalence(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
+		compiled := artifact(s, pl, sched.T3D())
 
 		run := func(f proto.Faults) (*Result, *exec.Result) {
-			simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{Faults: f})
+			simRes, err := Simulate(compiled, Options{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d sim (faults %+v): %v", trial, f, err)
 			}
-			exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{Faults: f})
+			exRes, err := exec.Run(compiled, exec.Config{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d exec (faults %+v): %v", trial, f, err)
 			}
@@ -159,7 +161,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 		// (every send suspends exactly once) and must equal the tables.
 		allSim, allEx := run(proto.Faults{Seed: 7, DataFrac: 1})
 		check("forced", allSim, allEx)
-		tables := proto.Derive(s)
+		tables := compiled.Tables()
 		for q := 0; q < p; q++ {
 			want := 0
 			for _, task := range s.Order[q] {
@@ -208,13 +210,14 @@ func TestLossDupEquivalence(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
+		compiled := artifact(s, pl, sched.T3D())
 
 		run := func(f proto.Faults) (*Result, *exec.Result) {
-			simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{Faults: f})
+			simRes, err := Simulate(compiled, Options{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d sim (faults %+v): %v", trial, f, err)
 			}
-			exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{Faults: f})
+			exRes, err := exec.Run(compiled, exec.Config{Faults: f})
 			if err != nil {
 				t.Fatalf("trial %d exec (faults %+v): %v", trial, f, err)
 			}
@@ -312,20 +315,21 @@ func TestSuspendedQueueUnderLoss(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
-		cleanSim, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
+		compiled := artifact(s, pl, sched.T3D())
+		cleanSim, err := Simulate(compiled, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f := proto.Faults{Seed: uint64(trial) + 3, DataFrac: 1, DropFrac: 0.25}
-		simRes, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{Faults: f})
+		simRes, err := Simulate(compiled, Options{Faults: f})
 		if err != nil {
 			t.Fatalf("trial %d sim: %v", trial, err)
 		}
-		exRes, err := exec.Run(s, pl, proto.Derive(s), exec.Config{Faults: f})
+		exRes, err := exec.Run(compiled, exec.Config{Faults: f})
 		if err != nil {
 			t.Fatalf("trial %d exec: %v", trial, err)
 		}
-		tables := proto.Derive(s)
+		tables := compiled.Tables()
 		for q := 0; q < p; q++ {
 			want := 0
 			for _, task := range s.Order[q] {
@@ -372,7 +376,7 @@ func TestSimulatorDeterminism(t *testing.T) {
 	}
 	var prev *Result
 	for i := 0; i < 5; i++ {
-		res, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
+		res, err := Simulate(artifact(s, pl, sched.T3D()), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,8 +433,9 @@ func TestDepositIntoFreedSpaceOneError(t *testing.T) {
 	maps[0].CoverEnd = 1
 	pl.Procs[1].MAPs = append(maps, mem.MAP{Pos: 1, Frees: []graph.ObjID{a}, CoverEnd: 3})
 
-	_, simErr := Simulate(s, pl, proto.Derive(s), sched.Unit(), Options{})
-	_, exErr := exec.Run(s, pl, proto.Derive(s), exec.Config{})
+	compiled := artifact(s, pl, sched.Unit())
+	_, simErr := Simulate(compiled, Options{})
+	_, exErr := exec.Run(compiled, exec.Config{})
 	if simErr == nil || exErr == nil {
 		t.Fatalf("both runs must fail: simulator %v, executor %v", simErr, exErr)
 	}

@@ -18,7 +18,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/mem"
+	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/rma"
 	"repro/internal/sched"
@@ -141,11 +141,11 @@ func (m *sim) land(ev event) {
 	}
 }
 
-// Simulate runs the schedule under the plan and cost model, driven by the
-// schedule's protocol tables (proto.Derive(s); a compiled artifact carries
-// its own).
-func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sched.CostModel, opt Options) (*Result, error) {
-	eng, err := proto.NewEngine(s, plan, tables, opt.Faults)
+// Simulate runs the compiled plan — its schedule under its MAP plan,
+// driven by its protocol tables — and times it under its cost model.
+func Simulate(a *plan.Artifact, opt Options) (*Result, error) {
+	s := a.Schedule
+	eng, err := proto.NewEngine(s, a.Mem, a.Tables(), opt.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
@@ -155,7 +155,7 @@ func Simulate(s *sched.Schedule, plan *mem.Plan, tables *proto.Tables, model sch
 	}
 	eng.Baseline = opt.Baseline
 	m := &sim{
-		s: s, model: model, opt: opt, eng: eng,
+		s: s, model: a.Model, opt: opt, eng: eng,
 		drv:       make([]driver, s.P),
 		slotDepth: depth,
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -26,6 +27,12 @@ func figure2Schedule(t *testing.T, h sched.Heuristic) *sched.Schedule {
 	return s
 }
 
+// artifact wraps a schedule and its MAP plan as the compiled plan Simulate
+// takes, timed under model.
+func artifact(s *sched.Schedule, pl *mem.Plan, model sched.CostModel) *plan.Artifact {
+	return &plan.Artifact{Schedule: s, Mem: pl, Model: model, Capacity: pl.Capacity}
+}
+
 func mustPlan(t *testing.T, s *sched.Schedule, cap int64) *mem.Plan {
 	t.Helper()
 	pl, err := mem.NewPlan(s, cap)
@@ -42,7 +49,7 @@ func TestBaselineCompletesAllTasks(t *testing.T) {
 	s := figure2Schedule(t, sched.RCP)
 	pl := mustPlan(t, s, s.TOT())
 	rec := &trace.Recorder{}
-	res, err := Simulate(s, pl, proto.Derive(s), sched.Unit(), Options{Baseline: true, Trace: rec})
+	res, err := Simulate(artifact(s, pl, sched.Unit()), Options{Baseline: true, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +79,15 @@ func TestBaselineCompletesAllTasks(t *testing.T) {
 func TestManagedSlowerThanBaseline(t *testing.T) {
 	s := figure2Schedule(t, sched.MPO)
 	model := sched.T3D()
-	base, err := Simulate(s, mustPlan(t, s, s.TOT()), proto.Derive(s), model, Options{Baseline: true})
+	base, err := Simulate(artifact(s, mustPlan(t, s, s.TOT()), model), Options{Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Simulate(s, mustPlan(t, s, s.TOT()), proto.Derive(s), model, Options{})
+	full, err := Simulate(artifact(s, mustPlan(t, s, s.TOT()), model), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Simulate(s, mustPlan(t, s, s.MinMem()), proto.Derive(s), model, Options{})
+	tight, err := Simulate(artifact(s, mustPlan(t, s, s.MinMem()), model), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestBaselineNeedsTheWholeVolatileSpace(t *testing.T) {
 	if s.MinMem() >= s.TOT() {
 		t.Fatal("test needs a schedule that recycling helps")
 	}
-	_, err := Simulate(s, mustPlan(t, s, s.MinMem()), proto.Derive(s), sched.Unit(), Options{Baseline: true})
+	_, err := Simulate(artifact(s, mustPlan(t, s, s.MinMem()), sched.Unit()), Options{Baseline: true})
 	if err == nil || !strings.Contains(err.Error(), "Baseline") || !strings.Contains(err.Error(), "out of memory") {
 		t.Fatalf("want a Baseline capacity error, got %v", err)
 	}
@@ -115,7 +122,7 @@ func TestUnitModelMakespanMatchesListPrediction(t *testing.T) {
 	// time should be close to the list scheduler's prediction (same cost
 	// assumptions; the simulator adds no overhead in baseline mode).
 	s := figure2Schedule(t, sched.RCP)
-	res, err := Simulate(s, mustPlan(t, s, s.TOT()), proto.Derive(s), sched.Unit(), Options{Baseline: true})
+	res, err := Simulate(artifact(s, mustPlan(t, s, s.TOT()), sched.Unit()), Options{Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +153,7 @@ func TestDeadlockFreedomRandomStress(t *testing.T) {
 			if !pl.Executable {
 				continue
 			}
-			res, err := Simulate(s, pl, proto.Derive(s), sched.T3D(), Options{})
+			res, err := Simulate(artifact(s, pl, sched.T3D()), Options{})
 			if err != nil {
 				t.Fatalf("trial %d (p=%d %v cap=%d): %v", trial, p, h, cap, err)
 			}
@@ -161,7 +168,7 @@ func TestDeadlockFreedomRandomStress(t *testing.T) {
 func TestTraceGantt(t *testing.T) {
 	s := figure2Schedule(t, sched.DTS)
 	rec := &trace.Recorder{}
-	if _, err := Simulate(s, mustPlan(t, s, s.MinMem()), proto.Derive(s), sched.Unit(), Options{Trace: rec}); err != nil {
+	if _, err := Simulate(artifact(s, mustPlan(t, s, s.MinMem()), sched.Unit()), Options{Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
 	gantt := rec.Gantt(60)

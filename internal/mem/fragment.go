@@ -67,50 +67,40 @@ func ArenaReplay(pl *Plan) ArenaReplayResult {
 }
 
 // Floors computes the tightest executable capacity of a schedule under the
-// counting allocator (the paper's model) and under address-based
-// allocation (counting-feasible plan whose arena replay also succeeds).
-// The gap is the fragmentation premium. Both are found by binary search
-// between 1 and TOT.
+// counting allocator (the paper's model, ExecutableFloor) and under
+// address-based allocation (counting-feasible plan whose arena replay also
+// succeeds). The gap is the fragmentation premium.
 func Floors(s *sched.Schedule, opt Options) (counting, address int64, err error) {
-	tot := s.TOT()
-	search := func(pred func(capacity int64) (bool, error)) (int64, error) {
-		lo, hi := int64(1), tot
-		for lo < hi {
-			mid := (lo + hi) / 2
-			ok, err := pred(mid)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo, nil
-	}
-	counting, err = search(func(capacity int64) (bool, error) {
-		pl, err := NewPlanOpts(s, capacity, opt)
-		if err != nil {
-			return false, err
-		}
-		return pl.Executable, nil
-	})
-	if err != nil {
+	if counting, err = ExecutableFloor(s, opt); err != nil {
 		return 0, 0, err
 	}
-	address, err = search(func(capacity int64) (bool, error) {
-		pl, err := NewPlanOpts(s, capacity, opt)
-		if err != nil {
-			return false, err
-		}
-		if !pl.Executable {
-			return false, nil
-		}
-		return ArenaReplay(pl).OK, nil
-	})
-	if err != nil {
+	if address, err = searchFloor(s, opt, func(pl *Plan) bool { return ArenaReplay(pl).OK }); err != nil {
 		return 0, 0, err
 	}
 	return counting, address, nil
+}
+
+// ExecutableFloor binary-searches, between 1 and TOT, the tightest
+// capacity at which the schedule's MAP plan under opt is executable.
+func ExecutableFloor(s *sched.Schedule, opt Options) (int64, error) {
+	return searchFloor(s, opt, func(*Plan) bool { return true })
+}
+
+// searchFloor binary-searches, between 1 and TOT, the tightest capacity
+// whose MAP plan is executable and passes fits.
+func searchFloor(s *sched.Schedule, opt Options, fits func(*Plan) bool) (int64, error) {
+	lo, hi := int64(1), s.TOT()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		pl, err := NewPlanOpts(s, mid, opt)
+		if err != nil {
+			return 0, err
+		}
+		if pl.Executable && fits(pl) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, nil
 }

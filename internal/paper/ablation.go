@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/proto"
+	"repro/internal/plan"
 	"repro/internal/sched"
 )
 
@@ -24,34 +24,22 @@ type AblationRowMAP struct {
 // early (enabling data presending, fewer MAPs) but holds space for future
 // objects; just-in-time admits tighter memory budgets at the cost of more
 // MAPs and later notification. Measured on the Cholesky workload with MPO
-// ordering at a 50% memory budget; the executable floor is found by binary
-// search between MinMem and TOT.
+// ordering at a 50% memory budget; the executable floor is
+// mem.ExecutableFloor's binary search between 1 and TOT.
 func AblationMAPPolicy(w io.Writer, sc Scale) []AblationRowMAP {
 	header(w, "Ablation: greedy allocate-ahead vs just-in-time MAP allocation (Cholesky, MPO, 50% memory)")
 	fmt.Fprintf(w, "%-5s %14s %14s %12s %14s %14s\n", "P", "greedy #MAPs", "JIT #MAPs", "PT ratio", "greedy floor", "JIT floor")
 	var rows []AblationRowMAP
 	for _, p := range tableProcs {
 		wl := cholWorkloads(sc, p)[0]
-		s := buildSchedule(wl.G, p, sched.MPO, 0)
-		tables := proto.Derive(s)
-		tot := s.TOT()
-		capacity := tot / 2
+		a := compile(wl.G, p, sched.MPO, 0)
+		capacity := a.TOT() / 2
 		row := AblationRowMAP{Procs: p}
 		for i, jit := range []bool{false, true} {
-			pl, err := mem.NewPlanOpts(s, capacity, mem.Options{JustInTime: jit})
-			if err != nil {
-				panic(err)
-			}
-			pt := math.Inf(1)
-			maps := math.Inf(1)
-			if pl.Executable {
-				res, err := machine.Simulate(s, pl, tables, sched.T3D(), machine.Options{})
-				if err != nil {
-					panic(err)
-				}
-				pt, maps = res.ParallelTime, res.AvgMAPs
-			}
-			floor := executableFloor(s, mem.Options{JustInTime: jit})
+			opt := mem.Options{JustInTime: jit}
+			pl := must(mem.NewPlanOpts(a.Schedule, capacity, opt))
+			pt, maps, _ := simulate(&plan.Artifact{Schedule: a.Schedule, Mem: pl, Model: a.Model, Capacity: capacity}, machine.Options{})
+			floor := must(mem.ExecutableFloor(a.Schedule, opt))
 			if i == 0 {
 				row.GreedyMAPs, row.GreedyPT, row.GreedyFloor = maps, pt, floor
 			} else {
@@ -64,25 +52,6 @@ func AblationMAPPolicy(w io.Writer, sc Scale) []AblationRowMAP {
 			p, fmtMAPs(row.GreedyMAPs), fmtMAPs(row.JITMAPs), ratio, row.GreedyFloor, row.JITFloor)
 	}
 	return rows
-}
-
-// executableFloor binary-searches the tightest capacity at which the plan
-// remains executable.
-func executableFloor(s *sched.Schedule, opt mem.Options) int64 {
-	lo, hi := int64(1), s.TOT()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		pl, err := mem.NewPlanOpts(s, mid, opt)
-		if err != nil {
-			panic(err)
-		}
-		if pl.Executable {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // AblationRowSlots is one row of the address-buffer-depth ablation.
@@ -106,24 +75,12 @@ func AblationSlotDepth(w io.Writer, sc Scale) []AblationRowSlots {
 	var rows []AblationRowSlots
 	for _, p := range tableProcs {
 		wl := cholWorkloads(sc, p)[0]
-		s := buildSchedule(wl.G, p, sched.MPO, 0)
-		capacity := s.TOT() * 40 / 100
-		pl, err := mem.NewPlan(s, capacity)
-		if err != nil {
-			panic(err)
-		}
-		tables := proto.Derive(s)
+		a := compile(wl.G, p, sched.MPO, 0)
+		a = replan(a, a.TOT()*40/100)
 		row := AblationRowSlots{Procs: p}
 		fmt.Fprintf(w, "P=%-3d", p)
 		for _, d := range depths {
-			pt := math.Inf(1)
-			if pl.Executable {
-				res, err := machine.Simulate(s, pl, tables, sched.T3D(), machine.Options{SlotDepth: d})
-				if err != nil {
-					panic(err)
-				}
-				pt = res.ParallelTime
-			}
+			pt, _, _ := simulate(a, machine.Options{SlotDepth: d})
 			row.PT = append(row.PT, pt)
 			if math.IsInf(pt, 0) {
 				fmt.Fprintf(w, " %14s", "inf")
@@ -154,21 +111,14 @@ func AblationMergeSweep(w io.Writer, sc Scale) []AblationRowMerge {
 	wl := luWorkloads(sc, p)[0]
 	fmt.Fprintf(w, "%-10s %8s %12s\n", "budget", "slices", "PT")
 	var rows []AblationRowMerge
+	// Budgets are percentages of the volatile TOT, which depends on the
+	// mapping only, not on the order.
+	assign := must(sched.OwnerComputeAssign(wl.G, p))
+	volTot := (&sched.Schedule{G: wl.G, P: p, Assign: assign}).TOT()
 	for _, pct := range []int{5, 10, 25, 50, 100} {
-		// Budget as a percentage of the volatile TOT.
-		s0 := buildSchedule(wl.G, p, sched.DTS, 0)
-		volTot := s0.TOT()
-		budget := volTot * int64(pct) / 100
-		s := buildSchedule(wl.G, p, sched.DTSMerge, budget)
-		pl, err := mem.NewPlan(s, s.TOT())
-		if err != nil {
-			panic(err)
-		}
-		res, err := machine.Simulate(s, pl, proto.Derive(s), sched.T3D(), machine.Options{})
-		if err != nil {
-			panic(err)
-		}
-		row := AblationRowMerge{BudgetPct: pct, Slices: s.NumSlices, PT: res.ParallelTime}
+		s := must(sched.ScheduleWith(sched.DTSMerge, wl.G, assign, p, sched.T3D(), volTot*int64(pct)/100))
+		pt, _, _ := simulate(must(plan.New(s, sched.T3D(), s.TOT())), machine.Options{})
+		row := AblationRowMerge{BudgetPct: pct, Slices: s.NumSlices, PT: pt}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%9d%% %8d %12.4g\n", pct, row.Slices, row.PT)
 	}

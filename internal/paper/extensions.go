@@ -35,7 +35,7 @@ func ExtensionFragmentation(w io.Writer, sc Scale) []FragmentationRow {
 		fmt.Fprintf(w, "%-5s %16s %16s %10s\n", "P", "counting floor", "first-fit floor", "premium")
 		for _, p := range tableProcs {
 			wl := app.wls(sc, p)[0]
-			s := buildSchedule(wl.G, p, sched.MPO, 0)
+			s := compile(wl.G, p, sched.MPO, 0).Schedule
 			counting, address, err := mem.Floors(s, mem.Options{})
 			if err != nil {
 				panic(err)
@@ -77,7 +77,7 @@ func ExtensionMemoryBreakdown(w io.Writer, sc Scale) []BreakdownRow {
 	var rows []BreakdownRow
 	for _, p := range tableProcs {
 		wl := cholWorkloads(sc, p)[0]
-		s := buildSchedule(wl.G, p, sched.MPO, 0)
+		s := compile(wl.G, p, sched.MPO, 0).Schedule
 		perm := s.PermSize()
 		vol := s.VolatileObjects()
 		var depSum, dataSum float64

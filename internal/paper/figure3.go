@@ -5,8 +5,7 @@ import (
 	"io"
 
 	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/proto"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -20,20 +19,15 @@ import (
 func Figure3(w io.Writer) {
 	header(w, "Figure 3: memory allocation points on the Figure-2 example")
 	g := sched.Figure2DAG()
-	assign, err := sched.OwnerComputeAssign(g, 2)
-	if err != nil {
-		panic(err)
-	}
-	s, err := sched.ScheduleMPO(g, assign, 2, sched.Unit())
-	if err != nil {
-		panic(err)
-	}
-	capacity := s.MinMem()
-	fmt.Fprintf(w, "MPO schedule, %d memory units per processor (MIN_MEM)\n\n", capacity)
-	pl, err := mem.NewPlan(s, capacity)
-	if err != nil {
-		panic(err)
-	}
+	model := sched.Unit()
+	// Half-unit MAP charges so the allocation points are visible in the
+	// chart. MAP costs do not enter scheduling.
+	model.MAPOverhead = 0.5
+	model.MAPPerObject = 0.25
+	a := must(plan.Compile(g, must(sched.OwnerComputeAssign(g, 2)), 2, sched.MPO, model, 0))
+	a = replan(a, a.MinMem())
+	s, pl := a.Schedule, a.Mem
+	fmt.Fprintf(w, "MPO schedule, %d memory units per processor (MIN_MEM)\n\n", a.Capacity)
 	for p := 0; p < s.P; p++ {
 		fmt.Fprintf(w, "P%d order:", p)
 		for _, t := range s.Order[p] {
@@ -80,14 +74,7 @@ func Figure3(w io.Writer) {
 		}
 	}
 	rec := &trace.Recorder{}
-	model := sched.Unit()
-	// Half-unit MAP charges so the allocation points are visible in the
-	// chart.
-	model.MAPOverhead = 0.5
-	model.MAPPerObject = 0.25
-	if _, err := machine.Simulate(s, pl, proto.Derive(s), model, machine.Options{Trace: rec}); err != nil {
-		panic(err)
-	}
+	must(machine.Simulate(a, machine.Options{Trace: rec}))
 	fmt.Fprintln(w, "\nexecution ('#' = MAP activity):")
 	fmt.Fprint(w, rec.Gantt(72))
 }
@@ -110,26 +97,16 @@ func ExtensionTrisolve(w io.Writer, sc Scale) []ExtensionTrisolveRow {
 	var rows []ExtensionTrisolveRow
 	for _, p := range tableProcs {
 		g := trisolveGraph(sc, p)
-		s := buildSchedule(g, p, sched.MPO, 0)
-		pl, err := mem.NewPlan(s, s.MinMem())
-		if err != nil {
-			panic(err)
+		a := compile(g, p, sched.MPO, 0)
+		if tight := replan(a, a.MinMem()); tight.Executable() {
+			a = tight
 		}
-		if !pl.Executable {
-			pl, err = mem.NewPlan(s, s.TOT())
-			if err != nil {
-				panic(err)
-			}
-		}
-		res, err := machine.Simulate(s, pl, proto.Derive(s), sched.T3D(), machine.Options{})
-		if err != nil {
-			panic(err)
-		}
+		pt, _, _ := simulate(a, machine.Options{})
 		row := ExtensionTrisolveRow{
 			Procs:       p,
 			Tasks:       g.NumTasks(),
-			MinMemRatio: float64(s.MinMem()) / float64(g.SeqSpace()),
-			PT:          res.ParallelTime,
+			MinMemRatio: float64(a.MinMem()) / float64(g.SeqSpace()),
+			PT:          pt,
 		}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "P=%-3d %8d %12.3f %12.4g\n", row.Procs, row.Tasks, row.MinMemRatio, row.PT)

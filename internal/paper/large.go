@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/lu"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -41,15 +42,11 @@ func Table8(w io.Writer, sc Scale) []Table8Row {
 		if err != nil {
 			panic("paper: " + err.Error())
 		}
-		s := buildSchedule(pr.G, p, sched.MPO, 0)
+		a := compile(pr.G, p, sched.MPO, 0)
 		// Budget: half of the no-recycling requirement, forcing the active
 		// memory management to earn its keep (mirrors the paper's scenario
 		// where the instance does not fit the original executor).
-		capacity := s.TOT() / 2
-		if capacity < s.MinMem() {
-			capacity = s.MinMem()
-		}
-		pt, maps, ok := simulate(s, capacity, false)
+		pt, maps, ok := simulate(replan(a, max(a.TOT()/2, a.MinMem())), machine.Options{})
 		if !ok {
 			panic("paper: Table 8 configuration must be executable")
 		}
@@ -91,9 +88,8 @@ func figure7half(w io.Writer, title string, workloads func(Scale, int) []Workloa
 		for _, p := range tableProcs {
 			sum, count := 0.0, 0
 			for _, wl := range workloads(sc, p) {
-				s := buildSchedule(wl.G, p, h, 0)
 				s1 := float64(wl.G.SeqSpace())
-				sum += s1 / float64(s.MinMem())
+				sum += s1 / float64(compile(wl.G, p, h, 0).MinMem())
 				count++
 			}
 			s7.Ratios = append(s7.Ratios, sum/float64(count))

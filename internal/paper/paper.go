@@ -26,8 +26,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lu"
 	"repro/internal/machine"
-	"repro/internal/mem"
-	"repro/internal/proto"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/trisolve"
@@ -181,35 +180,35 @@ func trisolveGraph(sc Scale, p int) *graph.DAG {
 
 var trisolveCache = map[[2]int]*graph.DAG{}
 
-// buildSchedule assigns owners via the application mapping already present
-// on the graph and orders with the heuristic.
-func buildSchedule(g *graph.DAG, p int, h sched.Heuristic, availVol int64) *sched.Schedule {
-	assign, err := sched.OwnerComputeAssign(g, p)
-	if err != nil {
-		panic("paper: " + err.Error())
-	}
-	s, err := sched.ScheduleWith(h, g, assign, p, sched.T3D(), availVol)
-	if err != nil {
-		panic("paper: " + err.Error())
-	}
-	return s
+// compile compiles g for p processors under the T3D cost model — the
+// application mapping already on the graph, ordered by h — and plans its
+// MAPs for capacity (0: TOT).
+func compile(g *graph.DAG, p int, h sched.Heuristic, capacity int64) *plan.Artifact {
+	return must(plan.Compile(g, must(sched.OwnerComputeAssign(g, p)), p, h, sched.T3D(), capacity))
 }
 
-// simulate runs the machine simulator for the schedule under capacity,
-// returning (parallel time, avg MAPs, executable).
-func simulate(s *sched.Schedule, capacity int64, baseline bool) (float64, float64, bool) {
-	pl, err := mem.NewPlan(s, capacity)
-	if err != nil {
-		panic("paper: " + err.Error())
-	}
-	if !pl.Executable {
+// replan plans a's schedule for another capacity.
+func replan(a *plan.Artifact, capacity int64) *plan.Artifact {
+	return must(plan.New(a.Schedule, a.Model, capacity))
+}
+
+// simulate runs the machine simulator on the plan, returning (parallel
+// time, avg MAPs, executable).
+func simulate(a *plan.Artifact, opt machine.Options) (float64, float64, bool) {
+	if !a.Executable() {
 		return math.Inf(1), math.Inf(1), false
 	}
-	res, err := machine.Simulate(s, pl, proto.Derive(s), sched.T3D(), machine.Options{Baseline: baseline})
+	res := must(machine.Simulate(a, opt))
+	return res.ParallelTime, res.AvgMAPs, true
+}
+
+// must panics on err: every configuration of the evaluation is valid, so
+// an error is a bug in the harness.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic("paper: " + err.Error())
 	}
-	return res.ParallelTime, res.AvgMAPs, true
+	return v
 }
 
 // Procs used throughout the evaluation tables.

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/machine"
+	"repro/internal/plan"
 	"repro/internal/sched"
 )
 
@@ -25,7 +27,7 @@ func Table1(w io.Writer, sc Scale) []Table1Row {
 	for _, p := range []int{2, 4, 8, 16} {
 		sum, count := 0.0, 0
 		for _, wl := range cholWorkloads(sc, p) {
-			s := buildSchedule(wl.G, p, sched.RCP, 0)
+			s := compile(wl.G, p, sched.RCP, 0).Schedule
 			perm := s.PermSize()
 			vol := s.VolatileObjects()
 			s1 := float64(wl.G.SeqSpace())
@@ -75,15 +77,13 @@ func overheadTable(w io.Writer, title string, workloads func(Scale, int) []Workl
 			row.MAPs[i] = 0
 		}
 		for _, wl := range wls {
-			s := buildSchedule(wl.G, p, sched.RCP, 0)
-			tot := s.TOT()
-			basePT, _, ok := simulate(s, tot, true)
+			a := compile(wl.G, p, sched.RCP, 0)
+			basePT, _, ok := simulate(a, machine.Options{Baseline: true})
 			if !ok {
 				panic("paper: baseline must be executable")
 			}
 			for i, pct := range memPercents {
-				capacity := tot * int64(pct) / 100
-				pt, maps, ok := simulate(s, capacity, false)
+				pt, maps, ok := simulate(replan(a, a.TOT()*int64(pct)/100), machine.Options{})
 				if !ok {
 					row.PTIncrease[i] = math.Inf(1)
 					row.MAPs[i] = math.Inf(1)
@@ -140,7 +140,7 @@ func fmtCompare(v float64) string {
 
 // compareTable runs A vs B under the paper's entry semantics.
 func compareTable(w io.Writer, title string, workloads func(Scale, int) []Workload, sc Scale,
-	hA, hB sched.Heuristic, mergeBudget bool) []CompareRow {
+	hA, hB sched.Heuristic) []CompareRow {
 	header(w, title)
 	fmt.Fprintf(w, "%-5s", "P")
 	for _, pct := range cmpPercents {
@@ -158,13 +158,12 @@ func compareTable(w io.Writer, title string, workloads func(Scale, int) []Worklo
 		}
 		acc := make([]per, len(cmpPercents))
 		for _, wl := range wls {
-			sA := buildSchedule(wl.G, p, hA, 0)
-			tot := sA.TOT()
+			aA := compile(wl.G, p, hA, 0)
 			for i, pct := range cmpPercents {
-				capacity := tot * int64(pct) / 100
-				sB := buildSchedule(wl.G, p, hB, volatileBudget(wl, p, capacity, mergeBudget))
-				ptA, _, okA := simulate(sA, capacity, false)
-				ptB, _, okB := simulate(sB, capacity, false)
+				capacity := aA.TOT() * int64(pct) / 100
+				aB := must(plan.Compile(wl.G, aA.Schedule.Assign, p, hB, sched.T3D(), capacity))
+				ptA, _, okA := simulate(replan(aA, capacity), machine.Options{})
+				ptB, _, okB := simulate(aB, machine.Options{})
 				acc[i].cnt++
 				if okA {
 					acc[i].ok[0] = true
@@ -200,33 +199,10 @@ func compareTable(w io.Writer, title string, workloads func(Scale, int) []Worklo
 	return rows
 }
 
-// volatileBudget converts a capacity into the per-processor volatile budget
-// used by DTS slice merging (capacity minus the largest permanent space).
-func volatileBudget(wl Workload, p int, capacity int64, merge bool) int64 {
-	if !merge {
-		return 1 << 62
-	}
-	perm := make([]int64, p)
-	for i := range wl.G.Objects {
-		perm[wl.G.Objects[i].Owner] += wl.G.Objects[i].Size
-	}
-	var maxPerm int64
-	for _, v := range perm {
-		if v > maxPerm {
-			maxPerm = v
-		}
-	}
-	b := capacity - maxPerm
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
 // Table4 reproduces Table 4: RCP vs MPO, (a) Cholesky and (b) LU.
 func Table4(w io.Writer, sc Scale) (a, b []CompareRow) {
-	a = compareTable(w, "Table 4a: RCP vs MPO, sparse Cholesky (entry = PT_MPO/PT_RCP - 1)", cholWorkloads, sc, sched.RCP, sched.MPO, false)
-	b = compareTable(w, "Table 4b: RCP vs MPO, sparse LU", luWorkloads, sc, sched.RCP, sched.MPO, false)
+	a = compareTable(w, "Table 4a: RCP vs MPO, sparse Cholesky (entry = PT_MPO/PT_RCP - 1)", cholWorkloads, sc, sched.RCP, sched.MPO)
+	b = compareTable(w, "Table 4b: RCP vs MPO, sparse LU", luWorkloads, sc, sched.RCP, sched.MPO)
 	return a, b
 }
 
@@ -252,13 +228,12 @@ func Table5(w io.Writer, sc Scale) []Table5Row {
 		row := Table5Row{Procs: p, RCP: make([]float64, len(cmpPercents)), MPO: make([]float64, len(cmpPercents))}
 		wls := cholWorkloads(sc, p)
 		for _, wl := range wls {
-			sA := buildSchedule(wl.G, p, sched.RCP, 0)
-			sB := buildSchedule(wl.G, p, sched.MPO, 0)
-			tot := sA.TOT()
+			aA := compile(wl.G, p, sched.RCP, 0)
+			aB := compile(wl.G, p, sched.MPO, 0)
 			for i, pct := range cmpPercents {
-				capacity := tot * int64(pct) / 100
-				_, mapsA, okA := simulate(sA, capacity, false)
-				_, mapsB, okB := simulate(sB, capacity, false)
+				capacity := aA.TOT() * int64(pct) / 100
+				_, mapsA, okA := simulate(replan(aA, capacity), machine.Options{})
+				_, mapsB, okB := simulate(replan(aB, capacity), machine.Options{})
 				if !okA {
 					row.RCP[i] = math.Inf(1)
 				} else if !math.IsInf(row.RCP[i], 0) {
@@ -283,14 +258,14 @@ func Table5(w io.Writer, sc Scale) []Table5Row {
 
 // Table6 reproduces Table 6: MPO vs DTS.
 func Table6(w io.Writer, sc Scale) (a, b []CompareRow) {
-	a = compareTable(w, "Table 6a: MPO vs DTS, sparse Cholesky (entry = PT_DTS/PT_MPO - 1)", cholWorkloads, sc, sched.MPO, sched.DTS, false)
-	b = compareTable(w, "Table 6b: MPO vs DTS, sparse LU", luWorkloads, sc, sched.MPO, sched.DTS, false)
+	a = compareTable(w, "Table 6a: MPO vs DTS, sparse Cholesky (entry = PT_DTS/PT_MPO - 1)", cholWorkloads, sc, sched.MPO, sched.DTS)
+	b = compareTable(w, "Table 6b: MPO vs DTS, sparse LU", luWorkloads, sc, sched.MPO, sched.DTS)
 	return a, b
 }
 
 // Table7 reproduces Table 7: RCP vs DTS with slice merging.
 func Table7(w io.Writer, sc Scale) (a, b []CompareRow) {
-	a = compareTable(w, "Table 7a: RCP vs DTS+merge, sparse Cholesky (entry = PT_DTSm/PT_RCP - 1)", cholWorkloads, sc, sched.RCP, sched.DTSMerge, true)
-	b = compareTable(w, "Table 7b: RCP vs DTS+merge, sparse LU", luWorkloads, sc, sched.RCP, sched.DTSMerge, true)
+	a = compareTable(w, "Table 7a: RCP vs DTS+merge, sparse Cholesky (entry = PT_DTSm/PT_RCP - 1)", cholWorkloads, sc, sched.RCP, sched.DTSMerge)
+	b = compareTable(w, "Table 7b: RCP vs DTS+merge, sparse LU", luWorkloads, sc, sched.RCP, sched.DTSMerge)
 	return a, b
 }

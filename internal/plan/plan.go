@@ -24,9 +24,11 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -64,6 +66,38 @@ type Artifact struct {
 	tablesOnce sync.Once
 	tables     *proto.Tables
 	verified   atomic.Bool
+}
+
+// Compile is the inspector's one recipe: it orders g's tasks, mapped to
+// processors by assign, with heuristic h under the cost model and plans
+// the MAPs for the per-processor capacity (0: TOT, whatever the schedule
+// needs without recycling). DTSMerge merges slices within the volatile
+// budget a positive capacity leaves: capacity minus the largest
+// permanent footprint.
+func Compile(g *graph.DAG, assign []graph.Proc, p int, h sched.Heuristic, model sched.CostModel, capacity int64) (*Artifact, error) {
+	availVol := int64(1) << 62
+	if capacity > 0 {
+		availVol = capacity - slices.Max((&sched.Schedule{G: g, P: p, Assign: assign}).PermSize())
+	}
+	s, err := sched.ScheduleWith(h, g, assign, p, model, availVol)
+	if err != nil {
+		return nil, err
+	}
+	if capacity <= 0 {
+		capacity = s.TOT()
+	}
+	return New(s, model, capacity)
+}
+
+// New plans the schedule's MAPs for the per-processor capacity with the
+// paper's greedy allocate-ahead policy and wraps both in an artifact
+// whose cost model is model.
+func New(s *sched.Schedule, model sched.CostModel, capacity int64) (*Artifact, error) {
+	mp, err := mem.NewPlan(s, capacity)
+	if err != nil {
+		return nil, err
+	}
+	return &Artifact{Schedule: s, Mem: mp, Model: model, Capacity: capacity}, nil
 }
 
 // Tables returns the protocol tables of the artifact's schedule, bound to

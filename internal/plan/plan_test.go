@@ -309,3 +309,67 @@ func TestFingerprintSensitivity(t *testing.T) {
 		t.Error("owner change not reflected")
 	}
 }
+
+// TestCompileMergeBudget: Compile merges DTS slices within the capacity
+// minus the largest permanent footprint, and an object no processor owns
+// (a read-only input) adds to no footprint.
+func TestCompileMergeBudget(t *testing.T) {
+	const procs, n = 3, 6
+	b := graph.NewBuilder()
+	in := b.Object("in", 40)
+	objs := make([]graph.ObjID, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			objs[i*n+j] = b.Object(blockName(i, j), int64(4+i+j))
+		}
+	}
+	for k := 0; k < n; k++ {
+		b.Task(taskName("f", k, k), 100, []graph.ObjID{in}, []graph.ObjID{objs[k*n+k]})
+		for i := k + 1; i < n; i++ {
+			b.Task(taskName("s", i, k), 50, []graph.ObjID{objs[k*n+k]}, []graph.ObjID{objs[i*n+k]})
+			for j := k + 1; j <= i; j++ {
+				b.CommutativeTask(taskName("u", i, j)+taskName("", k, 0), 25,
+					[]graph.ObjID{objs[i*n+k], objs[j*n+k]}, []graph.ObjID{objs[i*n+j]})
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.CyclicOwners(g, procs)
+	g.Objects[in].Owner = graph.None
+	assign, err := sched.OwnerComputeAssign(g, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := sched.T3D()
+	bare := &sched.Schedule{G: g, P: procs, Assign: assign}
+	maxPerm := slices.Max(bare.PermSize())
+	distinct := false
+	for capacity := maxPerm + 1; capacity <= bare.TOT(); capacity++ {
+		a, err := Compile(g, assign, procs, sched.DTSMerge, model, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sched.ScheduleWith(sched.DTSMerge, g, assign, procs, model, capacity-maxPerm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Capacity != capacity || a.Mem.Capacity != capacity {
+			t.Fatalf("capacity %d: artifact planned for %d, MAP plan for %d", capacity, a.Capacity, a.Mem.Capacity)
+		}
+		if a.Schedule.NumSlices != want.NumSlices || !reflect.DeepEqual(a.Schedule.Order, want.Order) {
+			t.Fatalf("capacity %d: Compile's schedule (%d slices) is not DTSMerge's at budget %d (%d slices)",
+				capacity, a.Schedule.NumSlices, capacity-maxPerm, want.NumSlices)
+		}
+		whole, err := sched.ScheduleWith(sched.DTSMerge, g, assign, procs, model, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct = distinct || whole.NumSlices != want.NumSlices
+	}
+	if !distinct {
+		t.Fatal("no capacity merges differently from its volatile budget; the test cannot see the subtraction")
+	}
+}

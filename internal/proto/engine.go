@@ -271,17 +271,16 @@ type Engine struct {
 	known []*rma.Buffer
 }
 
-// NewEngine binds a schedule, its MAP plan and the protocol tables derived
-// from the schedule (Derive; a compiled artifact carries its own, bound to
-// its plan, see plan.Artifact.Tables) into the shared state of one run.
-// Tables not bound to plan are bound here, for this run only. The plan must
-// be executable (use mem.NewPlan and check Executable first).
+// NewEngine binds a schedule, its MAP plan and the schedule's protocol
+// tables bound to that plan (a compiled artifact's, see
+// plan.Artifact.Tables) into the shared state of one run. Tables bound to
+// another plan, or to none, are an error. The plan must be executable.
 func NewEngine(s *sched.Schedule, plan *mem.Plan, tables *Tables, f Faults) (*Engine, error) {
 	if !plan.Executable {
 		return nil, fmt.Errorf("proto: plan is not executable under capacity %d", plan.Capacity)
 	}
 	if tables.plan != plan {
-		tables = tables.Bind(plan)
+		return nil, fmt.Errorf("proto: protocol tables are bound to another MAP plan")
 	}
 	return &Engine{
 		S: s, Plan: plan, Tables: tables, Faults: f,
@@ -340,27 +339,6 @@ func (k WaitKind) String() string {
 	return waitNames[k]
 }
 
-// Wait describes what a Blocked processor is waiting on: the reason plus
-// the identity of the thing being waited for. It is diagnostic AND
-// operational: an event-driven driver may park the processor until the
-// matching event (or Due, when a timer is armed) instead of polling.
-type Wait struct {
-	Kind WaitKind
-	// Obj is the waited-on object (WaitArrival, WaitAddr).
-	Obj graph.ObjID
-	// Task is the gated task (WaitArrival, WaitCtl).
-	Task graph.TaskID
-	// Dst is the peer processor involved (WaitAddrSlot, WaitAddr).
-	Dst graph.Proc
-	// Have/Want are counter progress for WaitArrival and WaitCtl.
-	Have, Want int32
-	// Due is the earliest armed retransmission deadline among this
-	// processor's queued messages, in clock seconds (0: no timer armed).
-	// The driver's WakeAfter timer already covers it; Due makes the
-	// deadline visible to watchdogs and tests.
-	Due float64
-}
-
 // StatusKind classifies what a Core needs from its driver next.
 type StatusKind int8
 
@@ -387,7 +365,7 @@ type Status struct {
 	// State is the blocking protocol state when Kind == Blocked.
 	State State
 	// Wait is what the processor is waiting on when Kind == Blocked.
-	Wait Wait
+	Wait WaitKind
 	// Task is the task to run when Kind == RunTask.
 	Task graph.TaskID
 	// MAP is the executed allocation point when Kind == RunMAP.
@@ -816,7 +794,7 @@ func (c *Core) Advance(now float64) (Status, error) {
 		if c.queued > 0 {
 			c.enter(StateEND, now)
 			c.Stats.BlockedAdvances++
-			return Status{Kind: Blocked, State: StateEND, Wait: c.outWait(now)}, nil
+			return Status{Kind: Blocked, State: StateEND, Wait: c.outWait()}, nil
 		}
 		c.closeOcc(now)
 		return Status{Kind: Finished}, nil
@@ -831,48 +809,33 @@ func (c *Core) Advance(now float64) (Status, error) {
 	if !ok {
 		c.enter(StateREC, now)
 		c.Stats.BlockedAdvances++
-		return Status{Kind: Blocked, State: StateREC, Task: t, Wait: c.recWait(t)}, nil
+		return Status{Kind: Blocked, State: StateREC, Wait: c.recWait(t)}, nil
 	}
 	// EXE state: hand the task to the driver.
 	c.enter(StateEXE, now)
 	return Status{Kind: RunTask, Task: t}, nil
 }
 
-// pendWait derives the Wait of a MAP-blocked processor from its pending
-// address packages: an occupied destination slot if any package could go
-// out now, otherwise the earliest retransmission deadline.
-func (c *Core) pendWait(now float64) Wait {
-	w := Wait{Kind: WaitTimer}
+// pendWait classifies the wait of a MAP-blocked processor from its
+// pending address packages: an occupied destination slot if any package
+// could go out now, otherwise a retransmission timer.
+func (c *Core) pendWait(now float64) WaitKind {
 	for i := range c.pend {
-		pk := &c.pend[i]
-		if pk.due > now {
-			if w.Due == 0 || pk.due < w.Due {
-				w.Due = pk.due
-			}
-			continue
-		}
-		if w.Kind != WaitAddrSlot {
-			w.Kind, w.Dst = WaitAddrSlot, pk.dst
+		if c.pend[i].due <= now {
+			return WaitAddrSlot
 		}
 	}
-	return w
+	return WaitTimer
 }
 
-// outWait derives the Wait of an END-blocked processor from the outbound
-// queue's head: an unlearned remote address, or a running retransmission
-// timer. Due is the earliest deadline across the whole queue.
-func (c *Core) outWait(now float64) Wait {
-	head := c.queueHead().snd
-	w := Wait{Kind: WaitAddr, Obj: head.Obj, Dst: head.Dst}
-	if c.addr[head.Chan] != nil {
-		w.Kind = WaitTimer
+// outWait classifies the wait of an END-blocked processor from the
+// outbound queue's head: an unlearned remote address, or a running
+// retransmission timer.
+func (c *Core) outWait() WaitKind {
+	if c.addr[c.queueHead().snd.Chan] != nil {
+		return WaitTimer
 	}
-	for _, ch := range c.armed {
-		if due := c.outq[c.fifo[ch].head].due; due > now && (w.Due == 0 || due < w.Due) {
-			w.Due = due
-		}
-	}
-	return w
+	return WaitAddr
 }
 
 // queueHead returns the oldest queued message: the earliest-issued channel
@@ -888,22 +851,15 @@ func (c *Core) queueHead() *outSend {
 	return &c.outq[first]
 }
 
-// recWait derives the Wait of a REC-blocked processor: the first unmet
-// control-signal or arrival requirement of the gating task. Counters are
-// re-read, so a deposit racing with the blocked verdict may leave no unmet
-// requirement; the generic fallback is harmless — the driver's next Advance
-// will see the task ready.
-func (c *Core) recWait(t graph.TaskID) Wait {
-	if have, want := c.eng.CtlRecv[t].Load(), c.eng.Tables.CtlNeed[t]; have < want {
-		return Wait{Kind: WaitCtl, Task: t, Have: have, Want: want}
+// recWait classifies the wait of a REC-blocked processor: outstanding
+// control signals, else an arrival. A deposit racing with the blocked
+// verdict may leave nothing unmet; the driver's next Advance then sees the
+// task ready.
+func (c *Core) recWait(t graph.TaskID) WaitKind {
+	if c.eng.CtlRecv[t].Load() < c.eng.Tables.CtlNeed[t] {
+		return WaitCtl
 	}
-	for _, need := range c.eng.Tables.NeedsOf(t) {
-		got, ok := c.arrived(need.Obj)
-		if !ok || got < need.MinArrivals {
-			return Wait{Kind: WaitArrival, Task: t, Obj: need.Obj, Have: got, Want: need.MinArrivals}
-		}
-	}
-	return Wait{Kind: WaitArrival, Task: t}
+	return WaitArrival
 }
 
 // arrived returns the arrival counter of local object o and whether o is

@@ -38,7 +38,7 @@ type loopBackend struct {
 
 func newLoopMachine(t *testing.T, s *sched.Schedule, pl *mem.Plan, f Faults) *loopMachine {
 	t.Helper()
-	eng, err := NewEngine(s, pl, Derive(s), f)
+	eng, err := NewEngine(s, pl, Derive(s).Bind(pl), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,6 +644,30 @@ func TestNewEngineRejectsUnexecutablePlan(t *testing.T) {
 	_, err := NewEngine(s, &mem.Plan{Capacity: 3}, Derive(s), Faults{})
 	if err == nil || !strings.Contains(err.Error(), "not executable") {
 		t.Fatalf("want not-executable error, got %v", err)
+	}
+}
+
+// TestNewEngineRejectsForeignTables: tables bound to one MAP plan, or to
+// none, do not run another; the engine refuses them rather than binding a
+// copy for the run.
+func TestNewEngineRejectsForeignTables(t *testing.T) {
+	s := figure2Schedule(t)
+	tight, err := mem.NewPlan(s, s.MinMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := mem.NewPlan(s, s.TOT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := Derive(s)
+	for i, tables := range []*Tables{tb, tb.Bind(tight)} {
+		if _, err := NewEngine(s, full, tables, Faults{}); err == nil || !strings.Contains(err.Error(), "another MAP plan") {
+			t.Errorf("tables %d (unbound, foreign): want a foreign-tables error, got %v", i, err)
+		}
+	}
+	if _, err := NewEngine(s, full, tb.Bind(full), Faults{}); err != nil {
+		t.Fatalf("tables bound to the plan: %v", err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/mem"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sched/exact"
 )
@@ -152,24 +152,14 @@ func Run(structures []Structure) (*Table, error) {
 			return nil, fmt.Errorf("bakeoff: %s: rcp reference: %w", st.Name, err)
 		}
 		refTOT := ref.TOT()
-		perm := ref.PermSize()
-		var maxPerm int64
-		for _, v := range perm {
-			if v > maxPerm {
-				maxPerm = v
-			}
-		}
 		for _, pct := range BudgetPcts {
 			budget := refTOT * int64(pct) / 100
 			for _, h := range Heuristics() {
-				s, err := sched.ScheduleWith(h, st.G, st.Assign, st.Procs, model, budget-maxPerm)
+				a, err := plan.Compile(st.G, st.Assign, st.Procs, h, model, budget)
 				if err != nil {
 					return nil, fmt.Errorf("bakeoff: %s/%s: %w", st.Name, h, err)
 				}
-				pl, err := mem.NewPlan(s, budget)
-				if err != nil {
-					return nil, fmt.Errorf("bakeoff: %s/%s: plan: %w", st.Name, h, err)
-				}
+				s := a.Schedule
 				peaks := s.PerProcPeaks()
 				var peakMax int64
 				for _, pk := range peaks {
@@ -189,7 +179,7 @@ func Run(structures []Structure) (*Table, error) {
 					TOT:        s.TOT(),
 					PeakMax:    peakMax,
 					Imbalance:  s.PeakImbalance(),
-					Executable: pl.Executable,
+					Executable: a.Executable(),
 				}
 				if st.Exact != nil {
 					if gt, ok := st.Exact.GapTime(s.Makespan, s.MinMem()); ok {

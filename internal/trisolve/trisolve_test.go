@@ -8,11 +8,17 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/mem"
-	"repro/internal/proto"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/util"
 )
+
+// artifact wraps a schedule and its MAP plan as the compiled plan exec.Run
+// takes.
+func artifact(s *sched.Schedule, pl *mem.Plan) *plan.Artifact {
+	return &plan.Artifact{Schedule: s, Mem: pl, Model: sched.T3D(), Capacity: pl.Capacity}
+}
 
 func buildProblem(t *testing.T, p int) (*chol.Problem, *Problem, *sparse.Matrix, []float64, []float64) {
 	t.Helper()
@@ -102,7 +108,7 @@ func TestConcurrentSolveMatches(t *testing.T) {
 				t.Fatal("TOT plan must be executable")
 			}
 		}
-		res, err := exec.Run(s, plan, proto.Derive(s), exec.Config{Kernel: pr.Kernel, Init: pr.InitObject})
+		res, err := exec.Run(artifact(s, plan), exec.Config{Kernel: pr.Kernel, Init: pr.InitObject})
 		if err != nil {
 			t.Fatalf("%v: %v", h, err)
 		}
@@ -146,7 +152,7 @@ func TestResidualThroughFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := exec.Run(s, plan, proto.Derive(s), exec.Config{Kernel: cp.Kernel, Init: cp.InitObject})
+	fres, err := exec.Run(artifact(s, plan), exec.Config{Kernel: cp.Kernel, Init: cp.InitObject})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestResidualThroughFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := exec.Run(s2, plan2, proto.Derive(s2), exec.Config{Kernel: pr2.Kernel, Init: pr2.InitObject})
+	sres, err := exec.Run(artifact(s2, plan2), exec.Config{Kernel: pr2.Kernel, Init: pr2.InitObject})
 	if err != nil {
 		t.Fatal(err)
 	}

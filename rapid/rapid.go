@@ -34,7 +34,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/sched"
@@ -226,37 +225,7 @@ func Compile(prog *Program, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := prog.G
-
-	// The volatile budget for slice merging: capacity minus the largest
-	// permanent footprint.
-	availVol := int64(1) << 62
-	if opt.Memory > 0 {
-		var maxPerm int64
-		perm := make([]int64, opt.Procs)
-		for i := range g.Objects {
-			perm[g.Objects[i].Owner] += g.Objects[i].Size
-		}
-		for _, v := range perm {
-			if v > maxPerm {
-				maxPerm = v
-			}
-		}
-		availVol = opt.Memory - maxPerm
-	}
-	s, err := sched.ScheduleWith(opt.Heuristic, g, assign, opt.Procs, model, availVol)
-	if err != nil {
-		return nil, err
-	}
-	capacity := opt.Memory
-	if capacity <= 0 {
-		capacity = s.TOT()
-	}
-	mp, err := mem.NewPlan(s, capacity)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Schedule: s, Mem: mp, Model: model, Capacity: capacity}, nil
+	return plan.Compile(prog.G, assign, opt.Procs, opt.Heuristic, model, opt.Memory)
 }
 
 // KernelFunc executes one task against its local object buffers.
@@ -309,7 +278,7 @@ type Report = exec.Result
 // worker goroutines drive the plan's p processors from one shared run
 // queue, each processor until it blocks.
 func Execute(prog *Program, plan *Plan, opt ExecOptions) (*Report, error) {
-	return exec.Run(plan.Schedule, plan.Mem, plan.Tables(), opt)
+	return exec.Run(plan, opt)
 }
 
 // SimOptions configure Simulate: Baseline simulates the original RAPID
@@ -325,5 +294,5 @@ type SimReport = machine.Result
 
 // Simulate runs the plan on the discrete-event machine simulator.
 func Simulate(prog *Program, plan *Plan, opt SimOptions) (*SimReport, error) {
-	return machine.Simulate(plan.Schedule, plan.Mem, plan.Tables(), plan.Model, opt)
+	return machine.Simulate(plan, opt)
 }
