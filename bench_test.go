@@ -1,9 +1,11 @@
 package repro_test
 
-// The four executor benchmarks, the inspector and verifier benchmarks and
-// the daemon's hot and cold requests CI's benchstat step gates. Everything
-// else that used to live here is a cmd/paper experiment (byte-gated by
-// TestPaperSmallGolden) or a per-layer metric of bench/ (BENCHMARK.json).
+// The four executor benchmarks, the inspector, verifier and decoder
+// benchmarks and the daemon's hot and cold requests CI's benchstat step
+// gates, and the allocation and live-byte ceilings of the same paths.
+// Everything else that used to live here is a cmd/paper experiment
+// (byte-gated by TestPaperSmallGolden) or a per-layer metric of bench/
+// (BENCHMARK.json).
 
 import (
 	"bytes"
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -259,4 +262,90 @@ func BenchmarkSolveHot(b *testing.B) {
 // build, fingerprint, compile, verify, then the same execute.
 func BenchmarkSolveCold(b *testing.B) {
 	benchSolve(b, "compiled", func(i int) rapidd.JobSpec { return rapidd.JobSpec{N: 400, Seed: uint64(1 + i)} })
+}
+
+// factorCholBytes is the factor_chol plan, marshaled.
+func factorCholBytes(tb testing.TB) (*rapid.Plan, []byte) {
+	plan := factorCholPlan(tb)
+	enc, err := rapid.MarshalPlan(plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan, enc
+}
+
+// TestDecodeAllocsPerTask: the decoder reads every task's name and access
+// lists into the task graph's tables (DESIGN.md §7, "The inspector's
+// tables"), so loading a plan from disk allocates per table, not per task.
+// Object names keep one allocation each.
+func TestDecodeAllocsPerTask(t *testing.T) {
+	plan, enc := factorCholBytes(t)
+	tasks := float64(plan.Schedule.G.NumTasks())
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := rapid.UnmarshalPlan(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTask := allocs / tasks; perTask > 0.1 {
+		t.Fatalf("decode: %.0f allocations for %.0f tasks, %.3f per task; want at most 0.1", allocs, tasks, perTask)
+	}
+}
+
+// BenchmarkUnmarshalPlan decodes the factor_chol plan: what a disk-tier
+// load pays before the verifier.
+func BenchmarkUnmarshalPlan(b *testing.B) {
+	_, enc := factorCholBytes(b)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rapid.UnmarshalPlan(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlanTierEntryBytes: what one entry of rapidd's plan tier keeps live
+// at the serve shape (chol n=400, block 8, 4 processors, MPO) — the
+// problem with its plan's task graph adopted, the plan and its protocol
+// tables. The task graph is a few flat tables (DESIGN.md §7), so an entry
+// stays within 900 kB.
+func TestPlanTierEntryBytes(t *testing.T) {
+	type entry struct {
+		pb   *factor.Problem
+		plan *rapid.Plan
+	}
+	const n = 40
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	entries := make([]entry, 0, n)
+	before := live()
+	for seed := uint64(1); seed <= n; seed++ {
+		a, err := factor.Matrix("chol", 400, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := factor.Build("chol", a, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := rapid.Compile(pb.Program, rapid.Options{Procs: 4, Heuristic: rapid.MPO})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb.Adopt(plan)
+		plan.Tables()
+		entries = append(entries, entry{pb, plan})
+	}
+	perEntry := (float64(live()) - float64(before)) / n / 1000
+	runtime.KeepAlive(entries)
+	t.Logf("%.0f kB live per entry", perEntry)
+	if perEntry > 900 {
+		t.Fatalf("plan tier: %.0f kB live per entry; want at most 900", perEntry)
+	}
 }

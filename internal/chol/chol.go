@@ -186,7 +186,7 @@ func Build(a *sparse.Matrix, opt Options) (*Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chol: %w", err)
 	}
-	names.Apply(g.Tasks)
+	names.Apply(g)
 	for oi := range owners {
 		g.Objects[oi].Owner = owners[oi]
 	}
@@ -285,28 +285,28 @@ func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
 // get. Buffers are row-major dims[i]×dims[j] blocks.
 func (pr *Problem) Kernel(t graph.TaskID, get func(graph.ObjID) []float64) error {
 	ti := pr.info[t]
-	task := &pr.G.Tasks[t]
+	reads, writes := pr.G.Reads(t), pr.G.Writes(t)
 	switch ti.kind {
 	case opPotrf:
-		d := get(task.Writes[0])
+		d := get(writes[0])
 		n := pr.dims[ti.k]
 		return blas.Potrf(n, d, n)
 	case opScale:
-		diag := get(task.Reads[0])
-		b := get(task.Writes[0])
+		diag := get(reads[0])
+		b := get(writes[0])
 		m, n := pr.dims[ti.i], pr.dims[ti.k]
 		blas.TrsmRightLowerT(m, n, diag, n, b, n, false)
 		return nil
 	case opSyrk:
-		a := get(task.Reads[0])
-		c := get(task.Writes[0])
+		a := get(reads[0])
+		c := get(writes[0])
 		n, k := pr.dims[ti.i], pr.dims[ti.k]
 		blas.Syrk(n, k, -1, a, k, c, n)
 		return nil
 	case opUpdate:
-		a := get(task.Reads[0]) // A[i,k]
-		b := get(task.Reads[1]) // A[j,k]
-		c := get(task.Writes[0])
+		a := get(reads[0]) // A[i,k]
+		b := get(reads[1]) // A[j,k]
+		c := get(writes[0])
 		m, n, k := pr.dims[ti.i], pr.dims[ti.j], pr.dims[ti.k]
 		blas.Gemm(true, m, n, k, -1, a, k, b, k, c, n)
 		return nil
@@ -330,7 +330,7 @@ func (pr *Problem) SequentialFactor() (map[graph.ObjID][]float64, error) {
 	get := func(o graph.ObjID) []float64 { return bufs[o] }
 	for _, t := range order {
 		if err := pr.Kernel(t, get); err != nil {
-			return nil, fmt.Errorf("chol: task %q: %w", pr.G.Tasks[t].Name, err)
+			return nil, fmt.Errorf("chol: task %q: %w", pr.G.TaskName(t), err)
 		}
 	}
 	return bufs, nil

@@ -130,9 +130,8 @@ func TestOwnerComputeHolds(t *testing.T) {
 	// Every task's written object is owned by a single processor, so the
 	// owner-compute rule can assign it.
 	for ti := range pr.G.Tasks {
-		task := &pr.G.Tasks[ti]
-		if len(task.Writes) != 1 {
-			t.Fatalf("task %q writes %d objects", task.Name, len(task.Writes))
+		if ws := pr.G.Writes(graph.TaskID(ti)); len(ws) != 1 {
+			t.Fatalf("task %q writes %d objects", pr.G.TaskName(graph.TaskID(ti)), len(ws))
 		}
 	}
 }
@@ -167,7 +166,7 @@ func TestCostsArePositive(t *testing.T) {
 	}
 	for ti := range pr.G.Tasks {
 		if pr.G.Tasks[ti].Cost <= 0 {
-			t.Fatalf("task %q has non-positive cost", pr.G.Tasks[ti].Name)
+			t.Fatalf("task %q has non-positive cost", pr.G.TaskName(graph.TaskID(ti)))
 		}
 	}
 	if pr.G.SeqSpace() <= 0 {
@@ -234,7 +233,7 @@ func TestBuildMatchesPairwiseClosure(t *testing.T) {
 					opSyrk:   fmt.Sprintf("syrk(%d,%d)", in.i, in.k),
 					opUpdate: fmt.Sprintf("update(%d,%d,%d)", in.i, in.j, in.k),
 				}[in.kind]
-				if got := pr.G.Tasks[ti].Name; got != want {
+				if got := pr.G.TaskName(graph.TaskID(ti)); got != want {
 					t.Fatalf("seed %d w %d: task %d is named %q, want %q", seed, w, ti, got, want)
 				}
 			}

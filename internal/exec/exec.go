@@ -463,7 +463,7 @@ func (ps *procState) run() (finished bool, err error) {
 			storeChanged(&probe.wait, int32(proto.WaitNone))
 			if e.numeric {
 				if kerr := e.cfg.Kernel(st.Task, ps.get); kerr != nil {
-					return false, fmt.Errorf("exec: proc %d task %q: %w", ps.p, e.eng.S.G.Tasks[st.Task].Name, kerr)
+					return false, fmt.Errorf("exec: proc %d task %q: %w", ps.p, e.eng.S.G.TaskName(st.Task), kerr)
 				}
 				// The task boundary's reading: without it SND occupancy
 				// would absorb the kernel's time.

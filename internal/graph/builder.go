@@ -23,11 +23,10 @@ type Builder struct {
 	tasks   []Task
 	objects []Object
 
-	// access holds every task's read list followed by its write list, in
-	// declaration order; task t's reads end at ends[2t] and its writes at
-	// ends[2t+1]. Build hands each task its two slices of it.
-	access []ObjID
-	ends   []int32
+	// acc and names are the tables the built graph keeps: every task's
+	// read and write lists, and the names of the tasks declared with one.
+	acc   Accesses
+	names Names
 
 	objNames map[string]ObjID
 	// sizeConflict is the first redeclaration of an object with another
@@ -47,8 +46,7 @@ func NewBuilder() *Builder {
 // a limit.
 func (b *Builder) Grow(tasks, accesses int) {
 	b.tasks = slices.Grow(b.tasks, tasks)
-	b.ends = slices.Grow(b.ends, 2*tasks)
-	b.access = slices.Grow(b.access, accesses)
+	b.acc.Grow(tasks, accesses)
 }
 
 // Object declares a data object with the given name and size (memory
@@ -81,11 +79,11 @@ func (b *Builder) CommutativeTask(name string, cost float64, reads, writes []Obj
 
 func (b *Builder) addTask(name string, cost float64, reads, writes []ObjID, comm bool) TaskID {
 	id := TaskID(len(b.tasks))
-	b.tasks = append(b.tasks, Task{ID: id, Name: name, Cost: cost, Commutative: comm})
-	b.access = append(b.access, reads...)
-	b.ends = append(b.ends, int32(len(b.access)))
-	b.access = append(b.access, writes...)
-	b.ends = append(b.ends, int32(len(b.access)))
+	b.tasks = append(b.tasks, Task{ID: id, Cost: cost, Commutative: comm})
+	b.acc.Add(reads, writes)
+	if name != "" {
+		b.names.set(id, name)
+	}
 	return id
 }
 
@@ -209,7 +207,8 @@ func (sc *scan) subsumed(from, to TaskID) bool {
 }
 
 // Build derives the DDG, applies the transformation and returns the
-// resulting DAG. The returned graph owns the task and object slices.
+// resulting DAG. The returned graph owns the task and object slices and
+// the access and name tables.
 //
 // Build is deterministic: dependencies are discovered by a single scan in
 // program order and edges are inserted in discovery order — the true ones
@@ -222,31 +221,19 @@ func (b *Builder) Build() (*DAG, error) {
 		return nil, b.sizeConflict
 	}
 	n := len(b.tasks)
-	lo := int32(0)
-	for ti := range b.tasks {
-		t, mid, hi := &b.tasks[ti], b.ends[2*ti], b.ends[2*ti+1]
-		t.Reads, t.Writes = nil, nil
-		if mid > lo {
-			t.Reads = b.access[lo:mid:mid]
-		}
-		if hi > mid {
-			t.Writes = b.access[mid:hi:hi]
-		}
-		lo = hi
-	}
-
 	sc := &scan{
 		obj:     make([]objScan, len(b.objects)),
-		pool:    make([]chainNode, 1, len(b.access)+1),
+		pool:    make([]chainNode, 1, len(b.acc.IDs)+1),
 		seen:    make([]int32, n),
-		edges:   make([]Edge, 0, len(b.access)),
+		edges:   make([]Edge, 0, len(b.acc.IDs)),
 		trueOff: make([]int32, n+1),
 	}
 	for ti := range b.tasks {
 		t := &b.tasks[ti]
+		reads, writes := b.acc.reads(t.ID), b.acc.writes(t.ID)
 		sc.trueOff[ti] = int32(len(sc.edges))
-		for _, o := range t.Reads {
-			rmw := writesObj(t, o)
+		for _, o := range reads {
+			rmw := slices.Contains(writes, o)
 			if rmw && t.Commutative {
 				// Read-modify-write inside a commutative group: ordering is
 				// handled by the write scan against the pre-group writers,
@@ -265,7 +252,7 @@ func (b *Builder) Build() (*DAG, error) {
 				s.commOpen = false
 			}
 		}
-		for _, o := range t.Writes {
+		for _, o := range writes {
 			s := &sc.obj[o]
 			if t.Commutative && s.commOpen {
 				// Member of the open commutative group: unordered against the
@@ -279,7 +266,7 @@ func (b *Builder) Build() (*DAG, error) {
 			// Close out the previous writers/readers.
 			sc.addAll(s.readersSince, t.ID, o, DepAnti)
 			kind := DepOutput
-			if readsObj(t, o) {
+			if slices.Contains(reads, o) {
 				kind = DepTrue // read-modify-write: value flows
 			}
 			sc.addAll(s.lastWriters, t.ID, o, kind)
@@ -305,18 +292,9 @@ func (b *Builder) Build() (*DAG, error) {
 			sc.edges = append(sc.edges, d)
 		}
 	}
-	g := NewDAG(b.tasks, b.objects, sc.edges)
+	g := NewDAG(b.tasks, b.objects, b.acc, b.names, sc.edges)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-func readsObj(t *Task, o ObjID) bool {
-	for _, r := range t.Reads {
-		if r == o {
-			return true
-		}
-	}
-	return false
 }

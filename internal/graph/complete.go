@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckDependenceComplete verifies the dependence-completeness property the
 // paper's data-consistency proof relies on: for every pair of tasks that
@@ -55,31 +58,22 @@ func (g *DAG) CheckDependenceComplete() error {
 				}
 				if !connected(a, b) {
 					return fmt.Errorf("graph: not dependence complete: writers %q and %q of object %q are unordered",
-						g.Tasks[a].Name, g.Tasks[b].Name, g.Objects[o].Name)
+						g.TaskName(a), g.TaskName(b), g.Objects[o].Name)
 				}
 			}
 			for _, r := range readers[o] {
 				if r == ws[i] {
 					continue
 				}
-				if g.Tasks[r].Commutative && g.Tasks[ws[i]].Commutative && writesObj(&g.Tasks[r], ObjID(o)) {
+				if g.Tasks[r].Commutative && g.Tasks[ws[i]].Commutative && slices.Contains(g.Writes(r), ObjID(o)) {
 					continue
 				}
 				if !connected(ws[i], r) {
 					return fmt.Errorf("graph: not dependence complete: writer %q and reader %q of object %q are unordered",
-						g.Tasks[ws[i]].Name, g.Tasks[r].Name, g.Objects[o].Name)
+						g.TaskName(ws[i]), g.TaskName(r), g.Objects[o].Name)
 				}
 			}
 		}
 	}
 	return nil
-}
-
-func writesObj(t *Task, o ObjID) bool {
-	for _, w := range t.Writes {
-		if w == o {
-			return true
-		}
-	}
-	return false
 }

@@ -15,8 +15,8 @@ func structureSig(g *DAG) string {
 		s += fmt.Sprintf("o%d %s sz=%d own=%d\n", i, o.Name, o.Size, o.Owner)
 	}
 	for i := range g.Tasks {
-		tk := &g.Tasks[i]
-		s += fmt.Sprintf("t%d %s c=%g r=%v w=%v\n", i, tk.Name, tk.Cost, tk.Reads, tk.Writes)
+		t := TaskID(i)
+		s += fmt.Sprintf("t%d %s c=%g r=%v w=%v\n", i, g.TaskName(t), g.Tasks[i].Cost, g.Reads(t), g.Writes(t))
 	}
 	for t := 0; t < g.NumTasks(); t++ {
 		for _, e := range g.Out(TaskID(t)) {

@@ -87,13 +87,53 @@ type Object struct {
 // objects. Cost is in abstract work units (the applications use flops).
 // Commutative tasks writing the same object in a consecutive program-order
 // run are left mutually unordered by the DDG builder.
+//
+// A task is a 16-byte value with no pointer in it: its read and write
+// lists and its name are ranges of DAG-wide tables, read through
+// DAG.Reads, DAG.Writes and DAG.TaskName. So a graph of any size is a
+// handful of allocations, and a cached one costs the collector nothing per
+// task.
 type Task struct {
-	ID          TaskID
-	Name        string
 	Cost        float64
-	Reads       []ObjID
-	Writes      []ObjID
+	ID          TaskID
 	Commutative bool
+}
+
+// Accesses is a task graph's read and write lists in one table, in task
+// order: task t reads IDs[Off[2t]:Off[2t+1]] and writes
+// IDs[Off[2t+1]:Off[2t+2]]. The zero value is an empty table; Add appends
+// the next task's lists.
+type Accesses struct {
+	IDs []ObjID
+	Off []int32
+}
+
+// Grow makes room for the lists of the given number of further tasks,
+// with the given number of entries in all of them together.
+func (a *Accesses) Grow(tasks, accesses int) {
+	a.IDs = slices.Grow(a.IDs, accesses)
+	a.Off = slices.Grow(a.Off, 2*tasks+1)
+}
+
+// Add appends the next task's read and write lists.
+func (a *Accesses) Add(reads, writes []ObjID) {
+	if len(a.Off) == 0 {
+		a.Off = append(a.Off, 0)
+	}
+	a.IDs = append(a.IDs, reads...)
+	a.Off = append(a.Off, int32(len(a.IDs)))
+	a.IDs = append(a.IDs, writes...)
+	a.Off = append(a.Off, int32(len(a.IDs)))
+}
+
+func (a *Accesses) reads(t TaskID) []ObjID {
+	lo, hi := a.Off[2*t], a.Off[2*t+1]
+	return a.IDs[lo:hi:hi]
+}
+
+func (a *Accesses) writes(t TaskID) []ObjID {
+	lo, hi := a.Off[2*t+1], a.Off[2*t+2]
+	return a.IDs[lo:hi:hi]
 }
 
 // DAG is a transformed task dependence graph: acyclic, with true-dependence
@@ -101,6 +141,13 @@ type Task struct {
 type DAG struct {
 	Tasks   []Task
 	Objects []Object
+
+	// acc holds every task's reads and writes; names holds the task names
+	// back to back, task t's ending at nameEnd[t]. A task past the end of
+	// nameEnd (every task, in a graph nobody named) is unnamed.
+	acc     Accesses
+	names   string
+	nameEnd []int32
 
 	// The adjacency lists, flat: task t's out-edges are
 	// outEdges[outOff[t]:outOff[t+1]] and its in-edges
@@ -117,12 +164,33 @@ func (g *DAG) NumObjects() int { return len(g.Objects) }
 
 // NumAccesses returns the number of entries in all tasks' read and write
 // lists together: the bound the schedulers size their per-access tables by.
-func (g *DAG) NumAccesses() int {
-	n := 0
-	for t := range g.Tasks {
-		n += len(g.Tasks[t].Reads) + len(g.Tasks[t].Writes)
+func (g *DAG) NumAccesses() int { return len(g.acc.IDs) }
+
+// Reads returns the objects task t reads. The slice must not be modified.
+func (g *DAG) Reads(t TaskID) []ObjID { return g.acc.reads(t) }
+
+// Writes returns the objects task t writes. The slice must not be
+// modified.
+func (g *DAG) Writes(t TaskID) []ObjID { return g.acc.writes(t) }
+
+// Accesses returns task t's reads followed by its writes: both lists in
+// one slice, for the sweeps that treat every access alike. The slice must
+// not be modified.
+func (g *DAG) Accesses(t TaskID) []ObjID {
+	lo, hi := g.acc.Off[2*t], g.acc.Off[2*t+2]
+	return g.acc.IDs[lo:hi:hi]
+}
+
+// TaskName returns task t's name, or "" if it has none.
+func (g *DAG) TaskName(t TaskID) string {
+	if int(t) >= len(g.nameEnd) {
+		return ""
 	}
-	return n
+	lo := int32(0)
+	if t > 0 {
+		lo = g.nameEnd[t-1]
+	}
+	return g.names[lo:g.nameEnd[t]]
 }
 
 // NumEdges returns the number of dependence edges.
@@ -140,10 +208,12 @@ func (g *DAG) In(t TaskID) []Edge {
 	return g.inEdges[lo:hi:hi]
 }
 
-// NewDAG builds a DAG over the given tasks and objects from its complete
-// edge list, which it keeps. Every endpoint must be a task id in range (the
-// builder's are by construction; the plan decoder checks before it calls);
-// callers run Validate on graphs built from outside input.
+// NewDAG builds a DAG over the given tasks and objects from their access
+// table, their names and the complete edge list, all of which it keeps.
+// The access table must hold one pair of lists per task, and every edge
+// endpoint must be a task id in range (the builder's are by construction;
+// the plan decoder checks before it calls); callers run Validate on
+// graphs built from outside input.
 //
 // Adjacency-list order is observable — schedulers, the plan codec and the
 // protocol tables iterate Out and In — and is the order of edges: Out(t)
@@ -151,10 +221,20 @@ func (g *DAG) In(t TaskID) []Edge {
 // there. Both degrees of every task are counted before an edge is placed,
 // so each side is one allocation filled in one sweep; and a side the list
 // is already grouped by — the decoder reads edges source by source, the
-// builder finds them target by target — is the list itself.
-func NewDAG(tasks []Task, objects []Object, edges []Edge) *DAG {
+// builder finds them target by target — is the list itself. The graph
+// keeps what it is handed as long as it lives, so a table or list with
+// room to spare (an estimate's, or append's) is copied to its length.
+func NewDAG(tasks []Task, objects []Object, acc Accesses, names Names, edges []Edge) *DAG {
 	n := len(tasks)
-	g := &DAG{Tasks: tasks, Objects: objects, outOff: make([]int32, n+1), inOff: make([]int32, n+1)}
+	if len(acc.Off) == 0 {
+		acc.Off = []int32{0}
+	}
+	acc.IDs, acc.Off = fit(acc.IDs), fit(acc.Off)
+	g := &DAG{Tasks: tasks, Objects: objects, acc: acc, nameEnd: fit(names.ends),
+		outOff: make([]int32, n+1), inOff: make([]int32, n+1)}
+	if len(names.buf) > 0 {
+		g.names = string(names.buf)
+	}
 	byFrom, byTo := true, true
 	for i := range edges {
 		e := &edges[i]
@@ -184,6 +264,9 @@ func NewDAG(tasks []Task, objects []Object, edges []Edge) *DAG {
 		}
 		return list
 	}
+	if byFrom || byTo {
+		edges = fit(edges)
+	}
 	g.outEdges, g.inEdges = edges, edges
 	if !byFrom {
 		g.outEdges = grouped(g.outOff, false)
@@ -192,6 +275,14 @@ func NewDAG(tasks []Task, objects []Object, edges []Edge) *DAG {
 		g.inEdges = grouped(g.inOff, true)
 	}
 	return g
+}
+
+// fit returns s, or a copy of it without spare capacity if s has some.
+func fit[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // TopoSort returns a topological order of the tasks, or an error if the
@@ -226,24 +317,26 @@ func (g *DAG) TopoSort() ([]TaskID, error) {
 	return order, nil
 }
 
-// Validate checks structural invariants: edge endpoints in range, object
-// references in range, acyclicity.
+// Validate checks structural invariants: one pair of access lists per
+// task, edge endpoints in range, object references in range, acyclicity.
 func (g *DAG) Validate() error {
 	n := int32(len(g.Tasks))
 	m := int32(len(g.Objects))
+	if len(g.acc.Off) != 2*len(g.Tasks)+1 || len(g.nameEnd) > len(g.Tasks) {
+		return fmt.Errorf("graph: access or name table does not match %d tasks", n)
+	}
 	for ti := range g.Tasks {
-		t := &g.Tasks[ti]
-		if t.ID != TaskID(ti) {
-			return fmt.Errorf("graph: task %d has ID %d", ti, t.ID)
+		if id := g.Tasks[ti].ID; id != TaskID(ti) {
+			return fmt.Errorf("graph: task %d has ID %d", ti, id)
 		}
-		for _, o := range t.Reads {
+		for _, o := range g.Reads(TaskID(ti)) {
 			if o < 0 || o >= m {
-				return fmt.Errorf("graph: task %q reads out-of-range object %d", t.Name, o)
+				return fmt.Errorf("graph: task %q reads out-of-range object %d", g.TaskName(TaskID(ti)), o)
 			}
 		}
-		for _, o := range t.Writes {
+		for _, o := range g.Writes(TaskID(ti)) {
 			if o < 0 || o >= m {
-				return fmt.Errorf("graph: task %q writes out-of-range object %d", t.Name, o)
+				return fmt.Errorf("graph: task %q writes out-of-range object %d", g.TaskName(TaskID(ti)), o)
 			}
 		}
 	}
@@ -272,12 +365,12 @@ func (g *DAG) Accessors() (readers, writers [][]TaskID) {
 	readers = make([][]TaskID, len(g.Objects))
 	writers = make([][]TaskID, len(g.Objects))
 	for ti := range g.Tasks {
-		t := &g.Tasks[ti]
-		for _, o := range t.Reads {
-			readers[o] = append(readers[o], t.ID)
+		t := TaskID(ti)
+		for _, o := range g.Reads(t) {
+			readers[o] = append(readers[o], t)
 		}
-		for _, o := range t.Writes {
-			writers[o] = append(writers[o], t.ID)
+		for _, o := range g.Writes(t) {
+			writers[o] = append(writers[o], t)
 		}
 	}
 	return readers, writers

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/util"
@@ -203,13 +205,16 @@ func TestDependenceComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build an incomplete graph by hand: two unordered writers of x.
+	var acc Accesses
+	var names Names
+	for _, name := range []string{"w1", "w2"} {
+		acc.Add(nil, []ObjID{0})
+		names.Append(name)
+	}
 	bad := NewDAG(
-		[]Task{
-			{ID: 0, Name: "w1", Writes: []ObjID{0}},
-			{ID: 1, Name: "w2", Writes: []ObjID{0}},
-		},
+		[]Task{{ID: 0}, {ID: 1}},
 		[]Object{{ID: 0, Name: "x", Size: 1, Owner: None}},
-		nil,
+		acc, names, nil,
 	)
 	if err := bad.CheckDependenceComplete(); err == nil {
 		t.Fatalf("expected incompleteness error")
@@ -293,9 +298,12 @@ func TestSCCCycle(t *testing.T) {
 }
 
 func TestValidateCatchesCycle(t *testing.T) {
+	var acc Accesses
+	acc.Add(nil, nil)
+	acc.Add(nil, nil)
 	g := NewDAG(
-		[]Task{{ID: 0, Name: "a"}, {ID: 1, Name: "b"}},
-		nil,
+		[]Task{{ID: 0}, {ID: 1}},
+		nil, acc, Names{},
 		[]Edge{{From: 0, To: 1, Kind: DepPrec}, {From: 1, To: 0, Kind: DepPrec}},
 	)
 	if err := g.Validate(); err == nil {
@@ -311,5 +319,67 @@ func TestAccessors(t *testing.T) {
 	}
 	if len(readers[0]) != 2 {
 		t.Fatalf("readers of x wrong: %v", readers[0])
+	}
+}
+
+// TestTaskHasNoPointers: a task is a plain value — its name and access
+// lists live in the DAG's tables — so a cached graph of any size gives the
+// collector nothing to walk per task.
+func TestTaskHasNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Task{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.String, reflect.Map, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer, reflect.Struct, reflect.Array:
+			t.Errorf("Task.%s is a %s, which may carry a pointer", f.Name, f.Type)
+		}
+	}
+	if size := typ.Size(); size != 16 {
+		t.Errorf("Task is %d bytes, want 16", size)
+	}
+}
+
+// TestTaskTables: the builder's tables hand every task its own lists and
+// name, an unnamed task — before, between or after named ones — reads "",
+// and Apply replaces the names wholesale.
+func TestTaskTables(t *testing.T) {
+	b := NewBuilder()
+	x := b.Object("x", 1)
+	y := b.Object("y", 1)
+	b.Task("", 1, nil, []ObjID{x})
+	b.Task("mid", 1, []ObjID{x}, []ObjID{y})
+	b.Task("", 1, []ObjID{x, y}, nil)
+	b.Task("", 1, []ObjID{y}, []ObjID{y})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name          string
+		reads, writes []ObjID
+	}{
+		{"", nil, []ObjID{x}},
+		{"mid", []ObjID{x}, []ObjID{y}},
+		{"", []ObjID{x, y}, nil},
+		{"", []ObjID{y}, []ObjID{y}},
+	}
+	for i, w := range want {
+		id := TaskID(i)
+		if g.TaskName(id) != w.name || !slices.Equal(g.Reads(id), w.reads) || !slices.Equal(g.Writes(id), w.writes) ||
+			!slices.Equal(g.Accesses(id), append(slices.Clip(w.reads), w.writes...)) {
+			t.Errorf("task %d: name %q reads %v writes %v accesses %v, want %q %v %v",
+				i, g.TaskName(id), g.Reads(id), g.Writes(id), g.Accesses(id), w.name, w.reads, w.writes)
+		}
+	}
+	if n := g.NumAccesses(); n != 7 {
+		t.Errorf("%d accesses, want 7", n)
+	}
+	var names Names
+	for i := range g.Tasks {
+		names.Add("op", int32(i), 7)
+	}
+	names.Apply(g)
+	if got := g.TaskName(3); got != "op(3,7)" {
+		t.Errorf("applied name %q, want op(3,7)", got)
 	}
 }

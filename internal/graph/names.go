@@ -5,11 +5,13 @@ import (
 	"strconv"
 )
 
-// Names formats task names of the form op(i,j,…) — what the block
-// factorizations call their tasks — into one backing string, so naming a
-// program's tasks costs a handful of allocations, not one or more per task.
-// Add the names in task order while declaring the tasks (with an empty
-// name), then Apply them to the built graph's tasks.
+// Names is a task graph's name table: every task's name in one backing
+// buffer, so naming a program's tasks costs a handful of allocations, not
+// one or more per task. Names are added in task order; a DAG keeps the
+// table (NewDAG, Apply) and hands each name out with DAG.TaskName. Add
+// formats names of the form op(i,j,…) — what the block factorizations call
+// their tasks — so those declare their tasks with an empty name and Apply
+// their table to the built graph.
 type Names struct {
 	buf  []byte
 	ends []int32
@@ -36,12 +38,22 @@ func (n *Names) Add(op string, idx ...int32) {
 	n.ends = append(n.ends, int32(len(n.buf)))
 }
 
-// Apply names tasks[i] with the i-th name added.
-func (n *Names) Apply(tasks []Task) {
-	all := string(n.buf)
-	lo := int32(0)
-	for i, hi := range n.ends {
-		tasks[i].Name = all[lo:hi]
-		lo = hi
+// Append adds the next task's name as it is.
+func (n *Names) Append(name string) {
+	n.buf = append(n.buf, name...)
+	n.ends = append(n.ends, int32(len(n.buf)))
+}
+
+// set names task t, leaving the tasks between the last named one and t
+// unnamed. A builder whose tasks carry no names so keeps no table.
+func (n *Names) set(t TaskID, name string) {
+	for len(n.ends) < int(t) {
+		n.ends = append(n.ends, int32(len(n.buf)))
 	}
+	n.Append(name)
+}
+
+// Apply makes the table g's names: the i-th name added names task i.
+func (n *Names) Apply(g *DAG) {
+	g.names, g.nameEnd = string(n.buf), n.ends
 }

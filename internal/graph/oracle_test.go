@@ -16,7 +16,7 @@ import (
 // topological index, does not find a path for. It returns the adjacency
 // lists in insertion order and how often a weaker dependence on a pair was
 // upgraded to a true one.
-func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrades int) {
+func oracleBuild(t *testing.T, g *DAG) (out, in [][]Edge, upgrades int) {
 	t.Helper()
 	type objState struct {
 		lastWriters    []TaskID
@@ -25,7 +25,7 @@ func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrad
 		groupPreds     []TaskID
 		groupAntiPreds []TaskID
 	}
-	st := make([]objState, nObj)
+	st := make([]objState, g.NumObjects())
 	var deps []Edge
 	seen := make(map[[2]TaskID]DepKind)
 	add := func(from, to TaskID, obj ObjID, kind DepKind) {
@@ -42,13 +42,13 @@ func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrad
 		seen[key] = kind
 		deps = append(deps, Edge{from, to, obj, kind})
 	}
-	for ti := range tasks {
-		t := &tasks[ti]
-		writes := make(map[ObjID]bool, len(t.Writes))
-		for _, o := range t.Writes {
+	for ti := range g.Tasks {
+		t := &g.Tasks[ti]
+		writes := make(map[ObjID]bool, len(g.Writes(t.ID)))
+		for _, o := range g.Writes(t.ID) {
 			writes[o] = true
 		}
-		for _, o := range t.Reads {
+		for _, o := range g.Reads(t.ID) {
 			if writes[o] && t.Commutative {
 				continue
 			}
@@ -61,7 +61,7 @@ func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrad
 				s.commOpen = false
 			}
 		}
-		for _, o := range t.Writes {
+		for _, o := range g.Writes(t.ID) {
 			s := &st[o]
 			if t.Commutative && s.commOpen {
 				for _, w := range s.groupPreds {
@@ -78,7 +78,7 @@ func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrad
 			}
 			for _, w := range s.lastWriters {
 				kind := DepOutput
-				if slices.Contains(t.Reads, o) {
+				if slices.Contains(g.Reads(t.ID), o) {
 					kind = DepTrue
 				}
 				add(w, t.ID, o, kind)
@@ -93,7 +93,7 @@ func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrad
 		}
 	}
 
-	n := len(tasks)
+	n := g.NumTasks()
 	out, in = make([][]Edge, n), make([][]Edge, n)
 	addEdge := func(e Edge) {
 		out[e.From] = append(out[e.From], e)
@@ -167,7 +167,7 @@ func oracleBuild(t *testing.T, tasks []Task, nObj int) (out, in [][]Edge, upgrad
 // the same task stream: every adjacency list, edge for edge, in order.
 func sameAsOracle(t *testing.T, name string, g *DAG) (upgrades int) {
 	t.Helper()
-	out, in, upgrades := oracleBuild(t, g.Tasks, g.NumObjects())
+	out, in, upgrades := oracleBuild(t, g)
 	edges := 0
 	for v := range g.Tasks {
 		if !slices.Equal(g.Out(TaskID(v)), out[v]) {

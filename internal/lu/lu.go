@@ -128,7 +128,7 @@ func Build(a *sparse.Matrix, opt Options) (*Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lu: %w", err)
 	}
-	names.Apply(g.Tasks)
+	names.Apply(g)
 	for k := 0; k < bp.NB; k++ {
 		g.Objects[pr.panelObj[k]].Owner = owners[k]
 	}

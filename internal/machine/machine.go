@@ -249,7 +249,7 @@ func (m *sim) step(p graph.Proc, now float64) {
 		case proto.RunTask:
 			dur := m.model.TaskTime(&m.s.G.Tasks[st.Task])
 			d.busy = true
-			m.opt.Trace.Add(trace.Span{Proc: int32(p), Kind: trace.Task, Name: m.s.G.Tasks[st.Task].Name, Start: now, End: now + dur})
+			m.opt.Trace.Add(trace.Span{Proc: int32(p), Kind: trace.Task, Name: m.s.G.TaskName(st.Task), Start: now, End: now + dur})
 			m.push(event{t: now + dur, kind: evTaskDone, proc: p})
 			return
 		case proto.Blocked:

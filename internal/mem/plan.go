@@ -339,11 +339,11 @@ func NewPlanOpts(s *sched.Schedule, capacity int64, opt Options) (*Plan, error) 
 // management scheme: every task writes only objects owned by its processor,
 // so volatile objects are read-only remote copies deposited by RMA.
 func validateOwnerCompute(s *sched.Schedule) error {
-	for t := 0; t < s.G.NumTasks(); t++ {
-		for _, o := range s.G.Tasks[t].Writes {
+	for t := graph.TaskID(0); int(t) < s.G.NumTasks(); t++ {
+		for _, o := range s.G.Writes(t) {
 			if s.G.Objects[o].Owner != s.Assign[t] {
 				return fmt.Errorf("mem: task %q on processor %d writes object %q owned by %d (owner-compute violated)",
-					s.G.Tasks[t].Name, s.Assign[t], s.G.Objects[o].Name, s.G.Objects[o].Owner)
+					s.G.TaskName(t), s.Assign[t], s.G.Objects[o].Name, s.G.Objects[o].Owner)
 			}
 		}
 	}

@@ -31,13 +31,13 @@ func Figure3(w io.Writer) {
 	for p := 0; p < s.P; p++ {
 		fmt.Fprintf(w, "P%d order:", p)
 		for _, t := range s.Order[p] {
-			fmt.Fprintf(w, " %s", g.Tasks[t].Name)
+			fmt.Fprintf(w, " %s", g.TaskName(t))
 		}
 		fmt.Fprintln(w)
 		for mi, m := range pl.Procs[p].MAPs {
 			pos := "start of schedule"
 			if m.Pos > 0 {
-				pos = fmt.Sprintf("before %s", g.Tasks[s.Order[p][m.Pos]].Name)
+				pos = fmt.Sprintf("before %s", g.TaskName(s.Order[p][m.Pos]))
 			}
 			fmt.Fprintf(w, "  MAP %d (%s):", mi+1, pos)
 			if len(m.Frees) > 0 {

@@ -150,12 +150,12 @@ func encodeDAG(e *encoder, g *graph.DAG) {
 	}
 	e.u64(uint64(g.NumTasks()))
 	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		e.str(t.Name)
-		e.f64(t.Cost)
-		e.ids(t.Reads)
-		e.ids(t.Writes)
-		e.bool(t.Commutative)
+		t := graph.TaskID(i)
+		e.str(g.TaskName(t))
+		e.f64(g.Tasks[i].Cost)
+		e.ids(g.Reads(t))
+		e.ids(g.Writes(t))
+		e.bool(g.Tasks[i].Commutative)
 		e.spill()
 	}
 	// Edges in adjacency-list order (From implied by the outer loop), which
@@ -186,22 +186,38 @@ func decodeDAG(d *decoder) (*graph.DAG, error) {
 			Owner: d.i32(),
 		}
 	}
+	// The tasks' names and access lists go straight into the graph's
+	// tables: decoding allocates per table, not per task.
 	nTask := d.count("tasks")
 	tasks := make([]graph.Task, nTask)
+	acc := graph.Accesses{Off: make([]int32, 1, 2*nTask+1)}
+	var names graph.Names
+	names.Grow(nTask)
 	for i := range tasks {
-		tasks[i] = graph.Task{
-			ID:          graph.TaskID(i),
-			Name:        d.str(),
-			Cost:        d.f64(),
-			Reads:       d.ids(),
-			Writes:      d.ids(),
-			Commutative: d.bool(),
-		}
+		names.Append(string(d.bytes()))
+		tasks[i] = graph.Task{ID: graph.TaskID(i), Cost: d.f64()}
+		acc.IDs = d.appendIDs(acc.IDs)
+		acc.Off = append(acc.Off, int32(len(acc.IDs)))
+		acc.IDs = d.appendIDs(acc.IDs)
+		acc.Off = append(acc.Off, int32(len(acc.IDs)))
+		tasks[i].Commutative = d.bool()
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	var edges []graph.Edge
+	// Count the edges on a copy of the decoder first, so the list the graph
+	// keeps is one allocation of its exact size.
+	probe, nEdges := *d, 0
+	for t := 0; t < nTask && probe.err == nil; t++ {
+		nOut := probe.count("edges")
+		for k := 0; k < nOut; k++ {
+			probe.i64()
+			probe.i64()
+			probe.u64()
+		}
+		nEdges += nOut
+	}
+	edges := make([]graph.Edge, 0, nEdges)
 	for t := 0; t < nTask; t++ {
 		nOut := d.count("edges")
 		for k := 0; k < nOut; k++ {
@@ -223,7 +239,7 @@ func decodeDAG(d *decoder) (*graph.DAG, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	g := graph.NewDAG(tasks, objects, edges)
+	g := graph.NewDAG(tasks, objects, acc, names, edges)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -528,14 +544,17 @@ func (d *decoder) f64() float64 {
 	return v
 }
 
-func (d *decoder) str() string {
+func (d *decoder) str() string { return string(d.bytes()) }
+
+// bytes reads a string's bytes in place: the slice aliases the input.
+func (d *decoder) bytes() []byte {
 	n := d.count("string bytes")
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	b := d.b[:n:n]
 	d.b = d.b[n:]
-	return s
+	return b
 }
 
 func (d *decoder) bool() bool {

@@ -110,9 +110,11 @@ func TestMemoryAndDiskTiers(t *testing.T) {
 func TestMemoryMissCountsNotEncodes(t *testing.T) {
 	key, art := compileArtifact(t, 0)
 	g := art.Schedule.G
-	for i := range g.Tasks {
-		g.Tasks[i].Name = strings.Repeat("t", 16<<10)
+	var names graph.Names
+	for range g.Tasks {
+		names.Append(strings.Repeat("t", 16<<10))
 	}
+	names.Apply(g)
 	for i := range g.Objects {
 		g.Objects[i].Name = strings.Repeat("o", 16<<10)
 	}

@@ -1043,7 +1043,7 @@ func (c *Core) ready(t graph.TaskID) (bool, error) {
 		got, ok := c.arrived(need.Obj)
 		if !ok {
 			return false, fmt.Errorf("proto: proc %d task %q needs unallocated object %q (MAP plan hole)",
-				c.p, c.eng.S.G.Tasks[t].Name, c.eng.S.G.Objects[need.Obj].Name)
+				c.p, c.eng.S.G.TaskName(t), c.eng.S.G.Objects[need.Obj].Name)
 		}
 		if got < need.MinArrivals {
 			return false, nil
@@ -1214,18 +1214,18 @@ func (c *Core) BlockedInfo() string {
 		t := c.order[c.pos]
 		if have, want := c.eng.CtlRecv[t].Load(), c.eng.Tables.CtlNeed[t]; have < want {
 			return fmt.Sprintf("REC state: task %q at position %d waiting for control signals (%d/%d)",
-				g.Tasks[t].Name, c.pos, have, want)
+				g.TaskName(t), c.pos, have, want)
 		}
 		for _, need := range c.eng.Tables.NeedsOf(t) {
 			got, ok := c.arrived(need.Obj)
 			if !ok {
-				return fmt.Sprintf("REC state: task %q needs unallocated object %q", g.Tasks[t].Name, g.Objects[need.Obj].Name)
+				return fmt.Sprintf("REC state: task %q needs unallocated object %q", g.TaskName(t), g.Objects[need.Obj].Name)
 			}
 			if got < need.MinArrivals {
 				return fmt.Sprintf("REC state: task %q at position %d waiting for object %q (arrivals %d/%d)",
-					g.Tasks[t].Name, c.pos, g.Objects[need.Obj].Name, got, need.MinArrivals)
+					g.TaskName(t), c.pos, g.Objects[need.Obj].Name, got, need.MinArrivals)
 			}
 		}
-		return fmt.Sprintf("ready at task %q, position %d", g.Tasks[t].Name, c.pos)
+		return fmt.Sprintf("ready at task %q, position %d", g.TaskName(t), c.pos)
 	}
 }

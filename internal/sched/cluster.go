@@ -24,26 +24,27 @@ func CyclicOwners(g *graph.DAG, p int) *graph.DAG {
 func OwnerComputeAssign(g *graph.DAG, p int) ([]graph.Proc, error) {
 	assign := make([]graph.Proc, g.NumTasks())
 	for ti := range g.Tasks {
-		t := &g.Tasks[ti]
+		t := graph.TaskID(ti)
 		proc := graph.Proc(-1)
-		for _, o := range t.Writes {
+		for _, o := range g.Writes(t) {
 			own := g.Objects[o].Owner
 			if own < 0 {
 				return nil, fmt.Errorf("sched: object %q has no owner", g.Objects[o].Name)
 			}
 			if proc >= 0 && own != proc {
-				return nil, fmt.Errorf("sched: task %q writes objects with different owners (%d and %d)", t.Name, proc, own)
+				return nil, fmt.Errorf("sched: task %q writes objects with different owners (%d and %d)", g.TaskName(t), proc, own)
 			}
 			proc = own
 		}
 		if proc < 0 {
-			if len(t.Reads) == 0 {
-				return nil, fmt.Errorf("sched: task %q accesses no objects", t.Name)
+			reads := g.Reads(t)
+			if len(reads) == 0 {
+				return nil, fmt.Errorf("sched: task %q accesses no objects", g.TaskName(t))
 			}
-			proc = g.Objects[t.Reads[0]].Owner
+			proc = g.Objects[reads[0]].Owner
 		}
 		if proc < 0 || int(proc) >= p {
-			return nil, fmt.Errorf("sched: task %q assigned to invalid processor %d", t.Name, proc)
+			return nil, fmt.Errorf("sched: task %q assigned to invalid processor %d", g.TaskName(t), proc)
 		}
 		assign[ti] = proc
 	}
@@ -64,13 +65,12 @@ func LoadBalancedOwners(g *graph.DAG, p int) *graph.DAG {
 	work := make([]float64, g.NumObjects())
 	written := make([]bool, g.NumObjects())
 	for ti := range g.Tasks {
-		t := &g.Tasks[ti]
-		if len(t.Writes) == 0 {
+		writes := g.Writes(graph.TaskID(ti))
+		if len(writes) == 0 {
 			continue
 		}
-		o := t.Writes[0]
-		work[o] += t.Cost
-		for _, w := range t.Writes {
+		work[writes[0]] += g.Tasks[ti].Cost
+		for _, w := range writes {
 			written[w] = true
 		}
 	}
@@ -107,12 +107,12 @@ func LoadBalancedOwners(g *graph.DAG, p int) *graph.DAG {
 	// them (rare: tasks writing multiple objects put all their objects on
 	// one processor).
 	for ti := range g.Tasks {
-		t := &g.Tasks[ti]
-		if len(t.Writes) <= 1 {
+		writes := g.Writes(graph.TaskID(ti))
+		if len(writes) <= 1 {
 			continue
 		}
-		own := g.Objects[t.Writes[0]].Owner
-		for _, w := range t.Writes[1:] {
+		own := g.Objects[writes[0]].Owner
+		for _, w := range writes[1:] {
 			g.Objects[w].Owner = own
 		}
 	}

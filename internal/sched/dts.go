@@ -11,20 +11,20 @@ import (
 // modify, or, if it has none (e.g. it only modifies objects), the objects it
 // modifies. mark is scratch indexed by object id: while t is being looked
 // at, 2·t+1 marks an object t writes and 2·t+2 one already appended.
-func appendAssoc(dst []graph.ObjID, t *graph.Task, mark []int32) []graph.ObjID {
-	written, taken := 2*t.ID+1, 2*t.ID+2
-	for _, o := range t.Writes {
+func appendAssoc(dst []graph.ObjID, g *graph.DAG, t graph.TaskID, mark []int32) []graph.ObjID {
+	written, taken := 2*t+1, 2*t+2
+	for _, o := range g.Writes(t) {
 		mark[o] = written
 	}
 	first := len(dst)
-	for _, o := range t.Reads {
+	for _, o := range g.Reads(t) {
 		if mark[o] != written && mark[o] != taken {
 			mark[o] = taken
 			dst = append(dst, o)
 		}
 	}
 	if len(dst) == first {
-		for _, o := range t.Writes {
+		for _, o := range g.Writes(t) {
 			if mark[o] != taken {
 				mark[o] = taken
 				dst = append(dst, o)
@@ -49,7 +49,7 @@ func BuildDCG(g *graph.DAG) (adj [][]int32, assoc [][]graph.ObjID) {
 	mark := make([]int32, m)
 	for ti := range g.Tasks {
 		first := len(nodes)
-		nodes = appendAssoc(nodes, &g.Tasks[ti], mark)
+		nodes = appendAssoc(nodes, g, graph.TaskID(ti), mark)
 		assoc[ti] = nodes[first:len(nodes):len(nodes)]
 	}
 
@@ -125,12 +125,12 @@ func Slices(g *graph.DAG) (sliceOf []int32, nSlices int, err error) {
 	for ti := range sliceOf {
 		as := assoc[ti]
 		if len(as) == 0 {
-			return nil, 0, fmt.Errorf("sched: task %q accesses no objects", g.Tasks[ti].Name)
+			return nil, 0, fmt.Errorf("sched: task %q accesses no objects", g.TaskName(graph.TaskID(ti)))
 		}
 		s := int32(nc) - 1 - comp[as[0]]
 		for _, o := range as[1:] {
 			if s2 := int32(nc) - 1 - comp[o]; s2 != s {
-				return nil, 0, fmt.Errorf("sched: task %q spans slices %d and %d", g.Tasks[ti].Name, s, s2)
+				return nil, 0, fmt.Errorf("sched: task %q spans slices %d and %d", g.TaskName(graph.TaskID(ti)), s, s2)
 			}
 		}
 		sliceOf[ti] = s
@@ -165,14 +165,11 @@ func SliceVolatileNeed(g *graph.DAG, assign []graph.Proc, p int, sliceOf []int32
 	for s := 0; s < nSlices; s++ {
 		clear(load)
 		for _, ti := range tasks[sliceOff[s]:sliceOff[s+1]] {
-			t := &g.Tasks[ti]
 			q := assign[ti]
-			for _, lists := range [2][]graph.ObjID{t.Reads, t.Writes} {
-				for _, o := range lists {
-					if slot := int(q)*m + int(o); g.Objects[o].Owner != q && counted[slot] != int32(s)+1 {
-						counted[slot] = int32(s) + 1
-						load[q] += g.Objects[o].Size
-					}
+			for _, o := range g.Accesses(ti) {
+				if slot := int(q)*m + int(o); g.Objects[o].Owner != q && counted[slot] != int32(s)+1 {
+					counted[slot] = int32(s) + 1
+					load[q] += g.Objects[o].Size
 				}
 			}
 		}
@@ -271,8 +268,23 @@ func (d *dtsPolicy) scheduled(t graph.TaskID, p graph.Proc) {
 // ScheduleDTS produces the data-access directed time-slicing schedule of
 // Section 4.2. If merge is true, consecutive slices are first merged under
 // the per-processor volatile budget availVolatile (Figure 6); otherwise
-// availVolatile is ignored.
+// availVolatile is ignored. A budget that holds every task's volatile
+// accesses at once (an unconstrained compile's) merges all slices into
+// one, so the slices are not computed at all.
 func ScheduleDTS(g *graph.DAG, assign []graph.Proc, p int, model CostModel, merge bool, availVolatile int64) (*Schedule, error) {
+	if merge && mergesToOne(g, assign, availVolatile) {
+		sliceOf, nSlices, err := oneSlice(g)
+		if err != nil {
+			return nil, err
+		}
+		return scheduleSlices(g, assign, p, model, DTSMerge, sliceOf, nSlices)
+	}
+	return scheduleSliced(g, assign, p, model, merge, availVolatile)
+}
+
+// scheduleSliced is ScheduleDTS computing the slices: the DCG's strongly
+// connected components, merged under availVolatile if merge is true.
+func scheduleSliced(g *graph.DAG, assign []graph.Proc, p int, model CostModel, merge bool, availVolatile int64) (*Schedule, error) {
 	sliceOf, nSlices, err := Slices(g)
 	if err != nil {
 		return nil, err
@@ -287,6 +299,11 @@ func ScheduleDTS(g *graph.DAG, assign []graph.Proc, p int, model CostModel, merg
 		nSlices = nNew
 		h = DTSMerge
 	}
+	return scheduleSlices(g, assign, p, model, h, sliceOf, nSlices)
+}
+
+// scheduleSlices list-schedules slice by slice for the given slices.
+func scheduleSlices(g *graph.DAG, assign []graph.Proc, p int, model CostModel, h Heuristic, sliceOf []int32, nSlices int) (*Schedule, error) {
 	bl := g.BottomLevels(model.EdgeComm(g, assign))
 	pol := newDTSPolicy(g, assign, p, sliceOf, nSlices, bl)
 	s, err := runList(g, assign, p, model, pol, h)
@@ -296,6 +313,41 @@ func ScheduleDTS(g *graph.DAG, assign []graph.Proc, p int, model CostModel, merg
 	s.Slices = sliceOf
 	s.NumSlices = nSlices
 	return s, nil
+}
+
+// mergesToOne reports whether MergeSlices would make one slice of every
+// slice under availVolatile, whatever the slices: the sizes of all
+// volatile accesses, one per task and access, bound the sum of the
+// slices' volatile needs, so a budget holding that sum holds every prefix
+// of them. The sweep stops once the sum passes the budget.
+func mergesToOne(g *graph.DAG, assign []graph.Proc, availVolatile int64) bool {
+	var sum int64
+	for ti := range g.Tasks {
+		q := assign[ti]
+		for _, o := range g.Accesses(graph.TaskID(ti)) {
+			if obj := &g.Objects[o]; obj.Owner != q {
+				if obj.Size < 0 {
+					return false
+				}
+				if sum += obj.Size; sum > availVolatile {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// oneSlice is the slice table of a merge into one slice: every task in
+// slice 0, and one slice if the DCG has a node. It refuses a task with no
+// access, as Slices does.
+func oneSlice(g *graph.DAG) (sliceOf []int32, nSlices int, err error) {
+	for ti := range g.Tasks {
+		if len(g.Accesses(graph.TaskID(ti))) == 0 {
+			return nil, 0, fmt.Errorf("sched: task %q accesses no objects", g.TaskName(graph.TaskID(ti)))
+		}
+	}
+	return make([]int32, g.NumTasks()), min(1, g.NumObjects()), nil
 }
 
 // Schedule dispatches to the requested heuristic. availVolatile is only

@@ -199,20 +199,18 @@ func Frontier(g *graph.DAG, assign []graph.Proc, p int, model sched.CostModel, o
 	s.cnt = make([]int32, p*s.m)
 	for t := 0; t < n; t++ {
 		q := assign[t]
-		task := &g.Tasks[t]
-		seen := make(map[graph.ObjID]bool, len(task.Reads)+len(task.Writes))
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if g.Objects[o].Owner == q || seen[o] {
-					continue
-				}
-				seen[o] = true
-				s.taskVols[t] = append(s.taskVols[t], volEntry{o, g.Objects[o].Size})
-				s.cnt[int(q)*s.m+int(o)]++
+		acc := g.Accesses(graph.TaskID(t))
+		seen := make(map[graph.ObjID]bool, len(acc))
+		for _, o := range acc {
+			if g.Objects[o].Owner == q || seen[o] {
+				continue
 			}
+			seen[o] = true
+			s.taskVols[t] = append(s.taskVols[t], volEntry{o, g.Objects[o].Size})
+			s.cnt[int(q)*s.m+int(o)]++
 		}
 		s.remaining[t] = int32(len(g.In(graph.TaskID(t))))
-		s.workLeft[q] += model.TaskTime(task)
+		s.workLeft[q] += model.TaskTime(&g.Tasks[t])
 	}
 	s.left = append([]int32(nil), s.cnt...)
 

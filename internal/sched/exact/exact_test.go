@@ -135,17 +135,14 @@ func naiveFrontier(g *graph.DAG, assign []graph.Proc, p int, model sched.CostMod
 	cnt := make([]int32, p*m)
 	for t := 0; t < n; t++ {
 		q := assign[t]
-		task := &g.Tasks[t]
 		seen := map[graph.ObjID]bool{}
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if g.Objects[o].Owner == q || seen[o] {
-					continue
-				}
-				seen[o] = true
-				vols[t] = append(vols[t], vol{o, g.Objects[o].Size})
-				cnt[int(q)*m+int(o)]++
+		for _, o := range g.Accesses(graph.TaskID(t)) {
+			if g.Objects[o].Owner == q || seen[o] {
+				continue
 			}
+			seen[o] = true
+			vols[t] = append(vols[t], vol{o, g.Objects[o].Size})
+			cnt[int(q)*m+int(o)]++
 		}
 	}
 	var points []exact.Point

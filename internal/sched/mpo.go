@@ -48,13 +48,10 @@ func newMPOPolicy(g *graph.DAG, assign []graph.Proc, p int, bl []float64) *mpoPo
 	}
 	listed := make([]int32, m) // listed[o] == t+1: o is already on task t's list
 	for ti := range g.Tasks {
-		task := &g.Tasks[ti]
-		for _, list := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range list {
-				if listed[o] != int32(ti)+1 {
-					listed[o] = int32(ti) + 1
-					pol.objs = append(pol.objs, o)
-				}
+		for _, o := range g.Accesses(graph.TaskID(ti)) {
+			if listed[o] != int32(ti)+1 {
+				listed[o] = int32(ti) + 1
+				pol.objs = append(pol.objs, o)
 			}
 		}
 		pol.objOff[ti+1] = int32(len(pol.objs))

@@ -57,17 +57,14 @@ func volatileUses(s *sched.Schedule, p int) (first, last map[graph.ObjID]int32) 
 	first = make(map[graph.ObjID]int32)
 	last = make(map[graph.ObjID]int32)
 	for i, t := range s.Order[p] {
-		task := &s.G.Tasks[t]
-		for _, list := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range list {
-				if s.G.Objects[o].Owner == graph.Proc(p) {
-					continue
-				}
-				if _, ok := first[o]; !ok {
-					first[o] = int32(i)
-				}
-				last[o] = int32(i)
+		for _, o := range s.G.Accesses(t) {
+			if s.G.Objects[o].Owner == graph.Proc(p) {
+				continue
 			}
+			if _, ok := first[o]; !ok {
+				first[o] = int32(i)
+			}
+			last[o] = int32(i)
 		}
 	}
 	return first, last

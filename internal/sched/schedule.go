@@ -217,13 +217,10 @@ func (s *Schedule) volatilePairs() (touched *util.Bitset, count []int) {
 	count = make([]int, s.P)
 	for t := range s.G.Tasks {
 		p := s.Assign[t]
-		task := &s.G.Tasks[t]
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if slot := int(p)*m + int(o); s.G.Objects[o].Owner != p && !touched.Has(slot) {
-					touched.Set(slot)
-					count[p]++
-				}
+		for _, o := range s.G.Accesses(graph.TaskID(t)) {
+			if slot := int(p)*m + int(o); s.G.Objects[o].Owner != p && !touched.Has(slot) {
+				touched.Set(slot)
+				count[p]++
 			}
 		}
 	}
@@ -298,18 +295,15 @@ func (s *Schedule) VolatileLifetimes() [][]Lifetime {
 	for p := 0; p < s.P; p++ {
 		first := len(all)
 		for i, t := range s.Order[p] {
-			task := &s.G.Tasks[t]
 			firstUsed := len(all) // the objects task i is the first to use start here
-			for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-				for _, o := range lists {
-					switch {
-					case s.G.Objects[o].Owner == graph.Proc(p):
-					case int(at[o]) > first:
-						all[at[o]-1].Last = int32(i)
-					default:
-						all = append(all, Lifetime{Obj: o, First: int32(i), Last: int32(i)})
-						at[o] = int32(len(all))
-					}
+			for _, o := range s.G.Accesses(graph.TaskID(t)) {
+				switch {
+				case s.G.Objects[o].Owner == graph.Proc(p):
+				case int(at[o]) > first:
+					all[at[o]-1].Last = int32(i)
+				default:
+					all = append(all, Lifetime{Obj: o, First: int32(i), Last: int32(i)})
+					at[o] = int32(len(all))
 				}
 			}
 			if seg := all[firstUsed:]; len(seg) > 1 {

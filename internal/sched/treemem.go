@@ -61,17 +61,15 @@ func volatileTouchers(g *graph.DAG, assign []graph.Proc) map[volKey][]graph.Task
 	touch := make(map[volKey][]graph.TaskID)
 	for t := 0; t < g.NumTasks(); t++ {
 		q := assign[t]
-		task := &g.Tasks[t]
-		seen := make(map[graph.ObjID]bool, len(task.Reads)+len(task.Writes))
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if g.Objects[o].Owner == q || seen[o] {
-					continue
-				}
-				seen[o] = true
-				k := volKey{q, o}
-				touch[k] = append(touch[k], graph.TaskID(t))
+		acc := g.Accesses(graph.TaskID(t))
+		seen := make(map[graph.ObjID]bool, len(acc))
+		for _, o := range acc {
+			if g.Objects[o].Owner == q || seen[o] {
+				continue
 			}
+			seen[o] = true
+			k := volKey{q, o}
+			touch[k] = append(touch[k], graph.TaskID(t))
 		}
 	}
 	return touch
@@ -261,18 +259,16 @@ func greedyMemOrder(g *graph.DAG, assign []graph.Proc, model CostModel) []graph.
 	left := make(map[volKey]int32)
 	for t := 0; t < n; t++ {
 		q := assign[t]
-		task := &g.Tasks[t]
-		seen := make(map[graph.ObjID]bool, len(task.Reads)+len(task.Writes))
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if g.Objects[o].Owner == q || seen[o] {
-					continue
-				}
-				seen[o] = true
-				k := volKey{q, o}
-				vols[t] = append(vols[t], k)
-				left[k]++
+		acc := g.Accesses(graph.TaskID(t))
+		seen := make(map[graph.ObjID]bool, len(acc))
+		for _, o := range acc {
+			if g.Objects[o].Owner == q || seen[o] {
+				continue
 			}
+			seen[o] = true
+			k := volKey{q, o}
+			vols[t] = append(vols[t], k)
+			left[k]++
 		}
 	}
 

@@ -74,12 +74,9 @@ func (c *checker) structural() bool {
 		if q := s.Assign[t]; q < 0 || int(q) >= s.P {
 			return fatal(fmt.Sprintf("task %d assigned to out-of-range processor %d", t, q))
 		}
-		task := &s.G.Tasks[t]
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if o < 0 || o >= m {
-					return fatal(fmt.Sprintf("task %d references out-of-range object %d", t, o))
-				}
+		for _, o := range s.G.Accesses(graph.TaskID(t)) {
+			if o < 0 || o >= m {
+				return fatal(fmt.Sprintf("task %d references out-of-range object %d", t, o))
 			}
 		}
 	}
@@ -282,17 +279,14 @@ func (c *checker) liveness() {
 func (c *checker) lifetimes(r *replay) {
 	r.lives = r.lives[:0]
 	for i, t := range c.s.Order[r.p] {
-		task := &c.g.Tasks[t]
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				switch {
-				case c.g.Objects[o].Owner == r.p:
-				case r.lifeAt[o] != 0:
-					r.lives[r.lifeAt[o]-1].last = int32(i)
-				default:
-					r.lives = append(r.lives, lifetime{obj: o, first: int32(i), last: int32(i)})
-					r.lifeAt[o] = int32(len(r.lives))
-				}
+		for _, o := range c.g.Accesses(t) {
+			switch {
+			case c.g.Objects[o].Owner == r.p:
+			case r.lifeAt[o] != 0:
+				r.lives[r.lifeAt[o]-1].last = int32(i)
+			default:
+				r.lives = append(r.lives, lifetime{obj: o, first: int32(i), last: int32(i)})
+				r.lifeAt[o] = int32(len(r.lives))
 			}
 		}
 	}
@@ -329,28 +323,25 @@ func (c *checker) replayProc(r *replay, pp *mem.ProcPlan, perm int64) {
 			break
 		}
 		t := order[pos]
-		task := &c.g.Tasks[t]
-		for _, lists := range [2][]graph.ObjID{task.Reads, task.Writes} {
-			for _, o := range lists {
-				if c.g.Objects[o].Owner == p {
-					continue
+		for _, o := range c.g.Accesses(t) {
+			if c.g.Objects[o].Owner == p {
+				continue
+			}
+			c.check()
+			switch r.state[o] {
+			case objUnallocated:
+				if c.once(ClassUseBeforeMAP, p, o) {
+					c.report(Finding{Class: ClassUseBeforeMAP, Proc: p, Pos: pos, Task: t, Obj: o,
+						Detail: "volatile object used before any MAP allocates it"})
 				}
-				c.check()
-				switch r.state[o] {
-				case objUnallocated:
-					if c.once(ClassUseBeforeMAP, p, o) {
-						c.report(Finding{Class: ClassUseBeforeMAP, Proc: p, Pos: pos, Task: t, Obj: o,
-							Detail: "volatile object used before any MAP allocates it"})
-					}
-				case objFreed:
-					if c.once(ClassUseAfterFree, p, o) {
-						c.report(Finding{Class: ClassUseAfterFree, Proc: p, Pos: pos, Task: t, Obj: o,
-							Detail: fmt.Sprintf("volatile object used after its free at MAP@%d", r.freedAt[o])})
-					}
+			case objFreed:
+				if c.once(ClassUseAfterFree, p, o) {
+					c.report(Finding{Class: ClassUseAfterFree, Proc: p, Pos: pos, Task: t, Obj: o,
+						Detail: fmt.Sprintf("volatile object used after its free at MAP@%d", r.freedAt[o])})
 				}
-				if r.lives[r.lifeAt[o]-1].last == pos {
-					r.due = append(r.due, o)
-				}
+			}
+			if r.lives[r.lifeAt[o]-1].last == pos {
+				r.due = append(r.due, o)
 			}
 		}
 	}

@@ -304,7 +304,7 @@ func (r *Result) add(f Finding) {
 func (c *checker) report(f Finding) {
 	if c.g != nil {
 		if f.Task >= 0 && int(f.Task) < len(c.g.Tasks) {
-			f.TaskName = c.g.Tasks[f.Task].Name
+			f.TaskName = c.g.TaskName(f.Task)
 		}
 		if f.Obj >= 0 && int(f.Obj) < len(c.g.Objects) {
 			f.ObjName = c.g.Objects[f.Obj].Name
@@ -339,7 +339,7 @@ func (c *checker) check() { c.res.Checks++ }
 func (c *checker) ownerCompute() {
 	for t := range c.g.Tasks {
 		c.check()
-		for _, o := range c.g.Tasks[t].Writes {
+		for _, o := range c.g.Writes(graph.TaskID(t)) {
 			if c.g.Objects[o].Owner != c.s.Assign[t] {
 				c.report(Finding{Class: ClassStructure, Proc: c.s.Assign[t], Pos: c.pos[t],
 					Task: graph.TaskID(t), Obj: o,

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -394,8 +395,27 @@ func thresholdFixture(t *testing.T) (s *sched.Schedule, pl *mem.Plan, tamper fun
 					Allocs: []graph.ObjID{x},
 					Notify: mem.Notify{Dst: []graph.Proc{0}, Off: []int32{0, 1}, Objs: []graph.ObjID{x}}}}},
 		}}
-	tamper = func() { g.Tasks[tc].Reads = append(g.Tasks[tc].Reads, x) }
+	tamper = func() { *g = *withRead(g, tc, x) }
 	return s, pl, tamper, tc, x
+}
+
+// withRead returns g with one more read, of o by task t: the access table
+// changes, the edges stay.
+func withRead(g *graph.DAG, t graph.TaskID, o graph.ObjID) *graph.DAG {
+	var acc graph.Accesses
+	var names graph.Names
+	var edges []graph.Edge
+	for v := range g.Tasks {
+		id := graph.TaskID(v)
+		reads := g.Reads(id)
+		if id == t {
+			reads = append(slices.Clip(reads), o)
+		}
+		acc.Add(reads, g.Writes(id))
+		names.Append(g.TaskName(id))
+		edges = append(edges, g.Out(id)...)
+	}
+	return graph.NewDAG(g.Tasks, g.Objects, acc, names, edges)
 }
 
 func TestDetectThresholdMismatch(t *testing.T) {

@@ -138,7 +138,7 @@ func (c *checker) reportCycle(stack []waitFrame, to graph.TaskID) {
 	b.WriteString("potential deadlock, blocking chain: ")
 	for i := len(cyc) - 1; i >= 0; i-- {
 		f := cyc[i]
-		fmt.Fprintf(&b, "task %q (P%d#%d)", c.g.Tasks[f.t].Name, c.s.Assign[f.t], c.pos[f.t])
+		fmt.Fprintf(&b, "task %q (P%d#%d)", c.g.TaskName(f.t), c.s.Assign[f.t], c.pos[f.t])
 		why := backWhy
 		if i > 0 {
 			// The edge f took to reach the next frame down the chain.
@@ -146,7 +146,7 @@ func (c *checker) reportCycle(stack []waitFrame, to graph.TaskID) {
 		}
 		fmt.Fprintf(&b, " %s -> ", why)
 	}
-	fmt.Fprintf(&b, "task %q (P%d#%d)", c.g.Tasks[to].Name, c.s.Assign[to], c.pos[to])
+	fmt.Fprintf(&b, "task %q (P%d#%d)", c.g.TaskName(to), c.s.Assign[to], c.pos[to])
 	c.report(Finding{Class: ClassWaitCycle, Proc: c.s.Assign[top.t], Pos: c.pos[top.t],
 		Task: top.t, Obj: backObj, Detail: b.String()})
 }
@@ -172,7 +172,7 @@ func (c *checker) thresholds() {
 				gatedBy[e.Obj] = int32(v) + 1
 			}
 		}
-		for _, o := range c.g.Tasks[v].Reads {
+		for _, o := range c.g.Reads(graph.TaskID(v)) {
 			if c.g.Objects[o].Owner == p {
 				continue
 			}

@@ -95,17 +95,17 @@ func TestExecuteNumericKernels(t *testing.T) {
 	prodSet := map[rapid.TaskID]float64{prods[0]: 2, prods[1]: 3, prods[2]: 5}
 	rep2, err2 := rapid.Execute(prog, plan, rapid.ExecOptions{
 		Kernel: func(tk rapid.TaskID, get func(rapid.ObjID) []float64) error {
-			task := prog.G.Tasks[tk]
+			reads, writes := prog.G.Reads(tk), prog.G.Writes(tk)
 			switch {
-			case len(task.Reads) == 0 && len(task.Writes) == 1:
-				buf := get(task.Writes[0])
+			case len(reads) == 0 && len(writes) == 1:
+				buf := get(writes[0])
 				if v, ok := prodSet[tk]; ok {
 					buf[0] = v
 				} else {
 					buf[0] = 0 // init
 				}
-			case len(task.Reads) == 2:
-				get(task.Writes[0])[0] += get(task.Reads[0])[0]
+			case len(reads) == 2:
+				get(writes[0])[0] += get(reads[0])[0]
 			}
 			return nil
 		},
