@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -118,10 +119,7 @@ func TestConcurrentSyncsShareOneFsync(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayDir(t, dir)
 	if n := len(countSubmits(rep)); n != 1+behind {
 		t.Fatalf("replay holds %d submits, want %d", n, 1+behind)
 	}
@@ -205,10 +203,7 @@ func TestCompactionCarriesUnsyncedRecords(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayDir(t, dir)
 	ids := countSubmits(rep)
 	if len(ids) != 2 || !ids[fmt.Sprintf("job-%d", seq)] || !ids[fmt.Sprintf("job-%d", seq+1)] {
 		t.Fatalf("replay after compaction holds %v, want the two live jobs", ids)
@@ -248,10 +243,7 @@ func TestLostRecordNeverReportsDurable(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayDir(t, dir)
 	if ids := countSubmits(rep); !ids["job-1"] || ids["job-2"] || !ids["job-3"] {
 		t.Fatalf("replay ids %v, want job-1 and job-3", ids)
 	}
@@ -259,9 +251,10 @@ func TestLostRecordNeverReportsDurable(t *testing.T) {
 
 // TestHeldRecordsFollowTheGap: a completion that cannot be made durable
 // because the disk died is held, if its job's submit is durable, and the
-// re-arm writes it right behind the gap marker — the job is terminal at
-// replay and will not run again. Records of a job whose submit never
-// became durable are dropped, and a submit is never held.
+// re-arm writes it into its compaction root behind the live jobs' frames —
+// the job is terminal at replay and will not run again. Records of a job
+// whose submit never became durable are dropped, and a submit is never
+// held.
 func TestHeldRecordsFollowTheGap(t *testing.T) {
 	dir := t.TempDir()
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
@@ -276,7 +269,7 @@ func TestHeldRecordsFollowTheGap(t *testing.T) {
 	}
 	orphan := mustWrite(t, j, submitRec(3))
 	// The fsync that would cover job-1's completion fails: it was written,
-	// so the gap discards it, and the journal keeps a copy.
+	// so the re-arm's root supersedes it, and the journal keeps a copy.
 	ffs.Break(iofault.ClassSync, syscall.EIO)
 	if err := j.Append(completeRec(1)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Append through a failing fsync = %v, want ErrDegraded", err)
@@ -298,21 +291,18 @@ func TestHeldRecordsFollowTheGap(t *testing.T) {
 	if err := j.Rearm(); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.Stats(); st.LiveJobs != 0 || st.GapRecords != 1 {
-		t.Fatalf("after the re-arm: %+v, want no live job and one gap record", st)
+	if st := j.Stats(); st.LiveJobs != 0 || st.Compactions != 1 || st.Segments != 1 {
+		t.Fatalf("after the re-arm: %+v, want no live job, one compaction and one segment", st)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayDir(t, dir)
 	var got []string
 	for _, rec := range rep.Records {
-		got = append(got, rec.Op.String()+" "+rec.ID)
+		got = append(got, strings.TrimSpace(rec.Op.String()+" "+rec.ID))
 	}
-	want := []string{"submit job-1", "submit job-2", "gap " + segName(1), "complete job-1", "complete job-2"}
+	want := []string{"mark", "submit job-1", "submit job-2", "complete job-1", "complete job-2"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("replay %q, want %q", got, want)
 	}

@@ -35,7 +35,7 @@ func countSubmits(rep *Replay) map[string]bool {
 
 // TestFsyncFailurePoisonsSegment is the fsyncgate regression test: after
 // a failed fsync the journal must never write to the poisoned segment fd
-// again — every Append fails fast with ErrDegraded until Rearm rotates
+// again — every Append fails fast with ErrDegraded until Rearm compacts
 // onto a fresh segment — and the record whose fsync failed must not
 // survive replay as a phantom.
 func TestFsyncFailurePoisonsSegment(t *testing.T) {
@@ -80,7 +80,8 @@ func TestFsyncFailurePoisonsSegment(t *testing.T) {
 		t.Fatalf("RearmFailures not counted")
 	}
 
-	// Disk comes back: Rearm rotates onto a fresh segment.
+	// Disk comes back: Rearm compacts onto a fresh segment, whose root
+	// supersedes the poisoned one.
 	ffs.Heal()
 	if err := j.Rearm(); err != nil {
 		t.Fatalf("Rearm after heal: %v", err)
@@ -89,11 +90,14 @@ func TestFsyncFailurePoisonsSegment(t *testing.T) {
 		t.Fatalf("still degraded after successful Rearm")
 	}
 	st := j.Stats()
-	if st.Rearms != 1 || st.GapRecords != 1 {
-		t.Fatalf("Rearms=%d GapRecords=%d, want 1/1", st.Rearms, st.GapRecords)
+	if st.Rearms != 1 || st.Compactions != 1 || st.Segments != 1 {
+		t.Fatalf("Rearms=%d Compactions=%d Segments=%d, want 1/1/1", st.Rearms, st.Compactions, st.Segments)
 	}
 	if _, err := os.Stat(filepath.Join(dir, segName(2))); err != nil {
-		t.Fatalf("rotation did not create a fresh segment: %v", err)
+		t.Fatalf("re-arm did not publish a fresh segment: %v", err)
+	}
+	if _, err := os.Stat(seg1); !os.IsNotExist(err) {
+		t.Fatalf("poisoned segment still on disk after the re-arm (err=%v)", err)
 	}
 	if err := j.Append(submitRec(9)); err != nil {
 		t.Fatalf("Append after Rearm: %v", err)
@@ -101,14 +105,14 @@ func TestFsyncFailurePoisonsSegment(t *testing.T) {
 	// Zero writes to the poisoned segment across the whole degraded
 	// window and after recovery.
 	if got := ffs.Writes(seg1); got != writesAtPoison+1 {
-		t.Fatalf("poisoned segment written after rotation: %d writes", got-writesAtPoison)
+		t.Fatalf("poisoned segment written after the re-arm: %d writes", got-writesAtPoison)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Replay: jobs 1-3 and 9 survive; job-4 (unacknowledged suspect
-	// bytes) is discarded by the gap cap, never a phantom.
+	// Replay: jobs 1-3 and 9 survive; job-4 (written, never acknowledged)
+	// went with the poisoned segment, never a phantom.
 	j2, rep, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -123,17 +127,13 @@ func TestFsyncFailurePoisonsSegment(t *testing.T) {
 	if ids["job-4"] {
 		t.Fatalf("unacknowledged job-4 resurrected as a phantom")
 	}
-	if rep.SuspectBytes == 0 {
-		t.Fatalf("suspect bytes not reported (the torn frame was on disk)")
-	}
 	if j2.HighSeq() != 9 {
-		t.Fatalf("HighSeq = %d, want 9 (carried across the gap)", j2.HighSeq())
+		t.Fatalf("HighSeq = %d, want 9", j2.HighSeq())
 	}
 }
 
 // TestWriteFailurePoisons covers the EIO-on-write path: the frame never
-// reaches the disk, so the gap cap discards nothing but the journal still
-// degrades and re-arms.
+// reaches the disk, but the journal still degrades and re-arms.
 func TestWriteFailurePoisons(t *testing.T) {
 	dir := t.TempDir()
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
@@ -164,15 +164,12 @@ func TestWriteFailurePoisons(t *testing.T) {
 	if !ids["job-1"] || !ids["job-3"] || ids["job-2"] {
 		t.Fatalf("replay ids = %v, want job-1 and job-3 only", ids)
 	}
-	if rep.SuspectBytes != 0 {
-		t.Fatalf("SuspectBytes = %d, want 0 (the failed write never landed)", rep.SuspectBytes)
-	}
 }
 
-// TestENOSPCRearmCompacts: when the fault is disk-full, Rearm's first
-// move is an emergency compaction — the live set is tiny, and publishing
-// a compaction root deletes every older segment, reclaiming the dead
-// weight that filled the disk.
+// TestENOSPCRearmCompacts: when the fault is disk-full, Rearm's
+// compaction is what reclaims space — the live set is tiny, and publishing
+// a compaction root deletes every older segment, the dead weight that
+// filled the disk.
 func TestENOSPCRearmCompacts(t *testing.T) {
 	dir := t.TempDir()
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
@@ -208,9 +205,6 @@ func TestENOSPCRearmCompacts(t *testing.T) {
 	st := j.Stats()
 	if st.Compactions != 1 {
 		t.Fatalf("Compactions = %d, want 1 (ENOSPC re-arm must compact)", st.Compactions)
-	}
-	if st.GapRecords != 0 {
-		t.Fatalf("GapRecords = %d, want 0 (the root supersedes the poisoned segment)", st.GapRecords)
 	}
 	if st.Segments != 1 {
 		t.Fatalf("Segments = %d, want 1 after emergency compaction", st.Segments)
@@ -355,42 +349,88 @@ func TestCompactWriteFailureIsNonFatal(t *testing.T) {
 	}
 }
 
-// TestLostAckedBytesFailsLoudly: if the poisoned segment is shorter than
-// the extent the gap record says was acknowledged, durable data vanished
-// — Open must refuse, not silently come up incomplete.
-func TestLostAckedBytesFailsLoudly(t *testing.T) {
+// TestCrashMidRearmReplaysOnlyAcked: a crash after the re-arm's root is
+// renamed into place but before the poisoned segment is removed leaves
+// both on disk — the poisoned one still carrying a frame written past its
+// last fsync, the root carrying the completion held through the window.
+// The root supersedes the poisoned segment: replay finds each live job
+// once, never the unacknowledged frame, the held job terminal, and one
+// segment left on disk.
+func TestCrashMidRearmReplaysOnlyAcked(t *testing.T) {
 	dir := t.TempDir()
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
 	j, _, err := Open(dir, Options{FS: ffs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	for seq := uint64(1); seq <= 4; seq++ {
+	defer j.Close()
+	for seq := uint64(1); seq <= 2; seq++ {
 		if err := j.Append(submitRec(seq)); err != nil {
-			t.Fatalf("Append: %v", err)
+			t.Fatalf("Append(%d): %v", seq, err)
 		}
 	}
+	mustWrite(t, j, submitRec(3)) // never acknowledged: its fsync fails
 	ffs.Break(iofault.ClassSync, syscall.EIO)
-	j.Append(submitRec(5))
+	if err := j.Append(completeRec(1)); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Append through a failing fsync = %v, want ErrDegraded", err)
+	}
+	// The disk heals, but the poisoned segment's removal fails: the
+	// directory is left as a crash right after the publish leaves it.
 	ffs.Heal()
+	ffs.Break(iofault.ClassRemove, syscall.EIO)
 	if err := j.Rearm(); err != nil {
 		t.Fatalf("Rearm: %v", err)
 	}
-	j.Close()
-	// Chop acknowledged bytes off the capped segment.
-	seg1 := filepath.Join(dir, segName(1))
-	fi, err := os.Stat(seg1)
+	onDisk := func(seg int) map[string]bool {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, segName(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make(map[string]bool)
+		for off := 0; off < len(b); {
+			rec, n, err := DecodeRecord(b[off:])
+			if err != nil {
+				t.Fatalf("%s at offset %d: %v", segName(seg), off, err)
+			}
+			recs[rec.Op.String()+" "+rec.ID] = true
+			off += n
+		}
+		return recs
+	}
+	if !onDisk(1)["submit job-3"] {
+		t.Fatal("the poisoned segment does not carry the unacknowledged frame")
+	}
+	if !onDisk(2)["complete job-1"] {
+		t.Fatal("the re-arm's root does not carry the held completion")
+	}
+
+	j2, rep, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("stat: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
-	if err := os.Truncate(seg1, fi.Size()/2); err != nil {
-		t.Fatalf("truncate: %v", err)
+	defer j2.Close()
+	submits := make(map[string]int)
+	terminal := make(map[string]bool)
+	for _, rec := range rep.Records {
+		switch rec.Op {
+		case OpSubmit:
+			submits[rec.ID]++
+		case OpComplete:
+			terminal[rec.ID] = true
+		}
 	}
-	if _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatalf("Open succeeded on a log that lost acknowledged records")
+	if submits["job-1"] != 1 || submits["job-2"] != 1 {
+		t.Fatalf("submits replayed %v, want job-1 and job-2 once each", submits)
 	}
-	if _, err := ReplayDir(dir); err == nil {
-		t.Fatalf("ReplayDir succeeded on a log that lost acknowledged records")
+	if submits["job-3"] != 0 {
+		t.Fatal("the unacknowledged job-3 replayed from the poisoned segment")
+	}
+	if !terminal["job-1"] || terminal["job-2"] {
+		t.Fatalf("terminal at replay %v, want job-1 only", terminal)
+	}
+	if st := j2.Stats(); st.Segments != 1 || st.LiveJobs != 1 {
+		t.Fatalf("Segments=%d LiveJobs=%d after reopen, want 1 and 1", st.Segments, st.LiveJobs)
 	}
 }
 

@@ -24,7 +24,8 @@
 // plus the live (non-terminal) jobs' records, then deletes the older
 // segments — terminal jobs vanish, the ID high-water mark and every
 // in-flight job survive. Replay therefore always sees a bounded log:
-// live jobs plus the tail of recent traffic.
+// live jobs plus the tail of recent traffic. A disk fault ends the same
+// way: Rearm compacts, and its root supersedes the poisoned segment.
 package journal
 
 import (
@@ -37,7 +38,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 
 	"repro/internal/iofault"
 )
@@ -61,17 +61,12 @@ const (
 	// OpMark carries the job-sequence high-water mark into compacted
 	// segments so restarted daemons never reuse an ID.
 	OpMark Op = 5
-	// OpGap is the first record of a segment opened by a degraded-mode
-	// re-arm. It tells replay the extent of the fault window it closes:
-	// Demand holds the durable (acknowledged) byte length of the
-	// immediately preceding segment — everything past that offset was
-	// written to a poisoned fd whose fsync failed and must be discarded —
-	// Seq carries the high-water mark across the gap, and Error records
-	// the fault that opened the window.
-	OpGap Op = 6
+	// Op 6 is retired and never reused: older journals began a re-armed
+	// segment with an op-6 gap marker, and Open refuses such a log rather
+	// than replay it without the cap the marker described.
 )
 
-func (op Op) valid() bool { return op >= OpSubmit && op <= OpGap }
+func (op Op) valid() bool { return op >= OpSubmit && op <= OpMark }
 
 // String names the op for logs and tests.
 func (op Op) String() string {
@@ -86,8 +81,6 @@ func (op Op) String() string {
 		return "cancel"
 	case OpMark:
 		return "mark"
-	case OpGap:
-		return "gap"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -139,7 +132,7 @@ var (
 // the active segment. A failed fsync says nothing about which earlier
 // pages reached disk (the kernel may mark dirty pages clean on error), so
 // the journal never writes to that fd again; it stays degraded — every
-// Append failing fast with this error — until Rearm rotates onto a fresh
+// Append failing fast with this error — until Rearm compacts onto a fresh
 // segment. Callers match it with errors.Is.
 var ErrDegraded = errors.New("journal: degraded")
 
@@ -227,26 +220,48 @@ func (c *byteCursor) str() string {
 // number of bytes consumed. It never panics on any input: the outcomes
 // are a valid record, ErrTruncated (b ends mid-frame) or ErrCorrupt.
 func DecodeRecord(b []byte) (Record, int, error) {
+	payload, n, err := readFrame(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	r, err := decodePayload(payload)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	return r, n, nil
+}
+
+// readFrame checks the first frame in b and returns its payload and the
+// frame's length. Its errors are the ones a torn append produces: b ends
+// mid-frame, the length prefix is out of range, or the checksum fails.
+func readFrame(b []byte) ([]byte, int, error) {
 	if len(b) < frameHdrBytes {
-		return Record{}, 0, ErrTruncated
+		return nil, 0, ErrTruncated
 	}
 	plen := binary.LittleEndian.Uint32(b[0:4])
 	if plen < 2 || plen > maxRecordBytes {
-		return Record{}, 0, ErrCorrupt
+		return nil, 0, ErrCorrupt
 	}
 	if len(b) < frameHdrBytes+int(plen) {
-		return Record{}, 0, ErrTruncated
+		return nil, 0, ErrTruncated
 	}
 	payload := b[frameHdrBytes : frameHdrBytes+int(plen)]
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[4:8]) {
-		return Record{}, 0, ErrCorrupt
+		return nil, 0, ErrCorrupt
 	}
+	return payload, frameHdrBytes + int(plen), nil
+}
+
+// decodePayload decodes a checksum-verified payload. Its errors are not
+// torn writes: the bytes are what a writer meant to write, and this
+// decoder does not understand them.
+func decodePayload(payload []byte) (Record, error) {
 	if payload[0] != recVersion {
-		return Record{}, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, payload[0])
+		return Record{}, fmt.Errorf("%w: unknown version %d", ErrCorrupt, payload[0])
 	}
 	r := Record{Op: Op(payload[1])}
 	if !r.Op.valid() {
-		return Record{}, 0, fmt.Errorf("%w: unknown op %d", ErrCorrupt, payload[1])
+		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, payload[1])
 	}
 	c := &byteCursor{b: payload, off: 2}
 	r.Seq = c.uvarint()
@@ -266,14 +281,14 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		}
 	}
 	if c.err != nil {
-		return Record{}, 0, c.err
+		return Record{}, c.err
 	}
 	if c.off != len(payload) {
 		// Trailing garbage inside a checksummed payload means the encoder
 		// and decoder disagree — corruption, not slack.
-		return Record{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload)-c.off)
+		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(payload)-c.off)
 	}
-	return r, frameHdrBytes + int(plen), nil
+	return r, nil
 }
 
 // Options configures a Journal.
@@ -306,8 +321,6 @@ type Stats struct {
 	RearmFailures   int64  // failed Rearm attempts
 	CompactFailures int64  // compactions aborted by I/O errors
 	CleanupErrors   int64  // post-publish close/remove errors (non-fatal)
-	GapRecords      int64  // OpGap records written this session
-	SuspectBytes    int64  // unacknowledged bytes discarded at Open
 }
 
 // liveJob retains the encoded frames needed to re-materialize one
@@ -362,17 +375,14 @@ type Journal struct {
 	syncing bool // guarded-by: mu
 	idle    sync.Cond
 
-	// Degraded-mode state. ackedBytes is the durable prefix of the active
-	// segment: it advances only after a successful fsync, so when a fault
-	// poisons the segment it is exactly the offset past which bytes are
-	// suspect — the extent the re-arm's OpGap record carries. lost lists
-	// the (from, to] Pos ranges written past that point, whose records
-	// the gap discards; held keeps the ones that belong to a job whose
-	// submit is durable, and the records such jobs write while degraded,
-	// for the re-arm to write behind the gap.
+	// Degraded-mode state. lost lists the (from, to] Pos ranges written
+	// past the last fsync when a fault poisoned the segment: the re-arm's
+	// compaction root supersedes that segment, so their records are gone.
+	// held keeps the ones that belong to a job whose submit is durable, and
+	// the records such jobs write while degraded, for the re-arm to write
+	// into its root.
 	degraded      bool      // guarded-by: mu
 	degradedCause error     // guarded-by: mu
-	ackedBytes    int64     // guarded-by: mu
 	lost          [][2]Pos  // guarded-by: mu
 	held          []written // guarded-by: mu
 	// compactAfter backs off compaction retries after an I/O failure:
@@ -399,74 +409,15 @@ type Replay struct {
 	// TruncatedBytes counts torn-tail bytes discarded from the newest
 	// segment (zero on a clean shutdown).
 	TruncatedBytes int64
-	// SuspectBytes counts bytes discarded because an OpGap record capped a
-	// poisoned segment at its acknowledged extent: they were written to an
-	// fd whose fsync later failed, so no client was ever told they were
-	// durable.
-	SuspectBytes int64
-}
-
-// loadedSeg is one segment read into memory during replay, after gap caps
-// have been applied.
-type loadedSeg struct {
-	n    int
-	data []byte
-}
-
-// loadSegments reads every segment and applies OpGap caps: a segment
-// whose first record is OpGap was opened by a re-arm after the fd of the
-// segment named in the record's ID field was poisoned, and the record's
-// Demand field is that segment's durable byte extent. Bytes past that
-// offset were never acknowledged — discard them (and, when persist is
-// set, truncate them off on disk so a later replay sees the same log). A
-// poisoned segment SHORTER than its acknowledged extent means durable
-// data vanished: fail loudly.
-func loadSegments(fs iofault.FS, dir string, segs []int, persist bool) ([]loadedSeg, int64, error) {
-	loaded := make([]loadedSeg, 0, len(segs))
-	byName := make(map[string]int, len(segs))
-	for _, seg := range segs {
-		data, err := fs.ReadFile(filepath.Join(dir, segName(seg)))
-		if err != nil {
-			return nil, 0, fmt.Errorf("journal: %w", err)
-		}
-		byName[segName(seg)] = len(loaded)
-		loaded = append(loaded, loadedSeg{n: seg, data: data})
-	}
-	var suspect int64
-	for i := 1; i < len(loaded); i++ {
-		rec0, _, err0 := DecodeRecord(loaded[i].data)
-		if err0 != nil || rec0.Op != OpGap {
-			continue
-		}
-		target, ok := byName[rec0.ID]
-		if !ok || target >= i {
-			// The poisoned segment is gone — an emergency compaction or a
-			// later compaction root already superseded it.
-			continue
-		}
-		acked := rec0.Demand
-		if int64(len(loaded[target].data)) < acked {
-			return nil, 0, fmt.Errorf("journal: segment %s is %d bytes but %d were acknowledged durable before the fault window; refusing to replay a log that lost acknowledged records",
-				rec0.ID, len(loaded[target].data), acked)
-		}
-		if int64(len(loaded[target].data)) == acked {
-			continue
-		}
-		suspect += int64(len(loaded[target].data)) - acked
-		loaded[target].data = loaded[target].data[:acked]
-		if persist {
-			if err := fs.Truncate(filepath.Join(dir, rec0.ID), acked); err != nil {
-				return nil, 0, fmt.Errorf("journal: truncating fault window: %w", err)
-			}
-		}
-	}
-	return loaded, suspect, nil
 }
 
 // Open replays the journal in dir (creating it if absent) and opens it
-// for appending. Damage anywhere but the newest segment's tail or a
-// gap-capped fault window is an error — the caller must not come up on a
-// silently incomplete log.
+// for appending. The only damage it repairs is a torn tail on the newest
+// segment: bytes that end mid-frame or fail their checksum, which a crash
+// mid-append leaves. Anything else — a damaged older segment, or a
+// checksum-valid record this decoder cannot read (an ErrCorrupt) — is an
+// error naming the segment and offset, and the log is left as it was:
+// the caller must not come up on a silently incomplete log.
 func Open(dir string, opts Options) (*Journal, *Replay, error) {
 	if opts.MaxSegmentBytes == 0 {
 		opts.MaxSegmentBytes = 1 << 20
@@ -492,78 +443,73 @@ func Open(dir string, opts Options) (*Journal, *Replay, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{dir: dir, opts: opts, fs: fs, live: make(map[string]*liveJob)}
+	// Read back from the newest segment to the newest compaction root. A
+	// segment that BEGINS with an OpMark is one: it was published (renamed
+	// into place) only after holding a complete, fsync'd copy of every live
+	// job, so any older segment is a leftover of a crash between that
+	// rename and the older segments' removal — a re-arm's poisoned segment
+	// included. Replaying both would duplicate every live job's records.
+	// (An OpMark appended mid-segment is just the high-water record.)
+	root := 0
+	data := make([][]byte, len(segs))
+	for i := len(segs) - 1; i >= 0; i-- {
+		if data[i], err = fs.ReadFile(filepath.Join(dir, segName(segs[i]))); err != nil {
+			return nil, nil, fmt.Errorf("journal: %w", err)
+		}
+		if rec0, _, err0 := DecodeRecord(data[i]); i > 0 && err0 == nil && rec0.Op == OpMark {
+			root = i
+			break
+		}
+	}
+	j := &Journal{dir: dir, opts: opts, fs: fs, live: make(map[string]*liveJob), seg: 1}
 	j.idle.L = &j.mu
 	rep := &Replay{}
-	loaded, suspect, err := loadSegments(fs, dir, segs, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if suspect > 0 {
-		rep.SuspectBytes = suspect
-		j.stats.SuspectBytes = suspect
-	}
-	for i, ls := range loaded {
-		seg, data := ls.n, ls.data
-		last := i == len(loaded)-1
-		// A segment that BEGINS with an OpMark is a compaction root: it
-		// was published (renamed into place) only after holding a complete,
-		// fsync'd copy of every live job, so any older segment is a
-		// leftover of a crash between that rename and the old segment's
-		// removal. Replaying both would duplicate every live job's records
-		// — reset the state accumulated so far and finish the deletion the
-		// crash interrupted. (An OpMark appended mid-segment is just the
-		// high-water record and does not reset anything.)
-		if i > 0 {
-			if rec0, _, err0 := DecodeRecord(data); err0 == nil && rec0.Op == OpMark {
-				for _, old := range loaded[:i] {
-					if err := fs.Remove(filepath.Join(dir, segName(old.n))); err != nil {
-						return nil, nil, fmt.Errorf("journal: removing stale pre-compaction segment: %w", err)
-					}
-				}
-				rep.Records = rep.Records[:0]
-				j.live = make(map[string]*liveJob)
-				j.liveByte = 0
-				j.highSeq = 0
-				j.stats.Records = 0
-			}
-		}
+	for i := root; i < len(segs); i++ {
+		b, last := data[i], i == len(segs)-1
 		off := 0
-		for off < len(data) {
-			rec, n, err := DecodeRecord(data[off:])
-			if err != nil {
-				if !last {
-					return nil, nil, fmt.Errorf("journal: segment %s damaged at offset %d (%v); refusing to replay past a hole", segName(seg), off, err)
-				}
+		for off < len(b) {
+			payload, n, err := readFrame(b[off:])
+			if err != nil && last {
 				// Torn tail of the newest segment: the crash interrupted an
-				// append. Truncate to the last whole record and carry on.
-				rep.TruncatedBytes = int64(len(data) - off)
-				j.stats.TruncatedBytes = rep.TruncatedBytes
-				if err := fs.Truncate(filepath.Join(dir, segName(seg)), int64(off)); err != nil {
-					return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
-				}
-				data = data[:off]
+				// append. Truncate to the last whole record below.
+				rep.TruncatedBytes = int64(len(b) - off)
+				b = b[:off]
 				break
+			}
+			var rec Record
+			if err == nil {
+				rec, err = decodePayload(payload)
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("journal: segment %s damaged at offset %d; refusing to replay past it: %w", segName(segs[i]), off, err)
 			}
 			off += n
 			rep.Records = append(rep.Records, rec)
-			j.stats.Records++
-			j.applyLocked(rec, data[off-n:off])
+			j.applyLocked(rec, b[off-n:off])
 		}
 		if last {
-			j.seg = seg
-			j.segBytes = int64(len(data))
+			j.seg = segs[i]
+			j.segBytes = int64(len(b))
 		}
 	}
-	if len(loaded) == 0 {
-		j.seg = 1
+	j.stats.Records = int64(len(rep.Records))
+	j.stats.TruncatedBytes = rep.TruncatedBytes
+	// The log replayed; only now finish what a crash interrupted.
+	for _, old := range segs[:root] {
+		if err := fs.Remove(filepath.Join(dir, segName(old))); err != nil {
+			return nil, nil, fmt.Errorf("journal: removing stale pre-compaction segment: %w", err)
+		}
 	}
 	path := filepath.Join(dir, segName(j.seg))
+	if rep.TruncatedBytes > 0 {
+		if err := fs.Truncate(path, j.segBytes); err != nil {
+			return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
+		}
+	}
 	j.f, err = fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j.ackedBytes = j.segBytes
 	return j, rep, nil
 }
 
@@ -656,9 +602,9 @@ func (j *Journal) Append(rec Record) error {
 // and Write returns an error matching ErrDegraded, as does every Write
 // until Rearm succeeds. While degraded, an admit, cancel or complete
 // record of a job whose submit is durable is not dropped: the journal
-// holds it, and the Rearm that ends the window writes it right behind its
-// gap marker, so a job that finished during a disk outage does not run
-// again after a restart. The error still reports it, since it is not
+// holds it, and the Rearm that ends the window writes it into its
+// compaction root, so a job that finished during a disk outage does not
+// run again after a restart. The error still reports it, since it is not
 // durable yet.
 func (j *Journal) Write(rec Record) (Pos, error) {
 	frame, err := EncodeRecord(rec)
@@ -685,7 +631,7 @@ func (j *Journal) Write(rec Record) (Pos, error) {
 	j.stats.Records++
 	j.unsynced = append(j.unsynced, written{rec: rec, frame: frame, end: j.end})
 	if j.opts.NoSync {
-		j.durableLocked(j.end, j.segBytes)
+		j.durableLocked(j.end)
 		j.maybeCompactLocked()
 	}
 	return j.end, nil
@@ -717,7 +663,7 @@ func (j *Journal) Sync(pos Pos) error {
 	case j.degraded:
 		return j.degradedErrLocked()
 	}
-	f, upto, seg := j.f, j.end, j.segBytes
+	f, upto := j.f, j.end
 	j.syncing = true
 	j.mu.Unlock()
 	err := f.Sync()
@@ -735,14 +681,14 @@ func (j *Journal) Sync(pos Pos) error {
 		return j.degradedErrLocked()
 	}
 	j.stats.Syncs++
-	j.durableLocked(upto, seg)
+	j.durableLocked(upto)
 	j.maybeCompactLocked()
 	return nil
 }
 
-// durableLocked records that everything up to upto is durable — seg bytes
-// of the active segment — and folds those records into the live-job state.
-func (j *Journal) durableLocked(upto Pos, seg int64) {
+// durableLocked records that everything up to upto is durable and folds
+// those records into the live-job state.
+func (j *Journal) durableLocked(upto Pos) {
 	n := 0
 	for ; n < len(j.unsynced) && j.unsynced[n].end <= upto; n++ {
 		j.applyLocked(j.unsynced[n].rec, j.unsynced[n].frame)
@@ -751,7 +697,6 @@ func (j *Journal) durableLocked(upto Pos, seg int64) {
 	clear(j.unsynced[rest:])
 	j.unsynced = j.unsynced[:rest]
 	j.synced = upto
-	j.ackedBytes = seg
 }
 
 // maybeCompactLocked compacts when the segment is oversized and mostly
@@ -787,10 +732,8 @@ func (j *Journal) holdLocked(w written) {
 
 // poisonLocked moves the journal into degraded mode: the active segment's
 // fd is closed — by the fsync running on it, if there is one — and never
-// reused. ackedBytes is left at the last durable extent — the value a
-// re-arm's OpGap record publishes so replay discards everything past it —
-// and the records written past it are lost, bar the ones held for the
-// re-arm.
+// reused, and the records written since the last fsync are lost, bar the
+// ones held for the re-arm.
 func (j *Journal) poisonLocked(cause error) {
 	if j.degraded {
 		return
@@ -820,15 +763,14 @@ func (j *Journal) Degraded() (bool, error) {
 	return j.degraded, j.degradedCause
 }
 
-// Rearm attempts to leave degraded mode. For ENOSPC it first tries an
-// emergency compaction — the live set is small, and publishing a
-// compaction root deletes every older segment, reclaiming the dead weight
-// that filled the disk. Otherwise (or if that fails) it rotates onto a
-// fresh segment whose first record is an OpGap marker carrying the
-// poisoned segment's durable extent, so replay knows exactly where the
-// fault window starts. Either way the records held during the window
-// follow, in one write and one fsync. Returns nil when the journal is
-// durable again; callers own the retry/backoff policy.
+// Rearm attempts to leave degraded mode by compacting: it publishes a
+// fresh segment holding the high-water mark, the live jobs' frames and
+// then the records held through the fault window, fsync'd before the
+// rename, which supersedes every older segment — the poisoned one and the
+// unacknowledged bytes past its last fsync included. On ENOSPC that also
+// reclaims the dead weight that filled the disk. A failure leaves the
+// journal degraded with the records still held. Returns nil when the
+// journal is durable again; callers own the retry/backoff policy.
 func (j *Journal) Rearm() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -841,134 +783,22 @@ func (j *Journal) Rearm() error {
 	if !j.degraded {
 		return nil
 	}
-	reopened := false
-	if errors.Is(j.degradedCause, syscall.ENOSPC) {
-		reopened = j.compactLocked() == nil
-	}
-	if !reopened {
-		if err := j.rotateGapLocked(); err != nil {
-			j.stats.RearmFailures++
-			return err
-		}
-	}
-	j.synced = j.end // nothing was written since the poison
-	j.degraded = false
-	j.degradedCause = nil
-	j.stats.Degraded = false
-	if err := j.writeHeldLocked(); err != nil {
+	if err := j.compactLocked(); err != nil {
 		j.stats.RearmFailures++
 		return err
 	}
+	j.degraded = false
+	j.degradedCause = nil
+	j.stats.Degraded = false
 	j.stats.Rearms++
 	return nil
 }
 
-// writeHeldLocked appends the records held through the fault window to the
-// fresh segment and fsyncs them; a failure poisons it again, and the
-// records stay held for the next Rearm.
-func (j *Journal) writeHeldLocked() error {
-	if len(j.held) == 0 {
-		return nil
-	}
-	var buf []byte
-	for _, w := range j.held {
-		buf = append(buf, w.frame...)
-	}
-	held := j.held
-	j.held = nil
-	if _, err := j.f.Write(buf); err != nil {
-		j.poisonLocked(fmt.Errorf("rearm: %w", err))
-		j.held = held
-		return j.degradedErrLocked()
-	}
-	if err := j.f.Sync(); err != nil {
-		j.poisonLocked(fmt.Errorf("rearm fsync: %w", err))
-		j.held = held
-		return j.degradedErrLocked()
-	}
-	j.segBytes += int64(len(buf))
-	j.ackedBytes = j.segBytes
-	j.stats.Syncs++
-	for _, w := range held {
-		j.stats.Records++
-		j.applyLocked(w.rec, w.frame)
-	}
-	return nil
-}
-
-// rotateGapLocked opens a fresh segment and makes its first record an
-// OpGap marker: Seq carries the high-water mark, Demand the poisoned
-// predecessor's durable extent, Error the fault. Only a fully written and
-// fsync'd gap segment is adopted; any failure leaves the journal degraded
-// with no state change.
-func (j *Journal) rotateGapLocked() error {
-	cause := ""
-	if j.degradedCause != nil {
-		cause = j.degradedCause.Error()
-		if len(cause) > MaxFieldBytes {
-			cause = cause[:MaxFieldBytes]
-		}
-	}
-	gap, err := EncodeRecord(Record{
-		Op:     OpGap,
-		Seq:    j.highSeq,
-		ID:     segName(j.seg), // the poisoned segment this gap caps
-		Demand: j.ackedBytes,
-		Error:  cause,
-	})
-	if err != nil {
-		return err
-	}
-	// O_EXCL: if a crashed compaction left a published root at the next
-	// number, appending the gap there would corrupt its first-record
-	// semantics — skip to an unused name instead.
-	next := j.seg
-	var f iofault.File
-	for try := 0; try < 4; try++ {
-		next++
-		path := filepath.Join(j.dir, segName(next))
-		f, err = j.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, os.ErrExist) {
-			return fmt.Errorf("journal: rearm: %w", err)
-		}
-		f = nil
-	}
-	if f == nil {
-		return fmt.Errorf("journal: rearm: no free segment name after %s", segName(j.seg))
-	}
-	path := filepath.Join(j.dir, segName(next))
-	abort := func(err error) error {
-		f.Close()
-		j.fs.Remove(path)
-		return err
-	}
-	if _, err := f.Write(gap); err != nil {
-		return abort(fmt.Errorf("journal: rearm: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return abort(fmt.Errorf("journal: rearm fsync: %w", err))
-	}
-	// Make the new segment's dir entry durable before acknowledging
-	// anything into it.
-	if err := j.fs.SyncDir(j.dir); err != nil {
-		return abort(fmt.Errorf("journal: rearm dir fsync: %w", err))
-	}
-	j.f = f
-	j.seg = next
-	j.segBytes = int64(len(gap))
-	j.ackedBytes = j.segBytes
-	j.stats.GapRecords++
-	j.stats.Records++
-	return nil
-}
-
 // compactLocked writes a fresh segment holding the high-water mark plus
-// every live job's frames, then the records not yet synced, fsyncs it —
-// which makes all of them durable — renames it into place, then removes
-// the older segment. The temp-then-rename order is what makes crash
+// every live job's frames, then the records not yet synced, then the
+// records held through a fault window, fsyncs it — which makes all of them
+// durable — renames it into place, then removes the older segments. The
+// temp-then-rename order is what makes crash
 // recovery unambiguous: a published segment starting with OpMark is
 // guaranteed complete (Open treats it as a compaction root and drops any
 // older segment a crash left behind), while a segment that never got
@@ -1010,11 +840,14 @@ func (j *Journal) compactLocked() error {
 			size += int64(len(frame))
 		}
 	}
-	for _, w := range j.unsynced {
-		if _, err := f.Write(w.frame); err != nil {
-			return fail(fmt.Errorf("journal: compact: %w", err))
+	// A poison empties unsynced, so at most one of the two is non-empty.
+	for _, ws := range [][]written{j.unsynced, j.held} {
+		for _, w := range ws {
+			if _, err := f.Write(w.frame); err != nil {
+				return fail(fmt.Errorf("journal: compact: %w", err))
+			}
+			size += int64(len(w.frame))
 		}
-		size += int64(len(w.frame))
 	}
 	if err := f.Sync(); err != nil {
 		return fail(fmt.Errorf("journal: compact fsync: %w", err))
@@ -1031,7 +864,7 @@ func (j *Journal) compactLocked() error {
 	// segment. If even the rollback fails, the directory holds a
 	// compaction root we are not writing to next to a segment we are —
 	// replaying that after more appends would drop them — so the only safe
-	// exit is to poison the journal and let Rearm rebuild on fresh state.
+	// exit is to poison the journal and let Rearm publish a root over it.
 	if err := j.fs.SyncDir(j.dir); err != nil {
 		f.Close()
 		if rerr := j.fs.Remove(path); rerr != nil {
@@ -1042,7 +875,14 @@ func (j *Journal) compactLocked() error {
 	}
 	old := j.f
 	j.f, j.seg, j.segBytes = f, next, size
-	j.durableLocked(j.end, size)
+	j.durableLocked(j.end)
+	// Only now, durable in the published root, do the held records join
+	// the live-job state.
+	for _, w := range j.held {
+		j.stats.Records++
+		j.applyLocked(w.rec, w.frame)
+	}
+	j.held = nil
 	j.stats.Compactions++
 	// Post-publish cleanup. The root is durable, so these failures cannot
 	// lose records — Open's compaction-root handling deletes any stragglers
@@ -1054,9 +894,9 @@ func (j *Journal) compactLocked() error {
 			j.stats.CleanupErrors++
 		}
 	}
-	// Remove every older segment, not just the immediate predecessor:
-	// degraded-mode rotations can leave several capped segments behind,
-	// and the root supersedes them all.
+	// Remove every older segment, not just the immediate predecessor: an
+	// earlier cleanup that failed leaves stragglers, and the root
+	// supersedes them all.
 	if segs, err := listSegments(j.fs, j.dir); err == nil {
 		for _, s := range segs {
 			if s >= next {
@@ -1121,48 +961,7 @@ func (j *Journal) Close() error {
 			j.f.Close()
 			return fmt.Errorf("journal: close: %w", err)
 		}
-		j.durableLocked(j.end, j.segBytes)
+		j.durableLocked(j.end)
 	}
 	return j.f.Close()
-}
-
-// ReplayDir reads a journal directory without opening it for appends —
-// the read-only half of Open, for tools and tests that inspect a log
-// (e.g. asserting what a crashed daemon had acknowledged). Unlike Open it
-// modifies nothing: a torn tail is reported, not truncated.
-func ReplayDir(dir string) (*Replay, error) {
-	fs := iofault.FS(iofault.OS{})
-	segs, err := listSegments(fs, dir)
-	if err != nil {
-		return nil, err
-	}
-	loaded, suspect, err := loadSegments(fs, dir, segs, false)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Replay{SuspectBytes: suspect}
-	for i, ls := range loaded {
-		data := ls.data
-		// Same compaction-root rule as Open, minus the cleanup: a segment
-		// beginning with OpMark supersedes everything before it.
-		if i > 0 {
-			if rec0, _, err0 := DecodeRecord(data); err0 == nil && rec0.Op == OpMark {
-				rep.Records = rep.Records[:0]
-			}
-		}
-		off := 0
-		for off < len(data) {
-			rec, n, err := DecodeRecord(data[off:])
-			if err != nil {
-				if i != len(loaded)-1 {
-					return nil, fmt.Errorf("journal: segment %s damaged at offset %d (%v)", segName(ls.n), off, err)
-				}
-				rep.TruncatedBytes = int64(len(data) - off)
-				break
-			}
-			off += n
-			rep.Records = append(rep.Records, rec)
-		}
-	}
-	return rep, nil
 }

@@ -2,7 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,6 +23,20 @@ func sampleRecords() []Record {
 		{Op: OpComplete, ID: "j0002", Status: "failed", Error: "cancelled"},
 		{Op: OpMark, Seq: 7},
 	}
+}
+
+// replayDir opens the journal in dir and closes it again, returning what a
+// restart would replay.
+func replayDir(t *testing.T, dir string) *Replay {
+	t.Helper()
+	j, rep, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -178,10 +195,7 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut %d: append after truncation: %v", cut, err)
 		}
 		j2.Close()
-		rep2, err := ReplayDir(sub)
-		if err != nil {
-			t.Fatalf("cut %d: re-replay: %v", cut, err)
-		}
+		rep2 := replayDir(t, sub)
 		if len(rep2.Records) != whole+1 || rep2.Records[whole].Seq != 99 {
 			t.Fatalf("cut %d: re-replay got %d records", cut, len(rep2.Records))
 		}
@@ -219,8 +233,75 @@ func TestMidJournalCorruptionRefused(t *testing.T) {
 	if _, _, err := Open(dir, Options{NoSync: true}); err == nil {
 		t.Fatal("Open must refuse a journal with a mid-log hole")
 	}
-	if _, err := ReplayDir(dir); err == nil {
-		t.Fatal("ReplayDir must refuse a journal with a mid-log hole")
+}
+
+// reframe encodes rec, then rewrites its payload's version and op bytes
+// and checksums the result: a frame some other writer wrote whole.
+func reframe(t *testing.T, rec Record, version, op byte) []byte {
+	t.Helper()
+	b, err := EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[frameHdrBytes], b[frameHdrBytes+1] = version, op
+	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[frameHdrBytes:], crcTable))
+	return b
+}
+
+// TestUndecodableFrameRefused: only a frame that ends early or fails its
+// checksum is a torn tail. A checksum-valid frame the decoder cannot read
+// was written whole — by another writer, or by an older one, like the
+// op-6 gap marker a re-arm used to begin a segment with — and the records
+// after it may have been acknowledged, so Open must refuse the log, name
+// the segment and offset, and truncate nothing.
+func TestUndecodableFrameRefused(t *testing.T) {
+	enc := func(rec Record) []byte {
+		b, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	j1 := enc(Record{Op: OpSubmit, Seq: 1, ID: "j1"})
+	j2 := enc(Record{Op: OpSubmit, Seq: 2, ID: "j2"})
+	// What a re-arm used to write: the gap capped segment 1 at j1, past
+	// which j2 was never acknowledged.
+	gap := reframe(t, Record{Op: OpMark, Seq: 1, ID: segName(1), Demand: int64(len(j1))}, recVersion, 6)
+	if _, _, err := DecodeRecord(gap); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("op 6 decodes (err=%v); it is retired", err)
+	}
+	for _, tc := range []struct {
+		name string
+		segs [][]byte
+		off  int // where the newest segment is damaged
+	}{
+		{"unknown op", [][]byte{cat(j1, reframe(t, Record{Op: OpSubmit, Seq: 3, ID: "jx"}, recVersion, 7), j2)}, len(j1)},
+		{"unknown version", [][]byte{cat(j1, reframe(t, Record{Op: OpSubmit, Seq: 3, ID: "jx"}, recVersion+1, byte(OpSubmit)), j2)}, len(j1)},
+		{"gap segment", [][]byte{cat(j1, j2), cat(gap, enc(Record{Op: OpComplete, ID: "j1", Status: "done"}))}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for i, b := range tc.segs {
+				if err := os.WriteFile(filepath.Join(dir, segName(i+1)), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := Open(dir, Options{NoSync: true})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open = %v, want an error matching ErrCorrupt", err)
+			}
+			newest := segName(len(tc.segs))
+			if where := fmt.Sprintf("%s damaged at offset %d", newest, tc.off); !strings.Contains(err.Error(), where) {
+				t.Fatalf("Open error %q does not say %q", err, where)
+			}
+			for i, b := range tc.segs {
+				got, err := os.ReadFile(filepath.Join(dir, segName(i+1)))
+				if err != nil || !bytes.Equal(got, b) {
+					t.Fatalf("%s changed by a refused Open: %d bytes, was %d (err=%v)", segName(i+1), len(got), len(b), err)
+				}
+			}
+		})
 	}
 }
 
@@ -333,10 +414,7 @@ func TestCompactionPreservesSubmissionOrder(t *testing.T) {
 		t.Fatal("expected a compaction")
 	}
 	j.Close()
-	rep, err := ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayDir(t, dir)
 	var last uint64
 	for _, rec := range rep.Records {
 		if rec.Op != OpSubmit || rec.ID == "dead" {
@@ -379,45 +457,31 @@ func TestCrashBetweenCompactionAndRemoveReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, replay := range map[string]func() []Record{
-		"Open": func() []Record {
-			j, rep, err := Open(dir, Options{NoSync: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			if hs := j.HighSeq(); hs != 2 {
-				t.Errorf("HighSeq=%d, want 2", hs)
-			}
-			if st := j.Stats(); st.Segments != 1 || st.LiveJobs != 1 {
-				t.Errorf("Segments=%d LiveJobs=%d after root recovery, want 1 and 1", st.Segments, st.LiveJobs)
-			}
-			if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
-				t.Errorf("stale pre-compaction segment still on disk (err=%v)", err)
-			}
-			return rep.Records
-		},
-		"ReplayDir": func() []Record {
-			rep, err := ReplayDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep.Records
-		},
-	} {
-		recs := replay()
-		submits := 0
-		for _, rec := range recs {
-			if rec.Op == OpSubmit && rec.ID == "j0001" {
-				submits++
-			}
-			if rec.ID == "j0002" {
-				t.Errorf("%s: terminal job j0002 resurrected from the stale segment", name)
-			}
+	j, rep, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if hs := j.HighSeq(); hs != 2 {
+		t.Errorf("HighSeq=%d, want 2", hs)
+	}
+	if st := j.Stats(); st.Segments != 1 || st.LiveJobs != 1 {
+		t.Errorf("Segments=%d LiveJobs=%d after root recovery, want 1 and 1", st.Segments, st.LiveJobs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+		t.Errorf("stale pre-compaction segment still on disk (err=%v)", err)
+	}
+	submits := 0
+	for _, rec := range rep.Records {
+		if rec.Op == OpSubmit && rec.ID == "j0001" {
+			submits++
 		}
-		if submits != 1 {
-			t.Errorf("%s: %d OpSubmit records for j0001, want exactly 1", name, submits)
+		if rec.ID == "j0002" {
+			t.Errorf("terminal job j0002 resurrected from the stale segment")
 		}
+	}
+	if submits != 1 {
+		t.Errorf("%d OpSubmit records for j0001, want exactly 1", submits)
 	}
 }
 
@@ -476,10 +540,7 @@ func TestMidSegmentMarkDoesNotReset(t *testing.T) {
 		}
 	}
 	j.Close()
-	rep, err := ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayDir(t, dir)
 	if !reflect.DeepEqual(rep.Records, want) {
 		t.Fatalf("mid-segment mark dropped records:\n got %+v\nwant %+v", rep.Records, want)
 	}

@@ -64,7 +64,7 @@ func waitHealthz(t *testing.T, ts *httptest.Server, want int) {
 // TestDegradedRejectRoundTrip walks the whole state machine: a healthy
 // submit is acked Durable:true; a disk
 // fault degrades the daemon on the next submit (503), flips /healthz to
-// 503 + JSON, and keeps refusing; healing lets the re-arm loop rotate
+// 503 + JSON, and keeps refusing; healing lets the re-arm loop compact
 // onto a fresh segment and the daemon serves durably again.
 func TestDegradedRejectRoundTrip(t *testing.T) {
 	srv, ts, ffs, metrics := faultServer(t)

@@ -231,10 +231,7 @@ func TestLifecycleEdgeTable(t *testing.T) {
 				if err := srv.Drain(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				rep, err := journal.ReplayDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rep := replayJournal(t, dir)
 				var last journal.Record
 				if n := len(rep.Records); n > 0 {
 					last = rep.Records[n-1]
@@ -395,10 +392,7 @@ func doJob(t *testing.T, method, url string) (int, Job) {
 // letters: S submit, A admit, C cancel, X complete.
 func journalOps(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	rep, err := journal.ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayJournal(t, dir)
 	letter := map[journal.Op]string{journal.OpSubmit: "S", journal.OpAdmit: "A", journal.OpCancel: "C", journal.OpComplete: "X"}
 	ops := map[string]string{}
 	for _, rec := range rep.Records {

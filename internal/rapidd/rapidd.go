@@ -834,12 +834,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Gauge("rapidd_journal_degraded", "1 while the active segment is poisoned", nil, boolGauge(st.Degraded))
 		pw.Gauge("rapidd_journal_active_bytes", "size of the active segment", nil, float64(st.ActiveBytes))
 		pw.Gauge("rapidd_journal_truncated_bytes", "torn-tail bytes discarded at open", nil, float64(st.TruncatedBytes))
-		pw.Gauge("rapidd_journal_suspect_bytes", "unacknowledged bytes discarded at open", nil, float64(st.SuspectBytes))
 		pw.Counter("rapidd_journal_records_total", "journal records this session", nil, float64(st.Records))
 		pw.Counter("rapidd_journal_syncs_total", "journal fsyncs this session; concurrent commits share one", nil, float64(st.Syncs))
 		pw.Counter("rapidd_journal_compactions_total", "journal compactions this session", nil, float64(st.Compactions))
 		pw.Counter("rapidd_journal_rearms_total", "successful re-arms after degradation", nil, float64(st.Rearms))
-		pw.Counter("rapidd_journal_gap_records_total", "gap markers written by re-arms", nil, float64(st.GapRecords))
 		pw.Counter("rapidd_journal_rearm_failures_total", "failed re-arm attempts", nil, float64(st.RearmFailures))
 		pw.Counter("rapidd_journal_compact_failures_total", "compactions aborted by I/O errors", nil, float64(st.CompactFailures))
 		pw.Counter("rapidd_journal_cleanup_failures_total", "non-fatal close/remove errors after a compaction", nil, float64(st.CleanupErrors))

@@ -42,9 +42,6 @@ type replayedJob struct {
 // before the workers start, so recovered jobs enter the queue in their
 // original submission order ahead of any new traffic.
 func (s *Server) recover(rep *journal.Replay) {
-	if rep.TruncatedBytes > 0 {
-		s.metrics.Inc("rapidd.journal.truncated_bytes", rep.TruncatedBytes)
-	}
 	jobs := make(map[string]*replayedJob)
 	var order []*replayedJob
 	for _, rec := range rep.Records {

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -35,6 +36,20 @@ func seedJournal(t *testing.T, dir string, recs []journal.Record) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// replayJournal opens the journal in dir and closes it again, returning
+// what a restarted daemon would replay.
+func replayJournal(t *testing.T, dir string) *journal.Replay {
+	t.Helper()
+	jnl, rep, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // TestRestartRecoversJournaledJobs drives every replay fate from a
@@ -109,6 +124,39 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 9, Procs: 2})
 	if j.ID != "j0006" || j.Seq != 6 {
 		t.Fatalf("post-restart job %s seq=%d, want j0006 seq=6", j.ID, j.Seq)
+	}
+}
+
+// TestTornTailRestartMetricsParse: a daemon restarted over a torn journal
+// tail reports the discarded bytes once, as the journal's gauge, and its
+// /metrics still parses.
+func TestTornTailRestartMetricsParse(t *testing.T) {
+	dir := t.TempDir()
+	seedJournal(t, dir, []journal.Record{
+		{Op: journal.OpSubmit, Seq: 1, ID: "j0001", Tenant: "acme", Priority: "normal", Spec: []byte(`{}`)},
+		{Op: journal.OpComplete, ID: "j0001", Status: string(StatusDone)},
+	})
+	seg, err := os.OpenFile(filepath.Join(dir, "wal-00000001.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Write([]byte{1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(Config{JournalDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if got := readMetrics(t, ts.URL)["rapidd_journal_truncated_bytes"]; got != 6 {
+		t.Fatalf("rapidd_journal_truncated_bytes = %v, want 6", got)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,10 +313,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	cmd.Wait()
 
 	// What did the dead daemon acknowledge? Read the journal cold.
-	rep, err := journal.ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayJournal(t, dir)
 	submitted := make(map[string]bool)
 	terminal := make(map[string]bool)
 	for _, rec := range rep.Records {
@@ -317,10 +362,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A clean drain leaves no live jobs for the next incarnation.
-	rep2, err := journal.ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := replayJournal(t, dir)
 	liveAfter := make(map[string]bool)
 	for _, rec := range rep2.Records {
 		switch rec.Op {

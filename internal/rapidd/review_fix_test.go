@@ -231,10 +231,7 @@ func TestLongErrorStillJournalsCompletion(t *testing.T) {
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := journal.ReplayDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayJournal(t, dir)
 	var done *journal.Record
 	for i, rec := range rep.Records {
 		if rec.Op == journal.OpComplete && rec.ID == "jx" {

@@ -488,7 +488,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rapidd_draining":                                0,
 		"rapidd_journal_active_bytes":                    float64(srv.jnl.Stats().ActiveBytes),
 		"rapidd_journal_truncated_bytes":                 0,
-		"rapidd_journal_suspect_bytes":                   0,
 		"rapidd_journal_rearm_failures_total":            0,
 		"rapidd_journal_compact_failures_total":          0,
 		"rapidd_journal_cleanup_failures_total":          0,
