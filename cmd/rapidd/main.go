@@ -8,7 +8,7 @@
 // Usage:
 //
 //	rapidd [-addr :8437] [-cache-dir DIR] [-cache-mem BYTES] [-avail-mem UNITS]
-//	       [-job-timeout 30s] [-job-retries 2]
+//	       [-job-timeout 30s]
 //	       [-workers N] [-queue-depth N] [-deadline DUR] [-retry-after 1s]
 //	       [-journal-dir DIR] [-rearm-backoff 50ms]
 //	       [-tenant-quotas gold=48,bronze=16]
@@ -34,10 +34,13 @@
 // answers sent beside it); on restart the daemon replays the journal, requeues
 // jobs that never ran and explicitly fails the ones it was executing when it
 // died. If the journal's disk fails mid-run the daemon degrades instead of
-// wedging: new submits are refused with 503 while a background loop
-// retries re-arming the journal every -rearm-backoff (doubling). GET
-// /healthz is a readiness probe: 200 while durable, 503 + JSON state while
-// degraded. Tenants (X-Tenant header or "tenant" spec field) get
+// wedging: new submits are refused with 503 while the journal is degraded.
+// A background loop checks the journal every -rearm-backoff and re-arms it
+// when degraded, doubling the delay while re-arms fail. GET /healthz is a
+// readiness probe: 200 while durable, 503 + JSON
+// {"state":"degraded","cause":…,"rearm_failures":N} while degraded. A job
+// runs once: message loss is absorbed by the protocol engine's
+// retransmit, and a job it cannot save fails. Tenants (X-Tenant header or "tenant" spec field) get
 // per-tenant -avail-mem sub-quotas, weighted-fair queueing and
 // priority-aware shedding; GET /metrics exposes the counters in Prometheus
 // text format.
@@ -89,14 +92,13 @@ func main() {
 	cacheMem := flag.Int64("cache-mem", 0, "in-memory plan cache budget in bytes (0: default 256 MiB)")
 	availMem := flag.Int64("avail-mem", 0, "machine-wide memory budget in abstract units (0: unlimited)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt execution watchdog deadline (0: executor default)")
-	jobRetries := flag.Int("job-retries", 0, "retries for fault-injected jobs that fail (0: default 2, negative: none)")
 	workers := flag.Int("workers", 0, "worker-pool size: concurrent job executions (0: max(2, GOMAXPROCS); 1: serial)")
 	queueDepth := flag.Int("queue-depth", 0, "accepted-job backlog bound; beyond it requests are shed with 429 (0: 64, negative: unbuffered)")
 	deadline := flag.Duration("deadline", 0, "default end-to-end job deadline for specs without deadline_ms (0: none)")
 	retryAfter := flag.Duration("retry-after", 0, "client back-off hint on shed responses (0: 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	journalDir := flag.String("journal-dir", "", "write-ahead job journal directory (empty: no durability)")
-	rearmBackoff := flag.Duration("rearm-backoff", 0, "initial delay between journal re-arm attempts while degraded (0: 50ms), doubled per failure")
+	rearmBackoff := flag.Duration("rearm-backoff", 0, "how often to check the journal and re-arm it while degraded (0: 50ms), doubled per failed re-arm")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant avail-mem sub-quotas, e.g. gold=48,bronze=16")
 	defaultTenantQuota := flag.Int64("default-tenant-quota", 0, "avail-mem sub-quota for tenants not in -tenant-quotas (0: uncapped)")
 	tenantWeights := flag.String("tenant-weights", "", "fair-queueing weights, e.g. gold=3,bronze=1 (default 1 each)")
@@ -128,7 +130,6 @@ func main() {
 		CacheMemBudget:     *cacheMem,
 		AvailMem:           *availMem,
 		JobTimeout:         *jobTimeout,
-		MaxJobRetries:      *jobRetries,
 		Workers:            *workers,
 		QueueDepth:         *queueDepth,
 		DefaultDeadline:    *deadline,

@@ -77,9 +77,10 @@ type Config struct {
 	// observed the stall, instead of sleeping for a fixed multiple of
 	// BlockTimeout and hoping the schedules interleave.
 	OnStall func()
-	// Faults injects deterministic protocol perturbations (delayed address
-	// packages and data messages); see proto.Faults. The zero value
-	// disables injection.
+	// Faults injects deterministic protocol perturbations — delayed, lost
+	// and duplicated address packages and data messages — that the
+	// engine's retransmit and dedup absorb; see proto.Faults. The zero
+	// value disables injection.
 	Faults proto.Faults
 }
 

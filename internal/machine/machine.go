@@ -40,10 +40,11 @@ type Options struct {
 	SlotDepth int
 	// Trace, if non-nil, records task and MAP spans.
 	Trace *trace.Recorder
-	// Faults injects deterministic protocol perturbations (delayed address
-	// packages and data messages); see proto.Faults. Because decisions are
-	// pure functions of message identity, the simulator delays exactly the
-	// messages the concurrent executor would delay for the same Seed.
+	// Faults injects deterministic protocol perturbations — delayed, lost
+	// and duplicated address packages and data messages; see proto.Faults.
+	// Because decisions are pure functions of message identity, the
+	// simulator perturbs exactly the messages the concurrent executor
+	// would perturb for the same Seed.
 	Faults proto.Faults
 }
 

@@ -105,25 +105,19 @@ type Faults struct {
 	// DupFrac is the fraction of delivered data messages and address
 	// packages that arrive twice; receivers discard the extra copy.
 	DupFrac float64
-	// RTO is the base retransmission timeout in clock seconds (wall-clock
-	// for the executor, virtual for the simulator). 0 means DefaultRTO.
-	RTO float64
-	// Backoff multiplies the timeout after every lost transmission.
-	// 0 means DefaultBackoff.
-	Backoff float64
-	// MaxRetries caps the retransmissions of one message; exceeding it
-	// aborts the run with an error. 0 means DefaultMaxRetries.
-	MaxRetries int
 }
 
-// Reliability-layer defaults (used when the corresponding Faults field is
-// zero). The RTO is deliberately far above the simulated network latency
-// and far below the executor watchdog window, so both clocks resolve a
+// The retransmission policy. A lost transmission is resent after RTO clock
+// seconds (wall-clock for the executor, virtual for the simulator), each
+// further loss of the same message multiplying the timeout by Backoff; a
+// message lost more than MaxRetries times aborts the run with an error.
+// The RTO is deliberately far above the simulated network latency and far
+// below the executor watchdog window, so both clocks resolve a
 // retransmission without tripping liveness checks.
 const (
-	DefaultRTO        = 50e-6
-	DefaultBackoff    = 2.0
-	DefaultMaxRetries = 12
+	RTO        = 50e-6
+	Backoff    = 2.0
+	MaxRetries = 12
 )
 
 // Enabled reports whether any fault injection is configured.
@@ -131,26 +125,12 @@ func (f Faults) Enabled() bool {
 	return f.AddrFrac > 0 || f.DataFrac > 0 || f.DropFrac > 0 || f.DupFrac > 0
 }
 
-func (f Faults) maxRetries() int {
-	if f.MaxRetries <= 0 {
-		return DefaultMaxRetries
-	}
-	return f.MaxRetries
-}
-
 // rto returns the retransmission timeout after the attempt-th lost
 // transmission (1-based): RTO · Backoff^(attempt−1).
-func (f Faults) rto(attempt int32) float64 {
-	d := f.RTO
-	if d <= 0 {
-		d = DefaultRTO
-	}
-	b := f.Backoff
-	if b <= 0 {
-		b = DefaultBackoff
-	}
+func rto(attempt int32) float64 {
+	d := RTO
 	for i := int32(1); i < attempt; i++ {
-		d *= b
+		d *= Backoff
 	}
 	return d
 }
@@ -935,13 +915,13 @@ func (c *Core) flushNotify(now float64) bool {
 				c.Stats.Retransmits++
 			}
 			c.Stats.Dropped++
-			if int(pk.attempt) > c.eng.Faults.maxRetries() {
+			if int(pk.attempt) > MaxRetries {
 				c.err = fmt.Errorf("proto: proc %d: address package %d to processor %d lost %d times, retry budget %d exhausted",
-					c.p, pk.pkg.Seq, pk.dst, pk.attempt, c.eng.Faults.maxRetries())
+					c.p, pk.pkg.Seq, pk.dst, pk.attempt, MaxRetries)
 				kept = append(kept, pk)
 				continue
 			}
-			pk.due = now + c.eng.Faults.rto(pk.attempt)
+			pk.due = now + rto(pk.attempt)
 			c.be.WakeAfter(pk.due - now)
 			kept = append(kept, pk)
 			continue
@@ -1002,12 +982,12 @@ func (c *Core) transmit(m *outSend, now float64) bool {
 	}
 	if c.eng.Faults.dropData(m.snd, m.attempt) {
 		c.Stats.Dropped++
-		if int(m.attempt) > c.eng.Faults.maxRetries() {
+		if int(m.attempt) > MaxRetries {
 			c.err = fmt.Errorf("proto: proc %d: data message (object %q version %d to processor %d) lost %d times, retry budget %d exhausted",
-				c.p, c.eng.S.G.Objects[m.snd.Obj].Name, m.snd.Seq, m.snd.Dst, m.attempt, c.eng.Faults.maxRetries())
+				c.p, c.eng.S.G.Objects[m.snd.Obj].Name, m.snd.Seq, m.snd.Dst, m.attempt, MaxRetries)
 			return false
 		}
-		m.due = now + c.eng.Faults.rto(m.attempt)
+		m.due = now + rto(m.attempt)
 		c.be.WakeAfter(m.due - now)
 		return false
 	}

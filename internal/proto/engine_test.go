@@ -331,7 +331,7 @@ func TestQueueReasons(t *testing.T) {
 	}{
 		{"address unknown", Faults{},
 			wholeRun(func(_ *loopMachine, waitingForAddr, _ int) bool { return waitingForAddr > 0 })},
-		{"transmission lost", Faults{Seed: 6, DropFrac: 0.3, RTO: 3},
+		{"transmission lost", Faults{Seed: 6, DropFrac: 0.3},
 			wholeRun(func(_ *loopMachine, _, lostInQueue int) bool { return lostInQueue > 0 })},
 		{"fault-delayed", Faults{Seed: 7, DataFrac: 1},
 			wholeRun(func(m *loopMachine, _, _ int) bool {
@@ -569,34 +569,20 @@ func TestCoreLossDeterministic(t *testing.T) {
 func TestCoreRetryBudgetExhaustion(t *testing.T) {
 	s := figure2Schedule(t)
 	pl := planFor(t, s)
-	m := newLoopMachine(t, s, pl, Faults{Seed: 9, DropFrac: 1, MaxRetries: 3})
+	m := newLoopMachine(t, s, pl, Faults{Seed: 9, DropFrac: 1})
 	err := m.runE()
 	if err == nil || !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("want retry-budget error, got %v", err)
 	}
 }
 
-// TestRTOBackoff: the retransmission timeout grows exponentially and the
-// zero-value Faults fall back to the documented defaults.
+// TestRTOBackoff: the retransmission timeout starts at RTO and grows by
+// Backoff with every further loss of the same message.
 func TestRTOBackoff(t *testing.T) {
-	f := Faults{RTO: 1, Backoff: 2}
-	for attempt, want := range map[int32]float64{1: 1, 2: 2, 3: 4, 4: 8} {
-		if got := f.rto(attempt); got != want {
+	for attempt, want := range map[int32]float64{1: RTO, 2: RTO * Backoff, 3: RTO * Backoff * Backoff, 4: RTO * Backoff * Backoff * Backoff} {
+		if got := rto(attempt); got != want {
 			t.Errorf("rto(%d) = %v, want %v", attempt, got, want)
 		}
-	}
-	var d Faults
-	if d.rto(1) != DefaultRTO {
-		t.Errorf("default rto(1) = %v, want %v", d.rto(1), DefaultRTO)
-	}
-	if d.rto(2) != DefaultRTO*DefaultBackoff {
-		t.Errorf("default rto(2) = %v, want %v", d.rto(2), DefaultRTO*DefaultBackoff)
-	}
-	if d.maxRetries() != DefaultMaxRetries {
-		t.Errorf("default maxRetries = %d, want %d", d.maxRetries(), DefaultMaxRetries)
-	}
-	if (Faults{MaxRetries: 5}).maxRetries() != 5 {
-		t.Error("explicit MaxRetries ignored")
 	}
 	if !(Faults{DropFrac: 0.1}).Enabled() || !(Faults{DupFrac: 0.1}).Enabled() {
 		t.Error("drop/dup fractions must enable injection")

@@ -37,7 +37,6 @@ type admission struct {
 	quotas       map[string]int64
 	defaultQuota int64
 	tenantUse    map[string]int64 // guarded-by: mu
-	tenantPeak   map[string]int64 // guarded-by: mu
 
 	// onHeadroom, when set, fires after any state change that can give a
 	// previously-stuck tenant admission headroom (a release, or a waiter
@@ -58,7 +57,6 @@ func newAdmission(avail int64, quotas map[string]int64, defaultQuota int64) *adm
 		quotas:       quotas,
 		defaultQuota: defaultQuota,
 		tenantUse:    make(map[string]int64),
-		tenantPeak:   make(map[string]int64),
 	}
 }
 
@@ -237,9 +235,6 @@ func (a *admission) admitLocked(w *waiter) {
 		a.peakInUse = a.inUse
 	}
 	a.tenantUse[w.tenant] += w.demand
-	if a.tenantUse[w.tenant] > a.tenantPeak[w.tenant] {
-		a.tenantPeak[w.tenant] = a.tenantUse[w.tenant]
-	}
 	close(w.admitted)
 }
 

@@ -87,7 +87,7 @@ func TestPromiseLostToFault(t *testing.T) {
 		}
 
 		ffs.Heal()
-		for deadline := time.Now().Add(10 * time.Second); srv.healthState() != HealthDurable; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); srv.degraded(); time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("journal never re-armed after the heal")
 			}

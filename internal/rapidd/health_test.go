@@ -1,8 +1,10 @@
 package rapidd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/iofault"
+	"repro/internal/journal"
 	"repro/internal/trace"
 )
 
@@ -61,11 +64,11 @@ func waitHealthz(t *testing.T, ts *httptest.Server, want int) {
 	}
 }
 
-// TestDegradedRejectRoundTrip walks the whole state machine: a healthy
-// submit is acked Durable:true; a disk
-// fault degrades the daemon on the next submit (503), flips /healthz to
-// 503 + JSON, and keeps refusing; healing lets the re-arm loop compact
-// onto a fresh segment and the daemon serves durably again.
+// TestDegradedRejectRoundTrip walks a whole fault window: a healthy
+// submit is acked Durable:true; a disk fault degrades the journal on the
+// next submit (503), flips /healthz to 503 + JSON, and keeps refusing;
+// healing lets the re-arm loop compact onto a fresh segment and the
+// daemon serves durably again.
 func TestDegradedRejectRoundTrip(t *testing.T) {
 	srv, ts, ffs, metrics := faultServer(t)
 
@@ -87,7 +90,7 @@ func TestDegradedRejectRoundTrip(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// /healthz now reports the degraded state machine as JSON.
+	// /healthz now reports the degraded journal as JSON.
 	hr, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -97,16 +100,17 @@ func TestDegradedRejectRoundTrip(t *testing.T) {
 	}
 	var snap struct {
 		State string `json:"state"`
+		Cause string `json:"cause"`
 	}
 	if err := json.NewDecoder(hr.Body).Decode(&snap); err != nil {
 		t.Fatalf("healthz body not JSON: %v", err)
 	}
 	hr.Body.Close()
-	if snap.State == "durable" {
-		t.Fatalf("healthz snapshot %+v, want degraded or recovering", snap)
+	if snap.State != "degraded" || snap.Cause == "" {
+		t.Fatalf("healthz snapshot %+v, want degraded with a cause", snap)
 	}
 
-	// Still degraded (the fast gate, no journal touch): submits refuse.
+	// Still degraded (the gate reads the journal's flag; no write): submits refuse.
 	resp2 := postSolveRaw(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 5, Procs: 2})
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusServiceUnavailable {
@@ -118,16 +122,68 @@ func TestDegradedRejectRoundTrip(t *testing.T) {
 
 	ffs.Heal()
 	waitHealthz(t, ts, http.StatusOK)
-	if metrics.Get("rapidd.health.rearms") == 0 || metrics.Get("rapidd.health.degraded_windows") != 1 {
-		t.Errorf("rearms=%d windows=%d, want >=1/1",
-			metrics.Get("rapidd.health.rearms"), metrics.Get("rapidd.health.degraded_windows"))
+	if st := srv.jnl.Stats(); st.Rearms != 1 {
+		t.Errorf("rearms=%d after one fault window, want 1", st.Rearms)
 	}
-	if st := srv.healthState(); st != HealthDurable {
-		t.Errorf("health state %d after recovery, want %d", st, HealthDurable)
+	if srv.degraded() {
+		t.Error("journal degraded after recovery")
 	}
 	j2 := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 6, Procs: 2})
 	if j2.Status != StatusDone || !j2.Durable {
 		t.Fatalf("post-recovery job: status=%s durable=%v, want done/true", j2.Status, j2.Durable)
+	}
+}
+
+// TestSyncCompactionPoison: a Sync can succeed and still leave the
+// journal degraded. The fsync goes through, the compaction it triggers
+// can neither make its published root durable (the directory fsync
+// fails) nor roll it back (the remove fails), and the journal poisons
+// itself while Sync returns nil. The daemon reads the journal, not the
+// errors it was handed, so /healthz and the submit gate refuse at once,
+// and the re-arm loop brings the journal back once the disk heals.
+func TestSyncCompactionPoison(t *testing.T) {
+	srv, ts, ffs, _ := faultServer(t)
+
+	// 80 finished jobs with 16 KiB specs: a segment past the 1 MiB
+	// compaction threshold that is almost all dead weight.
+	spec := bytes.Repeat([]byte{'x'}, 16<<10)
+	var pos journal.Pos
+	for i := 1; i <= 80; i++ {
+		id := fmt.Sprintf("c%04d", i)
+		if _, err := srv.jnl.Write(journal.Record{Op: journal.OpSubmit, Seq: uint64(i), ID: id,
+			Tenant: "default", Priority: "normal", Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := srv.jnl.Write(journal.Record{Op: journal.OpComplete, ID: id, Status: string(StatusDone)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos = p
+	}
+
+	ffs.Break(iofault.ClassSyncDir|iofault.ClassRemove, syscall.EIO)
+	if err := srv.journalSyncCounted(pos); err != nil {
+		t.Fatalf("sync: %v, want nil (the fsync itself succeeds)", err)
+	}
+	if st := srv.jnl.Stats(); !st.Degraded || st.CompactFailures != 1 {
+		t.Fatalf("after the compaction: degraded=%v compact failures=%d, want true and 1", st.Degraded, st.CompactFailures)
+	}
+	if code := healthzCode(t, ts); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz with a poisoned journal: HTTP %d, want 503", code)
+	}
+	resp := postSolveRaw(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 4, Procs: 2})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit with a poisoned journal: HTTP %d, want 503", resp.StatusCode)
+	}
+
+	ffs.Heal()
+	waitHealthz(t, ts, http.StatusOK)
+	if st := srv.jnl.Stats(); st.Rearms != 1 {
+		t.Errorf("rearms=%d after the heal, want 1", st.Rearms)
+	}
+	if j := solveSync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 5, Procs: 2}); j.Status != StatusDone || !j.Durable {
+		t.Fatalf("job after the re-arm: status=%s durable=%v, want done/true", j.Status, j.Durable)
 	}
 }
 

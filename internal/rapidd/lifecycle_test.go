@@ -443,8 +443,8 @@ func TestDeleteCancelsQueuedJob(t *testing.T) {
 	if fin.Status != StatusFailed || !strings.Contains(fin.Error, context.Canceled.Error()) {
 		t.Fatalf("deleted job: %s (%q), want failed with a cancellation error", fin.Status, fin.Error)
 	}
-	if fin.Attempts != 0 {
-		t.Errorf("deleted job made %d attempts, want none", fin.Attempts)
+	if fin.Fingerprint != "" {
+		t.Errorf("deleted job resolved plan %s, want none", fin.Fingerprint)
 	}
 	if got := metrics.Get("rapidd.jobs.cancelled"); got != 1 {
 		t.Errorf("cancelled counter %d, want 1", got)
@@ -577,7 +577,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv, err := Open(Config{
 		JournalDir: dir, Workers: 2, QueueDepth: 8,
-		AvailMem: ref.DemandUnits * 3 / 2, MaxJobRetries: 1,
+		AvailMem:   ref.DemandUnits * 3 / 2,
 		JobTimeout: 10 * time.Second, Metrics: metrics,
 	})
 	if err != nil {
@@ -634,11 +634,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	expect(solveSync(t, ts, withSeed(99)), StatusFailed, "panicked")
 	lossy := withSeed(4)
 	lossy.DropFrac = 1
-	if j := solveSync(t, ts, lossy); j.Attempts != 2 {
-		t.Fatalf("unsurvivable job made %d attempts, want 2", j.Attempts)
-	} else {
-		expect(j, StatusFailed, "")
-	}
+	expect(solveSync(t, ts, lossy), StatusFailed, "retry budget")
 
 	// A follower adopting success — and, with both workers so occupied, a
 	// job whose deadline passes in the queue.

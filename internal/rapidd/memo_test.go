@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 	"repro/rapid"
@@ -289,23 +288,6 @@ func TestEvictedPlanRecompiles(t *testing.T) {
 	}
 	if miss, hit, evict := metrics.Get("rapidd.problem.miss"), metrics.Get("rapidd.problem.hit"), metrics.Get("plancache.evict"); miss != 3 || hit != 2 || evict != 2 {
 		t.Errorf("rapidd.problem.miss %d hit %d plancache.evict %d, want 3, 2, 2", miss, hit, evict)
-	}
-}
-
-// TestFaultRetriesHitTheMemo: each attempt of a fault-injected job
-// re-enters solve; only the first builds.
-func TestFaultRetriesHitTheMemo(t *testing.T) {
-	metrics := trace.NewMetrics()
-	srv := New(Config{MaxJobRetries: 2, JobTimeout: 10 * time.Second, Metrics: metrics})
-	j := post(t, srv, JobSpec{N: 100, Seed: 3, Procs: 3, DropFrac: 1})
-	if j.Status != StatusFailed || j.Attempts != 3 {
-		t.Fatalf("unsurvivable job: %s after %d attempts, want failed after 3", j.Status, j.Attempts)
-	}
-	if miss, hit := metrics.Get("rapidd.problem.miss"), metrics.Get("rapidd.problem.hit"); miss != 1 || hit != 2 {
-		t.Errorf("rapidd.problem.miss %d hit %d, want 1 and 2", miss, hit)
-	}
-	if j.PlanSource != "memory" {
-		t.Errorf("the last attempt's plan_source %q, want memory", j.PlanSource)
 	}
 }
 

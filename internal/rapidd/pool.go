@@ -285,33 +285,16 @@ func (s *Server) process(j *job) {
 	}
 }
 
-// runJob is the leader path: compile → admit → execute with the bounded
-// fault-retry loop, exactly as the serial daemon ran jobs, but bounded by
-// the job's context.
+// runJob is the leader path: compile → admit → execute, once, bounded by
+// the job's context. A lost message is the engine's to retransmit (up to
+// proto.MaxRetries times), so a job that fails here has failed for good.
 func (s *Server) runJob(ctx context.Context, j *job) {
-	var err error
-	for attempt := 0; ; attempt++ {
-		s.update(j, func(r *Job) { r.Attempts = attempt + 1 })
-		err = s.attempt(ctx, j, attempt)
-		if err == nil {
-			s.transition(j, StatusDone, nil, nil)
-			return
-		}
-		if ctx.Err() != nil || !faultsFor(j.Spec, attempt).Enabled() || attempt >= s.cfg.MaxJobRetries {
-			break
-		}
-		s.metrics.Inc("rapidd.jobs.retried", 1)
-		select {
-		case <-time.After(retryBackoff << attempt):
-		case <-ctx.Done():
-		}
+	if err := s.solve(ctx, j); err != nil {
+		s.transition(j, StatusFailed, err, nil)
+		return
 	}
-	s.transition(j, StatusFailed, err, nil)
+	s.transition(j, StatusDone, nil, nil)
 }
-
-// retryBackoff is the delay before a fault-failed job's first retry,
-// doubled on each further attempt.
-const retryBackoff = 10 * time.Millisecond
 
 // Cancel aborts the job if it is still pending or waiting for admission;
 // a job already executing runs to completion (the executor owns its
@@ -342,15 +325,15 @@ func (s *Server) Cancel(id string) bool {
 // closed once the workers are done (every in-flight job has written its
 // completion record), so a clean shutdown replays to an empty live set.
 func (s *Server) Drain(ctx context.Context) error {
+	// The re-arm loop stops with intake (it is wg-tracked, so the wait
+	// below covers it); a drained daemon no longer promises durability.
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
 		s.queue.close()
+		close(s.stopRearm)
 	}
 	s.mu.Unlock()
-	// Stop the health plane's re-arm loop (it is wg-tracked, so the wait
-	// below covers it); a drained daemon no longer promises durability.
-	s.stopHealth()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

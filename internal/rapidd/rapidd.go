@@ -91,18 +91,11 @@ type Config struct {
 	// whose planned footprint would overflow it queue until space frees.
 	// 0 disables admission control.
 	AvailMem int64
-	// JobTimeout bounds each execution attempt: it becomes the executor's
+	// JobTimeout bounds each job's execution: it becomes the executor's
 	// watchdog BlockTimeout, so a job stalled by faults (or a kernel bug)
 	// fails with a machine-state dump instead of wedging a worker forever.
 	// 0 uses the executor default; a negative value is an error.
 	JobTimeout time.Duration
-	// MaxJobRetries bounds re-execution of jobs that fail under injected
-	// faults; each retry uses a different fault seed so it does not replay
-	// the loss pattern that killed the previous attempt, and waits twice
-	// as long as the one before (10ms first). 0 means the default (2);
-	// negative disables retries. Fault-free jobs never retry: their
-	// failures are deterministic.
-	MaxJobRetries int
 	// Workers bounds how many jobs execute concurrently (the worker-pool
 	// size). Concurrent jobs share AVAIL_MEM through the admission
 	// controller. 0 means max(2, GOMAXPROCS); 1 serves serially (the
@@ -142,8 +135,9 @@ type Config struct {
 	TenantWeights map[string]float64
 	// Metrics receives cache and job counters (nil: a fresh registry).
 	Metrics *trace.Metrics
-	// RearmBackoff is the initial delay between journal re-arm attempts
-	// while degraded (default 50ms), doubled per failure up to 32× this.
+	// RearmBackoff is how often the re-arm loop checks a journal for
+	// degradation (default 50ms); the delay doubles per failed re-arm up
+	// to 32× this.
 	RearmBackoff time.Duration
 	// JournalFS is the filesystem seam the journal runs on (nil: the real
 	// OS). Chaos tests inject an iofault.FaultFS here to kill and revive
@@ -187,12 +181,13 @@ type JobSpec struct {
 	// DropFrac injects deterministic message loss: this fraction of
 	// protocol transmissions is dropped in transit and recovered by the
 	// engine's retransmit layer. Range [0, 1]; 1 exhausts the retry budget
-	// and fails the job (chaos testing).
+	// and fails the job (chaos testing): the job runs once, and the
+	// engine's retransmit is its only retry.
 	DropFrac float64 `json:"drop_frac"`
 	// DupFrac injects duplicate deliveries, discarded by receiver dedup.
 	DupFrac float64 `json:"dup_frac"`
 	// FaultSeed selects the deterministic fault plan (default 1 when any
-	// fault fraction is nonzero). Retries add the attempt number.
+	// fault fraction is nonzero).
 	FaultSeed uint64 `json:"fault_seed"`
 	// DeadlineMS bounds the job end to end — queue wait, admission wait
 	// and execution — in milliseconds. 0 uses the server's
@@ -244,9 +239,6 @@ type Job struct {
 	// Tasks and Objects describe the compiled graph.
 	Tasks   int `json:"tasks,omitempty"`
 	Objects int `json:"objects,omitempty"`
-	// Attempts counts execution attempts; >1 means fault-failed runs were
-	// retried with fresh fault seeds.
-	Attempts int `json:"attempts,omitempty"`
 	// Retransmits is the machine-wide retransmission count of the engine's
 	// reliability layer (nonzero only under injected loss).
 	Retransmits int64 `json:"retransmits,omitempty"`
@@ -264,7 +256,7 @@ type Job struct {
 	Coalesced     bool   `json:"coalesced,omitempty"`
 	CoalescedWith string `json:"coalesced_with,omitempty"`
 	// InspectMS and ExecMS time the two phases: everything from the top of
-	// the attempt to the verifier's verdict — finding or building the
+	// solve to the verifier's verdict — finding or building the
 	// problem and the plan — and the executor run.
 	InspectMS float64 `json:"inspect_ms"`
 	ExecMS    float64 `json:"exec_ms"`
@@ -309,9 +301,9 @@ type Server struct {
 	queue *wfqueue
 	wg    sync.WaitGroup
 
-	// health is the failure-domain state machine: durable → degraded →
-	// recovering → durable, following the journal (see health.go).
-	health health
+	// stopRearm stops the journal's re-arm loop (see health.go); Drain
+	// closes it.
+	stopRearm chan struct{}
 	// shedSeq sequences the deterministic Retry-After jitter.
 	shedSeq atomic.Uint64
 
@@ -345,12 +337,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = trace.NewMetrics()
-	}
-	if cfg.MaxJobRetries == 0 {
-		cfg.MaxJobRetries = 2
-	}
-	if cfg.MaxJobRetries < 0 {
-		cfg.MaxJobRetries = 0
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -397,9 +383,8 @@ func Open(cfg Config) (*Server, error) {
 		jobs:      make(map[string]*job),
 		leaders:   make(map[JobSpec]*job),
 		tenants:   make(map[string]*tenantStats),
+		stopRearm: make(chan struct{}),
 	}
-	s.health.stop = make(chan struct{})
-	s.health.since = time.Now()
 	// Quota-aware dispatch: the WFQ pop consults the admission ledgers so
 	// workers skip tenants with no headroom (their jobs would only park at
 	// admission, wedging pool slots), and admission wakes the queue when
@@ -417,6 +402,8 @@ func Open(cfg Config) (*Server, error) {
 		// Recovery runs before the workers start, so recovered jobs keep
 		// their original submission order at the head of the queue.
 		s.recover(rep)
+		s.wg.Add(1)
+		go s.rearmLoop()
 	}
 	s.wg.Add(cfg.Workers)
 	s.queue.expect(cfg.Workers)
@@ -500,7 +487,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// honest 503 beats a silently weaker acknowledgement. (The
 	// journalSubmit error path below catches the race where the journal
 	// degrades between this check and the append.)
-	if s.jnl != nil && s.healthState() != HealthDurable {
+	if s.degraded() {
 		s.refuseDegraded(w, prio)
 		return
 	}
@@ -539,7 +526,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
-		s.noteJournalError(err)
 		s.queue.abort(slot)
 		if errors.Is(err, journal.ErrDegraded) {
 			s.refuseDegraded(w, prio)
@@ -604,8 +590,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// What the answer reports is durable first. The answer goes out even
-	// if the fsync fails: the fault is counted and the journal re-armed,
-	// and the submit this job rests on was durable when it was acked.
+	// if the fsync fails: the fault is counted, the re-arm loop finds the
+	// degraded journal, and the submit this job rests on was durable when
+	// it was acked.
 	s.syncJob(j)
 	s.writeJob(w, j)
 }
@@ -662,9 +649,9 @@ func (s *Server) journalSubmit(seq uint64, id string, spec JobSpec, body []byte)
 
 // journalWrite writes a non-submit record at the edge that owes it and
 // returns its position (0 if it was not written), surfacing failures as a
-// counter and to the health plane — the job proceeds (the daemon must not
-// wedge on a full disk), but the gap is visible and the re-arm loop
-// starts working on it. No fsync: the answer that reports the edge makes
+// counter — the job proceeds (the daemon must not wedge on a full disk),
+// but the gap is visible, and the re-arm loop finds the degraded journal
+// on its next check. No fsync: the answer that reports the edge makes
 // it durable (promise, syncJob). Free-form fields are truncated to the
 // journal's per-field cap first: dropping a completion record because a
 // job's error string was long would resurrect an already-terminal job at
@@ -678,7 +665,6 @@ func (s *Server) journalWrite(rec journal.Record) journal.Pos {
 	pos, err := s.jnl.Write(rec)
 	if err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
-		s.noteJournalError(err)
 	}
 	return pos
 }
@@ -693,14 +679,13 @@ func (s *Server) journalSync(pos journal.Pos) error {
 }
 
 // journalSyncCounted is journalSync for an answer that goes out whether
-// or not the fsync succeeds: a failure is counted and sent to the health
-// plane, like a failed write. A record lost to an earlier fault window is
-// not a new failure: the fault was counted by whoever hit it.
+// or not the fsync succeeds: a failure is counted, like a failed write. A
+// record lost to an earlier fault window is not a new failure: the fault
+// was counted by whoever hit it.
 func (s *Server) journalSyncCounted(pos journal.Pos) error {
 	err := s.journalSync(pos)
 	if err != nil && !errors.Is(err, journal.ErrLost) {
 		s.metrics.Inc("rapidd.journal.errors", 1)
-		s.noteJournalError(err)
 	}
 	return err
 }
@@ -826,7 +811,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	pw.Summary("rapidd_job_latency_us", "submission-to-terminal latency", s.latency)
 	pw.Summary("rapidd_queue_wait_us", "submission-to-worker-pickup wait", s.queueWait)
-	pw.Gauge("rapidd_health_state", "0 durable, 1 degraded, 2 recovering", nil, float64(s.healthState()))
 	if s.jnl != nil {
 		st := s.jnl.Stats()
 		pw.Gauge("rapidd_journal_segments", "journal segment files", nil, float64(st.Segments))
@@ -977,34 +961,6 @@ func normalizeSpec(spec *JobSpec) error {
 	return nil
 }
 
-// faultsFor derives the fault plan of one execution attempt. Retries shift
-// the seed so a re-run does not deterministically replay the exact loss
-// pattern that exhausted the previous attempt's retry budget.
-func faultsFor(spec JobSpec, attempt int) rapid.Faults {
-	if spec.DropFrac == 0 && spec.DupFrac == 0 {
-		return rapid.Faults{}
-	}
-	return rapid.Faults{
-		Seed:     spec.FaultSeed + uint64(attempt),
-		DropFrac: spec.DropFrac,
-		DupFrac:  spec.DupFrac,
-	}
-}
-
-// attempt runs one execution attempt, converting a panic anywhere in the
-// compile/execute path into a job failure instead of a daemon crash. The
-// booked admission units are released during unwinding (solve defers the
-// release), so a panicking job cannot leak budget.
-func (s *Server) attempt(ctx context.Context, j *job, attempt int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.Inc("rapidd.jobs.panics", 1)
-			err = fmt.Errorf("rapidd: job panicked: %v", r)
-		}
-	}()
-	return s.solve(ctx, j, attempt)
-}
-
 // planName is how a request names a plan without building anything: the
 // canonical problem key (kind, n, seed, procs, block), the heuristic, and
 // the memory budget either as the request states it, a percentage of TOT
@@ -1069,7 +1025,18 @@ func (s *Server) resolve(spec JobSpec) (*resolved, *rapid.Plan, rapid.CacheSourc
 	return rv, plan, src, nil
 }
 
-func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
+// solve runs the job once: resolve its plan, fit it to the budget,
+// verify it, book admission and execute. A panic anywhere on that path
+// becomes the job's failure instead of a daemon crash; the booked
+// admission units are released during unwinding (the release is
+// deferred), so a panicking job cannot leak budget.
+func (s *Server) solve(ctx context.Context, j *job) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.Inc("rapidd.jobs.panics", 1)
+			err = fmt.Errorf("rapidd: job panicked: %v", r)
+		}
+	}()
 	t0 := time.Now()
 	spec := j.Spec
 	rv, plan, src, err := s.resolve(spec)
@@ -1125,14 +1092,8 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 	// Admission: book the aggregate high-water mark before executing.
 	// The job's context bounds the wait — a deadline that expires or a
 	// client that disconnects while parked here aborts without booking.
-	// A fault retry re-enters here already running and stays so: the
-	// queued and running edges, and the one admit record, are the first
-	// admission's.
-	first := j.Status != StatusRunning
 	err = s.adm.acquireCtx(ctx, spec.Tenant, demand, func() {
-		if first {
-			s.transition(j, StatusQueued, nil, nil)
-		}
+		s.transition(j, StatusQueued, nil, nil)
 	})
 	if err != nil {
 		return err
@@ -1141,16 +1102,14 @@ func (s *Server) solve(ctx context.Context, j *job, attempt int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if first {
-		s.transition(j, StatusRunning, nil, nil)
-	}
+	s.transition(j, StatusRunning, nil, nil)
 
 	if s.execHook != nil {
 		s.execHook(spec)
 	}
 	t1 := time.Now()
 	execOpt := pb.Exec
-	execOpt.Faults = faultsFor(spec, attempt)
+	execOpt.Faults = rapid.Faults{Seed: spec.FaultSeed, DropFrac: spec.DropFrac, DupFrac: spec.DupFrac}
 	execOpt.BlockTimeout = s.cfg.JobTimeout
 	rep, err := rapid.Execute(pb.Program, plan, execOpt)
 	if err != nil {

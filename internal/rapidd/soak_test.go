@@ -150,12 +150,11 @@ func TestSoakMixedTraffic(t *testing.T) {
 
 	metrics := trace.NewMetrics()
 	srv := New(Config{
-		Workers:       3,
-		QueueDepth:    2,
-		AvailMem:      ref.DemandUnits * 5 / 2,
-		MaxJobRetries: 1,
-		JobTimeout:    5 * time.Second,
-		Metrics:       metrics,
+		Workers:    3,
+		QueueDepth: 2,
+		AvailMem:   ref.DemandUnits * 5 / 2,
+		JobTimeout: 5 * time.Second,
+		Metrics:    metrics,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -174,7 +173,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	}{
 		{name: "hot-cached", clients: 3, requests: 24, skew: 1.5},
 		{name: "faults-absorbed", clients: 3, requests: 12, faultFrac: 0.5, drop: 0.2, dup: 0.2},
-		// Unsurvivable: exercises retry + failure paths.
+		// Unsurvivable: the engine's retry budget runs out and the job fails.
 		{name: "fault-storm", clients: 2, requests: 4, faultFrac: 0.5, drop: 1},
 		// More clients than workers + queue: some requests must shed.
 		{name: "overload", clients: 8, requests: 24, holdMS: 20},

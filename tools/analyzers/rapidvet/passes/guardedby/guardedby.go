@@ -113,8 +113,9 @@ func collectAnnotations(pass *analysis.Pass) annotations {
 
 // typeShape is what *Locked seeding needs to know about a struct: the
 // guard names of its own annotated fields, and its struct-typed fields
-// (so a Locked method on the outer type holds the inner guards too:
-// Server.setHealthLocked is entered with s.health.mu held).
+// (so a Locked method on the outer type holds the inner guards too: a
+// server.setHealthLocked is entered with s.health.mu held, as in the
+// testdata corpus).
 type typeShape struct {
 	guards []string
 	fields map[string]string // field name -> field type name
@@ -178,7 +179,8 @@ func fieldGuard(field *ast.Field) (string, bool) {
 // seedReceiverGuards pre-holds guards for *Locked methods: the
 // receiver's own guards, plus (one level deep) the guards of its
 // struct-typed fields, so a Locked method on an outer type is entered
-// with the inner mutex held too (Server.setHealthLocked → s.health.mu).
+// with the inner mutex held too (server.setHealthLocked → s.health.mu in
+// the testdata corpus).
 func seedReceiverGuards(fn *ast.FuncDecl, shapes map[string]*typeShape, st *state) {
 	if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {
 		return
