@@ -38,12 +38,20 @@
 // A background loop checks the journal every -rearm-backoff and re-arms it
 // when degraded, doubling the delay while re-arms fail. GET /healthz is a
 // readiness probe: 200 while durable, 503 + JSON
-// {"state":"degraded","cause":…,"rearm_failures":N} while degraded. A job
-// runs once: message loss is absorbed by the protocol engine's
-// retransmit, and a job it cannot save fails. Tenants (X-Tenant header or "tenant" spec field) get
-// per-tenant -avail-mem sub-quotas, weighted-fair queueing and
-// priority-aware shedding; GET /metrics exposes the counters in Prometheus
-// text format.
+// {"state":"degraded","cause":…,"rearm_failures":N} while degraded.
+//
+// A request buys one solve. The job spec's eleven fields are tenant,
+// priority, kind, n, seed, procs, block, heuristic, mem_percent, verify
+// and deadline_ms; none holds booked memory past the run or injects
+// faults, and unknown fields (hold_ms, drop_frac, dup_frac and fault_seed
+// among them, which earlier daemons accepted) are ignored. A job runs
+// once: message loss is absorbed by the protocol engine's retransmit, and
+// a job it cannot save fails. Tenants (X-Tenant header or "tenant" spec
+// field) get per-tenant -avail-mem sub-quotas, weighted-fair queueing and
+// priority-aware shedding; GET /metrics exposes the counters in
+// Prometheus text format, each tenant named in -tenant-quotas or
+// -tenant-weights under its own label and every other tenant under
+// "(other)".
 package main
 
 import (
@@ -91,7 +99,7 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "on-disk plan store directory (empty: memory-only cache)")
 	cacheMem := flag.Int64("cache-mem", 0, "in-memory plan cache budget in bytes (0: default 256 MiB)")
 	availMem := flag.Int64("avail-mem", 0, "machine-wide memory budget in abstract units (0: unlimited)")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-attempt execution watchdog deadline (0: executor default)")
+	jobTimeout := flag.Duration("job-timeout", 0, "per-job execution watchdog deadline (0: executor default)")
 	workers := flag.Int("workers", 0, "worker-pool size: concurrent job executions (0: max(2, GOMAXPROCS); 1: serial)")
 	queueDepth := flag.Int("queue-depth", 0, "accepted-job backlog bound; beyond it requests are shed with 429 (0: 64, negative: unbuffered)")
 	deadline := flag.Duration("deadline", 0, "default end-to-end job deadline for specs without deadline_ms (0: none)")

@@ -194,17 +194,19 @@ func TestServerClientDisconnectReleasesBudget(t *testing.T) {
 	}
 
 	metrics := trace.NewMetrics()
-	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Workers: 2, Metrics: metrics})
+	g := newGate(func(s JobSpec) bool { return s.Verify })
+	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Workers: 2, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	hold := spec
-	hold.HoldMS = 500
+	hold.Verify = true
 	j1 := solveAsync(t, ts, hold)
-	waitStatus(t, ts, j1.ID, StatusRunning, StatusDone)
+	g.wait(t)
 
-	// Same structure, different hold: no coalescing, parks at admission.
-	body := `{"kind":"chol","n":100,"seed":5,"procs":3,"hold_ms":1}`
+	// Same structure without verify: no coalescing, parks at admission.
+	body := `{"kind":"chol","n":100,"seed":5,"procs":3}`
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve?wait=1", strings.NewReader(body))
 	if err != nil {
@@ -245,6 +247,7 @@ func TestServerClientDisconnectReleasesBudget(t *testing.T) {
 	if fin.Status != StatusFailed {
 		t.Fatalf("abandoned job: %s (%s)", fin.Status, fin.Error)
 	}
+	g.open()
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("job 1: %s (%s)", j.Status, j.Error)
 	}

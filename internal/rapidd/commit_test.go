@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/iofault"
 	"repro/internal/trace"
+	"repro/rapid"
 )
 
 // TestSyncJobCostsOneFsync: a synchronous job writes three journal records
@@ -64,15 +65,15 @@ func TestPromiseLostToFault(t *testing.T) {
 		dir := t.TempDir()
 		ffs := iofault.NewFaultFS(nil, iofault.Plan{})
 		metrics := trace.NewMetrics()
-		srv := New(Config{JournalDir: dir, JournalFS: ffs, Workers: 1,
-			RearmBackoff: time.Millisecond, Metrics: metrics})
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		srv.execHook = func(spec JobSpec) {
+		breakDisk := func(spec JobSpec, _ *rapid.ExecOptions) {
 			if spec.Seed == 2 {
 				ffs.Break(iofault.ClassSync, syscall.EIO)
 			}
 		}
+		srv := New(Config{JournalDir: dir, JournalFS: ffs, Workers: 1,
+			RearmBackoff: time.Millisecond, Metrics: metrics, hooks: hooks{exec: breakDisk}})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
 
 		resp := postSolveBody(t, ts, `{"kind":"chol","n":90,"seed":2,"procs":2}`, "")
 		resp.Body.Close()

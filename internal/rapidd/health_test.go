@@ -215,12 +215,12 @@ func TestNegativeJobTimeoutRejected(t *testing.T) {
 // client disconnects must release the handler goroutine instead of
 // parking it until the job finishes.
 func TestJobWaitReturnsWhenClientGone(t *testing.T) {
-	srv := New(Config{Workers: 1})
 	// The job waits at the gate until the abandoned wait is proven over.
-	gate := make(chan struct{})
-	srv.execHook = func(JobSpec) { <-gate }
+	g := newGate(nil)
+	srv := New(Config{Workers: 1, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	j := solveAsync(t, ts, JobSpec{Kind: "chol", N: 80, Seed: 11, Procs: 2})
 
@@ -239,7 +239,7 @@ func TestJobWaitReturnsWhenClientGone(t *testing.T) {
 		t.Fatal("handler still parked after the waiting client left")
 	}
 	// The job itself is unaffected and still completes.
-	close(gate)
+	g.open()
 	if got := getJob(t, ts, j.ID, true); got.Status != StatusDone {
 		t.Fatalf("job after abandoned wait: %s (%s)", got.Status, got.Error)
 	}

@@ -85,16 +85,11 @@ func TestJobHistoryBounded(t *testing.T) {
 // place. One held in its executor while jobHistory + 1 others finish is
 // still there, still cancellable by id, and finishes as itself.
 func TestUnfinishedJobsAreNeverForgotten(t *testing.T) {
-	srv := New(Config{Workers: 2})
-	entered, release := make(chan struct{}), make(chan struct{})
-	srv.execHook = func(spec JobSpec) {
-		if spec.Seed == 99 {
-			close(entered)
-			<-release
-		}
-	}
+	g := newGate(seeds(99))
+	defer g.open()
+	srv := New(Config{Workers: 2, hooks: hooks{exec: g.exec}})
 	slow := submit(t, srv, JobSpec{N: 8, Procs: 1, Seed: 99}, "/v1/solve")
-	<-entered
+	g.wait(t)
 	for i := 0; i <= jobHistory; i++ {
 		mustDone(t, post(t, srv, JobSpec{N: 8, Procs: 1}))
 	}
@@ -104,7 +99,7 @@ func TestUnfinishedJobsAreNeverForgotten(t *testing.T) {
 	if j == nil || held != jobHistory+1 {
 		t.Fatalf("running job held: %v; table holds %d, want the %d newest finished and the one running", j != nil, held, jobHistory)
 	}
-	close(release)
+	g.open()
 	<-j.done // orders the finished record before this read
 	if j.ID != slow.ID || j.Status != StatusDone {
 		t.Errorf("held job finished as %+v", j.Job)

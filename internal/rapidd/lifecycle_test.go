@@ -127,7 +127,8 @@ func TestLifecycleEdgeTable(t *testing.T) {
 			t.Run(string(from)+"→"+string(to), func(t *testing.T) {
 				dir := t.TempDir()
 				var fs hookFS
-				srv, err := Open(Config{JournalDir: dir, JournalFS: &fs, Workers: 1, Metrics: trace.NewMetrics()})
+				srv, err := Open(Config{JournalDir: dir, JournalFS: &fs, Workers: 1, Metrics: trace.NewMetrics(),
+					TenantWeights: map[string]float64{"acme": 1}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -409,22 +410,14 @@ func journalOps(t *testing.T, dir string) map[string]string {
 func TestDeleteCancelsQueuedJob(t *testing.T) {
 	dir := t.TempDir()
 	metrics := trace.NewMetrics()
-	srv := New(Config{JournalDir: dir, Workers: -1, QueueDepth: 2, AvailMem: 1 << 40, Metrics: metrics})
-	executing := make(chan uint64, 2)
-	gate := make(chan struct{})
-	srv.execHook = func(spec JobSpec) {
-		executing <- spec.Seed
-		<-gate
-	}
+	g := newGate(nil)
+	srv := New(Config{JournalDir: dir, Workers: -1, QueueDepth: 2, AvailMem: 1 << 40, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 51, Procs: 2})
-	select {
-	case <-executing:
-	case <-time.After(10 * time.Second):
-		t.Fatal("first job never reached execution")
-	}
+	g.wait(t)
 	j2 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 52, Procs: 2})
 
 	code, ack := deleteJob(t, ts, j2.ID)
@@ -437,7 +430,7 @@ func TestDeleteCancelsQueuedJob(t *testing.T) {
 	if code, _ := doJob(t, http.MethodPut, ts.URL+"/v1/jobs/"+j2.ID); code != http.StatusMethodNotAllowed {
 		t.Errorf("PUT on a job: HTTP %d, want 405", code)
 	}
-	close(gate)
+	g.open()
 
 	fin := getJob(t, ts, j2.ID, true)
 	if fin.Status != StatusFailed || !strings.Contains(fin.Error, context.Canceled.Error()) {
@@ -477,19 +470,13 @@ func TestDeleteCancelsQueuedJob(t *testing.T) {
 // completes on its own, not marked coalesced.
 func TestCoalescedFollowerHonoursOwnDeadline(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics})
-	executing := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	srv.execHook = func(spec JobSpec) {
-		if spec.DeadlineMS > 0 {
-			executing <- struct{}{}
-			<-gate
-		}
-	}
+	g := newGate(func(s JobSpec) bool { return s.DeadlineMS > 0 })
+	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
-	// Warm the plan cache, so the leader is inside execHook — past its
+	// Warm the plan cache, so the leader is at the exec gate — past its
 	// last deadline check — a few milliseconds after it is submitted.
 	base := JobSpec{Tenant: "acme", Kind: "chol", N: 90, Seed: 71, Procs: 2}
 	if j := solveSync(t, ts, base); j.Status != StatusDone {
@@ -498,11 +485,7 @@ func TestCoalescedFollowerHonoursOwnDeadline(t *testing.T) {
 	spec := base
 	spec.DeadlineMS = 150
 	lead := solveAsync(t, ts, spec)
-	select {
-	case <-executing:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("leader never reached execution: %+v", getJob(t, ts, lead.ID, false))
-	}
+	g.wait(t)
 	follower := solveSync(t, ts, spec) // returns when its own deadline fires
 	if follower.Status != StatusFailed || !strings.Contains(follower.Error, context.DeadlineExceeded.Error()) {
 		t.Fatalf("follower: %s (%q), want failed with a deadline error", follower.Status, follower.Error)
@@ -529,7 +512,7 @@ func TestCoalescedFollowerHonoursOwnDeadline(t *testing.T) {
 	if st := getJob(t, ts, lead.ID, false).Status; st != StatusRunning {
 		t.Fatalf("leader is %s while gated, want running", st)
 	}
-	close(gate)
+	g.open()
 	if j := getJob(t, ts, lead.ID, true); j.Status != StatusDone || j.Coalesced {
 		t.Fatalf("leader: %s coalesced=%v (%s), want done on its own", j.Status, j.Coalesced, j.Error)
 	}
@@ -538,12 +521,12 @@ func TestCoalescedFollowerHonoursOwnDeadline(t *testing.T) {
 // TestLifecycleOneCompletionPerJob drives every terminal path of the
 // daemon against one journal — success, verifier rejection, panic,
 // fault-retry exhaustion, deadline in the queue, cancel at admission, a
-// follower adopting success and one adopting failure, and the three replay
-// fates that end a job without running it (the hooks below cannot be in
-// place before Open, so the re-queued fate stays with
-// TestRestartRecoversJournaledJobs) — and then reads the journal cold: every job's records match
-// submit cancel? admit? cancel? complete with exactly one completion, its
-// done channel is closed, and no admission unit or queue slot is left.
+// follower adopting success and one adopting failure, and the four replay
+// fates: a re-queued job, which passes the Config-time hooks like live
+// traffic, and the three that end a job without running it — and then
+// reads the journal cold: every job's records match submit cancel? admit?
+// cancel? complete with exactly one completion, its done channel is
+// closed, and no admission unit or queue slot is left.
 func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	size := JobSpec{Kind: "chol", N: 90, Procs: 2}
 	withSeed := func(seed uint64) JobSpec { s := size; s.Seed = seed; return s }
@@ -558,6 +541,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	dir := t.TempDir()
 	raw := []byte(`{"kind":"chol","n":90,"seed":1,"procs":2}`)
 	seedJournal(t, dir, []journal.Record{
+		{Op: journal.OpSubmit, Seq: 1, ID: "j0001", Tenant: "default", Priority: "normal", Spec: []byte(`{"kind":"chol","n":90,"seed":5,"procs":2}`)}, // queued: re-run
 		{Op: journal.OpSubmit, Seq: 2, ID: "j0002", Tenant: "default", Priority: "normal", Spec: raw},
 		{Op: journal.OpAdmit, Seq: 2, ID: "j0002"}, // in flight: failed
 		{Op: journal.OpSubmit, Seq: 3, ID: "j0003", Tenant: "default", Priority: "normal", Spec: raw},
@@ -565,52 +549,43 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 		{Op: journal.OpSubmit, Seq: 4, ID: "j0004", Tenant: "default", Priority: "normal", Spec: []byte(`{"n":-5}`)}, // unreadable: failed
 	})
 
-	// One gate per job the test holds inside execHook, keyed by seed and
-	// hold (the hold only tells two jobs of one structure apart).
-	type key struct {
-		seed uint64
-		hold int
+	// One gate per seed whose job the test holds at the exec hook; seed 4
+	// loses every transmission and seeds 9 and 99 panic.
+	gates := map[uint64]*gate{5: newGate(nil), 7: newGate(nil), 9: newGate(nil), 10: newGate(nil)}
+	exec := func(spec JobSpec, opt *rapid.ExecOptions) {
+		if g := gates[spec.Seed]; g != nil {
+			g.exec(spec, opt)
+		}
+		switch spec.Seed {
+		case 4:
+			opt.Faults = rapid.Faults{Seed: 1, DropFrac: 1}
+		case 9, 99:
+			panic("injected kernel fault")
+		}
 	}
-	gates := map[key]chan struct{}{{7, 0}: make(chan struct{}), {9, 0}: make(chan struct{}), {10, 0}: make(chan struct{})}
-	executing := make(chan key, len(gates))
 	var tamper atomic.Bool
+	plan := func(p *rapid.Plan) {
+		if tamper.Load() {
+			p.Mem.Procs[0].Peak += 1 << 20
+		}
+	}
 	metrics := trace.NewMetrics()
 	srv, err := Open(Config{
 		JournalDir: dir, Workers: 2, QueueDepth: 8,
 		AvailMem:   ref.DemandUnits * 3 / 2,
 		JobTimeout: 10 * time.Second, Metrics: metrics,
+		hooks: hooks{plan: plan, exec: exec},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.planHook = func(p *rapid.Plan) {
-		if tamper.Load() {
-			p.Mem.Procs[0].Peak += 1 << 20
-		}
-	}
-	srv.execHook = func(spec JobSpec) {
-		k := key{spec.Seed, spec.HoldMS}
-		if g := gates[k]; g != nil {
-			executing <- k
-			<-g
-		}
-		if spec.Seed == 9 || spec.Seed == 99 {
-			panic("injected kernel fault")
-		}
-	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	awaitExecuting := func(want key) {
-		t.Helper()
-		select {
-		case got := <-executing:
-			if got != want {
-				t.Fatalf("job %v reached execution, want %v", got, want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("job %v never reached execution", want)
+	defer func() {
+		for _, g := range gates {
+			g.open()
 		}
-	}
+	}()
 	awaitCounter := func(name string, want int64) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); metrics.Get(name) != want; time.Sleep(time.Millisecond) {
@@ -627,26 +602,41 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 		}
 		want[j.ID] = st
 	}
+
+	// The re-queued job runs through the hooks Open was given: held at
+	// the gate it is running, marked recovered, and its demand is booked.
+	gates[5].wait(t)
+	rec := getJob(t, ts, "j0001", false)
+	if rec.Status != StatusRunning || !rec.Recovered {
+		t.Fatalf("recovered job at the gate: %s recovered=%v, want running and recovered", rec.Status, rec.Recovered)
+	}
+	if _, inUse, _, _ := srv.adm.snapshot(); rec.DemandUnits <= 0 || inUse != rec.DemandUnits {
+		t.Fatalf("recovered job at the gate: %d units booked, its demand is %d", inUse, rec.DemandUnits)
+	}
+	gates[5].open()
+	expect(getJob(t, ts, "j0001", true), StatusDone, "")
+	if _, inUse, _, _ := srv.adm.snapshot(); inUse != 0 {
+		t.Fatalf("recovered job finished with %d units still booked", inUse)
+	}
+
 	expect(solveSync(t, ts, withSeed(2)), StatusDone, "")
 	tamper.Store(true)
 	expect(solveSync(t, ts, withSeed(3)), StatusFailed, "static verifier")
 	tamper.Store(false)
 	expect(solveSync(t, ts, withSeed(99)), StatusFailed, "panicked")
-	lossy := withSeed(4)
-	lossy.DropFrac = 1
-	expect(solveSync(t, ts, lossy), StatusFailed, "retry budget")
+	expect(solveSync(t, ts, withSeed(4)), StatusFailed, "retry budget")
 
 	// A follower adopting success — and, with both workers so occupied, a
 	// job whose deadline passes in the queue.
 	leadOK := solveAsync(t, ts, withSeed(7))
-	awaitExecuting(key{7, 0})
+	gates[7].wait(t)
 	followOK := solveAsync(t, ts, withSeed(7))
 	awaitCounter("rapidd.jobs.coalesced", 1)
 	hurried := withSeed(8)
 	hurried.DeadlineMS = 30
 	late := solveAsync(t, ts, hurried)
 	time.Sleep(40 * time.Millisecond) // the deadline is wall-clock; waiting longer only makes it surer
-	close(gates[key{7, 0}])
+	gates[7].open()
 	expect(getJob(t, ts, leadOK.ID, true), StatusDone, "")
 	if j := getJob(t, ts, followOK.ID, true); !j.Coalesced || j.CoalescedWith != leadOK.ID {
 		t.Fatalf("follower coalesced=%v with %q", j.Coalesced, j.CoalescedWith)
@@ -657,10 +647,10 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 
 	// A follower adopting failure.
 	leadBad := solveAsync(t, ts, withSeed(9))
-	awaitExecuting(key{9, 0})
+	gates[9].wait(t)
 	followBad := solveAsync(t, ts, withSeed(9))
 	awaitCounter("rapidd.jobs.coalesced", 2)
-	close(gates[key{9, 0}])
+	gates[9].open()
 	expect(getJob(t, ts, leadBad.ID, true), StatusFailed, "panicked")
 	if j := getJob(t, ts, followBad.ID, true); !j.Coalesced {
 		t.Fatal("failed follower not marked coalesced")
@@ -669,18 +659,18 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	}
 
 	// Cancel at admission: the holder books two thirds of the budget, the
-	// same structure (told apart by its hold) parks behind it, is cancelled.
+	// same structure (told apart by verify) parks behind it, is cancelled.
 	holder := solveAsync(t, ts, withSeed(10))
-	awaitExecuting(key{10, 0})
+	gates[10].wait(t)
 	parkedSpec := withSeed(10)
-	parkedSpec.HoldMS = 1
+	parkedSpec.Verify = true
 	parked := solveAsync(t, ts, parkedSpec)
 	waitStatus(t, ts, parked.ID, StatusQueued)
 	if !srv.Cancel(parked.ID) {
 		t.Fatal("Cancel returned false for a job parked at admission")
 	}
 	expect(getJob(t, ts, parked.ID, true), StatusFailed, context.Canceled.Error())
-	close(gates[key{10, 0}])
+	gates[10].open()
 	expect(getJob(t, ts, holder.ID, true), StatusDone, "")
 
 	for _, id := range []string{"j0002", "j0003", "j0004"} {
@@ -720,7 +710,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 		t.Errorf("journal names %d jobs, %d driven: %v", len(ops), len(want), ops)
 	}
 	for id, seq := range map[string]string{
-		"j0002": "SAX", "j0003": "SCX", "j0004": "SX",
+		"j0001": "SAX", "j0002": "SAX", "j0003": "SCX", "j0004": "SX",
 		late.ID: "SX", followOK.ID: "SX", followBad.ID: "SX", parked.ID: "SCX", leadBad.ID: "SAX",
 	} {
 		if ops[id] != seq {

@@ -250,11 +250,11 @@ func (s *Server) worker() {
 // first — and adopts the result. The whole normalized spec is the
 // coalescing key, which is strictly finer than the plan fingerprint: two
 // specs that differ only in execution-relevant fields (tenant, priority,
-// verify, hold, fault mix, deadline) never merge, while the plan cache
-// still deduplicates their compile by fingerprint underneath. Equal specs
-// have equal fingerprints AND equal execution semantics (all generators
-// and fault plans are deterministic in the spec), so sharing one execution
-// is observationally identical to running both.
+// verify, deadline) never merge, while the plan cache still deduplicates
+// their compile by fingerprint underneath. Equal specs have equal
+// fingerprints AND equal execution semantics (the generators are
+// deterministic in the spec, and nothing on the wire perturbs the run),
+// so sharing one execution is observationally identical to running both.
 func (s *Server) process(j *job) {
 	ctx := j.ctx
 	if !j.submittedAt.IsZero() {

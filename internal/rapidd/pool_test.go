@@ -44,26 +44,17 @@ func waitStatus(t *testing.T, ts *httptest.Server, id string, want ...JobStatus)
 // executions: two distinct jobs both reach the execution hook before either
 // is released. A serial server would deadlock here (guarded by a timeout).
 func TestServerExecutesJobsInParallel(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueDepth: 4})
-	arrived := make(chan uint64, 2)
-	release := make(chan struct{})
-	srv.execHook = func(spec JobSpec) {
-		arrived <- spec.Seed
-		<-release
-	}
+	g := newGate(nil)
+	srv := New(Config{Workers: 2, QueueDepth: 4, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	a := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 31, Procs: 2})
 	b := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 32, Procs: 2})
-	for i := 0; i < 2; i++ {
-		select {
-		case <-arrived:
-		case <-time.After(10 * time.Second):
-			t.Fatal("jobs never overlapped: the pool is executing serially")
-		}
-	}
-	close(release)
+	g.wait(t)
+	g.wait(t) // a serial pool never gets here
+	g.open()
 	for _, id := range []string{a.ID, b.ID} {
 		if j := getJob(t, ts, id, true); j.Status != StatusDone {
 			t.Fatalf("job %s: %s (%s)", id, j.Status, j.Error)
@@ -76,18 +67,22 @@ func TestServerExecutesJobsInParallel(t *testing.T) {
 // — in O(1), leaving no job record — and job IDs stay dense afterwards.
 func TestServerShedsWhenQueueFull(t *testing.T) {
 	metrics := trace.NewMetrics()
+	g := newGate(nil)
 	srv := New(Config{
 		Workers:    -1, // clamp to 1
 		QueueDepth: -1, // unbuffered: accept only if a worker is idle
 		RetryAfter: 1500 * time.Millisecond,
 		Metrics:    metrics,
+		hooks:      hooks{exec: g.exec},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	// The unbuffered enqueue succeeds only when the worker receives it, so
-	// once this returns the single worker is provably busy holding j0001.
-	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 11, Procs: 2, HoldMS: 500})
+	// once this returns the single worker is provably busy with j0001,
+	// which the gate holds.
+	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 11, Procs: 2})
 	if j1.ID != "j0001" {
 		t.Fatalf("first job ID %q", j1.ID)
 	}
@@ -106,6 +101,7 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 
 	// The shed request left no trace: once the worker frees up, the next
 	// accepted job takes the next dense ID and completes normally.
+	g.open()
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("job 1: %s (%s)", j.Status, j.Error)
 	}
@@ -143,24 +139,16 @@ func TestFreshServerNeverSheds(t *testing.T) {
 // again — one execution, two completed jobs, the follower marked coalesced.
 func TestServerCoalescesIdenticalInflightSpecs(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics})
-	executing := make(chan struct{}, 1)
-	gate := make(chan struct{})
-	srv.execHook = func(JobSpec) {
-		executing <- struct{}{}
-		<-gate
-	}
+	g := newGate(nil)
+	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	spec := JobSpec{Kind: "chol", N: 90, Seed: 21, Procs: 2}
 	a := solveAsync(t, ts, spec)
 	// The hook runs after admission: the leader is registered and held.
-	select {
-	case <-executing:
-	case <-time.After(10 * time.Second):
-		t.Fatal("leader never reached execution")
-	}
+	g.wait(t)
 	b := solveAsync(t, ts, spec)
 	deadline := time.Now().Add(10 * time.Second)
 	for metrics.Get("rapidd.jobs.coalesced") == 0 {
@@ -169,7 +157,7 @@ func TestServerCoalescesIdenticalInflightSpecs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(gate)
+	g.open()
 
 	ja := getJob(t, ts, a.ID, true)
 	jb := getJob(t, ts, b.ID, true)
@@ -198,14 +186,22 @@ func TestServerCoalescesIdenticalInflightSpecs(t *testing.T) {
 // executes and never books budget.
 func TestServerDeadlineExpiresInQueue(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: -1, QueueDepth: 1, Metrics: metrics})
+	g := newGate(seeds(41))
+	srv := New(Config{Workers: -1, QueueDepth: 1, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
-	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 41, Procs: 2, HoldMS: 400})
-	waitStatus(t, ts, j1.ID, StatusRunning, StatusDone)
+	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 41, Procs: 2})
+	g.wait(t)
 
+	// The one worker is held while j2's deadline passes in the queue.
 	j2 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 42, Procs: 2, DeadlineMS: 50})
+	srv.mu.Lock()
+	expired := srv.jobs[j2.ID].ctx.Done()
+	srv.mu.Unlock()
+	<-expired
+	g.open()
 	fin := getJob(t, ts, j2.ID, true)
 	if fin.Status != StatusFailed || !strings.Contains(fin.Error, "expired before execution") {
 		t.Fatalf("queued-past-deadline job: %s (%q)", fin.Status, fin.Error)
@@ -235,19 +231,18 @@ func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 	}
 
 	metrics := trace.NewMetrics()
-	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Workers: 2, Metrics: metrics})
+	g := newGate(nil)
+	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Workers: 2, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
-	hold := spec
-	hold.HoldMS = 500
-	j1 := solveAsync(t, ts, hold)
-	waitStatus(t, ts, j1.ID, StatusRunning, StatusDone)
+	j1 := solveAsync(t, ts, spec)
+	g.wait(t)
 
-	// Differs only in hold/deadline, so no coalescing; same footprint, so
+	// Differs only in its deadline, so no coalescing; same footprint, so
 	// it must wait for admission — and expire there.
 	short := spec
-	short.HoldMS = 1
 	short.DeadlineMS = 80
 	j2 := solveSync(t, ts, short)
 	if j2.Status != StatusFailed || !strings.Contains(j2.Error, "deadline") {
@@ -259,6 +254,7 @@ func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 	if metrics.Get("rapidd.jobs.deadline_expired") != 1 {
 		t.Errorf("deadline_expired counter %d, want 1", metrics.Get("rapidd.jobs.deadline_expired"))
 	}
+	g.open()
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("job 1: %s (%s)", j.Status, j.Error)
 	}
@@ -271,16 +267,19 @@ func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 // execution; cancelling an unknown ID reports false.
 func TestServerCancelQueuedJob(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: -1, QueueDepth: 1, Metrics: metrics})
+	g := newGate(seeds(51))
+	srv := New(Config{Workers: -1, QueueDepth: 1, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
-	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 51, Procs: 2, HoldMS: 400})
-	waitStatus(t, ts, j1.ID, StatusRunning, StatusDone)
+	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 51, Procs: 2})
+	g.wait(t)
 	j2 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 52, Procs: 2})
 	if !srv.Cancel(j2.ID) {
 		t.Fatal("Cancel returned false for a live job")
 	}
+	g.open()
 	fin := getJob(t, ts, j2.ID, true)
 	if fin.Status != StatusFailed || !strings.Contains(fin.Error, "expired before execution") {
 		t.Fatalf("cancelled job: %s (%q)", fin.Status, fin.Error)
@@ -300,18 +299,30 @@ func TestServerCancelQueuedJob(t *testing.T) {
 // 503; calling it again is a no-op.
 func TestServerDrain(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 2, Metrics: metrics})
+	g := newGate(nil)
+	srv := New(Config{Workers: 2, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		j := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: uint64(61 + i), Procs: 2, HoldMS: 50})
+		j := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: uint64(61 + i), Procs: 2})
 		ids = append(ids, j.ID)
 	}
+	// The backlog is still in flight when the drain begins.
+	g.wait(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(ctx) }()
+	for draining := false; !draining; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		draining = srv.draining
+		srv.mu.Unlock()
+	}
+	g.open()
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {

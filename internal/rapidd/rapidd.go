@@ -131,7 +131,9 @@ type Config struct {
 	// TenantWeights sets weighted-fair-queueing weights (default 1 —
 	// equal shares; higher drains proportionally faster under
 	// contention). Non-positive weights are treated as 1; Open rejects
-	// a key no request can carry.
+	// a key no request can carry. A tenant named here or in TenantQuotas
+	// gets its own counters and /metrics label; every other tenant counts
+	// under one (see statTenant).
 	TenantWeights map[string]float64
 	// Metrics receives cache and job counters (nil: a fresh registry).
 	Metrics *trace.Metrics
@@ -143,6 +145,22 @@ type Config struct {
 	// OS). Chaos tests inject an iofault.FaultFS here to kill and revive
 	// the disk under the daemon.
 	JournalFS iofault.FS
+
+	// hooks are the package's test seams into solve. They are part of the
+	// Config so that Open has them before any worker starts: a job
+	// recovered from the journal passes them like any other.
+	hooks hooks
+}
+
+// hooks lets a test reach into a job's solve; each is nil in production.
+type hooks struct {
+	// plan may tamper with the compiled plan before static verification,
+	// exercising the rejection path.
+	plan func(*rapid.Plan)
+	// exec runs after admission booked the job and before the executor
+	// starts. It may hold the job there (a gate), inject protocol faults
+	// through opt.Faults, or panic to exercise the job-level recovery.
+	exec func(spec JobSpec, opt *rapid.ExecOptions)
 }
 
 // JobSpec is a solve request.
@@ -175,20 +193,6 @@ type JobSpec struct {
 	MemPercent int `json:"mem_percent"`
 	// Verify computes the numeric residual after execution.
 	Verify bool `json:"verify"`
-	// HoldMS keeps the job's memory booked for this long after execution
-	// (demos and tests of the admission queue).
-	HoldMS int `json:"hold_ms"`
-	// DropFrac injects deterministic message loss: this fraction of
-	// protocol transmissions is dropped in transit and recovered by the
-	// engine's retransmit layer. Range [0, 1]; 1 exhausts the retry budget
-	// and fails the job (chaos testing): the job runs once, and the
-	// engine's retransmit is its only retry.
-	DropFrac float64 `json:"drop_frac"`
-	// DupFrac injects duplicate deliveries, discarded by receiver dedup.
-	DupFrac float64 `json:"dup_frac"`
-	// FaultSeed selects the deterministic fault plan (default 1 when any
-	// fault fraction is nonzero).
-	FaultSeed uint64 `json:"fault_seed"`
 	// DeadlineMS bounds the job end to end — queue wait, admission wait
 	// and execution — in milliseconds. 0 uses the server's
 	// DefaultDeadline (which may be "none"). Range [0, 600000].
@@ -240,7 +244,8 @@ type Job struct {
 	Tasks   int `json:"tasks,omitempty"`
 	Objects int `json:"objects,omitempty"`
 	// Retransmits is the machine-wide retransmission count of the engine's
-	// reliability layer (nonzero only under injected loss).
+	// reliability layer: nonzero only when messages are lost, which in
+	// process happens only under a fault plan a test injects.
 	Retransmits int64 `json:"retransmits,omitempty"`
 	// MAPs is the total number of memory allocation points executed.
 	MAPs int `json:"maps,omitempty"`
@@ -270,7 +275,8 @@ type Job struct {
 	submittedAt time.Time
 }
 
-// tenantStats aggregates per-tenant lifecycle counters for /metrics.
+// tenantStats aggregates per-tenant lifecycle counters for /metrics, one
+// block per statTenant label.
 type tenantStats struct {
 	submitted int64
 	completed int64
@@ -319,13 +325,6 @@ type Server struct {
 	tenants  map[string]*tenantStats // guarded-by: mu
 	seq      uint64                  // guarded-by: mu
 	draining bool                    // guarded-by: mu
-
-	// execHook, when set (tests), runs after admission just before the
-	// executor; a panic here exercises the job-level recovery path.
-	execHook func(spec JobSpec)
-	// planHook, when set (tests), may tamper with the compiled plan before
-	// static verification, exercising the rejection path.
-	planHook func(p *rapid.Plan)
 }
 
 // Open creates a Server; with JournalDir set it replays the journal
@@ -419,8 +418,28 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// tenantStat returns the named tenant's counter block, creating it on
-// first use. Called with s.mu NOT held.
+// otherTenants is the label every tenant the configuration does not name
+// counts under. validTenant rejects it, so it never merges with a tenant
+// a request can name.
+const otherTenants = "(other)"
+
+// statTenant is the label a tenant's counters and /metrics series go
+// under: its own name if TenantQuotas or TenantWeights names it,
+// otherTenants otherwise. Tenant names are the client's to choose; this
+// keeps the per-tenant state the daemon reports bounded by its
+// configuration, not by its traffic.
+func (s *Server) statTenant(tenant string) string {
+	if _, ok := s.cfg.TenantQuotas[tenant]; ok {
+		return tenant
+	}
+	if _, ok := s.cfg.TenantWeights[tenant]; ok {
+		return tenant
+	}
+	return otherTenants
+}
+
+// tenantStat returns the counter block the tenant counts under, creating
+// it on first use. Called with s.mu NOT held.
 func (s *Server) tenantStat(tenant string) *tenantStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -428,12 +447,23 @@ func (s *Server) tenantStat(tenant string) *tenantStats {
 }
 
 func (s *Server) tenantStatLocked(tenant string) *tenantStats {
-	ts := s.tenants[tenant]
+	label := s.statTenant(tenant)
+	ts := s.tenants[label]
 	if ts == nil {
 		ts = &tenantStats{}
-		s.tenants[tenant] = ts
+		s.tenants[label] = ts
 	}
 	return ts
+}
+
+// foldTenants re-keys a per-tenant gauge by statTenant, summing the
+// tenants that share the otherTenants label.
+func foldTenants[V int | int64](s *Server, byTenant map[string]V) map[string]V {
+	out := make(map[string]V, len(byTenant))
+	for name, v := range byTenant {
+		out[s.statTenant(name)] += v
+	}
+	return out
 }
 
 // ServeHTTP implements http.Handler.
@@ -766,7 +796,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // stats surface: every trace.Metrics counter, pool, admission, plan-cache
 // and journal gauges, per-tenant gauges (queue depth, booked budget,
 // quota) and counters (submitted/completed/failed/shed/expired/
-// recovered), and latency summaries.
+// recovered) labelled by statTenant, and latency summaries.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw := trace.NewPromWriter()
 	for name, v := range s.metrics.Snapshot() {
@@ -784,8 +814,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rapidd_workers", "worker-pool size", nil, float64(s.cfg.Workers))
 	pw.Gauge("rapidd_cache_entries", "plans in the memory tier", nil, float64(s.cache.Len()))
 
-	tenantMem, tenantAdmQueue := s.adm.tenantSnapshot()
-	tenantDepth := s.queue.depths()
+	mem, admQueue := s.adm.tenantSnapshot()
+	tenantMem, tenantAdmQueue := foldTenants(s, mem), foldTenants(s, admQueue)
+	tenantDepth := foldTenants(s, s.queue.depths())
 	s.mu.Lock()
 	pw.Gauge("rapidd_draining", "1 once Drain stopped intake", nil, boolGauge(s.draining))
 	names := make([]string, 0, len(s.tenants))
@@ -943,18 +974,6 @@ func normalizeSpec(spec *JobSpec) error {
 	if spec.MemPercent < 0 || spec.MemPercent > 100 {
 		return fmt.Errorf("rapidd: mem_percent=%d out of range [0, 100]", spec.MemPercent)
 	}
-	if spec.HoldMS < 0 || spec.HoldMS > 60000 {
-		return fmt.Errorf("rapidd: hold_ms=%d out of range [0, 60000]", spec.HoldMS)
-	}
-	if spec.DropFrac < 0 || spec.DropFrac > 1 {
-		return fmt.Errorf("rapidd: drop_frac=%g out of range [0, 1]", spec.DropFrac)
-	}
-	if spec.DupFrac < 0 || spec.DupFrac > 1 {
-		return fmt.Errorf("rapidd: dup_frac=%g out of range [0, 1]", spec.DupFrac)
-	}
-	if (spec.DropFrac > 0 || spec.DupFrac > 0) && spec.FaultSeed == 0 {
-		spec.FaultSeed = 1
-	}
 	if spec.DeadlineMS < 0 || spec.DeadlineMS > 600000 {
 		return fmt.Errorf("rapidd: deadline_ms=%d out of range [0, 600000]", spec.DeadlineMS)
 	}
@@ -1060,8 +1079,8 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 	if !plan.Executable() {
 		return fmt.Errorf("rapidd: plan not executable under memory budget %d (MIN_MEM %d); try dtsmerge or a larger budget", opt.Memory, plan.MinMem())
 	}
-	if s.planHook != nil {
-		s.planHook(plan)
+	if s.cfg.hooks.plan != nil {
+		s.cfg.hooks.plan(plan)
 	}
 	// Static verification gates admission: a defective plan (stale cache,
 	// planner bug, tampering) is rejected with its findings before any
@@ -1104,21 +1123,17 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 	}
 	s.transition(j, StatusRunning, nil, nil)
 
-	if s.execHook != nil {
-		s.execHook(spec)
+	execOpt := pb.Exec
+	execOpt.BlockTimeout = s.cfg.JobTimeout
+	if s.cfg.hooks.exec != nil {
+		s.cfg.hooks.exec(spec, &execOpt)
 	}
 	t1 := time.Now()
-	execOpt := pb.Exec
-	execOpt.Faults = rapid.Faults{Seed: spec.FaultSeed, DropFrac: spec.DropFrac, DupFrac: spec.DupFrac}
-	execOpt.BlockTimeout = s.cfg.JobTimeout
 	rep, err := rapid.Execute(pb.Program, plan, execOpt)
 	if err != nil {
 		return err
 	}
 	execMS := float64(time.Since(t1).Microseconds()) / 1000
-	if spec.HoldMS > 0 {
-		time.Sleep(time.Duration(spec.HoldMS) * time.Millisecond)
-	}
 
 	var peak int64
 	maps := 0

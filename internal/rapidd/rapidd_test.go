@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -90,6 +92,56 @@ func New(cfg Config) *Server {
 		panic(err)
 	}
 	return s
+}
+
+// gate holds jobs at the exec hook — admitted, running, their memory
+// booked — until the test opens it: how a test keeps a job in flight long
+// enough to observe what it does to the rest of the daemon.
+type gate struct {
+	holds   func(JobSpec) bool // which jobs wait; nil: every job
+	arrived chan JobSpec       // hands each held job to wait
+	opened  chan struct{}
+	once    sync.Once
+}
+
+func newGate(holds func(JobSpec) bool) *gate {
+	return &gate{holds: holds, arrived: make(chan JobSpec), opened: make(chan struct{})}
+}
+
+// exec is the gate as a Config exec hook. A held job waits until the test
+// has seen it and the gate is open, or only for the gate if it opens
+// first.
+func (g *gate) exec(spec JobSpec, _ *rapid.ExecOptions) {
+	if g.holds != nil && !g.holds(spec) {
+		return
+	}
+	select {
+	case g.arrived <- spec:
+	case <-g.opened:
+		return
+	}
+	<-g.opened
+}
+
+// wait returns the next job to reach the gate.
+func (g *gate) wait(t testing.TB) JobSpec {
+	t.Helper()
+	select {
+	case spec := <-g.arrived:
+		return spec
+	case <-time.After(10 * time.Second):
+		t.Fatal("no job reached the exec gate")
+		return JobSpec{}
+	}
+}
+
+// open lets every held job, and every later one, through. Idempotent, so
+// a test may also defer it for its failure paths.
+func (g *gate) open() { g.once.Do(func() { close(g.opened) }) }
+
+// seeds matches the specs with one of the given seeds.
+func seeds(want ...uint64) func(JobSpec) bool {
+	return func(spec JobSpec) bool { return slices.Contains(want, spec.Seed) }
 }
 
 func solveSync(t *testing.T, ts *httptest.Server, spec JobSpec) Job {
@@ -213,29 +265,24 @@ func TestServerQueuesOverBudgetJob(t *testing.T) {
 		t.Fatalf("probe job: %s demand=%d", ref.Status, ref.DemandUnits)
 	}
 
-	// Budget fits one copy of the job but not two.
+	// Budget fits one copy of the job but not two. Job 1 (verify on, so
+	// the two do not coalesce) holds its booking at the gate until job 2
+	// has queued behind it.
 	metrics := trace.NewMetrics()
-	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Metrics: metrics})
+	g := newGate(func(s JobSpec) bool { return s.Verify })
+	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	hold := spec
-	hold.HoldMS = 400
+	hold.Verify = true
 	j1 := solveAsync(t, ts, hold)
-	// Wait until job 1 has actually been admitted.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := getJob(t, ts, j1.ID, false).Status; st == StatusRunning || st == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job 1 never started: %+v", getJob(t, ts, j1.ID, false))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	j2 := solveSync(t, ts, spec)
-	if j2.Status != StatusDone {
+	g.wait(t)
+	j2 := solveAsync(t, ts, spec)
+	waitStatus(t, ts, j2.ID, StatusQueued)
+	g.open()
+	if j2 = getJob(t, ts, j2.ID, true); j2.Status != StatusDone {
 		t.Fatalf("job 2 must complete, got %s (%s)", j2.Status, j2.Error)
 	}
 	if metrics.Get("rapidd.jobs.queued") == 0 {
@@ -303,8 +350,6 @@ func TestServerValidation(t *testing.T) {
 		`{"procs":-1}`,
 		`{"heuristic":"fifo"}`,
 		`{"mem_percent":200}`,
-		`{"drop_frac":1.5}`,
-		`{"dup_frac":-0.2}`,
 		`not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(body)))
@@ -418,14 +463,16 @@ func TestServerStateOccupancyMetrics(t *testing.T) {
 // the job record and in the rapidd.reliability.* counters.
 func TestServerFaultInjectedJobRetransmits(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Metrics: metrics})
+	lossy := func(spec JobSpec, opt *rapid.ExecOptions) {
+		if spec.Verify {
+			opt.Faults = rapid.Faults{Seed: 2, DropFrac: 0.25, DupFrac: 0.10}
+		}
+	}
+	srv := New(Config{Metrics: metrics, hooks: hooks{exec: lossy}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	j := solveSync(t, ts, JobSpec{
-		Kind: "chol", N: 100, Seed: 3, Procs: 3, Verify: true,
-		DropFrac: 0.25, DupFrac: 0.10, FaultSeed: 2,
-	})
+	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 100, Seed: 3, Procs: 3, Verify: true})
 	if j.Status != StatusDone {
 		t.Fatalf("faulty job: %s (%s)", j.Status, j.Error)
 	}
@@ -461,11 +508,16 @@ func TestServerFailingJobReleasesAdmission(t *testing.T) {
 		AvailMem:   1 << 40,
 		JobTimeout: 10 * time.Second,
 		Metrics:    metrics,
+		hooks: hooks{exec: func(spec JobSpec, opt *rapid.ExecOptions) {
+			if spec.Verify {
+				opt.Faults = rapid.Faults{Seed: 1, DropFrac: 1}
+			}
+		}},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 100, Seed: 3, Procs: 3, DropFrac: 1})
+	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 100, Seed: 3, Procs: 3, Verify: true})
 	if j.Status != StatusFailed {
 		t.Fatalf("unsurvivable job: %s, want failed", j.Status)
 	}
@@ -489,12 +541,11 @@ func TestServerFailingJobReleasesAdmission(t *testing.T) {
 // serving jobs afterwards.
 func TestServerPanicRecoveryReleasesAdmission(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{AvailMem: 1 << 40, Metrics: metrics})
-	srv.execHook = func(spec JobSpec) {
+	srv := New(Config{AvailMem: 1 << 40, Metrics: metrics, hooks: hooks{exec: func(spec JobSpec, _ *rapid.ExecOptions) {
 		if spec.Seed == 99 {
 			panic("injected kernel fault")
 		}
-	}
+	}}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -521,12 +572,11 @@ func TestServerPanicRecoveryReleasesAdmission(t *testing.T) {
 // and bump the rejection counter.
 func TestVerifyRejectsTamperedPlan(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Metrics: metrics, AvailMem: 1 << 40})
-	srv.planHook = func(p *rapid.Plan) {
+	srv := New(Config{Metrics: metrics, AvailMem: 1 << 40, hooks: hooks{plan: func(p *rapid.Plan) {
 		// A peak that disagrees with the symbolic replay: the stale-plan
 		// signature.
 		p.Mem.Procs[0].Peak += 1 << 20
-	}
+	}}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/trace"
+	"repro/rapid"
 )
 
 // seedJournal writes records the way a previous daemon would have, then
@@ -55,8 +56,10 @@ func replayJournal(t *testing.T, dir string) *journal.Replay {
 // TestRestartRecoversJournaledJobs drives every replay fate from a
 // hand-built journal: a queued job is re-run, an executing job and a
 // cancelled job fail explicitly, a terminal job is not resurrected, an
-// unreadable spec fails loudly — and new IDs continue past the journal's
-// high-water mark, so IDs never collide across restarts.
+// unreadable spec fails loudly, a spec journaled with the hold and fault
+// fields the wire no longer has runs as the same spec without them — and
+// new IDs continue past the journal's high-water mark, so IDs never
+// collide across restarts.
 func TestRestartRecoversJournaledJobs(t *testing.T) {
 	dir := t.TempDir()
 	spec := []byte(`{"tenant":"acme","kind":"chol","n":90,"seed":7,"procs":2}`)
@@ -69,6 +72,8 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 		{Op: journal.OpSubmit, Seq: 4, ID: "j0004", Tenant: "acme", Priority: "normal", Spec: spec},
 		{Op: journal.OpComplete, Seq: 4, ID: "j0004", Status: string(StatusDone)},
 		{Op: journal.OpSubmit, Seq: 5, ID: "j0005", Tenant: "acme", Priority: "normal", Spec: []byte(`{"n":-5}`)},
+		{Op: journal.OpSubmit, Seq: 6, ID: "j0006", Tenant: "acme", Priority: "normal",
+			Spec: []byte(`{"tenant":"acme","kind":"chol","n":90,"seed":10,"procs":2,"hold_ms":60000,"drop_frac":1,"dup_frac":0.5,"fault_seed":3}`)},
 	})
 
 	metrics := trace.NewMetrics()
@@ -113,8 +118,18 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 		t.Fatalf("unreadable-spec job: %s", j5.Status)
 	}
 
-	if got := metrics.Get("rapidd.journal.recovered"); got != 1 {
-		t.Errorf("recovered counter %d, want 1", got)
+	// j0006 was journaled with a 60 s hold and total message loss: it
+	// replays as the spec without them, runs at once and succeeds.
+	j6 := getJob(t, ts, "j0006", true)
+	if j6.Status != StatusDone || !j6.Recovered || j6.Retransmits != 0 {
+		t.Fatalf("job journaled with retired knobs: %s recovered=%v retransmits=%d (%s)", j6.Status, j6.Recovered, j6.Retransmits, j6.Error)
+	}
+	if want := normalized(t, JobSpec{Tenant: "acme", Kind: "chol", N: 90, Seed: 10, Procs: 2}); j6.Spec != want {
+		t.Fatalf("job journaled with retired knobs replayed as %+v, want %+v", j6.Spec, want)
+	}
+
+	if got := metrics.Get("rapidd.journal.recovered"); got != 2 {
+		t.Errorf("recovered counter %d, want 2", got)
 	}
 	if got := metrics.Get("rapidd.journal.failed_inflight"); got != 1 {
 		t.Errorf("failed_inflight counter %d, want 1", got)
@@ -122,8 +137,8 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 
 	// The ID counter resumed past the high-water mark.
 	j := solveSync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 9, Procs: 2})
-	if j.ID != "j0006" || j.Seq != 6 {
-		t.Fatalf("post-restart job %s seq=%d, want j0006 seq=6", j.ID, j.Seq)
+	if j.ID != "j0007" || j.Seq != 7 {
+		t.Fatalf("post-restart job %s seq=%d, want j0007 seq=7", j.ID, j.Seq)
 	}
 }
 
@@ -207,7 +222,7 @@ func TestCleanRestartReplaysEmpty(t *testing.T) {
 func TestJournalWriteFailureRejectsSubmit(t *testing.T) {
 	dir := t.TempDir()
 	metrics := trace.NewMetrics()
-	srv := New(Config{JournalDir: dir, Workers: 1, QueueDepth: 4, Metrics: metrics})
+	srv := New(Config{JournalDir: dir, Workers: 1, QueueDepth: 4, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -247,10 +262,13 @@ func TestCrashHelperProcess(t *testing.T) {
 		t.Skip("helper process for TestCrashRestartRecovery")
 	}
 	// Real fsync: the point is that acknowledged submits survive SIGKILL.
-	srv := New(Config{JournalDir: dir, Workers: 2, QueueDepth: 32})
+	// Every job that reaches the executor waits there for the kill, so the
+	// crash finds two jobs executing and the rest queued.
+	srv := New(Config{JournalDir: dir, Workers: 2, QueueDepth: 32,
+		hooks: hooks{exec: func(JobSpec, *rapid.ExecOptions) { select {} }}})
 	ts := httptest.NewServer(srv)
 	for i := 0; i < 12; i++ {
-		spec := fmt.Sprintf(`{"tenant":"t%d","kind":"chol","n":90,"seed":%d,"procs":2,"hold_ms":400}`, i%3, 300+i)
+		spec := fmt.Sprintf(`{"tenant":"t%d","kind":"chol","n":90,"seed":%d,"procs":2}`, i%3, 300+i)
 		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(spec))
 		if err != nil {
 			fmt.Println("SUBMIT-ERROR", err)

@@ -112,7 +112,7 @@ func TestDuplicateSubmitReplayDeduped(t *testing.T) {
 // trip the race detector and lose increments.
 func TestConcurrentShedCounters(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 1, Metrics: metrics})
+	srv := New(Config{Workers: 1, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}})
 	const n = 64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -141,7 +141,7 @@ func TestConcurrentShedCounters(t *testing.T) {
 // identity travels as the leader's cause, not just its string.
 func TestCoalescedFollowerKeepsDeadlineIdentity(t *testing.T) {
 	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 1, Metrics: metrics})
+	srv := New(Config{Workers: 1, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}})
 	// finishedPair makes a leader that failed with cause and a pending
 	// follower of the same spec, as process would see them.
 	finishedPair := func(leadID, followID string, cause error) (lead, follow *job) {

@@ -16,11 +16,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/trace"
 	"repro/internal/util"
+	"repro/rapid"
 )
 
 var soakDur = flag.Duration("soak", 10*time.Second, "minimum soak-test traffic duration (CI passes 60s)")
@@ -148,6 +150,23 @@ func TestSoakMixedTraffic(t *testing.T) {
 		t.Fatalf("probe: %s demand=%d", ref.Status, ref.DemandUnits)
 	}
 
+	// The exec hook gives a job its fault mix or its hold by tenant: a
+	// "lossy" job loses and duplicates a fifth of its transmissions, a
+	// "storm" job loses every one (unsurvivable: the engine's retry budget
+	// runs out and the job fails), and a "slow" job holds its worker and
+	// its booked memory for 20 ms before it executes. Each execution draws
+	// a fresh fault plan.
+	var faultSeed atomic.Uint64
+	perturb := func(spec JobSpec, opt *rapid.ExecOptions) {
+		switch spec.Tenant {
+		case "lossy":
+			opt.Faults = rapid.Faults{Seed: faultSeed.Add(1), DropFrac: 0.2, DupFrac: 0.2}
+		case "storm":
+			opt.Faults = rapid.Faults{Seed: faultSeed.Add(1), DropFrac: 1}
+		case "slow":
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
 	metrics := trace.NewMetrics()
 	srv := New(Config{
 		Workers:    3,
@@ -155,29 +174,29 @@ func TestSoakMixedTraffic(t *testing.T) {
 		AvailMem:   ref.DemandUnits * 5 / 2,
 		JobTimeout: 5 * time.Second,
 		Metrics:    metrics,
+		hooks:      hooks{exec: perturb},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	// The distinct structures all batches draw from: at most maxKeys plan
 	// fingerprints ever exist (replans under the budget add a handful).
-	// A faulty request (drawn with probability faultFrac) carries the
-	// batch's drop and dup fractions.
+	// A request goes to the batch's tenant with probability frac.
 	const maxKeys = 4
 	batches := []struct {
-		name                 string
-		clients, requests    int
-		skew                 float64
-		faultFrac, drop, dup float64
-		deadlineMS, holdMS   int
+		name              string
+		clients, requests int
+		skew              float64
+		tenant            string
+		frac              float64
+		deadlineMS        int
 	}{
 		{name: "hot-cached", clients: 3, requests: 24, skew: 1.5},
-		{name: "faults-absorbed", clients: 3, requests: 12, faultFrac: 0.5, drop: 0.2, dup: 0.2},
-		// Unsurvivable: the engine's retry budget runs out and the job fails.
-		{name: "fault-storm", clients: 2, requests: 4, faultFrac: 0.5, drop: 1},
+		{name: "faults-absorbed", clients: 3, requests: 12, tenant: "lossy", frac: 0.5},
+		{name: "fault-storm", clients: 2, requests: 4, tenant: "storm", frac: 0.5},
 		// More clients than workers + queue: some requests must shed.
-		{name: "overload", clients: 8, requests: 24, holdMS: 20},
-		{name: "deadline-pressure", clients: 4, requests: 12, deadlineMS: 30, holdMS: 20},
+		{name: "overload", clients: 8, requests: 24, tenant: "slow", frac: 1},
+		{name: "deadline-pressure", clients: 4, requests: 12, tenant: "slow", frac: 1, deadlineMS: 30},
 	}
 
 	start := time.Now()
@@ -186,9 +205,9 @@ func TestSoakMixedTraffic(t *testing.T) {
 		b := batches[round%len(batches)]
 		res := closedLoop(ts.URL, b.clients, b.requests, uint64(round+1), func(rng *util.RNG) JobSpec {
 			spec := JobSpec{Kind: "chol", N: 90, Procs: 2, Seed: uint64(zipfKey(rng, maxKeys, b.skew) + 1),
-				DeadlineMS: b.deadlineMS, HoldMS: b.holdMS}
-			if b.faultFrac > 0 && rng.Float64() < b.faultFrac {
-				spec.DropFrac, spec.DupFrac, spec.FaultSeed = b.drop, b.dup, rng.Uint64()|1
+				DeadlineMS: b.deadlineMS}
+			if b.frac > 0 && rng.Float64() < b.frac {
+				spec.Tenant = b.tenant
 			}
 			return spec
 		}, nil)

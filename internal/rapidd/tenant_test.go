@@ -3,6 +3,7 @@ package rapidd
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -102,6 +103,8 @@ func TestOpenRejectsDeadTenantConfig(t *testing.T) {
 		{"negative quota", Config{TenantQuotas: map[string]int64{"gold": -1}}, "negative quota"},
 		{"negative default quota", Config{DefaultTenantQuota: -1}, "DefaultTenantQuota"},
 		{"weight key with a slash", Config{TenantWeights: map[string]float64{"gold/1": 3}}, "gold/1"},
+		// The label unnamed tenants count under is not a tenant either.
+		{"weight key naming the fold", Config{TenantWeights: map[string]float64{otherTenants: 3}}, otherTenants},
 		{"valid quotas and weights", Config{
 			TenantQuotas:       map[string]int64{"gold": 5, "bronze.2": 0},
 			DefaultTenantQuota: 3,
@@ -139,29 +142,31 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	demand := ref.DemandUnits
 
 	metrics := trace.NewMetrics()
+	g := newGate(func(s JobSpec) bool { return s.Tenant == "greedy" })
 	srv := New(Config{
 		AvailMem:     demand * 3,
 		TenantQuotas: map[string]int64{"greedy": demand},
 		Workers:      4,
 		Metrics:      metrics,
+		hooks:        hooks{exec: g.exec},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	g1 := spec
 	g1.Tenant = "greedy"
-	g1.HoldMS = 700
 	j1 := solveAsync(t, ts, g1)
-	waitStatus(t, ts, j1.ID, StatusRunning, StatusDone)
+	g.wait(t)
 
-	// Second greedy job: same structure (same demand), different hold so
-	// it cannot coalesce. The tenant is at its quota, so quota-aware
+	// Second greedy job: same structure (same demand), with verify so it
+	// cannot coalesce. The tenant is at its quota, so quota-aware
 	// dispatch keeps the job in the ready queue — no worker picks it up
 	// only to park at admission — even though 2×demand of machine budget
 	// is free.
 	g2 := spec
 	g2.Tenant = "greedy"
-	g2.HoldMS = 1
+	g2.Verify = true
 	j2 := solveAsync(t, ts, g2)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -194,6 +199,7 @@ func TestTenantQuotaIsolation(t *testing.T) {
 		t.Fatalf("greedy in-use %d, want %d", inUse["greedy"], demand)
 	}
 
+	g.open()
 	if j := getJob(t, ts, j2.ID, true); j.Status != StatusDone {
 		t.Fatalf("greedy job 2: %s (%s)", j.Status, j.Error)
 	}
@@ -227,33 +233,24 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 	}
 	demand := ref.DemandUnits
 
+	// Job A waits at the exec gate, after admission booked it.
+	g := newGate(func(s JobSpec) bool { return s.Tenant == "hog" && s.Seed == spec.Seed })
 	srv := New(Config{
 		AvailMem:     demand * 4,
 		TenantQuotas: map[string]int64{"hog": demand}, // fits exactly one job
 		Workers:      2,
+		hooks:        hooks{exec: g.exec},
 	})
-	// Job A waits at the gate inside execHook, after admission booked it.
-	arrived := make(chan struct{})
-	gate := make(chan struct{})
-	srv.execHook = func(s JobSpec) {
-		if s.Tenant == "hog" && s.Seed == spec.Seed {
-			close(arrived)
-			<-gate
-		}
-	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
 	// Job A books the hog's whole quota and holds it; wait until it is at
 	// the gate so the quota is provably booked before the backlog exists.
 	a := spec
 	a.Tenant = "hog"
 	ja := solveAsync(t, ts, a)
-	select {
-	case <-arrived:
-	case <-time.After(10 * time.Second):
-		t.Fatal("hog job A never reached execution")
-	}
+	g.wait(t)
 
 	var backlog []Job
 	for i := 0; i < 3; i++ {
@@ -285,7 +282,7 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 
 	// Once A releases, the headroom wake drains the backlog under the
 	// quota; nothing is stranded by the dispatch filter.
-	close(gate)
+	g.open()
 	for _, j := range backlog {
 		if got := getJob(t, ts, j.ID, true); got.Status != StatusDone {
 			t.Fatalf("backlog job %s: %s (%s)", j.ID, got.Status, got.Error)
@@ -326,17 +323,22 @@ func TestTenantQuotaTooSmallFailsExplicitly(t *testing.T) {
 // per-class and per-tenant shed counters advance.
 func TestShedRetryAfterPriorityOrder(t *testing.T) {
 	metrics := trace.NewMetrics()
+	g := newGate(nil)
 	srv := New(Config{
-		Workers:    -1,
-		QueueDepth: -1,
-		RetryAfter: 2 * time.Second,
-		Metrics:    metrics,
+		Workers:       -1,
+		QueueDepth:    -1,
+		RetryAfter:    2 * time.Second,
+		Metrics:       metrics,
+		TenantWeights: map[string]float64{"shedme": 1},
+		hooks:         hooks{exec: g.exec},
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	defer g.open()
 
-	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 71, Procs: 2, HoldMS: 900})
-	waitStatus(t, ts, j1.ID, StatusRunning, StatusDone)
+	// The one worker is held, so every later request is shed.
+	j1 := solveAsync(t, ts, JobSpec{Kind: "chol", N: 90, Seed: 71, Procs: 2})
+	g.wait(t)
 
 	// Fixed order (not map iteration): the jitter is a pure function of
 	// the refusal sequence, so the order must be deterministic too.
@@ -359,11 +361,13 @@ func TestShedRetryAfterPriorityOrder(t *testing.T) {
 		}
 	}
 	// Same seed, same refusal sequence → identical hints on a second server.
-	srv2 := New(Config{Workers: -1, QueueDepth: -1, RetryAfter: 2 * time.Second})
+	g2 := newGate(nil)
+	srv2 := New(Config{Workers: -1, QueueDepth: -1, RetryAfter: 2 * time.Second, hooks: hooks{exec: g2.exec}})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	j2 := solveAsync(t, ts2, JobSpec{Kind: "chol", N: 90, Seed: 71, Procs: 2, HoldMS: 900})
-	waitStatus(t, ts2, j2.ID, StatusRunning, StatusDone)
+	defer g2.open()
+	solveAsync(t, ts2, JobSpec{Kind: "chol", N: 90, Seed: 71, Procs: 2})
+	g2.wait(t)
 	for i, prio := range []string{"low", "normal", "high"} {
 		resp := postSolveBody(t, ts2, `{"tenant":"shedme","priority":"`+prio+`","kind":"chol","n":90,"seed":72,"procs":2}`, "")
 		resp.Body.Close()
@@ -377,6 +381,7 @@ func TestShedRetryAfterPriorityOrder(t *testing.T) {
 	if srv.tenantStat("shedme").shed != 3 {
 		t.Errorf("tenant shed counter %d, want 3", srv.tenantStat("shedme").shed)
 	}
+	g.open()
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("held job: %s (%s)", j.Status, j.Error)
 	}
@@ -437,6 +442,62 @@ func TestJobsOrderAndLimit(t *testing.T) {
 	}
 }
 
+// TestTenantStateBounded: tenant names are the client's to choose, so
+// what the daemon keeps per name must not grow with them. 2 000 finished
+// jobs from distinct tenants the configuration does not name leave one
+// counter block for the configured tenant and one for the rest, no fair
+// queue entry, and a /metrics body within a constant of its size after the
+// first of them.
+func TestTenantStateBounded(t *testing.T) {
+	srv := New(Config{Workers: 2, TenantWeights: map[string]float64{"gold": 2}})
+	scrape := func() string {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return w.Body.String()
+	}
+	const tenants = 2000
+	unnamed := func(i int) JobSpec { return JobSpec{Tenant: fmt.Sprintf("t%04d", i), N: 8, Procs: 1} }
+	mustDone(t, post(t, srv, JobSpec{Tenant: "gold", N: 8, Procs: 1}))
+	mustDone(t, post(t, srv, unnamed(0)))
+	start := len(scrape())
+	for i := 1; i < tenants; i++ {
+		mustDone(t, post(t, srv, unnamed(i)))
+	}
+
+	srv.mu.Lock()
+	blocks := len(srv.tenants)
+	srv.mu.Unlock()
+	srv.queue.mu.Lock()
+	entries := len(srv.queue.tenants)
+	srv.queue.mu.Unlock()
+	if blocks != 2 || entries != 0 {
+		t.Errorf("after %d tenants: %d counter blocks, want 2 (gold and the rest); %d fair-queue entries, want 0", tenants, blocks, entries)
+	}
+	body := scrape()
+	if grew := len(body) - start; grew > 1024 {
+		t.Errorf("/metrics grew by %d bytes over %d tenants (%d → %d), want at most 1 kB", grew, tenants, start, len(body))
+	}
+	samples, err := trace.ParsePromText(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := map[string]float64{}
+	for _, s := range samples {
+		if s.Name == "rapidd_tenant_completed_total" {
+			completed[s.Labels["tenant"]] = s.Value
+		}
+	}
+	var rest float64
+	for label, n := range completed {
+		if label != "gold" {
+			rest = n
+		}
+	}
+	if len(completed) != 2 || completed["gold"] != 1 || rest != tenants {
+		t.Errorf("rapidd_tenant_completed_total has %d labels, gold %v, the rest %v; want 2 labels, 1 and %d", len(completed), completed["gold"], rest, tenants)
+	}
+}
+
 // TestMetricsEndpoint: GET /metrics emits strict Prometheus text — the
 // acceptance bar is that a real scraper's parser accepts it — including
 // per-tenant series, the latency summary, and the plan-cache, drain and
@@ -444,7 +505,7 @@ func TestJobsOrderAndLimit(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv := New(Config{Workers: 2, AvailMem: 1 << 30, TenantQuotas: map[string]int64{"gold": 1 << 29},
-		JournalDir: t.TempDir(), Metrics: metrics})
+		TenantWeights: map[string]float64{"silver": 1}, JournalDir: t.TempDir(), Metrics: metrics})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -170,10 +170,23 @@ func (q *wfqueue) commit(sl wslot, tk *job) {
 // round.
 func (q *wfqueue) abort(sl wslot) {
 	q.mu.Lock()
-	q.tenants[sl.tenant].reserved--
+	tq := q.tenants[sl.tenant]
+	tq.reserved--
 	q.depth--
+	q.forgetIfEmptyLocked(sl.tenant, tq)
 	q.mu.Unlock()
 	q.cond.Signal()
+}
+
+// forgetIfEmptyLocked drops a tenant's entry once it holds no task and no
+// reservation, so the map is bounded by the tenants with work in the
+// queue, not by every name a client ever sent. The entry's lastFinish
+// goes with it: a tenant that empties its queue and comes back starts at
+// the current virtual time (see DESIGN.md §10).
+func (q *wfqueue) forgetIfEmptyLocked(tenant string, tq *tenantQ) {
+	if len(tq.tasks) == 0 && tq.reserved == 0 {
+		delete(q.tenants, tenant)
+	}
 }
 
 // expect books n workers that are about to be started as idle capacity.
@@ -239,6 +252,7 @@ func (q *wfqueue) popLocked() *job {
 	tk := best.tasks[0]
 	best.tasks = best.tasks[1:]
 	q.depth--
+	q.forgetIfEmptyLocked(bestName, best)
 	if tk.vstart > q.vtime {
 		q.vtime = tk.vstart
 	}
