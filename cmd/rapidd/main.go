@@ -10,7 +10,7 @@
 //	rapidd [-addr :8437] [-cache-dir DIR] [-cache-mem BYTES] [-avail-mem UNITS]
 //	       [-job-timeout 30s]
 //	       [-workers N] [-queue-depth N] [-deadline DUR] [-retry-after 1s]
-//	       [-journal-dir DIR] [-rearm-backoff 50ms]
+//	       [-journal-dir DIR]
 //	       [-tenant-quotas gold=48,bronze=16]
 //	       [-default-tenant-quota UNITS] [-tenant-weights gold=3,bronze=1]
 //
@@ -20,8 +20,9 @@
 //	     -d '{"kind":"chol","n":300,"procs":4,"heuristic":"mpo","verify":true}'
 //
 // Re-submitting the same spec returns "plan_source": "memory" — the
-// inspector phase is skipped — and if the duplicate arrives while the first
-// is still executing it coalesces onto that execution ("coalesced": true).
+// inspector phase is skipped. Every accepted job executes itself: a
+// duplicate that arrives while the first is still executing shares its
+// compiled plan, not its execution, and reports its own run.
 // When the backlog exceeds -queue-depth the daemon sheds load with 429 +
 // Retry-After instead of queueing without bound. GET /metrics serves the
 // cache, pool, admission and journal numbers.
@@ -35,8 +36,8 @@
 // jobs that never ran and explicitly fails the ones it was executing when it
 // died. If the journal's disk fails mid-run the daemon degrades instead of
 // wedging: new submits are refused with 503 while the journal is degraded.
-// A background loop checks the journal every -rearm-backoff and re-arms it
-// when degraded, doubling the delay while re-arms fail. GET /healthz is a
+// A background loop checks the journal every 50ms and re-arms it when
+// degraded, doubling the delay while re-arms fail. GET /healthz is a
 // readiness probe: 200 while durable, 503 + JSON
 // {"state":"degraded","cause":…,"rearm_failures":N} while degraded.
 //
@@ -102,11 +103,10 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job execution watchdog deadline (0: executor default)")
 	workers := flag.Int("workers", 0, "worker-pool size: concurrent job executions (0: max(2, GOMAXPROCS); 1: serial)")
 	queueDepth := flag.Int("queue-depth", 0, "accepted-job backlog bound; beyond it requests are shed with 429 (0: 64, negative: unbuffered)")
-	deadline := flag.Duration("deadline", 0, "default end-to-end job deadline for specs without deadline_ms (0: none)")
+	deadline := flag.Duration("deadline", 0, "default deadline for specs without deadline_ms: how long a job may wait in the queue and at admission before it executes; an executing job is bounded by -job-timeout instead (0: none)")
 	retryAfter := flag.Duration("retry-after", 0, "client back-off hint on shed responses (0: 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	journalDir := flag.String("journal-dir", "", "write-ahead job journal directory (empty: no durability)")
-	rearmBackoff := flag.Duration("rearm-backoff", 0, "how often to check the journal and re-arm it while degraded (0: 50ms), doubled per failed re-arm")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant avail-mem sub-quotas, e.g. gold=48,bronze=16")
 	defaultTenantQuota := flag.Int64("default-tenant-quota", 0, "avail-mem sub-quota for tenants not in -tenant-quotas (0: uncapped)")
 	tenantWeights := flag.String("tenant-weights", "", "fair-queueing weights, e.g. gold=3,bronze=1 (default 1 each)")
@@ -143,7 +143,6 @@ func main() {
 		DefaultDeadline:    *deadline,
 		RetryAfter:         *retryAfter,
 		JournalDir:         *journalDir,
-		RearmBackoff:       *rearmBackoff,
 		TenantQuotas:       quotas,
 		DefaultTenantQuota: *defaultTenantQuota,
 		TenantWeights:      weights,

@@ -336,41 +336,112 @@ func (pr *Problem) SequentialFactor() (map[graph.ObjID][]float64, error) {
 	return bufs, nil
 }
 
-// AssembleL expands block buffers into a dense lower-triangular factor.
-func (pr *Problem) AssembleL(bufs map[graph.ObjID][]float64) []float64 {
-	n := pr.N
-	l := make([]float64, n*n)
-	for o, c := range pr.coord {
-		bi, bj := c[0], c[1]
-		rows, cols := pr.dims[bi], pr.dims[bj]
-		buf := bufs[graph.ObjID(o)]
-		for r := 0; r < rows; r++ {
-			for q := 0; q < cols; q++ {
-				gi, gj := int(bi)*pr.W+r, int(bj)*pr.W+q
-				if gj > gi {
-					continue
-				}
-				l[gi*n+gj] = buf[r*cols+q]
-			}
-		}
-	}
-	return l
-}
-
 // Residual returns ‖A − L·Lᵀ‖_F / ‖A‖_F over the lower triangle, for the
 // factor held in the block buffers: the factorization's numerical check.
+//
+// It works one block row at a time over present blocks only: block (I,J)
+// of L·Lᵀ sums over the block columns K where blocks (I,K) and (J,K) are
+// both present, which the closed pattern in Rows names. So it holds one
+// block row of A, never an n×n array. The arithmetic is the dense
+// product's (blas.Syrk of the assembled L) term for term: each entry sums
+// over l ascending; a diagonal block of L contributes only l ≤ j (the
+// factor is zero above its diagonal, whatever the block's upper triangle
+// holds); num and den accumulate row-major over j ≤ i. Every term this skips is an exact zero added to a sum that is
+// never −0, so for a finite factor the result is bit-identical to the
+// dense one.
 func (pr *Problem) Residual(bufs map[graph.ObjID][]float64) float64 {
-	a, n := pr.A, pr.N
-	l := pr.AssembleL(bufs)
-	rec := make([]float64, n*n)
-	blas.Syrk(n, n, 1, l, n, rec, n)
-	ad := a.ToDense()
-	num, den := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			d := ad[i*n+j] - rec[i*n+j]
-			num += d * d
-			den += ad[i*n+j] * ad[i*n+j]
+	// present is a block of block row I: its block column and object.
+	type present struct {
+		col int
+		obj graph.ObjID
+	}
+	// term is one block column K of the sum for block (I, J): row blocks
+	// (I, K) and (J, K) of L, and whether K is J, whose diagonal block
+	// contributes only its lower triangle.
+	type term struct {
+		li, lj []float64
+		dk     int
+		diag   bool
+	}
+	var (
+		row   []present // block row I's present blocks, J ascending
+		terms []term
+		until []int // block row[x]'s terms end at terms[until[x]]
+		num   float64
+		den   float64
+	)
+	a, w := pr.A, pr.W
+	strip := make([]float64, w*pr.N)
+	for bi := 0; bi < pr.NB; bi++ {
+		row, terms, until = row[:0], terms[:0], until[:0]
+		for bj := 0; bj <= bi; bj++ {
+			if o, ok := pr.BlockObj(bi, bj); ok {
+				row = append(row, present{bj, o})
+			}
+		}
+		di, r0 := pr.dims[bi], bi*w
+		width := 0
+		for _, b := range row {
+			width += pr.dims[b.col]
+		}
+		// A's block row: the present blocks side by side, holding what
+		// ToDense would.
+		av := strip[:di*width]
+		clear(av)
+		off := 0
+		for _, b := range row {
+			dj := pr.dims[b.col]
+			for q := 0; q < dj; q++ {
+				col, vals := a.Col(b.col*w+q), a.ColVal(b.col*w+q)
+				k, _ := slices.BinarySearch(col, int32(r0))
+				for ; k < len(col) && int(col[k]) < r0+di; k++ {
+					v := 1.0
+					if vals != nil {
+						v = vals[k]
+					}
+					av[(int(col[k])-r0)*width+off+q] = v
+				}
+			}
+			off += dj
+			for _, bk := range row {
+				if bk.col > b.col {
+					break
+				}
+				if jk, ok := pr.BlockObj(b.col, bk.col); ok {
+					terms = append(terms, term{bufs[bk.obj], bufs[jk], pr.dims[bk.col], bk.col == b.col})
+				}
+			}
+			until = append(until, len(terms))
+		}
+
+		for r := 0; r < di; r++ {
+			off, from := 0, 0
+			for x, b := range row {
+				dj := pr.dims[b.col]
+				cols := dj
+				if b.col == bi {
+					cols = r + 1 // j ≤ i
+				}
+				for q := 0; q < cols; q++ {
+					sum := 0.0
+					for _, t := range terms[from:until[x]] {
+						n := t.dk
+						if t.diag {
+							n = q + 1
+						}
+						li, lj := t.li[r*t.dk:][:n], t.lj[q*t.dk:][:n]
+						for p, v := range li {
+							sum += v * lj[p]
+						}
+					}
+					aij := av[r*width+off+q]
+					d := aij - sum
+					num += d * d
+					den += aij * aij
+				}
+				off += dj
+				from = until[x]
+			}
 		}
 	}
 	return math.Sqrt(num / den)

@@ -58,7 +58,7 @@ func TestSequentialFactorMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := pr.AssembleL(bufs)
+	l := assembleL(pr, bufs)
 	// Dense reference.
 	ref := a.ToDense()
 	if err := blas.Potrf(a.N, ref, a.N); err != nil {
@@ -84,7 +84,7 @@ func TestFactorResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := pr.AssembleL(bufs)
+	l := assembleL(pr, bufs)
 	n := a.N
 	// ‖A - L·Lᵀ‖_F / ‖A‖_F
 	rec := make([]float64, n*n)
@@ -241,5 +241,80 @@ func TestBuildMatchesPairwiseClosure(t *testing.T) {
 	}
 	if !grew {
 		t.Fatal("no column grew under closure; the matrices no longer exercise it")
+	}
+}
+
+// assembleL expands block buffers into a dense lower-triangular factor.
+func assembleL(pr *Problem, bufs map[graph.ObjID][]float64) []float64 {
+	n := pr.N
+	l := make([]float64, n*n)
+	for o, c := range pr.coord {
+		bi, bj := c[0], c[1]
+		rows, cols := pr.dims[bi], pr.dims[bj]
+		buf := bufs[graph.ObjID(o)]
+		for r := 0; r < rows; r++ {
+			for q := 0; q < cols; q++ {
+				gi, gj := int(bi)*pr.W+r, int(bj)*pr.W+q
+				if gj > gi {
+					continue
+				}
+				l[gi*n+gj] = buf[r*cols+q]
+			}
+		}
+	}
+	return l
+}
+
+// denseResidual is Residual the dense way, as it was computed before it
+// went block by block: the assembled L, its blas.Syrk, and A densified.
+func denseResidual(pr *Problem, bufs map[graph.ObjID][]float64) float64 {
+	n := pr.N
+	l := assembleL(pr, bufs)
+	rec := make([]float64, n*n)
+	blas.Syrk(n, n, 1, l, n, rec, n)
+	ad := pr.A.ToDense()
+	num, den := 0.0, 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			d := ad[i*n+j] - rec[i*n+j]
+			num += d * d
+			den += ad[i*n+j] * ad[i*n+j]
+		}
+	}
+	return math.Sqrt(num / den)
+}
+
+// TestResidualMatchesDense: the block residual returns the very bits of the
+// dense one, on random shapes and block sizes (ragged last blocks and
+// block size 1 included), for the computed factor and for arbitrary block
+// contents, whose sums cancel and change sign.
+func TestResidualMatchesDense(t *testing.T) {
+	rng := util.NewRNG(7)
+	for trial := 0; trial < 24; trial++ {
+		nx, ny := 2+int(rng.Uint64()%9), 2+int(rng.Uint64()%9)
+		w := 1 + int(rng.Uint64()%9)
+		a := testMatrix(t, nx, ny, int(rng.Uint64()%12), uint64(trial+1))
+		pr, err := Build(a, Options{Procs: 4, BlockSize: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs, err := pr.SequentialFactor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		random := make(map[graph.ObjID][]float64, len(bufs))
+		for o, b := range bufs {
+			r := make([]float64, len(b))
+			for i := range r {
+				r[i] = float64(int64(rng.Uint64()%2001)-1000) / 37
+			}
+			random[o] = r
+		}
+		for name, b := range map[string]map[graph.ObjID][]float64{"factor": bufs, "random": random} {
+			got, want := pr.Residual(b), denseResidual(pr, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d w=%d %s: residual %v (%#x), dense %v (%#x)", a.N, w, name, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }

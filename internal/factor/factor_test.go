@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -108,6 +109,39 @@ func TestResidualsPinned(t *testing.T) {
 		if got := pb.Residual(objects, 1); math.Float64bits(got) != c.bits {
 			t.Errorf("%s: %s = %v (bits %#x), want %v", c.kind, pb.Check, got, math.Float64bits(got), math.Float64frombits(c.bits))
 		}
+	}
+}
+
+// TestCholResidualAllocates: the Cholesky residual works over the factor's
+// present blocks, so one Residual of the (chol, 2000, 1) factor at block 16
+// allocates less than the factor's block storage (~0.4 of 6.4 MB) — not
+// the three n×n arrays (~96 MB) of forming L·Lᵀ densely.
+func TestCholResidualAllocates(t *testing.T) {
+	a, err := Matrix("chol", 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := Build("chol", a, 4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects, err := pb.Sequential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var factorBytes uint64
+	for _, buf := range objects {
+		factorBytes += 8 * uint64(len(buf))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := pb.Residual(objects, 1)
+	runtime.ReadMemStats(&after)
+	if !(r < 1e-12) {
+		t.Fatalf("residual %g", r)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > factorBytes {
+		t.Errorf("Residual allocated %d bytes, more than the %d the factor holds", got, factorBytes)
 	}
 }
 

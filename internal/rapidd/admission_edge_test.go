@@ -205,7 +205,7 @@ func TestServerClientDisconnectReleasesBudget(t *testing.T) {
 	j1 := solveAsync(t, ts, hold)
 	g.wait(t)
 
-	// Same structure without verify: no coalescing, parks at admission.
+	// Same structure without verify: the gate passes it, and it parks at admission.
 	body := `{"kind":"chol","n":100,"seed":5,"procs":3}`
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve?wait=1", strings.NewReader(body))

@@ -33,12 +33,11 @@ func TestJournalChaosSoak(t *testing.T) {
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
 	metrics := trace.NewMetrics()
 	srv, err := Open(Config{
-		JournalDir:   dir,
-		JournalFS:    ffs,
-		Workers:      4,
-		QueueDepth:   64,
-		RearmBackoff: time.Millisecond,
-		Metrics:      metrics,
+		JournalDir: dir,
+		Workers:    4,
+		QueueDepth: 64,
+		Metrics:    metrics,
+		hooks:      hooks{journalFS: ffs, rearmBackoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -70,8 +70,8 @@ func TestPromiseLostToFault(t *testing.T) {
 				ffs.Break(iofault.ClassSync, syscall.EIO)
 			}
 		}
-		srv := New(Config{JournalDir: dir, JournalFS: ffs, Workers: 1,
-			RearmBackoff: time.Millisecond, Metrics: metrics, hooks: hooks{exec: breakDisk}})
+		srv := New(Config{JournalDir: dir, Workers: 1, Metrics: metrics,
+			hooks: hooks{exec: breakDisk, journalFS: ffs, rearmBackoff: time.Millisecond}})
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 

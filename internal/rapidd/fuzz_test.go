@@ -11,8 +11,9 @@ import (
 // — never a panic, and never a spec the rest of the daemon would have to
 // defend against. Normalization must also be a fixpoint: re-normalizing an
 // accepted spec changes nothing, so a spec echoed back by the API and
-// resubmitted is admitted identically (stable coalescing keys depend on
-// this).
+// resubmitted is admitted identically (stable plan names depend on this).
+// An accepted spec also stays within maxBlocks blocks per dimension, the
+// bound on the inspector's work.
 func FuzzParseJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -31,6 +32,8 @@ func FuzzParseJobSpec(f *testing.F) {
 		`"a bare string"`,
 		`[1,2,3]`,
 		`{"n":`,
+		`{"kind":"chol","n":4000,"procs":4}`,
+		`{"n":8000,"block":64}`,
 		``,
 	} {
 		f.Add([]byte(seed))
@@ -51,6 +54,9 @@ func FuzzParseJobSpec(f *testing.F) {
 		}
 		if spec.Block < 1 || spec.Block > 256 {
 			t.Fatalf("accepted block %d", spec.Block)
+		}
+		if nb := (spec.N + spec.Block - 1) / spec.Block; nb > maxBlocks {
+			t.Fatalf("accepted n=%d block=%d: %d blocks, over %d", spec.N, spec.Block, nb, maxBlocks)
 		}
 		if _, err := sched.ParseHeuristic(spec.Heuristic); err != nil {
 			t.Fatalf("accepted heuristic %q", spec.Heuristic)

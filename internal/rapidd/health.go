@@ -18,8 +18,13 @@ import (
 // promised — and /healthz answers 503 + JSON, so a router tier can steer
 // traffic away before clients see failures.
 
-// maxRearmBackoffFactor caps the exponential backoff at 32× the base.
-const maxRearmBackoffFactor = 32
+// rearmBackoff is how often the re-arm loop checks the journal; the delay
+// doubles per failed re-arm, and maxRearmBackoffFactor caps it at 32× this
+// base.
+const (
+	rearmBackoff          = 50 * time.Millisecond
+	maxRearmBackoffFactor = 32
+)
 
 // healthSnapshot is the JSON body /healthz serves while not ready.
 type healthSnapshot struct {
@@ -50,11 +55,12 @@ func (s *Server) healthSnap() healthSnapshot {
 
 // rearmLoop owns the way back to durable: every backoff it checks the
 // journal and re-arms it if it is degraded. The backoff doubles, up to
-// maxRearmBackoffFactor × RearmBackoff, while Rearm fails and resets once
-// the journal is durable. It runs from Open until Drain closes stopRearm.
+// maxRearmBackoffFactor × the base, while Rearm fails and resets once the
+// journal is durable. It runs from Open until Drain closes stopRearm.
 func (s *Server) rearmLoop() {
 	defer s.wg.Done()
-	backoff := s.cfg.RearmBackoff
+	base := s.cfg.hooks.rearmBackoff
+	backoff := base
 	timer := time.NewTimer(backoff)
 	defer timer.Stop()
 	for {
@@ -64,8 +70,8 @@ func (s *Server) rearmLoop() {
 		case <-timer.C:
 		}
 		if !s.degraded() || s.jnl.Rearm() == nil {
-			backoff = s.cfg.RearmBackoff
-		} else if backoff < s.cfg.RearmBackoff*maxRearmBackoffFactor {
+			backoff = base
+		} else if backoff < base*maxRearmBackoffFactor {
 			backoff *= 2
 		}
 		timer.Reset(backoff)

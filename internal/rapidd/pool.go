@@ -16,14 +16,16 @@ import (
 // weighted-fair across tenants (wfq.go) — a full backlog sheds the
 // request with 429 + Retry-After, low priority first, instead of letting
 // the backlog (and every queued client's latency) grow without bound.
-// Workers coalesce identical in-flight specs onto a single execution,
-// enforce per-job deadlines, and drain gracefully on shutdown.
+// Every job a worker takes runs solve once: workers enforce per-job
+// deadlines up to execution and drain gracefully on shutdown.
 //
 // Concurrency safety comes from the layers below: concurrent jobs share
 // AVAIL_MEM (and their tenant's sub-quota) through the admission
 // controller — each books its aggregate planned peak before executing —
-// and the plan cache is already single-flight per fingerprint, so a burst
-// of distinct requests for one new structure compiles it once.
+// and the plan cache is single-flight per fingerprint and finds a repeated
+// spec by name, so a burst of requests for one new structure compiles it
+// once. That is the daemon's only deduplication: identical requests share
+// the inspector's work, and each executes and reports its own run.
 
 // job is the daemon's one per-job object: the record clients see plus
 // what the serving layer needs to drive it. Server.jobs is the only
@@ -45,12 +47,8 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	// done is closed last on the terminal edge, after everything else the
-	// edge owes. cause, written before that close and read only after it,
-	// is the terminal error with its identity intact: Job.Error is only
-	// its string, which would lose errors.Is(err, context.DeadlineExceeded
-	// / Canceled) and with it a follower's expired/cancelled counters.
-	done  chan struct{}
-	cause error
+	// edge owes.
+	done chan struct{}
 	// at is where the job's newest journal record ends: the position an
 	// answer about the job syncs to (promise, syncJob). Guarded by
 	// Server.mu, since an answer may read it while the job moves.
@@ -61,8 +59,7 @@ type job struct {
 // jobs are always held; each job that finishes pushes the oldest finished
 // one out of Server.jobs, so a long-lived daemon's job table stops growing.
 // A forgotten id answers 404, as every terminal job does after a restart;
-// whoever holds the *job — a ?wait=1 caller, a coalesced follower — still
-// reads its record.
+// whoever holds the *job — a ?wait=1 caller — still reads its record.
 const jobHistory = 1024
 
 // newJob is the one place a job comes into being: it derives the deadline
@@ -103,10 +100,10 @@ func (s *Server) newJob(rec Job, queued bool) *job {
 }
 
 // edges is the job lifecycle: the legal next states of each state. Queued
-// appears only when admission has to wait; pending → done is a coalesced
-// follower adopting its leader's success.
+// appears only when admission has to wait; a job reaches done only by
+// running.
 var edges = map[JobStatus][]JobStatus{
-	StatusPending: {StatusQueued, StatusRunning, StatusDone, StatusFailed},
+	StatusPending: {StatusQueued, StatusRunning, StatusFailed},
 	StatusQueued:  {StatusRunning, StatusFailed},
 	StatusRunning: {StatusDone, StatusFailed},
 }
@@ -116,13 +113,13 @@ var edges = map[JobStatus][]JobStatus{
 // admit record, written before running is visible — it marks the job
 // in-flight, so replay after a crash fails it explicitly instead of
 // re-running it (its budget was booked and its executor may have had side
-// effects). → done/failed: the global and per-tenant counters, the latency
-// sample, the completion record (replay will not resurrect the job), the
-// leader's de-registration, the release of the context, and only then the
-// close of done — so a waiter always finds the finished record. A follower
-// passes its finished leader as lead and takes the leader's outcome: the
-// leader's record becomes its own, bar its identity. An edge not in the
-// table is a bug in the caller; it is logged and returned, never applied.
+// effects). → done/failed: the global and per-tenant counters — a failure
+// whose cause is a deadline or a cancellation (errors.Is) counts as such
+// too — the latency sample, the completion record (replay will not
+// resurrect the job), the release of the context, and only then the close
+// of done — so a waiter always finds the finished record. An edge not in
+// the table is a bug in the caller; it is logged and returned, never
+// applied.
 // Records are written here and synced by the answer that reports them
 // (promise, syncJob): a crash before that sync loses only what no client
 // was told, so replay may re-queue a job whose admit no answer showed.
@@ -131,7 +128,7 @@ var edges = map[JobStatus][]JobStatus{
 // observation or the channel close. The state read in the first critical
 // section is still current in the second because only this goroutine
 // drives j.
-func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error {
+func (s *Server) transition(j *job, to JobStatus, cause error) error {
 	s.mu.Lock()
 	from, id, demand := j.Status, j.ID, j.DemandUnits
 	s.mu.Unlock()
@@ -152,13 +149,10 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 	expired := errors.Is(cause, context.DeadlineExceeded)
 
 	s.mu.Lock()
-	if lead != nil {
-		j.Job = adopted(j.Job, lead.Job)
-	}
 	j.Status = to
 	j.at = max(j.at, pos)
 	if terminal {
-		j.Error, j.cause = errStr, cause
+		j.Error = errStr
 		ts := s.tenantStatLocked(j.Spec.Tenant)
 		if to == StatusDone {
 			ts.completed++
@@ -194,9 +188,6 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 	pos = s.journalWrite(journal.Record{Op: journal.OpComplete, ID: id, Status: string(to), Error: errStr})
 	s.mu.Lock()
 	j.at = max(j.at, pos)
-	if s.leaders[j.Spec] == j {
-		delete(s.leaders, j.Spec)
-	}
 	cancel := j.cancel
 	j.ctx, j.cancel = nil, nil
 	// j takes the history slot of the terminal job jobHistory before it,
@@ -215,18 +206,6 @@ func (s *Server) transition(j *job, to JobStatus, cause error, lead *job) error 
 	return nil
 }
 
-// adopted is a follower's record after it takes its leader's outcome: the
-// leader's whole record — so a field added to Job reaches coalesced
-// requests without anyone remembering this function — under the
-// follower's own identity.
-func adopted(own, lead Job) Job {
-	out := lead
-	out.ID, out.Seq, out.Spec = own.ID, own.Seq, own.Spec
-	out.Recovered, out.Durable, out.submittedAt = own.Recovered, own.Durable, own.submittedAt
-	out.Coalesced, out.CoalescedWith = true, lead.ID
-	return out
-}
-
 // update mutates the job's record under the lock.
 func (s *Server) update(j *job, f func(*Job)) {
 	s.mu.Lock()
@@ -243,57 +222,24 @@ func (s *Server) worker() {
 	}
 }
 
-// process drives one job to a terminal state. An identical spec already
-// executing is joined rather than re-executed: the first job to arrive
-// registers as the spec's leader and runs; a follower waits for the
-// leader's done — or its own deadline or cancellation, whichever comes
-// first — and adopts the result. The whole normalized spec is the
-// coalescing key, which is strictly finer than the plan fingerprint: two
-// specs that differ only in execution-relevant fields (tenant, priority,
-// verify, deadline) never merge, while the plan cache still deduplicates
-// their compile by fingerprint underneath. Equal specs have equal
-// fingerprints AND equal execution semantics (the generators are
-// deterministic in the spec, and nothing on the wire perturbs the run),
-// so sharing one execution is observationally identical to running both.
+// process drives one job to a terminal state: compile → admit → execute,
+// once, bounded by the job's context up to the executor. A lost message is
+// the engine's to retransmit (up to proto.MaxRetries times), so a job that
+// fails here has failed for good.
 func (s *Server) process(j *job) {
 	ctx := j.ctx
 	if !j.submittedAt.IsZero() {
 		s.queueWait.Observe(time.Since(j.submittedAt).Microseconds())
 	}
 	if err := ctx.Err(); err != nil {
-		s.transition(j, StatusFailed, fmt.Errorf("rapidd: job expired before execution: %w", err), nil)
+		s.transition(j, StatusFailed, fmt.Errorf("rapidd: job expired before execution: %w", err))
 		return
 	}
-	s.mu.Lock()
-	lead := s.leaders[j.Spec]
-	if lead == nil {
-		s.leaders[j.Spec] = j
-	}
-	s.mu.Unlock()
-	if lead == nil {
-		s.runJob(ctx, j)
-		return
-	}
-	s.metrics.Inc("rapidd.jobs.coalesced", 1)
-	select {
-	case <-lead.done:
-		// The close of done orders the leader's frozen record before
-		// these reads.
-		s.transition(j, lead.Status, lead.cause, lead)
-	case <-ctx.Done():
-		s.transition(j, StatusFailed, fmt.Errorf("rapidd: job expired waiting for its coalesced execution: %w", ctx.Err()), nil)
-	}
-}
-
-// runJob is the leader path: compile → admit → execute, once, bounded by
-// the job's context. A lost message is the engine's to retransmit (up to
-// proto.MaxRetries times), so a job that fails here has failed for good.
-func (s *Server) runJob(ctx context.Context, j *job) {
 	if err := s.solve(ctx, j); err != nil {
-		s.transition(j, StatusFailed, err, nil)
+		s.transition(j, StatusFailed, err)
 		return
 	}
-	s.transition(j, StatusDone, nil, nil)
+	s.transition(j, StatusDone, nil)
 }
 
 // Cancel aborts the job if it is still pending or waiting for admission;

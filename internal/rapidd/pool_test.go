@@ -134,50 +134,43 @@ func TestFreshServerNeverSheds(t *testing.T) {
 	}
 }
 
-// TestServerCoalescesIdenticalInflightSpecs: while one request for a spec
-// is executing, a second identical request joins it instead of executing
-// again — one execution, two completed jobs, the follower marked coalesced.
-func TestServerCoalescesIdenticalInflightSpecs(t *testing.T) {
+// TestIdenticalSpecsExecuteEach: two identical requests in flight together
+// are two executions. Both are held at the exec gate at once; each ends
+// done with its own run — its own exec_ms and state occupancy, its own
+// admit and completion records — while the structure was compiled once.
+func TestIdenticalSpecsExecuteEach(t *testing.T) {
+	dir := t.TempDir()
 	metrics := trace.NewMetrics()
 	g := newGate(nil)
-	srv := New(Config{Workers: 2, QueueDepth: 4, Metrics: metrics, hooks: hooks{exec: g.exec}})
+	srv := New(Config{JournalDir: dir, Workers: 2, QueueDepth: 4, Metrics: metrics, hooks: hooks{exec: g.exec}})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer g.open()
 
 	spec := JobSpec{Kind: "chol", N: 90, Seed: 21, Procs: 2}
 	a := solveAsync(t, ts, spec)
-	// The hook runs after admission: the leader is registered and held.
-	g.wait(t)
 	b := solveAsync(t, ts, spec)
-	deadline := time.Now().Add(10 * time.Second)
-	for metrics.Get("rapidd.jobs.coalesced") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never joined the in-flight execution")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	g.wait(t)
+	g.wait(t) // the second job reached the gate too: it executes itself
 	g.open()
 
-	ja := getJob(t, ts, a.ID, true)
-	jb := getJob(t, ts, b.ID, true)
-	if ja.Status != StatusDone || jb.Status != StatusDone {
-		t.Fatalf("jobs: %s (%s) / %s (%s)", ja.Status, ja.Error, jb.Status, jb.Error)
-	}
-	if ja.Coalesced {
-		t.Fatal("leader must not be marked coalesced")
-	}
-	if !jb.Coalesced || jb.CoalescedWith != ja.ID {
-		t.Fatalf("follower coalesced=%v with=%q, want true with %q", jb.Coalesced, jb.CoalescedWith, ja.ID)
-	}
-	if jb.Fingerprint == "" || jb.Fingerprint != ja.Fingerprint {
-		t.Fatalf("fingerprints %q vs %q", ja.Fingerprint, jb.Fingerprint)
+	for _, id := range []string{a.ID, b.ID} {
+		j := getJob(t, ts, id, true)
+		if j.Status != StatusDone || j.ExecMS <= 0 || len(j.StateUS) == 0 {
+			t.Fatalf("job %s: %s (%s) exec_ms %v state_us %v, want done with its own run", id, j.Status, j.Error, j.ExecMS, j.StateUS)
+		}
 	}
 	if got := metrics.Get("rapidd.jobs.completed"); got != 2 {
 		t.Fatalf("completed counter %d, want 2", got)
 	}
-	if got := metrics.Get("rapidd.jobs.coalesced"); got != 1 {
-		t.Fatalf("coalesced counter %d, want 1", got)
+	if got := metrics.Get("plancache.miss"); got != 1 {
+		t.Fatalf("plancache.miss %d, want 1: identical specs compile once", got)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ops := journalOps(t, dir); ops[a.ID] != "SAX" || ops[b.ID] != "SAX" {
+		t.Fatalf("journal ops %v, want %s=SAX %s=SAX", ops, a.ID, b.ID)
 	}
 }
 
@@ -240,8 +233,7 @@ func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 	j1 := solveAsync(t, ts, spec)
 	g.wait(t)
 
-	// Differs only in its deadline, so no coalescing; same footprint, so
-	// it must wait for admission — and expire there.
+	// Same footprint, so it must wait for admission — and expire there.
 	short := spec
 	short.DeadlineMS = 80
 	j2 := solveSync(t, ts, short)

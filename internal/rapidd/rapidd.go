@@ -31,9 +31,11 @@
 // concurrently; a bounded queue absorbs bursts, drains weighted-fair
 // across tenants, and sheds overload with 429 + Retry-After — low
 // priority first, each class told to back off proportionally longer;
-// identical in-flight specs coalesce onto one execution;
-// per-job deadlines bound queue wait + admission wait + execution; Drain
-// stops intake and lets the backlog finish on shutdown.
+// every accepted job executes itself, while identical specs share one
+// compile through the plan cache; per-job deadlines bound queue wait +
+// admission wait (an executing job is bounded by JobTimeout's no-progress
+// watchdog instead); Drain stops intake and lets the backlog finish on
+// shutdown.
 //
 // Durability (see journal.go in internal/journal): with a journal
 // directory configured, every job transition is written ahead to a
@@ -108,8 +110,10 @@ type Config struct {
 	// buffering (a request is accepted only if a worker is idle).
 	QueueDepth int
 	// DefaultDeadline applies to jobs whose spec sets no deadline_ms: the
-	// job must finish (queue wait, admission wait and execution included)
-	// within this long or fail with a deadline error. 0 disables.
+	// job must start executing (queue wait and admission wait included)
+	// within this long or fail with a deadline error. A job that is
+	// already executing is not interrupted: JobTimeout's no-progress
+	// watchdog bounds it. 0 disables.
 	DefaultDeadline time.Duration
 	// RetryAfter is the client back-off hint sent with shed (429)
 	// responses (default 1s, rounded up to whole seconds on the wire).
@@ -137,14 +141,6 @@ type Config struct {
 	TenantWeights map[string]float64
 	// Metrics receives cache and job counters (nil: a fresh registry).
 	Metrics *trace.Metrics
-	// RearmBackoff is how often the re-arm loop checks a journal for
-	// degradation (default 50ms); the delay doubles per failed re-arm up
-	// to 32× this.
-	RearmBackoff time.Duration
-	// JournalFS is the filesystem seam the journal runs on (nil: the real
-	// OS). Chaos tests inject an iofault.FaultFS here to kill and revive
-	// the disk under the daemon.
-	JournalFS iofault.FS
 
 	// hooks are the package's test seams into solve. They are part of the
 	// Config so that Open has them before any worker starts: a job
@@ -161,6 +157,13 @@ type hooks struct {
 	// starts. It may hold the job there (a gate), inject protocol faults
 	// through opt.Faults, or panic to exercise the job-level recovery.
 	exec func(spec JobSpec, opt *rapid.ExecOptions)
+	// rearmBackoff replaces the re-arm loop's base period (0: the
+	// rearmBackoff constant), so a chaos test re-arms within milliseconds.
+	rearmBackoff time.Duration
+	// journalFS is the filesystem the journal runs on (nil: the real OS).
+	// Chaos tests inject an iofault.FaultFS here to kill and revive the
+	// disk under the daemon.
+	journalFS iofault.FS
 }
 
 // JobSpec is a solve request.
@@ -193,9 +196,11 @@ type JobSpec struct {
 	MemPercent int `json:"mem_percent"`
 	// Verify computes the numeric residual after execution.
 	Verify bool `json:"verify"`
-	// DeadlineMS bounds the job end to end — queue wait, admission wait
-	// and execution — in milliseconds. 0 uses the server's
-	// DefaultDeadline (which may be "none"). Range [0, 600000].
+	// DeadlineMS bounds, in milliseconds from submission, how long the
+	// job may wait — in the queue and at admission — before it executes;
+	// a job past it fails with a deadline error. An executing job is not
+	// interrupted: JobTimeout's no-progress watchdog bounds it. 0 uses the
+	// server's DefaultDeadline (which may be "none"). Range [0, 600000].
 	DeadlineMS int `json:"deadline_ms"`
 }
 
@@ -256,10 +261,9 @@ type Job struct {
 	// VerifyFindings carries the static verifier's diagnostics when the
 	// plan was rejected before admission (Status failed).
 	VerifyFindings []rapid.VerifyFinding `json:"verify_findings,omitempty"`
-	// Coalesced is true when this request did not execute itself but
-	// adopted the result of an identical in-flight job (CoalescedWith).
-	Coalesced     bool   `json:"coalesced,omitempty"`
-	CoalescedWith string `json:"coalesced_with,omitempty"`
+	// Coalesced is always false and never sent: every job executes
+	// itself. It remains for Go code that still reads it (bench/serve.go).
+	Coalesced bool `json:"-"`
 	// InspectMS and ExecMS time the two phases: everything from the top of
 	// solve to the verifier's verdict — finding or building the
 	// problem and the plan — and the executor run.
@@ -317,11 +321,8 @@ type Server struct {
 	jobs map[string]*job // every job this daemon knows, by ID; guarded-by: mu
 	// history is a ring of the ids of the terminal jobs in jobs, in the
 	// order they finished; finished counts them and so names the next slot.
-	history  [jobHistory]string // guarded-by: mu
-	finished uint64             // guarded-by: mu
-	// leaders maps a spec to the job executing it now; identical specs
-	// arriving meanwhile follow that job instead of executing (pool.go).
-	leaders  map[JobSpec]*job        // guarded-by: mu
+	history  [jobHistory]string      // guarded-by: mu
+	finished uint64                  // guarded-by: mu
 	tenants  map[string]*tenantStats // guarded-by: mu
 	seq      uint64                  // guarded-by: mu
 	draining bool                    // guarded-by: mu
@@ -355,8 +356,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.RearmBackoff <= 0 {
-		cfg.RearmBackoff = 50 * time.Millisecond
+	if cfg.hooks.rearmBackoff <= 0 {
+		cfg.hooks.rearmBackoff = rearmBackoff
 	}
 	if err := checkTenantConfig(cfg); err != nil {
 		return nil, err
@@ -380,7 +381,6 @@ func Open(cfg Config) (*Server, error) {
 		latency:   trace.NewHistogram(),
 		queueWait: trace.NewHistogram(),
 		jobs:      make(map[string]*job),
-		leaders:   make(map[JobSpec]*job),
 		tenants:   make(map[string]*tenantStats),
 		stopRearm: make(chan struct{}),
 	}
@@ -393,7 +393,7 @@ func Open(cfg Config) (*Server, error) {
 	s.queue.dispatchable = s.adm.dispatchable
 	s.adm.onHeadroom = s.queue.wake
 	if cfg.JournalDir != "" {
-		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{FS: cfg.JournalFS})
+		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{FS: cfg.hooks.journalFS})
 		if err != nil {
 			return nil, err
 		}
@@ -925,6 +925,13 @@ func checkTenantConfig(cfg Config) error {
 	return nil
 }
 
+// maxBlocks bounds a spec's block count ⌈n/block⌉ per dimension. The
+// inspector's task graph grows with the block count — cubically for a dense
+// Cholesky fill — and is built before admission books anything, so this is
+// what keeps one request from taking the host's memory: at 128 blocks a
+// block-8 Cholesky of n=1024 is the largest spec accepted.
+const maxBlocks = 128
+
 func normalizeSpec(spec *JobSpec) error {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
@@ -965,6 +972,9 @@ func normalizeSpec(spec *JobSpec) error {
 	if spec.Block < 1 || spec.Block > 256 {
 		return fmt.Errorf("rapidd: block=%d out of range [1, 256]", spec.Block)
 	}
+	if nb := (spec.N + spec.Block - 1) / spec.Block; nb > maxBlocks {
+		return fmt.Errorf("rapidd: n=%d at block=%d is %d blocks, over %d; use a larger block", spec.N, spec.Block, nb, maxBlocks)
+	}
 	if spec.Heuristic == "" {
 		spec.Heuristic = "mpo"
 	}
@@ -984,9 +994,8 @@ func normalizeSpec(spec *JobSpec) error {
 // canonical problem key (kind, n, seed, procs, block), the heuristic, and
 // the memory budget either as the request states it, a percentage of TOT
 // (memPercent), or as a replan fixes it, units per processor (memory).
-// The matrix, its task graph and the compile options are functions of these
-// — the property coalescing relies on — so the name stands for the plan's
-// fingerprint in Server.cache.
+// The matrix, its task graph and the compile options are functions of these,
+// so the name stands for the plan's fingerprint in Server.cache.
 func planName(spec JobSpec, h rapid.Heuristic, memPercent int, memory int64) string {
 	b := make([]byte, 0, 96)
 	b = append(b, spec.Kind...)
@@ -1112,7 +1121,7 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 	// The job's context bounds the wait — a deadline that expires or a
 	// client that disconnects while parked here aborts without booking.
 	err = s.adm.acquireCtx(ctx, spec.Tenant, demand, func() {
-		s.transition(j, StatusQueued, nil, nil)
+		s.transition(j, StatusQueued, nil)
 	})
 	if err != nil {
 		return err
@@ -1121,7 +1130,7 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.transition(j, StatusRunning, nil, nil)
+	s.transition(j, StatusRunning, nil)
 
 	execOpt := pb.Exec
 	execOpt.BlockTimeout = s.cfg.JobTimeout

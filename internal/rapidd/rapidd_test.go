@@ -266,8 +266,8 @@ func TestServerQueuesOverBudgetJob(t *testing.T) {
 	}
 
 	// Budget fits one copy of the job but not two. Job 1 (verify on, so
-	// the two do not coalesce) holds its booking at the gate until job 2
-	// has queued behind it.
+	// the gate holds it and not job 2) holds its booking at the gate until
+	// job 2 has queued behind it.
 	metrics := trace.NewMetrics()
 	g := newGate(func(s JobSpec) bool { return s.Verify })
 	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Metrics: metrics, hooks: hooks{exec: g.exec}})
@@ -350,6 +350,7 @@ func TestServerValidation(t *testing.T) {
 		`{"procs":-1}`,
 		`{"heuristic":"fifo"}`,
 		`{"mem_percent":200}`,
+		`{"kind":"chol","n":4000,"procs":4}`,
 		`not json`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(body)))

@@ -112,7 +112,7 @@ func (s *Server) recoverJob(rj *replayedJob) {
 	}
 	rec := Job{ID: rj.id, Seq: rj.seq, Spec: spec, Recovered: true, Durable: true}
 	if fate != "" {
-		s.transition(s.newJob(rec, false), StatusFailed, errors.New(fate), nil)
+		s.transition(s.newJob(rec, false), StatusFailed, errors.New(fate))
 		return
 	}
 	// The queue reservation is forced: the previous daemon already

@@ -136,60 +136,6 @@ func TestConcurrentShedCounters(t *testing.T) {
 	}
 }
 
-// TestCoalescedFollowerKeepsDeadlineIdentity: a follower adopting an
-// expired leader's outcome must classify as deadline-expired — the error
-// identity travels as the leader's cause, not just its string.
-func TestCoalescedFollowerKeepsDeadlineIdentity(t *testing.T) {
-	metrics := trace.NewMetrics()
-	srv := New(Config{Workers: 1, Metrics: metrics, TenantWeights: map[string]float64{"acme": 1}})
-	// finishedPair makes a leader that failed with cause and a pending
-	// follower of the same spec, as process would see them.
-	finishedPair := func(leadID, followID string, cause error) (lead, follow *job) {
-		lead = srv.newJob(Job{ID: leadID, Spec: JobSpec{Tenant: "acme"}}, false)
-		if err := srv.transition(lead, StatusFailed, cause, nil); err != nil {
-			t.Fatal(err)
-		}
-		return lead, srv.newJob(Job{ID: followID, Spec: JobSpec{Tenant: "acme"}}, false)
-	}
-	ja, jbJob := finishedPair("ja", "jb", context.DeadlineExceeded)
-	if err := srv.transition(jbJob, ja.Status, ja.cause, ja); err != nil {
-		t.Fatal(err)
-	}
-
-	jb := getJobLocal(srv, "jb")
-	if jb.Status != StatusFailed || !jb.Coalesced || jb.CoalescedWith != "ja" {
-		t.Fatalf("follower: %+v", jb)
-	}
-	// The leader and the follower each count once.
-	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 2 {
-		t.Errorf("deadline_expired %d, want 2", got)
-	}
-	if got := srv.tenantStat("acme").expired; got != 2 {
-		t.Errorf("tenant expired counter %d, want 2", got)
-	}
-	// A follower whose leader failed for an untyped reason still fails
-	// with the same message, without expired/cancelled misclassification.
-	jc, jdJob := finishedPair("jc", "jd", errors.New("kernel exploded"))
-	if err := srv.transition(jdJob, jc.Status, jc.cause, jc); err != nil {
-		t.Fatal(err)
-	}
-	if jd := getJobLocal(srv, "jd"); jd.Status != StatusFailed || jd.Error != "kernel exploded" {
-		t.Fatalf("untyped follower: %s, error %q", jd.Status, jd.Error)
-	}
-	if got := metrics.Get("rapidd.jobs.deadline_expired"); got != 2 {
-		t.Errorf("untyped failure bumped deadline_expired to %d", got)
-	}
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func getJobLocal(s *Server, id string) Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id].Job
-}
-
 // TestOversizedSpecRejectedConsistently: the HTTP body cap equals the
 // journal's spec cap, so an oversized spec is a 400 on both the
 // journal-less and the journaled path — never accepted and then bounced
@@ -222,7 +168,7 @@ func TestLongErrorStillJournalsCompletion(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv := New(Config{JournalDir: dir, Workers: 1, Metrics: metrics})
 	jx := srv.newJob(Job{ID: "jx", Spec: JobSpec{Tenant: "acme"}}, false)
-	if err := srv.transition(jx, StatusFailed, errors.New(strings.Repeat("e", 5*journal.MaxFieldBytes)), nil); err != nil {
+	if err := srv.transition(jx, StatusFailed, errors.New(strings.Repeat("e", 5*journal.MaxFieldBytes))); err != nil {
 		t.Fatal(err)
 	}
 	if got := metrics.Get("rapidd.journal.errors"); got != 0 {

@@ -159,8 +159,8 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	j1 := solveAsync(t, ts, g1)
 	g.wait(t)
 
-	// Second greedy job: same structure (same demand), with verify so it
-	// cannot coalesce. The tenant is at its quota, so quota-aware
+	// Second greedy job: same structure (same demand), with verify on. The
+	// tenant is at its quota, so quota-aware
 	// dispatch keeps the job in the ready queue — no worker picks it up
 	// only to park at admission — even though 2×demand of machine budget
 	// is free.
@@ -256,7 +256,7 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b := spec
 		b.Tenant = "hog"
-		b.Seed = uint64(200 + i) // distinct specs: no in-flight coalescing
+		b.Seed = uint64(200 + i) // distinct specs
 		backlog = append(backlog, solveAsync(t, ts, b))
 	}
 
