@@ -27,8 +27,8 @@ var Kinds = []string{"chol", "lu"}
 // names: a nine-point 2-D grid (sparse.GridShape) with random extra
 // couplings — n/8 symmetric links, RCM-ordered, SPD values for "chol";
 // n/4 unsymmetric links and diagonally dominant values for "lu". Equal
-// arguments give equal bytes, which is what makes rapidd's plan cache and
-// request coalescing effective; a test pins the bytes.
+// arguments give equal bytes, which is what makes rapidd's plan cache
+// effective; a test pins the bytes.
 func Matrix(kind string, n int, seed uint64) (*sparse.Matrix, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("-n must be at least 1, got %d", n)

@@ -29,13 +29,14 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -113,8 +114,8 @@ const (
 	// fail to journal.
 	MaxSpecBytes = maxRecordBytes / 2
 	// MaxFieldBytes is the per-string-field cap (ID, Tenant, Priority,
-	// Status, Error). Callers must truncate free-form text (error
-	// messages) to this before journaling.
+	// Status, Error). Write clamps the free-form Status and Error fields
+	// to it, marking the cut; EncodeRecord rejects any field over it.
 	MaxFieldBytes = maxFieldBytes
 )
 
@@ -147,18 +148,20 @@ func putStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// EncodeRecord frames r: [len][crc32c][payload]. Panics only on records
-// violating the documented field caps (a programming error, not input).
+// EncodeRecord frames r: [len][crc32c][payload]. It rejects an invalid
+// op and any field over its cap, naming the first such field in encoding
+// order.
 func EncodeRecord(r Record) ([]byte, error) {
 	if !r.Op.valid() {
 		return nil, fmt.Errorf("journal: encode: invalid op %d", r.Op)
 	}
-	for name, s := range map[string]string{
-		"id": r.ID, "tenant": r.Tenant, "priority": r.Priority,
-		"status": r.Status, "error": r.Error,
-	} {
-		if len(s) > maxFieldBytes {
-			return nil, fmt.Errorf("journal: encode: %s field %d bytes exceeds cap %d", name, len(s), maxFieldBytes)
+	fields := [...]struct{ name, s string }{
+		{"id", r.ID}, {"tenant", r.Tenant}, {"priority", r.Priority},
+		{"status", r.Status}, {"error", r.Error},
+	}
+	for _, f := range fields {
+		if len(f.s) > maxFieldBytes {
+			return nil, fmt.Errorf("journal: encode: %s field %d bytes exceeds cap %d", f.name, len(f.s), maxFieldBytes)
 		}
 	}
 	if len(r.Spec) > MaxSpecBytes {
@@ -356,6 +359,7 @@ type Journal struct {
 	f        iofault.File        // guarded-by: mu
 	seg      int                 // guarded-by: mu
 	segBytes int64               // guarded-by: mu
+	segments int                 // guarded-by: mu; segment files on disk
 	highSeq  uint64              // guarded-by: mu
 	live     map[string]*liveJob // guarded-by: mu
 	liveByte int64               // guarded-by: mu
@@ -402,10 +406,22 @@ func parseSegName(name string) (int, bool) {
 	return n, true
 }
 
+// LiveJob is one unfinished job as the journal's fold leaves it: the
+// submit record that opened it and whether an admit or a cancel record
+// followed.
+type LiveJob struct {
+	Submit    Record
+	Admitted  bool
+	Cancelled bool
+}
+
 // Replay is the outcome of reading a journal directory.
 type Replay struct {
 	// Records holds every decoded record in append order.
 	Records []Record
+	// Live holds every job without a completion record, in submission
+	// order: the live set compaction writes out, the same either way.
+	Live []LiveJob
 	// TruncatedBytes counts torn-tail bytes discarded from the newest
 	// segment (zero on a clean shutdown).
 	TruncatedBytes int64
@@ -494,12 +510,16 @@ func Open(dir string, opts Options) (*Journal, *Replay, error) {
 	}
 	j.stats.Records = int64(len(rep.Records))
 	j.stats.TruncatedBytes = rep.TruncatedBytes
+	if rep.Live, err = j.liveLocked(); err != nil {
+		return nil, nil, err
+	}
 	// The log replayed; only now finish what a crash interrupted.
 	for _, old := range segs[:root] {
 		if err := fs.Remove(filepath.Join(dir, segName(old))); err != nil {
 			return nil, nil, fmt.Errorf("journal: removing stale pre-compaction segment: %w", err)
 		}
 	}
+	j.segments = max(len(segs)-root, 1)
 	path := filepath.Join(dir, segName(j.seg))
 	if rep.TruncatedBytes > 0 {
 		if err := fs.Truncate(path, j.segBytes); err != nil {
@@ -524,7 +544,7 @@ func listSegments(fs iofault.FS, dir string) ([]int, error) {
 			segs = append(segs, n)
 		}
 	}
-	sort.Ints(segs)
+	slices.Sort(segs)
 	return segs, nil
 }
 
@@ -554,17 +574,20 @@ func removeTempSegments(fs iofault.FS, dir string) error {
 }
 
 // applyLocked folds one record into the live-job and high-water state.
+// It is the journal's one fold: compaction writes its live set out, and
+// Replay.Live reads it back.
 func (j *Journal) applyLocked(rec Record, frame []byte) {
 	if rec.Seq > j.highSeq {
 		j.highSeq = rec.Seq
 	}
 	switch rec.Op {
 	case OpSubmit:
-		// Belt and braces: a duplicate submit for a live ID (which the
-		// compaction-root handling in Open should already have prevented)
-		// replaces rather than double-counts the job.
-		if old, ok := j.live[rec.ID]; ok {
-			j.liveByte -= old.bytes
+		// A submit for an ID already live is ignored: the first submit and
+		// every record after it stand. Replacing the job instead would drop
+		// its admit, and a compaction would then write out a job that
+		// never started.
+		if _, ok := j.live[rec.ID]; ok {
+			return
 		}
 		lj := &liveJob{seq: rec.Seq}
 		lj.frames = append(lj.frames, append([]byte(nil), frame...))
@@ -585,6 +608,43 @@ func (j *Journal) applyLocked(rec Record, frame []byte) {
 	}
 }
 
+// liveIDsLocked lists the live jobs in submission order (ID breaks a tie).
+func (j *Journal) liveIDsLocked() []string {
+	ids := make([]string, 0, len(j.live))
+	for id := range j.live {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(j.live[a].seq, j.live[b].seq), strings.Compare(a, b))
+	})
+	return ids
+}
+
+// liveLocked reads the live set back as Replay.Live: a job's submit
+// frame, then its admit and cancel frames.
+func (j *Journal) liveLocked() ([]LiveJob, error) {
+	var out []LiveJob
+	for _, id := range j.liveIDsLocked() {
+		var lv LiveJob
+		for _, frame := range j.live[id].frames {
+			rec, _, err := DecodeRecord(frame)
+			if err != nil {
+				return nil, fmt.Errorf("journal: live job %s: %w", id, err)
+			}
+			switch rec.Op {
+			case OpSubmit:
+				lv.Submit = rec
+			case OpAdmit:
+				lv.Admitted = true
+			case OpCancel:
+				lv.Cancelled = true
+			}
+		}
+		out = append(out, lv)
+	}
+	return out, nil
+}
+
 // Append writes one record and waits until it is durable: Write, then
 // Sync. The record is durable when Append returns nil.
 func (j *Journal) Append(rec Record) error {
@@ -596,7 +656,9 @@ func (j *Journal) Append(rec Record) error {
 }
 
 // Write encodes rec and appends it to the active segment, without an
-// fsync, and returns the Pos that Sync takes to make it durable. Any I/O
+// fsync, and returns the Pos that Sync takes to make it durable. It
+// clamps Status and Error to MaxFieldBytes: refusing a completion record
+// for a long error would bring a finished job back at replay. Any I/O
 // failure poisons the active segment — the fd is closed and never written
 // again (a failed fsync may have silently dropped earlier dirty pages) —
 // and Write returns an error matching ErrDegraded, as does every Write
@@ -607,6 +669,7 @@ func (j *Journal) Append(rec Record) error {
 // run again after a restart. The error still reports it, since it is not
 // durable yet.
 func (j *Journal) Write(rec Record) (Pos, error) {
+	rec.Status, rec.Error = clampField(rec.Status), clampField(rec.Error)
 	frame, err := EncodeRecord(rec)
 	if err != nil {
 		return 0, err
@@ -635,6 +698,16 @@ func (j *Journal) Write(rec Record) (Pos, error) {
 		j.maybeCompactLocked()
 	}
 	return j.end, nil
+}
+
+// clampField cuts s to MaxFieldBytes, marking the cut so a replayed
+// record is recognizably shortened.
+func clampField(s string) string {
+	if len(s) <= maxFieldBytes {
+		return s
+	}
+	const marker = "...(truncated)"
+	return s[:maxFieldBytes-len(marker)] + marker
 }
 
 // Sync returns once the record Write returned pos for is durable. If an
@@ -825,14 +898,9 @@ func (j *Journal) compactLocked() error {
 		return fail(fmt.Errorf("journal: compact: %w", err))
 	}
 	size += int64(len(mark))
-	ids := make([]string, 0, len(j.live))
-	for id := range j.live {
-		ids = append(ids, id)
-	}
 	// Submission order, so replay of a compacted segment re-queues
 	// recovered jobs exactly as the original arrival order did.
-	sort.Slice(ids, func(a, b int) bool { return j.live[ids[a]].seq < j.live[ids[b]].seq })
-	for _, id := range ids {
+	for _, id := range j.liveIDsLocked() {
 		for _, frame := range j.live[id].frames {
 			if _, err := f.Write(frame); err != nil {
 				return fail(fmt.Errorf("journal: compact: %w", err))
@@ -868,6 +936,7 @@ func (j *Journal) compactLocked() error {
 	if err := j.fs.SyncDir(j.dir); err != nil {
 		f.Close()
 		if rerr := j.fs.Remove(path); rerr != nil {
+			j.segments++ // the root stays published
 			j.poisonLocked(fmt.Errorf("compact publish fsync: %v; rollback: %w", err, rerr))
 			return fmt.Errorf("%w: %v", ErrDegraded, j.degradedCause)
 		}
@@ -896,17 +965,20 @@ func (j *Journal) compactLocked() error {
 	}
 	// Remove every older segment, not just the immediate predecessor: an
 	// earlier cleanup that failed leaves stragglers, and the root
-	// supersedes them all.
+	// supersedes them all. The listing also recounts the segments.
 	if segs, err := listSegments(j.fs, j.dir); err == nil {
+		j.segments = 0
 		for _, s := range segs {
-			if s >= next {
-				continue
-			}
-			if err := j.fs.Remove(filepath.Join(j.dir, segName(s))); err != nil {
+			if s < next {
+				if err := j.fs.Remove(filepath.Join(j.dir, segName(s))); err == nil {
+					continue
+				}
 				j.stats.CleanupErrors++
 			}
+			j.segments++
 		}
 	} else {
+		j.segments++
 		j.stats.CleanupErrors++
 	}
 	// Make the deletions durable (best effort: if the old segments do
@@ -932,10 +1004,7 @@ func (j *Journal) Stats() Stats {
 	st := j.stats
 	st.LiveJobs = len(j.live)
 	st.ActiveBytes = j.segBytes
-	segs, err := listSegments(j.fs, j.dir)
-	if err == nil {
-		st.Segments = len(segs)
-	}
+	st.Segments = j.segments
 	return st
 }
 

@@ -139,7 +139,7 @@ func (s *Server) transition(j *job, to JobStatus, cause error) error {
 	}
 	var pos journal.Pos
 	if to == StatusRunning {
-		pos = s.journalWrite(journal.Record{Op: journal.OpAdmit, ID: id, Demand: demand})
+		pos, _ = s.journalWrite(journal.Record{Op: journal.OpAdmit, ID: id, Demand: demand})
 	}
 	terminal := to == StatusDone || to == StatusFailed
 	errStr := ""
@@ -185,7 +185,7 @@ func (s *Server) transition(j *job, to JobStatus, cause error) error {
 	if !submittedAt.IsZero() {
 		s.latency.Observe(time.Since(submittedAt).Microseconds())
 	}
-	pos = s.journalWrite(journal.Record{Op: journal.OpComplete, ID: id, Status: string(to), Error: errStr})
+	pos, _ = s.journalWrite(journal.Record{Op: journal.OpComplete, ID: id, Status: string(to), Error: errStr})
 	s.mu.Lock()
 	j.at = max(j.at, pos)
 	cancel := j.cancel
@@ -259,7 +259,8 @@ func (s *Server) Cancel(id string) bool {
 	if cancel == nil {
 		return false
 	}
-	s.journaled(j, s.journalWrite(journal.Record{Op: journal.OpCancel, ID: id}))
+	pos, _ := s.journalWrite(journal.Record{Op: journal.OpCancel, ID: id})
+	s.journaled(j, pos)
 	cancel()
 	return true
 }

@@ -397,10 +397,12 @@ func Open(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.jnl = jnl
+		s.jnl, s.seq = jnl, jnl.HighSeq()
 		// Recovery runs before the workers start, so recovered jobs keep
 		// their original submission order at the head of the queue.
-		s.recover(rep)
+		for _, lj := range rep.Live {
+			s.recover(lj)
+		}
 		s.wg.Add(1)
 		go s.rearmLoop()
 	}
@@ -515,7 +517,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Degraded gate: while the journal cannot make a submit durable, an
 	// honest 503 beats a silently weaker acknowledgement. (The
-	// journalSubmit error path below catches the race where the journal
+	// journalWrite error path below catches the race where the journal
 	// degrades between this check and the append.)
 	if s.degraded() {
 		s.refuseDegraded(w, prio)
@@ -550,12 +552,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// acknowledgement is that answer, so it syncs here; a synchronous one
 	// comes after the job finishes, and one fsync then covers its submit,
 	// admit and complete records together.
-	pos, err := s.journalSubmit(rec.Seq, rec.ID, spec, body)
+	// body is the raw spec JSON as received: replay re-parses it through
+	// the same parseJobSpec the handler used.
+	pos, err := s.journalWrite(journal.Record{
+		Op: journal.OpSubmit, Seq: rec.Seq, ID: rec.ID,
+		Tenant: spec.Tenant, Priority: spec.Priority, Spec: body,
+	})
 	if err == nil && !wait {
-		err = s.journalSync(pos)
+		if err = s.journalSync(pos); err != nil {
+			s.metrics.Inc("rapidd.journal.errors", 1)
+		}
 	}
 	if err != nil {
-		s.metrics.Inc("rapidd.journal.errors", 1)
 		s.queue.abort(slot)
 		if errors.Is(err, journal.ErrDegraded) {
 			s.refuseDegraded(w, prio)
@@ -663,40 +671,22 @@ func (s *Server) retryAfterSecs(prio int) int {
 	return secs + jitter
 }
 
-// journalSubmit writes the write-ahead submit record (no-op without a
-// journal) and returns its position; the caller syncs it when it promises
-// the job. body is the raw spec JSON as received — replay re-parses it
-// through the same parseJobSpec the handler used.
-func (s *Server) journalSubmit(seq uint64, id string, spec JobSpec, body []byte) (journal.Pos, error) {
+// journalWrite writes rec at the edge that owes it (no-op without a
+// journal) and returns its position (0 if it was not written), counting a
+// failure. A refused submit refuses the request; at any later edge the
+// job proceeds (the daemon must not wedge on a full disk), the counter
+// shows the gap, and the re-arm loop finds the degraded journal on its
+// next check. No fsync: the answer that reports the edge makes it durable
+// (promise, syncJob).
+func (s *Server) journalWrite(rec journal.Record) (journal.Pos, error) {
 	if s.jnl == nil {
 		return 0, nil
 	}
-	return s.jnl.Write(journal.Record{
-		Op: journal.OpSubmit, Seq: seq, ID: id,
-		Tenant: spec.Tenant, Priority: spec.Priority, Spec: body,
-	})
-}
-
-// journalWrite writes a non-submit record at the edge that owes it and
-// returns its position (0 if it was not written), surfacing failures as a
-// counter — the job proceeds (the daemon must not wedge on a full disk),
-// but the gap is visible, and the re-arm loop finds the degraded journal
-// on its next check. No fsync: the answer that reports the edge makes
-// it durable (promise, syncJob). Free-form fields are truncated to the
-// journal's per-field cap first: dropping a completion record because a
-// job's error string was long would resurrect an already-terminal job at
-// replay.
-func (s *Server) journalWrite(rec journal.Record) journal.Pos {
-	if s.jnl == nil {
-		return 0
-	}
-	rec.Status = truncateJournalField(rec.Status)
-	rec.Error = truncateJournalField(rec.Error)
 	pos, err := s.jnl.Write(rec)
 	if err != nil {
 		s.metrics.Inc("rapidd.journal.errors", 1)
 	}
-	return pos
+	return pos, err
 }
 
 // journalSync makes every record up to pos durable (no-op without a
@@ -749,16 +739,6 @@ func (s *Server) promise(j *job, submit journal.Pos) bool {
 	}
 	s.update(j, func(r *Job) { r.Durable = false })
 	return false
-}
-
-// truncateJournalField clamps s to the journal's per-field byte cap,
-// marking the cut so a replayed record is recognizably shortened.
-func truncateJournalField(s string) string {
-	if len(s) <= journal.MaxFieldBytes {
-		return s
-	}
-	const marker = "...(truncated)"
-	return s[:journal.MaxFieldBytes-len(marker)] + marker
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

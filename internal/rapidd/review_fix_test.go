@@ -75,9 +75,9 @@ func TestRestartAfterInterruptedCompactionRunsJobsOnce(t *testing.T) {
 	}
 }
 
-// TestDuplicateSubmitReplayDeduped: even if a duplicated submit record
-// reaches recover (the journal layer should prevent it), the second one
-// is dropped and counted instead of double-requeueing the job.
+// TestDuplicateSubmitReplayDeduped: a duplicated submit record in the
+// log is the journal's to fold away (the first submit stands); the
+// restarted daemon sees one job, recovers it once and runs it to done.
 func TestDuplicateSubmitReplayDeduped(t *testing.T) {
 	dir := t.TempDir()
 	spec := []byte(`{"tenant":"acme","kind":"chol","n":90,"seed":43,"procs":2}`)
@@ -93,14 +93,14 @@ func TestDuplicateSubmitReplayDeduped(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	j := getJob(t, ts, "j0001", true)
-	if j.Status != StatusDone {
-		t.Fatalf("deduped job: %s (%s)", j.Status, j.Error)
-	}
-	if got := metrics.Get("rapidd.journal.duplicate_submits"); got != 1 {
-		t.Errorf("duplicate_submits %d, want 1", got)
+	if j.Status != StatusDone || !j.Recovered {
+		t.Fatalf("deduped job: %s recovered=%v (%s)", j.Status, j.Recovered, j.Error)
 	}
 	if got := metrics.Get("rapidd.journal.recovered"); got != 1 {
 		t.Errorf("recovered counter %d, want 1", got)
+	}
+	if jobs := listJobs(t, ts); len(jobs) != 1 {
+		t.Fatalf("job list has %d entries, want 1: %+v", len(jobs), jobs)
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)

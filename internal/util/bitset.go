@@ -1,6 +1,6 @@
 // Package util provides small supporting data structures used across the
-// repository: bitsets, indexed priority queues and a deterministic random
-// number generator. All of them are allocation-conscious because the
+// repository: a bitset, a deterministic random number generator and the
+// seeded hash Hash64. They are allocation-conscious because the
 // scheduling and simulation layers call them in tight loops.
 package util
 

@@ -58,12 +58,13 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache { return plancache.New(cfg) }
 // keys are valid content addresses; they simply name different input
 // states). A program fresh from its builder always produces the fresh key.
 //
-// Fingerprint materializes and hashes the whole graph encoding, so it costs
-// time and memory in proportion to the program. A caller that can tell
-// which plan a request resolves to without building the program — rapidd
-// can: a job spec names its matrix, and so its task graph — fingerprints a
-// structure once and finds the plan afterwards by a name it attaches to
-// the cache entry (PlanCache.Attach and Lookup), with no program in hand.
+// Fingerprint hashes the whole graph encoding, so it costs time in
+// proportion to the program; the encoding streams through a fixed 32 kB
+// window and is never built whole. A caller that can tell which plan a
+// request resolves to without building the program — rapidd can: a job
+// spec names its matrix, and so its task graph — fingerprints a structure
+// once and finds the plan afterwards by a name it attaches to the cache
+// entry (PlanCache.Attach and Lookup), with no program in hand.
 func Fingerprint(prog *Program, opt Options) string {
 	return plan.Fingerprint(prog.G, encodeOptions(opt))
 }
