@@ -1,8 +1,9 @@
 package repro_test
 
-// The four executor benchmarks, the inspector, verifier and decoder
-// benchmarks and the daemon's hot and cold requests CI's benchstat step
-// gates, and the allocation and live-byte ceilings of the same paths.
+// The four executor benchmarks, the serve-shape ruler, the inspector,
+// verifier and decoder benchmarks and the daemon's hot and cold requests
+// CI's benchstat step gates, and the allocation and live-byte ceilings of
+// the same paths.
 // Everything else that used to live here is a cmd/paper experiment
 // (byte-gated by TestPaperSmallGolden) or a per-layer metric of bench/
 // (BENCHMARK.json).
@@ -16,7 +17,9 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/factor"
 	"repro/internal/rapidd"
@@ -140,6 +143,65 @@ func BenchmarkExecuteServeShape(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// cpuTime is the CPU time, user and system, the process has used so far.
+func cpuTime(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkServeSpeedup is the ruler of the inspector/executor split at
+// bench/'s two served shapes, chol at block 8 on 4 processors, MPO, full
+// memory: n=400 (serve_hot) and n=120 (serve_durable). Each iteration runs
+// the sequential factor, then one Execute of the compiled plan, and the
+// benchmark reports the ratio of their wall times (speedup), of their CPU
+// times (cpu_ratio: what the parallel run burns per unit of sequential
+// work) and the bytes each allocates (seq-B/op, exec-B/op). B/op is the
+// pair's.
+func BenchmarkServeSpeedup(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		n    int
+	}{{"serve_hot", 400}, {"serve_durable", 120}} {
+		b.Run(sh.name, func(b *testing.B) {
+			a, err := factor.Matrix("chol", sh.n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pb, plan := inspect(b, a, 8, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
+			var wall, cpu [2]time.Duration
+			var bytes [2]uint64
+			var ms runtime.MemStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range wall {
+					runtime.ReadMemStats(&ms)
+					a0, c0, t0 := ms.TotalAlloc, cpuTime(b), time.Now()
+					if k == 0 {
+						_, err = pb.Sequential()
+					} else {
+						_, err = rapid.Execute(pb.Program, plan, pb.Exec)
+					}
+					wall[k] += time.Since(t0)
+					cpu[k] += cpuTime(b) - c0
+					if err != nil {
+						b.Fatal(err)
+					}
+					runtime.ReadMemStats(&ms)
+					bytes[k] += ms.TotalAlloc - a0
+				}
+			}
+			b.ReportMetric(float64(wall[0])/float64(wall[1]), "speedup")
+			b.ReportMetric(float64(cpu[1])/float64(cpu[0]), "cpu_ratio")
+			b.ReportMetric(float64(bytes[0])/float64(b.N), "seq-B/op")
+			b.ReportMetric(float64(bytes[1])/float64(b.N), "exec-B/op")
+		})
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/rma"
+	"repro/internal/util"
 )
 
 // KernelFunc executes a task against its object buffers. get returns the
@@ -144,6 +145,26 @@ type coreSlot struct {
 	_     [64 - 4]byte
 }
 
+// runState is what a run builds that a later run, of any plan, takes back
+// instead of allocating anew: the protocol engine, each processor's core —
+// its ledger's slabs, its channel and processor tables, its address
+// packages and queues — and backend, the watchdog probes, the scheduling
+// slots and the address-slot mesh. Run returns it to runStates only once
+// the run has quiesced. Every piece is reset on reuse; only the permanent
+// payload, which the result hands out, is allocated per run.
+type runState struct {
+	eng    proto.Engine
+	procs  []*procState
+	probes []procProbe
+	cores  []coreSlot
+	slots  rma.AddrSlots
+}
+
+// runStates is process-wide, not per plan: it holds the state of the runs
+// in flight and what the collector has not yet taken back of runs that
+// ended, never a copy per cached plan.
+var runStates util.Pool[runState]
+
 type engine struct {
 	eng *proto.Engine
 	cfg Config
@@ -180,6 +201,10 @@ type engine struct {
 	watchOff bool        // guarded-by: watchMu
 	watching sync.WaitGroup
 	period   time.Duration // the watchdog's re-arm period
+
+	// timers counts the WakeAfter timers armed and not yet run to the end
+	// or stopped.
+	timers sync.WaitGroup
 }
 
 // wake makes core p look at its protocol state again: an idle core is
@@ -267,30 +292,35 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 		return nil, errors.New("exec: negative BlockTimeout")
 	}
 	s := a.Schedule
-	pe, err := proto.NewEngine(s, a.Mem, a.Tables(), cfg.Faults)
-	if err != nil {
+	rs := runStates.Get()
+	if err := rs.eng.Reset(s, a.Mem, a.Tables(), cfg.Faults); err != nil {
+		runStates.Recycle(rs)
 		return nil, fmt.Errorf("exec: %w", err)
 	}
 	if cfg.BlockTimeout == 0 {
 		cfg.BlockTimeout = 30 * time.Second
 	}
+	rs.slots.Reset(s.P)
+	rs.probes = util.Reuse(rs.probes, s.P)
+	rs.cores = util.Reuse(rs.cores, s.P)
+	rs.procs = resize(rs.procs, s.P)
 	e := &engine{
-		eng:     pe,
+		eng:     &rs.eng,
 		cfg:     cfg,
-		slots:   rma.NewAddrSlots(s.P),
-		probes:  make([]procProbe, s.P),
-		cores:   make([]coreSlot, s.P),
-		procs:   make([]*procState, s.P),
+		slots:   &rs.slots,
+		probes:  rs.probes,
+		cores:   rs.cores,
+		procs:   rs.procs,
 		runq:    make(chan graph.Proc, s.P),
 		stop:    make(chan struct{}),
 		period:  max(cfg.BlockTimeout/4, time.Microsecond),
 		numeric: cfg.Kernel != nil,
 		start:   time.Now(),
 	}
-	// Every core starts queued; each builds its proto.Core on its first
+	// Every core starts queued; each resets its proto.Core on its first
 	// turn, so the permanent allocations run on the workers.
 	for p := range e.procs {
-		e.procs[p] = &procState{e: e, p: graph.Proc(p)}
+		e.procs[p].start(e, graph.Proc(p))
 		e.cores[p].state.Store(coreQueued)
 		e.runq <- graph.Proc(p)
 	}
@@ -314,6 +344,13 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	e.watchdog.Stop()
 	e.watchMu.Unlock()
 	e.watching.Wait()
+	// The run has quiesced once no wake timer can fire into it either: the
+	// workers and the watchdog, the only depositors, are done.
+	for _, ps := range e.procs {
+		ps.stopTimers()
+	}
+	e.timers.Wait()
+	defer rs.release()
 
 	// The joins above order every fail() before this read, but take the
 	// lock anyway: the invariant is "runErr moves under errMu", not
@@ -327,10 +364,10 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	cores := make([]*proto.Core, s.P)
 	res := &Result{BlockedAdvances: make([]int, s.P)}
 	for p, ps := range e.procs {
-		cores[p] = ps.core
+		cores[p] = &ps.core
 		res.BlockedAdvances[p] = ps.core.Stats.BlockedAdvances
 	}
-	res.Summary = pe.Summarize(cores)
+	res.Summary = e.eng.Summarize(cores)
 	if e.numeric {
 		res.Objects = make(map[graph.ObjID][]float64, s.G.NumObjects())
 		for oi := range s.G.Objects {
@@ -340,6 +377,32 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// release hands rs back to runStates once the run and its result are
+// done with it. It keeps only what a later run reuses: nothing of this
+// run's plan, config, result or large payloads stays reachable from the
+// pool.
+func (rs *runState) release() {
+	for _, ps := range rs.procs {
+		ps.core.Release()
+		ps.e = nil
+	}
+	rs.eng.Release()
+	runStates.Recycle(rs)
+}
+
+// resize returns procs at length n: a previous run's states keep their
+// cores for Reset, and those past n are dropped so that the pool does not
+// hold their slabs.
+func resize(procs []*procState, n int) []*procState {
+	keep := min(n, len(procs))
+	clear(procs[keep:])
+	procs = procs[:keep]
+	for len(procs) < n {
+		procs = append(procs, new(procState))
+	}
+	return procs
 }
 
 // work is one worker: it drives queued cores, one turn each, until the
@@ -434,13 +497,13 @@ func (e *engine) drive(p graph.Proc) {
 // to the next, and a blocked core waits for a wake, not for a re-poll.
 func (ps *procState) run() (finished bool, err error) {
 	e := ps.e
-	if ps.core == nil {
-		if ps.core, err = e.eng.NewCore(ps.p, ps); err != nil {
+	if !ps.reset {
+		if err = ps.core.Reset(e.eng, ps.p, ps); err != nil {
 			return false, fmt.Errorf("exec: %w", err)
 		}
-		ps.get = ps.buf // bound once: a method value built per Kernel call escapes
+		ps.reset = true
 	}
-	core, probe := ps.core, &e.probes[ps.p]
+	core, probe := &ps.core, &e.probes[ps.p]
 	for {
 		// One clock reading per protocol step: it times the step and stamps
 		// the watchdog for whatever progress the step makes.
@@ -495,14 +558,38 @@ func (ps *procState) run() (finished bool, err error) {
 // into its peers and the physical side of its buffers — plus its watchdog
 // stamp.
 type procState struct {
-	e    *engine
-	p    graph.Proc
-	core *proto.Core // built on the processor's first turn
-	get  func(graph.ObjID) []float64
+	e     *engine
+	p     graph.Proc
+	core  proto.Core // reset on the processor's first turn
+	reset bool
+	get   func(graph.ObjID) []float64
 	// now is the driver loop's latest clock reading and lastProgress, the
 	// watchdog stamp, the reading at which the processor last moved: a stamp
 	// costs no clock read of its own.
 	now, lastProgress float64
+	// timers are the WakeAfter timers armed this run.
+	timers []*time.Timer
+}
+
+// start readies ps to drive processor p of e's run.
+func (ps *procState) start(e *engine, p graph.Proc) {
+	ps.e, ps.p, ps.reset = e, p, false
+	ps.now, ps.lastProgress = 0, 0
+	if ps.get == nil {
+		ps.get = ps.buf // bound once: a method value built per Kernel call escapes
+	}
+}
+
+// stopTimers stops the timers WakeAfter armed this run; one that has
+// already fired counts itself off e.timers when its wake returns.
+func (ps *procState) stopTimers() {
+	for _, t := range ps.timers {
+		if t.Stop() {
+			ps.e.timers.Done()
+		}
+	}
+	clear(ps.timers)
+	ps.timers = ps.timers[:0]
 }
 
 // BufLen gives numeric runs a payload per object; structure-only runs get
@@ -618,12 +705,18 @@ func (ps *procState) SendCtl(t graph.TaskID) {
 // 0 wakes this processor's own core, which is running, so its worker
 // re-advances it before letting it go — used by fault-delayed deposits,
 // which retry on the next attempt; a positive delay (retransmission RTOs)
-// arms a runtime timer that wakes it. A timer that outlives the run queues
-// the core into a queue nobody reads.
+// arms a runtime timer that wakes it. Run stops the timers still pending
+// when the run ends, and waits out any that fired, before it recycles the
+// state their wakes touch.
 func (ps *procState) WakeAfter(delay float64) {
+	e, p := ps.e, ps.p
 	if delay <= 0 {
-		ps.e.wake(ps.p)
+		e.wake(p)
 		return
 	}
-	time.AfterFunc(time.Duration(delay*float64(time.Second)), func() { ps.e.wake(ps.p) })
+	e.timers.Add(1)
+	ps.timers = append(ps.timers, time.AfterFunc(time.Duration(delay*float64(time.Second)), func() {
+		defer e.timers.Done()
+		e.wake(p)
+	}))
 }

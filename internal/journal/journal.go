@@ -150,7 +150,9 @@ func putStr(b []byte, s string) []byte {
 
 // EncodeRecord frames r: [len][crc32c][payload]. It rejects an invalid
 // op and any field over its cap, naming the first such field in encoding
-// order.
+// order. The frame is one allocation: the payload is written behind the
+// header's place, sized for the longest varints, and the header is filled
+// in last.
 func EncodeRecord(r Record) ([]byte, error) {
 	if !r.Op.valid() {
 		return nil, fmt.Errorf("journal: encode: invalid op %d", r.Op)
@@ -159,30 +161,32 @@ func EncodeRecord(r Record) ([]byte, error) {
 		{"id", r.ID}, {"tenant", r.Tenant}, {"priority", r.Priority},
 		{"status", r.Status}, {"error", r.Error},
 	}
+	size := frameHdrBytes + 2 + 3*binary.MaxVarintLen64 + len(r.Spec)
 	for _, f := range fields {
 		if len(f.s) > maxFieldBytes {
 			return nil, fmt.Errorf("journal: encode: %s field %d bytes exceeds cap %d", f.name, len(f.s), maxFieldBytes)
 		}
+		size += binary.MaxVarintLen64 + len(f.s)
 	}
 	if len(r.Spec) > MaxSpecBytes {
 		return nil, fmt.Errorf("journal: encode: spec %d bytes exceeds cap %d", len(r.Spec), MaxSpecBytes)
 	}
-	p := make([]byte, 0, 64+len(r.Spec))
-	p = append(p, recVersion, byte(r.Op))
-	p = binary.AppendUvarint(p, r.Seq)
-	p = binary.AppendUvarint(p, uint64(r.Demand))
-	p = putStr(p, r.ID)
-	p = putStr(p, r.Tenant)
-	p = putStr(p, r.Priority)
-	p = putStr(p, r.Status)
-	p = putStr(p, r.Error)
-	p = binary.AppendUvarint(p, uint64(len(r.Spec)))
-	p = append(p, r.Spec...)
+	out := make([]byte, frameHdrBytes, size)
+	out = append(out, recVersion, byte(r.Op))
+	out = binary.AppendUvarint(out, r.Seq)
+	out = binary.AppendUvarint(out, uint64(r.Demand))
+	out = putStr(out, r.ID)
+	out = putStr(out, r.Tenant)
+	out = putStr(out, r.Priority)
+	out = putStr(out, r.Status)
+	out = putStr(out, r.Error)
+	out = binary.AppendUvarint(out, uint64(len(r.Spec)))
+	out = append(out, r.Spec...)
 
-	out := make([]byte, frameHdrBytes, frameHdrBytes+len(p))
+	p := out[frameHdrBytes:]
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(p, crcTable))
-	return append(out, p...), nil
+	return out, nil
 }
 
 // byteCursor walks a payload, flagging overruns as corruption.

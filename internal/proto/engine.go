@@ -256,17 +256,33 @@ type Engine struct {
 // plan.Artifact.Tables) into the shared state of one run. Tables bound to
 // another plan, or to none, are an error. The plan must be executable.
 func NewEngine(s *sched.Schedule, plan *mem.Plan, tables *Tables, f Faults) (*Engine, error) {
+	e := new(Engine)
+	if err := e.Reset(s, plan, tables, f); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Reset is NewEngine into e, for a run of any plan after the one e served:
+// its counter arrays are reused (util.Reuse), so nothing of that run may
+// still reach them. Baseline is cleared.
+func (e *Engine) Reset(s *sched.Schedule, plan *mem.Plan, tables *Tables, f Faults) error {
 	if !plan.Executable {
-		return nil, fmt.Errorf("proto: plan is not executable under capacity %d", plan.Capacity)
+		return fmt.Errorf("proto: plan is not executable under capacity %d", plan.Capacity)
 	}
 	if tables.plan != plan {
-		return nil, fmt.Errorf("proto: protocol tables are bound to another MAP plan")
+		return fmt.Errorf("proto: protocol tables are bound to another MAP plan")
 	}
-	return &Engine{
-		S: s, Plan: plan, Tables: tables, Faults: f,
-		CtlRecv:    make([]atomic.Int32, s.G.NumTasks()),
-		dupDropped: make([]atomic.Int64, s.P),
-	}, nil
+	e.S, e.Plan, e.Tables, e.Faults, e.Baseline, e.known = s, plan, tables, f, false, nil
+	e.CtlRecv = util.Reuse(e.CtlRecv, s.G.NumTasks())
+	e.dupDropped = util.Reuse(e.dupDropped, s.P)
+	return nil
+}
+
+// Release lets go of the run e served — its schedule, plan and tables —
+// and keeps the counter arrays for the next Reset.
+func (e *Engine) Release() {
+	e.S, e.Plan, e.Tables, e.known = nil, nil, nil, nil
 }
 
 // Discarded charges one duplicate delivery, rejected by sequence number, to
@@ -550,6 +566,12 @@ type Core struct {
 	queued int
 	// addrSeq numbers the address packages sent to each destination.
 	addrSeq []int32
+	// pkgs and pkgBufs hold the address packages of all the processor's
+	// MAPs and their handle lists; each MAP takes its share, in MAP order,
+	// from offset npkgs and nbufs.
+	pkgs         []rma.AddrPackage
+	pkgBufs      []*rma.Buffer
+	npkgs, nbufs int
 
 	// The receive half. mem is the processor's capacity ledger and the home
 	// of its buffers, whose arrival counters REC reads; allocCh is what is
@@ -582,19 +604,44 @@ type Core struct {
 // NewCore returns the protocol state machine for processor p backed by be,
 // with p's permanent objects allocated and initialised.
 func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
+	c := new(Core)
+	if err := c.Reset(e, p, be); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset is NewCore into c, for a run of any plan after the one c served:
+// the ledger's slabs, the channel and processor tables, the address
+// packages and the queues are that run's, reused, so nothing of that run
+// may still reach them. Only the permanent payload is allocated anew — a
+// run's result hands it out.
+func (c *Core) Reset(e *Engine, p graph.Proc, be Backend) error {
 	g := e.S.G
-	c := &Core{
+	nchan := e.Tables.NumChans()
+	*c = Core{
 		eng:      e,
 		be:       be,
 		p:        p,
 		order:    e.S.Order[p],
 		maps:     e.Plan.Procs[p].MAPs,
-		fifo:     make([]chanFIFO, e.Tables.NumChans()),
-		addrSeq:  make([]int32, e.S.P),
-		mem:      rma.NewMemoryFor(e.Plan.Capacity, g.NumObjects()),
+		pend:     c.pend[:0],
+		outq:     c.outq[:0],
+		fifo:     util.Reuse(c.fifo, nchan),
+		armed:    c.armed[:0],
+		addrSeq:  util.Reuse(c.addrSeq, e.S.P),
+		pkgs:     c.pkgs,
+		pkgBufs:  c.pkgBufs,
+		mem:      c.mem,
 		allocCh:  e.Tables.AllocChans(p),
-		addrSeen: make([]int32, e.S.P),
+		addr:     c.addr,
+		addrSeen: util.Reuse(c.addrSeen, e.S.P),
+		scratch:  c.scratch[:0],
 	}
+	if c.mem == nil {
+		c.mem = new(rma.Memory)
+	}
+	c.mem.Reset(e.Plan.Capacity, g.NumObjects())
 	// The permanent allocation is one event.
 	n, floats := 0, int64(0)
 	for oi := range g.Objects {
@@ -603,13 +650,13 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 			floats += rma.SlabLen(be.BufLen(graph.ObjID(oi)))
 		}
 	}
-	c.mem.Reserve(n, floats)
+	c.mem.ReserveOwned(n, floats)
 	for oi := range g.Objects {
 		if g.Objects[oi].Owner != p {
 			continue
 		}
 		if _, err := c.alloc(graph.ObjID(oi), -1); err != nil {
-			return nil, fmt.Errorf("proto: proc %d permanent allocation: %w", p, err)
+			return fmt.Errorf("proto: proc %d permanent allocation: %w", p, err)
 		}
 	}
 	if e.Baseline {
@@ -617,7 +664,7 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 		// at once; what is left of the MAPs frees, allocates and notifies
 		// nothing.
 		if e.known == nil {
-			e.known = make([]*rma.Buffer, e.Tables.NumChans())
+			e.known = make([]*rma.Buffer, nchan)
 		}
 		c.addr = e.known
 		planned := c.maps
@@ -626,7 +673,7 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 			m := &planned[i]
 			c.maps[i] = mem.MAP{Pos: m.Pos, CoverEnd: m.CoverEnd}
 			if err := c.allocMAP(m); err != nil {
-				return nil, fmt.Errorf("proto: proc %d: Baseline allocates the whole volatile space up front: %w", p, err)
+				return fmt.Errorf("proto: proc %d: Baseline allocates the whole volatile space up front: %w", p, err)
 			}
 			for _, o := range m.Allocs {
 				if b, _ := c.mem.Lookup(o); b.Chan >= 0 {
@@ -635,9 +682,41 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 			}
 		}
 	} else {
-		c.addr = make([]*rma.Buffer, e.Tables.NumChans())
+		c.addr = util.Reuse(c.addr, nchan)
 	}
-	return c, nil
+	npkgs, nbufs := 0, 0
+	for i := range c.maps {
+		nt := &c.maps[i].Notify
+		npkgs += nt.Len()
+		nbufs += len(nt.Objs)
+	}
+	c.pkgs = util.Reuse(c.pkgs, npkgs)
+	c.pkgBufs = util.Reuse(c.pkgBufs, nbufs)
+	return nil
+}
+
+// Release lets go of the run c served — its engine, backend and plan, and
+// every buffer and payload it pointed at — and keeps the arrays, zeroed
+// where they hold pointers, and the ledger's recyclable payload slabs for
+// the next Reset.
+func (c *Core) Release() {
+	addr := c.addr
+	if c.eng != nil && c.eng.Baseline {
+		addr = nil // the run's shared address book, not c's
+	}
+	clear(addr)
+	clear(c.pend[:cap(c.pend)])
+	clear(c.scratch[:cap(c.scratch)])
+	clear(c.pkgs)
+	clear(c.pkgBufs)
+	if c.mem != nil {
+		c.mem.Release()
+	}
+	*c = Core{
+		pend: c.pend[:0], outq: c.outq[:0], fifo: c.fifo, armed: c.armed[:0],
+		addrSeq: c.addrSeq, pkgs: c.pkgs, pkgBufs: c.pkgBufs, mem: c.mem,
+		addr: addr, addrSeen: c.addrSeen, scratch: c.scratch[:0],
+	}
 }
 
 // alloc books object o, exported under channel ch, on the ledger. An input
@@ -854,15 +933,17 @@ func (c *Core) arrived(o graph.ObjID) (int32, bool) {
 
 // queueNotify stages the MAP's address packages — the handles of the
 // buffers it just allocated — in the plan's destination order and applies
-// the fault plan to each. A MAP's packages share one allocation, and their
-// handle lists another.
+// the fault plan to each. The packages and their handle lists are the
+// MAP's share of the core's pkgs and pkgBufs.
 func (c *Core) queueNotify(m *mem.MAP) error {
 	nt := &m.Notify
 	if nt.Len() == 0 {
 		return nil
 	}
-	pkgs := make([]rma.AddrPackage, nt.Len())
-	bufs := make([]*rma.Buffer, len(nt.Objs))
+	pkgs := c.pkgs[c.npkgs : c.npkgs+nt.Len()]
+	bufs := c.pkgBufs[c.nbufs : c.nbufs+len(nt.Objs)]
+	c.npkgs += len(pkgs)
+	c.nbufs += len(bufs)
 	for i, dst := range nt.Dst {
 		c.addrSeq[dst]++
 		pkg := &pkgs[i]

@@ -1139,8 +1139,10 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 		residual = pb.Residual(rep.Objects, spec.Seed)
 	}
 	stateUS := stateOccupancyUS(rep.Occupancy)
-	for name, us := range stateUS {
-		s.metrics.Inc("rapidd.state."+strings.ToLower(name)+"_us", us)
+	for i, name := range stateNames {
+		if us, ok := stateUS[name]; ok {
+			s.metrics.Inc(stateCounters[i], us)
+		}
 	}
 	rel := rapid.SumReliability(rep.Reliability)
 	s.metrics.Inc("rapidd.reliability.retransmits", int64(rel.Retransmits))
@@ -1159,15 +1161,28 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 	return nil
 }
 
+// stateNames are the protocol states in StateOccupancy order, the keys of
+// a job's state_us, and stateCounters the trace counters their times add
+// to: built once, not per job.
+var (
+	stateNames    = rapid.StateNames()
+	stateCounters = func() []string {
+		c := make([]string, len(stateNames))
+		for i, name := range stateNames {
+			c[i] = "rapidd.state." + strings.ToLower(name) + "_us"
+		}
+		return c
+	}()
+)
+
 // stateOccupancyUS folds per-processor protocol-state occupancy (seconds)
 // into machine-wide microseconds per state.
 func stateOccupancyUS(occ []rapid.StateOccupancy) map[string]int64 {
 	if len(occ) == 0 {
 		return nil
 	}
-	names := rapid.StateNames()
-	out := make(map[string]int64, len(names))
-	for si, name := range names {
+	out := make(map[string]int64, len(stateNames))
+	for si, name := range stateNames {
 		var us int64
 		for _, o := range occ {
 			us += int64(o[si] * 1e6)

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/util"
 )
 
 // Buffer is an exported memory region on some processor. The receiver
@@ -43,6 +44,9 @@ type Buffer struct {
 	arrivals atomic.Int32
 	lastSeq  atomic.Int32
 	freed    atomic.Bool
+	// event is 1 + the number of the allocation event whose recyclable
+	// payload slab Data was carved from; 0 for any other payload.
+	event int32
 }
 
 // Arrivals returns the number of completed deposits (acquire semantics).
@@ -104,20 +108,37 @@ type AddrPackage struct {
 // Memory is allocated per event, not per object: Reserve opens an event
 // (a processor's permanent allocation, one MAP's allocations) with one
 // slab of headers and one of payloads, and the event's Allocs carve from
-// them. A header is never reused, so a freed buffer keeps its freed flag
-// and sequence watermark for as long as a stray handle to it exists.
+// them. A header is never reused within a run, so a freed buffer keeps its
+// freed flag and sequence watermark for as long as a stray handle to it
+// exists in that run. A payload slab is reused as soon as every buffer
+// carved from it is freed: a later event of the run takes it before it
+// allocates, so the slabs a run holds follow the ledger's peak, not the
+// sum of its events. Across runs everything is recycled: Reset starts a
+// new run whose events take the previous run's header slabs back in event
+// order, and its payload slabs where they fit.
 type Memory struct {
 	capacity int64
 	used     int64
 	peak     int64
 	// bufs is indexed by object id (nil: not allocated) and grows to the
-	// largest id allocated, unless NewMemoryFor sized it once, so Lookup —
-	// one per kernel operand and per arrival check — is an index and a nil
-	// test.
+	// largest id allocated, unless NewMemoryFor or Reset sized it once, so
+	// Lookup — one per kernel operand and per arrival check — is an index
+	// and a nil test.
 	bufs []*Buffer
 	// hdrs and pay are what is left of the open event's slabs.
 	hdrs []Buffer
 	pay  []float64
+	// events counts the run's Reserves so far, and hdrSlabs holds their
+	// header slabs by event number.
+	events   int
+	hdrSlabs [][]Buffer
+	// paySlabs[i] is event i's recyclable payload slab while a buffer
+	// carved from it is live, and payLive[i] counts those buffers. dead
+	// holds the slabs this run has freed and no event has taken back, and
+	// spare those of the previous run.
+	paySlabs    [][]float64
+	payLive     []int32
+	dead, spare [][]float64
 }
 
 // LargePayload is the payload length, in float64s, from which a buffer
@@ -146,6 +167,42 @@ func NewMemoryFor(capacity int64, objects int) *Memory {
 	return &Memory{capacity: capacity, bufs: make([]*Buffer, objects)}
 }
 
+// Reset empties the ledger for a new run with the given capacity and
+// object ids below objects. The new run's events reuse the previous run's
+// slabs, so every buffer of that run is dead: the caller must make sure
+// that no handle to one can still be used.
+func (m *Memory) Reset(capacity int64, objects int) {
+	m.capacity, m.used, m.peak = capacity, 0, 0
+	m.bufs = util.Reuse(m.bufs, objects)
+	m.hdrs, m.pay = nil, nil
+	// Keep the slabs of the run that ended, not those of a run before it.
+	clear(m.hdrSlabs[m.events:])
+	m.hdrSlabs = m.hdrSlabs[:m.events]
+	clear(m.spare)
+	m.spare = append(m.spare[:0], m.dead...)
+	for _, p := range m.paySlabs {
+		if p != nil {
+			m.spare = append(m.spare, p)
+		}
+	}
+	clear(m.dead)
+	clear(m.paySlabs)
+	m.dead, m.paySlabs, m.payLive = m.dead[:0], m.paySlabs[:0], m.payLive[:0]
+	m.events = 0
+}
+
+// Release lets go of what the run's buffers point at — an owned payload
+// the run handed out, a payload with an allocation of its own — and keeps
+// the index, the header slabs (zeroed) and the recyclable payload slabs
+// for the next Reset.
+func (m *Memory) Release() {
+	clear(m.bufs)
+	for _, h := range m.hdrSlabs {
+		clear(h)
+	}
+	m.hdrs, m.pay = nil, nil
+}
+
 // Used returns the units currently allocated.
 func (m *Memory) Used() int64 { return m.used }
 
@@ -156,13 +213,60 @@ func (m *Memory) Peak() int64 { return m.peak }
 // from one slab, and their payloads, where SlabLen says so, from another of
 // floats float64s — the sum of their SlabLens. What an event leaves unused
 // is dropped by the next Reserve; an Alloc past what was reserved
-// allocates on its own.
-func (m *Memory) Reserve(n int, floats int64) {
-	m.hdrs = make([]Buffer, n)
-	m.pay = nil
-	if floats > 0 {
-		m.pay = make([]float64, floats)
+// allocates on its own. The header slab comes back zeroed from the same
+// event of the previous run where it fits (util.Reuse); the payload slab
+// is one this run freed, or one the previous run left, that fits the same
+// way, zeroed, or a new one.
+func (m *Memory) Reserve(n int, floats int64) { m.reserve(n, floats, false) }
+
+// ReserveOwned is Reserve for an event whose payload the caller keeps past
+// the run (a processor's permanent objects, which a run's result hands
+// out): the payload slab is allocated anew and never recycled.
+func (m *Memory) ReserveOwned(n int, floats int64) { m.reserve(n, floats, true) }
+
+func (m *Memory) reserve(n int, floats int64, owned bool) {
+	i := m.events
+	m.events++
+	if i == len(m.hdrSlabs) {
+		m.hdrSlabs = append(m.hdrSlabs, nil)
 	}
+	m.hdrs = util.Reuse(m.hdrSlabs[i], n)
+	m.hdrSlabs[i] = m.hdrs
+	var slab []float64
+	switch {
+	case floats == 0:
+	case owned:
+		m.pay = make([]float64, floats)
+	default:
+		slab = m.takeSlab(int(floats))
+		m.pay = slab
+	}
+	m.paySlabs, m.payLive = append(m.paySlabs, slab), append(m.payLive, 0)
+}
+
+// takeSlab returns a zeroed payload slab of n float64s: the smallest freed
+// or spare one whose capacity is within [n, 2n] (util.Reuse's rule), or a
+// new one.
+func (m *Memory) takeSlab(n int) []float64 {
+	var from *[][]float64
+	best := -1
+	for _, pool := range []*[][]float64{&m.dead, &m.spare} {
+		for j, p := range *pool {
+			if c := cap(p); c >= n && c <= 2*n && (best < 0 || c < cap((*from)[best])) {
+				from, best = pool, j
+			}
+		}
+	}
+	if best < 0 {
+		return make([]float64, n)
+	}
+	pool := *from
+	p := pool[best][:n]
+	last := len(pool) - 1
+	pool[best], pool[last] = pool[last], nil
+	*from = pool[:last]
+	clear(p)
+	return p
 }
 
 // Alloc reserves size units for object o and returns its buffer with a
@@ -191,10 +295,14 @@ func (m *Memory) AllocChan(o graph.ObjID, ch int32, size, bufLen int64) (*Buffer
 	} else {
 		b = new(Buffer)
 	}
-	b.Obj, b.Chan = o, ch
+	b.Obj, b.Chan, b.event = o, ch, 0
 	switch n := SlabLen(bufLen); {
 	case n > 0 && n <= int64(len(m.pay)):
 		b.Data, m.pay = m.pay[:n:n], m.pay[n:]
+		if ev := m.events - 1; m.paySlabs[ev] != nil {
+			b.event = int32(ev + 1)
+			m.payLive[ev]++
+		}
 	case bufLen > 0:
 		b.Data = make([]float64, bufLen)
 	}
@@ -215,6 +323,16 @@ func (m *Memory) Free(o graph.ObjID, size int64) error {
 	b.freed.Store(true)
 	m.bufs[o] = nil
 	m.used -= size
+	// The last buffer of an event's payload slab frees the slab for a
+	// later event. A stray deposit into this buffer still reads the freed
+	// flag (or its sequence watermark) before it could copy, so the slab's
+	// next user is never written through the old handle.
+	if ev := b.event - 1; ev >= 0 {
+		if m.payLive[ev]--; m.payLive[ev] == 0 {
+			m.dead = append(m.dead, m.paySlabs[ev])
+			m.paySlabs[ev] = nil
+		}
+	}
 	return nil
 }
 
@@ -252,13 +370,17 @@ type paddedMask struct {
 
 // NewAddrSlots returns the slot mesh for p processors.
 func NewAddrSlots(p int) *AddrSlots {
-	words := (p + 63) / 64
-	return &AddrSlots{
-		p:     p,
-		words: words,
-		slots: make([]atomic.Pointer[AddrPackage], p*p),
-		masks: make([]paddedMask, p*words),
-	}
+	a := new(AddrSlots)
+	a.Reset(p)
+	return a
+}
+
+// Reset empties the mesh for a new run of p processors, reusing its arrays
+// (util.Reuse): no sender or consumer of the previous run may still use it.
+func (a *AddrSlots) Reset(p int) {
+	a.p, a.words = p, (p+63)/64
+	a.slots = util.Reuse(a.slots, p*p)
+	a.masks = util.Reuse(a.masks, p*a.words)
 }
 
 // TrySend attempts to deposit a package from src into dst's slot. It

@@ -242,3 +242,122 @@ func TestSlabNeighboursIsolated(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRecyclesSlabs: after Reset the next run's events take the last
+// run's slabs back in event order, headers and payloads zeroed — a freed
+// header comes back live, with no arrivals and no sequence watermark — and
+// an owned payload, which the run hands out, is never taken back.
+func TestResetRecyclesSlabs(t *testing.T) {
+	m := NewMemoryFor(100, 4)
+	run := func() (owned, mapped *Buffer) {
+		m.ReserveOwned(1, 2)
+		owned, err := m.AllocChan(0, -1, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reserve(2, 5)
+		mapped, err = m.AllocChan(1, 0, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.AllocChan(2, 1, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		return owned, mapped
+	}
+	owned1, mapped1 := run()
+	kept, slab := owned1.Data, mapped1.Data
+	for _, d := range [][]float64{kept, slab} {
+		for i := range d {
+			d[i] = math.NaN()
+		}
+	}
+	if !mapped1.Put([]float64{1, 2, 3}, 7) {
+		t.Fatal("deposit rejected")
+	}
+	if err := m.Free(1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	m.Reset(50, 4)
+	if m.Used() != 0 || m.Peak() != 0 {
+		t.Fatalf("Reset left used %d, peak %d", m.Used(), m.Peak())
+	}
+	if _, ok := m.Lookup(0); ok {
+		t.Fatal("Reset left object 0 allocated")
+	}
+	owned2, mapped2 := run()
+	if mapped2 != mapped1 || &mapped2.Data[0] != &slab[0] {
+		t.Fatal("the MAP event did not take its header and payload slabs back")
+	}
+	if &owned2.Data[0] == &kept[0] || !math.IsNaN(kept[0]) || !math.IsNaN(kept[1]) {
+		t.Fatal("an owned payload was taken back")
+	}
+	for _, b := range []*Buffer{owned2, mapped2} {
+		for _, v := range b.Data {
+			if v != 0 {
+				t.Fatalf("object %d: payload not zeroed: %v", b.Obj, b.Data)
+			}
+		}
+	}
+	if mapped2.Arrivals() != 0 || !mapped2.Put([]float64{4, 5, 6}, 1) {
+		t.Fatal("a recycled header kept its arrivals, sequence watermark or freed flag")
+	}
+}
+
+// TestFreedSlabTakenWithinRun: once every buffer carved from an event's
+// payload slab is freed, a later event of the same run takes the slab,
+// zeroed, instead of allocating — and the old handles cannot write into
+// it: a duplicate deposit is discarded by its sequence watermark and a new
+// one panics on the freed flag, both before they copy.
+func TestFreedSlabTakenWithinRun(t *testing.T) {
+	m := NewMemoryFor(100, 4)
+	m.Reserve(2, 5)
+	a, err := m.AllocChan(0, 0, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.AllocChan(1, 1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Put([]float64{1, 2, 3}, 1) || !b.Put([]float64{4, 5}, 1) {
+		t.Fatal("deposit rejected")
+	}
+	slab := a.Data[:1]
+	if err := m.Free(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Reserve(1, 4)
+	if c, err := m.AllocChan(2, 2, 1, 4); err != nil || &c.Data[0] == &slab[0] {
+		t.Fatalf("a slab with a live buffer was taken (err %v)", err)
+	}
+	if err := m.Free(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Reserve(1, 5)
+	d, err := m.AllocChan(3, 3, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d.Data[0] != &slab[0] {
+		t.Fatal("the freed slab was not taken back")
+	}
+	if !slices.Equal(d.Data, make([]float64, 5)) {
+		t.Fatalf("the slab came back %v, not zeroed", d.Data)
+	}
+	if a.Put([]float64{7, 7, 7}, 1) {
+		t.Fatal("a duplicate deposit into a freed buffer was accepted")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a new deposit into a freed buffer did not panic")
+			}
+		}()
+		a.Put([]float64{8, 8, 8}, 2)
+	}()
+	if !slices.Equal(d.Data, make([]float64, 5)) {
+		t.Fatalf("a deposit through a freed handle wrote %v", d.Data)
+	}
+}

@@ -128,3 +128,31 @@ func TestRNGNormRoughMoments(t *testing.T) {
 		t.Fatalf("variance %v too far from 1", varr)
 	}
 }
+
+// TestReuse: a recycled slice comes back zeroed at the asked length, in
+// place while its capacity is within twice that length, and as a new slice
+// otherwise.
+func TestReuse(t *testing.T) {
+	s := make([]int, 6, 8)
+	for i := range s {
+		s[i] = i + 1
+	}
+	r := Reuse(s, 5)
+	if len(r) != 5 || &r[0] != &s[0] {
+		t.Fatalf("Reuse(cap 8, 5): len %d, in place %v; want 5, true", len(r), &r[0] == &s[0])
+	}
+	for i, v := range r {
+		if v != 0 {
+			t.Fatalf("Reuse left r[%d] = %d, want 0", i, v)
+		}
+	}
+	if r := Reuse(s, 9); len(r) != 9 || &r[0] == &s[0] {
+		t.Fatalf("Reuse(cap 8, 9) must allocate")
+	}
+	if r := Reuse(s, 3); len(r) != 3 || &r[0] == &s[0] {
+		t.Fatalf("Reuse(cap 8, 3) must let the large array go")
+	}
+	if r := Reuse[int](nil, 0); r != nil {
+		t.Fatalf("Reuse(nil, 0) = %v, want nil", r)
+	}
+}
