@@ -23,10 +23,15 @@
 // signal, address-package deposit, slot consumption — wakes the
 // destination core at the deposit site: an idle core is queued, a running
 // one is told to look again before its worker lets it go. Retransmission
-// and fault timers registered through the Backend's WakeAfter contract are
-// runtime timers that wake the same way. A blocked core therefore costs no
-// CPU and holds no goroutine, and an oversubscribed run (more emulated
-// processors than cores) keeps k goroutines, not p, on the Go scheduler.
+// and fault deadlines registered through the Backend's WakeAfter contract
+// set the processor's one runtime timer, which wakes the same way and only
+// ever moves earlier. A blocked core therefore costs no CPU and holds no
+// goroutine, and an oversubscribed run (more emulated processors than
+// cores) keeps k goroutines, not p, on the Go scheduler.
+//
+// The watchdog keeps no state of its own: a stalled processor reports
+// itself, and the dump of every processor is read from the cores once the
+// run has stopped.
 package exec
 
 import (
@@ -72,17 +77,18 @@ type Config struct {
 	// longer than that. The watchdog looks every BlockTimeout/4, so a
 	// stall is reported within about 1.25 × BlockTimeout.
 	BlockTimeout time.Duration
-	// OnStall, if set, is called exactly once, just before the first
-	// watchdog timeout error is reported. Tests use it as an event hook to
-	// release deliberately wedged kernels the moment the watchdog has
-	// observed the stall, instead of sleeping for a fixed multiple of
-	// BlockTimeout and hoping the schedules interleave.
-	OnStall func()
 	// Faults injects deterministic protocol perturbations — delayed, lost
 	// and duplicated address packages and data messages — that the
 	// engine's retransmit and dedup absorb; see proto.Faults. The zero
 	// value disables injection.
 	Faults proto.Faults
+
+	// onStall, if set, is called exactly once, once the first watchdog
+	// timeout has failed the run. It is the package's test seam: a test
+	// releases its deliberately wedged kernel the moment the watchdog has
+	// observed the stall, instead of sleeping for a fixed multiple of
+	// BlockTimeout and hoping the schedules interleave.
+	onStall func()
 }
 
 // Result reports a completed run: the protocol's run report plus what only
@@ -103,29 +109,9 @@ type Result struct {
 	BlockedAdvances []int
 }
 
-// procProbe is one processor's watchdog-visible gauge set. It is written
-// only by whoever drives that processor's core and read by whichever
-// driver trips the BlockTimeout watchdog, so a stall report can dump the
-// whole machine's protocol state, not just the blocked processor's.
-type procProbe struct {
-	state   atomic.Int32 // proto.State last entered
-	pos     atomic.Int32 // position in the task order
-	susp    atomic.Int32 // suspended-send queue depth
-	retrans atomic.Int32 // queued messages awaiting a retransmission timer
-	wait    atomic.Int32 // proto.WaitKind of the last Blocked verdict
-	// The probes are updated on every Advance; pad to a cache line so
-	// neighbouring processors' stores do not false-share.
-	_ [64 - 20]byte
-}
-
-// storeChanged stores v only on change: the common case (re-entering one
-// protocol state) then costs plain loads of an uncontended cache line
-// instead of locked stores.
-func storeChanged(g *atomic.Int32, v int32) {
-	if g.Load() != v {
-		g.Store(v)
-	}
-}
+// stallError is a watchdog timeout: the stalled processor's own report.
+// Run appends every processor's state to it once the run has stopped.
+type stallError struct{ error }
 
 // Scheduling states of a core. wake moves idle → queued (and pushes the
 // core) and running → notified; the worker that pops a queued core moves
@@ -148,16 +134,15 @@ type coreSlot struct {
 // runState is what a run builds that a later run, of any plan, takes back
 // instead of allocating anew: the protocol engine, each processor's core —
 // its ledger's slabs, its channel and processor tables, its address
-// packages and queues — and backend, the watchdog probes, the scheduling
-// slots and the address-slot mesh. Run returns it to runStates only once
+// packages and queues — and backend, the scheduling slots and the
+// address-slot mesh. Run returns it to runStates only once
 // the run has quiesced. Every piece is reset on reuse; only the permanent
 // payload, which the result hands out, is allocated per run.
 type runState struct {
-	eng    proto.Engine
-	procs  []*procState
-	probes []procProbe
-	cores  []coreSlot
-	slots  rma.AddrSlots
+	eng   proto.Engine
+	procs []*procState
+	cores []coreSlot
+	slots rma.AddrSlots
 }
 
 // runStates is process-wide, not per plan: it holds the state of the runs
@@ -169,10 +154,9 @@ type engine struct {
 	eng *proto.Engine
 	cfg Config
 
-	slots  *rma.AddrSlots
-	probes []procProbe
-	cores  []coreSlot
-	procs  []*procState
+	slots *rma.AddrSlots
+	cores []coreSlot
+	procs []*procState
 	// runq holds the queued cores. Only idle → queued pushes, so a core is
 	// in it at most once and a push into its capacity p never blocks.
 	runq chan graph.Proc
@@ -202,8 +186,8 @@ type engine struct {
 	watching sync.WaitGroup
 	period   time.Duration // the watchdog's re-arm period
 
-	// timers counts the WakeAfter timers armed and not yet run to the end
-	// or stopped.
+	// timers counts the wake timer firings armed and not yet run to the
+	// end or stopped.
 	timers sync.WaitGroup
 }
 
@@ -244,31 +228,38 @@ func (e *engine) fail(err error) {
 	e.halt()
 }
 
-// stalled fires the OnStall hook (once) when a watchdog timeout is about
-// to be reported.
+// stalled fires the onStall hook (once) when a watchdog timeout has
+// failed the run.
 func (e *engine) stalled() {
-	if e.cfg.OnStall != nil {
-		e.stallOnce.Do(e.cfg.OnStall)
+	if e.cfg.onStall != nil {
+		e.stallOnce.Do(e.cfg.onStall)
 	}
 }
 
-// dumpAll renders every processor's probe for watchdog escalation,
+// dumpAll renders every processor's protocol state for a stall report,
 // including why a blocked processor is blocked — or, for a queued one,
-// that it waits for a worker rather than for the protocol.
+// that it waits for a worker rather than for the protocol. It reads the
+// cores, so it runs only once the run has stopped.
 func (e *engine) dumpAll() string {
 	var sb strings.Builder
-	for p := range e.probes {
-		pr := &e.probes[p]
+	for p, ps := range e.procs {
 		sched := e.cores[p].state.Load()
 		if sched == coreDone {
 			fmt.Fprintf(&sb, "\n  proc %d: finished", p)
 			continue
 		}
+		// A processor that never started still holds an earlier run's core.
+		var st proto.State
+		var pos int32
+		var susp, retrans int
+		if ps.reset {
+			st, pos, susp, retrans = ps.core.CurrentState(), ps.core.Pos(), ps.core.SuspendedLen(), ps.core.RetransPending()
+		}
 		fmt.Fprintf(&sb, "\n  proc %d: state %s, position %d, %d suspended sends (%d awaiting retransmission)",
-			p, proto.State(pr.state.Load()), pr.pos.Load(), pr.susp.Load(), pr.retrans.Load())
+			p, st, pos, susp, retrans)
 		if sched == coreQueued {
 			sb.WriteString(", runnable, waiting for a worker")
-		} else if k := proto.WaitKind(pr.wait.Load()); k != proto.WaitNone {
+		} else if k := ps.wait; k != proto.WaitNone {
 			verb := "waiting on"
 			if sched == coreIdle {
 				verb = "parked on"
@@ -301,14 +292,12 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 		cfg.BlockTimeout = 30 * time.Second
 	}
 	rs.slots.Reset(s.P)
-	rs.probes = util.Reuse(rs.probes, s.P)
 	rs.cores = util.Reuse(rs.cores, s.P)
 	rs.procs = resize(rs.procs, s.P)
 	e := &engine{
 		eng:     &rs.eng,
 		cfg:     cfg,
 		slots:   &rs.slots,
-		probes:  rs.probes,
 		cores:   rs.cores,
 		procs:   rs.procs,
 		runq:    make(chan graph.Proc, s.P),
@@ -345,9 +334,12 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	e.watchMu.Unlock()
 	e.watching.Wait()
 	// The run has quiesced once no wake timer can fire into it either: the
-	// workers and the watchdog, the only depositors, are done.
+	// workers and the watchdog, the only depositors, are done. A timer
+	// whose firing is under way counts itself off e.timers.
 	for _, ps := range e.procs {
-		ps.stopTimers()
+		if ps.timer != nil && ps.timer.Stop() {
+			e.timers.Done()
+		}
 	}
 	e.timers.Wait()
 	defer rs.release()
@@ -359,6 +351,9 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	runErr := e.runErr
 	e.errMu.Unlock()
 	if runErr != nil {
+		if _, ok := runErr.(stallError); ok {
+			runErr = fmt.Errorf("%w\nmachine state at timeout:%s", runErr, e.dumpAll())
+		}
 		return nil, runErr
 	}
 	cores := make([]*proto.Core, s.P)
@@ -503,7 +498,7 @@ func (ps *procState) run() (finished bool, err error) {
 		}
 		ps.reset = true
 	}
-	core, probe := &ps.core, &e.probes[ps.p]
+	core := &ps.core
 	for {
 		// One clock reading per protocol step: it times the step and stamps
 		// the watchdog for whatever progress the step makes.
@@ -512,22 +507,23 @@ func (ps *procState) run() (finished bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		storeChanged(&probe.state, int32(core.CurrentState()))
-		storeChanged(&probe.pos, core.Pos())
-		storeChanged(&probe.susp, int32(core.SuspendedLen()))
-		storeChanged(&probe.retrans, int32(core.RetransPending()))
+		ps.wait = st.Wait
 		switch st.Kind {
 		case proto.RunMAP:
 			// Wall-clock MAPs charge no artificial cost: the real work
 			// (frees, allocations) already happened in the core. Loop
 			// straight into the next Advance, which deposits the packages.
-			storeChanged(&probe.wait, int32(proto.WaitNone))
 			ps.touch()
 		case proto.RunTask:
-			storeChanged(&probe.wait, int32(proto.WaitNone))
 			if e.numeric {
 				if kerr := e.cfg.Kernel(st.Task, ps.get); kerr != nil {
 					return false, fmt.Errorf("exec: proc %d task %q: %w", ps.p, e.eng.S.G.TaskName(st.Task), kerr)
+				}
+				// A kernel that returns after the run failed stops here, so
+				// a stall report shows its processor where the stall found
+				// it, not what it did once released.
+				if e.abort.Load() {
+					return false, fmt.Errorf("exec: proc %d aborted in %s state", ps.p, core.CurrentState())
 				}
 				// The task boundary's reading: without it SND occupancy
 				// would absorb the kernel's time.
@@ -539,7 +535,6 @@ func (ps *procState) run() (finished bool, err error) {
 			core.Poll(ps.now)
 			ps.touch()
 		case proto.Blocked:
-			storeChanged(&probe.wait, int32(st.Wait))
 			if err := ps.blockCheck(st.State); err != nil {
 				return false, err
 			}
@@ -556,7 +551,7 @@ func (ps *procState) run() (finished bool, err error) {
 
 // procState is the wall-clock Backend of one processor — the transport
 // into its peers and the physical side of its buffers — plus its watchdog
-// stamp.
+// stamp and its wake timer.
 type procState struct {
 	e     *engine
 	p     graph.Proc
@@ -567,29 +562,25 @@ type procState struct {
 	// watchdog stamp, the reading at which the processor last moved: a stamp
 	// costs no clock read of its own.
 	now, lastProgress float64
-	// timers are the WakeAfter timers armed this run.
-	timers []*time.Timer
+	// wait is why the last Advance blocked (WaitNone if it did not), for
+	// the stall report.
+	wait proto.WaitKind
+	// timer is the processor's one wake timer, kept across runs; due is
+	// the clock reading its latest arming fires at, and pending says that
+	// firing has not yet woken the core.
+	timer   *time.Timer
+	due     float64
+	pending atomic.Bool
 }
 
 // start readies ps to drive processor p of e's run.
 func (ps *procState) start(e *engine, p graph.Proc) {
 	ps.e, ps.p, ps.reset = e, p, false
-	ps.now, ps.lastProgress = 0, 0
+	ps.now, ps.lastProgress, ps.wait = 0, 0, proto.WaitNone
+	ps.pending.Store(false) // an earlier run may have stopped the timer before it fired
 	if ps.get == nil {
 		ps.get = ps.buf // bound once: a method value built per Kernel call escapes
 	}
-}
-
-// stopTimers stops the timers WakeAfter armed this run; one that has
-// already fired counts itself off e.timers when its wake returns.
-func (ps *procState) stopTimers() {
-	for _, t := range ps.timers {
-		if t.Stop() {
-			ps.e.timers.Done()
-		}
-	}
-	clear(ps.timers)
-	ps.timers = ps.timers[:0]
 }
 
 // BufLen gives numeric runs a payload per object; structure-only runs get
@@ -620,19 +611,21 @@ func (ps *procState) stalledFor() time.Duration {
 
 // blockCheck aborts on engine failure or watchdog expiry. The timeout
 // error names the blocked processor, its protocol state and the task or
-// object it is waiting on, then dumps every processor's protocol state,
-// suspended-send queue depth, retransmit queue depth and wait reason, so a
-// stall caused by a lost message elsewhere in the machine is diagnosable
-// from the report.
+// object it is waiting on; Run appends every processor's protocol state,
+// suspended-send queue depth, retransmit queue depth and wait reason once
+// the run has stopped, so a stall caused by a lost message elsewhere in the
+// machine is diagnosable from the report.
 func (ps *procState) blockCheck(st proto.State) error {
 	if ps.e.abort.Load() {
 		return fmt.Errorf("exec: proc %d aborted in %s state", ps.p, st)
 	}
 	if ps.stalledFor() > ps.e.cfg.BlockTimeout {
-		// Render the report before the hook runs: the hook may unwedge the
-		// machine, and the dump must show the stall, not its aftermath.
-		err := fmt.Errorf("exec: proc %d made no progress for %v — %s (possible deadlock; see Config.BlockTimeout)\nmachine state at timeout:%s",
-			ps.p, ps.e.cfg.BlockTimeout, ps.core.BlockedInfo(), ps.e.dumpAll())
+		err := stallError{fmt.Errorf("exec: proc %d made no progress for %v — %s (possible deadlock; see Config.BlockTimeout)",
+			ps.p, ps.e.cfg.BlockTimeout, ps.core.BlockedInfo())}
+		// Fail the run before the hook runs: the hook may release a wedged
+		// kernel, which must see the abort and stop where the stall found
+		// it.
+		ps.e.fail(err)
 		ps.e.stalled()
 		return err
 	}
@@ -705,18 +698,39 @@ func (ps *procState) SendCtl(t graph.TaskID) {
 // 0 wakes this processor's own core, which is running, so its worker
 // re-advances it before letting it go — used by fault-delayed deposits,
 // which retry on the next attempt; a positive delay (retransmission RTOs)
-// arms a runtime timer that wakes it. Run stops the timers still pending
-// when the run ends, and waits out any that fired, before it recycles the
-// state their wakes touch.
+// sets the processor's one timer to wake it. The timer only ever moves
+// earlier: while a firing is pending at or before the new deadline, that
+// firing wakes the core, which then asks again for whatever is still due.
+// Run stops a timer still pending when the run ends, and waits out a
+// firing under way, before it recycles the state the wake touches.
 func (ps *procState) WakeAfter(delay float64) {
-	e, p := ps.e, ps.p
+	e := ps.e
 	if delay <= 0 {
-		e.wake(p)
+		e.wake(ps.p)
 		return
 	}
+	due := ps.now + delay
+	if ps.pending.Load() && ps.due <= due {
+		return
+	}
+	ps.due = due
+	ps.pending.Store(true)
+	// Count the firing before arming it: it may run, and count itself
+	// off, before Reset returns.
 	e.timers.Add(1)
-	ps.timers = append(ps.timers, time.AfterFunc(time.Duration(delay*float64(time.Second)), func() {
-		defer e.timers.Done()
-		e.wake(p)
-	}))
+	d := time.Duration(delay * float64(time.Second))
+	if ps.timer == nil {
+		ps.timer = time.AfterFunc(d, ps.fire)
+	} else if ps.timer.Reset(d) {
+		e.timers.Done() // the firing it replaces will not run
+	}
+}
+
+// fire is the wake timer's firing. It clears pending before it wakes the
+// core, so a core that still reads pending is yet to be woken by it.
+func (ps *procState) fire() {
+	e := ps.e
+	defer e.timers.Done()
+	ps.pending.Store(false)
+	e.wake(ps.p)
 }

@@ -96,16 +96,8 @@ func TestCholeskyConcurrentMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for oi := range pr.G.Objects {
-				o := graph.ObjID(oi)
-				got := res.Objects[o]
-				ref := want[o]
-				for i := range ref {
-					if math.Abs(got[i]-ref[i]) > 1e-9 {
-						t.Fatalf("p=%d %v: object %q differs at %d: %v vs %v",
-							p, h, pr.G.Objects[oi].Name, i, got[i], ref[i])
-					}
-				}
+			if err := sameBits(res, want); err != nil {
+				t.Fatalf("p=%d %v: %v", p, h, err)
 			}
 		}
 	}
@@ -134,13 +126,8 @@ func TestCholeskyUnderTightMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for oi := range pr.G.Objects {
-		o := graph.ObjID(oi)
-		for i := range want[o] {
-			if math.Abs(res.Objects[o][i]-want[o][i]) > 1e-9 {
-				t.Fatalf("object %q differs under tight memory", pr.G.Objects[oi].Name)
-			}
-		}
+	if err := sameBits(res, want); err != nil {
+		t.Fatalf("under tight memory: %v", err)
 	}
 }
 

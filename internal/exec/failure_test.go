@@ -93,7 +93,7 @@ func TestKernelPanicRecovered(t *testing.T) {
 }
 
 // TestWatchdogFiresOnArtificialStall wedges one processor inside a kernel
-// until the watchdog observes the stall (OnStall hook) and verifies its
+// until the watchdog observes the stall (onStall hook) and verifies its
 // peers abort with the watchdog rather than hanging. The time.After
 // fallback covers the run-completes path: if no peer ever needed the
 // wedged task's output early, no watchdog fires and the kernel returns on
@@ -125,7 +125,7 @@ func TestWatchdogFiresOnArtificialStall(t *testing.T) {
 		},
 		Init:         func(graph.ObjID, []float64) {},
 		BlockTimeout: 300 * time.Millisecond,
-		OnStall:      func() { close(release) },
+		onStall:      func() { close(release) },
 	})
 	// Either a peer times out waiting for task 0's output, or (if the
 	// sleeping task's output was not needed early) the run completes.

@@ -175,7 +175,7 @@ func TestRunAfterAbortedRun(t *testing.T) {
 			},
 			Init:         pr.InitObject,
 			BlockTimeout: 50 * time.Millisecond,
-			OnStall:      func() { close(release) },
+			onStall:      func() { close(release) },
 		})
 		if err == nil || !strings.Contains(err.Error(), "no progress") && !strings.Contains(err.Error(), "aborted") {
 			t.Fatalf("round %d: stall: run returned %v", round, err)

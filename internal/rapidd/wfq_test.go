@@ -25,14 +25,49 @@ func TestWFQWeightedDrainOrder(t *testing.T) {
 			t.Fatal("push shed below capacity")
 		}
 	}
-	counts := map[string]int{}
+	got := ""
 	for i := 0; i < 8; i++ {
-		counts[q.next(false).Spec.Tenant]++
+		got += q.next(false).Spec.Tenant
 	}
 	// vfinish for a: 1/3, 2/3, 1, 4/3 ...; for b: 1, 2. In the first 8
-	// pops a takes 6 and b 2 — the 3:1 weight ratio.
-	if counts["a"] != 6 || counts["b"] != 2 {
-		t.Fatalf("first 8 pops: %v, want a=6 b=2", counts)
+	// pops a takes 6 and b 2 — the 3:1 weight ratio — and at the equal
+	// finish 1, a goes first by name.
+	if got != "aaabaaab" {
+		t.Fatalf("first 8 pops %q, want aaabaaab", got)
+	}
+}
+
+// TestWFQReturningTenantGainsOneShare: a tenant that empties its queue and
+// comes back starts at the current virtual time, so it gains at most one
+// 1/weight on a backlogged tenant (DESIGN.md §10): it may take one pop
+// ahead of the backlog, not jump it.
+func TestWFQReturningTenantGainsOneShare(t *testing.T) {
+	q := newWFQueue(64, nil)
+	wfqPush(q, "b", prioNormal)
+	if got := q.next(false).Spec.Tenant; got != "b" {
+		t.Fatalf("pop %q, want b", got)
+	}
+	for i := 0; i < 10; i++ {
+		wfqPush(q, "a", prioNormal)
+	}
+	for i := 0; i < 5; i++ {
+		q.next(false)
+	}
+	for i := 0; i < 3; i++ {
+		wfqPush(q, "b", prioNormal)
+	}
+	got, lead := "", 0
+	for i := 0; i < 8; i++ {
+		tn := q.next(false).Spec.Tenant
+		got += tn
+		if tn == "b" {
+			lead++
+		} else {
+			lead--
+		}
+		if lead > 1 {
+			t.Fatalf("pops %q after b came back: b is %d pops ahead of a's backlog, want at most 1", got, lead)
+		}
 	}
 }
 
