@@ -98,7 +98,7 @@ func parseTenantMap[V any](arg string, parse func(string) (V, error)) (map[strin
 func main() {
 	addr := flag.String("addr", ":8437", "listen address")
 	cacheDir := flag.String("cache-dir", "", "on-disk plan store directory (empty: memory-only cache)")
-	cacheMem := flag.Int64("cache-mem", 0, "in-memory plan cache budget in bytes (0: default 256 MiB)")
+	cacheMem := flag.Int64("cache-mem", 0, "in-memory plan cache budget: bytes the cached plans and their problems keep live (0: default 256 MiB)")
 	availMem := flag.Int64("avail-mem", 0, "machine-wide memory budget in abstract units (0: unlimited)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job execution watchdog deadline (0: executor default)")
 	workers := flag.Int("workers", 0, "worker-pool size: concurrent job executions (0: max(2, GOMAXPROCS); 1: serial)")

@@ -40,7 +40,8 @@ func TestCholeskyUnderFaultInjection(t *testing.T) {
 		{Seed: 17, DropFrac: 0.5, DupFrac: 0.1},
 		{Seed: 13, AddrFrac: 0.3, DataFrac: 0.3, DropFrac: 0.25, DupFrac: 0.25},
 	} {
-		res, err := Run(artifact(s, plan), Config{
+		a := artifact(s, plan)
+		res, err := Run(a, Config{
 			Kernel:       pr.Kernel,
 			Init:         pr.InitObject,
 			BlockTimeout: 20 * time.Second,
@@ -50,15 +51,15 @@ func TestCholeskyUnderFaultInjection(t *testing.T) {
 			t.Fatalf("faults %+v: %v", f, err)
 		}
 		if f.DataFrac >= 1 {
-			// Every data message suspends exactly once: the per-proc totals
-			// are protocol-determined.
+			// Every data message suspends exactly once: a processor's count
+			// is the data sends of its tasks.
 			for q, susp := range res.SuspendedSends {
-				if susp == 0 && res.Messages > 0 && len(s.Order[q]) > 0 {
-					// A processor that sends nothing legitimately has zero.
-					continue
+				sends := 0
+				for _, task := range s.Order[q] {
+					sends += len(a.Tables().SendsOf(task))
 				}
-				if susp < 0 {
-					t.Fatalf("proc %d negative suspensions", q)
+				if susp != sends {
+					t.Fatalf("forced suspension: proc %d suspended %d sends, its tasks send %d", q, susp, sends)
 				}
 			}
 			total := 0

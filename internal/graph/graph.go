@@ -19,6 +19,9 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"unsafe"
+
+	"repro/internal/util"
 )
 
 // TaskID identifies a task within a DAG.
@@ -206,6 +209,25 @@ func (g *DAG) Out(t TaskID) []Edge {
 func (g *DAG) In(t TaskID) []Edge {
 	lo, hi := g.inOff[t], g.inOff[t+1]
 	return g.inEdges[lo:hi:hi]
+}
+
+// Bytes is the heap the graph keeps live: its task, object, access,
+// name and edge tables and the objects' names. It costs one step per
+// table and per object, none per task. An edge list that is both sides
+// of the adjacency (NewDAG keeps a list grouped both ways as it is) is
+// counted once.
+func (g *DAG) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*g)) + util.SliceBytes(g.Tasks) + util.SliceBytes(g.Objects) +
+		util.SliceBytes(g.acc.IDs) + util.SliceBytes(g.acc.Off) +
+		int64(len(g.names)) + util.SliceBytes(g.nameEnd) +
+		util.SliceBytes(g.outOff) + util.SliceBytes(g.inOff) + util.SliceBytes(g.outEdges)
+	if unsafe.SliceData(g.inEdges) != unsafe.SliceData(g.outEdges) {
+		n += util.SliceBytes(g.inEdges)
+	}
+	for i := range g.Objects {
+		n += int64(len(g.Objects[i].Name))
+	}
+	return n
 }
 
 // NewDAG builds a DAG over the given tasks and objects from their access

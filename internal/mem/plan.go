@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -105,6 +106,23 @@ func (pl *Plan) TotalMAPs() int {
 		total += len(pl.Procs[i].MAPs)
 	}
 	return total
+}
+
+// Bytes is the heap the plan keeps live, its schedule aside: one step per
+// processor and per MAP. The Frees, Allocs and Notify lists are carved
+// from shared arrays with their capacity cut at their length, so each
+// element counts once; the spare room of those arrays does not count.
+func (pl *Plan) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*pl)) + util.SliceBytes(pl.Procs)
+	for i := range pl.Procs {
+		n += util.SliceBytes(pl.Procs[i].MAPs)
+		for j := range pl.Procs[i].MAPs {
+			m := &pl.Procs[i].MAPs[j]
+			n += util.SliceBytes(m.Frees) + util.SliceBytes(m.Allocs) +
+				util.SliceBytes(m.Notify.Dst) + util.SliceBytes(m.Notify.Off) + util.SliceBytes(m.Notify.Objs)
+		}
+	}
+	return n
 }
 
 // MaxPeak returns the maximum per-processor peak memory of the plan.

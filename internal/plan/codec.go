@@ -34,19 +34,6 @@ func Encode(a *Artifact) ([]byte, error) {
 	return e.b, nil
 }
 
-// EncodedLen returns len(Encode(a)) without building the encoding: the
-// encoder runs through its window, whose bytes are counted and dropped. A
-// plan cache that keeps plans only in memory charges an entry this, so a
-// compile miss never encodes.
-func EncodedLen(a *Artifact) (int, error) {
-	if err := encodable(a); err != nil {
-		return 0, err
-	}
-	e := newStreamEncoder(nil)
-	encodePayload(e, a)
-	return e.len() + sha256.Size, nil
-}
-
 // encodable reports why the encoder cannot represent a, if it cannot.
 func encodable(a *Artifact) error {
 	if a == nil || a.Schedule == nil || a.Schedule.G == nil || a.Mem == nil {
@@ -410,14 +397,13 @@ func decodeMemPlan(d *decoder, s *sched.Schedule) (*mem.Plan, error) {
 
 // encoder appends varint/fixed primitives to a buffer. A stream encoder's
 // buffer is a window instead: at record boundaries (spill), once it holds
-// window bytes they go to its sink, or are only counted when it has none,
-// and the window starts over. So an encoding of any length passes through
-// about window bytes of memory, and the primitives stay plain appends.
+// window bytes they go to its sink and the window starts over. So an
+// encoding of any length passes through about window bytes of memory, and
+// the primitives stay plain appends.
 type encoder struct {
 	b      []byte
-	window int       // 0: b accumulates the whole encoding
-	sink   io.Writer // nil: the flushed bytes are counted and dropped
-	n      int       // bytes flushed
+	window int // 0: b accumulates the whole encoding
+	sink   io.Writer
 }
 
 // streamWindow is a stream encoder's window. Its buffer has room for the
@@ -437,15 +423,9 @@ func (e *encoder) spill() {
 
 // flush hands whatever the window holds on.
 func (e *encoder) flush() {
-	if e.sink != nil {
-		e.sink.Write(e.b)
-	}
-	e.n += len(e.b)
+	e.sink.Write(e.b)
 	e.b = e.b[:0]
 }
-
-// len is the number of bytes encoded so far.
-func (e *encoder) len() int { return e.n + len(e.b) }
 
 func (e *encoder) raw(p []byte)  { e.b = append(e.b, p...) }
 func (e *encoder) u64(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -108,6 +109,16 @@ func New(s *sched.Schedule, model sched.CostModel, capacity int64) (*Artifact, e
 func (a *Artifact) Tables() *proto.Tables {
 	a.tablesOnce.Do(func() { a.tables = proto.Derive(a.Schedule).Bind(a.Mem) })
 	return a.tables
+}
+
+// Bytes is the heap the artifact keeps live, counted, not measured: its
+// task graph, schedule, MAP plan, protocol tables and fingerprint. It
+// derives the tables if no run has yet, so the count does not grow when
+// the plan first runs; every step of the count is one table, one
+// processor, one MAP or one object, never one task.
+func (a *Artifact) Bytes() int64 {
+	return int64(unsafe.Sizeof(*a)) + int64(len(a.Fingerprint)) +
+		a.Schedule.G.Bytes() + a.Schedule.Bytes() + a.Mem.Bytes() + a.Tables().Bytes()
 }
 
 // Verified reports whether this artifact has passed static verification

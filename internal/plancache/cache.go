@@ -4,9 +4,9 @@
 //
 // The cache is two-tier:
 //
-//   - an in-memory LRU of decoded artifacts, bounded by the total encoded
-//     size of the entries it holds (counted, not built, when there is no
-//     disk tier to write the encoding to), and
+//   - an in-memory LRU of artifacts, bounded by the heap bytes its entries
+//     keep live (plan.Artifact.Bytes, counted, not measured: no plan is
+//     encoded to be sized), and
 //   - an optional on-disk content-addressed store (one file per
 //     fingerprint under a cache directory) that survives process restarts.
 //
@@ -52,7 +52,7 @@ import (
 )
 
 // DefaultMemBudget bounds the in-memory tier when Config.MemBudget is 0:
-// 256 MiB of encoded-artifact bytes.
+// 256 MiB of live plans and attached values.
 const DefaultMemBudget = 256 << 20
 
 // Source says where a cached plan came from.
@@ -71,9 +71,9 @@ const (
 type Config struct {
 	// Dir is the on-disk store directory. Empty disables the disk tier.
 	Dir string
-	// MemBudget bounds the in-memory tier by the total encoded size of its
-	// entries plus the sizes of the values attached to them, in bytes (0:
-	// DefaultMemBudget; negative: no in-memory tier).
+	// MemBudget bounds the in-memory tier by the heap bytes its plans keep
+	// live (plan.Artifact.Bytes) plus the sizes of the values attached to
+	// them, in bytes (0: DefaultMemBudget; negative: no in-memory tier).
 	MemBudget int64
 	// Metrics receives the counters listed in the package comment (nil:
 	// counters are discarded).
@@ -101,7 +101,7 @@ type Cache struct {
 type entry struct {
 	key   string
 	art   *plan.Artifact
-	size  int64    // encoded plan plus the attached values
+	size  int64    // the plan's live bytes plus the attached values
 	names []string // what was attached to this artifact, oldest first
 }
 
@@ -179,8 +179,8 @@ func (c *Cache) GetOrCompile(key string, compile func() (*plan.Artifact, error))
 
 // fill resolves a miss of the in-memory tier: disk, then compilation.
 func (c *Cache) fill(key string, compile func() (*plan.Artifact, error)) (*plan.Artifact, Source, error) {
-	if art, enc := c.loadDisk(key); art != nil {
-		c.insertMem(key, art, int64(len(enc)))
+	if art := c.loadDisk(key); art != nil {
+		c.insertMem(key, art)
 		c.metrics.Inc("plancache.hit.disk", 1)
 		return art, SourceDisk, nil
 	}
@@ -195,27 +195,19 @@ func (c *Cache) fill(key string, compile func() (*plan.Artifact, error)) (*plan.
 	return art, SourceCompiled, nil
 }
 
-// store puts art in both tiers under key, charging the memory tier its
-// encoded size. Only the disk tier needs the encoding itself; without one
-// the size is counted, not built.
+// store puts art in both tiers under key. Only the disk tier encodes it.
 func (c *Cache) store(key string, art *plan.Artifact) error {
-	if c.dir == "" {
-		size, err := plan.EncodedLen(art)
+	if c.dir != "" {
+		enc, err := plan.Encode(art)
 		if err != nil {
 			return err
 		}
-		c.insertMem(key, art, int64(size))
-		return nil
+		if err := c.storeDisk(key, enc); err != nil {
+			// A full or read-only disk must not fail the computation.
+			c.metrics.Inc("plancache.diskerror", 1)
+		}
 	}
-	enc, err := plan.Encode(art)
-	if err != nil {
-		return err
-	}
-	if err := c.storeDisk(key, enc); err != nil {
-		// A full or read-only disk must not fail the computation.
-		c.metrics.Inc("plancache.diskerror", 1)
-	}
-	c.insertMem(key, art, int64(len(enc)))
+	c.insertMem(key, art)
 	return nil
 }
 
@@ -226,10 +218,26 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-func (c *Cache) insertMem(key string, art *plan.Artifact, size int64) {
+// Bytes returns the bytes charged to the in-memory tier: its plans' live
+// bytes and the attached values.
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+// Budget returns the in-memory tier's budget in bytes, 0 when there is no
+// in-memory tier.
+func (c *Cache) Budget() int64 { return max(c.budget, 0) }
+
+// insertMem puts art in the in-memory tier under key, charged the bytes it
+// keeps live. Counting them derives its tables, which its first run would
+// otherwise derive: a caller caches a plan to run it.
+func (c *Cache) insertMem(key string, art *plan.Artifact) {
 	if c.budget < 0 {
 		return
 	}
+	size := art.Bytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -319,11 +327,11 @@ func (c *Cache) detach(e *entry, n int) {
 // loadDisk reads, decodes and statically verifies the disk entry for key.
 // Corrupted entries are removed; entries that decode but fail verification
 // (a poisoned plan: the bytes are intact, the semantics are not) are
-// likewise evicted so the caller falls back to recompilation. Returns
-// (nil, nil) when the disk tier misses.
-func (c *Cache) loadDisk(key string) (*plan.Artifact, []byte) {
+// likewise evicted so the caller falls back to recompilation. Returns nil
+// when the disk tier misses.
+func (c *Cache) loadDisk(key string) *plan.Artifact {
 	if c.dir == "" {
-		return nil, nil
+		return nil
 	}
 	path := c.path(key)
 	enc, err := c.fs.ReadFile(path)
@@ -332,7 +340,7 @@ func (c *Cache) loadDisk(key string) (*plan.Artifact, []byte) {
 			c.metrics.Inc("plancache.corrupt", 1)
 			c.fs.Remove(path)
 		}
-		return nil, nil
+		return nil
 	}
 	// Decode checks structure only: semantic defects are the verifier's to
 	// report (and count).
@@ -340,19 +348,19 @@ func (c *Cache) loadDisk(key string) (*plan.Artifact, []byte) {
 	if err != nil {
 		c.metrics.Inc("plancache.corrupt", 1)
 		c.fs.Remove(path)
-		return nil, nil
+		return nil
 	}
 	if art.Fingerprint != key {
 		c.metrics.Inc("plancache.rejected", 1)
 		c.fs.Remove(path)
-		return nil, nil
+		return nil
 	}
 	if res := verify.CheckArtifact(art); !res.OK() {
 		c.metrics.Inc("plancache.rejected", 1)
 		c.fs.Remove(path)
-		return nil, nil
+		return nil
 	}
-	return art, enc
+	return art
 }
 
 // storeDisk writes the encoded artifact atomically (temp file + rename) so

@@ -104,8 +104,8 @@ func TestMemoryAndDiskTiers(t *testing.T) {
 }
 
 // TestMemoryMissCountsNotEncodes: a cache with no disk tier charges a
-// compiled plan its encoded length — the budget's unit — without building
-// the encoding. The plan here has long names, so an encoding built on the
+// compiled plan the bytes it keeps live — the budget's unit — without
+// encoding it. The plan here has long names, so an encoding built on the
 // miss would show in the bytes it allocates.
 func TestMemoryMissCountsNotEncodes(t *testing.T) {
 	key, art := compileArtifact(t, 0)
@@ -130,8 +130,8 @@ func TestMemoryMissCountsNotEncodes(t *testing.T) {
 	if err != nil || src != SourceCompiled {
 		t.Fatalf("miss: src=%v err=%v", src, err)
 	}
-	if c.bytes != int64(len(enc)) {
-		t.Fatalf("entry charged %d bytes, its encoding is %d", c.bytes, len(enc))
+	if c.bytes != art.Bytes() {
+		t.Fatalf("entry charged %d bytes, the plan keeps %d live", c.bytes, art.Bytes())
 	}
 	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > uint64(len(enc))/2 {
 		t.Fatalf("the miss allocated %d bytes; the encoding it must not build is %d", alloc, len(enc))
@@ -149,13 +149,9 @@ func put(t *testing.T, c *Cache, key string, art *plan.Artifact) {
 func TestEvictionUnderTinyBudget(t *testing.T) {
 	m := trace.NewMetrics()
 	key0, art0 := compileArtifact(t, 0)
-	enc0, err := plan.Encode(art0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Budget fits roughly one entry: inserting a second must evict the
 	// least recently used one.
-	c := New(Config{MemBudget: int64(len(enc0)) + 16, Metrics: m})
+	c := New(Config{MemBudget: art0.Bytes() + 16, Metrics: m})
 	put(t, c, key0, art0)
 	key1, art1 := compileArtifact(t, 1)
 	put(t, c, key1, art1)
@@ -378,16 +374,8 @@ func TestAttachLookup(t *testing.T) {
 	m := trace.NewMetrics()
 	key0, art0 := compileArtifact(t, 0)
 	key1, art1 := compileArtifact(t, 1)
-	enc0, err := plan.Encode(art0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc1, err := plan.Encode(art1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Room for both plans and 100 bytes of attached values, no more.
-	c := New(Config{MemBudget: int64(len(enc0)+len(enc1)) + 100, Metrics: m})
+	c := New(Config{MemBudget: art0.Bytes() + art1.Bytes() + 100, Metrics: m})
 	if _, _, ok := c.Lookup("a"); ok {
 		t.Fatal("Lookup of a name never attached hit")
 	}
@@ -440,7 +428,7 @@ func TestAttachLookup(t *testing.T) {
 	if _, _, ok := c.Lookup("a"); ok {
 		t.Fatal("name survived the replacement of its artifact")
 	}
-	if c.bytes != int64(len(enc0)+len(enc1))+60 {
+	if c.bytes != art0.Bytes()+art1.Bytes()+60 {
 		t.Fatalf("bytes = %d, want the two plans + 60", c.bytes)
 	}
 
@@ -459,11 +447,7 @@ func TestAttachLookup(t *testing.T) {
 func TestSoleEntryShedsOldestNames(t *testing.T) {
 	m := trace.NewMetrics()
 	key, art := compileArtifact(t, 0)
-	enc, err := plan.Encode(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(Config{MemBudget: int64(len(enc)) + 25, Metrics: m})
+	c := New(Config{MemBudget: art.Bytes() + 25, Metrics: m})
 	put(t, c, key, art)
 	for i := 0; i < 5; i++ {
 		c.Attach(key, fmt.Sprint("seed", i), i, 10)
@@ -481,7 +465,7 @@ func TestSoleEntryShedsOldestNames(t *testing.T) {
 	if _, _, ok := c.Lookup("huge"); !ok || c.Len() != 1 {
 		t.Errorf("newest name dropped (held=%v, Len=%d)", ok, c.Len())
 	}
-	if c.bytes != int64(len(enc))+1<<20 {
+	if c.bytes != art.Bytes()+1<<20 {
 		t.Errorf("bytes = %d, want plan + huge", c.bytes)
 	}
 }

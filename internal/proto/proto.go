@@ -17,10 +17,12 @@ package proto
 import (
 	"cmp"
 	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/sched"
+	"repro/internal/util"
 )
 
 // Send is one data message a task issues after completing: object Obj to
@@ -99,6 +101,16 @@ func (tb *Tables) Bind(pl *mem.Plan) *Tables {
 		}
 	}
 	return &bt
+}
+
+// Bytes is the heap the tables keep live, the plan they are bound to
+// aside: one step per table.
+func (tb *Tables) Bytes() int64 {
+	return int64(unsafe.Sizeof(*tb)) + util.SliceBytes(tb.CtlNeed) +
+		util.SliceBytes(tb.sendOff) + util.SliceBytes(tb.needOff) + util.SliceBytes(tb.ctlOff) +
+		util.SliceBytes(tb.sends) + util.SliceBytes(tb.needs) + util.SliceBytes(tb.ctlSends) +
+		util.SliceBytes(tb.expOff) + util.SliceBytes(tb.expect) +
+		util.SliceBytes(tb.allocOff) + util.SliceBytes(tb.allocCh)
 }
 
 // AllocChans returns the channels of processor p's MAP allocations, in MAP

@@ -69,13 +69,22 @@ func (s *Server) rearmLoop() {
 			return
 		case <-timer.C:
 		}
-		if !s.degraded() || s.jnl.Rearm() == nil {
-			backoff = base
-		} else if backoff < base*maxRearmBackoffFactor {
-			backoff *= 2
-		}
+		backoff = nextRearmBackoff(backoff, base, !s.degraded() || s.jnl.Rearm() == nil)
 		timer.Reset(backoff)
 	}
+}
+
+// nextRearmBackoff is the re-arm loop's wait after a check that waited
+// backoff: base once the journal is durable, else twice backoff, up to
+// maxRearmBackoffFactor × base.
+func nextRearmBackoff(backoff, base time.Duration, durable bool) time.Duration {
+	if durable {
+		return base
+	}
+	if backoff < base*maxRearmBackoffFactor {
+		return 2 * backoff
+	}
+	return backoff
 }
 
 // refuseDegraded 503s a submit while the journal cannot make it durable,

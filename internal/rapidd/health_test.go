@@ -186,6 +186,26 @@ func TestSyncCompactionPoison(t *testing.T) {
 	}
 }
 
+// TestRearmBackoffCapped: while re-arms fail the loop's wait doubles from
+// the base to 32× it and stays there; the first durable check puts it back
+// to the base.
+func TestRearmBackoffCapped(t *testing.T) {
+	const base = rearmBackoff
+	backoff := base
+	for i, step := range []struct {
+		durable bool
+		want    time.Duration
+	}{
+		{false, 2 * base}, {false, 4 * base}, {false, 8 * base}, {false, 16 * base},
+		{false, 32 * base}, {false, 32 * base}, {false, 32 * base},
+		{true, base}, {false, 2 * base}, {true, base}, {true, base},
+	} {
+		if backoff = nextRearmBackoff(backoff, base, step.durable); backoff != step.want {
+			t.Fatalf("step %d (durable %v): backoff %v, want %v", i, step.durable, backoff, step.want)
+		}
+	}
+}
+
 // TestHealthzWithoutJournal: no journal, no durability promise to break —
 // the daemon is always ready and jobs are visibly non-durable.
 func TestHealthzWithoutJournal(t *testing.T) {

@@ -269,13 +269,9 @@ func TestEvictedPlanRecompiles(t *testing.T) {
 	probe := New(Config{})
 	mustDone(t, post(t, probe, a))
 	_, plan := held(t, probe, a)
-	enc, err := rapid.MarshalPlan(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	metrics := trace.NewMetrics()
-	srv := New(Config{CacheMemBudget: int64(len(enc)) + 16, Metrics: metrics})
+	srv := New(Config{CacheMemBudget: plan.Bytes() + 16, Metrics: metrics})
 	for i, step := range []struct {
 		spec JobSpec
 		want string

@@ -86,8 +86,9 @@ import (
 type Config struct {
 	// CacheDir is the on-disk plan store ("" disables the disk tier).
 	CacheDir string
-	// CacheMemBudget bounds the in-memory plan cache — the plans and the
-	// built problems held beside them — in bytes (0: default).
+	// CacheMemBudget bounds the in-memory plan cache — the heap bytes its
+	// plans and the built problems held beside them keep live — in bytes
+	// (0: default).
 	CacheMemBudget int64
 	// AvailMem is the machine-wide memory budget in abstract units; jobs
 	// whose planned footprint would overflow it queue until space frees.
@@ -793,6 +794,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rapidd_queue_capacity", "configured backlog bound", nil, float64(capacity))
 	pw.Gauge("rapidd_workers", "worker-pool size", nil, float64(s.cfg.Workers))
 	pw.Gauge("rapidd_cache_entries", "plans in the memory tier", nil, float64(s.cache.Len()))
+	pw.Gauge("rapidd_cache_bytes", "bytes charged to the memory tier: live plans and the problems attached", nil, float64(s.cache.Bytes()))
+	pw.Gauge("rapidd_cache_budget_bytes", "the memory tier's budget", nil, float64(s.cache.Budget()))
 
 	mem, admQueue := s.adm.tenantSnapshot()
 	tenantMem, tenantAdmQueue := foldTenants(s, mem), foldTenants(s, admQueue)

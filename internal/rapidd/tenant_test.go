@@ -505,7 +505,7 @@ func TestTenantStateBounded(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	metrics := trace.NewMetrics()
 	srv := New(Config{Workers: 2, AvailMem: 1 << 30, TenantQuotas: map[string]int64{"gold": 1 << 29},
-		TenantWeights: map[string]float64{"silver": 1}, JournalDir: t.TempDir(), Metrics: metrics})
+		TenantWeights: map[string]float64{"silver": 1}, JournalDir: t.TempDir(), CacheMemBudget: 64 << 20, Metrics: metrics})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -546,6 +546,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rapidd_avail_mem_units":                         float64(1 << 30),
 		"rapidd_workers":                                 2,
 		"rapidd_cache_entries":                           float64(srv.cache.Len()),
+		"rapidd_cache_bytes":                             float64(srv.cache.Bytes()),
+		"rapidd_cache_budget_bytes":                      64 << 20,
 		"rapidd_draining":                                0,
 		"rapidd_journal_active_bytes":                    float64(srv.jnl.Stats().ActiveBytes),
 		"rapidd_journal_truncated_bytes":                 0,
@@ -561,9 +563,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if byKey[`rapidd_job_latency_us{quantile="0.99"}`] <= 0 {
 		t.Error("latency p99 missing or zero")
 	}
-	if byKey["rapidd_cache_entries"] <= 0 || byKey["rapidd_journal_active_bytes"] <= 0 {
-		t.Errorf("cache entries %v, journal active bytes %v; want both positive",
-			byKey["rapidd_cache_entries"], byKey["rapidd_journal_active_bytes"])
+	if byKey["rapidd_cache_entries"] <= 0 || byKey["rapidd_cache_bytes"] <= 0 || byKey["rapidd_journal_active_bytes"] <= 0 {
+		t.Errorf("cache entries %v, cache bytes %v, journal active bytes %v; want all positive",
+			byKey["rapidd_cache_entries"], byKey["rapidd_cache_bytes"], byKey["rapidd_journal_active_bytes"])
 	}
 	// Determinism: a second scrape renders tenants in the same order.
 	resp2, err := http.Get(ts.URL + "/metrics")

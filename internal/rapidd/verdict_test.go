@@ -35,9 +35,9 @@ func TestVerifyDiskServedPlanCheckedOnce(t *testing.T) {
 }
 
 // TestServeShapeTablesStayFlat bounds what a cached plan retains for its
-// protocol tables on the n=400 Cholesky serve shape. The memory tier is
-// budgeted in encoded bytes (~160 KB for this plan), so table bytes are
-// RSS the budget does not see; the per-task slice-of-slices layout cost
+// protocol tables on the n=400 Cholesky serve shape. The memory tier
+// charges them (plan.Artifact.Bytes), so every table byte is a byte of
+// plans the budget cannot hold; the per-task slice-of-slices layout cost
 // 309 KB here.
 func TestServeShapeTablesStayFlat(t *testing.T) {
 	a, err := factor.Matrix("chol", 400, 1)

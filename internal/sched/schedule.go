@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/util"
@@ -94,6 +95,19 @@ type Schedule struct {
 	Slices []int32
 	// NumSlices is the number of slices for DTS schedules (post merging).
 	NumSlices int
+}
+
+// Bytes is the heap the schedule keeps live, its task graph aside: one
+// step per table and per processor. A processor's order counts its
+// capacity: the list scheduler carves every order from one array with
+// the capacity cut at the order's length, so the array counts once.
+func (s *Schedule) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*s)) + util.SliceBytes(s.Assign) + util.SliceBytes(s.Order) +
+		util.SliceBytes(s.Pos) + util.SliceBytes(s.Slices)
+	for _, o := range s.Order {
+		n += util.SliceBytes(o)
+	}
+	return n
 }
 
 // finalize fills Pos and validates that every task appears exactly once.

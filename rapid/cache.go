@@ -32,14 +32,15 @@ const (
 
 // PlanCacheConfig configures NewPlanCache: Dir is the on-disk store
 // directory (empty: memory only), MemBudget bounds the in-memory tier by
-// total encoded plan size plus attached values in bytes (0: a 256 MiB
-// default; negative: no memory tier) and Metrics receives the plancache.*
-// counters.
+// the heap bytes its plans keep live (Plan.Bytes) plus attached values, in
+// bytes (0: a 256 MiB default; negative: no memory tier) and Metrics
+// receives the plancache.* counters.
 type PlanCacheConfig = plancache.Config
 
 // PlanCache caches compiled plans by structural fingerprint. Safe for
 // concurrent use; lookups for the same fingerprint are single-flight. Len
-// returns the number of plans the in-memory tier holds. Attach gives a held
+// returns the number of plans the in-memory tier holds, Bytes what they and
+// their attached values are charged, Budget its bound. Attach gives a held
 // plan a second, caller-chosen name and hangs a value on it, charged to the
 // memory budget; Lookup finds the plan and the value by that name.
 type PlanCache = plancache.Cache
