@@ -667,20 +667,15 @@ func (ps *procState) RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage {
 
 // SendData deposits one data message into the remote buffer (RMA Put) and
 // wakes the receiver, which may be parked on the object's arrival
-// threshold. A deposit the receiver's sequence check rejects was a
-// duplicate delivery.
+// threshold. In a structure-only run the source's Data is nil, so the
+// deposit is the flag alone. A deposit the receiver's sequence check
+// rejects was a duplicate delivery.
 func (ps *procState) SendData(snd proto.Send, b *rma.Buffer) {
-	var delivered bool
-	if ps.e.numeric {
-		src, ok := ps.core.Lookup(snd.Obj)
-		if !ok {
-			panic(fmt.Sprintf("exec: proc %d sending unallocated object %d", ps.p, snd.Obj))
-		}
-		delivered = b.Put(src.Data, snd.Seq)
-	} else {
-		delivered = b.PutFlagOnly(snd.Seq)
+	src, ok := ps.core.Lookup(snd.Obj)
+	if !ok {
+		panic(fmt.Sprintf("exec: proc %d sending unallocated object %d", ps.p, snd.Obj))
 	}
-	if !delivered {
+	if !b.Put(src.Data, snd.Seq) {
 		ps.e.eng.Discarded(snd.Dst)
 	}
 	ps.touch()

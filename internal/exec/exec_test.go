@@ -179,7 +179,7 @@ func TestStructureOnlyRandomStress(t *testing.T) {
 	rng := util.NewRNG(77)
 	for trial := 0; trial < 30; trial++ {
 		p := 2 + rng.Intn(5)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(60), 8+rng.Intn(15), p)
+		g := graph.GenOwnerCompute(rng, 30+rng.Intn(60), 8+rng.Intn(15), p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -235,34 +235,6 @@ func TestNonExecutablePlanRejected(t *testing.T) {
 	if _, err := Run(artifact(s, plan), Config{}); err == nil {
 		t.Fatalf("Run must reject non-executable plans")
 	}
-}
-
-// randomOwnerComputeDAG builds a random single-writer DAG with cyclic
-// owners (mirrors the sched/mem test helper).
-func randomOwnerComputeDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
-	b := graph.NewBuilder()
-	objs := make([]graph.ObjID, nObjs)
-	for i := 0; i < nObjs; i++ {
-		objs[i] = b.Object(string(rune('A'+i%26))+string(rune('0'+i/26)), int64(1+rng.Intn(4)))
-	}
-	written := []graph.ObjID{}
-	for t := 0; t < nTasks; t++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		wobj := objs[rng.Intn(nObjs)]
-		b.Task(string(rune('a'+t%26))+string(rune('0'+t/26)), float64(1+rng.Intn(5)), reads, []graph.ObjID{wobj})
-		written = append(written, wobj)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	sched.CyclicOwners(g, p)
-	return g
 }
 
 // allocProblem is the allocation gates' run: the Cholesky of a 16×14

@@ -20,7 +20,7 @@ func TestKernelFailureAbortsCleanly(t *testing.T) {
 	rng := util.NewRNG(404)
 	for trial := 0; trial < 10; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 40, 10, p)
+		g := graph.GenOwnerCompute(rng, 40, 10, p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)

@@ -125,7 +125,7 @@ func TestDepositVsParkRace(t *testing.T) {
 	rng := util.NewRNG(31)
 	for trial := 0; trial < 30; trial++ {
 		p := 2 + rng.Intn(3)
-		g := randomOwnerComputeDAG(rng, 30, 8, p)
+		g := graph.GenOwnerCompute(rng, 30, 8, p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)

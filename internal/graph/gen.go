@@ -225,3 +225,38 @@ func GenMemoryTree(seed uint64, size int) (*DAG, error) {
 	}
 	return g, nil
 }
+
+// GenOwnerCompute generates the random owner-compute program the
+// equivalence and property suites run: nObjs objects of 1–4 units, then
+// nTasks tasks that each write one random object after reading up to two
+// objects written earlier, with owners assigned cyclically over p
+// processors (object i on processor i mod p). The draws from rng are part
+// of the contract: a suite's seed names its graphs.
+func GenOwnerCompute(rng *util.RNG, nTasks, nObjs, p int) *DAG {
+	b := NewBuilder()
+	objs := make([]ObjID, nObjs)
+	for i := range objs {
+		objs[i] = b.Object(fmt.Sprintf("o%d", i), int64(1+rng.Intn(4)))
+	}
+	var written []ObjID
+	for t := 0; t < nTasks; t++ {
+		var reads []ObjID
+		// rng.Intn(3) is drawn again on every iteration.
+		for r := 0; r < rng.Intn(3); r++ {
+			if len(written) > 0 {
+				reads = append(reads, written[rng.Intn(len(written))])
+			}
+		}
+		w := objs[rng.Intn(nObjs)]
+		b.Task(fmt.Sprintf("t%d", t), float64(1+rng.Intn(5)), reads, []ObjID{w})
+		written = append(written, w)
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	for i := range g.Objects {
+		g.Objects[i].Owner = Proc(i % p)
+	}
+	return g
+}

@@ -150,6 +150,19 @@ func TestBuilderCommutativeGroup(t *testing.T) {
 	if err := g.CheckDependenceComplete(); err != nil {
 		t.Fatalf("commutative graph should be dependence complete: %v", err)
 	}
+	// Checksum's accumulation commutes: the group run in reverse ends with
+	// the bits of the reference, which ran it in topological order.
+	kernel, init, want := Checksum(g)
+	got := [][]float64{{0}, {0}, {0}, {0}}
+	for o := range got {
+		init(ObjID(o), got[o])
+	}
+	for _, task := range []TaskID{0, 1, 2, 3, u3, u2, u1, fin} {
+		kernel(task, func(o ObjID) []float64 { return got[o] })
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reversed commutative group: %v, reference %v", got, want)
+	}
 }
 
 func TestTopoSortValid(t *testing.T) {

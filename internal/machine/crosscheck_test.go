@@ -1,81 +1,117 @@
 package machine
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/mem"
+	"repro/internal/plan"
 	"repro/internal/proto"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
 
-// TestSimulatorAndExecutorAgree cross-validates the two engines: for the
-// same schedule and MAP plan, the discrete-event simulator and the real
-// concurrent executor must perform the same number of MAPs per processor
-// and both must complete (they share the protocol, so divergence would
-// mean one of them implements it wrong).
-func TestSimulatorAndExecutorAgree(t *testing.T) {
-	rng := util.NewRNG(909)
-	for trial := 0; trial < 20; trial++ {
-		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(50), 8+rng.Intn(12), p)
-		assign, err := sched.OwnerComputeAssign(g, p)
+// randomSchedule schedules a random program with one of the three
+// ordering heuristics, chosen by trial.
+func randomSchedule(t *testing.T, g *graph.DAG, p, trial int) *sched.Schedule {
+	t.Helper()
+	assign, err := sched.OwnerComputeAssign(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := []sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3]
+	s, err := sched.ScheduleWith(h, g, assign, p, sched.T3D(), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// randomPlans compiles s at the two capacities the random-DAG suites run:
+// MinMem (left out when it is not executable, so TOT stands in) and TOT.
+func randomPlans(t *testing.T, s *sched.Schedule) []*plan.Artifact {
+	t.Helper()
+	var out []*plan.Artifact
+	for _, c := range []int64{s.MinMem(), s.TOT()} {
+		pl, err := mem.NewPlan(s, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := []sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3]
-		s, err := sched.ScheduleWith(h, g, assign, p, sched.T3D(), 1<<40)
-		if err != nil {
-			t.Fatal(err)
+		if pl.Executable {
+			out = append(out, artifact(s, pl, sched.T3D()))
+		} else if c == s.TOT() {
+			t.Fatal("TOT plan must be executable")
 		}
-		pl, err := mem.NewPlan(s, s.MinMem())
-		if err != nil {
-			t.Fatal(err)
+	}
+	return out
+}
+
+// runBoth runs a in the simulator, structure-only, and on the executor
+// with g's checksum kernel (graph.Checksum), both under f, and fails
+// unless every object the executor returns is bit-identical to the
+// sequential run: Theorem 1 and data consistency, checked on the data.
+func runBoth(t *testing.T, at string, g *graph.DAG, a *plan.Artifact, f proto.Faults) (*Result, *exec.Result) {
+	t.Helper()
+	simRes, err := Simulate(a, Options{Faults: f})
+	if err != nil {
+		t.Fatalf("%s sim (faults %+v): %v", at, f, err)
+	}
+	kernel, init, want := graph.Checksum(g)
+	exRes, err := exec.Run(a, exec.Config{Kernel: kernel, Init: init, Faults: f})
+	if err != nil {
+		t.Fatalf("%s exec (faults %+v): %v", at, f, err)
+	}
+	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for o, w := range want {
+		if got := exRes.Objects[graph.ObjID(o)]; !slices.EqualFunc(got, w, sameBits) {
+			t.Errorf("%s (faults %+v): object %d is %v, sequential %v", at, f, o, got, w)
 		}
-		if !pl.Executable {
-			pl, err = mem.NewPlan(s, s.TOT())
-			if err != nil || !pl.Executable {
-				t.Fatal("TOT plan must be executable")
-			}
-		}
-		compiled := artifact(s, pl, sched.T3D())
-		simRes, err := Simulate(compiled, Options{})
-		if err != nil {
-			t.Fatalf("trial %d sim: %v", trial, err)
-		}
-		exRes, err := exec.Run(compiled, exec.Config{})
-		if err != nil {
-			t.Fatalf("trial %d exec: %v", trial, err)
-		}
-		total := 0
-		for q := 0; q < p; q++ {
-			total += exRes.MAPsPerProc[q]
-		}
-		if simRes.AvgMAPs != float64(total)/float64(p) {
-			t.Fatalf("trial %d: simulator AvgMAPs %v != executor %v",
-				trial, simRes.AvgMAPs, float64(total)/float64(p))
-		}
-		if simRes.ParallelTime <= 0 {
-			t.Fatalf("trial %d: non-positive parallel time", trial)
-		}
+	}
+	return simRes, exRes
+}
+
+// sameCounts fails unless two runs agree on every protocol-determined
+// count: MAPs and peak memory per processor, delivered messages and
+// address packages.
+func sameCounts(t *testing.T, what string, a, b proto.Summary) {
+	t.Helper()
+	if !slices.Equal(a.MAPsPerProc, b.MAPsPerProc) || !slices.Equal(a.PeakUnits, b.PeakUnits) ||
+		a.Messages != b.Messages || a.AddrPackages != b.AddrPackages {
+		t.Errorf("%s: MAPs %v / %v, peaks %v / %v, messages %d / %d, address packages %d / %d", what,
+			a.MAPsPerProc, b.MAPsPerProc, a.PeakUnits, b.PeakUnits, a.Messages, b.Messages, a.AddrPackages, b.AddrPackages)
 	}
 }
 
+// tableSends is the number of data messages processor q's tasks send, by
+// a's communication tables.
+func tableSends(a *plan.Artifact, q int) int {
+	n := 0
+	for _, task := range a.Schedule.Order[q] {
+		n += len(a.Tables().SendsOf(task))
+	}
+	return n
+}
+
 // TestRandomizedEquivalence is the backend-equivalence suite: the
-// wall-clock executor and the virtual-clock simulator now drive the same
+// wall-clock executor and the virtual-clock simulator drive the same
 // protocol core, so every protocol-determined quantity must agree exactly —
-// across generated graphs, all three ordering heuristics, and fault
-// injection. Three layers:
+// across generated graphs, all three ordering heuristics, MinMem and TOT,
+// and fault injection — and the executor, running numeric with the
+// checksum kernel, must end with the sequential run's data bit for bit
+// (runBoth). Three layers:
 //
 //  1. Fault-free: per-processor MAP counts, per-processor peak memory
 //     (permanent + volatile), total messages and total address packages
 //     agree between the backends.
-//  2. Faulty (25% delayed address packages and data messages): both
-//     backends terminate (Theorem 1 under perturbation) and every quantity
-//     from layer 1 is identical to the fault-free run.
+//  2. Faulty — 25% delayed address packages and data messages, and
+//     separately 25% loss with 10% duplication: both backends terminate
+//     (Theorem 1 under perturbation) and every quantity from layer 1 is
+//     identical to the fault-free run.
 //  3. Forced suspension (DataFrac 1): every data message goes through the
 //     suspended-send queue, making the per-processor suspended-send totals
 //     protocol-determined; both backends must report exactly the
@@ -88,88 +124,36 @@ func TestRandomizedEquivalence(t *testing.T) {
 	rng := util.NewRNG(4242)
 	for trial := 0; trial < 12; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(50), 8+rng.Intn(12), p)
-		assign, err := sched.OwnerComputeAssign(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := []sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3]
-		s, err := sched.ScheduleWith(h, g, assign, p, sched.T3D(), 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := mem.NewPlan(s, s.MinMem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pl.Executable {
-			pl, err = mem.NewPlan(s, s.TOT())
-			if err != nil || !pl.Executable {
-				t.Fatal("TOT plan must be executable")
+		g := graph.GenOwnerCompute(rng, 30+rng.Intn(50), 8+rng.Intn(12), p)
+		s := randomSchedule(t, g, p, trial)
+		for _, compiled := range randomPlans(t, s) {
+			at := fmt.Sprintf("trial %d at %d", trial, compiled.Capacity)
+			cleanSim, cleanEx := runBoth(t, at, g, compiled, proto.Faults{})
+			sameCounts(t, at+" clean", cleanSim.Summary, cleanEx.Summary)
+			for _, faulty := range []struct {
+				mode string
+				f    proto.Faults
+			}{
+				{"delayed", proto.Faults{Seed: uint64(trial) + 1, AddrFrac: 0.25, DataFrac: 0.25}},
+				{"lossy", proto.Faults{Seed: uint64(trial) + 1, DropFrac: 0.25, DupFrac: 0.10}},
+			} {
+				faultySim, faultyEx := runBoth(t, at, g, compiled, faulty.f)
+				sameCounts(t, at+" "+faulty.mode, faultySim.Summary, faultyEx.Summary)
+				// Fault injection delays, drops and duplicates messages; it
+				// must not change any outcome.
+				sameCounts(t, at+" "+faulty.mode+" against clean", faultySim.Summary, cleanSim.Summary)
 			}
-		}
-		compiled := artifact(s, pl, sched.T3D())
 
-		run := func(f proto.Faults) (*Result, *exec.Result) {
-			simRes, err := Simulate(compiled, Options{Faults: f})
-			if err != nil {
-				t.Fatalf("trial %d sim (faults %+v): %v", trial, f, err)
-			}
-			exRes, err := exec.Run(compiled, exec.Config{Faults: f})
-			if err != nil {
-				t.Fatalf("trial %d exec (faults %+v): %v", trial, f, err)
-			}
-			return simRes, exRes
-		}
-		check := func(mode string, simRes *Result, exRes *exec.Result) {
+			// Forced suspension: per-proc suspended totals become deterministic
+			// (every send suspends exactly once) and must equal the tables.
+			allSim, allEx := runBoth(t, at, g, compiled, proto.Faults{Seed: 7, DataFrac: 1})
+			sameCounts(t, at+" forced", allSim.Summary, allEx.Summary)
 			for q := 0; q < p; q++ {
-				if simRes.MAPsPerProc[q] != exRes.MAPsPerProc[q] {
-					t.Errorf("trial %d %s: proc %d MAPs sim %d != exec %d",
-						trial, mode, q, simRes.MAPsPerProc[q], exRes.MAPsPerProc[q])
+				want := tableSends(compiled, q)
+				if allSim.SuspendedSends[q] != want || allEx.SuspendedSends[q] != want {
+					t.Errorf("%s: proc %d forced suspensions sim %d exec %d, want %d (table sends)",
+						at, q, allSim.SuspendedSends[q], allEx.SuspendedSends[q], want)
 				}
-				if simRes.PeakUnits[q] != exRes.PeakUnits[q] {
-					t.Errorf("trial %d %s: proc %d peak sim %d != exec %d",
-						trial, mode, q, simRes.PeakUnits[q], exRes.PeakUnits[q])
-				}
-			}
-			if simRes.Messages != exRes.Messages {
-				t.Errorf("trial %d %s: messages sim %d != exec %d", trial, mode, simRes.Messages, exRes.Messages)
-			}
-			if simRes.AddrPackages != exRes.AddrPackages {
-				t.Errorf("trial %d %s: addr packages sim %d != exec %d",
-					trial, mode, simRes.AddrPackages, exRes.AddrPackages)
-			}
-		}
-
-		cleanSim, cleanEx := run(proto.Faults{})
-		check("clean", cleanSim, cleanEx)
-
-		faultySim, faultyEx := run(proto.Faults{Seed: uint64(trial) + 1, AddrFrac: 0.25, DataFrac: 0.25})
-		check("faulty", faultySim, faultyEx)
-		// Fault injection delays messages; it must not change any outcome.
-		if faultySim.Messages != cleanSim.Messages || faultySim.AddrPackages != cleanSim.AddrPackages {
-			t.Errorf("trial %d: faulty sim traffic (%d msgs, %d pkgs) != clean (%d, %d)",
-				trial, faultySim.Messages, faultySim.AddrPackages, cleanSim.Messages, cleanSim.AddrPackages)
-		}
-		for q := 0; q < p; q++ {
-			if faultySim.MAPsPerProc[q] != cleanSim.MAPsPerProc[q] || faultySim.PeakUnits[q] != cleanSim.PeakUnits[q] {
-				t.Errorf("trial %d: faulty run changed proc %d MAPs/peak", trial, q)
-			}
-		}
-
-		// Forced suspension: per-proc suspended totals become deterministic
-		// (every send suspends exactly once) and must equal the tables.
-		allSim, allEx := run(proto.Faults{Seed: 7, DataFrac: 1})
-		check("forced", allSim, allEx)
-		tables := compiled.Tables()
-		for q := 0; q < p; q++ {
-			want := 0
-			for _, task := range s.Order[q] {
-				want += len(tables.SendsOf(task))
-			}
-			if allSim.SuspendedSends[q] != want || allEx.SuspendedSends[q] != want {
-				t.Errorf("trial %d: proc %d forced suspensions sim %d exec %d, want %d (table sends)",
-					trial, q, allSim.SuspendedSends[q], allEx.SuspendedSends[q], want)
 			}
 		}
 	}
@@ -180,8 +164,9 @@ func TestRandomizedEquivalence(t *testing.T) {
 // reliability layer must make both backends terminate with every
 // protocol-determined quantity — per-processor MAP counts, per-processor
 // peak memory, delivered-message and address-package totals — identical to
-// each other AND to the fault-free run. Because drop/dup verdicts are pure
-// functions of (seed, message identity, attempt), the sender-side
+// each other AND to the fault-free run, and the executor's data
+// bit-identical to the sequential run (runBoth). Because drop/dup verdicts
+// are pure functions of (seed, message identity, attempt), the sender-side
 // reliability counters must also agree exactly between the backends, the
 // retransmit counters must be live, and a zero-Faults run must report zero
 // retransmits.
@@ -190,90 +175,47 @@ func TestLossDupEquivalence(t *testing.T) {
 	totalRetrans, totalDupDropped := 0, 0
 	for trial := 0; trial < 8; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(50), 8+rng.Intn(12), p)
-		assign, err := sched.OwnerComputeAssign(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := []sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3]
-		s, err := sched.ScheduleWith(h, g, assign, p, sched.T3D(), 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := mem.NewPlan(s, s.MinMem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pl.Executable {
-			pl, err = mem.NewPlan(s, s.TOT())
-			if err != nil || !pl.Executable {
-				t.Fatal("TOT plan must be executable")
-			}
-		}
-		compiled := artifact(s, pl, sched.T3D())
-
-		run := func(f proto.Faults) (*Result, *exec.Result) {
-			simRes, err := Simulate(compiled, Options{Faults: f})
-			if err != nil {
-				t.Fatalf("trial %d sim (faults %+v): %v", trial, f, err)
-			}
-			exRes, err := exec.Run(compiled, exec.Config{Faults: f})
-			if err != nil {
-				t.Fatalf("trial %d exec (faults %+v): %v", trial, f, err)
-			}
-			return simRes, exRes
-		}
-
-		cleanSim, cleanEx := run(proto.Faults{})
-		for q := 0; q < p; q++ {
-			for _, r := range []proto.Reliability{cleanSim.Reliability[q], cleanEx.Reliability[q]} {
-				if r.Retransmits != 0 || r.Dropped != 0 || r.DupsSent != 0 || r.DupDropped != 0 {
-					t.Errorf("trial %d: zero-Faults run reports reliability activity on proc %d: %+v", trial, q, r)
+		g := graph.GenOwnerCompute(rng, 30+rng.Intn(50), 8+rng.Intn(12), p)
+		s := randomSchedule(t, g, p, trial)
+		for _, compiled := range randomPlans(t, s) {
+			at := fmt.Sprintf("trial %d at %d", trial, compiled.Capacity)
+			cleanSim, cleanEx := runBoth(t, at, g, compiled, proto.Faults{})
+			for q := 0; q < p; q++ {
+				for _, r := range []proto.Reliability{cleanSim.Reliability[q], cleanEx.Reliability[q]} {
+					if r.Retransmits != 0 || r.Dropped != 0 || r.DupsSent != 0 || r.DupDropped != 0 {
+						t.Errorf("%s: zero-Faults run reports reliability activity on proc %d: %+v", at, q, r)
+					}
 				}
 			}
-		}
 
-		lossySim, lossyEx := run(proto.Faults{Seed: uint64(trial) + 1, DropFrac: 0.25, DupFrac: 0.10})
-		for q := 0; q < p; q++ {
-			if lossySim.MAPsPerProc[q] != cleanSim.MAPsPerProc[q] || lossyEx.MAPsPerProc[q] != cleanSim.MAPsPerProc[q] {
-				t.Errorf("trial %d: proc %d MAPs under loss: sim %d exec %d, clean %d",
-					trial, q, lossySim.MAPsPerProc[q], lossyEx.MAPsPerProc[q], cleanSim.MAPsPerProc[q])
+			lossySim, lossyEx := runBoth(t, at, g, compiled, proto.Faults{Seed: uint64(trial) + 1, DropFrac: 0.25, DupFrac: 0.10})
+			sameCounts(t, at+" clean", cleanSim.Summary, cleanEx.Summary)
+			sameCounts(t, at+" lossy", lossySim.Summary, lossyEx.Summary)
+			sameCounts(t, at+" lossy against clean", lossySim.Summary, cleanSim.Summary)
+			for q := 0; q < p; q++ {
+				// Sender-side reliability counters are deterministic functions of
+				// the fault plan, so the backends must agree per processor.
+				sr, er := lossySim.Reliability[q], lossyEx.Reliability[q]
+				if sr.Retransmits != er.Retransmits || sr.Dropped != er.Dropped ||
+					sr.DupsSent != er.DupsSent || sr.Acked != er.Acked {
+					t.Errorf("%s: proc %d sender reliability diverges: sim %+v exec %+v", at, q, sr, er)
+				}
 			}
-			if lossySim.PeakUnits[q] != cleanSim.PeakUnits[q] || lossyEx.PeakUnits[q] != cleanSim.PeakUnits[q] {
-				t.Errorf("trial %d: proc %d peak under loss: sim %d exec %d, clean %d",
-					trial, q, lossySim.PeakUnits[q], lossyEx.PeakUnits[q], cleanSim.PeakUnits[q])
+			simTot := proto.SumReliability(lossySim.Reliability)
+			exTot := proto.SumReliability(lossyEx.Reliability)
+			if simTot.Retransmits != simTot.Dropped {
+				t.Errorf("%s: sim %d retransmits for %d drops (every loss must be retransmitted)",
+					at, simTot.Retransmits, simTot.Dropped)
 			}
-			// Sender-side reliability counters are deterministic functions of
-			// the fault plan, so the backends must agree per processor.
-			sr, er := lossySim.Reliability[q], lossyEx.Reliability[q]
-			if sr.Retransmits != er.Retransmits || sr.Dropped != er.Dropped ||
-				sr.DupsSent != er.DupsSent || sr.Acked != er.Acked {
-				t.Errorf("trial %d: proc %d sender reliability diverges: sim %+v exec %+v", trial, q, sr, er)
+			// Every duplicate a receiver observed was discarded; a duplicated
+			// address package deposited after its receiver finished may stay in
+			// flight, so DupDropped is bounded by DupsSent rather than equal.
+			if simTot.DupDropped > simTot.DupsSent || exTot.DupDropped > exTot.DupsSent {
+				t.Errorf("%s: more duplicates discarded than injected (sim %+v, exec %+v)", at, simTot, exTot)
 			}
+			totalRetrans += simTot.Retransmits + exTot.Retransmits
+			totalDupDropped += simTot.DupDropped + exTot.DupDropped
 		}
-		if lossySim.Messages != cleanSim.Messages || lossyEx.Messages != cleanEx.Messages ||
-			lossySim.Messages != lossyEx.Messages {
-			t.Errorf("trial %d: delivered messages under loss: sim %d exec %d, clean %d (must all match)",
-				trial, lossySim.Messages, lossyEx.Messages, cleanSim.Messages)
-		}
-		if lossySim.AddrPackages != cleanSim.AddrPackages || lossyEx.AddrPackages != lossySim.AddrPackages {
-			t.Errorf("trial %d: addr packages under loss: sim %d exec %d, clean %d (must all match)",
-				trial, lossySim.AddrPackages, lossyEx.AddrPackages, cleanSim.AddrPackages)
-		}
-		simTot := proto.SumReliability(lossySim.Reliability)
-		exTot := proto.SumReliability(lossyEx.Reliability)
-		if simTot.Retransmits != simTot.Dropped {
-			t.Errorf("trial %d: sim %d retransmits for %d drops (every loss must be retransmitted)",
-				trial, simTot.Retransmits, simTot.Dropped)
-		}
-		// Every duplicate a receiver observed was discarded; a duplicated
-		// address package deposited after its receiver finished may stay in
-		// flight, so DupDropped is bounded by DupsSent rather than equal.
-		if simTot.DupDropped > simTot.DupsSent || exTot.DupDropped > exTot.DupsSent {
-			t.Errorf("trial %d: more duplicates discarded than injected (sim %+v, exec %+v)", trial, simTot, exTot)
-		}
-		totalRetrans += simTot.Retransmits + exTot.Retransmits
-		totalDupDropped += simTot.DupDropped + exTot.DupDropped
 	}
 	if totalRetrans == 0 {
 		t.Error("25% loss caused no retransmissions across all trials")
@@ -287,69 +229,41 @@ func TestLossDupEquivalence(t *testing.T) {
 // message loss: every data message goes through the suspended-send queue
 // AND a quarter of all transmissions are lost, so every suspended message
 // must eventually be retransmitted and delivered exactly once — the
-// per-processor suspension totals still equal the communication tables and
+// per-processor suspension totals still equal the communication tables,
 // the delivered-message totals still equal the fault-free run, in both
-// backends.
+// backends, and the executor's data is the sequential run's (runBoth).
 func TestSuspendedQueueUnderLoss(t *testing.T) {
 	rng := util.NewRNG(7171)
 	sawRetrans := false
 	for trial := 0; trial < 4; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(40), 8+rng.Intn(10), p)
-		assign, err := sched.OwnerComputeAssign(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := sched.ScheduleWith([]sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3],
-			g, assign, p, sched.T3D(), 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := mem.NewPlan(s, s.MinMem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pl.Executable {
-			pl, err = mem.NewPlan(s, s.TOT())
-			if err != nil || !pl.Executable {
-				t.Fatal("TOT plan must be executable")
+		g := graph.GenOwnerCompute(rng, 30+rng.Intn(40), 8+rng.Intn(10), p)
+		s := randomSchedule(t, g, p, trial)
+		for _, compiled := range randomPlans(t, s) {
+			at := fmt.Sprintf("trial %d at %d", trial, compiled.Capacity)
+			cleanSim, err := Simulate(compiled, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		compiled := artifact(s, pl, sched.T3D())
-		cleanSim, err := Simulate(compiled, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := proto.Faults{Seed: uint64(trial) + 3, DataFrac: 1, DropFrac: 0.25}
-		simRes, err := Simulate(compiled, Options{Faults: f})
-		if err != nil {
-			t.Fatalf("trial %d sim: %v", trial, err)
-		}
-		exRes, err := exec.Run(compiled, exec.Config{Faults: f})
-		if err != nil {
-			t.Fatalf("trial %d exec: %v", trial, err)
-		}
-		tables := compiled.Tables()
-		for q := 0; q < p; q++ {
-			want := 0
-			for _, task := range s.Order[q] {
-				want += len(tables.SendsOf(task))
+			simRes, exRes := runBoth(t, at, g, compiled, proto.Faults{Seed: uint64(trial) + 3, DataFrac: 1, DropFrac: 0.25})
+			for q := 0; q < p; q++ {
+				want := tableSends(compiled, q)
+				if simRes.SuspendedSends[q] != want || exRes.SuspendedSends[q] != want {
+					t.Errorf("%s: proc %d suspensions sim %d exec %d, want %d (each message suspends exactly once)",
+						at, q, simRes.SuspendedSends[q], exRes.SuspendedSends[q], want)
+				}
 			}
-			if simRes.SuspendedSends[q] != want || exRes.SuspendedSends[q] != want {
-				t.Errorf("trial %d: proc %d suspensions sim %d exec %d, want %d (each message suspends exactly once)",
-					trial, q, simRes.SuspendedSends[q], exRes.SuspendedSends[q], want)
+			if simRes.Messages != cleanSim.Messages || exRes.Messages != cleanSim.Messages {
+				t.Errorf("%s: delivered messages sim %d exec %d, clean %d (each message delivered exactly once)",
+					at, simRes.Messages, exRes.Messages, cleanSim.Messages)
 			}
-		}
-		if simRes.Messages != cleanSim.Messages || exRes.Messages != cleanSim.Messages {
-			t.Errorf("trial %d: delivered messages sim %d exec %d, clean %d (each message delivered exactly once)",
-				trial, simRes.Messages, exRes.Messages, cleanSim.Messages)
-		}
-		for _, tot := range []proto.Reliability{proto.SumReliability(simRes.Reliability), proto.SumReliability(exRes.Reliability)} {
-			if tot.Retransmits != tot.Dropped {
-				t.Errorf("trial %d: %d retransmits for %d drops", trial, tot.Retransmits, tot.Dropped)
-			}
-			if tot.Retransmits > 0 {
-				sawRetrans = true
+			for _, tot := range []proto.Reliability{proto.SumReliability(simRes.Reliability), proto.SumReliability(exRes.Reliability)} {
+				if tot.Retransmits != tot.Dropped {
+					t.Errorf("%s: %d retransmits for %d drops", at, tot.Retransmits, tot.Dropped)
+				}
+				if tot.Retransmits > 0 {
+					sawRetrans = true
+				}
 			}
 		}
 	}

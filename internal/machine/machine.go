@@ -133,11 +133,12 @@ func (m *sim) push(ev event) {
 // wake schedules a re-examination of processor p at time t.
 func (m *sim) wake(t float64, p graph.Proc) { m.push(event{t: t, kind: evWake, proc: p}) }
 
-// land deposits an arrived data message, flag-only, into the handle its
-// consumer exported; the first failed deposit becomes the run's error.
+// land deposits an arrived data message, flag-only (the simulator carries
+// no payload), into the handle its consumer exported; the first failed
+// deposit becomes the run's error.
 func (m *sim) land(ev event) {
 	defer m.eng.DepositFault(ev.snd, &m.err)
-	if !ev.buf.PutFlagOnly(ev.snd.Seq) {
+	if !ev.buf.Put(nil, ev.snd.Seq) {
 		m.eng.Discarded(ev.snd.Dst)
 	}
 }

@@ -135,29 +135,13 @@ func TestDeadlockFreedomRandomStress(t *testing.T) {
 	rng := util.NewRNG(5150)
 	for trial := 0; trial < 60; trial++ {
 		p := 2 + rng.Intn(6)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(80), 8+rng.Intn(16), p)
-		assign, err := sched.OwnerComputeAssign(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := []sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3]
-		s, err := sched.ScheduleWith(h, g, assign, p, sched.T3D(), 1<<40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cap := range []int64{s.TOT(), s.MinMem()} {
-			pl, err := mem.NewPlan(s, cap)
+		g := graph.GenOwnerCompute(rng, 30+rng.Intn(80), 8+rng.Intn(16), p)
+		for _, a := range randomPlans(t, randomSchedule(t, g, p, trial)) {
+			res, err := Simulate(a, Options{})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("trial %d (p=%d cap=%d): %v", trial, p, a.Capacity, err)
 			}
-			if !pl.Executable {
-				continue
-			}
-			res, err := Simulate(artifact(s, pl, sched.T3D()), Options{})
-			if err != nil {
-				t.Fatalf("trial %d (p=%d %v cap=%d): %v", trial, p, h, cap, err)
-			}
-			want := float64(pl.TotalMAPs()) / float64(p)
+			want := float64(a.Mem.TotalMAPs()) / float64(p)
 			if res.AvgMAPs != want {
 				t.Fatalf("trial %d: AvgMAPs %v != plan %v", trial, res.AvgMAPs, want)
 			}
@@ -178,30 +162,4 @@ func TestTraceGantt(t *testing.T) {
 	if rec.Makespan() <= 0 {
 		t.Fatalf("empty trace")
 	}
-}
-
-func randomOwnerComputeDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
-	b := graph.NewBuilder()
-	objs := make([]graph.ObjID, nObjs)
-	for i := 0; i < nObjs; i++ {
-		objs[i] = b.Object(string(rune('A'+i%26))+string(rune('0'+i/26)), int64(1+rng.Intn(4)))
-	}
-	written := []graph.ObjID{}
-	for t := 0; t < nTasks; t++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		wobj := objs[rng.Intn(nObjs)]
-		b.Task(string(rune('a'+t%26))+string(rune('0'+t/26)), float64(1+rng.Intn(5)), reads, []graph.ObjID{wobj})
-		written = append(written, wobj)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	sched.CyclicOwners(g, p)
-	return g
 }

@@ -123,29 +123,10 @@ func TestArenaReplayDetectsFragmentation(t *testing.T) {
 func TestFloorsAgreeOnUniformSizes(t *testing.T) {
 	// Uniform object sizes cannot fragment at MAP granularity: the floors
 	// must coincide (the empirical finding of the extension experiment).
-	rng := util.NewRNG(3131)
-	b := graph.NewBuilder()
-	var objs []graph.ObjID
-	for i := 0; i < 12; i++ {
-		objs = append(objs, b.Object(string(rune('A'+i)), 10))
+	g := graph.GenOwnerCompute(util.NewRNG(3131), 40, 12, 3)
+	for i := range g.Objects {
+		g.Objects[i].Size = 10
 	}
-	written := []graph.ObjID{}
-	for t2 := 0; t2 < 40; t2++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		w := objs[rng.Intn(len(objs))]
-		b.Task(string(rune('a'+t2%26))+string(rune('0'+t2/26)), 1, reads, []graph.ObjID{w})
-		written = append(written, w)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.CyclicOwners(g, 3)
 	assign, err := sched.OwnerComputeAssign(g, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -170,7 +170,7 @@ func TestPlanInvariantsOnRandomDAGs(t *testing.T) {
 	rng := util.NewRNG(21)
 	for trial := 0; trial < 40; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 20+rng.Intn(50), 6+rng.Intn(12), p)
+		g := graph.GenOwnerCompute(rng, 20+rng.Intn(50), 6+rng.Intn(12), p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -271,32 +271,4 @@ func TestOwnerComputeViolationRejected(t *testing.T) {
 	if _, err := NewPlan(s, 100); err == nil {
 		t.Fatalf("expected owner-compute violation error")
 	}
-}
-
-// randomOwnerComputeDAG mirrors the sched test helper (duplicated to avoid
-// exporting test-only code).
-func randomOwnerComputeDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
-	b := graph.NewBuilder()
-	objs := make([]graph.ObjID, nObjs)
-	for i := 0; i < nObjs; i++ {
-		objs[i] = b.Object(string(rune('A'+i%26))+string(rune('0'+i/26)), int64(1+rng.Intn(4)))
-	}
-	written := []graph.ObjID{}
-	for t := 0; t < nTasks; t++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		wobj := objs[rng.Intn(nObjs)]
-		b.Task(string(rune('a'+t%26))+string(rune('0'+t/26)), float64(1+rng.Intn(5)), reads, []graph.ObjID{wobj})
-		written = append(written, wobj)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	sched.CyclicOwners(g, p)
-	return g
 }

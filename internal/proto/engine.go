@@ -197,8 +197,9 @@ type Backend interface {
 	RecvAddr(buf []*rma.AddrPackage) []*rma.AddrPackage
 	// SendData delivers snd's data message to b, the handle snd.Dst exported
 	// for snd.Obj. When the transport's clock says the message landed it
-	// deposits with b.Put or b.PutFlagOnly and reports a rejected
-	// (duplicate) deposit through Engine.Discarded.
+	// deposits with b.Put — the source's payload, or nil where the run
+	// carries none — and reports a rejected (duplicate) deposit through
+	// Engine.Discarded.
 	SendData(snd Send, b *rma.Buffer)
 	// SendCtl delivers one control signal toward task t: the transport adds
 	// one to Engine.CtlRecv[t] when its clock says the signal landed.

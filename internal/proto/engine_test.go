@@ -132,7 +132,7 @@ func (be *loopBackend) SendData(snd Send, b *rma.Buffer) {
 	if be.m.onData != nil {
 		be.m.onData(snd)
 	}
-	if !b.PutFlagOnly(snd.Seq) {
+	if !b.Put(nil, snd.Seq) {
 		be.m.eng.Discarded(snd.Dst)
 	}
 }
@@ -167,7 +167,7 @@ func TestCoreRunsRandomGraphs(t *testing.T) {
 	rng := util.NewRNG(77)
 	for trial := 0; trial < 10; trial++ {
 		p := 2 + rng.Intn(3)
-		g := randomDAG(rng, 25+rng.Intn(30), 6+rng.Intn(8), p)
+		g := graph.GenOwnerCompute(rng, 25+rng.Intn(30), 6+rng.Intn(8), p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func TestCoreForcedSuspension(t *testing.T) {
 func constrainedRandom(t *testing.T, seed uint64) (*sched.Schedule, *mem.Plan) {
 	t.Helper()
 	rng := util.NewRNG(seed)
-	g := randomDAG(rng, 400, 12, 4)
+	g := graph.GenOwnerCompute(rng, 400, 12, 4)
 	assign, err := sched.OwnerComputeAssign(g, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +486,7 @@ func TestCoreLossAndDup(t *testing.T) {
 	totalDropped := 0
 	for trial := 0; trial < 6; trial++ {
 		p := 2 + rng.Intn(3)
-		g := randomDAG(rng, 25+rng.Intn(30), 6+rng.Intn(8), p)
+		g := graph.GenOwnerCompute(rng, 25+rng.Intn(30), 6+rng.Intn(8), p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)

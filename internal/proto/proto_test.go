@@ -170,7 +170,7 @@ func TestRandomGraphsThresholdsConsistent(t *testing.T) {
 	rng := util.NewRNG(2024)
 	for trial := 0; trial < 30; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomDAG(rng, 25+rng.Intn(40), 6+rng.Intn(10), p)
+		g := graph.GenOwnerCompute(rng, 25+rng.Intn(40), 6+rng.Intn(10), p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -188,30 +188,4 @@ func TestRandomGraphsThresholdsConsistent(t *testing.T) {
 			}
 		}
 	}
-}
-
-func randomDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
-	b := graph.NewBuilder()
-	objs := make([]graph.ObjID, nObjs)
-	for i := 0; i < nObjs; i++ {
-		objs[i] = b.Object(string(rune('A'+i%26))+string(rune('0'+i/26)), int64(1+rng.Intn(4)))
-	}
-	written := []graph.ObjID{}
-	for t := 0; t < nTasks; t++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		wobj := objs[rng.Intn(nObjs)]
-		b.Task(string(rune('a'+t%26))+string(rune('0'+t/26)), float64(1+rng.Intn(5)), reads, []graph.ObjID{wobj})
-		written = append(written, wobj)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	sched.CyclicOwners(g, p)
-	return g
 }

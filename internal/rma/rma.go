@@ -4,10 +4,11 @@
 // address it has been told in advance. The emulation preserves the
 // properties the protocol design depends on:
 //
-//   - Put targets a buffer handle previously exported by the receiver; there
-//     is no handshake and no receiver-side copy. Arrival is observable only
-//     through a completion counter the receiver polls (the deposit-then-flag
-//     idiom of real RMA codes).
+//   - Put, the one deposit, targets a buffer handle previously exported by
+//     the receiver; there is no handshake and no receiver-side copy. Arrival
+//     is observable only through a completion counter the receiver polls
+//     (the deposit-then-flag idiom of real RMA codes). A buffer with no
+//     payload (a structure-only run) takes the flag alone.
 //   - Address packages travel through a single-slot buffer per
 //     (sender, receiver) pair: a new package cannot be sent until the
 //     receiver has consumed the previous one (Section 3.2's "no address
@@ -60,7 +61,9 @@ func (b *Buffer) Arrivals() int32 { return b.arrivals.Load() }
 // duplicated copy may land after the receiver consumed the original and
 // freed the buffer, and must be discarded, not treated as a consistency
 // violation. A non-duplicate Put into a freed buffer still panics: it means
-// the protocol invalidated an address that was in use.
+// the protocol invalidated an address that was in use. Put is the one
+// deposit: in a structure-only run neither side has a payload, and it
+// only counts the arrival.
 func (b *Buffer) Put(data []float64, seq int32) bool {
 	if seq <= b.lastSeq.Load() {
 		return false
@@ -72,21 +75,6 @@ func (b *Buffer) Put(data []float64, seq int32) bool {
 	if b.Data != nil {
 		copy(b.Data, data)
 	}
-	b.arrivals.Add(1)
-	return true
-}
-
-// PutFlagOnly increments the arrival counter without copying (used when the
-// executor runs structure-only, with no numeric payloads). Duplicate
-// sequence numbers are discarded exactly as in Put.
-func (b *Buffer) PutFlagOnly(seq int32) bool {
-	if seq <= b.lastSeq.Load() {
-		return false
-	}
-	if b.freed.Load() {
-		panic(fmt.Sprintf("rma: Put into freed buffer for object %d (address consistency violated)", b.Obj))
-	}
-	b.lastSeq.Store(seq)
 	b.arrivals.Add(1)
 	return true
 }
@@ -121,9 +109,9 @@ type Memory struct {
 	used     int64
 	peak     int64
 	// bufs is indexed by object id (nil: not allocated) and grows to the
-	// largest id allocated, unless NewMemoryFor or Reset sized it once, so
-	// Lookup — one per kernel operand and per arrival check — is an index
-	// and a nil test.
+	// largest id allocated, unless Reset sized it once, so Lookup — one
+	// per kernel operand and per arrival check — is an index and a nil
+	// test.
 	bufs []*Buffer
 	// hdrs and pay are what is left of the open event's slabs.
 	hdrs []Buffer
@@ -159,12 +147,6 @@ func SlabLen(bufLen int64) int64 {
 // NewMemory returns an arena with the given capacity in abstract units.
 func NewMemory(capacity int64) *Memory {
 	return &Memory{capacity: capacity}
-}
-
-// NewMemoryFor is NewMemory for object ids below objects: the buffer index
-// is sized once instead of grown.
-func NewMemoryFor(capacity int64, objects int) *Memory {
-	return &Memory{capacity: capacity, bufs: make([]*Buffer, objects)}
 }
 
 // Reset empties the ledger for a new run with the given capacity and
@@ -366,13 +348,6 @@ type AddrSlots struct {
 type paddedMask struct {
 	w atomic.Uint64
 	_ [56]byte
-}
-
-// NewAddrSlots returns the slot mesh for p processors.
-func NewAddrSlots(p int) *AddrSlots {
-	a := new(AddrSlots)
-	a.Reset(p)
-	return a
 }
 
 // Reset empties the mesh for a new run of p processors, reusing its arrays

@@ -69,11 +69,11 @@ func TestPutAndArrivals(t *testing.T) {
 	if b.Arrivals() != 2 || b.Data[0] != 5 {
 		t.Fatalf("second deposit wrong")
 	}
-	if !b.PutFlagOnly(3) {
+	if !b.Put(nil, 3) {
 		t.Fatalf("flag-only deposit rejected")
 	}
-	if b.Arrivals() != 3 {
-		t.Fatalf("flag-only deposit not counted")
+	if b.Arrivals() != 3 || b.Data[0] != 5 {
+		t.Fatalf("flag-only deposit not counted, or it copied")
 	}
 }
 
@@ -95,7 +95,7 @@ func TestPutDedup(t *testing.T) {
 	if b.Arrivals() != 1 || b.Data[0] != 1 {
 		t.Fatalf("duplicate touched the buffer: arrivals %d data %v", b.Arrivals(), b.Data)
 	}
-	if b.PutFlagOnly(1) {
+	if b.Put(nil, 1) {
 		t.Fatal("duplicate flag-only deposit accepted")
 	}
 	// A duplicate may even arrive after the receiver consumed the original
@@ -104,7 +104,7 @@ func TestPutDedup(t *testing.T) {
 	if err := m.Free(7, 2); err != nil {
 		t.Fatal(err)
 	}
-	if b.Put([]float64{9, 9}, 1) {
+	if b.Put([]float64{9, 9}, 1) || b.Put(nil, 1) {
 		t.Fatal("duplicate deposit into freed buffer accepted")
 	}
 }
@@ -127,7 +127,8 @@ func TestPutAfterFreePanics(t *testing.T) {
 }
 
 func TestAddrSlotsSingleSlot(t *testing.T) {
-	s := NewAddrSlots(3)
+	s := new(AddrSlots)
+	s.Reset(3)
 	pkg1 := &AddrPackage{From: 1}
 	pkg2 := &AddrPackage{From: 1}
 	if !s.TrySend(0, 1, pkg1) {
@@ -154,7 +155,8 @@ func TestAddrSlotsSingleSlot(t *testing.T) {
 
 func TestAddrSlotsConcurrent(t *testing.T) {
 	const n = 500
-	s := NewAddrSlots(2)
+	s := new(AddrSlots)
+	s.Reset(2)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	sent := 0
@@ -193,7 +195,8 @@ func TestAddrSlotsConcurrent(t *testing.T) {
 // LargePayload float64s or more is not carved from the slab at all.
 func TestSlabNeighboursIsolated(t *testing.T) {
 	lens := []int64{3, 1, LargePayload, 4, 2}
-	m := NewMemoryFor(1<<20, len(lens))
+	m := new(Memory)
+	m.Reset(1<<20, len(lens))
 	var floats int64
 	for _, n := range lens {
 		floats += SlabLen(n)
@@ -248,7 +251,8 @@ func TestSlabNeighboursIsolated(t *testing.T) {
 // header comes back live, with no arrivals and no sequence watermark — and
 // an owned payload, which the run hands out, is never taken back.
 func TestResetRecyclesSlabs(t *testing.T) {
-	m := NewMemoryFor(100, 4)
+	m := new(Memory)
+	m.Reset(100, 4)
 	run := func() (owned, mapped *Buffer) {
 		m.ReserveOwned(1, 2)
 		owned, err := m.AllocChan(0, -1, 1, 2)
@@ -311,7 +315,8 @@ func TestResetRecyclesSlabs(t *testing.T) {
 // it: a duplicate deposit is discarded by its sequence watermark and a new
 // one panics on the freed flag, both before they copy.
 func TestFreedSlabTakenWithinRun(t *testing.T) {
-	m := NewMemoryFor(100, 4)
+	m := new(Memory)
+	m.Reset(100, 4)
 	m.Reserve(2, 5)
 	a, err := m.AllocChan(0, 0, 1, 3)
 	if err != nil {

@@ -20,36 +20,6 @@ import (
 	"repro/internal/verify"
 )
 
-// randomDAG builds a random owner-compute program: every task writes one
-// object and reads a few earlier-written ones, owners assigned cyclically.
-// Mirrors the generator the sched-internal tests use, rebuilt here on the
-// exported API only.
-func randomDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
-	b := graph.NewBuilder()
-	objs := make([]graph.ObjID, nObjs)
-	for i := range objs {
-		objs[i] = b.Object(fmt.Sprintf("o%d", i), int64(1+rng.Intn(4)))
-	}
-	var written []graph.ObjID
-	for t := 0; t < nTasks; t++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		w := objs[rng.Intn(nObjs)]
-		b.Task(fmt.Sprintf("t%d", t), float64(1+rng.Intn(5)), reads, []graph.ObjID{w})
-		written = append(written, w)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	sched.CyclicOwners(g, p)
-	return g
-}
-
 // volatileUses scans a processor's execution order directly (independent
 // of sched.VolatileLifetimes) and returns first- and last-use positions of
 // every volatile object the processor touches.
@@ -137,7 +107,7 @@ func TestQuickPlanFreesFollowLastUse(t *testing.T) {
 	f := func(seed uint64, a, b, c uint8) bool {
 		rng := util.NewRNG(seed)
 		p := 2 + int(c)%4
-		g := randomDAG(rng, 10+int(a)%50, 4+int(b)%12, p)
+		g := graph.GenOwnerCompute(rng, 10+int(a)%50, 4+int(b)%12, p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Logf("assign: %v", err)
@@ -175,7 +145,7 @@ func TestQuickVerifierAgreesWithReplay(t *testing.T) {
 	f := func(seed uint64, a, b uint8) bool {
 		rng := util.NewRNG(seed)
 		p := 2 + int(b)%3
-		g := randomDAG(rng, 10+int(a)%40, 5+int(b)%10, p)
+		g := graph.GenOwnerCompute(rng, 10+int(a)%40, 5+int(b)%10, p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Logf("assign: %v", err)
@@ -222,7 +192,7 @@ func TestVerifierCatchesMutatedPlans(t *testing.T) {
 	caughtFree, caughtAlloc := false, false
 	for trial := 0; trial < 12; trial++ {
 		p := 2 + rng.Intn(3)
-		g := randomDAG(rng, 25+rng.Intn(30), 6+rng.Intn(10), p)
+		g := graph.GenOwnerCompute(rng, 25+rng.Intn(30), 6+rng.Intn(10), p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +264,7 @@ func TestQuickDTSTheorem2BoundEndToEnd(t *testing.T) {
 	f := func(seed uint64, a, b uint8) bool {
 		rng := util.NewRNG(seed)
 		p := 2 + int(b)%3
-		g := randomDAG(rng, 15+int(a)%45, 5+int(b)%12, p)
+		g := graph.GenOwnerCompute(rng, 15+int(a)%45, 5+int(b)%12, p)
 		assign, err := sched.OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Logf("assign: %v", err)
@@ -383,7 +353,7 @@ func TestHeuristicNamesAndPeakVector(t *testing.T) {
 	}
 
 	rng := util.NewRNG(11)
-	g := randomDAG(rng, 24, 8, 3)
+	g := graph.GenOwnerCompute(rng, 24, 8, 3)
 	assign, err := sched.OwnerComputeAssign(g, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestQuickScheduleInvariants(t *testing.T) {
 	f := func(seed uint64, a, b, c uint8) bool {
 		rng := util.NewRNG(seed)
 		p := 2 + int(c)%4
-		g := randomOwnerComputeDAG(rng, 5+int(a)%50, 3+int(b)%12, p)
+		g := graph.GenOwnerCompute(rng, 5+int(a)%50, 3+int(b)%12, p)
 		assign, err := OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Logf("assign: %v", err)
@@ -123,7 +123,7 @@ func TestQuickMergeSlicesInvariants(t *testing.T) {
 func TestQuickDTSSliceOrderConsistent(t *testing.T) {
 	f := func(seed uint64, a, b uint8) bool {
 		rng := util.NewRNG(seed)
-		g := randomOwnerComputeDAG(rng, 5+int(a)%40, 3+int(b)%10, 2)
+		g := graph.GenOwnerCompute(rng, 5+int(a)%40, 3+int(b)%10, 2)
 		sliceOf, _, err := Slices(g)
 		if err != nil {
 			t.Logf("slices: %v", err)

@@ -19,40 +19,12 @@ func buildCholGraph(t *testing.T, p int) (*graph.DAG, []graph.Proc) {
 	// harness cover chol/lu; here we exercise the algorithms on the
 	// reconstruction and random owner-compute DAGs.
 	_ = m
-	g := randomOwnerComputeDAG(rng, 60, 25, p)
+	g := graph.GenOwnerCompute(rng, 60, 25, p)
 	assign, err := OwnerComputeAssign(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g, assign
-}
-
-// randomOwnerComputeDAG builds a random DAG where each task writes exactly
-// one object and reads a few earlier-written objects, with cyclic owners.
-func randomOwnerComputeDAG(rng *util.RNG, nTasks, nObjs, p int) *graph.DAG {
-	b := graph.NewBuilder()
-	objs := make([]graph.ObjID, nObjs)
-	for i := 0; i < nObjs; i++ {
-		objs[i] = b.Object(objName(i), int64(1+rng.Intn(4)))
-	}
-	written := []graph.ObjID{}
-	for t := 0; t < nTasks; t++ {
-		var reads []graph.ObjID
-		for r := 0; r < rng.Intn(3); r++ {
-			if len(written) > 0 {
-				reads = append(reads, written[rng.Intn(len(written))])
-			}
-		}
-		wobj := objs[rng.Intn(nObjs)]
-		b.Task(taskName(t), float64(1+rng.Intn(5)), reads, []graph.ObjID{wobj})
-		written = append(written, wobj)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	CyclicOwners(g, p)
-	return g
 }
 
 func objName(i int) string  { return "o" + string(rune('A'+i%26)) + string(rune('0'+i/26)) }
@@ -83,7 +55,7 @@ func TestRandomDAGsPropertySweep(t *testing.T) {
 	rng := util.NewRNG(7)
 	for trial := 0; trial < 25; trial++ {
 		p := 2 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 20+rng.Intn(60), 5+rng.Intn(20), p)
+		g := graph.GenOwnerCompute(rng, 20+rng.Intn(60), 5+rng.Intn(20), p)
 		assign, err := OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +95,7 @@ func TestDTSTheorem2Bound(t *testing.T) {
 	rng := util.NewRNG(11)
 	for trial := 0; trial < 20; trial++ {
 		p := 2 + rng.Intn(3)
-		g := randomOwnerComputeDAG(rng, 30+rng.Intn(40), 6+rng.Intn(12), p)
+		g := graph.GenOwnerCompute(rng, 30+rng.Intn(40), 6+rng.Intn(12), p)
 		assign, err := OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)

@@ -184,7 +184,7 @@ func TestTreeMemBoundOnRandomDAGs(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		rng := util.NewRNG(seed * 31)
 		p := 1 + rng.Intn(4)
-		g := randomOwnerComputeDAG(rng, 10+rng.Intn(50), 5+rng.Intn(20), p)
+		g := graph.GenOwnerCompute(rng, 10+rng.Intn(50), 5+rng.Intn(20), p)
 		assign, err := OwnerComputeAssign(g, p)
 		if err != nil {
 			t.Fatal(err)

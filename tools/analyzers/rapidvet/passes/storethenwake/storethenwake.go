@@ -12,7 +12,8 @@
 // Deposit sites are matched structurally by the executor's method
 // vocabulary, so testdata corpora can define local lookalikes:
 //
-//   - Put / PutFlagOnly — RMA data deposit into a remote buffer;
+//   - Put — RMA data deposit into a remote buffer (flag-only when the
+//     run carries no payload);
 //   - TrySend — address-package deposit through the single-slot mesh
 //     (only the success path owes a wake, so the analyzer requires a
 //     wake somewhere after the call site, which the
@@ -44,7 +45,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "storethenwake",
-	Doc: "every deposit of observable protocol state (Put/PutFlagOnly/TrySend/ConsumeAppend/CtlRecv.Add) " +
+	Doc: "every deposit of observable protocol state (Put/TrySend/ConsumeAppend/CtlRecv.Add) " +
 		"must be followed by a wake-token post in the same function; a missing or pre-store wake is the " +
 		"PR-7 lost-wakeup bug",
 	DefaultPackages: []string{
@@ -122,7 +123,7 @@ func depositSite(call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "Put", "PutFlagOnly", "TrySend", "ConsumeAppend":
+	case "Put", "TrySend", "ConsumeAppend":
 		return render(sel.X) + "." + sel.Sel.Name, true
 	case "Add":
 		if strings.Contains(strings.ToLower(render(sel.X)), "ctlrecv") {

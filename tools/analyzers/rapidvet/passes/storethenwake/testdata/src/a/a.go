@@ -1,6 +1,6 @@
 // Corpus for the storethenwake analyzer. Local lookalikes of the
-// executor's deposit vocabulary (Put/PutFlagOnly/TrySend/ConsumeAppend,
-// the run's CtlRecv counters, a wake method); the seeded violations are the PR-7
+// executor's deposit vocabulary (Put/TrySend/ConsumeAppend, the run's
+// CtlRecv counters, a wake method); the seeded violations are the
 // lost-wakeup shapes, each next to its corrected form.
 package a
 
@@ -11,7 +11,6 @@ func (e *engine) wake(p int) {}
 type buf struct{}
 
 func (b *buf) Put(data []float64, seq int32) bool { return true }
-func (b *buf) PutFlagOnly(seq int32) bool         { return true }
 
 type mesh struct{}
 
@@ -37,7 +36,7 @@ func lostWakeup(b *buf, data []float64, seq int32) {
 // one reordering away.
 func wakeBeforeStore(e *engine, b *buf, dst int, seq int32) {
 	e.wake(dst)
-	b.PutFlagOnly(seq) // want "lost wakeup"
+	b.Put(nil, seq) // want "lost wakeup"
 }
 
 // ctlWithoutWake increments the control counter REC parks on without
@@ -50,7 +49,7 @@ func ctlWithoutWake(c *counters, t int) {
 // not discharge the goroutine's deposit.
 func goroutineActor(e *engine, b *buf, seq int32) {
 	go func() {
-		b.PutFlagOnly(seq) // want "lost wakeup"
+		b.Put(nil, seq) // want "lost wakeup"
 	}()
 	e.wake(0)
 }
