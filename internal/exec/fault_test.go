@@ -3,6 +3,7 @@ package exec
 import (
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,6 +87,43 @@ func TestCholeskyUnderFaultInjection(t *testing.T) {
 	}
 }
 
+// stallHold wedges a kernel until the watchdog has observed a stall: Run's
+// onStall hook releases it. The hold is bounded, so a run that never
+// stalls — a task admitted before its inputs arrived finishes the run
+// around the wedged kernel — fails its test by name instead of hanging
+// until the test binary's -timeout.
+type stallHold struct {
+	release chan struct{}
+	limit   time.Duration
+	missed  atomic.Bool
+}
+
+// newStallHold bounds the hold at a few watchdog periods past timeout.
+func newStallHold(timeout time.Duration) *stallHold {
+	return &stallHold{release: make(chan struct{}), limit: 8 * timeout}
+}
+
+// onStall is the Config.onStall hook.
+func (h *stallHold) onStall() { close(h.release) }
+
+// wait is the wedged kernel's hold.
+func (h *stallHold) wait() {
+	select {
+	case <-h.release:
+	case <-time.After(h.limit):
+		h.missed.Store(true)
+	}
+}
+
+// check fails t if the hold ran out before any stall was reported; what
+// names the task that should have blocked.
+func (h *stallHold) check(t *testing.T, what string, err error) {
+	t.Helper()
+	if h.missed.Load() {
+		t.Fatalf("the watchdog reported no stall within %v: %s never blocked (run returned %v)", h.limit, what, err)
+	}
+}
+
 // TestWatchdogReportsBlockedDetail forces a deterministic stall — the only
 // producer of a cross-processor object holds its kernel until the watchdog
 // observes the stall (the onStall hook, so the test waits on the event
@@ -118,18 +156,20 @@ func TestWatchdogReportsBlockedDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
+	const timeout = 250 * time.Millisecond
+	hold := newStallHold(timeout)
 	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			if tk == t0 {
-				<-release // held exactly until the watchdog fires
+				hold.wait() // until the watchdog fires
 			}
 			return nil
 		},
 		Init:         func(graph.ObjID, []float64) {},
-		BlockTimeout: 250 * time.Millisecond,
-		onStall:      func() { close(release) },
+		BlockTimeout: timeout,
+		onStall:      hold.onStall,
 	})
+	hold.check(t, "t1, waiting on a's arrival,", err)
 	if err == nil {
 		t.Fatal("expected a watchdog timeout, got success")
 	}
@@ -189,21 +229,23 @@ func TestWatchdogReportsQueuedCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
+	const timeout = 250 * time.Millisecond
+	hold := newStallHold(timeout)
 	_, err = Run(artifact(s, plan), Config{
 		Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 			switch tk {
 			case t0:
-				<-release // held exactly until the watchdog fires
+				hold.wait() // until the watchdog fires
 			case prep:
 				time.Sleep(30 * time.Millisecond)
 			}
 			return nil
 		},
 		Init:         func(graph.ObjID, []float64) {},
-		BlockTimeout: 250 * time.Millisecond,
-		onStall:      func() { close(release) },
+		BlockTimeout: timeout,
+		onStall:      hold.onStall,
 	})
+	hold.check(t, "t1 or t2, waiting on a's arrival,", err)
 	if err == nil {
 		t.Fatal("expected a watchdog timeout, got success")
 	}

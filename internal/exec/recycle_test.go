@@ -165,18 +165,20 @@ func TestRunAfterAbortedRun(t *testing.T) {
 		}
 		cleanRun(t, pr, a, want)
 
-		release := make(chan struct{})
+		const timeout = 50 * time.Millisecond
+		hold := newStallHold(timeout)
 		_, err = Run(a, Config{
 			Kernel: func(tk graph.TaskID, get func(graph.ObjID) []float64) error {
 				if tk == victim {
-					<-release
+					hold.wait()
 				}
 				return pr.Kernel(tk, get)
 			},
 			Init:         pr.InitObject,
-			BlockTimeout: 50 * time.Millisecond,
-			onStall:      func() { close(release) },
+			BlockTimeout: timeout,
+			onStall:      hold.onStall,
 		})
+		hold.check(t, "a reader of the wedged task's output", err)
 		if err == nil || !strings.Contains(err.Error(), "no progress") && !strings.Contains(err.Error(), "aborted") {
 			t.Fatalf("round %d: stall: run returned %v", round, err)
 		}

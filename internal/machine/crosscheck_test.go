@@ -12,6 +12,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/plan"
 	"repro/internal/proto"
+	"repro/internal/rma"
 	"repro/internal/sched"
 	"repro/internal/util"
 )
@@ -170,12 +171,24 @@ func TestRandomizedEquivalence(t *testing.T) {
 // reliability counters must also agree exactly between the backends, the
 // retransmit counters must be live, and a zero-Faults run must report zero
 // retransmits.
+//
+// The last trials are the large layer: every object is rma.LargePayload
+// units, and so float64s, longer. Each received copy then gets its payload
+// at its first deposit and drops it after its last local reader, and the
+// data check covers both; a duplicate that lands after the drop must be
+// discarded like any other (TestLargeCopyPayloadLifecycle pins that order).
 func TestLossDupEquivalence(t *testing.T) {
 	rng := util.NewRNG(5151)
 	totalRetrans, totalDupDropped := 0, 0
-	for trial := 0; trial < 8; trial++ {
+	const trials, large = 11, 8 // trials from large on carry large payloads
+	for trial := 0; trial < trials; trial++ {
 		p := 2 + rng.Intn(4)
 		g := graph.GenOwnerCompute(rng, 30+rng.Intn(50), 8+rng.Intn(12), p)
+		if trial >= large {
+			for i := range g.Objects {
+				g.Objects[i].Size += rma.LargePayload
+			}
+		}
 		s := randomSchedule(t, g, p, trial)
 		for _, compiled := range randomPlans(t, s) {
 			at := fmt.Sprintf("trial %d at %d", trial, compiled.Capacity)

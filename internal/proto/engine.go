@@ -723,10 +723,19 @@ func (c *Core) Release() {
 // alloc books object o, exported under channel ch, on the ledger. An input
 // — a permanent object, or a volatile copy of an object no task ever sends
 // (ch < 0), which the runtime's initial data distribution provides — is
-// filled now.
+// filled now. A copy that is deposited into (ch >= 0) and whose payload is
+// at least rma.LargePayload long gets none here: its first deposit
+// allocates it (rma.Buffer.Put), and its last local reader's TaskDone
+// drops it, so the payload is held only while the copy is live. Its units
+// are booked from the MAP that allocates it to the MAP that frees it, as
+// the plan says.
 func (c *Core) alloc(o graph.ObjID, ch int32) (*rma.Buffer, error) {
 	obj := &c.eng.S.G.Objects[o]
-	b, err := c.mem.AllocChan(o, ch, obj.Size, c.be.BufLen(o))
+	bufLen := c.be.BufLen(o)
+	if ch >= 0 && bufLen >= rma.LargePayload {
+		bufLen = 0
+	}
+	b, err := c.mem.AllocChan(o, ch, obj.Size, bufLen)
 	if err == nil && b.Data != nil && (obj.Owner == c.p || ch < 0) {
 		c.be.InitBuffer(b)
 	}
@@ -1118,12 +1127,20 @@ func (c *Core) ready(t graph.TaskID) (bool, error) {
 // performs the SND state: data messages whose remote address is unknown —
 // or that fault injection delays, or whose channel has a queued
 // predecessor — go onto the outbound queue; the rest transmit immediately
-// (and join the queue if that transmission is lost).
+// (and join the queue if that transmission is lost). A received copy whose
+// last local reader this task was takes no further deposit, and drops its
+// payload (see alloc): every version it receives has arrived.
 func (c *Core) TaskDone(now float64) {
 	c.enter(StateSND, now)
 	t := c.curTask
 	c.Stats.TasksRun++
-	for _, snd := range c.eng.Tables.SendsOf(t) {
+	tb := c.eng.Tables
+	for _, need := range tb.NeedsOf(t) {
+		if b, ok := c.mem.Lookup(need.Obj); ok && tb.lastRead[b.Chan] == t {
+			b.Drop()
+		}
+	}
+	for _, snd := range tb.SendsOf(t) {
 		if c.eng.Faults.delayData(snd) {
 			c.Stats.FaultsInjected++
 			c.Stats.DataSuspended++
@@ -1141,7 +1158,7 @@ func (c *Core) TaskDone(now float64) {
 			c.pushOut(m)
 		}
 	}
-	for _, v := range c.eng.Tables.CtlSendsOf(t) {
+	for _, v := range tb.CtlSendsOf(t) {
 		c.be.SendCtl(v)
 		c.Stats.CtlSent++
 	}

@@ -22,9 +22,13 @@ type loopMachine struct {
 	be    []*loopBackend
 	cores []*Core
 	tick  float64
+	// bufLen is every object's payload length (0: a structure-only run).
+	bufLen int64
 	// onData, if set, sees every data message handed to the transport;
+	// afterTask, if set, sees each core after each of its TaskDones;
 	// afterPoll, if set, sees each core after each of its Polls.
 	onData    func(snd Send)
+	afterTask func(c *Core, task graph.TaskID)
 	afterPoll func(c *Core)
 }
 
@@ -38,11 +42,18 @@ type loopBackend struct {
 
 func newLoopMachine(t *testing.T, s *sched.Schedule, pl *mem.Plan, f Faults) *loopMachine {
 	t.Helper()
+	return newPayloadMachine(t, s, pl, f, 0)
+}
+
+// newPayloadMachine is newLoopMachine with a payload of bufLen float64s
+// for every object, which every deposit carries.
+func newPayloadMachine(t *testing.T, s *sched.Schedule, pl *mem.Plan, f Faults, bufLen int64) *loopMachine {
+	t.Helper()
 	eng, err := NewEngine(s, pl, Derive(s).Bind(pl), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &loopMachine{eng: eng}
+	m := &loopMachine{eng: eng, bufLen: bufLen}
 	for p := 0; p < s.P; p++ {
 		be := &loopBackend{m: m, p: graph.Proc(p), slots: make([]*rma.AddrPackage, s.P)}
 		core, err := eng.NewCore(graph.Proc(p), be)
@@ -89,6 +100,9 @@ func (m *loopMachine) runE() error {
 			case RunTask:
 				m.tick++
 				c.TaskDone(m.tick)
+				if m.afterTask != nil {
+					m.afterTask(c, st.Task)
+				}
 				m.poll(c)
 			case Blocked:
 				m.poll(c)
@@ -132,7 +146,11 @@ func (be *loopBackend) SendData(snd Send, b *rma.Buffer) {
 	if be.m.onData != nil {
 		be.m.onData(snd)
 	}
-	if !b.Put(nil, snd.Seq) {
+	var data []float64
+	if src, ok := be.m.cores[be.p].Lookup(snd.Obj); ok {
+		data = src.Data
+	}
+	if !b.Put(data, snd.Seq) {
 		be.m.eng.Discarded(snd.Dst)
 	}
 }
@@ -141,7 +159,7 @@ func (be *loopBackend) SendCtl(t graph.TaskID) { be.m.eng.CtlRecv[t].Add(1) }
 
 func (be *loopBackend) WakeAfter(delay float64) {} // round-robin re-examines everyone
 
-func (be *loopBackend) BufLen(graph.ObjID) int64 { return 0 }
+func (be *loopBackend) BufLen(graph.ObjID) int64 { return be.m.bufLen }
 func (be *loopBackend) InitBuffer(*rma.Buffer)   {}
 
 func planFor(t *testing.T, s *sched.Schedule) *mem.Plan {

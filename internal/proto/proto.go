@@ -66,6 +66,10 @@ type Tables struct {
 	// anything, so an entry's index is the pair's channel id.
 	expOff []int32
 	expect []Need
+	// lastRead[ch] is the last task, in its processor's order, that reads
+	// the object channel ch delivers: the one whose completion ends the
+	// local copy's reads.
+	lastRead []graph.TaskID
 
 	// Set by Bind: the MAP plan the tables are bound to, and the channel of
 	// every allocation it makes — processor p's, in MAP then Allocs order,
@@ -109,7 +113,7 @@ func (tb *Tables) Bytes() int64 {
 	return int64(unsafe.Sizeof(*tb)) + util.SliceBytes(tb.CtlNeed) +
 		util.SliceBytes(tb.sendOff) + util.SliceBytes(tb.needOff) + util.SliceBytes(tb.ctlOff) +
 		util.SliceBytes(tb.sends) + util.SliceBytes(tb.needs) + util.SliceBytes(tb.ctlSends) +
-		util.SliceBytes(tb.expOff) + util.SliceBytes(tb.expect) +
+		util.SliceBytes(tb.expOff) + util.SliceBytes(tb.expect) + util.SliceBytes(tb.lastRead) +
 		util.SliceBytes(tb.allocOff) + util.SliceBytes(tb.allocCh)
 }
 
@@ -276,7 +280,8 @@ func Derive(s *sched.Schedule) *Tables {
 	// Sequence numbers: walk the stars channel by channel. Each distinct
 	// producer in a group is one version — one Send with the next sequence
 	// number — and every reader whose u* it is waits for that many
-	// arrivals.
+	// arrivals. A channel's readers are all its consumer's, so the one
+	// with the largest schedule position is its last.
 	type taskSend struct {
 		u   graph.TaskID
 		snd Send
@@ -284,6 +289,7 @@ func Derive(s *sched.Schedule) *Tables {
 	sends := make([]taskSend, 0, nSends)
 	t.needs = make([]Need, len(stars))
 	t.expect = make([]Need, 0, chans)
+	t.lastRead = make([]graph.TaskID, 0, chans)
 	prev := int32(-1)
 	for _, si := range order {
 		st := &stars[si]
@@ -291,7 +297,10 @@ func Derive(s *sched.Schedule) *Tables {
 		newKey := prev < 0 || !sameChan(prev, si)
 		if newKey {
 			t.expect = append(t.expect, Need{Obj: st.obj})
+			t.lastRead = append(t.lastRead, st.v)
 			t.expOff[dst+1]++
+		} else if last := &t.lastRead[len(t.lastRead)-1]; s.Pos[st.v] > s.Pos[*last] {
+			*last = st.v
 		}
 		versions := &t.expect[len(t.expect)-1].MinArrivals
 		if newKey || stars[prev].u != st.u {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -184,6 +185,43 @@ func TestRandomGraphsThresholdsConsistent(t *testing.T) {
 			for _, need := range tb.NeedsOf(graph.TaskID(v)) {
 				if tb.Expect(s.Assign[v], need.Obj) < need.MinArrivals {
 					t.Fatalf("trial %d: unsatisfiable threshold", trial)
+				}
+			}
+		}
+	}
+}
+
+// TestLastReaderIsTheLastAccess: a channel's last reader runs on the
+// channel's consumer, needs the channel's object at its newest version,
+// and no task after it in that processor's order touches the object — so
+// dropping the local copy's payload when it completes loses nothing.
+func TestLastReaderIsTheLastAccess(t *testing.T) {
+	rng := util.NewRNG(2025)
+	for trial := 0; trial < 30; trial++ {
+		p := 2 + rng.Intn(4)
+		g := graph.GenOwnerCompute(rng, 25+rng.Intn(40), 6+rng.Intn(10), p)
+		assign, err := sched.OwnerComputeAssign(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.ScheduleWith([]sched.Heuristic{sched.RCP, sched.MPO, sched.DTS}[trial%3],
+			g, assign, p, sched.Unit(), 1<<40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := Derive(s)
+		for q := 0; q < p; q++ {
+			for ch := tb.expOff[q]; ch < tb.expOff[q+1]; ch++ {
+				o, last := tb.expect[ch].Obj, tb.lastRead[ch]
+				if s.Assign[last] != graph.Proc(q) ||
+					!slices.Contains(tb.NeedsOf(last), Need{Obj: o, MinArrivals: tb.expect[ch].MinArrivals}) {
+					t.Fatalf("trial %d: channel %d (object %d to proc %d): last reader %d on proc %d needs %v",
+						trial, ch, o, q, last, s.Assign[last], tb.NeedsOf(last))
+				}
+				for _, v := range s.Order[q][s.Pos[last]+1:] {
+					if slices.Contains(g.Accesses(v), o) {
+						t.Fatalf("trial %d: task %d touches object %d on proc %d after its last reader %d", trial, v, o, q, last)
+					}
 				}
 			}
 		}

@@ -1,12 +1,14 @@
 package proto
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/rma"
+	"repro/internal/sched"
 )
 
 // TestReceiveHalf exercises the one copy of the receive-side state — the
@@ -137,5 +139,100 @@ func TestReceiveHalf(t *testing.T) {
 			prod.addr[ch] = b
 			tc.run(t, m, c, prod)
 		})
+	}
+}
+
+// TestLargeCopyPayloadLifecycle: a received copy whose payload is at least
+// rma.LargePayload long has no payload from its MAP to its first deposit,
+// keeps it while it is read — a later version is copied into it — and has
+// none once its last local reader is done. A duplicate landing after that
+// is discarded; a new version there is a run error. The ledger books the
+// same units as a run without payloads.
+func TestLargeCopyPayloadLifecycle(t *testing.T) {
+	b := graph.NewBuilder()
+	a := b.Object("a", 4)
+	x := b.Object("x", 1)
+	y := b.Object("y", 1)
+	b.Task("t0", 1, nil, []graph.ObjID{a})
+	t1 := b.Task("t1", 1, []graph.ObjID{a}, []graph.ObjID{x})
+	t3 := b.Task("t3", 1, nil, []graph.ObjID{a}) // version 2, once t1 has read version 1
+	t2 := b.Task("t2", 1, []graph.ObjID{a}, []graph.ObjID{y})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Objects[a].Owner, g.Objects[x].Owner, g.Objects[y].Owner = 0, 1, 1
+	assign, err := sched.OwnerComputeAssign(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ScheduleRCP(g, assign, 2, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := mem.NewPlan(s, s.TOT())
+	if err != nil || !pl.Executable {
+		t.Fatalf("TOT plan: %v", err)
+	}
+	// Every data message arrives twice; the copy lands before the drop.
+	m := newPayloadMachine(t, s, pl, Faults{Seed: 1, DupFrac: 1}, rma.LargePayload)
+	ch := m.eng.Tables.Chan(1, a)
+	if ch < 0 || m.eng.Tables.Expect(1, a) != 2 || m.eng.Tables.lastRead[ch] != t2 {
+		t.Fatalf("channel %d of a on proc 1: %d versions, last reader %d; want 2 versions read last by t2",
+			ch, m.eng.Tables.Expect(1, a), m.eng.Tables.lastRead[ch])
+	}
+	copyOf := func() *rma.Buffer {
+		buf, ok := m.cores[1].Lookup(a)
+		if !ok {
+			t.Fatal("proc 1 holds no copy of a")
+		}
+		return buf
+	}
+	var deposits []int32
+	m.onData = func(snd Send) {
+		if snd.Dst != 1 {
+			return
+		}
+		if buf := copyOf(); snd.Seq == 1 && len(deposits) == 0 && buf.Data != nil {
+			t.Errorf("the copy has a payload of %d before its first deposit", len(buf.Data))
+		}
+		deposits = append(deposits, snd.Seq)
+	}
+	var ran []graph.TaskID
+	m.afterTask = func(c *Core, task graph.TaskID) {
+		if c != m.cores[1] || (task != t1 && task != t2) {
+			return
+		}
+		ran = append(ran, task)
+		if n := len(copyOf().Data); (task == t1) != (n == rma.LargePayload) {
+			t.Errorf("after %s the copy's payload is %d long", g.TaskName(task), n)
+		}
+	}
+	m.run(t)
+	if !slices.Equal(ran, []graph.TaskID{t1, t2}) || !slices.Equal(deposits, []int32{1, 1, 2, 2}) {
+		t.Fatalf("readers ran %v, deposits %v; want t1 then t2, each version twice", ran, deposits)
+	}
+
+	bare := newLoopMachine(t, s, pl, Faults{})
+	bare.run(t)
+	for q := range m.cores {
+		if got, want := m.cores[q].mem.Peak(), bare.cores[q].mem.Peak(); got != want {
+			t.Errorf("proc %d books a peak of %d units with payloads, %d without", q, got, want)
+		}
+	}
+
+	prod, buf := m.cores[0], copyOf()
+	v2 := m.eng.Tables.SendsOf(t3)[0]
+	discarded := m.eng.dupDropped[1].Load()
+	prod.deposit(v2)
+	if prod.err != nil || buf.Data != nil || m.eng.dupDropped[1].Load() != discarded+1 {
+		t.Fatalf("a duplicate after the drop: error %v, payload %d long, %d discards; want it discarded",
+			prod.err, len(buf.Data), m.eng.dupDropped[1].Load()-discarded)
+	}
+	v3 := v2
+	v3.Seq++
+	prod.deposit(v3)
+	if prod.err == nil || !strings.Contains(prod.err.Error(), "dropped payload") {
+		t.Fatalf("a new version after the drop: %v, want a deposit error", prod.err)
 	}
 }

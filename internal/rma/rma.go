@@ -7,24 +7,32 @@
 //   - Put, the one deposit, targets a buffer handle previously exported by
 //     the receiver; there is no handshake and no receiver-side copy. Arrival
 //     is observable only through a completion counter the receiver polls
-//     (the deposit-then-flag idiom of real RMA codes). A buffer with no
-//     payload (a structure-only run) takes the flag alone.
+//     (the deposit-then-flag idiom of real RMA codes). When neither side
+//     has a payload (a structure-only run) the deposit is the flag alone.
 //   - Address packages travel through a single-slot buffer per
 //     (sender, receiver) pair: a new package cannot be sent until the
 //     receiver has consumed the previous one (Section 3.2's "no address
 //     buffering" decision).
 //   - Freeing a buffer while a Put could still target it is a protocol bug;
-//     the emulation panics on a Put into a freed buffer, turning the paper's
-//     data-consistency theorem into a checkable runtime assertion.
+//     the emulation panics on a Put into a freed buffer, or into a dropped
+//     payload, turning the paper's data-consistency theorem into a
+//     checkable runtime assertion.
 //
 // Memory capacity accounting uses the abstract object sizes (units); the
 // backing float64 buffers may have a different physical length (e.g. dense
-// panels for structurally sparse objects).
+// panels for structurally sparse objects). A buffer books its units from
+// its allocation to its free, whether or not it holds a payload all that
+// time: a receive buffer allocated with no payload gets one at its first
+// deposit (Put), and its owner may drop the payload once the last read of
+// it is done (Drop), which is how the executor keeps a large volatile copy
+// only while it is live. The ledger, and so every plan's space, is the same
+// either way.
 package rma
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -44,11 +52,19 @@ type Buffer struct {
 	Data     []float64
 	arrivals atomic.Int32
 	lastSeq  atomic.Int32
-	freed    atomic.Bool
+	// gone says why the buffer takes no more deposits: 0 while it does,
+	// else payloadDropped or bufferFreed.
+	gone atomic.Int32
 	// event is 1 + the number of the allocation event whose recyclable
 	// payload slab Data was carved from; 0 for any other payload.
 	event int32
 }
+
+// Why a buffer refuses a non-duplicate deposit (Buffer.gone).
+const (
+	payloadDropped int32 = 1 + iota
+	bufferFreed
+)
 
 // Arrivals returns the number of completed deposits (acquire semantics).
 func (b *Buffer) Arrivals() int32 { return b.arrivals.Load() }
@@ -57,26 +73,43 @@ func (b *Buffer) Arrivals() int32 { return b.arrivals.Load() }
 // release semantics. seq is the deposit's version sequence number; a
 // duplicate delivery (seq not above the highest already deposited — the
 // reliability layer delivers versions in order) is discarded and Put
-// reports false. The dedup check runs before the freed check on purpose: a
+// reports false. The dedup check runs before the gone check on purpose: a
 // duplicated copy may land after the receiver consumed the original and
-// freed the buffer, and must be discarded, not treated as a consistency
-// violation. A non-duplicate Put into a freed buffer still panics: it means
-// the protocol invalidated an address that was in use. Put is the one
-// deposit: in a structure-only run neither side has a payload, and it
-// only counts the arrival.
+// freed the buffer, or dropped its payload, and must be discarded, not
+// treated as a consistency violation. A non-duplicate Put into a freed
+// buffer, or into a dropped payload, still panics: it means the protocol
+// invalidated an address, or let go of a payload, that was in use.
+//
+// Put is the one deposit. A buffer allocated with no payload gets one here:
+// the first deposit that carries data allocates it as a copy of that data
+// (no zero-fill first). In a structure-only run neither side has a
+// payload, and Put only counts the arrival.
 func (b *Buffer) Put(data []float64, seq int32) bool {
 	if seq <= b.lastSeq.Load() {
 		return false
 	}
-	if b.freed.Load() {
+	switch b.gone.Load() {
+	case bufferFreed:
 		panic(fmt.Sprintf("rma: Put into freed buffer for object %d (address consistency violated)", b.Obj))
+	case payloadDropped:
+		panic(fmt.Sprintf("rma: Put into the dropped payload of object %d (a deposit after its last read)", b.Obj))
 	}
 	b.lastSeq.Store(seq)
 	if b.Data != nil {
 		copy(b.Data, data)
+	} else if data != nil {
+		b.Data = slices.Clone(data)
 	}
 	b.arrivals.Add(1)
 	return true
+}
+
+// Drop lets go of the payload once its last read is done: the buffer stays
+// allocated, booked and exported, but takes no further deposit (Put). Only
+// the buffer's owner calls it, after the reads it ends.
+func (b *Buffer) Drop() {
+	b.Data = nil
+	b.gone.Store(payloadDropped)
 }
 
 // AddrPackage is one address-notification message: the exported buffers a
@@ -97,7 +130,7 @@ type AddrPackage struct {
 // (a processor's permanent allocation, one MAP's allocations) with one
 // slab of headers and one of payloads, and the event's Allocs carve from
 // them. A header is never reused within a run, so a freed buffer keeps its
-// freed flag and sequence watermark for as long as a stray handle to it
+// gone state and sequence watermark for as long as a stray handle to it
 // exists in that run. A payload slab is reused as soon as every buffer
 // carved from it is freed: a later event of the run takes it before it
 // allocates, so the slabs a run holds follow the ledger's peak, not the
@@ -302,12 +335,12 @@ func (m *Memory) Free(o graph.ObjID, size int64) error {
 	if !ok {
 		return fmt.Errorf("rma: freeing unallocated object %d", o)
 	}
-	b.freed.Store(true)
+	b.gone.Store(bufferFreed)
 	m.bufs[o] = nil
 	m.used -= size
 	// The last buffer of an event's payload slab frees the slab for a
-	// later event. A stray deposit into this buffer still reads the freed
-	// flag (or its sequence watermark) before it could copy, so the slab's
+	// later event. A stray deposit into this buffer still reads its gone
+	// state (or its sequence watermark) before it could copy, so the slab's
 	// next user is never written through the old handle.
 	if ev := b.event - 1; ev >= 0 {
 		if m.payLive[ev]--; m.payLive[ev] == 0 {

@@ -1,9 +1,11 @@
 package rma
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -124,6 +126,61 @@ func TestPutAfterFreePanics(t *testing.T) {
 		}
 	}()
 	b.Put([]float64{1, 2}, 1)
+}
+
+// TestDeferredPayloadLifecycle: a buffer allocated with no payload gets
+// one at its first deposit, a copy of the deposited data; a later version
+// is copied into it; once dropped it takes no new version, and a
+// duplicate landing after the drop is discarded without allocating.
+func TestDeferredPayloadLifecycle(t *testing.T) {
+	m := NewMemory(100)
+	b, err := m.AllocChan(5, 0, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Data != nil {
+		t.Fatalf("a deferred payload exists before its first deposit: %v", b.Data)
+	}
+	src := []float64{1, 2, 3, 4}
+	if !b.Put(src, 1) {
+		t.Fatal("first deposit rejected")
+	}
+	if src[0] = 9; !slices.Equal(b.Data, []float64{1, 2, 3, 4}) {
+		t.Fatalf("first deposit gave payload %v, want a copy of 1 2 3 4", b.Data)
+	}
+	if !b.Put([]float64{5, 6, 7, 8}, 2) || b.Data[0] != 5 || b.Arrivals() != 2 {
+		t.Fatalf("second version: data %v, arrivals %d", b.Data, b.Arrivals())
+	}
+	b.Drop()
+	if b.Data != nil {
+		t.Fatal("Drop kept the payload")
+	}
+	var dup bool
+	if allocs := testing.AllocsPerRun(10, func() { dup = b.Put(src, 2) }); dup || allocs != 0 {
+		t.Fatalf("duplicate into a dropped payload: accepted %v, %.0f allocations", dup, allocs)
+	}
+	if b.Data != nil || b.Arrivals() != 2 {
+		t.Fatalf("duplicate touched the buffer: data %v, arrivals %d", b.Data, b.Arrivals())
+	}
+	if _, ok := m.Lookup(5); !ok || m.Used() != 4 {
+		t.Fatalf("a dropped payload's buffer must stay allocated and booked: used %d", m.Used())
+	}
+}
+
+func TestPutAfterDropPanics(t *testing.T) {
+	m := NewMemory(100)
+	b, err := m.AllocChan(3, 0, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Put([]float64{1, 2}, 1)
+	b.Drop()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "dropped payload") {
+			t.Fatalf("Put into a dropped payload: recovered %v, want a panic naming the dropped payload", r)
+		}
+	}()
+	b.Put([]float64{1, 2}, 2)
 }
 
 func TestAddrSlotsSingleSlot(t *testing.T) {
