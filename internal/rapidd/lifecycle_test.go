@@ -369,7 +369,7 @@ func TestDeleteCancelsQueuedJob(t *testing.T) {
 	if depth, _ := srv.queue.stats(); depth != 0 {
 		t.Errorf("queue depth %d after the cancel, want 0", depth)
 	}
-	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
+	if _, inUse, _, queued := srv.queue.snapshot(); inUse != 0 || queued != 0 {
 		t.Errorf("admission after the cancel: inUse=%d queued=%d", inUse, queued)
 	}
 	if err := srv.Drain(context.Background()); err != nil {
@@ -422,7 +422,7 @@ func TestRunningJobOutlivesItsDeadline(t *testing.T) {
 
 // TestLifecycleOneCompletionPerJob drives every terminal path of the
 // daemon against one journal — success, verifier rejection, panic,
-// fault-retry exhaustion, deadline in the queue, cancel at admission, two
+// fault-retry exhaustion, deadline in the queue, cancel while waiting for memory, two
 // identical jobs that each succeed and two that each fail, and the four replay
 // fates: a re-queued job, which passes the Config-time hooks like live
 // traffic, and the three that end a job without running it — and then
@@ -504,12 +504,12 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	if rec.Status != StatusRunning || !rec.Recovered {
 		t.Fatalf("recovered job at the gate: %s recovered=%v, want running and recovered", rec.Status, rec.Recovered)
 	}
-	if _, inUse, _, _ := srv.adm.snapshot(); rec.DemandUnits <= 0 || inUse != rec.DemandUnits {
+	if _, inUse, _, _ := srv.queue.snapshot(); rec.DemandUnits <= 0 || inUse != rec.DemandUnits {
 		t.Fatalf("recovered job at the gate: %d units booked, its demand is %d", inUse, rec.DemandUnits)
 	}
 	gates[5].open()
 	expect(getJob(t, ts, "j0001", true), StatusDone, "")
-	if _, inUse, _, _ := srv.adm.snapshot(); inUse != 0 {
+	if _, inUse, _, _ := srv.queue.snapshot(); inUse != 0 {
 		t.Fatalf("recovered job finished with %d units still booked", inUse)
 	}
 
@@ -521,9 +521,9 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	expect(solveSync(t, ts, withSeed(4)), StatusFailed, "retry budget")
 
 	// Two identical jobs, each executing itself: the first holds its
-	// booking at the gate, the second parks at admission behind it (the
-	// budget fits one) — and, with both workers so occupied, a job whose
-	// deadline passes in the queue.
+	// booking at the gate, the second waits in the queue for memory behind
+	// it (the budget fits one) — and a job whose deadline passes while it
+	// waits in the queue too.
 	okA := solveAsync(t, ts, withSeed(7))
 	gates[7].wait(t)
 	okB := solveAsync(t, ts, withSeed(7))
@@ -546,8 +546,9 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	expect(getJob(t, ts, badA.ID, true), StatusFailed, "panicked")
 	expect(getJob(t, ts, badB.ID, true), StatusFailed, "panicked")
 
-	// Cancel at admission: the holder books two thirds of the budget, the
-	// same structure (told apart by verify) parks behind it, is cancelled.
+	// Cancel while waiting for memory: the holder books two thirds of the
+	// budget, the same structure (told apart by verify) waits in the queue
+	// behind it and is cancelled there.
 	holder := solveAsync(t, ts, withSeed(10))
 	gates[10].wait(t)
 	parkedSpec := withSeed(10)
@@ -555,7 +556,7 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	parked := solveAsync(t, ts, parkedSpec)
 	waitStatus(t, ts, parked.ID, StatusQueued)
 	if !srv.Cancel(parked.ID) {
-		t.Fatal("Cancel returned false for a job parked at admission")
+		t.Fatal("Cancel returned false for a job waiting in the queue")
 	}
 	expect(getJob(t, ts, parked.ID, true), StatusFailed, context.Canceled.Error())
 	gates[10].open()
@@ -574,8 +575,8 @@ func TestLifecycleOneCompletionPerJob(t *testing.T) {
 		}
 	}
 	srv.mu.Unlock()
-	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
-		t.Errorf("admission: inUse=%d queued=%d, want 0, 0", inUse, queued)
+	if _, inUse, _, waiting := srv.queue.snapshot(); inUse != 0 || waiting != 0 {
+		t.Errorf("ledger: inUse=%d waiting=%d, want 0, 0", inUse, waiting)
 	}
 	if depth, _ := srv.queue.stats(); depth != 0 {
 		t.Errorf("queue depth %d, want 0", depth)

@@ -8,32 +8,36 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/factor"
 	"repro/internal/journal"
+	"repro/rapid"
 )
 
-// The serving layer: a bounded pool of worker goroutines executes admitted
+// The serving layer: a bounded pool of worker goroutines executes booked
 // jobs in parallel. Requests enter through a bounded queue that drains
 // weighted-fair across tenants (wfq.go) — a full backlog sheds the
 // request with 429 + Retry-After, low priority first, instead of letting
 // the backlog (and every queued client's latency) grow without bound.
-// Every job a worker takes runs solve once: workers enforce per-job
-// deadlines up to execution and drain gracefully on shutdown.
+// Every job runs solve once: workers enforce per-job deadlines up to
+// execution and drain gracefully on shutdown.
 //
 // Concurrency safety comes from the layers below: concurrent jobs share
-// AVAIL_MEM (and their tenant's sub-quota) through the admission
-// controller — each books its aggregate planned peak before executing —
-// and the plan cache is single-flight per fingerprint and finds a repeated
-// spec by name, so a burst of requests for one new structure compiles it
-// once. That is the daemon's only deduplication: identical requests share
-// the inspector's work, and each executes and reports its own run.
+// AVAIL_MEM (and their tenant's sub-quota) through the queue's memory
+// ledger — each books its aggregate planned peak before executing, and a
+// job that does not fit waits in the queue, not on a worker — and the plan
+// cache is single-flight per fingerprint and finds a repeated spec by
+// name, so a burst of requests for one new structure compiles it once.
+// That is the daemon's only deduplication: identical requests share the
+// inspector's work, and each executes and reports its own run.
 
 // job is the daemon's one per-job object: the record clients see plus
 // what the serving layer needs to drive it. Server.jobs is the only
 // id-keyed table (every unfinished job and the newest jobHistory finished
 // ones), the queue holds *job, and transition is the only code
 // that moves Status. A job is driven by one goroutine at a time — the
-// submit handler (or recovery) until the queue hands it to a worker — and
-// that goroutine alone changes the record, so it may read it unlocked;
+// submit handler (or recovery) until the queue hands it to a worker, that
+// worker until it ends the job or puts it back — and that goroutine alone
+// changes the record, so it may read it unlocked;
 // every other goroutine takes Server.mu for the record and for cancel.
 type job struct {
 	Job
@@ -46,6 +50,14 @@ type job struct {
 	// so a finished job holds its record and a closed channel, no more.
 	ctx    context.Context
 	cancel context.CancelFunc
+	// pb and plan are the compiled job, set by the worker that compiles it
+	// and dropped by the terminal edge. A queued job that holds a plan
+	// waits for memory.
+	pb   *factor.Problem
+	plan *rapid.Plan
+	// booked says the queue holds the job's DemandUnits against the
+	// budget. Only the queue reads or writes it, under its lock.
+	booked bool
 	// done is closed last on the terminal edge, after everything else the
 	// edge owes.
 	done chan struct{}
@@ -100,8 +112,8 @@ func (s *Server) newJob(rec Job, queued bool) *job {
 }
 
 // edges is the job lifecycle: the legal next states of each state. Queued
-// appears only when admission has to wait; a job reaches done only by
-// running.
+// appears only when a compiled job has to wait for memory; a job reaches
+// done only by running.
 var edges = map[JobStatus][]JobStatus{
 	StatusPending: {StatusQueued, StatusRunning, StatusFailed},
 	StatusQueued:  {StatusRunning, StatusFailed},
@@ -189,7 +201,7 @@ func (s *Server) transition(j *job, to JobStatus, cause error) error {
 	s.mu.Lock()
 	j.at = max(j.at, pos)
 	cancel := j.cancel
-	j.ctx, j.cancel = nil, nil
+	j.ctx, j.cancel, j.pb, j.plan = nil, nil, nil, nil
 	// j takes the history slot of the terminal job jobHistory before it,
 	// which the daemon now forgets.
 	slot := &s.history[s.finished%jobHistory]
@@ -222,27 +234,31 @@ func (s *Server) worker() {
 	}
 }
 
-// process drives one job to a terminal state: compile → admit → execute,
-// once, bounded by the job's context up to the executor. A lost message is
+// process takes a job the queue handed over as far as it can go now: to a
+// terminal state, or — compiled, but not bookable at once — back into the
+// queue to wait for memory, while the worker moves on. A lost message is
 // the engine's to retransmit (up to proto.MaxRetries times), so a job that
 // fails here has failed for good.
 func (s *Server) process(j *job) {
-	ctx := j.ctx
-	if !j.submittedAt.IsZero() {
-		s.queueWait.Observe(time.Since(j.submittedAt).Microseconds())
-	}
-	if err := ctx.Err(); err != nil {
-		s.transition(j, StatusFailed, fmt.Errorf("rapidd: job expired before execution: %w", err))
-		return
-	}
-	if err := s.solve(ctx, j); err != nil {
+	waits, err := s.solve(j)
+	switch {
+	case err != nil:
 		s.transition(j, StatusFailed, err)
-		return
+	case waits:
+		s.transition(j, StatusQueued, nil)
+		s.queue.requeue(j)
+	default:
+		s.transition(j, StatusDone, nil)
 	}
-	s.transition(j, StatusDone, nil)
 }
 
-// Cancel aborts the job if it is still pending or waiting for admission;
+// expired reports whether the job's deadline passed or it was cancelled.
+// A job without a context never expires.
+func (j *job) expired() bool {
+	return j.ctx != nil && j.ctx.Err() != nil
+}
+
+// Cancel aborts the job if it is still pending or waiting in the queue;
 // a job already executing runs to completion (the executor owns its
 // goroutines). Returns false for unknown and for finished jobs. The
 // cancellation is journaled — and synced by the answer to the DELETE — so

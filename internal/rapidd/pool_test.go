@@ -205,14 +205,15 @@ func TestServerDeadlineExpiresInQueue(t *testing.T) {
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("job 1: %s (%s)", j.Status, j.Error)
 	}
-	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
+	if _, inUse, _, queued := srv.queue.snapshot(); inUse != 0 || queued != 0 {
 		t.Fatalf("expired job left admission state: inUse=%d queued=%d", inUse, queued)
 	}
 }
 
-// TestServerDeadlineDuringAdmissionWait: a job parked waiting for AVAIL_MEM
-// whose deadline expires fails without booking budget, and the units the
-// running job holds are untouched.
+// TestServerDeadlineDuringAdmissionWait: a job waiting in the queue for
+// AVAIL_MEM whose deadline expires fails without booking budget while the
+// running job still holds its units — its context's wake reached an idle
+// worker, no release did.
 func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 	spec := JobSpec{Kind: "chol", N: 100, Seed: 5, Procs: 3}
 	probe := New(Config{})
@@ -233,15 +234,22 @@ func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 	j1 := solveAsync(t, ts, spec)
 	g.wait(t)
 
-	// Same footprint, so it must wait for admission — and expire there.
+	// Same footprint, so it must wait for memory — and expire there, with
+	// the gate still closed.
 	short := spec
 	short.DeadlineMS = 80
-	j2 := solveSync(t, ts, short)
+	j2 := waitStatus(t, ts, solveAsync(t, ts, short).ID, StatusFailed, StatusDone)
 	if j2.Status != StatusFailed || !strings.Contains(j2.Error, "deadline") {
-		t.Fatalf("admission-parked job: %s (%q), want deadline failure", j2.Status, j2.Error)
+		t.Fatalf("job waiting for memory: %s (%q), want deadline failure", j2.Status, j2.Error)
+	}
+	if _, inUse, _, waiting := srv.queue.snapshot(); inUse != ref.DemandUnits || waiting != 0 {
+		t.Fatalf("after job 2 failed: inUse=%d waiting=%d, want job 1's %d and 0", inUse, waiting, ref.DemandUnits)
+	}
+	if j := getJob(t, ts, j1.ID, false); j.Status != StatusRunning {
+		t.Fatalf("job 1 is %s, want still running at the gate", j.Status)
 	}
 	if metrics.Get("rapidd.jobs.queued") == 0 {
-		t.Error("job 2 never reached the admission queue")
+		t.Error("job 2 never waited in the queue for memory")
 	}
 	if metrics.Get("rapidd.jobs.deadline_expired") != 1 {
 		t.Errorf("deadline_expired counter %d, want 1", metrics.Get("rapidd.jobs.deadline_expired"))
@@ -250,8 +258,67 @@ func TestServerDeadlineDuringAdmissionWait(t *testing.T) {
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("job 1: %s (%s)", j.Status, j.Error)
 	}
-	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
-		t.Fatalf("admission state leaked: inUse=%d queued=%d", inUse, queued)
+	if _, inUse, _, waiting := srv.queue.snapshot(); inUse != 0 || waiting != 0 {
+		t.Fatalf("ledger leaked: inUse=%d waiting=%d", inUse, waiting)
+	}
+}
+
+// TestNoWorkerWaitsForMemory: with two workers and a budget that fits one
+// job, job A holds the budget at the exec gate; a second job of equal
+// demand and a third of another tenant and spec both reach queued while
+// the second worker sits idle in the queue — neither holds a worker. Both
+// end done once the gate opens, and the ledger returns to zero.
+func TestNoWorkerWaitsForMemory(t *testing.T) {
+	spec := JobSpec{Kind: "chol", N: 100, Seed: 5, Procs: 3}
+	probe := New(Config{})
+	tsProbe := httptest.NewServer(probe)
+	ref := solveSync(t, tsProbe, spec)
+	tsProbe.Close()
+	if ref.Status != StatusDone || ref.DemandUnits <= 0 {
+		t.Fatalf("probe job: %s demand=%d", ref.Status, ref.DemandUnits)
+	}
+
+	g := newGate(func(s JobSpec) bool { return s.Verify })
+	srv := New(Config{AvailMem: ref.DemandUnits * 3 / 2, Workers: 2, hooks: hooks{exec: g.exec}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer g.open()
+
+	hold := spec
+	hold.Verify = true
+	a := solveAsync(t, ts, hold)
+	g.wait(t)
+	b := solveAsync(t, ts, spec)
+	waitStatus(t, ts, b.ID, StatusQueued)
+	other := JobSpec{Tenant: "other", Kind: "chol", N: 90, Seed: 6, Procs: 2}
+	c := solveAsync(t, ts, other)
+	waitStatus(t, ts, c.ID, StatusQueued)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.queue.mu.Lock()
+		idle := srv.queue.idle
+		srv.queue.mu.Unlock()
+		if idle == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers idle in the queue, want 1 while A runs and B, C wait for memory", idle)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if _, _, _, waiting := srv.queue.snapshot(); waiting != 2 {
+		t.Fatalf("%d jobs waiting for memory, want 2", waiting)
+	}
+
+	g.open()
+	for _, id := range []string{a.ID, b.ID, c.ID} {
+		if j := getJob(t, ts, id, true); j.Status != StatusDone {
+			t.Fatalf("job %s: %s (%s)", id, j.Status, j.Error)
+		}
+	}
+	if _, inUse, peak, waiting := srv.queue.snapshot(); inUse != 0 || waiting != 0 || peak > srv.cfg.AvailMem {
+		t.Fatalf("ledger after the run: inUse=%d waiting=%d peak=%d over AVAIL_MEM %d", inUse, waiting, peak, srv.cfg.AvailMem)
 	}
 }
 

@@ -3,8 +3,8 @@
 // execution plans through the plan cache (so repeated structures skip the
 // inspector phase, and a repeated spec finds its built problem and its plan
 // by name, without generating, building or fingerprinting anything), and
-// executes them on a bounded worker pool under a machine-wide memory-budget
-// admission controller.
+// executes them on a bounded worker pool under a machine-wide memory budget
+// that the pool's one queue books.
 //
 // Endpoints (JSON unless noted):
 //
@@ -32,10 +32,10 @@
 // across tenants, and sheds overload with 429 + Retry-After — low
 // priority first, each class told to back off proportionally longer;
 // every accepted job executes itself, while identical specs share one
-// compile through the plan cache; per-job deadlines bound queue wait +
-// admission wait (an executing job is bounded by JobTimeout's no-progress
-// watchdog instead); Drain stops intake and lets the backlog finish on
-// shutdown.
+// compile through the plan cache; per-job deadlines bound the wait in the
+// queue, for a worker and for memory (an executing job is bounded by
+// JobTimeout's no-progress watchdog instead); Drain stops intake and lets
+// the backlog finish on shutdown.
 //
 // Durability (see journal.go in internal/journal): with a journal
 // directory configured, every job transition is written ahead to a
@@ -49,8 +49,9 @@
 //
 // Memory admission: with a configured AVAIL_MEM, the daemon books each
 // job's aggregate planned high-water mark (sum over processors of the MAP
-// plan's peaks) before execution and queues jobs that would overflow the
-// machine budget — concurrent workers share the one budget; a single job
+// plan's peaks) before execution, and a compiled job that would overflow
+// the machine budget waits in the queue — concurrent workers share the one
+// budget, and none of them waits for memory; a single job
 // larger than the whole budget is recompiled under a per-processor
 // capacity that fits (falling back to DTS with slice merging, whose
 // S1/p + h space bound makes tight budgets executable) rather than
@@ -58,7 +59,6 @@
 package rapidd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -100,8 +100,8 @@ type Config struct {
 	// 0 uses the executor default; a negative value is an error.
 	JobTimeout time.Duration
 	// Workers bounds how many jobs execute concurrently (the worker-pool
-	// size). Concurrent jobs share AVAIL_MEM through the admission
-	// controller. 0 means max(2, GOMAXPROCS); 1 serves serially (the
+	// size). Concurrent jobs share AVAIL_MEM through the queue's memory
+	// ledger. 0 means max(2, GOMAXPROCS); 1 serves serially (the
 	// pre-pool behaviour, and the baseline of the EXPERIMENTS.md load
 	// comparison); negative is clamped to 1.
 	Workers int
@@ -111,10 +111,10 @@ type Config struct {
 	// buffering (a request is accepted only if a worker is idle).
 	QueueDepth int
 	// DefaultDeadline applies to jobs whose spec sets no deadline_ms: the
-	// job must start executing (queue wait and admission wait included)
-	// within this long or fail with a deadline error. A job that is
-	// already executing is not interrupted: JobTimeout's no-progress
-	// watchdog bounds it. 0 disables.
+	// job must start executing (its wait in the queue, for a worker and
+	// for memory, included) within this long or fail with a deadline
+	// error. A job that is already executing is not interrupted:
+	// JobTimeout's no-progress watchdog bounds it. 0 disables.
 	DefaultDeadline time.Duration
 	// RetryAfter is the client back-off hint sent with shed (429)
 	// responses (default 1s, rounded up to whole seconds on the wire).
@@ -154,7 +154,7 @@ type hooks struct {
 	// plan may tamper with the compiled plan before static verification,
 	// exercising the rejection path.
 	plan func(*rapid.Plan)
-	// exec runs after admission booked the job and before the executor
+	// exec runs after the queue booked the job and before the executor
 	// starts. It may hold the job there (a gate), inject protocol faults
 	// through opt.Faults, or panic to exercise the job-level recovery.
 	exec func(spec JobSpec, opt *rapid.ExecOptions)
@@ -198,15 +198,16 @@ type JobSpec struct {
 	// Verify computes the numeric residual after execution.
 	Verify bool `json:"verify"`
 	// DeadlineMS bounds, in milliseconds from submission, how long the
-	// job may wait — in the queue and at admission — before it executes;
-	// a job past it fails with a deadline error. An executing job is not
-	// interrupted: JobTimeout's no-progress watchdog bounds it. 0 uses the
-	// server's DefaultDeadline (which may be "none"). Range [0, 600000].
+	// job may wait — in the queue, for a worker and for memory — before it
+	// executes; a job past it fails with a deadline error. An executing job
+	// is not interrupted: JobTimeout's no-progress watchdog bounds it. 0
+	// uses the server's DefaultDeadline (which may be "none"). Range
+	// [0, 600000].
 	DeadlineMS int `json:"deadline_ms"`
 }
 
 // JobStatus enumerates a job's lifecycle. Pending → (Queued →) Running →
-// Done/Failed; Queued appears only when admission has to wait.
+// Done/Failed; Queued appears only when a compiled job waits for memory.
 type JobStatus string
 
 const (
@@ -249,10 +250,6 @@ type Job struct {
 	// Tasks and Objects describe the compiled graph.
 	Tasks   int `json:"tasks,omitempty"`
 	Objects int `json:"objects,omitempty"`
-	// Retransmits is the machine-wide retransmission count of the engine's
-	// reliability layer: nonzero only when messages are lost, which in
-	// process happens only under a fault plan a test injects.
-	Retransmits int64 `json:"retransmits,omitempty"`
 	// MAPs is the total number of memory allocation points executed.
 	MAPs int `json:"maps,omitempty"`
 	// PeakUnits is the max per-processor peak observed by the executor.
@@ -296,7 +293,6 @@ type Server struct {
 	cfg     Config
 	cache   *rapid.PlanCache
 	metrics *trace.Metrics
-	adm     *admission
 	mux     *http.ServeMux
 
 	// jnl is the write-ahead job journal (nil: durability disabled).
@@ -307,8 +303,8 @@ type Server struct {
 	latency   *trace.Histogram
 	queueWait *trace.Histogram
 
-	// queue feeds the worker pool weighted-fair across tenants (see
-	// pool.go, wfq.go).
+	// queue feeds the worker pool weighted-fair across tenants and books
+	// each job's memory (see pool.go, wfq.go, admission.go).
 	queue *wfqueue
 	wg    sync.WaitGroup
 
@@ -377,7 +373,6 @@ func Open(cfg Config) (*Server, error) {
 			MemBudget: cfg.CacheMemBudget,
 			Metrics:   cfg.Metrics,
 		}),
-		adm:       newAdmission(cfg.AvailMem, cfg.TenantQuotas, cfg.DefaultTenantQuota),
 		queue:     newWFQueue(cfg.QueueDepth, weight),
 		latency:   trace.NewHistogram(),
 		queueWait: trace.NewHistogram(),
@@ -385,14 +380,7 @@ func Open(cfg Config) (*Server, error) {
 		tenants:   make(map[string]*tenantStats),
 		stopRearm: make(chan struct{}),
 	}
-	// Quota-aware dispatch: the WFQ pop consults the admission ledgers so
-	// workers skip tenants with no headroom (their jobs would only park at
-	// admission, wedging pool slots), and admission wakes the queue when
-	// headroom reappears. This keeps tenant isolation intact at any pool
-	// size — a small-Workers deployment cannot have its whole pool wedged
-	// behind one tenant's quota.
-	s.queue.dispatchable = s.adm.dispatchable
-	s.adm.onHeadroom = s.queue.wake
+	s.queue.avail, s.queue.quotas, s.queue.defaultQuota = cfg.AvailMem, cfg.TenantQuotas, cfg.DefaultTenantQuota
 	if cfg.JournalDir != "" {
 		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{FS: cfg.hooks.journalFS})
 		if err != nil {
@@ -591,7 +579,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			// The synchronous client went away: cancel the job if it has
 			// not started executing, so an abandoned request cannot hold
-			// a queue slot or book admission budget.
+			// a queue slot or book memory.
 			s.Cancel(rec.ID)
 		}
 	}
@@ -784,11 +772,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Counter("rapidd_"+trace.PromSanitize(strings.TrimPrefix(name, "rapidd.")), "", nil, float64(v))
 	}
 
-	avail, inUse, peakMem, queued := s.adm.snapshot()
+	avail, inUse, peakMem, waiting := s.queue.snapshot()
 	pw.Gauge("rapidd_avail_mem_units", "configured AVAIL_MEM budget", nil, float64(avail))
-	pw.Gauge("rapidd_mem_in_use_units", "admitted memory demand", nil, float64(inUse))
-	pw.Gauge("rapidd_mem_peak_units", "high-water admitted demand", nil, float64(peakMem))
-	pw.Gauge("rapidd_admission_waiters", "jobs parked at admission", nil, float64(queued))
+	pw.Gauge("rapidd_mem_in_use_units", "booked memory demand", nil, float64(inUse))
+	pw.Gauge("rapidd_mem_peak_units", "high-water booked demand", nil, float64(peakMem))
+	pw.Gauge("rapidd_admission_waiters", "queued jobs waiting for memory", nil, float64(waiting))
 	depth, capacity := s.queue.stats()
 	pw.Gauge("rapidd_queue_depth", "jobs queued for a worker", nil, float64(depth))
 	pw.Gauge("rapidd_queue_capacity", "configured backlog bound", nil, float64(capacity))
@@ -797,8 +785,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("rapidd_cache_bytes", "bytes charged to the memory tier: live plans and the problems attached", nil, float64(s.cache.Bytes()))
 	pw.Gauge("rapidd_cache_budget_bytes", "the memory tier's budget", nil, float64(s.cache.Budget()))
 
-	mem, admQueue := s.adm.tenantSnapshot()
-	tenantMem, tenantAdmQueue := foldTenants(s, mem), foldTenants(s, admQueue)
+	mem, waits := s.queue.tenantSnapshot()
+	tenantMem, tenantWaits := foldTenants(s, mem), foldTenants(s, waits)
 	tenantDepth := foldTenants(s, s.queue.depths())
 	s.mu.Lock()
 	pw.Gauge("rapidd_draining", "1 once Drain stopped intake", nil, boolGauge(s.draining))
@@ -818,8 +806,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Counter("rapidd_tenant_recovered_total", "jobs recovered from the journal per tenant", lbl, float64(ts.recovered))
 		pw.Gauge("rapidd_tenant_queue_depth", "queued jobs per tenant", lbl, float64(tenantDepth[name]))
 		pw.Gauge("rapidd_tenant_mem_in_use_units", "booked budget per tenant", lbl, float64(tenantMem[name]))
-		pw.Gauge("rapidd_tenant_admission_waiters", "admission waiters per tenant", lbl, float64(tenantAdmQueue[name]))
-		pw.Gauge("rapidd_tenant_quota_units", "configured sub-quota per tenant", lbl, float64(s.adm.quota(name)))
+		pw.Gauge("rapidd_tenant_admission_waiters", "queued jobs waiting for memory per tenant", lbl, float64(tenantWaits[name]))
+		pw.Gauge("rapidd_tenant_quota_units", "configured sub-quota per tenant", lbl, float64(s.queue.quota(name)))
 	}
 	s.mu.Unlock()
 
@@ -1036,34 +1024,104 @@ func (s *Server) resolve(spec JobSpec) (*resolved, *rapid.Plan, rapid.CacheSourc
 	return rv, plan, src, nil
 }
 
-// solve runs the job once: resolve its plan, fit it to the budget,
-// verify it, book admission and execute. A panic anywhere on that path
-// becomes the job's failure instead of a daemon crash; the booked
-// admission units are released during unwinding (the release is
-// deferred), so a panicking job cannot leak budget.
-func (s *Server) solve(ctx context.Context, j *job) (err error) {
+// solve takes the job as far as it can go now: compile a job not yet
+// compiled (prepare), book it and execute it. waits reports a compiled
+// job the queue could not book at once: it must wait in the queue for
+// memory. A panic anywhere on that path becomes the job's failure instead
+// of a daemon crash; the booking is released during unwinding (the
+// release is deferred), so a panicking job cannot leak budget.
+func (s *Server) solve(j *job) (waits bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.Inc("rapidd.jobs.panics", 1)
 			err = fmt.Errorf("rapidd: job panicked: %v", r)
 		}
 	}()
+	if j.plan == nil {
+		if !j.submittedAt.IsZero() {
+			s.queueWait.Observe(time.Since(j.submittedAt).Microseconds())
+		}
+		if !j.expired() {
+			if err := s.prepare(j); err != nil {
+				return false, err
+			}
+		}
+	}
+	if err := j.ctx.Err(); err != nil {
+		// The queue books a job only while its context lives, but the
+		// context may have ended since.
+		s.queue.release(j)
+		return false, fmt.Errorf("rapidd: job expired before execution: %w", err)
+	}
+	if !s.queue.book(j) {
+		return true, nil
+	}
+	defer s.queue.release(j)
+	s.transition(j, StatusRunning, nil)
+
+	spec := j.Spec
+	execOpt := j.pb.Exec
+	execOpt.BlockTimeout = s.cfg.JobTimeout
+	if s.cfg.hooks.exec != nil {
+		s.cfg.hooks.exec(spec, &execOpt)
+	}
+	t1 := time.Now()
+	rep, err := rapid.Execute(j.pb.Program, j.plan, execOpt)
+	if err != nil {
+		return false, err
+	}
+	execMS := float64(time.Since(t1).Microseconds()) / 1000
+
+	var peak int64
+	maps := 0
+	for _, m := range rep.MAPsPerProc {
+		maps += m
+	}
+	for _, p := range rep.PeakUnits {
+		if p > peak {
+			peak = p
+		}
+	}
+	residual := 0.0
+	if spec.Verify {
+		residual = j.pb.Residual(rep.Objects, spec.Seed)
+	}
+	stateUS := stateOccupancyUS(rep.Occupancy)
+	for i, name := range stateNames {
+		if us, ok := stateUS[name]; ok {
+			s.metrics.Inc(stateCounters[i], us)
+		}
+	}
+	s.update(j, func(r *Job) {
+		r.MAPs = maps
+		r.PeakUnits = peak
+		r.Residual = residual
+		r.ExecMS = execMS
+		r.StateUS = stateUS
+	})
+	return false, nil
+}
+
+// prepare compiles the job: it resolves the plan, fits it to the budget
+// and verifies it, fills the record, and leaves the problem, the plan and
+// the demand on the job.
+func (s *Server) prepare(j *job) error {
 	t0 := time.Now()
 	spec := j.Spec
 	rv, plan, src, err := s.resolve(spec)
 	if err != nil {
 		return err
 	}
-	pb, opt := rv.pb, rv.opt
+	opt := rv.opt
 	// The effective budget a single job must fit alone is the tighter of
 	// the machine budget and its tenant's sub-quota.
 	budget := s.cfg.AvailMem
-	if q := s.adm.quota(spec.Tenant); q > 0 && (budget <= 0 || q < budget) {
+	if q := s.queue.quota(spec.Tenant); q > 0 && (budget <= 0 || q < budget) {
 		budget = q
 	}
 	replanned := false
 	if budget > 0 {
-		plan, opt, replanned, err = s.planForBudget(spec, pb.Program, opt, plan, budget)
+		plan, opt, replanned, err = s.planForBudget(spec, rv.pb.Program, opt, plan, budget)
 		if err != nil {
 			return err
 		}
@@ -1099,68 +1157,10 @@ func (s *Server) solve(ctx context.Context, j *job) (err error) {
 		r.Objects = plan.Schedule.G.NumObjects()
 		r.InspectMS = inspectMS
 	})
-
-	// Admission: book the aggregate high-water mark before executing.
-	// The job's context bounds the wait — a deadline that expires or a
-	// client that disconnects while parked here aborts without booking.
-	err = s.adm.acquireCtx(ctx, spec.Tenant, demand, func() {
-		s.transition(j, StatusQueued, nil)
-	})
-	if err != nil {
+	if err := s.queue.checkDemand(spec.Tenant, demand); err != nil {
 		return err
 	}
-	defer s.adm.release(spec.Tenant, demand)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.transition(j, StatusRunning, nil)
-
-	execOpt := pb.Exec
-	execOpt.BlockTimeout = s.cfg.JobTimeout
-	if s.cfg.hooks.exec != nil {
-		s.cfg.hooks.exec(spec, &execOpt)
-	}
-	t1 := time.Now()
-	rep, err := rapid.Execute(pb.Program, plan, execOpt)
-	if err != nil {
-		return err
-	}
-	execMS := float64(time.Since(t1).Microseconds()) / 1000
-
-	var peak int64
-	maps := 0
-	for _, m := range rep.MAPsPerProc {
-		maps += m
-	}
-	for _, p := range rep.PeakUnits {
-		if p > peak {
-			peak = p
-		}
-	}
-	residual := 0.0
-	if spec.Verify {
-		residual = pb.Residual(rep.Objects, spec.Seed)
-	}
-	stateUS := stateOccupancyUS(rep.Occupancy)
-	for i, name := range stateNames {
-		if us, ok := stateUS[name]; ok {
-			s.metrics.Inc(stateCounters[i], us)
-		}
-	}
-	rel := rapid.SumReliability(rep.Reliability)
-	s.metrics.Inc("rapidd.reliability.retransmits", int64(rel.Retransmits))
-	s.metrics.Inc("rapidd.reliability.dropped", int64(rel.Dropped))
-	s.metrics.Inc("rapidd.reliability.dups_sent", int64(rel.DupsSent))
-	s.metrics.Inc("rapidd.reliability.dups_dropped", int64(rel.DupDropped))
-	s.metrics.Inc("rapidd.reliability.acked", int64(rel.Acked))
-	s.update(j, func(r *Job) {
-		r.Retransmits = int64(rel.Retransmits)
-		r.MAPs = maps
-		r.PeakUnits = peak
-		r.Residual = residual
-		r.ExecMS = execMS
-		r.StateUS = stateUS
-	})
+	j.pb, j.plan = rv.pb, plan
 	return nil
 }
 

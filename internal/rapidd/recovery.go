@@ -13,8 +13,9 @@ import (
 // (journal.Replay.Live), the same fold compaction writes out, so a job's
 // fate does not depend on whether a compaction ran:
 //
-//   - submitted but never admitted (it was waiting in the queue or at
-//     admission): re-queued and executed by this daemon, marked Recovered;
+//   - submitted but never admitted (it was waiting in the queue, for a
+//     worker or for memory): re-queued and executed by this daemon,
+//     marked Recovered;
 //   - admitted (it was executing when the daemon died): failed explicitly
 //     with a restart error — its execution may have been mid-flight and
 //     partial results are not trustworthy, but the client polling

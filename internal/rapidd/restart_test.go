@@ -121,8 +121,8 @@ func TestRestartRecoversJournaledJobs(t *testing.T) {
 	// j0006 was journaled with a 60 s hold and total message loss: it
 	// replays as the spec without them, runs at once and succeeds.
 	j6 := getJob(t, ts, "j0006", true)
-	if j6.Status != StatusDone || !j6.Recovered || j6.Retransmits != 0 {
-		t.Fatalf("job journaled with retired knobs: %s recovered=%v retransmits=%d (%s)", j6.Status, j6.Recovered, j6.Retransmits, j6.Error)
+	if j6.Status != StatusDone || !j6.Recovered {
+		t.Fatalf("job journaled with retired knobs: %s recovered=%v (%s)", j6.Status, j6.Recovered, j6.Error)
 	}
 	if want := normalized(t, JobSpec{Tenant: "acme", Kind: "chol", N: 90, Seed: 10, Procs: 2}); j6.Spec != want {
 		t.Fatalf("job journaled with retired knobs replayed as %+v, want %+v", j6.Spec, want)
@@ -373,7 +373,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 			t.Errorf("job %s not marked recovered", id)
 		}
 	}
-	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
+	if _, inUse, _, queued := srv.queue.snapshot(); inUse != 0 || queued != 0 {
 		t.Fatalf("budget leaked across the crash: inUse=%d queued=%d", inUse, queued)
 	}
 	if err := srv.Drain(context.Background()); err != nil {

@@ -67,7 +67,7 @@ func TestRestartAfterInterruptedCompactionRunsJobsOnce(t *testing.T) {
 		t.Fatalf("job list has %d entries, want 1: %+v", len(jobs), jobs)
 	}
 	// No budget may remain booked once the recovered job finished.
-	if _, inUse, _, queued := srv.adm.snapshot(); inUse != 0 || queued != 0 {
+	if _, inUse, _, queued := srv.queue.snapshot(); inUse != 0 || queued != 0 {
 		t.Fatalf("admission state after recovery: inUse=%d queued=%d", inUse, queued)
 	}
 	if err := srv.Drain(context.Background()); err != nil {

@@ -128,8 +128,8 @@ func TestOpenRejectsDeadTenantConfig(t *testing.T) {
 }
 
 // TestTenantQuotaIsolation: a tenant at its quota queues its own next job
-// without blocking another tenant's admission (no cross-tenant
-// head-of-line blocking), and the ledgers drain to zero afterwards.
+// without blocking another tenant's booking (no cross-tenant head-of-line
+// blocking), and the ledgers drain to zero afterwards.
 func TestTenantQuotaIsolation(t *testing.T) {
 	spec := JobSpec{Kind: "chol", N: 100, Seed: 5, Procs: 3}
 	probe := New(Config{})
@@ -160,10 +160,9 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	g.wait(t)
 
 	// Second greedy job: same structure (same demand), with verify on. The
-	// tenant is at its quota, so quota-aware
-	// dispatch keeps the job in the ready queue — no worker picks it up
-	// only to park at admission — even though 2×demand of machine budget
-	// is free.
+	// tenant is at its quota, so the queue skips it: the job waits in the
+	// queue, uncompiled — no worker picks it up — even though 2×demand of
+	// machine budget is free.
 	g2 := spec
 	g2.Tenant = "greedy"
 	g2.Verify = true
@@ -189,12 +188,12 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	if d := srv.queue.depths(); d["greedy"] != 1 {
 		t.Fatalf("greedy queue depth %d while other completed, want 1", d["greedy"])
 	}
-	if _, queued := srv.adm.tenantSnapshot(); queued["greedy"] != 0 {
-		t.Fatalf("greedy parked %d waiters at admission; dispatch should have held them in the queue", queued["greedy"])
+	if _, waiting := srv.queue.tenantSnapshot(); waiting["greedy"] != 0 {
+		t.Fatalf("greedy has %d compiled jobs waiting for memory; the queue should have held its job back uncompiled", waiting["greedy"])
 	}
 
 	// The stats endpoint exposes the per-tenant ledgers while they hold.
-	inUse, _ := srv.adm.tenantSnapshot()
+	inUse, _ := srv.queue.tenantSnapshot()
 	if inUse["greedy"] != demand {
 		t.Fatalf("greedy in-use %d, want %d", inUse["greedy"], demand)
 	}
@@ -206,22 +205,20 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	if j := getJob(t, ts, j1.ID, true); j.Status != StatusDone {
 		t.Fatalf("greedy job 1: %s (%s)", j.Status, j.Error)
 	}
-	if _, inUseTotal, _, queuedN := srv.adm.snapshot(); inUseTotal != 0 || queuedN != 0 {
+	if _, inUseTotal, _, queuedN := srv.queue.snapshot(); inUseTotal != 0 || queuedN != 0 {
 		t.Fatalf("ledgers leaked: inUse=%d queued=%d", inUseTotal, queuedN)
 	}
-	if inUse, _ := srv.adm.tenantSnapshot(); len(inUse) != 0 {
+	if inUse, _ := srv.queue.tenantSnapshot(); len(inUse) != 0 {
 		t.Fatalf("tenant ledger leaked: %v", inUse)
 	}
 }
 
 // TestQuotaAwareDispatchSmallPool is the small-pool hog/victim regression
-// for quota-aware dispatch: with only two workers and a hog tenant whose
-// quota fits exactly one job, the hog's backlog must stay in the ready
-// queue — not be handed to the second worker, which would park at
-// admission and wedge the whole pool — so a victim tenant's job completes
-// while the hog still holds. Pre-fix, worker dispatch ignored admission
-// headroom and tenant isolation silently required Workers to exceed the
-// quota-blocked backlog.
+// for the queue's quota rule: with only two workers and a hog tenant whose
+// quota fits exactly one job, the hog's backlog must wait in the queue —
+// no worker holds a hog job — so a victim tenant's job completes while
+// the hog still holds. Tenant isolation must not require Workers to exceed
+// the quota-blocked backlog.
 func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 	spec := JobSpec{Kind: "chol", N: 100, Seed: 7, Procs: 3}
 	probe := New(Config{})
@@ -233,7 +230,7 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 	}
 	demand := ref.DemandUnits
 
-	// Job A waits at the exec gate, after admission booked it.
+	// Job A waits at the exec gate, after the queue booked it.
 	g := newGate(func(s JobSpec) bool { return s.Tenant == "hog" && s.Seed == spec.Seed })
 	srv := New(Config{
 		AvailMem:     demand * 4,
@@ -270,18 +267,17 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 	if j := getJob(t, ts, ja.ID, false); j.Status != StatusRunning {
 		t.Fatalf("hog job A already %s while held at the gate — victim completion proves nothing", j.Status)
 	}
-	// The old failure signature is a hog job parked AT ADMISSION (a worker
-	// picked it up and wedged); quota-aware dispatch keeps the backlog in
-	// the WFQ instead.
-	if _, queued := srv.adm.tenantSnapshot(); queued["hog"] != 0 {
-		t.Fatalf("%d hog jobs parked at admission: dispatch handed out non-dispatchable work", queued["hog"])
+	// The hog's backlog waits in the queue, uncompiled: a tenant with no
+	// quota headroom is skipped, so none of its jobs waits for memory.
+	if _, waiting := srv.queue.tenantSnapshot(); waiting["hog"] != 0 {
+		t.Fatalf("%d hog jobs compiled only to wait for memory: the queue handed out a tenant with no headroom", waiting["hog"])
 	}
 	if d := srv.queue.depths(); d["hog"] != 3 {
 		t.Fatalf("hog ready-queue depth %d, want 3 (backlog waits in the queue)", d["hog"])
 	}
 
-	// Once A releases, the headroom wake drains the backlog under the
-	// quota; nothing is stranded by the dispatch filter.
+	// Once A releases, the release's wake drains the backlog under the
+	// quota; nothing is stranded in the queue.
 	g.open()
 	for _, j := range backlog {
 		if got := getJob(t, ts, j.ID, true); got.Status != StatusDone {
@@ -291,7 +287,7 @@ func TestQuotaAwareDispatchSmallPool(t *testing.T) {
 	if got := getJob(t, ts, ja.ID, true); got.Status != StatusDone {
 		t.Fatalf("hog job A: %s (%s)", got.Status, got.Error)
 	}
-	if _, inUse, _, queuedN := srv.adm.snapshot(); inUse != 0 || queuedN != 0 {
+	if _, inUse, _, queuedN := srv.queue.snapshot(); inUse != 0 || queuedN != 0 {
 		t.Fatalf("ledgers leaked: inUse=%d queued=%d", inUse, queuedN)
 	}
 }

@@ -1,6 +1,7 @@
 package rapidd
 
 import (
+	"context"
 	"sort"
 	"sync"
 )
@@ -37,12 +38,15 @@ func priorityName(p int) string {
 	return "normal"
 }
 
-// wfqueue is the worker pool's ready queue: weighted-fair across tenants
+// wfqueue is the worker pool's one queue: weighted-fair across tenants
 // (start-time fair queueing over a virtual clock), FIFO within a tenant,
-// with priority-threshold load shedding at the front door. It replaces
-// the PR-5 global FIFO channel: under contention each tenant drains in
-// proportion to its weight instead of in raw arrival order, so one tenant
-// flooding the queue delays mostly itself.
+// with priority-threshold load shedding at the front door, and the memory
+// ledger every job books before it executes (admission.go). Under
+// contention each tenant drains in proportion to its weight instead of in
+// raw arrival order, so one tenant flooding the queue delays mostly
+// itself. A job waits in exactly one place: here, first for a worker,
+// then — compiled, its demand known — for memory. No worker ever holds a
+// job that cannot run.
 //
 // Enqueueing is two-phase so the daemon can write the job to the
 // write-ahead journal between reserving a slot and making the job
@@ -65,15 +69,16 @@ type wfqueue struct {
 	tenants map[string]*tenantQ // guarded-by: mu
 	weight  func(tenant string) float64
 
-	// dispatchable, when set, gates the pop: a tenant for which it reports
-	// false is skipped, so workers never pick up a job that would only park
-	// at admission and wedge a pool slot (tenant isolation must hold at any
-	// Workers size, not just Workers > quota-blocked backlog). The filter
-	// is bypassed once the queue is closed: drain must pop every remaining
-	// task so its job can terminate (cancelled or run), not strand it.
-	// Whoever opens headroom must wake() the queue, or skipped tasks sleep
-	// until the next unrelated signal.
-	dispatchable func(tenant string) bool
+	// The memory ledger (admission.go). avail is AVAIL_MEM (0: unlimited);
+	// quotas caps each tenant's share (absent: defaultQuota; 0: uncapped).
+	// All three are set before the workers start and never change.
+	avail        int64
+	quotas       map[string]int64
+	defaultQuota int64
+	inUse        int64            // booked units; guarded-by: mu
+	peak         int64            // highest inUse; guarded-by: mu
+	tenantUse    map[string]int64 // booked units per tenant; guarded-by: mu
+	waiting      int              // queued jobs that hold a plan: they wait for memory; guarded-by: mu
 }
 
 type tenantQ struct {
@@ -94,7 +99,7 @@ func newWFQueue(maxDepth int, weight func(string) float64) *wfqueue {
 	if weight == nil {
 		weight = func(string) float64 { return 1 }
 	}
-	q := &wfqueue{maxDepth: maxDepth, tenants: make(map[string]*tenantQ), weight: weight}
+	q := &wfqueue{maxDepth: maxDepth, tenants: make(map[string]*tenantQ), weight: weight, tenantUse: make(map[string]int64)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -154,14 +159,38 @@ func (q *wfqueue) commit(sl wslot, tk *job) {
 	q.mu.Lock()
 	tq := q.tenants[sl.tenant]
 	tq.reserved--
-	// Insert in vfinish order; commits almost always arrive in reserve
-	// order, so this is an append in practice.
+	tq.insert(tk)
+	q.mu.Unlock()
+	q.cond.Signal()
+}
+
+// requeue puts a compiled job that must wait for memory back into the
+// queue at its original stamps, so it keeps its place in the fair order.
+// It skips the shed check — the job was accepted once — but counts in the
+// backlog. Its context wakes the queue when it ends, so a waiting job's
+// deadline or cancellation reaches a worker even if no release comes.
+func (q *wfqueue) requeue(tk *job) {
+	context.AfterFunc(tk.ctx, q.cond.Broadcast)
+	q.mu.Lock()
+	tq := q.tenants[tk.Spec.Tenant]
+	if tq == nil {
+		tq = &tenantQ{lastFinish: tk.vfinish}
+		q.tenants[tk.Spec.Tenant] = tq
+	}
+	tq.insert(tk)
+	q.depth++
+	q.waiting++
+	q.mu.Unlock()
+	q.cond.Signal()
+}
+
+// insert places tk in vfinish order, after equal stamps; commits almost
+// always arrive in reserve order, so this is an append in practice.
+func (tq *tenantQ) insert(tk *job) {
 	i := sort.Search(len(tq.tasks), func(i int) bool { return tq.tasks[i].vfinish > tk.vfinish })
 	tq.tasks = append(tq.tasks, nil)
 	copy(tq.tasks[i+1:], tq.tasks[i:])
 	tq.tasks[i] = tk
-	q.mu.Unlock()
-	q.cond.Signal()
 }
 
 // abort releases a reserved slot whose journal write failed. The virtual
@@ -197,11 +226,11 @@ func (q *wfqueue) expect(n int) {
 	q.mu.Unlock()
 }
 
-// next blocks until a task is available and returns the fair-queueing
-// choice: the tenant whose head task has the smallest virtual finish
-// (ties by tenant name, for determinism). Returns nil once the queue is
-// closed and fully drained. first marks the first call of a worker booked
-// by expect: from here on it is counted by where it is, not as starting.
+// next blocks until a job can make progress and returns it (see
+// popLocked): expired, not yet compiled, or compiled and booked. Returns
+// nil once the queue is closed and empty. first marks the first call of a
+// worker booked by expect: from here on it is counted by where it is, not
+// as starting.
 func (q *wfqueue) next(first bool) *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -212,7 +241,7 @@ func (q *wfqueue) next(first bool) *job {
 		if tk := q.popLocked(); tk != nil {
 			return tk
 		}
-		if q.closed && q.reservedLocked() == 0 {
+		if q.closed && q.depth == 0 {
 			return nil
 		}
 		q.idle++
@@ -221,28 +250,37 @@ func (q *wfqueue) next(first bool) *job {
 	}
 }
 
-// reservedLocked counts reserved-not-committed slots; drain must wait for
-// them (their journal append is in progress).
-func (q *wfqueue) reservedLocked() int {
-	n := 0
-	for _, tq := range q.tenants {
-		n += tq.reserved
-	}
-	return n
-}
-
+// popLocked takes, in WFQ order — the smallest head vfinish, ties by
+// tenant name — the first tenant head that can make progress: a job whose
+// context has ended, to fail it; a job not yet compiled, since compiling
+// books nothing; or a compiled job whose demand fits its tenant's quota
+// and the machine budget, which it books. A tenant with no quota headroom,
+// or whose compiled head is over its quota, is skipped: its later jobs
+// wait behind the head. No compiled job behind one that the machine budget
+// blocks is booked, so a large job cannot starve; uncompiled and expired
+// jobs still pass.
 func (q *wfqueue) popLocked() *job {
+	var stop *job
+	var stopName string
+	if q.waiting > 0 {
+		for name, tq := range q.tenants {
+			if len(tq.tasks) == 0 {
+				continue
+			}
+			h := tq.tasks[0]
+			if h.plan != nil && !h.expired() && q.tenantFitsLocked(name, h.DemandUnits) &&
+				!q.globalFitsLocked(h.DemandUnits) && (stop == nil || wfqBefore(h, name, stop, stopName)) {
+				stop, stopName = h, name
+			}
+		}
+	}
 	var best *tenantQ
 	var bestName string
 	for name, tq := range q.tenants {
-		if len(tq.tasks) == 0 {
+		if len(tq.tasks) == 0 || !q.readyLocked(name, tq.tasks[0], stop, stopName) {
 			continue
 		}
-		if !q.closed && q.dispatchable != nil && !q.dispatchable(name) {
-			continue
-		}
-		if best == nil || tq.tasks[0].vfinish < best.tasks[0].vfinish ||
-			(tq.tasks[0].vfinish == best.tasks[0].vfinish && name < bestName) {
+		if best == nil || wfqBefore(tq.tasks[0], name, best.tasks[0], bestName) {
 			best, bestName = tq, name
 		}
 	}
@@ -252,6 +290,12 @@ func (q *wfqueue) popLocked() *job {
 	tk := best.tasks[0]
 	best.tasks = best.tasks[1:]
 	q.depth--
+	if tk.plan != nil {
+		q.waiting--
+		if !tk.expired() {
+			q.bookLocked(tk)
+		}
+	}
 	q.forgetIfEmptyLocked(bestName, best)
 	if tk.vstart > q.vtime {
 		q.vtime = tk.vstart
@@ -259,11 +303,26 @@ func (q *wfqueue) popLocked() *job {
 	return tk
 }
 
-// wake re-runs every parked worker's pop. Admission calls it (via the
-// headroom hook) when a release or a departing waiter may have turned a
-// skipped tenant dispatchable again.
-func (q *wfqueue) wake() {
-	q.cond.Broadcast()
+// readyLocked reports whether the tenant's head h can make progress now;
+// stop is the first compiled head in WFQ order that only the machine
+// budget holds back (nil: none).
+func (q *wfqueue) readyLocked(tenant string, h, stop *job, stopName string) bool {
+	if h.expired() {
+		return true
+	}
+	if quota := q.quota(tenant); quota > 0 && q.tenantUse[tenant] >= quota {
+		return false
+	}
+	if h.plan == nil {
+		return true
+	}
+	return q.tenantFitsLocked(tenant, h.DemandUnits) && q.globalFitsLocked(h.DemandUnits) &&
+		(stop == nil || wfqBefore(h, tenant, stop, stopName))
+}
+
+// wfqBefore is the fair order of two tenant heads.
+func wfqBefore(a *job, aName string, b *job, bName string) bool {
+	return a.vfinish < b.vfinish || (a.vfinish == b.vfinish && aName < bName)
 }
 
 // close stops intake (reserve still succeeds only for forced recovery

@@ -1,22 +1,23 @@
-// Package ledgerbalance checks that every admission-ledger acquisition
-// and every queue-slot reservation is discharged on every exit path.
-// The daemon's capacity accounting is a two-sided ledger: units taken
-// with admission.acquire/acquireCtx must come back through release, or
-// the machine budget leaks until restart and admission eventually wedges
-// shut; slots taken with wfqueue.reserve participate in the two-phase
+// Package ledgerbalance checks that every job the queue booked memory
+// for, and every queue-slot reservation, is discharged on every exit path.
+// The daemon's capacity accounting is a two-sided ledger: a job booked
+// with wfqueue.book must give its units back through release, or the
+// machine budget leaks until restart and the queue eventually books
+// nothing; slots taken with wfqueue.reserve participate in the two-phase
 // reserve → journal-append → commit/abort protocol, and a reservation
 // that is neither committed nor aborted permanently shrinks the queue
-// (PR-6's shedding math assumes reserved slots always resolve).
+// (the shedding math assumes reserved slots always resolve).
 //
 // Obligation sites are matched by the ledger vocabulary — a call to a
-// method named acquire/acquireCtx opens a release obligation on its
-// receiver expression; reserve opens a commit-or-abort obligation — so
-// corpora can define local lookalike types. The walk is path-sensitive
-// over the function body:
+// method named book opens a release obligation on its receiver
+// expression; reserve opens a commit-or-abort obligation — so corpora can
+// define local lookalike types. The walk is path-sensitive over the
+// function body:
 //
-//   - `if err != nil { ... }` after `err := x.acquireCtx(...)` cancels
-//     the obligation inside the failure branch (a failed acquire took
-//     nothing);
+//   - book reports whether the job holds a booking: `if !q.book(j) {
+//     ... }` holds it only in the else branch and after the if, `if
+//     q.book(j) { ... }` only in the then branch, and `ok := q.book(j)`
+//     binds it to ok, whose `if !ok { ... }` branch holds nothing;
 //   - `if !ok { ... }` after `slot, ok := q.reserve(...)` likewise;
 //   - release/commit/abort on the same receiver — called directly or
 //     deferred — discharges from that point on (defer also covers
@@ -25,9 +26,8 @@
 //     function with an open obligation is a leak, reported at the
 //     acquisition site.
 //
-// The implementation types themselves (receiver types admission and
-// wfqueue) are skipped: the ledger's internals legitimately compose
-// their own primitives.
+// The implementation type itself (receiver type wfqueue) is skipped: the
+// ledger's internals legitimately compose their own primitives.
 package ledgerbalance
 
 import (
@@ -42,7 +42,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ledgerbalance",
-	Doc: "every admission acquire must be released and every queue reserve committed or aborted on every " +
+	Doc: "every job the queue booked must be released and every queue reserve committed or aborted on every " +
 		"exit path (including early returns and panics); an unbalanced ledger leaks capacity until restart",
 	DefaultPackages: []string{
 		"internal/rapidd",
@@ -51,8 +51,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // implReceivers are the ledger implementations; their own methods
-// compose acquire/release internals and are not call sites.
-var implReceivers = map[string]bool{"admission": true, "wfqueue": true}
+// compose book/release internals and are not call sites.
+var implReceivers = map[string]bool{"wfqueue": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
@@ -86,8 +86,8 @@ func receiverTypeName(e ast.Expr) string {
 
 // obligation is one open ledger debt.
 type obligation struct {
-	key    string // rendered receiver, e.g. "s.adm", "s.queue"
-	kind   string // "acquire" (needs release) or "reserve" (needs commit/abort)
+	key    string // rendered receiver, e.g. "s.queue"
+	kind   string // "book" (needs release) or "reserve" (needs commit/abort)
 	pos    token.Pos
 	errVar string // error result: its != nil branch cancels
 	okVar  string // bool result: its !ok branch cancels
@@ -149,8 +149,8 @@ func (w *walker) report() {
 		}
 		where := w.pass.Fset.Position(leak)
 		switch o.kind {
-		case "acquire":
-			w.pass.Reportf(o.pos, "admission units acquired from %s are not released on every path (exit at line %d leaks them): call %s.release on each exit, or defer it — leaked units shrink the machine budget until restart", o.key, where.Line, o.key)
+		case "book":
+			w.pass.Reportf(o.pos, "a job booked by %s is not released on every path (exit at line %d leaks its units): call %s.release on each exit, or defer it — leaked units shrink the machine budget until restart", o.key, where.Line, o.key)
 		case "reserve":
 			w.pass.Reportf(o.pos, "queue slot reserved from %s is neither committed nor aborted on every path (exit at line %d leaks it): the two-phase reserve→journal→commit protocol requires %s.commit on success and %s.abort on failure", o.key, where.Line, o.key, o.key)
 		}
@@ -249,6 +249,7 @@ func (w *walker) walkIf(s *ast.IfStmt, st state) bool {
 	}
 	thenSt, elseSt := st.clone(), st.clone()
 	w.applyCondCancellation(s.Cond, thenSt, elseSt)
+	w.openCondObligation(s.Cond, thenSt, elseSt)
 
 	thenTerm := w.walkStmts(s.Body.List, thenSt)
 	elseTerm := false
@@ -298,8 +299,8 @@ func (w *walker) walkClauses(bodies [][]ast.Stmt, exhaustive bool, st state) boo
 }
 
 // applyCondCancellation removes obligations whose failure guard the
-// condition tests: inside `if err != nil` the acquire failed and took
-// nothing; inside `if !ok` the reserve failed and holds nothing.
+// condition tests: inside `if err != nil` the reserve failed and holds
+// nothing; inside `if !ok` the reserve or the book did.
 func (w *walker) applyCondCancellation(cond ast.Expr, thenSt, elseSt state) {
 	switch c := cond.(type) {
 	case *ast.BinaryExpr:
@@ -322,6 +323,27 @@ func (w *walker) applyCondCancellation(cond ast.Expr, thenSt, elseSt state) {
 	case *ast.Ident: // if ok: failure in else-branch
 		cancelVar(elseSt, c.Name, "ok")
 	}
+}
+
+// openCondObligation opens the obligation of a book call the condition
+// tests, on the branch where it booked: `if !q.book(j)` books in the
+// else branch, `if q.book(j)` in the then branch.
+func (w *walker) openCondObligation(cond ast.Expr, thenSt, elseSt state) {
+	booked := thenSt
+	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		cond, booked = u.X, elseSt
+	}
+	call, ok := cond.(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	key, kind, ok := obligationCall(call)
+	if !ok {
+		return
+	}
+	o := &obligation{key: key, kind: kind, pos: call.Pos()}
+	booked[key] = o
+	w.obs = append(w.obs, o)
 }
 
 // unbindVar detaches a reassigned guard variable from open obligations.
@@ -353,13 +375,13 @@ func cancelVar(st state, name, class string) {
 	}
 }
 
-// handleAssign opens obligations for acquire/reserve assignments and
+// handleAssign opens obligations for book/reserve assignments and
 // records which result variables guard them.
 func (w *walker) handleAssign(s *ast.AssignStmt, st state) {
 	w.scanFuncLits(s)
 	// Any write to a variable unbinds it from earlier obligations: after
 	// `err := journal()`, a subsequent `if err != nil` guards the journal
-	// call, not the acquire whose error the name used to hold.
+	// call, not the reserve whose error the name used to hold.
 	for _, lhs := range s.Lhs {
 		if id, ok := lhs.(*ast.Ident); ok {
 			unbindVar(st, id.Name)
@@ -379,10 +401,10 @@ func (w *walker) handleAssign(s *ast.AssignStmt, st state) {
 	}
 	o := &obligation{key: key, kind: kind, pos: call.Pos()}
 	switch kind {
-	case "acquire": // err := x.acquireCtx(...)
+	case "book": // ok := q.book(j)
 		if len(s.Lhs) == 1 {
 			if id, ok := s.Lhs[0].(*ast.Ident); ok {
-				o.errVar = id.Name
+				o.okVar = id.Name
 			}
 		}
 	case "reserve": // slot, ok := q.reserve(...) or slot, err := ...
@@ -402,7 +424,7 @@ func (w *walker) handleAssign(s *ast.AssignStmt, st state) {
 	w.obs = append(w.obs, o)
 }
 
-// handleCallExpr covers bare-statement calls: an acquire whose error is
+// handleCallExpr covers bare-statement calls: a book whose result is
 // dropped still opens the obligation; release/commit/abort discharge.
 func (w *walker) handleCallExpr(e ast.Expr, st state) {
 	call, ok := e.(*ast.CallExpr)
@@ -435,7 +457,7 @@ func (w *walker) dischargeCall(call *ast.CallExpr, st state) {
 	}
 	switch sel.Sel.Name {
 	case "release", "Release":
-		if o.kind == "acquire" {
+		if o.kind == "book" {
 			delete(st, key)
 		}
 	case "commit", "abort", "Commit", "Abort":
@@ -452,8 +474,8 @@ func obligationCall(call *ast.CallExpr) (key, kind string, ok bool) {
 		return "", "", false
 	}
 	switch sel.Sel.Name {
-	case "acquire", "acquireCtx", "Acquire", "AcquireCtx":
-		return render(sel.X), "acquire", true
+	case "book", "Book":
+		return render(sel.X), "book", true
 	case "reserve", "Reserve":
 		return render(sel.X), "reserve", true
 	}

@@ -1,52 +1,66 @@
 // Corpus for the ledgerbalance analyzer. The types mirror the daemon's
-// ledger vocabulary (acquire/acquireCtx/release; reserve/commit/abort)
-// so the analyzer's structural matching fires on them; each seeded
-// violation sits next to its corrected form.
+// ledger vocabulary (book/release; reserve/commit/abort) so the
+// analyzer's structural matching fires on them; each seeded violation
+// sits next to its corrected form.
 package a
 
-import (
-	"context"
-	"errors"
-)
+import "errors"
 
-type ledger struct{}
-
-func (l *ledger) acquire(tenant string, demand int64, onQueue func()) error { return nil }
-func (l *ledger) acquireCtx(ctx context.Context, tenant string, demand int64, onQueue func()) error {
-	return nil
-}
-func (l *ledger) release(tenant string, demand int64) {}
+type job struct{}
 
 type wslot struct{}
 
 type queue struct{}
 
+func (q *queue) book(j *job) bool                                          { return true }
+func (q *queue) release(j *job)                                            {}
 func (q *queue) reserve(tenant string, prio int, force bool) (wslot, bool) { return wslot{}, true }
 func (q *queue) commit(sl wslot)                                           {}
 func (q *queue) abort(sl wslot)                                            {}
 
 var errShed = errors.New("shed")
 
-// leakOnJournalError is the PR-3-style leak: the happy path releases,
-// but the journal-failure return path forgets, so every I/O fault bleeds
-// admitted units until the daemon wedges shut.
-func leakOnJournalError(l *ledger, journal func() error) error {
-	err := l.acquire("t", 10, nil) // want "not released on every path"
-	if err != nil {
-		return err
+// leakOnJournalError: the happy path releases, but the journal-failure
+// return path forgets, so every I/O fault bleeds booked units until the
+// queue books nothing.
+func leakOnJournalError(q *queue, j *job, journal func() error) error {
+	if !q.book(j) { // want "not released on every path"
+		return nil
 	}
 	if err := journal(); err != nil {
 		return err
 	}
-	l.release("t", 10)
+	q.release(j)
 	return nil
 }
 
 // leakOnPanic: an explicit panic is an exit path too; only a deferred
 // release covers it.
-func leakOnPanic(l *ledger) {
-	_ = l.acquire("t", 1, nil) // want "not released on every path"
+func leakOnPanic(q *queue, j *job) {
+	q.book(j) // want "not released on every path"
 	panic("boom")
+}
+
+// leakBeforeDefer is the solve shape with its release deferred one step
+// too late: a failure between the booking and the defer returns with the
+// units still booked.
+func leakBeforeDefer(q *queue, j *job, hook func() error) (waits bool, err error) {
+	if !q.book(j) { // want "not released on every path"
+		return true, nil
+	}
+	if err := hook(); err != nil {
+		return false, err
+	}
+	defer q.release(j)
+	return false, nil
+}
+
+// leakWhenBooked: the booking is held only in the then branch, which
+// forgets it.
+func leakWhenBooked(q *queue, j *job, run func()) {
+	if q.book(j) { // want "not released on every path"
+		run()
+	}
 }
 
 // reserveWithoutAbort: the two-phase protocol leaks the slot when the
@@ -63,29 +77,37 @@ func reserveWithoutAbort(q *queue, journal func() error) error {
 	return nil
 }
 
-// deferredRelease is the corrected acquire form: the failure branch of
-// the acquire cancels the obligation, the defer covers every later exit
-// including panics.
-func deferredRelease(l *ledger, work func()) error {
-	if err := l.acquireCtx(context.Background(), "t", 5, nil); err != nil {
-		return err
+// deferredRelease is the corrected solve shape: a failed book holds
+// nothing, and the defer right after it covers every later exit,
+// panics included.
+func deferredRelease(q *queue, j *job, work func() error) (waits bool, err error) {
+	if !q.book(j) {
+		return true, nil
 	}
-	defer l.release("t", 5)
-	work()
-	return nil
+	defer q.release(j)
+	return false, work()
 }
 
 // explicitRelease releases on each exit by hand; both paths discharge.
-func explicitRelease(l *ledger, work func() error) error {
-	if err := l.acquire("t", 5, nil); err != nil {
-		return err
+func explicitRelease(q *queue, j *job, work func() error) error {
+	ok := q.book(j)
+	if !ok {
+		return nil
 	}
 	if err := work(); err != nil {
-		l.release("t", 5)
+		q.release(j)
 		return err
 	}
-	l.release("t", 5)
+	q.release(j)
 	return nil
+}
+
+// releaseWhenBooked releases inside the branch that holds the booking.
+func releaseWhenBooked(q *queue, j *job, run func()) {
+	if q.book(j) {
+		defer q.release(j)
+		run()
+	}
 }
 
 // commitOrAbort is the corrected two-phase form: abort on journal
