@@ -2,8 +2,9 @@
 // factorization jobs over HTTP, reuses compiled inspector artifacts through
 // the two-tier plan cache (in-memory LRU over an on-disk content-addressed
 // store), and executes them on a bounded worker pool under a machine-wide
-// memory-budget admission controller — concurrent jobs share -avail-mem,
-// and jobs that would overflow it queue until running work releases space.
+// memory budget — concurrent jobs share -avail-mem, and jobs that would
+// overflow it wait in the pool's queue, not on a worker, until running
+// work releases space.
 //
 // Usage:
 //
@@ -103,7 +104,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job execution watchdog deadline (0: executor default)")
 	workers := flag.Int("workers", 0, "worker-pool size: concurrent job executions (0: max(2, GOMAXPROCS); 1: serial)")
 	queueDepth := flag.Int("queue-depth", 0, "accepted-job backlog bound; beyond it requests are shed with 429 (0: 64, negative: unbuffered)")
-	deadline := flag.Duration("deadline", 0, "default deadline for specs without deadline_ms: how long a job may wait in the queue and at admission before it executes; an executing job is bounded by -job-timeout instead (0: none)")
+	deadline := flag.Duration("deadline", 0, "default deadline for specs without deadline_ms: how long a job may wait in the queue, for a worker or for memory, before it executes; an executing job is bounded by -job-timeout instead (0: none)")
 	retryAfter := flag.Duration("retry-after", 0, "client back-off hint on shed responses (0: 1s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	journalDir := flag.String("journal-dir", "", "write-ahead job journal directory (empty: no durability)")
