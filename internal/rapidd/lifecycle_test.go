@@ -422,13 +422,13 @@ func TestRunningJobOutlivesItsDeadline(t *testing.T) {
 
 // TestLifecycleOneCompletionPerJob drives every terminal path of the
 // daemon against one journal — success, verifier rejection, panic,
-// fault-retry exhaustion, deadline in the queue, cancel while waiting for memory, two
-// identical jobs that each succeed and two that each fail, and the four replay
-// fates: a re-queued job, which passes the Config-time hooks like live
-// traffic, and the three that end a job without running it — and then
-// reads the journal cold: every job's records match submit cancel? admit?
-// cancel? complete with exactly one completion, its done channel is
-// closed, and no admission unit or queue slot is left.
+// fault-retry exhaustion, deadline in the queue, cancel while waiting for
+// memory, two identical jobs that each succeed and two that each fail, and
+// the four replay fates: a re-queued job, which passes the Config-time
+// hooks like live traffic, and the three that end a job without running
+// it — and then reads the journal cold: every job's records match submit
+// cancel? admit? cancel? complete with exactly one completion, its done
+// channel is closed, and no booked unit or queue slot is left.
 func TestLifecycleOneCompletionPerJob(t *testing.T) {
 	size := JobSpec{Kind: "chol", N: 90, Procs: 2}
 	withSeed := func(seed uint64) JobSpec { s := size; s.Seed = seed; return s }
