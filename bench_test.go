@@ -118,7 +118,7 @@ func BenchmarkConcurrentExecConstrained(b *testing.B) {
 // them. The benchmarks above run one execute at a time on smaller blocks,
 // so what two concurrent runs cost each other (the allocator and the
 // collector they share, first of all) shows only here; allocs/op is per
-// pair of runs.
+// pair of runs. Each result is released once it is read, as rapidd does.
 func BenchmarkExecuteServeShape(b *testing.B) {
 	a, err := factor.Matrix("chol", 400, 1)
 	if err != nil {
@@ -134,7 +134,10 @@ func BenchmarkExecuteServeShape(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errs[k] = rapid.Execute(pb.Program, plan, pb.Exec)
+				var rep *rapid.Report
+				if rep, errs[k] = rapid.Execute(pb.Program, plan, pb.Exec); rep != nil {
+					rep.Release()
+				}
 			}()
 		}
 		wg.Wait()
@@ -162,7 +165,8 @@ func cpuTime(tb testing.TB) time.Duration {
 // benchmark reports the ratio of their wall times (speedup), of their CPU
 // times (cpu_ratio: what the parallel run burns per unit of sequential
 // work) and the bytes each allocates (seq-B/op, exec-B/op). B/op is the
-// pair's.
+// pair's. The execute's result is released, as rapidd releases it once the
+// residual is read.
 func BenchmarkServeSpeedup(b *testing.B) {
 	for _, sh := range []struct {
 		name string
@@ -186,7 +190,10 @@ func BenchmarkServeSpeedup(b *testing.B) {
 					if k == 0 {
 						_, err = pb.Sequential()
 					} else {
-						_, err = rapid.Execute(pb.Program, plan, pb.Exec)
+						var rep *rapid.Report
+						if rep, err = rapid.Execute(pb.Program, plan, pb.Exec); rep != nil {
+							rep.Release()
+						}
 					}
 					wall[k] += time.Since(t0)
 					cpu[k] += cpuTime(b) - c0

@@ -253,12 +253,13 @@ func (pr *Problem) BlockObj(i, j int) (graph.ObjID, bool) {
 }
 
 // InitObject fills buf (row-major dims[i]×dims[j]) with the values of block
-// (I, J) of A; fill blocks start at zero. Used by executors to initialize
-// permanent objects on their owners.
+// (I, J) of A; fill blocks stay zero. Used by executors to initialize
+// permanent objects on their owners. buf arrives zeroed (exec.InitFunc), and
+// only the block's own entries of each column are visited: row indices are
+// strictly increasing, so a binary search finds the first row of the block
+// (of its lower triangle, on a diagonal block) and the walk stops past its
+// last.
 func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
-	for i := range buf {
-		buf[i] = 0
-	}
 	if pr.A == nil || pr.A.Val == nil {
 		return
 	}
@@ -266,17 +267,17 @@ func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
 	w := pr.W
 	r0, c0 := int(bi)*w, int(bj)*w
 	rows, cols := pr.dims[bi], pr.dims[bj]
+	end := int32(r0 + rows)
 	for j := 0; j < cols; j++ {
 		col := pr.A.Col(c0 + j)
 		vals := pr.A.ColVal(c0 + j)
-		for k, i := range col {
-			r := int(i) - r0
-			if r >= 0 && r < rows {
-				if bi == bj && r < j {
-					continue // keep lower triangle only
-				}
-				buf[r*cols+j] = vals[k]
-			}
+		first := r0
+		if bi == bj {
+			first += j // keep lower triangle only
+		}
+		k, _ := slices.BinarySearch(col, int32(first))
+		for ; k < len(col) && col[k] < end; k++ {
+			buf[(int(col[k])-r0)*cols+j] = vals[k]
 		}
 	}
 }

@@ -158,6 +158,76 @@ func TestInitObjectLowerTriangle(t *testing.T) {
 	}
 }
 
+// fullScanInit is InitObject as it was before it searched: it clears buf
+// and walks every entry of every column of the block's column. It is the
+// reference of TestInitObjectMatchesFullScan.
+func fullScanInit(pr *Problem, o graph.ObjID, buf []float64) {
+	clear(buf)
+	bi, bj := pr.coord[o][0], pr.coord[o][1]
+	r0, c0 := int(bi)*pr.W, int(bj)*pr.W
+	rows, cols := pr.dims[bi], pr.dims[bj]
+	for j := 0; j < cols; j++ {
+		col := pr.A.Col(c0 + j)
+		vals := pr.A.ColVal(c0 + j)
+		for k, i := range col {
+			r := int(i) - r0
+			if r >= 0 && r < rows {
+				if bi == bj && r < j {
+					continue
+				}
+				buf[r*cols+j] = vals[k]
+			}
+		}
+	}
+}
+
+// TestInitObjectMatchesFullScan: InitObject visits only the block's own
+// rows of each column, found by binary search, and fills every block into
+// a zeroed buffer bit for bit as the full scan does — diagonal blocks, fill
+// blocks and the ragged last block row and column — on the served and
+// factor_chol matrices (n = 120, 400, 1 496, generated as internal/factor
+// does) at block 8 and at block 7, where every dimension is ragged.
+func TestInitObjectMatchesFullScan(t *testing.T) {
+	for _, n := range []int{120, 400, 1496} {
+		rng := util.NewRNG(1)
+		nx, ny := sparse.GridShape(n)
+		a := sparse.AddRandomSymLinks(sparse.Grid2D(nx, ny, true), n/8, rng)
+		a = sparse.SPDValues(a.PermuteSym(sparse.RCM(a)), rng)
+		for _, bs := range []int{8, 7} {
+			pr, err := Build(a, Options{Procs: 4, BlockSize: bs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diag, ragged, nonzero := 0, 0, 0
+			for oi := range pr.G.Objects {
+				o := graph.ObjID(oi)
+				got := make([]float64, pr.G.Objects[o].Size)
+				want := make([]float64, len(got))
+				pr.InitObject(o, got)
+				fullScanInit(pr, o, want)
+				if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+					t.Fatalf("n=%d block %d: block %v differs from the full scan:\n got %v\nwant %v", n, bs, pr.coord[o], got, want)
+				}
+				bi, bj := pr.coord[o][0], pr.coord[o][1]
+				if bi == bj {
+					diag++
+				}
+				if pr.dims[bi] != bs || pr.dims[bj] != bs {
+					ragged++
+				}
+				for _, v := range got {
+					if v != 0 {
+						nonzero++
+					}
+				}
+			}
+			if diag != pr.NB || nonzero == 0 || (bs == 7 && ragged == 0) {
+				t.Fatalf("n=%d block %d: %d diagonal blocks of %d, %d ragged, %d nonzeros", n, bs, diag, pr.NB, ragged, nonzero)
+			}
+		}
+	}
+}
+
 func TestCostsArePositive(t *testing.T) {
 	a := testMatrix(t, 5, 5, 2, 7)
 	pr, err := Build(a, Options{Procs: 2, BlockSize: 3})

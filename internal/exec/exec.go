@@ -2,7 +2,8 @@
 // protocol: it runs a scheduled task graph under the active memory
 // management scheme with real data and the real RMA substrate
 // (deposit-then-flag buffers, single-slot address packages), its p
-// (virtual) processors driven by k = min(p, GOMAXPROCS) worker goroutines.
+// (virtual) processors driven by k = min(p, GOMAXPROCS) workers: the
+// caller's goroutine and k − 1 others.
 //
 // The protocol transitions themselves — REC/EXE/SND/MAP/END, the MAP
 // address-package handshake, the suspended-send queue, arrival-threshold
@@ -54,7 +55,10 @@ import (
 // local buffer of any object the task reads or writes.
 type KernelFunc func(t graph.TaskID, get func(graph.ObjID) []float64) error
 
-// InitFunc fills a permanent object's buffer with its initial value.
+// InitFunc fills a permanent object's buffer with its initial value. buf
+// arrives zeroed — a fresh allocation, a recycled slab cleared before it is
+// handed out, or a released result's payload cleared the same way — so an
+// InitFunc writes only the nonzero words.
 type InitFunc func(o graph.ObjID, buf []float64)
 
 // Config controls a run.
@@ -107,6 +111,19 @@ type Result struct {
 	// timing-dependent and is NOT part of the backend-equivalence
 	// comparison.
 	BlockedAdvances []int
+	// owned holds each processor's permanent payload slab, which Objects'
+	// buffers are carved from, for Release.
+	owned []*[]float64
+}
+
+// Release hands the result's buffers to later runs, which take them before
+// they allocate: afterwards Objects is nil, and no buffer it held may be
+// read or written. A result nobody releases is never reused.
+func (r *Result) Release() {
+	for _, box := range r.owned {
+		rma.RecyclePayload(box)
+	}
+	r.owned, r.Objects = nil, nil
 }
 
 // stallError is a watchdog timeout: the stalled processor's own report.
@@ -136,8 +153,9 @@ type coreSlot struct {
 // its ledger's slabs, its channel and processor tables, its address
 // packages and queues — and backend, the scheduling slots and the
 // address-slot mesh. Run returns it to runStates only once
-// the run has quiesced. Every piece is reset on reuse; only the permanent
-// payload, which the result hands out, is allocated per run.
+// the run has quiesced. Every piece is reset on reuse; the permanent
+// payload, which the result hands out, comes from the payload pool and
+// goes back there only through Result.Release.
 type runState struct {
 	eng   proto.Engine
 	procs []*procState
@@ -277,7 +295,7 @@ func (e *engine) clock() float64 { return float64(time.Since(e.start)) / float64
 // Run executes the compiled plan: its schedule under its MAP plan, driven
 // by its protocol tables. The plan must be executable; capacity is taken
 // from it. The p processors run on k = min(p, runtime.GOMAXPROCS(0))
-// workers.
+// workers, the caller's goroutine one of them.
 func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	if cfg.BlockTimeout < 0 {
 		return nil, errors.New("exec: negative BlockTimeout")
@@ -319,14 +337,17 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	e.watchMu.Lock()
 	e.watchdog = time.AfterFunc(e.period, e.watch)
 	e.watchMu.Unlock()
+	// The caller is one of the k workers: at k = 1 the run starts no
+	// goroutine besides its timers.
 	var wg sync.WaitGroup
-	for w := min(s.P, runtime.GOMAXPROCS(0)); w > 0; w-- {
+	for w := min(s.P, runtime.GOMAXPROCS(0)); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e.work()
 		}()
 	}
+	e.work()
 	wg.Wait()
 	e.watchMu.Lock()
 	e.watchOff = true
@@ -368,6 +389,12 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 		for oi := range s.G.Objects {
 			if b, ok := cores[s.G.Objects[oi].Owner].Lookup(graph.ObjID(oi)); ok {
 				res.Objects[graph.ObjID(oi)] = b.Data
+			}
+		}
+		res.owned = make([]*[]float64, 0, s.P)
+		for _, c := range cores {
+			if box := c.Owned(); box != nil {
+				res.owned = append(res.owned, box)
 			}
 		}
 	}
@@ -499,10 +526,18 @@ func (ps *procState) run() (finished bool, err error) {
 		ps.reset = true
 	}
 	core := &ps.core
+	// fresh says ps.now was read where the last kernel ended and nothing
+	// worth a reading of its own has run since.
+	fresh := false
 	for {
 		// One clock reading per protocol step: it times the step and stamps
-		// the watchdog for whatever progress the step makes.
-		ps.now = e.clock()
+		// the watchdog for whatever progress the step makes. After a task
+		// that sent nothing and a Poll that moved nothing, the kernel-end
+		// reading starts the next step instead.
+		if !fresh {
+			ps.now = e.clock()
+		}
+		fresh = false
 		st, err := core.Advance(ps.now)
 		if err != nil {
 			return false, err
@@ -529,11 +564,12 @@ func (ps *procState) run() (finished bool, err error) {
 				// would absorb the kernel's time.
 				ps.now = e.clock()
 			}
-			core.TaskDone(ps.now)
+			sent := core.TaskDone(ps.now)
 			// Poll between tasks so peers' address packages are consumed
 			// promptly even on processors that never block.
-			core.Poll(ps.now)
+			moved := core.Poll(ps.now)
 			ps.touch()
+			fresh = e.numeric && !sent && !moved
 		case proto.Blocked:
 			if err := ps.blockCheck(st.State); err != nil {
 				return false, err

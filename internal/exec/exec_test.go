@@ -257,12 +257,14 @@ func allocProblem(t *testing.T) (*chol.Problem, *plan.Artifact) {
 	return pr, artifact(s, pl)
 }
 
-// TestExecuteAllocsPerRun pins the driver's heap cost of a re-execute: it
-// takes back the state of the run before it — the cores' ledgers, slabs,
-// tables and address packages — so it allocates per run and per processor
-// (the permanent payload, a worker), and not per MAP, per address package,
-// per object or per task. Rebuilding that state, or a method value or a map
-// on the task path, reads far above the bound.
+// TestExecuteAllocsPerRun pins the executor's heap cost of a re-execute
+// whose predecessor released its result: it takes back the state of the
+// run before it — the cores' ledgers, slabs, tables and address packages —
+// and the released permanent payload, so it allocates per run (the
+// result, its Objects map, the run queue, the watchdog, a worker), and not
+// per processor, per MAP, per address package, per object or per task.
+// Rebuilding that state, or a method value or a map on the task path,
+// reads far above the bound.
 func TestExecuteAllocsPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of what is put back under the race detector")
@@ -271,9 +273,11 @@ func TestExecuteAllocsPerRun(t *testing.T) {
 	p := a.Schedule.P
 	cfg := Config{Kernel: pr.Kernel, Init: pr.InitObject}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(a, cfg); err != nil {
-			t.Error(err)
+		res, err := Run(a, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res.Release()
 	})
 	maps, pkgs, volatile := a.Mem.TotalMAPs(), 0, 0
 	for q := range a.Mem.Procs {
@@ -282,20 +286,20 @@ func TestExecuteAllocsPerRun(t *testing.T) {
 			volatile += len(mp.Allocs)
 		}
 	}
-	const perRun, perProc = 24, 3
-	bound := perRun + perProc*p
-	t.Logf("%.0f allocations; bound %d = %d + %d × %d processors; %d MAPs, %d address packages, %d objects, %d volatile copies, %d tasks",
-		allocs, bound, perRun, perProc, p, maps, pkgs, pr.G.NumObjects(), volatile, pr.G.NumTasks())
+	const bound = 28
+	t.Logf("%.0f allocations; bound %d; %d processors, %d MAPs, %d address packages, %d objects, %d volatile copies, %d tasks",
+		allocs, bound, p, maps, pkgs, pr.G.NumObjects(), volatile, pr.G.NumTasks())
 	if allocs > float64(bound) {
 		t.Fatalf("numeric Run allocates %.0f times, want at most %d", allocs, bound)
 	}
 }
 
-// TestReexecuteAllocatesOnlyItsResult: a re-execute allocates its result —
-// the permanent payload Result.Objects hands out and the Objects map — and
-// a few kB besides; the MAP payloads, header slabs and tables are the
-// previous run's. The median of five re-executes is taken, so that one
-// whose state the collector took back in the meantime does not decide.
+// TestReexecuteAllocatesOnlyItsResult: a re-execute whose predecessor
+// released its result allocates the Objects map and a few kB besides; the
+// permanent payload is the released one, and the MAP payloads, header slabs
+// and tables are the previous run's. The median of five re-executes is
+// taken, so that one whose state the collector took back in the meantime
+// does not decide.
 func TestReexecuteAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of what is put back under the race detector")
@@ -320,22 +324,18 @@ func TestReexecuteAllocatesOnlyItsResult(t *testing.T) {
 	run()
 	runs := make([]uint64, 5)
 	for i := range runs {
+		n := len(res.Objects)
+		res.Release()
 		runs[i] = allocated(run)
+		if len(res.Objects) != n {
+			t.Fatalf("re-execute %d returned %d objects, want %d", i, len(res.Objects), n)
+		}
 	}
 	slices.Sort(runs)
 	got := runs[len(runs)/2]
-	// The result as the allocator sizes it: one permanent payload slab per
-	// processor, and the Objects map.
-	floats := make([]int, a.Schedule.P)
-	for o, d := range res.Objects {
-		floats[a.Schedule.G.Objects[o].Owner] += len(d)
-	}
-	slabs := make([][]float64, len(floats))
+	// The result as the allocator sizes it: the Objects map.
 	var objects map[graph.ObjID][]float64
 	result := allocated(func() {
-		for q, n := range floats {
-			slabs[q] = make([]float64, n)
-		}
 		objects = make(map[graph.ObjID][]float64, len(res.Objects))
 		for o, d := range res.Objects {
 			objects[o] = d
@@ -343,7 +343,7 @@ func TestReexecuteAllocatesOnlyItsResult(t *testing.T) {
 	})
 	const slack = 8 << 10
 	bound := result + slack
-	t.Logf("re-execute allocates %d B (runs %v); bound %d = %d permanent payload slabs and Objects map + %d",
+	t.Logf("re-execute allocates %d B (runs %v); bound %d = %d Objects map + %d",
 		got, runs, bound, result, slack)
 	if got > bound {
 		t.Fatalf("a re-execute allocates %d B, want at most %d", got, bound)

@@ -183,11 +183,9 @@ func (pr *Problem) BufLen(o graph.ObjID) int64 {
 func (pr *Problem) colStart(k int) int { return k * pr.W }
 
 // InitObject fills a panel buffer with the values of the corresponding
-// columns of A (dense n×w panel; pivot strip and row index zeroed).
+// columns of A (dense n×w panel; pivot strip and row index stay zero). buf
+// arrives zeroed (exec.InitFunc).
 func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
-	for i := range buf {
-		buf[i] = 0
-	}
 	if pr.A == nil || pr.A.Val == nil {
 		return
 	}

@@ -530,6 +530,10 @@ type outSend struct {
 	// tail.
 	next int32
 	due  float64
+	// dup marks an injected duplicate copy of a delivered message: it skips
+	// the loss and duplication rolls, and the receiver's sequence check
+	// discards it.
+	dup bool
 }
 
 // chanFIFO is one channel's queue: the log indices of its oldest and newest
@@ -565,6 +569,8 @@ type Core struct {
 	fifo   []chanFIFO
 	armed  []int32
 	queued int
+	// dups holds the duplicate copies drawn since the last queueDups.
+	dups []outSend
 	// addrSeq numbers the address packages sent to each destination.
 	addrSeq []int32
 	// pkgs and pkgBufs hold the address packages of all the processor's
@@ -615,8 +621,9 @@ func (e *Engine) NewCore(p graph.Proc, be Backend) (*Core, error) {
 // Reset is NewCore into c, for a run of any plan after the one c served:
 // the ledger's slabs, the channel and processor tables, the address
 // packages and the queues are that run's, reused, so nothing of that run
-// may still reach them. Only the permanent payload is allocated anew — a
-// run's result hands it out.
+// may still reach them. The permanent payload is not that run's: a run's
+// result hands it out, so it comes from the payload pool
+// (rma.Memory.ReserveOwned).
 func (c *Core) Reset(e *Engine, p graph.Proc, be Backend) error {
 	g := e.S.G
 	nchan := e.Tables.NumChans()
@@ -630,6 +637,7 @@ func (c *Core) Reset(e *Engine, p graph.Proc, be Backend) error {
 		outq:     c.outq[:0],
 		fifo:     util.Reuse(c.fifo, nchan),
 		armed:    c.armed[:0],
+		dups:     c.dups[:0],
 		addrSeq:  util.Reuse(c.addrSeq, e.S.P),
 		pkgs:     c.pkgs,
 		pkgBufs:  c.pkgBufs,
@@ -714,7 +722,7 @@ func (c *Core) Release() {
 		c.mem.Release()
 	}
 	*c = Core{
-		pend: c.pend[:0], outq: c.outq[:0], fifo: c.fifo, armed: c.armed[:0],
+		pend: c.pend[:0], outq: c.outq[:0], fifo: c.fifo, armed: c.armed[:0], dups: c.dups[:0],
 		addrSeq: c.addrSeq, pkgs: c.pkgs, pkgBufs: c.pkgBufs, mem: c.mem,
 		addr: addr, addrSeen: c.addrSeen, scratch: c.scratch[:0],
 	}
@@ -775,6 +783,11 @@ func (c *Core) applyMAP(m *mem.MAP) error {
 	}
 	return nil
 }
+
+// Owned returns the box of the processor's permanent payload slab, which
+// its permanent objects' buffers are carved from (rma.Memory.Owned); nil in
+// a run without payloads.
+func (c *Core) Owned() *[]float64 { return c.mem.Owned() }
 
 // Lookup returns the live local buffer of object o, if any.
 func (c *Core) Lookup(o graph.ObjID) (*rma.Buffer, bool) { return c.mem.Lookup(o) }
@@ -1065,8 +1078,13 @@ func (c *Core) pushOut(m outSend) {
 // transmit performs one transmission attempt of m's data message and
 // reports whether it was delivered. A lost attempt arms m's retransmission
 // timer (exponential backoff, capped retry budget); a delivered message may
-// be followed by an injected duplicate copy that the receiver discards.
+// draw an injected duplicate copy, which queueDups puts behind its channel.
 func (c *Core) transmit(m *outSend, now float64) bool {
+	if m.dup {
+		c.deposit(m.snd)
+		c.Stats.DupsSent++
+		return c.err == nil
+	}
 	m.attempt++
 	if m.attempt > 1 {
 		c.Stats.Retransmits++
@@ -1088,12 +1106,25 @@ func (c *Core) transmit(m *outSend, now float64) bool {
 	c.Stats.DataSent++
 	c.Stats.Acked++
 	if c.eng.Faults.dupData(m.snd) {
-		// Deliver a second copy; the receiver's per-buffer sequence check
-		// discards it without touching the arrival counter.
-		c.deposit(m.snd)
-		c.Stats.DupsSent++
+		c.dups = append(c.dups, outSend{snd: m.snd, dup: true, due: now + RTO})
 	}
 	return true
+}
+
+// queueDups puts the duplicate copies the last transmissions drew at the
+// tails of their channels, due one RTO on: a later CQ deposits each, so it
+// may land after its receiver read, dropped or freed the copy — an order
+// the network may deliver and the receiver's sequence check must absorb,
+// as an address package's duplicate waits for the slot its original left.
+func (c *Core) queueDups() {
+	if len(c.dups) == 0 {
+		return
+	}
+	for _, m := range c.dups {
+		c.pushOut(m)
+	}
+	c.dups = c.dups[:0]
+	c.be.WakeAfter(RTO)
 }
 
 // deposit hands snd to the transport with the handle its consumer exported;
@@ -1129,18 +1160,36 @@ func (c *Core) ready(t graph.TaskID) (bool, error) {
 // predecessor — go onto the outbound queue; the rest transmit immediately
 // (and join the queue if that transmission is lost). A received copy whose
 // last local reader this task was takes no further deposit, and drops its
-// payload (see alloc): every version it receives has arrived.
-func (c *Core) TaskDone(now float64) {
-	c.enter(StateSND, now)
+// payload (see alloc): every version it receives has arrived. A large
+// payload goes back to the payload pool when dropped (rma.Buffer.Drop), so
+// a copy whose object a queued send still reads keeps it.
+//
+// A task with no data or control sends has no SND state: the core stays in
+// EXE until the next Advance, and TaskDone reports false. It reports true
+// when it entered SND, so that the loop calling it knows the step's
+// protocol work is worth a clock reading of its own.
+func (c *Core) TaskDone(now float64) (sent bool) {
 	t := c.curTask
 	c.Stats.TasksRun++
+	c.pos++
 	tb := c.eng.Tables
+	sends, ctl := tb.SendsOf(t), tb.CtlSendsOf(t)
+	if sent = len(sends) > 0 || len(ctl) > 0; sent {
+		c.enter(StateSND, now)
+		c.send(sends, ctl, now)
+	}
 	for _, need := range tb.NeedsOf(t) {
-		if b, ok := c.mem.Lookup(need.Obj); ok && tb.lastRead[b.Chan] == t {
+		b, ok := c.mem.Lookup(need.Obj)
+		if ok && tb.lastRead[b.Chan] == t && (len(b.Data) < rma.LargePayload || !c.sendQueued(need.Obj)) {
 			b.Drop()
 		}
 	}
-	for _, snd := range tb.SendsOf(t) {
+	return sent
+}
+
+// send issues a finished task's data messages and control signals.
+func (c *Core) send(sends []Send, ctl []graph.TaskID, now float64) {
+	for _, snd := range sends {
 		if c.eng.Faults.delayData(snd) {
 			c.Stats.FaultsInjected++
 			c.Stats.DataSuspended++
@@ -1158,11 +1207,26 @@ func (c *Core) TaskDone(now float64) {
 			c.pushOut(m)
 		}
 	}
-	for _, v := range tb.CtlSendsOf(t) {
+	c.queueDups()
+	for _, v := range ctl {
 		c.be.SendCtl(v)
 		c.Stats.CtlSent++
 	}
-	c.pos++
+}
+
+// sendQueued reports whether the outbound log holds a data message of
+// object o — queued, or delivered since the queue last ran empty — which
+// reads o's local buffer when it transmits.
+func (c *Core) sendQueued(o graph.ObjID) bool {
+	if c.queued == 0 {
+		return false
+	}
+	for i := 1; i < len(c.outq); i++ {
+		if c.outq[i].snd.Obj == o {
+			return true
+		}
+	}
+	return false
 }
 
 // Poll runs RA (read the address packages that have arrived into the
@@ -1241,6 +1305,7 @@ func (c *Core) cq(now float64) bool {
 		}
 	}
 	c.armed = kept
+	c.queueDups()
 	return progress
 }
 
@@ -1284,6 +1349,8 @@ func (c *Core) BlockedInfo() string {
 			why := "address not yet received"
 			if m.attempt > 0 {
 				why = fmt.Sprintf("lost %d times, awaiting retransmission", m.attempt)
+			} else if m.dup {
+				why = "a duplicate copy, due one RTO after its original"
 			}
 			return fmt.Sprintf("END state: draining %d suspended sends, head is object %q to processor %d (%s)",
 				c.queued, g.Objects[m.snd.Obj].Name, m.snd.Dst, why)

@@ -30,6 +30,8 @@ type loopMachine struct {
 	onData    func(snd Send)
 	afterTask func(c *Core, task graph.TaskID)
 	afterPoll func(c *Core)
+	// sent is what the latest TaskDone reported.
+	sent bool
 }
 
 // loopBackend is a transport and nothing else: slots[src] holds the
@@ -99,7 +101,7 @@ func (m *loopMachine) runE() error {
 				// Loop back into Advance next sweep (MAP cost is free here).
 			case RunTask:
 				m.tick++
-				c.TaskDone(m.tick)
+				m.sent = c.TaskDone(m.tick)
 				if m.afterTask != nil {
 					m.afterTask(c, st.Task)
 				}
@@ -277,6 +279,50 @@ func constrainedRandom(t *testing.T, seed uint64) (*sched.Schedule, *mem.Plan) {
 		t.Fatal(err)
 	}
 	return s, planFor(t, s)
+}
+
+// TestTaskWithoutSendsHasNoSND: TaskDone enters SND only for a task with
+// data or control sends, and reports whether it did. A task that sends
+// nothing leaves the core in EXE and adds no SND time, so the state after
+// it starts where its kernel ended; every task that sends is charged SND
+// from its TaskDone to the next Advance.
+func TestTaskWithoutSendsHasNoSND(t *testing.T) {
+	s, pl := constrainedRandom(t, 11)
+	m := newLoopMachine(t, s, pl, Faults{})
+	tb := m.eng.Tables
+	type seen struct {
+		snd     float64 // SND occupancy at the last TaskDone
+		sending bool    // whether the last task sent
+	}
+	last := make(map[*Core]seen)
+	quiet, loud := 0, 0
+	m.afterTask = func(c *Core, task graph.TaskID) {
+		sends := len(tb.SendsOf(task))+len(tb.CtlSendsOf(task)) > 0
+		if m.sent != sends {
+			t.Fatalf("task %d with %d data and %d control sends: TaskDone reported %v",
+				task, len(tb.SendsOf(task)), len(tb.CtlSendsOf(task)), m.sent)
+		}
+		want := StateEXE
+		if sends {
+			want, loud = StateSND, loud+1
+		} else {
+			quiet++
+		}
+		if c.CurrentState() != want {
+			t.Fatalf("task %d (sends %v) left the core in %s", task, sends, c.CurrentState())
+		}
+		// The SND time charged since the core's previous TaskDone is that
+		// task's: some if it sent, none if it did not.
+		if prev, ok := last[c]; ok && (c.occ[StateSND] > prev.snd) != prev.sending {
+			t.Fatalf("task %d: SND grew from %g to %g after a task that sent %v",
+				task, prev.snd, c.occ[StateSND], prev.sending)
+		}
+		last[c] = seen{c.occ[StateSND], sends}
+	}
+	m.run(t)
+	if quiet == 0 || loud == 0 {
+		t.Fatalf("%d tasks sent nothing and %d sent; the run must have both", quiet, loud)
+	}
 }
 
 // TestCQLinear: without faults a suspended send waits for one thing, its

@@ -1099,6 +1099,7 @@ func (s *Server) solve(j *job) (waits bool, err error) {
 		r.ExecMS = execMS
 		r.StateUS = stateUS
 	})
+	rep.Release()
 	return false, nil
 }
 

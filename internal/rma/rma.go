@@ -32,7 +32,6 @@ package rma
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -58,6 +57,10 @@ type Buffer struct {
 	// event is 1 + the number of the allocation event whose recyclable
 	// payload slab Data was carved from; 0 for any other payload.
 	event int32
+	// pooled holds the payload a first deposit took from the payload pool
+	// (Data is its first len(Data) float64s), for Drop to hand back; nil
+	// for any other payload.
+	pooled *[]float64
 }
 
 // Why a buffer refuses a non-duplicate deposit (Buffer.gone).
@@ -81,9 +84,10 @@ func (b *Buffer) Arrivals() int32 { return b.arrivals.Load() }
 // invalidated an address, or let go of a payload, that was in use.
 //
 // Put is the one deposit. A buffer allocated with no payload gets one here:
-// the first deposit that carries data allocates it as a copy of that data
-// (no zero-fill first). In a structure-only run neither side has a
-// payload, and Put only counts the arrival.
+// the first deposit that carries data takes a payload from the pool
+// (takePayload) and copies the data into it, which overwrites all of it. In
+// a structure-only run neither side has a payload, and Put only counts the
+// arrival.
 func (b *Buffer) Put(data []float64, seq int32) bool {
 	if seq <= b.lastSeq.Load() {
 		return false
@@ -95,19 +99,26 @@ func (b *Buffer) Put(data []float64, seq int32) bool {
 		panic(fmt.Sprintf("rma: Put into the dropped payload of object %d (a deposit after its last read)", b.Obj))
 	}
 	b.lastSeq.Store(seq)
-	if b.Data != nil {
-		copy(b.Data, data)
-	} else if data != nil {
-		b.Data = slices.Clone(data)
+	if b.Data == nil && data != nil {
+		b.pooled, b.Data, _ = takePayload(len(data))
 	}
+	copy(b.Data, data)
 	b.arrivals.Add(1)
 	return true
 }
 
 // Drop lets go of the payload once its last read is done: the buffer stays
 // allocated, booked and exported, but takes no further deposit (Put). Only
-// the buffer's owner calls it, after the reads it ends.
+// the buffer's owner calls it, after the reads it ends, and only while no
+// send it has queued still reads the object (a send reads its source when
+// it transmits). A payload its first deposit took from the pool goes back
+// to it, for the next large copy: a late duplicate reads the sequence
+// watermark and never the payload.
 func (b *Buffer) Drop() {
+	if b.pooled != nil {
+		RecyclePayload(b.pooled)
+		b.pooled = nil
+	}
 	b.Data = nil
 	b.gone.Store(payloadDropped)
 }
@@ -160,6 +171,9 @@ type Memory struct {
 	paySlabs    [][]float64
 	payLive     []int32
 	dead, spare [][]float64
+	// owned is the payload of the run's ReserveOwned event, which the
+	// caller keeps past the run.
+	owned *[]float64
 }
 
 // LargePayload is the payload length, in float64s, from which a buffer
@@ -175,6 +189,50 @@ func SlabLen(bufLen int64) int64 {
 		return 0
 	}
 	return bufLen
+}
+
+// payloads is the process-wide pool of payloads runs let go of — a dropped
+// large copy (Buffer.Drop), the permanent slabs of a released result
+// (RecyclePayload) — by size class. A payload's capacity is its class's
+// size, so any payload of a class holds any length of that class. What no
+// one takes back within two collections the collector drops (util.Pool).
+var payloads [numClasses]util.Pool[[]float64]
+
+// numClasses covers every int length (sizeClass).
+const numClasses = 8 + 8*61
+
+// sizeClass returns the class of a payload of n > 0 float64s and the
+// capacity every payload of the class has: n itself up to 8, above that n
+// rounded up to the next of eight steps per power of two, so that a class
+// holds at most an eighth more than it is asked for.
+func sizeClass(n int) (class, size int) {
+	if n <= 8 {
+		return n - 1, n
+	}
+	e := bits.Len(uint(n - 1)) // 2^(e-1) < n <= 2^e, e >= 4
+	k := (n - 1 - 1<<(e-1)) >> (e - 4)
+	return 8 + (e-4)*8 + k, 1<<(e-1) + (k+1)<<(e-4)
+}
+
+// takePayload returns a payload of n > 0 float64s from the pool and the box
+// it travels in: a recycled payload, holding whatever its last user left,
+// or, when fresh is true, a new zeroed one. The box keeps the whole
+// allocation, whose capacity is n's size class's, for RecyclePayload; data
+// is its first n float64s, with its capacity cut at n.
+func takePayload(n int) (box *[]float64, data []float64, fresh bool) {
+	c, size := sizeClass(n)
+	box = payloads[c].Get()
+	if fresh = cap(*box) == 0; fresh {
+		*box = make([]float64, size)
+	}
+	return box, (*box)[:n:n], fresh
+}
+
+// RecyclePayload hands a box takePayload returned back to the pool; nothing
+// may read or write its payload afterwards.
+func RecyclePayload(box *[]float64) {
+	c, _ := sizeClass(cap(*box))
+	payloads[c].Recycle(box)
 }
 
 // NewMemory returns an arena with the given capacity in abstract units.
@@ -203,7 +261,7 @@ func (m *Memory) Reset(capacity int64, objects int) {
 	clear(m.dead)
 	clear(m.paySlabs)
 	m.dead, m.paySlabs, m.payLive = m.dead[:0], m.paySlabs[:0], m.payLive[:0]
-	m.events = 0
+	m.events, m.owned = 0, nil
 }
 
 // Release lets go of what the run's buffers point at — an owned payload
@@ -215,7 +273,7 @@ func (m *Memory) Release() {
 	for _, h := range m.hdrSlabs {
 		clear(h)
 	}
-	m.hdrs, m.pay = nil, nil
+	m.hdrs, m.pay, m.owned = nil, nil, nil
 }
 
 // Used returns the units currently allocated.
@@ -236,8 +294,14 @@ func (m *Memory) Reserve(n int, floats int64) { m.reserve(n, floats, false) }
 
 // ReserveOwned is Reserve for an event whose payload the caller keeps past
 // the run (a processor's permanent objects, which a run's result hands
-// out): the payload slab is allocated anew and never recycled.
+// out): the payload slab comes from the payload pool (takePayload),
+// zeroed, and no later event of the run takes it. Owned returns it; it goes
+// back to the pool only if the caller hands it back (RecyclePayload).
 func (m *Memory) ReserveOwned(n int, floats int64) { m.reserve(n, floats, true) }
+
+// Owned returns the box of the payload slab of the run's ReserveOwned
+// event; nil if there was none or it had no payload.
+func (m *Memory) Owned() *[]float64 { return m.owned }
 
 func (m *Memory) reserve(n int, floats int64, owned bool) {
 	i := m.events
@@ -251,7 +315,10 @@ func (m *Memory) reserve(n int, floats int64, owned bool) {
 	switch {
 	case floats == 0:
 	case owned:
-		m.pay = make([]float64, floats)
+		var fresh bool
+		if m.owned, m.pay, fresh = takePayload(int(floats)); !fresh {
+			clear(m.pay)
+		}
 	default:
 		slab = m.takeSlab(int(floats))
 		m.pay = slab

@@ -167,6 +167,55 @@ func TestDeferredPayloadLifecycle(t *testing.T) {
 	}
 }
 
+// TestSizeClasses: every length's class holds it, wastes at most an eighth
+// of it, and is the class of its own size, so a pooled payload goes back to
+// the class it was taken from.
+func TestSizeClasses(t *testing.T) {
+	prev := -1
+	for n := 1; n < 1<<20; n += 1 + n/64 {
+		c, size := sizeClass(n)
+		if size < n || 8*(size-n) > n || c < prev || c >= numClasses {
+			t.Fatalf("length %d: class %d of size %d (previous class %d)", n, c, size, prev)
+		}
+		if c2, size2 := sizeClass(size); c2 != c || size2 != size {
+			t.Fatalf("length %d: class %d size %d, but size %d is class %d size %d", n, c, size, size, c2, size2)
+		}
+		prev = c
+	}
+	if c, _ := sizeClass(math.MaxInt); c >= numClasses {
+		t.Fatalf("the longest length is class %d of %d", c, numClasses)
+	}
+}
+
+// TestDroppedPayloadFeedsNextCopy: a large copy's dropped payload is what
+// the next first deposit of a length of its class takes, and the deposit
+// overwrites all of it.
+func TestDroppedPayloadFeedsNextCopy(t *testing.T) {
+	m := NewMemory(1 << 40)
+	src := make([]float64, LargePayload+3)
+	for k := range src {
+		src[k] = float64(k)
+	}
+	reused := false
+	for o := graph.ObjID(0); o < 40; o += 2 {
+		a, _ := m.AllocChan(o, 0, 1, 0)
+		b, _ := m.AllocChan(o+1, 1, 1, 0)
+		a.Put(src, 1)
+		first := &a.Data[0]
+		a.Drop()
+		b.Put(src[:len(src)-1], 1)
+		if !slices.Equal(b.Data, src[:len(src)-1]) || cap(b.Data) != len(b.Data) {
+			t.Fatalf("the next copy holds %d words of capacity %d, not the deposit", len(b.Data), cap(b.Data))
+		}
+		// The race detector drops a quarter of what is put back.
+		reused = reused || &b.Data[0] == first
+		b.Drop()
+	}
+	if !reused {
+		t.Fatal("no first deposit took the payload dropped before it")
+	}
+}
+
 func TestPutAfterDropPanics(t *testing.T) {
 	m := NewMemory(100)
 	b, err := m.AllocChan(3, 0, 2, 0)

@@ -167,7 +167,8 @@ func Build(cp *chol.Problem, factor map[graph.ObjID][]float64, b []float64) (*Pr
 }
 
 // InitObject fills buffers: L blocks from the factored Cholesky buffers,
-// y segments from the right-hand side, x segments with zero.
+// y segments from the right-hand side; x segments stay zero. buf arrives
+// zeroed (exec.InitFunc).
 func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
 	if c, ok := pr.lCoord[o]; ok {
 		co, _ := pr.chol.BlockObj(int(c[0]), int(c[1]))
@@ -177,12 +178,6 @@ func (pr *Problem) InitObject(o graph.ObjID, buf []float64) {
 	for k := 0; k < pr.NB; k++ {
 		if pr.yObj[k] == o {
 			copy(buf, pr.b[pr.segStart[k]:pr.segStart[k+1]])
-			return
-		}
-		if pr.xObj[k] == o {
-			for i := range buf {
-				buf[i] = 0
-			}
 			return
 		}
 	}

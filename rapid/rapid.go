@@ -261,7 +261,8 @@ type StateOccupancy = proto.Occupancy
 func StateNames() []string { return proto.StateNames() }
 
 // ExecOptions configure Execute: Kernel runs each task (nil: a
-// structure-only protocol run), Init fills permanent objects, BufLen
+// structure-only protocol run), Init fills permanent objects (their
+// buffers arrive zeroed; exec.InitFunc), BufLen
 // overrides physical buffer lengths (default: object sizes), Faults injects
 // protocol perturbations and BlockTimeout is the liveness watchdog (0: the
 // executor's 30-second default).
@@ -270,13 +271,14 @@ type ExecOptions = exec.Config
 // Report summarizes an execution: the protocol's per-processor run report
 // (MAPsPerProc, PeakUnits, Occupancy in wall-clock seconds, SuspendedSends,
 // Reliability, and the machine-wide Messages and AddrPackages) plus
-// Objects, every object's final buffer in numeric mode.
+// Objects, every object's final buffer in numeric mode. Release hands
+// those buffers to later Executes; a Report nobody releases keeps them.
 type Report = exec.Result
 
 // Execute runs the plan concurrently under the full
 // active-memory-management protocol: k = min(p, runtime.GOMAXPROCS(0))
-// worker goroutines drive the plan's p processors from one shared run
-// queue, each processor until it blocks.
+// workers — the caller's goroutine and k − 1 others — drive the plan's p
+// processors from one shared run queue, each processor until it blocks.
 func Execute(prog *Program, plan *Plan, opt ExecOptions) (*Report, error) {
 	return exec.Run(plan, opt)
 }
