@@ -1,6 +1,6 @@
 package repro_test
 
-// The four executor benchmarks, the serve-shape ruler, the inspector,
+// The five executor benchmarks, the serve-shape ruler, the inspector,
 // verifier and decoder benchmarks and the daemon's hot and cold requests
 // CI's benchstat step gates, and the allocation and live-byte ceilings of
 // the same paths.
@@ -38,12 +38,13 @@ func benchMatrix() *sparse.Matrix {
 	return sparse.SPDValues(m.PermuteSym(sparse.RCM(m)), rng)
 }
 
-// inspect is the inspector, matrix to first task: the Cholesky of m cut
-// into blocks of the given size, compiled for opt.Procs emulated processors
-// at memPct % of TOT (0: full memory), protocol tables derived.
-func inspect(b testing.TB, m *sparse.Matrix, block int, opt rapid.Options, memPct int) (*factor.Problem, *rapid.Plan) {
+// inspect is the inspector, matrix to first task: kind's factorization of m
+// cut into blocks (chol) or panels (lu) of the given size, compiled for
+// opt.Procs emulated processors at memPct % of TOT (0: full memory),
+// protocol tables derived.
+func inspect(b testing.TB, kind string, m *sparse.Matrix, block int, opt rapid.Options, memPct int) (*factor.Problem, *rapid.Plan) {
 	b.Helper()
-	pb, err := factor.Build("chol", m, opt.Procs, block)
+	pb, err := factor.Build(kind, m, opt.Procs, block)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func timeExec(b *testing.B, pb *factor.Problem, plan *rapid.Plan, opt rapid.Exec
 func benchExec(b *testing.B, numeric bool) {
 	for _, p := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			pb, plan := inspect(b, benchMatrix(), 12, rapid.Options{Procs: p, Heuristic: rapid.MPO}, 0)
+			pb, plan := inspect(b, "chol", benchMatrix(), 12, rapid.Options{Procs: p, Heuristic: rapid.MPO}, 0)
 			var opt rapid.ExecOptions
 			if numeric {
 				opt = pb.Exec
@@ -108,7 +109,7 @@ func BenchmarkConcurrentExecNumeric(b *testing.B) { benchExec(b, true) }
 // sends per processor — and run structure-only, so the time is the
 // protocol's.
 func BenchmarkConcurrentExecConstrained(b *testing.B) {
-	pb, plan := inspect(b, benchMatrix(), 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	pb, plan := inspect(b, "chol", benchMatrix(), 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
 	timeExec(b, pb, plan, rapid.ExecOptions{})
 }
 
@@ -124,7 +125,7 @@ func BenchmarkExecuteServeShape(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pb, plan := inspect(b, a, 8, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
+	pb, plan := inspect(b, "chol", a, 8, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
 	var errs [2]error
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -146,6 +147,28 @@ func BenchmarkExecuteServeShape(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkExecuteLU is the execute of bench/'s factor_lu workload — lu
+// n=1496 cut into panels of 16, MPO, 4 processors, full memory — the one
+// gated run whose time is the kernels' (blas is over 90 % of it), where an
+// LU kernel change shows end to end. Each result is released once it is
+// read, as rapidd releases it.
+func BenchmarkExecuteLU(b *testing.B) {
+	a, err := factor.Matrix("lu", 1496, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pb, plan := inspect(b, "lu", a, 16, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := rapid.Execute(pb.Program, plan, pb.Exec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep.Release()
 	}
 }
 
@@ -177,7 +200,7 @@ func BenchmarkServeSpeedup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pb, plan := inspect(b, a, 8, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
+			pb, plan := inspect(b, "chol", a, 8, rapid.Options{Procs: 4, Heuristic: rapid.MPO}, 0)
 			var wall, cpu [2]time.Duration
 			var bytes [2]uint64
 			var ms runtime.MemStats
@@ -221,9 +244,9 @@ func BenchmarkServeSpeedup(b *testing.B) {
 func TestInspectorAllocsPerTask(t *testing.T) {
 	m := benchMatrix()
 	opt := rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}
-	pb, _ := inspect(t, m, 6, opt, 40)
+	pb, _ := inspect(t, "chol", m, 6, opt, 40)
 	tasks := float64(pb.Program.G.NumTasks())
-	allocs := testing.AllocsPerRun(5, func() { inspect(t, m, 6, opt, 40) })
+	allocs := testing.AllocsPerRun(5, func() { inspect(t, "chol", m, 6, opt, 40) })
 	if perTask := allocs / tasks; perTask > 0.5 {
 		t.Fatalf("inspector: %.0f allocations for %.0f tasks, %.2f per task; want at most 0.5", allocs, tasks, perTask)
 	}
@@ -239,7 +262,7 @@ func BenchmarkInspect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inspect(b, m, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+		inspect(b, "chol", m, 6, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
 	}
 }
 
@@ -251,7 +274,7 @@ func factorCholPlan(tb testing.TB) *rapid.Plan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	_, plan := inspect(tb, a, 12, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
+	_, plan := inspect(tb, "chol", a, 12, rapid.Options{Procs: 4, Heuristic: rapid.DTSMerge}, 40)
 	return plan
 }
 

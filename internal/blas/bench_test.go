@@ -6,42 +6,46 @@ import (
 	"repro/internal/util"
 )
 
-// The shapes are the ones the factorizations call: LU's Schur update is a
-// tall rows×16 panel times a 16×16 block (N·N) in which most panel rows are
-// zero; block Cholesky at the served size runs 8×8 to 12×12 blocks (N·T,
-// Syrk, TrsmRightLowerT); the n×n residual check is the one large product.
+// The shapes are the ones the factorizations call: LU's Schur update
+// multiplies the few nonzero rows of a tall panel by the few nonzero columns
+// of a 16×16 U block (GemmMasked) after a 16×16 solve; block Cholesky at the
+// served size runs 8×8 to 12×12 blocks (N·T, Syrk, TrsmRightLowerT); the
+// n×n residual check is the one large product.
 
 func reportFlops(b *testing.B, flopsPerOp float64) {
 	b.ReportMetric(flopsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e6, "MFlop/s")
 }
 
-func benchGemmNN(b *testing.B, zeroRowsPct int) {
-	const m, n, k = 700, 16, 16
+// BenchmarkGemmMasked_LU is one update's product at factor_lu's shape
+// (n=1496, panels of 16): a 704-row panel in which about 12 % of the rows
+// hold a nonzero, in runs of about two, times a 16×16 U block with four
+// nonzero columns. It reports MFlop/s over the marked rows × columns only:
+// the rest is work there is not.
+func BenchmarkGemmMasked_LU(b *testing.B) {
+	const m, n, k = 704, 16, 16
 	rng := util.NewRNG(1)
 	a := randMat(rng, m, k)
-	nonzero := 0
+	rows := make([]float64, RowSetLen(m))
+	marked := 0
 	for i := 0; i < m; i++ {
-		if rng.Intn(100) < zeroRowsPct {
-			clear(a[i*k : (i+1)*k])
-		} else {
-			nonzero++
+		// A run starts at about one row in 16 and covers two rows.
+		if rng.Intn(16) == 0 {
+			for r := i; r < min(i+2, m); r++ {
+				MarkRow(rows, r)
+				marked++
+			}
+			i++
 		}
 	}
 	bb := randMat(rng, k, n)
+	const cols = 1<<1 | 1<<6 | 1<<7 | 1<<12
 	c := randMat(rng, m, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(false, m, n, k, -1, a, k, bb, n, c, n)
+		GemmMasked(rows, cols, k, -1, a, k, bb, n, c, n)
 	}
-	reportFlops(b, 2*float64(nonzero)*n*k)
-}
-
-// BenchmarkGemmNN_LU reports MFlop/s over the nonzero rows only: the zero
-// rows are work there is not.
-func BenchmarkGemmNN_LU(b *testing.B) {
-	b.Run("dense", func(b *testing.B) { benchGemmNN(b, 0) })
-	b.Run("zero89", func(b *testing.B) { benchGemmNN(b, 89) })
+	reportFlops(b, 2*float64(marked)*4*k)
 }
 
 func benchGemmNT(b *testing.B, n int) {
@@ -52,7 +56,7 @@ func benchGemmNT(b *testing.B, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(true, n, n, n, -1, a, n, bb, n, c, n)
+		Gemm(n, n, n, -1, a, n, bb, n, c, n)
 	}
 	reportFlops(b, 2*float64(n)*float64(n)*float64(n))
 }
@@ -114,7 +118,7 @@ func BenchmarkTrsmLeftLowerUnit_16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrsmLeftLowerUnit(n, n, l, n, x, n)
+		TrsmLeftLowerUnit(n, 1<<n-1, l, n, x, n)
 	}
 	reportFlops(b, float64(n)*float64(n-1)*float64(n))
 }

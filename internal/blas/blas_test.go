@@ -37,6 +37,84 @@ func naiveGemm(transB bool, m, n, k int, alpha float64, a []float64, lda int, b 
 	}
 }
 
+// gemmNN is the row-axpy product C += alpha·A·B over every row and column,
+// l unrolled four deep: the summation order GemmMasked and TrsmLeftLowerUnit
+// keep for each entry they touch, and their bit-for-bit reference. A row of
+// A that is AllZero is skipped, as the full product LU ran before its
+// updates were masked skipped it.
+func gemmNN(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	for i := 0; i < m; i++ {
+		ai := a[i*lda : i*lda+k]
+		if AllZero(ai) {
+			continue
+		}
+		ci := c[i*ldc : i*ldc+n]
+		l := 0
+		for ; l+4 <= k; l += 4 {
+			v0, v1, v2, v3 := alpha*ai[l], alpha*ai[l+1], alpha*ai[l+2], alpha*ai[l+3]
+			b0 := b[l*ldb:][:len(ci)]
+			b1 := b[(l+1)*ldb:][:len(ci)]
+			b2 := b[(l+2)*ldb:][:len(ci)]
+			b3 := b[(l+3)*ldb:][:len(ci)]
+			for j := range ci {
+				ci[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+			}
+		}
+		for ; l < k; l++ {
+			v := alpha * ai[l]
+			bl := b[l*ldb:][:len(ci)]
+			for j := range ci {
+				ci[j] += v * bl[j]
+			}
+		}
+	}
+}
+
+// fullTrsmLeftLowerUnit is TrsmLeftLowerUnit on every column, row i a
+// one-row gemmNN against the rows already solved.
+func fullTrsmLeftLowerUnit(m, n int, l []float64, ldl int, b []float64, ldb int) {
+	for i := 1; i < m; i++ {
+		gemmNN(1, n, i, -1, l[i*ldl:], ldl, b, ldb, b[i*ldb:], ldb)
+	}
+}
+
+// randomSets draws a row set over m rows and a column mask over n ≤ 64
+// columns, each row and column marked with probability 1/2, and returns
+// them with a lookup of whether row i, column j is marked.
+func randomSets(rng *util.RNG, m, n int) (rows []float64, cols uint64, marked func(i, j int) bool) {
+	rows = make([]float64, RowSetLen(m))
+	for i := 0; i < m; i++ {
+		if rng.Intn(2) == 0 {
+			MarkRow(rows, i)
+		}
+	}
+	for j := 0; j < n; j++ {
+		if rng.Intn(2) == 0 {
+			cols |= 1 << j
+		}
+	}
+	return rows, cols, func(i, j int) bool {
+		return HasRow(rows, i) && cols>>j&1 == 1
+	}
+}
+
+// maskedBits fails unless got holds want's bits on the marked entries of the
+// m×n region with leading dimension ld and orig's everywhere else, padding
+// included.
+func maskedBits(t *testing.T, what string, got, want, orig []float64, ld int, marked func(i, j int) bool) {
+	t.Helper()
+	for x := range got {
+		i, j := x/ld, x%ld
+		ref := orig
+		if marked(i, j) {
+			ref = want
+		}
+		if math.Float64bits(got[x]) != math.Float64bits(ref[x]) {
+			t.Fatalf("%s: entry (%d,%d) is %v, want %v", what, i, j, got[x], ref[x])
+		}
+	}
+}
+
 func naiveSyrk(n, k int, alpha float64, a []float64, lda int, c []float64, ldc int) {
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
@@ -155,25 +233,38 @@ func TestKernelsAgainstNaive(t *testing.T) {
 		// alpha == 0 makes Gemm a no-op (the BLAS convention), NaN or not.
 		withNaN := trial%5 == 0 && alpha != 0
 
-		// Gemm N·N and N·T.
-		for _, transB := range []bool{false, true} {
-			lda, ldc := k+pad, n+pad
+		// GemmMasked (N·N): the marked entries hold the full product's
+		// bits, every other entry and the padding keep theirs.
+		{
+			lda, ldb, ldc := k+pad, n+pad, n+pad
 			a := strided(rng, m, k, lda)
 			spoil(rng, a, m, k, lda, withNaN)
-			var b []float64
-			ldb := n + pad
-			if transB {
-				ldb = k + pad
-				b = strided(rng, n, k, ldb)
-			} else {
-				b = strided(rng, k, n, ldb)
-			}
+			b := strided(rng, k, n, ldb)
+			c := strided(rng, m, n, ldc)
+			rows, cols, marked := randomSets(rng, m, n)
+			got, again, full, want := slices.Clone(c), slices.Clone(c), slices.Clone(c), slices.Clone(c)
+			GemmMasked(rows, cols, k, alpha, a, lda, b, ldb, got, ldc)
+			GemmMasked(rows, cols, k, alpha, a, lda, b, ldb, again, ldc)
+			gemmNN(m, n, k, alpha, a, lda, b, ldb, full, ldc)
+			naiveGemm(false, m, n, k, alpha, a, lda, b, ldb, want, ldc)
+			what := fmt.Sprintf("GemmMasked %dx%dx%d alpha=%v pad=%d", m, n, k, alpha, pad)
+			sameWithin(t, what+" (reference)", full, want)
+			maskedBits(t, what, got, full, c, ldc, marked)
+			bitEqual(t, what, got, again)
+		}
+
+		// Gemm N·T.
+		{
+			lda, ldb, ldc := k+pad, k+pad, n+pad
+			a := strided(rng, m, k, lda)
+			spoil(rng, a, m, k, lda, withNaN)
+			b := strided(rng, n, k, ldb)
 			c := strided(rng, m, n, ldc)
 			got, again, want := slices.Clone(c), slices.Clone(c), slices.Clone(c)
-			Gemm(transB, m, n, k, alpha, a, lda, b, ldb, got, ldc)
-			Gemm(transB, m, n, k, alpha, a, lda, b, ldb, again, ldc)
-			naiveGemm(transB, m, n, k, alpha, a, lda, b, ldb, want, ldc)
-			what := fmt.Sprintf("Gemm(transB=%v) %dx%dx%d alpha=%v pad=%d", transB, m, n, k, alpha, pad)
+			Gemm(m, n, k, alpha, a, lda, b, ldb, got, ldc)
+			Gemm(m, n, k, alpha, a, lda, b, ldb, again, ldc)
+			naiveGemm(true, m, n, k, alpha, a, lda, b, ldb, want, ldc)
+			what := fmt.Sprintf("Gemm %dx%dx%d alpha=%v pad=%d", m, n, k, alpha, pad)
 			sameWithin(t, what, got, want)
 			bitEqual(t, what, got, again)
 		}
@@ -224,64 +315,95 @@ func TestKernelsAgainstNaive(t *testing.T) {
 			}
 			b := strided(rng, m, n, ldb)
 			spoil(rng, b, m, n, ldb, withNaN)
-			got, again, want := slices.Clone(b), slices.Clone(b), slices.Clone(b)
-			TrsmLeftLowerUnit(m, n, l, ldl, got, ldb)
-			TrsmLeftLowerUnit(m, n, l, ldl, again, ldb)
+			_, cols, _ := randomSets(rng, 0, n)
+			got, again, full, want := slices.Clone(b), slices.Clone(b), slices.Clone(b), slices.Clone(b)
+			TrsmLeftLowerUnit(m, cols, l, ldl, got, ldb)
+			TrsmLeftLowerUnit(m, cols, l, ldl, again, ldb)
+			fullTrsmLeftLowerUnit(m, n, l, ldl, full, ldb)
 			naiveTrsmLeftLowerUnit(m, n, l, ldl, want, ldb)
 			what := fmt.Sprintf("TrsmLeftLowerUnit %dx%d pad=%d", m, n, pad)
-			sameWithin(t, what, got, want)
+			sameWithin(t, what+" (reference)", full, want)
+			maskedBits(t, what, got, full, b, ldb, func(i, j int) bool { return cols>>j&1 == 1 })
 			bitEqual(t, what, got, again)
 		}
 	}
 }
 
-// TestGemmNaNRowPropagates pins the zero-row skip's definition: a row of A
-// is skipped iff every entry == 0, so a NaN row reaches C and a -0 row
-// leaves C's bits alone.
+// TestGemmNaNRowPropagates pins what GemmMasked skips: a NaN row of A that
+// the row set marks reaches C, a row it leaves out leaves C's bits alone
+// (-0 included), and so does a column the mask leaves out, NaN in B or not.
+// NonzeroCols counts NaN as nonzero and -0 as zero.
 func TestGemmNaNRowPropagates(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	a := []float64{
 		math.NaN(), 0, 0, 0, 0,
-		negZero, negZero, negZero, negZero, negZero,
+		math.NaN(), 1, 1, 1, 1,
 		0, 0, 0, 0, 1,
 	}
-	b := make([]float64, 5*3)
+	b := make([]float64, 5*4)
 	for i := range b {
 		b[i] = float64(i + 1)
 	}
-	c := []float64{1, 2, 3, negZero, negZero, negZero, 0, 0, 0}
-	Gemm(false, 3, 3, 5, 1, a, 5, b, 3, c, 3)
+	for l := 0; l < 5; l++ {
+		b[l*4+3] = math.NaN()
+	}
+	b[2*4+2] = negZero
+	c := []float64{1, 2, 3, negZero, negZero, negZero, negZero, negZero, 0, 0, 0, negZero}
+	rows := []float64{1 + 4} // rows 0 and 2
+	if cols := NonzeroCols(5, 4, b, 4); cols != 0b1111 {
+		t.Fatalf("NonzeroCols = %b, want 1111", cols)
+	}
+	b2 := []float64{0, negZero, math.NaN(), 0, 0, 0}
+	if cols := NonzeroCols(2, 3, b2, 3); cols != 0b100 {
+		t.Fatalf("NonzeroCols = %b, want 100 (-0 is zero, NaN is not)", cols)
+	}
+	GemmMasked(rows, 0b0111, 5, 1, a, 5, b, 4, c, 4)
 	for j := 0; j < 3; j++ {
 		if !math.IsNaN(c[j]) {
-			t.Fatalf("NaN row of A was skipped: c[0][%d] = %v", j, c[j])
+			t.Fatalf("marked NaN row of A was skipped: c[0][%d] = %v", j, c[j])
 		}
-		if math.Float64bits(c[3+j]) != math.Float64bits(negZero) {
-			t.Fatalf("-0 row of A was not skipped: c[1][%d] = %v", j, c[3+j])
+		if math.Float64bits(c[4+j]) != math.Float64bits(negZero) {
+			t.Fatalf("row left out of the set was touched: c[1][%d] = %v", j, c[4+j])
 		}
-		if c[6+j] != b[4*3+j] {
-			t.Fatalf("row with a nonzero in the k%%4 tail: c[2][%d] = %v, want %v", j, c[6+j], b[4*3+j])
+		if c[8+j] != b[4*4+j] {
+			t.Fatalf("row with a nonzero in the k%%4 tail: c[2][%d] = %v, want %v", j, c[8+j], b[4*4+j])
 		}
+	}
+	if math.Float64bits(c[3]) != math.Float64bits(negZero) || math.Float64bits(c[11]) != math.Float64bits(negZero) {
+		t.Fatalf("column left out of the mask was touched: %v, %v", c[3], c[11])
 	}
 }
 
 func TestGemmSubBlockLeadingDim(t *testing.T) {
-	// Multiply sub-blocks of a larger panel to exercise lda != n.
+	// Multiply sub-blocks of a larger panel to exercise lda != k.
 	rng := util.NewRNG(2)
 	big := randMat(rng, 8, 8)
 	a := big[2*8+1:] // 3x2 sub-block at (2,1), lda 8
-	b := randMat(rng, 2, 4)
+	b := randMat(rng, 4, 2)
 	c := make([]float64, 3*4)
-	Gemm(false, 3, 4, 2, 1, a, 8, b, 4, c, 4)
+	Gemm(3, 4, 2, 1, a, 8, b, 2, c, 4)
 	want := make([]float64, 3*4)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
 			for l := 0; l < 2; l++ {
-				want[i*4+j] += big[(2+i)*8+1+l] * b[l*4+j]
+				want[i*4+j] += big[(2+i)*8+1+l] * b[j*2+l]
 			}
 		}
 	}
 	if d := MaxAbsDiff(3, 4, c, 4, want, 4); d > 1e-13 {
 		t.Fatalf("sub-block Gemm diff %v", d)
+	}
+	// The same block through GemmMasked, every row and column marked.
+	bt := make([]float64, 2*4)
+	for j := 0; j < 4; j++ {
+		for l := 0; l < 2; l++ {
+			bt[l*4+j] = b[j*2+l]
+		}
+	}
+	clear(c)
+	GemmMasked([]float64{7}, 0b1111, 2, 1, a, 8, bt, 4, c, 4)
+	if d := MaxAbsDiff(3, 4, c, 4, want, 4); d > 1e-13 {
+		t.Fatalf("sub-block GemmMasked diff %v", d)
 	}
 }
 
@@ -305,7 +427,7 @@ func TestSyrkMatchesGemm(t *testing.T) {
 func spdMatrix(rng *util.RNG, n int) []float64 {
 	b := randMat(rng, n, n)
 	a := make([]float64, n*n)
-	Gemm(true, n, n, n, 1, b, n, b, n, a, n)
+	Gemm(n, n, n, 1, b, n, b, n, a, n)
 	for i := 0; i < n; i++ {
 		a[i*n+i] += float64(n)
 	}
@@ -327,7 +449,7 @@ func TestPotrfReconstructs(t *testing.T) {
 		}
 	}
 	rec := make([]float64, n*n)
-	Gemm(true, n, n, n, 1, l, n, l, n, rec, n)
+	Gemm(n, n, n, 1, l, n, l, n, rec, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			if math.Abs(rec[i*n+j]-a[i*n+j]) > 1e-9 {
@@ -415,7 +537,7 @@ func TestTrsmRightLowerT(t *testing.T) {
 	TrsmRightLowerT(m, n, l, n, x, n, false)
 	// Check X·Lᵀ == B.
 	rec := make([]float64, m*n)
-	Gemm(true, m, n, n, 1, x, n, l, n, rec, n)
+	Gemm(m, n, n, 1, x, n, l, n, rec, n)
 	if d := MaxAbsDiff(m, n, rec, n, b, n); d > 1e-10 {
 		t.Fatalf("X·Lᵀ != B, diff %v", d)
 	}
@@ -433,9 +555,9 @@ func TestTrsmLeftLowerUnit(t *testing.T) {
 	}
 	b := randMat(rng, m, n)
 	x := append([]float64(nil), b...)
-	TrsmLeftLowerUnit(m, n, l, m, x, n)
+	TrsmLeftLowerUnit(m, 1<<n-1, l, m, x, n)
 	rec := make([]float64, m*n)
-	Gemm(false, m, n, m, 1, l, m, x, n, rec, n)
+	naiveGemm(false, m, n, m, 1, l, m, x, n, rec, n)
 	if d := MaxAbsDiff(m, n, rec, n, b, n); d > 1e-10 {
 		t.Fatalf("L·X != B, diff %v", d)
 	}

@@ -309,7 +309,7 @@ func (pr *Problem) Kernel(t graph.TaskID, get func(graph.ObjID) []float64) error
 		b := get(reads[1]) // A[j,k]
 		c := get(writes[0])
 		m, n, k := pr.dims[ti.i], pr.dims[ti.j], pr.dims[ti.k]
-		blas.Gemm(true, m, n, k, -1, a, k, b, k, c, n)
+		blas.Gemm(m, n, k, -1, a, k, b, k, c, n)
 		return nil
 	}
 	return fmt.Errorf("chol: unknown kernel for task %d", t)

@@ -88,7 +88,7 @@ func TestFactorResidual(t *testing.T) {
 	n := a.N
 	// ‖A - L·Lᵀ‖_F / ‖A‖_F
 	rec := make([]float64, n*n)
-	blas.Gemm(true, n, n, n, 1, l, n, l, n, rec, n)
+	blas.Gemm(n, n, n, 1, l, n, l, n, rec, n)
 	ad := a.ToDense()
 	num, den := 0.0, 0.0
 	for i := 0; i < n; i++ {

@@ -114,17 +114,28 @@ type Result struct {
 	// owned holds each processor's permanent payload slab, which Objects'
 	// buffers are carved from, for Release.
 	owned []*[]float64
+	// objects boxes Objects, for Release.
+	objects *map[graph.ObjID][]float64
 }
 
-// Release hands the result's buffers to later runs, which take them before
-// they allocate: afterwards Objects is nil, and no buffer it held may be
-// read or written. A result nobody releases is never reused.
+// Release hands the result's buffers and its Objects map to later runs,
+// which take them before they allocate: afterwards Objects is nil, and no
+// buffer it held may be read or written. A result nobody releases is never
+// reused, its map included.
 func (r *Result) Release() {
 	for _, box := range r.owned {
 		rma.RecyclePayload(box)
 	}
-	r.owned, r.Objects = nil, nil
+	if r.objects != nil {
+		clear(*r.objects)
+		resultMaps.Recycle(r.objects)
+	}
+	r.owned, r.Objects, r.objects = nil, nil, nil
 }
+
+// resultMaps holds the Objects maps of released results, cleared, for the
+// results of later runs.
+var resultMaps util.Pool[map[graph.ObjID][]float64]
 
 // stallError is a watchdog timeout: the stalled processor's own report.
 // Run appends every processor's state to it once the run has stopped.
@@ -385,7 +396,11 @@ func Run(a *plan.Artifact, cfg Config) (*Result, error) {
 	}
 	res.Summary = e.eng.Summarize(cores)
 	if e.numeric {
-		res.Objects = make(map[graph.ObjID][]float64, s.G.NumObjects())
+		res.objects = resultMaps.Get()
+		if *res.objects == nil {
+			*res.objects = make(map[graph.ObjID][]float64, s.G.NumObjects())
+		}
+		res.Objects = *res.objects
 		for oi := range s.G.Objects {
 			if b, ok := cores[s.G.Objects[oi].Owner].Lookup(graph.ObjID(oi)); ok {
 				res.Objects[graph.ObjID(oi)] = b.Data

@@ -260,8 +260,8 @@ func allocProblem(t *testing.T) (*chol.Problem, *plan.Artifact) {
 // TestExecuteAllocsPerRun pins the executor's heap cost of a re-execute
 // whose predecessor released its result: it takes back the state of the
 // run before it — the cores' ledgers, slabs, tables and address packages —
-// and the released permanent payload, so it allocates per run (the
-// result, its Objects map, the run queue, the watchdog, a worker), and not
+// and the released permanent payload and Objects map, so it allocates per
+// run (the result, the run queue, the watchdog, a worker), and not
 // per processor, per MAP, per address package, per object or per task.
 // Rebuilding that state, or a method value or a map on the task path,
 // reads far above the bound.
@@ -295,11 +295,14 @@ func TestExecuteAllocsPerRun(t *testing.T) {
 }
 
 // TestReexecuteAllocatesOnlyItsResult: a re-execute whose predecessor
-// released its result allocates the Objects map and a few kB besides; the
-// permanent payload is the released one, and the MAP payloads, header slabs
-// and tables are the previous run's. The median of five re-executes is
-// taken, so that one whose state the collector took back in the meantime
-// does not decide.
+// released its result allocates a few kB; the permanent payload and the
+// Objects map are the released ones, and the MAP payloads, header slabs
+// and tables are the previous run's. The median of nine re-executes is
+// bounded, so that one whose state the collector took back in the meantime
+// does not decide. The expected outlier is a pool miss across Ps: Release
+// puts the map in its own P's private slot, and a Run scheduled on another
+// P makes a fresh one. So every re-execute is bounded by one fresh Objects
+// map besides, and no more.
 func TestReexecuteAllocatesOnlyItsResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of what is put back under the race detector")
@@ -322,7 +325,7 @@ func TestReexecuteAllocatesOnlyItsResult(t *testing.T) {
 		}
 	}
 	run()
-	runs := make([]uint64, 5)
+	runs := make([]uint64, 9)
 	for i := range runs {
 		n := len(res.Objects)
 		res.Release()
@@ -332,20 +335,22 @@ func TestReexecuteAllocatesOnlyItsResult(t *testing.T) {
 		}
 	}
 	slices.Sort(runs)
-	got := runs[len(runs)/2]
-	// The result as the allocator sizes it: the Objects map.
+	got, worst := runs[len(runs)/2], runs[len(runs)-1]
+	// A fresh Objects map as the allocator sizes it: ~164 kB here.
 	var objects map[graph.ObjID][]float64
-	result := allocated(func() {
+	fresh := allocated(func() {
 		objects = make(map[graph.ObjID][]float64, len(res.Objects))
 		for o, d := range res.Objects {
 			objects[o] = d
 		}
 	})
 	const slack = 8 << 10
-	bound := result + slack
-	t.Logf("re-execute allocates %d B (runs %v); bound %d = %d Objects map + %d",
-		got, runs, bound, result, slack)
-	if got > bound {
-		t.Fatalf("a re-execute allocates %d B, want at most %d", got, bound)
+	t.Logf("re-execute allocates %d B median, %d B worst (runs %v); bounds %d and %d = %d fresh Objects map + %d",
+		got, worst, runs, slack, fresh+slack, fresh, slack)
+	if got > slack {
+		t.Fatalf("a re-execute allocates %d B in the median, want at most %d", got, slack)
+	}
+	if worst > fresh+slack {
+		t.Fatalf("a re-execute allocates %d B, want at most %d: more than a cross-P miss of the Objects map", worst, fresh+slack)
 	}
 }

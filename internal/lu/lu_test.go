@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/blas"
 	"repro/internal/graph"
 	"repro/internal/sparse"
 	"repro/internal/util"
@@ -190,7 +191,7 @@ func TestSymbolicRunsOnce(t *testing.T) {
 func listedRows(rows []float64, below int) []bool {
 	listed := make([]bool, below)
 	for i := range listed {
-		listed[i] = uint64(rows[i/rowsPerWord])>>(i%rowsPerWord)&1 == 1
+		listed[i] = blas.HasRow(rows, i)
 	}
 	return listed
 }
@@ -246,7 +247,7 @@ func denseFactor(t *testing.T, pr *Problem) map[graph.ObjID][]float64 {
 			_, _, rows, w := pr.panelParts(int(ti.k), bufs[pr.PanelObj(int(ti.k))])
 			clear(rows)
 			for i := 0; i < pr.N-pr.colStart(int(ti.k))-w; i++ {
-				rows[i/rowsPerWord] += float64(uint64(1) << (i % rowsPerWord))
+				blas.MarkRow(rows, i)
 			}
 		}
 	}
@@ -365,5 +366,143 @@ func TestKernelDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("update task allocates %v objects per call", n)
+	}
+}
+
+// uBlockCases counts the U blocks fullFactor meets after the row swaps, all
+// zero, partly zero and full, and the nonzero columns past 64, where the
+// second mask word runs.
+type uBlockCases struct{ zero, partial, full, wide int }
+
+// fullFactor is SequentialFactor with both the row index and the column mask
+// defeated: each update is written out here as the full product the masks
+// replace — the row swaps, the unit-lower solve on every column of the U
+// block, and the Schur update on every column and every row below the
+// diagonal block — each entry summed l in groups of four, then the tail,
+// as GemmMasked sums. The factor tasks run the package's kernel.
+func fullFactor(t *testing.T, pr *Problem, cases *uBlockCases) map[graph.ObjID][]float64 {
+	t.Helper()
+	bufs := make(map[graph.ObjID][]float64)
+	for k := 0; k < pr.NB; k++ {
+		b := make([]float64, pr.BufLen(pr.PanelObj(k)))
+		pr.InitObject(pr.PanelObj(k), b)
+		bufs[pr.PanelObj(k)] = b
+	}
+	order, err := pr.G.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range order {
+		ti := pr.info[task]
+		if ti.kind == opFactor {
+			if err := pr.Kernel(task, func(o graph.ObjID) []float64 { return bufs[o] }); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		k, j := int(ti.k), int(ti.j)
+		matK, piv, _, wk := pr.panelParts(k, bufs[pr.PanelObj(k)])
+		matJ, _, _, wj := pr.panelParts(j, bufs[pr.PanelObj(j)])
+		r0 := pr.colStart(k)
+		u := matJ[r0*wj : (r0+wk)*wj]
+		blas.Laswp(wj, matJ[r0*wj:], wj, piv)
+		nonzero := 0
+		for c := 0; c < wj; c++ {
+			for q := 0; q < wk; q++ {
+				if u[q*wj+c] != 0 {
+					nonzero++
+					if c >= 64 {
+						cases.wide++
+					}
+					break
+				}
+			}
+		}
+		switch nonzero {
+		case 0:
+			cases.zero++
+		case wj:
+			cases.full++
+		default:
+			cases.partial++
+		}
+		l := matK[r0*wk:]
+		for q := 1; q < wk; q++ {
+			fullRowUpdate(u[q*wj:(q+1)*wj], l[q*wk:q*wk+q], u, wj)
+		}
+		below := matK[(r0+wk)*wk:]
+		for i := 0; i < len(below)/wk; i++ {
+			fullRowUpdate(matJ[(r0+wk+i)*wj:(r0+wk+i+1)*wj], below[i*wk:(i+1)*wk], u, wj)
+		}
+	}
+	return bufs
+}
+
+// fullRowUpdate subtracts Σ_l a[l]·B_l from c on every column, B's rows ldb
+// apart: l in groups of four, then the tail.
+func fullRowUpdate(c, a, b []float64, ldb int) {
+	l := 0
+	for ; l+4 <= len(a); l += 4 {
+		v0, v1, v2, v3 := -1*a[l], -1*a[l+1], -1*a[l+2], -1*a[l+3]
+		for x := range c {
+			c[x] += v0*b[l*ldb+x] + v1*b[(l+1)*ldb+x] + v2*b[(l+2)*ldb+x] + v3*b[(l+3)*ldb+x]
+		}
+	}
+	for ; l < len(a); l++ {
+		v := -1 * a[l]
+		for x := range c {
+			c[x] += v * b[l*ldb+x]
+		}
+	}
+}
+
+// TestColumnMaskIsExact is the test that fails if an update ever skips a
+// column it should not: the factor with the row index and the column mask
+// is bit-equal to the full update's, on matrices whose U blocks are all
+// zero, partly zero and full, and on one cut into panels wider than 64
+// columns, where the second mask word runs.
+func TestColumnMaskIsExact(t *testing.T) {
+	var total uBlockCases
+	for _, tc := range []struct {
+		nx, ny, links, block int
+		seed                 uint64
+	}{
+		{12, 10, 30, 8, 1},
+		{12, 10, 30, 8, 2},
+		{12, 10, 30, 8, 3},
+		{16, 14, 60, 72, 4},
+	} {
+		a := testMatrix(t, tc.nx, tc.ny, tc.links, tc.seed)
+		pr, err := Build(a, Options{Procs: 4, BlockSize: tc.block})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufs, err := pr.SequentialFactor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := fullFactor(t, pr, &total)
+		for k := 0; k < pr.NB; k++ {
+			got, gotPiv, _, _ := pr.panelParts(k, bufs[pr.PanelObj(k)])
+			want, wantPiv, _, _ := pr.panelParts(k, full[pr.PanelObj(k)])
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d panel %d entry %d: %v with the masks, %v with the full update",
+						tc.seed, k, i, got[i], want[i])
+				}
+			}
+			for i := range wantPiv {
+				if gotPiv[i] != wantPiv[i] {
+					t.Fatalf("seed %d panel %d: pivot %d differs", tc.seed, k, i)
+				}
+			}
+		}
+	}
+	t.Logf("U blocks %+v", total)
+	if total.zero == 0 || total.partial == 0 || total.full == 0 {
+		t.Fatalf("U blocks %+v: the mask is not exercised in all three cases", total)
+	}
+	if total.wide == 0 {
+		t.Fatal("no nonzero column past 64: the second mask word never runs")
 	}
 }

@@ -272,7 +272,8 @@ type ExecOptions = exec.Config
 // (MAPsPerProc, PeakUnits, Occupancy in wall-clock seconds, SuspendedSends,
 // Reliability, and the machine-wide Messages and AddrPackages) plus
 // Objects, every object's final buffer in numeric mode. Release hands
-// those buffers to later Executes; a Report nobody releases keeps them.
+// those buffers and the Objects map to later Executes; a Report nobody
+// releases keeps them.
 type Report = exec.Result
 
 // Execute runs the plan concurrently under the full
